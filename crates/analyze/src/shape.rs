@@ -2,7 +2,7 @@
 //!
 //! A [`ShapeTensor`] is a tensor with its data erased: two dimensions and
 //! nothing else. [`ShapeCtx`] replays the exact op vocabulary of the autodiff
-//! graph (`matmul`/`matmul_nt`/`matmul_tn`, gather/scatter, `conv1d`,
+//! graph (`matmul`/`matmul_nt`/`matmul_tn`, gather, `segment_sum`, `conv1d`,
 //! softmax-CE, the RNN/R-GCN building blocks) over shapes only — no
 //! allocation, no floating point — checking every dimension and index-space
 //! precondition the real kernels would assert at runtime.
@@ -14,6 +14,8 @@
 //! than the first. Callers drain the result with [`ShapeCtx::finish`].
 
 use std::fmt;
+
+use retia_tensor::Segments;
 
 /// A tensor reduced to its shape: `rows x cols`. Copy, 16 bytes, no data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -264,31 +266,15 @@ impl ShapeCtx {
         )
     }
 
-    /// Scatter-add into `[out_rows, x.cols]`: one destination index per row
-    /// of `x`, each addressing a row of the output.
-    pub fn scatter_add_rows(
-        &mut self,
-        x: ShapeTensor,
-        indices: &[u32],
-        out_rows: usize,
-    ) -> ShapeTensor {
-        let bad = indices.iter().find(|&&i| (i as usize) >= out_rows);
-        let count_ok = indices.len() == x.rows;
+    /// Sparse row operator `seg` applied to `x`: every column index must
+    /// address a row of `x`; the output has one row per operator row.
+    pub fn segment_sum(&mut self, x: ShapeTensor, seg: &Segments) -> ShapeTensor {
+        let bad = seg.cols().iter().find(|&&c| (c as usize) >= x.rows);
         self.op(
-            "scatter_add_rows",
-            count_ok && bad.is_none(),
-            || {
-                if !count_ok {
-                    format!("{} destination indices for {} input rows", indices.len(), x.rows)
-                } else {
-                    format!(
-                        "destination index {} out of range for {} output rows",
-                        bad.unwrap_or(&0),
-                        out_rows
-                    )
-                }
-            },
-            ShapeTensor::new(out_rows, x.cols),
+            "segment_sum",
+            bad.is_none(),
+            || format!("column index {} out of range for {} rows", bad.unwrap_or(&0), x.rows),
+            ShapeTensor::new(seg.num_rows(), x.cols),
         )
     }
 
@@ -487,11 +473,14 @@ mod tests {
         assert_eq!(ctx.gather_rows(st(10, 4), &[0, 9]), st(2, 4));
         assert!(ctx.issues().is_empty());
         ctx.gather_rows(st(10, 4), &[10]);
-        ctx.scatter_add_rows(st(2, 4), &[0, 7], 7);
         ctx.gather_cols(st(3, 5), &[0, 5, 1]);
-        assert_eq!(ctx.issues().len(), 3);
+        assert_eq!(ctx.issues().len(), 2);
         assert!(ctx.issues()[0].detail.contains("index 10"));
-        assert!(ctx.issues()[1].detail.contains("index 7"));
+        let seg = Segments::unit(&[vec![0, 3], vec![], vec![4]]);
+        assert_eq!(ctx.segment_sum(st(5, 2), &seg), st(3, 2));
+        assert_eq!(ctx.issues().len(), 2);
+        ctx.segment_sum(st(4, 2), &seg);
+        assert!(ctx.issues()[2].detail.contains("column index 4"));
     }
 
     #[test]

@@ -27,6 +27,7 @@
 use std::fmt;
 
 use retia_tensor::transfer::{self, Interval};
+use retia_tensor::Segments;
 
 use crate::gradflow;
 
@@ -462,7 +463,7 @@ impl AuditCtx {
         self.op("dropout", &[x], r, c, iv)
     }
 
-    // ---- gathers / scatters / layout -------------------------------------
+    // ---- gathers / segment sums / layout ---------------------------------
 
     /// Gather `count` rows: values are drawn from `x`.
     pub fn gather_rows(&mut self, x: AbsId, count: usize) -> AbsId {
@@ -471,12 +472,12 @@ impl AuditCtx {
         self.op("gather_rows", &[x], count, c, iv)
     }
 
-    /// Scatter-add `x`'s rows into a zeroed `[out_rows, cols]` output; in
-    /// the worst case every source row collides on one output row.
-    pub fn scatter_add_rows(&mut self, x: AbsId, out_rows: usize) -> AbsId {
-        let (src_rows, c) = self.shape(x);
-        let iv = transfer::scatter_add(self.iv(x), src_rows);
-        self.op("scatter_add_rows", &[x], out_rows, c, iv)
+    /// Sparse row operator `seg` applied to `x`, bounded by the operator's
+    /// measured per-row weight mass.
+    pub fn segment_sum(&mut self, x: AbsId, seg: &Segments) -> AbsId {
+        let iv = transfer::segment_sum(self.iv(x), seg.mass());
+        let (_, c) = self.shape(x);
+        self.op("segment_sum", &[x], seg.num_rows(), c, iv)
     }
 
     /// Per-row scaling by data-dependent weights inside `weights`.

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retia_analyze::{ShapeCtx, ShapeTensor};
-use retia_tensor::{Graph, NodeId, Tensor};
+use retia_tensor::{Graph, NodeId, Segments, Tensor};
 
 /// One live value tracked through both executions.
 #[derive(Clone, Copy)]
@@ -85,12 +85,16 @@ fn random_op_sequences_agree_with_real_execution() {
                     }
                 }
                 8 => {
+                    // A scatter-add: each input row lands on a random output row.
                     let out_rows = rows + rng.gen_range(0..3usize);
-                    let idx: Vec<u32> =
-                        (0..rows).map(|_| rng.gen_range(0..out_rows) as u32).collect();
+                    let mut groups = vec![Vec::new(); out_rows];
+                    for i in 0..rows {
+                        groups[rng.gen_range(0..out_rows)].push(i as u32);
+                    }
+                    let seg = Segments::unit(&groups);
                     Twin {
-                        real: g.scatter_add_rows(t.real, Rc::new(idx.clone()), out_rows),
-                        abst: ctx.scatter_add_rows(t.abst, &idx, out_rows),
+                        abst: ctx.segment_sum(t.abst, &seg),
+                        real: g.segment_sum(t.real, Rc::new(seg)),
                     }
                 }
                 9 => {

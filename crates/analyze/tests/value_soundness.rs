@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retia_analyze::value::AbsId;
 use retia_analyze::AuditCtx;
-use retia_tensor::transfer::{Interval, F32_EXP_OVERFLOW};
-use retia_tensor::{Graph, NodeId, Tensor};
+use retia_tensor::transfer::{self, Interval, RowMass, F32_EXP_OVERFLOW};
+use retia_tensor::{Graph, NodeId, Segments, Tensor};
 
 /// One live value tracked through both executions.
 #[derive(Clone, Copy)]
@@ -68,7 +68,7 @@ fn random_op_sequences_stay_inside_the_abstract_interval() {
         for step in 0..30 {
             let t = pool[rng.gen_range(0..pool.len())];
             let (rows, cols) = ctx.shape(t.abst);
-            let (result, op) = match rng.gen_range(0..24u32) {
+            let (result, op) = match rng.gen_range(0..25u32) {
                 0 => {
                     let b = fresh(&mut g, &mut ctx, &mut rng, rows, cols);
                     (Twin { real: g.add(t.real, b.real), abst: ctx.add(t.abst, b.abst) }, "add")
@@ -172,16 +172,21 @@ fn random_op_sequences_stay_inside_the_abstract_interval() {
                     )
                 }
                 16 => {
+                    // A scatter-add: each input row lands on a random output
+                    // row, untouched rows stay zero.
                     let out_rows = rows + rng.gen_range(0..3usize);
-                    let idx: Vec<u32> = (0..rows)
-                        .map(|_| u32::try_from(rng.gen_range(0..out_rows)).expect("small index"))
-                        .collect();
+                    let mut groups = vec![Vec::new(); out_rows];
+                    for i in 0..rows {
+                        groups[rng.gen_range(0..out_rows)]
+                            .push(u32::try_from(i).expect("small index"));
+                    }
+                    let seg = Segments::unit(&groups);
                     (
                         Twin {
-                            real: g.scatter_add_rows(t.real, Rc::new(idx), out_rows),
-                            abst: ctx.scatter_add_rows(t.abst, out_rows),
+                            abst: ctx.segment_sum(t.abst, &seg),
+                            real: g.segment_sum(t.real, Rc::new(seg)),
                         },
-                        "scatter_add_rows",
+                        "segment_sum (scatter)",
                     )
                 }
                 17 => {
@@ -230,6 +235,28 @@ fn random_op_sequences_stay_inside_the_abstract_interval() {
                             abst: ctx.add_n(&[t.abst, b.abst, c.abst]),
                         },
                         "add_n",
+                    )
+                }
+                23 => {
+                    // Rows of 0-4 entries over `t`'s rows, weights of both
+                    // signs (repeats allowed, empty rows too).
+                    let out_rows = rng.gen_range(1..6usize);
+                    let mut offsets = vec![0usize];
+                    let (mut idx, mut w) = (Vec::new(), Vec::new());
+                    for _ in 0..out_rows {
+                        for _ in 0..rng.gen_range(0..5usize) {
+                            idx.push(u32::try_from(rng.gen_range(0..rows)).expect("small index"));
+                            w.push(rng.gen_range(-1.5f32..1.5));
+                        }
+                        offsets.push(idx.len());
+                    }
+                    let seg = Segments::new(offsets, idx, w);
+                    (
+                        Twin {
+                            abst: ctx.segment_sum(t.abst, &seg),
+                            real: g.segment_sum(t.real, Rc::new(seg)),
+                        },
+                        "segment_sum",
                     )
                 }
                 _ => (
@@ -304,6 +331,38 @@ fn conv1d_stays_inside_the_abstract_interval() {
         };
         assert_contained(&g, &ctx, result, round, 0, "conv1d");
     }
+}
+
+#[test]
+fn segment_sum_bound_covers_weight_mass_above_one() {
+    // Row 0: a hub slot's c degree norms f32(1/c), summed sequentially in
+    // f32 over unit inputs, overshoots 1 by ~6e-4. Row 1: three f32(1/3),
+    // whose exact sum is above 1. Row 2 is empty, row 3 mixes signs.
+    let c = 50_000usize;
+    let third = 1.0f32 / 3.0;
+    let mut cols = vec![0u32; c];
+    let mut weights = vec![1.0 / 50_000.0f32; c];
+    cols.extend([1, 2, 3, 0, 3]);
+    weights.extend([third, third, third, -0.75, 1.25]);
+    let seg = Segments::new(vec![0, c, c + 3, c + 3, c + 5], cols, weights);
+    let thirds = Segments::new(vec![0, 3], vec![1, 2, 3], vec![third; 3]);
+    assert!(thirds.mass().pos > 1.0, "three f32(1/3) weights sum above 1");
+
+    let mut g = Graph::new(false, 0);
+    let mut ctx = AuditCtx::new();
+    let x = Twin {
+        real: g.constant(Tensor::from_vec(4, 1, vec![1.0, 1.0, 1.0, 0.25])),
+        abst: ctx.source(4, 1, Interval::new(0.25, 1.0)),
+    };
+    let summed =
+        Twin { abst: ctx.segment_sum(x.abst, &seg), real: g.segment_sum(x.real, Rc::new(seg)) };
+    assert_contained(&g, &ctx, summed, 0, 0, "segment_sum");
+    let hub = g.value(summed.real).get(0, 0);
+    assert!(hub > 1.0005, "the f32 hub sum should overshoot 1, got {hub}");
+    // A rule that assumed unit mass and ignored rounding would miss it.
+    let assumed =
+        transfer::segment_sum(Interval::new(0.25, 1.0), RowMass { pos: 1.0, neg: 0.0, terms: 0 });
+    assert!(!assumed.contains(hub), "{assumed} unexpectedly contains {hub}");
 }
 
 // ---- directed non-finiteness edges ----------------------------------------

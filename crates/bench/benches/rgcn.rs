@@ -1,15 +1,15 @@
 //! Substrate microbench: R-GCN weight modes (DESIGN.md §4 ablation).
 //!
-//! Per-relation weight matrices process each relation's edges as a separate
-//! small matmul; basis decomposition runs a few dense matmuls over *all*
-//! edges. The crossover governs which mode the EAM should use as the
-//! relation vocabulary grows.
+//! Per-relation weight matrices multiply each relation's (relation,
+//! destination) slot sums as a separate small matmul; basis decomposition
+//! runs a few dense matmuls over every distinct destination. The crossover
+//! governs which mode the EAM should use as the relation vocabulary grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use retia_graph::{Quad, Snapshot};
 use retia_nn::{EntityRgcn, WeightMode};
-use retia_tensor::{Graph, ParamStore, Tensor};
+use retia_tensor::{Graph, ParamStore, Segments, Tensor};
 use std::hint::black_box;
 
 fn random_snapshot(n: usize, m: usize, edges: usize, seed: u64) -> Snapshot {
@@ -54,7 +54,7 @@ fn bench_rgcn(c: &mut Criterion) {
         });
     }
 
-    // Grouped-scatter vs naive per-edge messaging (the DESIGN.md ablation).
+    // Segment-sum vs naive per-edge messaging (the DESIGN.md ablation).
     let mut store = ParamStore::new(0);
     store.register_xavier("ent", n, d);
     store.register_xavier("rel", 2 * m, d);
@@ -74,18 +74,24 @@ fn bench_rgcn(c: &mut Criterion) {
             black_box(out)
         })
     });
-    group.bench_function("grouped_gather_scatter_forward", |b| {
+    group.bench_function("segment_sum_forward", |b| {
         let ent = store.value("ent").clone();
         let rel = store.value("rel").clone();
-        b.iter(|| {
-            let msgs = ent.gather_rows(&snap.src).add(&rel.gather_rows(&snap.rel));
-            let mut scaled = msgs;
-            for i in 0..scaled.rows() {
-                let w = snap.edge_norm[i];
-                scaled.row_mut(i).iter_mut().for_each(|v| *v *= w);
-            }
-            black_box(scaled.scatter_add_rows(&snap.dst, n))
-        })
+        // One CSR row per destination over its in-edges, weighted by norm.
+        let mut order: Vec<usize> = (0..snap.num_edges()).collect();
+        order.sort_by_key(|&i| snap.dst[i]);
+        let mut offsets = vec![0usize; n + 1];
+        for &i in &order {
+            offsets[snap.dst[i] as usize + 1] += 1;
+        }
+        for o in 0..n {
+            offsets[o + 1] += offsets[o];
+        }
+        let norm: Vec<f32> = order.iter().map(|&i| snap.edge_norm[i]).collect();
+        let col = |ids: &[u32]| order.iter().map(|&i| ids[i]).collect::<Vec<u32>>();
+        let by_src = Segments::new(offsets.clone(), col(&snap.src), norm.clone());
+        let by_rel = Segments::new(offsets, col(&snap.rel), norm);
+        b.iter(|| black_box(ent.segment_sum(&by_src).add(&rel.segment_sum(&by_rel))))
     });
     group.finish();
 }

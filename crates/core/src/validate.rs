@@ -48,7 +48,7 @@ impl ModelWiring {
 
 /// A two-snapshot history plus a target snapshot exercising the extreme
 /// index spaces: entity ids `0` and `N-1`, relation ids `0` and `M-1`, so
-/// any gather/scatter whose index space is off-by-one or mis-sized is
+/// any gather or segment sum whose index space is off-by-one or mis-sized is
 /// caught without running on real data.
 pub(crate) fn synthetic_window(
     num_entities: usize,

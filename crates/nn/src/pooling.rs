@@ -5,7 +5,7 @@ use std::rc::Rc;
 use retia_analyze::value::AbsId;
 use retia_analyze::{AuditCtx, ShapeCtx, ShapeTensor};
 use retia_tensor::transfer::Interval;
-use retia_tensor::{Graph, NodeId};
+use retia_tensor::{Graph, NodeId, Segments};
 
 /// Mean-pools rows of `x` (`[n, d]`) over `segments`: output row `i` is the
 /// mean of `x[j]` for `j in segments[i]`. Empty segments yield zero rows
@@ -13,28 +13,21 @@ use retia_tensor::{Graph, NodeId};
 /// reference implementation).
 pub fn mean_pool_segments(g: &mut Graph, x: NodeId, segments: &[Vec<u32>]) -> NodeId {
     let _m = retia_obs::module_scope("mean_pool_segments");
-    let num_segments = segments.len();
-    let mut flat: Vec<u32> = Vec::new();
-    let mut seg_ids: Vec<u32> = Vec::new();
-    let mut inv_counts: Vec<f32> = Vec::with_capacity(num_segments);
-    for (i, seg) in segments.iter().enumerate() {
-        for &j in seg {
-            flat.push(j);
-            seg_ids.push(i as u32);
-        }
-        inv_counts.push(if seg.is_empty() { 0.0 } else { 1.0 / seg.len() as f32 });
-    }
-    if flat.is_empty() {
+    let plan = Segments::unit(segments);
+    if plan.nnz() == 0 {
         // All segments empty: a zero tensor with no gradient path.
         let d = g.value(x).cols();
-        return g.constant(retia_tensor::Tensor::zeros(num_segments, d));
+        return g.constant(retia_tensor::Tensor::zeros(segments.len(), d));
     }
-    let gathered = g.gather_rows(x, Rc::new(flat));
-    let summed = g.scatter_add_rows(gathered, Rc::new(seg_ids), num_segments);
+    let inv_counts: Vec<f32> = segments
+        .iter()
+        .map(|seg| if seg.is_empty() { 0.0 } else { 1.0 / seg.len() as f32 })
+        .collect();
+    let summed = g.segment_sum(x, Rc::new(plan));
     g.row_scale(summed, Rc::new(inv_counts))
 }
 
-/// Shape-only replay of [`mean_pool_segments`]: same gather/scatter/scale op
+/// Shape-only replay of [`mean_pool_segments`]: same segment-sum/scale op
 /// sequence over [`ShapeTensor`]s, issues recorded in `ctx`.
 pub fn validate_mean_pool_segments(
     ctx: &mut ShapeCtx,
@@ -42,40 +35,29 @@ pub fn validate_mean_pool_segments(
     segments: &[Vec<u32>],
 ) -> ShapeTensor {
     ctx.scoped("mean_pool_segments", Some("Eq. 7/9"), |ctx| {
-        let num_segments = segments.len();
-        let mut flat: Vec<u32> = Vec::new();
-        let mut seg_ids: Vec<u32> = Vec::new();
-        for (i, seg) in segments.iter().enumerate() {
-            for &j in seg {
-                flat.push(j);
-                seg_ids.push(i as u32);
-            }
+        let plan = Segments::unit(segments);
+        if plan.nnz() == 0 {
+            return ShapeTensor::new(segments.len(), x.cols);
         }
-        if flat.is_empty() {
-            return ShapeTensor::new(num_segments, x.cols);
-        }
-        let gathered = ctx.gather_rows(x, &flat);
-        let summed = ctx.scatter_add_rows(gathered, &seg_ids, num_segments);
-        ctx.row_scale(summed, num_segments)
+        let summed = ctx.segment_sum(x, &plan);
+        ctx.row_scale(summed, segments.len())
     })
 }
 
-/// Value-domain replay of [`mean_pool_segments`]. The per-segment
-/// `1/count` weights live in `(0, 1]` (exactly 0 for empty segments), so
-/// the pooled rows stay inside the hull of the inputs and zero.
+/// Value-domain replay of [`mean_pool_segments`]. The sums are bounded by
+/// the longest segment; the per-segment `1/count` weights live in `(0, 1]`
+/// (exactly 0 for empty segments).
 pub fn audit_mean_pool_segments(ctx: &mut AuditCtx, x: AbsId, segments: &[Vec<u32>]) -> AbsId {
     ctx.scoped("mean_pool_segments", Some("Eq. 7/9"), |ctx| {
-        let num_segments = segments.len();
-        let total: usize = segments.iter().map(Vec::len).sum();
-        if total == 0 {
+        let plan = Segments::unit(segments);
+        if plan.nnz() == 0 {
             // All segments empty: a zero constant with no gradient path —
             // mirrored so the flow walk sees the same disconnection the
             // real graph has.
             let (_, d) = ctx.shape(x);
-            return ctx.source(num_segments, d, Interval::point(0.0));
+            return ctx.source(segments.len(), d, Interval::point(0.0));
         }
-        let gathered = ctx.gather_rows(x, total);
-        let summed = ctx.scatter_add_rows(gathered, num_segments);
+        let summed = ctx.segment_sum(x, &plan);
         ctx.row_scale(summed, Interval::new(0.0, 1.0))
     })
 }
@@ -95,6 +77,30 @@ mod tests {
         assert_eq!(v.row(0), &[2.0, 3.0]);
         assert_eq!(v.row(1), &[5.0, 6.0]);
         assert_eq!(v.row(2), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn matches_gather_scatter_scale_bitwise() {
+        // The pooled means are the same additions in the same order as the
+        // gather -> scatter-add -> row-scale composition they replace.
+        let x0 = Tensor::from_fn(6, 5, |i, j| ((i * 5 + j) as f32 * 0.37).sin() * 3.1);
+        let segments = vec![vec![0, 3, 5, 3], vec![], vec![2], vec![1, 4, 0, 2, 5, 3, 1]];
+        let mut g = Graph::new(false, 0);
+        let x = g.constant(x0.clone());
+        let out = mean_pool_segments(&mut g, x, &segments);
+        let flat: Vec<u32> = segments.iter().flatten().copied().collect();
+        let ids: Vec<u32> = segments
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| s.iter().map(move |_| i as u32))
+            .collect();
+        let summed = x0.gather_rows(&flat).scatter_add_rows(&ids, segments.len());
+        for (i, seg) in segments.iter().enumerate() {
+            let inv = if seg.is_empty() { 0.0 } else { 1.0 / seg.len() as f32 };
+            for (a, b) in g.value(out).row(i).iter().zip(summed.row(i)) {
+                assert_eq!(a.to_bits(), (b * inv).to_bits(), "segment {i}");
+            }
+        }
     }
 
     #[test]

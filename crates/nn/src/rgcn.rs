@@ -13,14 +13,18 @@
 //! `benches/rgcn.rs`): independent matrices per type, or the basis
 //! decomposition of Schlichtkrull et al. (`W_r = Σ_b a_{rb} V_b`), which is
 //! what large relation vocabularies need.
+//!
+//! Both layers aggregate through a per-forward `SlotPlan`: messages are
+//! summed per (edge type, destination) slot with [`Graph::segment_sum`]
+//! before any weight is applied, so a `[d, d]` weight multiplies one row per
+//! slot (or per destination, for bases) instead of one row per edge.
 
 use std::rc::Rc;
 
 use retia_analyze::value::AbsId;
 use retia_analyze::{AuditCtx, ShapeCtx, ShapeTensor};
 use retia_graph::{HyperSnapshot, Snapshot, NUM_HYPERRELS_WITH_INV};
-use retia_tensor::transfer::Interval;
-use retia_tensor::{Graph, NodeId, ParamStore};
+use retia_tensor::{Graph, NodeId, ParamStore, Segments};
 
 /// How per-edge-type transforms are parameterized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,6 +33,119 @@ pub enum WeightMode {
     PerRelation,
     /// Basis decomposition with the given number of bases.
     Basis(usize),
+}
+
+/// The aggregation plan of one edge set, built once per forward pass and
+/// shared by every layer. A *slot* is one (edge type, destination) pair.
+/// The per-type transform is linear, `Σ_i n_i (h_i + e) W = (Σ_i n_i (h_i +
+/// e)) W`, so each slot's degree-normalized messages are summed first and a
+/// weight is applied once per slot (`PerRelation`) or once per destination
+/// (`Basis`), never once per edge.
+#[derive(Clone, Debug)]
+struct SlotPlan {
+    /// Slot rows from `norm · h_src` over each slot's edges.
+    src_sum: Rc<Segments>,
+    /// Slot rows from `norm · e_type` over each slot's edges.
+    type_sum: Rc<Segments>,
+    /// Edge type of each slot, ascending.
+    slot_type: Rc<Vec<u32>>,
+    /// Every edge type with at least one edge, ascending.
+    types: Vec<TypeSlots>,
+    /// Distinct destination nodes, ascending.
+    dests: Vec<u32>,
+    /// Distinct-destination rows from the slots landing on each (unit
+    /// weights, slot order).
+    slot_to_dest: Rc<Segments>,
+    /// Node rows from the distinct-destination rows.
+    dest_to_node: Rc<Segments>,
+}
+
+/// One edge type's slots: the rows its weight multiplies and where they
+/// land.
+#[derive(Clone, Debug)]
+struct TypeSlots {
+    ty: usize,
+    /// Slot indices of this type (contiguous, ascending destination).
+    rows: Rc<Vec<u32>>,
+    /// Node rows from this type's slot rows.
+    to_node: Rc<Segments>,
+}
+
+/// Node rows receiving row `i` at `nodes[i]` with unit weight: the
+/// transpose of a gather. Nodes out of range are left out; the shape twin
+/// reports them.
+fn place(nodes: &[u32], num_nodes: usize) -> Rc<Segments> {
+    let mut groups = vec![Vec::new(); num_nodes];
+    for (i, &n) in nodes.iter().enumerate() {
+        if let Some(group) = groups.get_mut(n as usize) {
+            group.push(i as u32);
+        }
+    }
+    Rc::new(Segments::unit(&groups))
+}
+
+impl SlotPlan {
+    /// Groups the edges by (type, destination); within a slot, edges keep
+    /// their array order. Arrays of unequal length are cut to the shortest
+    /// (the shape twin reports the mismatch).
+    fn new(src: &[u32], etype: &[u32], dst: &[u32], norm: &[f32], num_nodes: usize) -> Self {
+        let n = src.len().min(etype.len()).min(dst.len()).min(norm.len());
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| (etype[i], dst[i]));
+        let slots: Vec<&[usize]> =
+            order.chunk_by(|&a, &b| (etype[a], dst[a]) == (etype[b], dst[b])).collect();
+
+        let (mut offsets, mut end) = (vec![0usize], 0);
+        for slot in &slots {
+            end += slot.len();
+            offsets.push(end);
+        }
+        let in_order = |ids: &[u32]| order.iter().map(|&i| ids[i]).collect::<Vec<u32>>();
+        let weights: Vec<f32> = order.iter().map(|&i| norm[i]).collect();
+        let slot_type: Vec<u32> = slots.iter().map(|s| etype[s[0]]).collect();
+        let slot_dst: Vec<u32> = slots.iter().map(|s| dst[s[0]]).collect();
+
+        let (mut types, mut start) = (Vec::new(), 0);
+        for run in slot_type.chunk_by(|a, b| a == b) {
+            let range = start..start + run.len();
+            types.push(TypeSlots {
+                ty: run[0] as usize,
+                rows: Rc::new((range.start as u32..range.end as u32).collect()),
+                to_node: place(&slot_dst[range.clone()], num_nodes),
+            });
+            start = range.end;
+        }
+
+        let mut dests = slot_dst.clone();
+        dests.sort_unstable();
+        dests.dedup();
+        let dest_row: Vec<u32> =
+            slot_dst.iter().map(|d| dests.partition_point(|x| x < d) as u32).collect();
+
+        SlotPlan {
+            src_sum: Rc::new(Segments::new(offsets.clone(), in_order(src), weights.clone())),
+            type_sum: Rc::new(Segments::new(offsets, in_order(etype), weights)),
+            slot_type: Rc::new(slot_type),
+            types,
+            slot_to_dest: place(&dest_row, dests.len()),
+            dest_to_node: place(&dests, num_nodes),
+            dests,
+        }
+    }
+
+    /// The plan of an entity snapshot's (augmented) edges (Eq. 4).
+    fn entity(snap: &Snapshot) -> Self {
+        Self::new(&snap.src, &snap.rel, &snap.dst, &snap.edge_norm, snap.num_entities)
+    }
+
+    /// The plan of a hyperrelation subgraph's edges (Eq. 1).
+    fn relation(hyper: &HyperSnapshot) -> Self {
+        Self::new(&hyper.src, &hyper.hrel, &hyper.dst, &hyper.edge_norm, hyper.num_rel_nodes)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.types.is_empty()
+    }
 }
 
 /// Shared implementation over (src, etype, dst, norm) edge arrays.
@@ -74,7 +191,6 @@ impl RgcnCore {
 
     /// One layer: `h_nodes` `[n, d]`, `edge_emb` `[num_edge_types, d]`
     /// (relation or hyperrelation embeddings added into messages).
-    #[allow(clippy::too_many_arguments)]
     fn layer(
         &self,
         g: &mut Graph,
@@ -82,66 +198,50 @@ impl RgcnCore {
         layer: usize,
         h_nodes: NodeId,
         edge_emb: NodeId,
-        src: &[u32],
-        etype: &[u32],
-        dst: &[u32],
-        norm: &[f32],
-        type_ranges: &[(usize, usize)],
-        num_nodes: usize,
+        plan: &SlotPlan,
     ) -> NodeId {
         let w0 = g.param(store, &format!("{}.l{layer}.wself", self.prefix));
-        let self_part = g.matmul(h_nodes, w0);
-
-        let mut out = self_part;
-        if !src.is_empty() {
-            // Message pre-transform: (h_src + edge_emb), degree-normalized.
-            // Normalizing before the linear transform is equivalent (the
-            // transform is linear) and lets both weight modes share it.
-            let src_idx = Rc::new(src.to_vec());
-            let type_idx = Rc::new(etype.to_vec());
-            let h_src = g.gather_rows(h_nodes, src_idx);
-            let e_edge = g.gather_rows(edge_emb, type_idx.clone());
-            let raw = g.add(h_src, e_edge);
-            let msg = g.row_scale(raw, Rc::new(norm.to_vec()));
-
+        let mut out = g.matmul(h_nodes, w0);
+        if !plan.is_empty() {
+            // Σ norm·(h_src + edge_emb) per (type, destination) slot.
+            let h_sum = g.segment_sum(h_nodes, plan.src_sum.clone());
+            let e_sum = g.segment_sum(edge_emb, plan.type_sum.clone());
+            let msg = g.add(h_sum, e_sum);
             let transformed = match self.mode {
                 WeightMode::Basis(nb) => {
+                    // W_r = Σ_b a_rb V_b: scale slots by their type's
+                    // coefficient, sum them per destination, then apply
+                    // each basis once per destination.
                     let coef = g.param(store, &format!("{}.l{layer}.coef", self.prefix));
-                    let coef_per_edge = g.gather_rows(coef, type_idx);
+                    let slot_coef = g.gather_rows(coef, plan.slot_type.clone());
                     let mut acc: Option<NodeId> = None;
                     for b in 0..nb {
+                        let cb = g.slice_cols(slot_coef, b, b + 1);
+                        let scaled = g.mul_col(msg, cb);
+                        let per_dest = g.segment_sum(scaled, plan.slot_to_dest.clone());
                         let vb = g.param(store, &format!("{}.l{layer}.basis{b}", self.prefix));
-                        let xb = g.matmul(msg, vb);
-                        let cb = g.slice_cols(coef_per_edge, b, b + 1);
-                        let scaled = g.mul_col(xb, cb);
+                        let y = g.matmul(per_dest, vb);
                         acc = Some(match acc {
-                            Some(a) => g.add(a, scaled),
-                            None => scaled,
+                            Some(a) => g.add(a, y),
+                            None => y,
                         });
                     }
                     let t = acc.expect("at least one basis");
-                    g.scatter_add_rows(t, Rc::new(dst.to_vec()), num_nodes)
+                    g.segment_sum(t, plan.dest_to_node.clone())
                 }
                 WeightMode::PerRelation => {
                     let mut acc: Option<NodeId> = None;
-                    for (r, &(a, b)) in type_ranges.iter().enumerate() {
-                        if b == a {
-                            continue;
-                        }
-                        let rows: Rc<Vec<u32>> = Rc::new((a as u32..b as u32).collect());
-                        let mr = g.gather_rows(msg, rows);
-                        let wr = g.param(store, &format!("{}.l{layer}.w{r}", self.prefix));
-                        let t = g.matmul(mr, wr);
-                        let part = g.scatter_add_rows(t, Rc::new(dst[a..b].to_vec()), num_nodes);
+                    for ts in &plan.types {
+                        let rows = g.gather_rows(msg, ts.rows.clone());
+                        let wr = g.param(store, &format!("{}.l{layer}.w{}", self.prefix, ts.ty));
+                        let t = g.matmul(rows, wr);
+                        let part = g.segment_sum(t, ts.to_node.clone());
                         acc = Some(match acc {
                             Some(x) => g.add(x, part),
                             None => part,
                         });
                     }
-                    match acc {
-                        Some(x) => x,
-                        None => g.constant(retia_tensor::Tensor::zeros(num_nodes, self.dim)),
-                    }
+                    acc.expect("a non-empty plan has at least one edge type")
                 }
             };
             out = g.add(out, transformed);
@@ -151,76 +251,65 @@ impl RgcnCore {
     }
 
     /// Shape-only replay of [`RgcnCore::layer`]: same op sequence over
-    /// [`ShapeTensor`]s and the real edge arrays, issues recorded in `ctx`.
-    #[allow(clippy::too_many_arguments)]
+    /// [`ShapeTensor`]s and the real edge arrays' plan, issues recorded in
+    /// `ctx`.
     fn validate_layer(
         &self,
         ctx: &mut ShapeCtx,
         layer: usize,
         h_nodes: ShapeTensor,
         edge_emb: ShapeTensor,
-        src: &[u32],
-        etype: &[u32],
-        dst: &[u32],
-        norm: &[f32],
-        type_ranges: &[(usize, usize)],
+        plan: &SlotPlan,
         num_nodes: usize,
     ) -> ShapeTensor {
         let scope = format!("layer {layer}");
         ctx.scoped(&scope, None, |ctx| {
             let w0 = ShapeTensor::new(self.dim, self.dim);
-            let self_part = ctx.matmul(h_nodes, w0);
-            let mut out = self_part;
-            if !src.is_empty() {
-                ctx.check("edge_types", type_ranges.len() == self.num_edge_types, || {
+            let mut out = ctx.matmul(h_nodes, w0);
+            if !plan.is_empty() {
+                let top = plan.types.last().map_or(0, |ts| ts.ty);
+                ctx.check("edge_type_id", top < self.num_edge_types, || {
                     format!(
-                        "{} type ranges for {} registered edge-type weights",
-                        type_ranges.len(),
+                        "edge type {top} has no registered weight (only {} types)",
                         self.num_edge_types
                     )
                 });
-                let h_src = ctx.gather_rows(h_nodes, src);
-                let e_edge = ctx.gather_rows(edge_emb, etype);
-                let raw = ctx.add(h_src, e_edge);
-                let msg = ctx.row_scale(raw, norm.len());
+                let top_dst = plan.dests.last().map_or(0, |&d| d as usize);
+                ctx.check("edge_dst", top_dst < num_nodes, || {
+                    format!("edge destination {top_dst} out of range for {num_nodes} nodes")
+                });
+                let h_sum = ctx.segment_sum(h_nodes, &plan.src_sum);
+                let e_sum = ctx.segment_sum(edge_emb, &plan.type_sum);
+                let msg = ctx.add(h_sum, e_sum);
                 let transformed = match self.mode {
                     WeightMode::Basis(nb) => {
                         let coef = ShapeTensor::new(self.num_edge_types, nb);
-                        let coef_per_edge = ctx.gather_rows(coef, etype);
+                        let slot_coef = ctx.gather_rows(coef, &plan.slot_type);
                         let mut acc: Option<ShapeTensor> = None;
                         for b in 0..nb {
+                            let cb = ctx.slice_cols(slot_coef, b, b + 1);
+                            let scaled = ctx.mul_col(msg, cb);
+                            let per_dest = ctx.segment_sum(scaled, &plan.slot_to_dest);
                             let vb = ShapeTensor::new(self.dim, self.dim);
-                            let xb = ctx.matmul(msg, vb);
-                            let cb = ctx.slice_cols(coef_per_edge, b, b + 1);
-                            let scaled = ctx.mul_col(xb, cb);
+                            let y = ctx.matmul(per_dest, vb);
                             acc = Some(match acc {
-                                Some(a) => ctx.add(a, scaled),
-                                None => scaled,
+                                Some(a) => ctx.add(a, y),
+                                None => y,
                             });
                         }
                         ctx.check("basis_count", acc.is_some(), || {
                             "basis decomposition with zero bases".to_string()
                         });
                         let t = acc.unwrap_or(msg);
-                        ctx.scatter_add_rows(t, dst, num_nodes)
+                        ctx.segment_sum(t, &plan.dest_to_node)
                     }
                     WeightMode::PerRelation => {
                         let mut acc: Option<ShapeTensor> = None;
-                        for (r, &(a, b)) in type_ranges.iter().enumerate() {
-                            if b == a {
-                                continue;
-                            }
-                            ctx.check("edge_type_id", r < self.num_edge_types, || {
-                                format!(
-                                    "edge type {r} has no registered weight (only {} types)",
-                                    self.num_edge_types
-                                )
-                            });
-                            let rows: Vec<u32> = (a as u32..b as u32).collect();
-                            let mr = ctx.gather_rows(msg, &rows);
+                        for ts in &plan.types {
+                            let rows = ctx.gather_rows(msg, &ts.rows);
                             let wr = ShapeTensor::new(self.dim, self.dim);
-                            let t = ctx.matmul(mr, wr);
-                            let part = ctx.scatter_add_rows(t, &dst[a..b], num_nodes);
+                            let t = ctx.matmul(rows, wr);
+                            let part = ctx.segment_sum(t, &ts.to_node);
                             acc = Some(match acc {
                                 Some(x) => ctx.add(x, part),
                                 None => part,
@@ -237,33 +326,28 @@ impl RgcnCore {
     }
 
     /// Value-domain replay of [`RgcnCore::layer`], declaring every layer
-    /// parameter the real graph would touch for these edge arrays. In
-    /// `PerRelation` mode, `w{r}` for an edge type with an empty range in
-    /// this window is *not* declared — mirroring the real graph, which never
+    /// parameter the real graph would touch for this plan. In
+    /// `PerRelation` mode, `w{r}` for an edge type with no edge in this
+    /// window is *not* declared — mirroring the real graph, which never
     /// creates that param node; the model-level audit declares such params
     /// frozen with a "type absent from the audit window" reason.
-    #[allow(clippy::too_many_arguments)]
     fn audit_layer(
         &self,
         ctx: &mut AuditCtx,
         layer: usize,
         h_nodes: AbsId,
         edge_emb: AbsId,
-        num_edges: usize,
-        type_ranges: &[(usize, usize)],
-        num_nodes: usize,
+        plan: &SlotPlan,
     ) -> AbsId {
         let scope = format!("layer {layer}");
         ctx.scoped(&scope, None, |ctx| {
             let w0 = ctx.param(&format!("{}.l{layer}.wself", self.prefix), self.dim, self.dim);
-            let self_part = ctx.matmul(h_nodes, w0);
-            let mut out = self_part;
-            if num_edges > 0 {
-                let h_src = ctx.gather_rows(h_nodes, num_edges);
-                let e_edge = ctx.gather_rows(edge_emb, num_edges);
-                let raw = ctx.add(h_src, e_edge);
-                // Degree norms are 1/c_{o,r} in (0, 1].
-                let msg = ctx.row_scale(raw, Interval::new(0.0, 1.0));
+            let mut out = ctx.matmul(h_nodes, w0);
+            if !plan.is_empty() {
+                // Slot sums are bounded by the plan's measured norm mass.
+                let h_sum = ctx.segment_sum(h_nodes, &plan.src_sum);
+                let e_sum = ctx.segment_sum(edge_emb, &plan.type_sum);
+                let msg = ctx.add(h_sum, e_sum);
                 let transformed = match self.mode {
                     WeightMode::Basis(nb) => {
                         let coef = ctx.param(
@@ -271,48 +355,43 @@ impl RgcnCore {
                             self.num_edge_types,
                             nb,
                         );
-                        let coef_per_edge = ctx.gather_rows(coef, num_edges);
+                        let slot_coef = ctx.gather_rows(coef, plan.slot_type.len());
                         let mut acc: Option<AbsId> = None;
                         for b in 0..nb {
+                            let cb = ctx.slice_cols(slot_coef, b, b + 1);
+                            let scaled = ctx.mul_col(msg, cb);
+                            let per_dest = ctx.segment_sum(scaled, &plan.slot_to_dest);
                             let vb = ctx.param(
                                 &format!("{}.l{layer}.basis{b}", self.prefix),
                                 self.dim,
                                 self.dim,
                             );
-                            let xb = ctx.matmul(msg, vb);
-                            let cb = ctx.slice_cols(coef_per_edge, b, b + 1);
-                            let scaled = ctx.mul_col(xb, cb);
+                            let y = ctx.matmul(per_dest, vb);
                             acc = Some(match acc {
-                                Some(a) => ctx.add(a, scaled),
-                                None => scaled,
+                                Some(a) => ctx.add(a, y),
+                                None => y,
                             });
                         }
                         let t = acc.unwrap_or(msg);
-                        ctx.scatter_add_rows(t, num_nodes)
+                        ctx.segment_sum(t, &plan.dest_to_node)
                     }
                     WeightMode::PerRelation => {
                         let mut acc: Option<AbsId> = None;
-                        for (r, &(a, b)) in type_ranges.iter().enumerate() {
-                            if b == a {
-                                continue;
-                            }
-                            let mr = ctx.gather_rows(msg, b - a);
+                        for ts in &plan.types {
+                            let rows = ctx.gather_rows(msg, ts.rows.len());
                             let wr = ctx.param(
-                                &format!("{}.l{layer}.w{r}", self.prefix),
+                                &format!("{}.l{layer}.w{}", self.prefix, ts.ty),
                                 self.dim,
                                 self.dim,
                             );
-                            let t = ctx.matmul(mr, wr);
-                            let part = ctx.scatter_add_rows(t, num_nodes);
+                            let t = ctx.matmul(rows, wr);
+                            let part = ctx.segment_sum(t, &ts.to_node);
                             acc = Some(match acc {
                                 Some(x) => ctx.add(x, part),
                                 None => part,
                             });
                         }
-                        match acc {
-                            Some(x) => x,
-                            None => ctx.source(num_nodes, self.dim, Interval::point(0.0)),
-                        }
+                        acc.expect("a non-empty plan has at least one edge type")
                     }
                 };
                 out = ctx.add(out, transformed);
@@ -359,21 +438,10 @@ impl EntityRgcn {
         let _m = retia_obs::module_scope("EntityRgcn");
         assert_eq!(g.value(entities).rows(), snap.num_entities, "entity count mismatch");
         assert_eq!(g.value(relations).rows(), 2 * snap.num_relations, "relation count mismatch");
+        let plan = SlotPlan::entity(snap);
         let mut h = entities;
         for l in 0..self.core.num_layers {
-            h = self.core.layer(
-                g,
-                store,
-                l,
-                h,
-                relations,
-                &snap.src,
-                &snap.rel,
-                &snap.dst,
-                &snap.edge_norm,
-                &snap.rel_ranges,
-                snap.num_entities,
-            );
+            h = self.core.layer(g, store, l, h, relations, &plan);
         }
         h
     }
@@ -400,20 +468,10 @@ impl EntityRgcn {
                     2 * snap.num_relations
                 )
             });
+            let plan = SlotPlan::entity(snap);
             let mut h = entities;
             for l in 0..self.core.num_layers {
-                h = self.core.validate_layer(
-                    ctx,
-                    l,
-                    h,
-                    relations,
-                    &snap.src,
-                    &snap.rel,
-                    &snap.dst,
-                    &snap.edge_norm,
-                    &snap.rel_ranges,
-                    snap.num_entities,
-                );
+                h = self.core.validate_layer(ctx, l, h, relations, &plan, snap.num_entities);
             }
             h
         })
@@ -429,17 +487,10 @@ impl EntityRgcn {
         snap: &Snapshot,
     ) -> AbsId {
         ctx.scoped("EntityRgcn", None, |ctx| {
+            let plan = SlotPlan::entity(snap);
             let mut h = entities;
             for l in 0..self.core.num_layers {
-                h = self.core.audit_layer(
-                    ctx,
-                    l,
-                    h,
-                    relations,
-                    snap.num_edges(),
-                    &snap.rel_ranges,
-                    snap.num_entities,
-                );
+                h = self.core.audit_layer(ctx, l, h, relations, &plan);
             }
             h
         })
@@ -493,21 +544,10 @@ impl RelationRgcn {
             NUM_HYPERRELS_WITH_INV,
             "hyperrelation embedding count mismatch"
         );
+        let plan = SlotPlan::relation(hyper);
         let mut h = relations;
         for l in 0..self.core.num_layers {
-            h = self.core.layer(
-                g,
-                store,
-                l,
-                h,
-                hyperrelations,
-                &hyper.src,
-                &hyper.hrel,
-                &hyper.dst,
-                &hyper.edge_norm,
-                &hyper.hrel_ranges,
-                hyper.num_rel_nodes,
-            );
+            h = self.core.layer(g, store, l, h, hyperrelations, &plan);
         }
         h
     }
@@ -535,20 +575,10 @@ impl RelationRgcn {
                          {NUM_HYPERRELS_WITH_INV} rows"
                 )
             });
+            let plan = SlotPlan::relation(hyper);
             let mut h = relations;
             for l in 0..self.core.num_layers {
-                h = self.core.validate_layer(
-                    ctx,
-                    l,
-                    h,
-                    hyperrelations,
-                    &hyper.src,
-                    &hyper.hrel,
-                    &hyper.dst,
-                    &hyper.edge_norm,
-                    &hyper.hrel_ranges,
-                    hyper.num_rel_nodes,
-                );
+                h = self.core.validate_layer(ctx, l, h, hyperrelations, &plan, hyper.num_rel_nodes);
             }
             h
         })
@@ -564,17 +594,10 @@ impl RelationRgcn {
         hyper: &HyperSnapshot,
     ) -> AbsId {
         ctx.scoped("RelationRgcn", None, |ctx| {
+            let plan = SlotPlan::relation(hyper);
             let mut h = relations;
             for l in 0..self.core.num_layers {
-                h = self.core.audit_layer(
-                    ctx,
-                    l,
-                    h,
-                    hyperrelations,
-                    hyper.num_edges(),
-                    &hyper.hrel_ranges,
-                    hyper.num_rel_nodes,
-                );
+                h = self.core.audit_layer(ctx, l, h, hyperrelations, &plan);
             }
             h
         })
@@ -615,44 +638,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn per_relation_matches_naive_dense() {
-        // Single layer, per-relation weights, eval mode: compare against a
-        // direct implementation of Eq. 4.
-        let d = 3;
-        let snap = toy_snapshot();
-        let mut store = ParamStore::new(7);
-        let rgcn = EntityRgcn::new(&mut store, "e", d, 4, WeightMode::PerRelation, 1, 0.0);
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let ent = Tensor::from_fn(4, d, |_, _| rng.gen_range(-1.0f32..1.0));
-        let rel = Tensor::from_fn(4, d, |_, _| rng.gen_range(-1.0f32..1.0));
+    /// A snapshot where several edges share one (relation, object) pair:
+    /// three subjects reach object 1 through relation 0, two reach object 3
+    /// through relation 1.
+    fn shared_slot_snapshot() -> Snapshot {
+        let quads = [(0, 0, 1), (2, 0, 1), (3, 0, 1), (1, 1, 3), (2, 1, 3), (0, 1, 2), (3, 1, 0)];
+        let quads: Vec<Quad> = quads.iter().map(|&(s, r, o)| Quad::new(s, r, o, 0)).collect();
+        Snapshot::from_quads(&quads, 4, 2)
+    }
 
-        let mut g = Graph::new(false, 0);
-        let e = g.constant(ent.clone());
-        let r = g.constant(rel.clone());
-        let out = rgcn.forward(&mut g, &store, e, r, &snap);
-        let got = g.value(out).clone();
+    /// The weight of edge type `r` as Eq. 1/4 states it: `w{r}`, or
+    /// `Σ_b coef[r, b] · basis{b}`.
+    fn type_weight(store: &ParamStore, prefix: &str, mode: WeightMode, r: usize) -> Tensor {
+        match mode {
+            WeightMode::PerRelation => store.value(&format!("{prefix}.l0.w{r}")).clone(),
+            WeightMode::Basis(nb) => {
+                let coef = store.value(&format!("{prefix}.l0.coef"));
+                (0..nb)
+                    .map(|b| store.value(&format!("{prefix}.l0.basis{b}")).scale(coef.get(r, b)))
+                    .reduce(|a, b| a.add(&b))
+                    .expect("at least one basis")
+            }
+        }
+    }
 
-        // Naive: for each node o, W0 e_o + sum over in-edges (1/c)(e_s + r)W_r.
-        let w0 = store.value("e.l0.wself");
-        let mut expected = ent.matmul(w0);
-        for i in 0..snap.num_edges() {
-            let (s, rr, o) = (snap.src[i] as usize, snap.rel[i] as usize, snap.dst[i] as usize);
-            let wr = store.value(&format!("e.l0.w{rr}"));
-            let mut msg = Tensor::from_vec(
-                1,
-                d,
-                ent.row(s).iter().zip(rel.row(rr).iter()).map(|(&a, &b)| a + b).collect(),
-            );
-            msg = msg.scale(snap.edge_norm[i]).matmul(wr);
+    /// One eval-mode layer as a direct per-edge loop of Eq. 4 / Eq. 1:
+    /// `rrelu(W_0 h_o + Σ_(s,r,o) norm · (h_s + e_r) W_r)`.
+    #[allow(clippy::too_many_arguments)]
+    fn naive_layer(
+        store: &ParamStore,
+        prefix: &str,
+        mode: WeightMode,
+        h: &Tensor,
+        e: &Tensor,
+        src: &[u32],
+        etype: &[u32],
+        dst: &[u32],
+        norm: &[f32],
+    ) -> Tensor {
+        let d = h.cols();
+        let mut expected = h.matmul(store.value(&format!("{prefix}.l0.wself")));
+        for i in 0..src.len() {
+            let (s, r, o) = (src[i] as usize, etype[i] as usize, dst[i] as usize);
+            let msg: Vec<f32> = h.row(s).iter().zip(e.row(r)).map(|(&a, &b)| a + b).collect();
+            let msg = Tensor::from_vec(1, d, msg).scale(norm[i]);
+            let t = msg.matmul(&type_weight(store, prefix, mode, r));
             for j in 0..d {
-                let v = expected.get(o, j) + msg.get(0, j);
-                expected.set(o, j, v);
+                expected.set(o, j, expected.get(o, j) + t.get(0, j));
             }
         }
         expected.map_inplace(rrelu_eval);
-        assert!(got.max_abs_diff(&expected) < 1e-5, "diff {}", got.max_abs_diff(&expected));
+        expected
+    }
+
+    #[test]
+    fn both_rgcns_match_the_per_edge_equations_in_both_modes() {
+        let d = 5;
+        let snap = shared_slot_snapshot();
+        let hyper = HyperSnapshot::from_snapshot(&snap);
+        let shared = |etype: &[u32], dst: &[u32]| {
+            (1..etype.len()).any(|i| (0..i).any(|j| (etype[j], dst[j]) == (etype[i], dst[i])))
+        };
+        assert!(shared(&snap.rel, &snap.dst), "no two entity edges share a slot");
+        assert!(shared(&hyper.hrel, &hyper.dst), "no two hyperedges share a slot");
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut rand_t = |r: usize| Tensor::from_fn(r, d, |_, _| rng.gen_range(-1.0f32..1.0));
+        let ent = rand_t(4);
+        let rel = rand_t(4);
+        let hr = rand_t(NUM_HYPERRELS_WITH_INV);
+
+        for mode in [WeightMode::PerRelation, WeightMode::Basis(3)] {
+            for entity in [true, false] {
+                let mut store = ParamStore::new(7);
+                let mut g = Graph::new(false, 0);
+                let (got, want) = if entity {
+                    let rgcn = EntityRgcn::new(&mut store, "e", d, 4, mode, 1, 0.0);
+                    let (e, r) = (g.constant(ent.clone()), g.constant(rel.clone()));
+                    let out = rgcn.forward(&mut g, &store, e, r, &snap);
+                    let (s, t, o, n) = (&snap.src, &snap.rel, &snap.dst, &snap.edge_norm);
+                    (g.value(out).clone(), naive_layer(&store, "e", mode, &ent, &rel, s, t, o, n))
+                } else {
+                    let rgcn = RelationRgcn::new(&mut store, "r", d, mode, 1, 0.0);
+                    let (r, h) = (g.constant(rel.clone()), g.constant(hr.clone()));
+                    let out = rgcn.forward(&mut g, &store, r, h, &hyper);
+                    let (s, t, o, n) = (&hyper.src, &hyper.hrel, &hyper.dst, &hyper.edge_norm);
+                    (g.value(out).clone(), naive_layer(&store, "r", mode, &rel, &hr, s, t, o, n))
+                };
+                let diff = got.max_abs_diff(&want);
+                assert!(diff < 1e-5, "entity={entity} {mode:?}: diff {diff}");
+            }
+        }
     }
 
     #[test]

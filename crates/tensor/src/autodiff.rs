@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::param::{ParamId, ParamStore};
+use crate::segments::Segments;
 use crate::tensor::Tensor;
 use crate::RRELU_EVAL_SLOPE;
 
@@ -57,11 +58,10 @@ enum Op {
     /// Dropout with the saved (already inverse-scaled) mask.
     Dropout(NodeId, Tensor),
     GatherRows(NodeId, Rc<Vec<u32>>),
-    /// Scatter rows of `x` into a zero `[out_rows, d]` tensor, adding on
-    /// collision. Field order: (src, indices, out_rows).
-    ScatterAddRows(NodeId, Rc<Vec<u32>>),
     /// Multiplies row `i` by `weights[i]` (degree normalization in R-GCN).
     RowScale(NodeId, Rc<Vec<f32>>),
+    /// Applies a constant sparse row operator (R-GCN slot sums, pooling).
+    SegmentSum(NodeId, Rc<Segments>),
     ConcatCols(NodeId, NodeId),
     SliceCols(NodeId, usize, usize),
     /// Row-wise softmax; saved value = probabilities.
@@ -123,8 +123,8 @@ impl Op {
             Op::Abs(..) => "abs",
             Op::Dropout(..) => "dropout",
             Op::GatherRows(..) => "gather_rows",
-            Op::ScatterAddRows(..) => "scatter_add_rows",
             Op::RowScale(..) => "row_scale",
+            Op::SegmentSum(..) => "segment_sum",
             Op::ConcatCols(..) => "concat_cols",
             Op::SliceCols(..) => "slice_cols",
             Op::SoftmaxRows(..) => "softmax_rows",
@@ -427,18 +427,6 @@ impl Graph {
         self.push(v, Op::GatherRows(x, indices))
     }
 
-    /// Scatter-adds the rows of `x` into a fresh `[out_rows, d]` tensor
-    /// (message aggregation in R-GCN).
-    pub fn scatter_add_rows(
-        &mut self,
-        x: NodeId,
-        indices: Rc<Vec<u32>>,
-        out_rows: usize,
-    ) -> NodeId {
-        let v = self.value(x).scatter_add_rows(&indices, out_rows);
-        self.push(v, Op::ScatterAddRows(x, indices))
-    }
-
     /// Multiplies each row `i` by `weights[i]` (degree normalization).
     pub fn row_scale(&mut self, x: NodeId, weights: Rc<Vec<f32>>) -> NodeId {
         let xv = self.value(x);
@@ -449,6 +437,19 @@ impl Graph {
             v.row_mut(i).iter_mut().for_each(|val| *val *= w);
         }
         self.push(v, Op::RowScale(x, weights))
+    }
+
+    /// Applies the constant sparse row operator `seg`: output row `r` is
+    /// `Σ_k w[k] · x[col[k]]` over row `r`'s entries, summed in storage
+    /// order. R-GCN layers sum each (edge type, destination) slot's
+    /// degree-normalized messages with it before applying any weight and
+    /// place the transformed rows on their nodes with it (a scatter-add is
+    /// the unit-weight transpose of a gather); segment mean pooling is this
+    /// with unit weights plus [`Graph::row_scale`]. The backward applies the
+    /// transposed operator.
+    pub fn segment_sum(&mut self, x: NodeId, seg: Rc<Segments>) -> NodeId {
+        let v = self.value(x).segment_sum(&seg);
+        self.push(v, Op::SegmentSum(x, seg))
     }
 
     /// Horizontal concatenation `[a | b]`.
@@ -792,11 +793,6 @@ impl Graph {
                     let gx = g.scatter_add_rows(idx, n);
                     Self::acc(&mut grads, xid, gx);
                 }
-                Op::ScatterAddRows(x, idx) => {
-                    let xid = *x;
-                    let gx = g.gather_rows(idx);
-                    Self::acc(&mut grads, xid, gx);
-                }
                 Op::RowScale(x, weights) => {
                     let xid = *x;
                     let mut gx = g.clone();
@@ -804,6 +800,12 @@ impl Graph {
                         let w = weights[i];
                         gx.row_mut(i).iter_mut().for_each(|v| *v *= w);
                     }
+                    Self::acc(&mut grads, xid, gx);
+                }
+                Op::SegmentSum(x, seg) => {
+                    let xid = *x;
+                    let n = self.nodes[xid.0].value.rows();
+                    let gx = g.segment_sum(&seg.transpose(n));
                     Self::acc(&mut grads, xid, gx);
                 }
                 Op::ConcatCols(a, b) => {
@@ -1196,7 +1198,8 @@ mod tests {
             |g, x| {
                 let idx = Rc::new(vec![3u32, 0, 3, 1]);
                 let gathered = g.gather_rows(x, idx);
-                let back = g.scatter_add_rows(gathered, Rc::new(vec![0u32, 1, 0, 2]), 3);
+                let scatter = Segments::unit(&[vec![0, 2], vec![1], vec![3]]);
+                let back = g.segment_sum(gathered, Rc::new(scatter));
                 let sq = g.mul(back, back);
                 g.sum_all(sq)
             },
@@ -1570,8 +1573,9 @@ mod tests {
         let dr = g.dropout(s, 0.5);
         let mix = g.add_n(&[sig, th, re, sn, co, rr, ab, dr]);
         let gr = g.gather_rows(mix, Rc::new(vec![0, 2, 1]));
-        let sc = g.scatter_add_rows(gr, Rc::new(vec![1, 1, 0]), 3);
-        let rs = g.row_scale(sc, Rc::new(vec![0.5, 1.0, 2.0]));
+        let seg = Segments::new(vec![0, 2, 2, 3], vec![2, 0, 1], vec![0.5, -1.0, 2.0]);
+        let ss = g.segment_sum(gr, Rc::new(seg));
+        let rs = g.row_scale(ss, Rc::new(vec![0.5, 1.0, 2.0]));
         let cc = g.concat_cols(rs, b);
         let sl = g.slice_cols(cc, 0, 3);
         let sm = g.softmax_rows(sl);
@@ -1613,7 +1617,7 @@ mod tests {
             "dropout",
             "add_n",
             "gather_rows",
-            "scatter_add_rows",
+            "segment_sum",
             "row_scale",
             "concat_cols",
             "slice_cols",

@@ -14,7 +14,9 @@
 //! * dense matmul (plain / transposed-right / transposed-left),
 //! * elementwise arithmetic, activations (sigmoid, tanh, ReLU, leaky ReLU,
 //!   randomized leaky ReLU matching PyTorch `RReLU` semantics),
-//! * gather / scatter-add row ops (the kernel of R-GCN message passing),
+//! * row gather and constant sparse row operators ([`Segments`], applied by
+//!   [`Graph::segment_sum`]: scatter-adds, R-GCN message passing and
+//!   segment mean pooling),
 //! * row softmax, log, reductions, row L2-normalization, layer norm,
 //! * 1-D convolution with channels (the kernel of Conv-TransE decoders),
 //! * dropout and softmax cross-entropy.
@@ -56,12 +58,14 @@ pub mod init;
 pub mod optim;
 pub mod parallel;
 mod param;
+mod segments;
 pub mod serialize;
 mod tensor;
 pub mod transfer;
 
 pub use autodiff::{Graph, NodeId};
 pub use param::{ParamId, ParamStore};
+pub use segments::Segments;
 pub use serialize::CheckpointError;
 pub use tensor::Tensor;
 

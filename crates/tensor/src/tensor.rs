@@ -6,6 +6,8 @@
 //! row (`[batch, channels * width]`); the convolution op carries the channel
 //! count out-of-band.
 
+use crate::segments::{index, Segments};
+
 /// A dense `rows x cols` matrix of `f32` in row-major order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Tensor {
@@ -481,6 +483,44 @@ impl Tensor {
             }
         }
         out
+    }
+
+    /// Applies the constant sparse row operator `seg`: output row `r` is
+    /// `Σ_k w[k] · self[col[k]]` over row `r`'s entries, accumulated from
+    /// `0.0` in storage order (see [`Segments`]).
+    ///
+    /// Debug builds check every column index up front and name the
+    /// offending entry, the input row count, and the calling module.
+    pub fn segment_sum(&self, seg: &Segments) -> Tensor {
+        #[cfg(debug_assertions)]
+        for (pos, &ix) in seg.cols().iter().enumerate() {
+            assert!(
+                index(ix) < self.rows,
+                "segment_sum: column {ix} (entry {pos} of {}) out of range for {} rows \
+                 (called from {})",
+                seg.nnz(),
+                self.rows,
+                retia_obs::current_module(),
+            );
+        }
+        let _t = retia_obs::kernel_span("segment_sum");
+        let (rows, cols) = (seg.num_rows(), self.cols);
+        let mut data = vec![0.0f32; rows * cols];
+        // Output rows are independent and each sums its own entries in
+        // storage order, so row-chunked execution is bit-identical to the
+        // sequential loop. The cost estimate is the mean row's multiply-adds.
+        let cost = 2 * cols * seg.nnz().div_ceil(rows.max(1));
+        crate::parallel::for_each_row_chunk(&mut data, cols, cost, |first_row, chunk| {
+            for (d, o_row) in chunk.chunks_mut(cols).enumerate() {
+                let (idx, w) = seg.row(first_row + d);
+                for (&c, &wk) in idx.iter().zip(w) {
+                    for (o, &x) in o_row.iter_mut().zip(self.row(index(c))) {
+                        *o += wk * x;
+                    }
+                }
+            }
+        });
+        Tensor { rows, cols, data }
     }
 
     /// L2-normalizes each row (rows with norm below `eps` are left unscaled).

@@ -242,10 +242,37 @@ pub fn add_n(parts: &[Interval]) -> Interval {
     Interval { lo, hi, nan, inf }.widened()
 }
 
-/// Scatter-add of up to `max_terms` rows into a zeroed output: untouched
-/// elements stay 0, collisions accumulate.
-pub fn scatter_add(a: Interval, max_terms: usize) -> Interval {
-    sum(a, max_terms).hull(Interval::point(0.0))
+/// The weight mass of a constant sparse row operator
+/// (`retia_tensor::Segments::mass`), taken over its actual f32 weights.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RowMass {
+    /// Largest per-row sum of the positive weights.
+    pub pos: f64,
+    /// Largest per-row sum of the magnitudes of the negative weights.
+    pub neg: f64,
+    /// Most entries in one row.
+    pub terms: usize,
+}
+
+/// `segment_sum`: each output element is `Σ_k w_k x_k` over one row's
+/// entries, accumulated from `0.0` in f32. The exact sum lies in
+/// `[pos·min(lo,0) - neg·max(hi,0), pos·max(hi,0) + neg·max(-lo,0)]`, and
+/// recursive f32 summation of `n` products errs by at most
+/// `γ_n · Σ|w_k x_k|` with `γ_n = n·u / (1 - n·u)`, `u = 2^-24` (Higham,
+/// *Accuracy and Stability of Numerical Algorithms*, §3.1), so the bounds
+/// are padded by that. Bounding by the plan's measured mass rather than
+/// an assumed 1 matters: `c` copies of `f32(1/c)` need not sum to 1.
+pub fn segment_sum(x: Interval, mass: RowMass) -> Interval {
+    let up = mass.pos * x.hi.max(0.0) + mass.neg * (-x.lo).max(0.0);
+    let down = mass.pos * x.lo.min(0.0) - mass.neg * x.hi.max(0.0);
+    let nu = count_f64(mass.terms) * f64::from(f32::EPSILON) / 2.0;
+    let gamma = if nu < 1.0 { nu / (1.0 - nu) } else { f64::INFINITY };
+    let err = gamma * (mass.pos + mass.neg) * x.lo.abs().max(x.hi.abs());
+    // A bound that is exactly 0 stays exact: every term then has that
+    // sign, and f32 rounding preserves sign.
+    let lo = if down < 0.0 { down - err } else { down };
+    let hi = if up > 0.0 { up + err } else { up };
+    Interval { lo, hi, nan: x.nan || x.inf, inf: x.inf }.widened()
 }
 
 // ---------------------------------------------------------------------------
@@ -457,10 +484,22 @@ pub const REDUCTION_SITES: &[ReductionSite] = &[
         note: "operands fold left-to-right into one fp accumulator",
     },
     ReductionSite {
-        op: "scatter_add_rows",
-        site: "index-accumulation",
+        op: "gather_rows",
+        site: "backward-scatter",
         order: ReductionOrder::Sensitive,
-        note: "colliding rows add in index order",
+        note: "the gradient scatter-adds colliding rows in index order",
+    },
+    ReductionSite {
+        op: "segment_sum",
+        site: "output-lanes",
+        order: ReductionOrder::Invariant,
+        note: "output rows are independent (row-chunked forward)",
+    },
+    ReductionSite {
+        op: "segment_sum",
+        site: "entry-accumulation",
+        order: ReductionOrder::Sensitive,
+        note: "each row's weighted entries add in CSR storage order",
     },
     ReductionSite {
         op: "softmax_rows",
@@ -574,6 +613,20 @@ mod tests {
         assert!(tanh(x).is_finite());
         // Softmax's stabilization subtracts a possibly-infinite max.
         assert!(softmax(x).nan);
+    }
+
+    #[test]
+    fn segment_sum_bounds_follow_the_measured_mass() {
+        let unit = RowMass { pos: 3.0, neg: 0.0, terms: 3 };
+        let y = segment_sum(Interval::new(0.0, 2.0), unit);
+        assert_eq!(y.lo, 0.0, "nonnegative terms keep an exact zero bound");
+        assert!(y.hi >= 6.0 && y.hi < 6.01, "{y}");
+        let mixed = RowMass { pos: 1.0, neg: 0.5, terms: 2 };
+        let y = segment_sum(Interval::new(-1.0, 2.0), mixed);
+        assert!(y.contains(2.5) && y.contains(-2.0) && y.is_finite(), "{y}");
+        let mut x = Interval::new(-1.0, 1.0);
+        x.inf = true;
+        assert!(segment_sum(x, unit).nan, "inf terms of both signs can cancel to NaN");
     }
 
     #[test]

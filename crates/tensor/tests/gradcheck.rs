@@ -4,7 +4,7 @@
 //! model actually builds.
 
 use proptest::prelude::*;
-use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
+use retia_tensor::{Graph, NodeId, ParamStore, Segments, Tensor};
 use std::rc::Rc;
 
 /// The smooth unary ops eligible for random chaining (ReLU-family excluded:
@@ -133,6 +133,52 @@ proptest! {
                 let a = analytic.get(i, j);
                 prop_assert!(
                     (a - numeric).abs() < 0.02,
+                    "({},{}) analytic {} numeric {}", i, j, a, numeric
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn segment_sum_chain_gradcheck(
+        data in prop::collection::vec(-1.0f32..1.0, 12),
+        cols in prop::collection::vec(0u32..4, 7),
+        weights in prop::collection::vec(-1.5f32..1.5, 7),
+        cuts in prop::collection::vec(0usize..8, 2),
+    ) {
+        // Three output rows over seven entries: columns repeat, weights
+        // take both signs, and the cut points may leave a row empty.
+        let x0 = Tensor::from_vec(4, 3, data);
+        let (a, b) = (cuts[0].min(cuts[1]), cuts[0].max(cuts[1]));
+        let seg = Rc::new(Segments::new(vec![0, a, b, 7], cols, weights));
+        let w = Tensor::from_fn(3, 2, |i, j| 0.4 * (i as f32 - j as f32) + 0.1);
+
+        let run = |x0: &Tensor| -> (f32, Tensor) {
+            let mut store = ParamStore::new(0);
+            store.register("x", x0.clone());
+            let mut g = Graph::new(false, 0);
+            let x = g.param(&store, "x");
+            let summed = g.segment_sum(x, seg.clone());
+            let wn = g.constant(w.clone());
+            let y = g.matmul(summed, wn);
+            let t = g.tanh(y);
+            let loss = g.sum_all(t);
+            let v = g.value(loss).item();
+            g.backward(loss, &mut store);
+            (v, store.grad("x").clone())
+        };
+        let (_, analytic) = run(&x0);
+        let h = 1e-3f32;
+        for i in 0..4 {
+            for j in 0..3 {
+                let mut xp = x0.clone();
+                xp.set(i, j, x0.get(i, j) + h);
+                let mut xm = x0.clone();
+                xm.set(i, j, x0.get(i, j) - h);
+                let numeric = (run(&xp).0 - run(&xm).0) / (2.0 * h);
+                let a = analytic.get(i, j);
+                prop_assert!(
+                    (a - numeric).abs() < 0.03,
                     "({},{}) analytic {} numeric {}", i, j, a, numeric
                 );
             }

@@ -6,7 +6,7 @@
 //! `should_par` work threshold, so the multi-thread runs genuinely spawn
 //! workers.
 
-use retia_tensor::{parallel, Graph, ParamStore, Tensor};
+use retia_tensor::{parallel, Graph, ParamStore, Segments, Tensor};
 use std::sync::{Mutex, MutexGuard};
 
 /// The thread-count override is process-global; serialize tests that sweep it.
@@ -138,6 +138,44 @@ fn scatter_add_rows_bit_identical_across_threads() {
     sweep_threads("scatter_add_rows", || msgs.scatter_add_rows(&indices, 300));
 }
 
+/// A fixed sparse row operator: 600 output rows of 0-15 entries over a
+/// 300-row input, columns repeating, weights of both signs.
+fn slot_plan() -> Segments {
+    let mut offsets = vec![0usize];
+    let (mut cols, mut weights) = (Vec::new(), Vec::new());
+    for r in 0..600usize {
+        for k in 0..(r * 7) % 16 {
+            cols.push(u32::try_from((r * 13 + k * 31) % 300).expect("small index"));
+            weights.push(((r + k) % 5) as f32 * 0.25 - 0.5);
+        }
+        offsets.push(cols.len());
+    }
+    Segments::new(offsets, cols, weights)
+}
+
+#[test]
+fn segment_sum_forward_and_backward_bit_identical_across_threads() {
+    let seg = std::rc::Rc::new(slot_plan());
+    let x0 = rand_tensor(300, 64, 18);
+    let mean_row = seg.nnz().div_ceil(seg.num_rows());
+    assert!(parallel::should_par(seg.num_rows(), 2 * 64 * mean_row));
+    sweep_threads("segment_sum", || x0.segment_sum(&seg));
+
+    // The backward applies the transposed operator (300 rows, ~15 entries
+    // each), which takes the parallel path too.
+    sweep_threads("segment_sum backward", || {
+        let mut store = ParamStore::new(0);
+        store.register("x", x0.clone());
+        let mut g = Graph::new(false, 0);
+        let x = g.param(&store, "x");
+        let y = g.segment_sum(x, seg.clone());
+        let sq = g.mul(y, y);
+        let loss = g.sum_all(sq);
+        g.backward(loss, &mut store);
+        store.grad("x").clone()
+    });
+}
+
 #[test]
 fn kernels_pass_write_set_tracking() {
     // Debug-assertions race detector: run the row-chunked kernels with
@@ -153,6 +191,7 @@ fn kernels_pass_write_set_tracking() {
     let table = rand_tensor(300, 48, 17);
     let indices: Vec<u32> = (0..4096u32).map(|i| (i * 37) % 300).collect();
     let _ = table.gather_rows(&indices);
+    let _ = rand_tensor(300, 64, 19).segment_sum(&slot_plan());
     parallel::set_num_threads(0);
     parallel::writeset::set_tracking(false);
     if cfg!(debug_assertions) {

@@ -10,6 +10,9 @@ cargo build --workspace --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench unit tests (the repo benchmark is its own workspace; building it checks the crate APIs it calls)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> retia-lint (source conventions; allowlist: scripts/lint-allowlist.txt)"
 cargo run -q -p retia-analyze --bin retia-lint
 
