@@ -442,6 +442,63 @@ mod tests {
         assert!(l0.is_finite());
     }
 
+    /// The per-snapshot release in `Retia::evolve` must keep everything a
+    /// later read needs in every ablation mode: the inference paths (which
+    /// release) and a recording graph (which releases nothing) agree bit for
+    /// bit across the 45 configs `retia audit --all-configs` sweeps.
+    #[test]
+    fn inference_release_is_bit_identical_in_every_ablation_config() {
+        use crate::{HyperrelMode, RelationMode};
+        let ds = SyntheticConfig::tiny(3).generate();
+        let ctx = TkgContext::new(&ds);
+        let idx = ctx.test_idx[0];
+        let (history, hypers) = ctx.history(idx, 4);
+        let target = &ctx.snapshots[idx];
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut configs = 0;
+        for rm in [
+            RelationMode::None,
+            RelationMode::Static,
+            RelationMode::Mp,
+            RelationMode::MpLstm,
+            RelationMode::MpLstmAgg,
+        ] {
+            for hm in [HyperrelMode::Init, HyperrelMode::Hmp, HyperrelMode::HmpHlstm] {
+                for (tim, eam) in [(true, true), (false, true), (true, false)] {
+                    let cfg = RetiaConfig {
+                        dim: 8,
+                        channels: 4,
+                        k: 3,
+                        static_weight: 0.3,
+                        relation_mode: rm,
+                        hyperrel_mode: hm,
+                        use_tim: tim,
+                        use_eam: eam,
+                        ..Default::default()
+                    };
+                    let label = format!("{rm:?}/{hm:?}/tim={tim}/eam={eam}");
+                    let fm = FrozenModel::new(Retia::new(&cfg, &ds));
+                    let frozen = fm.evolve_window(history, hypers);
+                    let loss = fm.window_loss(history, hypers, target);
+
+                    let mut g = Graph::new(false, 0);
+                    let states = fm.model.evolve(&mut g, history, hypers);
+                    let last = last_k(&states, cfg.k).to_vec();
+                    assert_eq!(frozen.states.len(), last.len(), "{label}");
+                    for ((e, r), st) in frozen.states.iter().zip(&last) {
+                        assert_eq!(bits(e), bits(g.value(st.entities)), "E_t diverged: {label}");
+                        assert_eq!(bits(r), bits(g.value(st.relations)), "R_t diverged: {label}");
+                    }
+                    let (rec_loss, _, _) = fm.model.loss(&mut g, &last, target);
+                    let rec_loss = f64::from(g.value(rec_loss).item());
+                    assert_eq!(loss.to_bits(), rec_loss.to_bits(), "loss diverged: {label}");
+                    configs += 1;
+                }
+            }
+        }
+        assert_eq!(configs, 45);
+    }
+
     #[test]
     fn frozen_states_hold_last_k_windows() {
         let (fm, ctx) = setup();

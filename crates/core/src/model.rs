@@ -165,6 +165,7 @@ impl Retia {
         let mut states = Vec::with_capacity(history.len());
 
         for (snap, hyper) in history.iter().zip(hypers.iter()) {
+            let mark = g.num_nodes();
             // ---- relation update (TIM Eq. 7-8 + RAM Eq. 1-3) ----
             let r_t = match self.cfg.relation_mode {
                 RelationMode::None | RelationMode::Static => r0,
@@ -237,6 +238,11 @@ impl Retia {
                 e_prev
             };
 
+            // Only E_t, R_t and the recurrent state (the hyperrelation
+            // embeddings and both LSTM cells) outlive the snapshot, so an
+            // inference graph frees the rest now (no-op when recording).
+            let carried = [e_t, r_t, hr_prev].into_iter().chain(c_prev).chain(hc_prev);
+            g.release_since(mark, &carried.collect::<Vec<_>>());
             states.push(EvolvedState { entities: e_t, relations: r_t });
             e_prev = e_t;
             r_prev = r_t;
@@ -496,6 +502,34 @@ mod tests {
             assert!(g.value(st.entities).all_finite());
             assert!(g.value(st.relations).all_finite());
         }
+    }
+
+    #[test]
+    fn inference_evolve_holds_only_outputs_and_carried_state() {
+        let (model, ctx) = tiny_model();
+        let (h, hh) = ctx.history(ctx.test_idx[0], 5);
+        let mut inf = Graph::inference();
+        let states = model.evolve(&mut inf, h, hh);
+        let mut rec = Graph::new(false, 0);
+        model.evolve(&mut rec, h, hh);
+
+        let (n, m2, d) = (model.num_entities(), 2 * model.num_relations(), model.cfg.dim);
+        let bytes = |floats: usize| floats * std::mem::size_of::<f32>();
+        // Outputs: the normalized E_0 and every snapshot's (E_t, R_t).
+        let outputs = bytes(n * d + states.len() * (n + m2) * d);
+        // Carried by each snapshot: the TIM cell, the hyperrelation state
+        // and its cell.
+        let carried = bytes(states.len() * (m2 + 2 * NUM_HYPERRELS_WITH_INV) * d);
+        let held = inf.value_bytes();
+        assert!(
+            held <= outputs + carried,
+            "inference evolve holds {held} B, above outputs {outputs} B + carried {carried} B"
+        );
+        assert!(
+            held * 4 < rec.value_bytes(),
+            "inference evolve holds {held} B against the recording graph's {} B",
+            rec.value_bytes()
+        );
     }
 
     #[test]

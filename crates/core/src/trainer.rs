@@ -271,6 +271,9 @@ impl Trainer {
             let _bw = retia_obs::span!("backward.autodiff");
             g.backward(loss, self.model.store_mut());
         }
+        // The graph shares the parameter buffers; dropping it lets the
+        // optimizer update them in place instead of copying each one.
+        drop(g);
         // Chaos injection point: poison gradients between backward and the
         // optimizer step, exactly where a real numerical blow-up lands.
         // Chaos steps are zero-based.

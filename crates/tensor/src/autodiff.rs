@@ -9,8 +9,14 @@
 //! Ops store the context their backward pass needs (saved masks, index lists,
 //! activation outputs) inside the op enum itself, so backward is a plain
 //! `match` with no dynamic dispatch.
+//!
+//! Parameter nodes hold the [`ParamStore`]'s own buffer (no copy), and an
+//! inference graph can free the values a recurrence no longer needs with
+//! [`Graph::release_since`], so a k-snapshot evolve holds one snapshot of
+//! intermediates at a time.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,8 +148,28 @@ impl Op {
     }
 }
 
+/// Where a node's forward value lives.
+enum Value {
+    /// Computed by this graph (or handed to it as a constant).
+    Owned(Tensor),
+    /// A parameter's buffer, shared with the [`ParamStore`].
+    Shared(Arc<Tensor>),
+    /// Freed by [`Graph::release_since`].
+    Released,
+}
+
+impl Value {
+    fn tensor(&self) -> Option<&Tensor> {
+        match self {
+            Value::Owned(t) => Some(t),
+            Value::Shared(t) => Some(t),
+            Value::Released => None,
+        }
+    }
+}
+
 struct Node {
-    value: Tensor,
+    value: Value,
     op: Op,
 }
 
@@ -208,20 +234,65 @@ impl Graph {
         self.nodes.iter().filter_map(|n| n.op.transfer_key()).collect()
     }
 
+    /// Bytes held in the values this graph owns. Parameter nodes share the
+    /// store's buffers and count zero, as do values freed by
+    /// [`Graph::release_since`].
+    pub fn value_bytes(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|n| match &n.value {
+                Value::Owned(t) => t.len() * std::mem::size_of::<f32>(),
+                Value::Shared(_) | Value::Released => 0,
+            })
+            .sum()
+    }
+
+    /// Frees the values of every node created since `mark` (a
+    /// [`Graph::num_nodes`] reading) except the nodes in `keep`. A
+    /// recurrence calls this after each step with the state it carries
+    /// forward, so an inference graph holds one step of intermediates
+    /// instead of all of them. A recording graph needs every value for
+    /// [`Graph::backward`], so there this is a no-op. Reading a freed node
+    /// panics.
+    pub fn release_since(&mut self, mark: usize, keep: &[NodeId]) {
+        if self.record {
+            return;
+        }
+        for (i, node) in self.nodes.iter_mut().enumerate().skip(mark) {
+            if !keep.contains(&NodeId(i)) {
+                node.value = Value::Released;
+            }
+        }
+    }
+
     fn push(&mut self, value: Tensor, op: Op) -> NodeId {
+        self.push_value(Value::Owned(value), op)
+    }
+
+    fn push_value(&mut self, value: Value, op: Op) -> NodeId {
         let op = if self.record { op } else { Op::Leaf };
         self.nodes.push(Node { value, op });
         NodeId(self.nodes.len() - 1)
     }
 
     /// The forward value of a node.
+    ///
+    /// # Panics
+    /// Panics if [`Graph::release_since`] freed the node.
     pub fn value(&self, id: NodeId) -> &Tensor {
-        &self.nodes[id.0].value
+        self.nodes[id.0]
+            .value
+            .tensor()
+            .expect("node value was freed by Graph::release_since: pass the node in `keep`")
     }
 
-    /// A detached copy of a node's value (no gradient connection).
+    /// An owned copy of a node's value, with no gradient connection. For a
+    /// parameter node this copies the store's buffer.
+    ///
+    /// # Panics
+    /// Panics if [`Graph::release_since`] freed the node.
     pub fn detach(&self, id: NodeId) -> Tensor {
-        self.nodes[id.0].value.clone()
+        self.value(id).clone()
     }
 
     // ---- inputs -----------------------------------------------------------
@@ -231,12 +302,14 @@ impl Graph {
         self.push(t, Op::Leaf)
     }
 
-    /// Inserts a learnable parameter by name; its current value is copied out
-    /// of the store and gradients flow back into the store on
-    /// [`Graph::backward`].
+    /// Inserts a learnable parameter by name. The node shares the store's
+    /// buffer instead of copying it; a later store write (an optimizer step,
+    /// a checkpoint restore) copies the buffer first if this graph still
+    /// holds it, so the node keeps the value it was built with. Gradients
+    /// flow back into the store on [`Graph::backward`].
     pub fn param(&mut self, store: &ParamStore, name: &str) -> NodeId {
         let pid = store.id(name);
-        self.push(store.value(name).clone(), Op::Param(pid))
+        self.push_value(Value::Shared(store.shared_value(pid)), Op::Param(pid))
     }
 
     // ---- arithmetic -------------------------------------------------------
@@ -264,11 +337,10 @@ impl Graph {
         let xb = self.value(bias);
         assert_eq!(xb.rows(), 1, "bias must be a single row");
         assert_eq!(xb.cols(), self.value(x).cols(), "bias width mismatch");
-        let b = xb.clone();
         let mut v = self.value(x).clone();
         for i in 0..v.rows() {
             let row = v.row_mut(i);
-            for (r, &bb) in row.iter_mut().zip(b.row(0).iter()) {
+            for (r, &bb) in row.iter_mut().zip(xb.row(0).iter()) {
                 *r += bb;
             }
         }
@@ -280,11 +352,10 @@ impl Graph {
         let xw = self.value(w);
         assert_eq!(xw.rows(), 1, "broadcast weight must be a single row");
         assert_eq!(xw.cols(), self.value(x).cols(), "broadcast width mismatch");
-        let wt = xw.clone();
         let mut v = self.value(x).clone();
         for i in 0..v.rows() {
             let row = v.row_mut(i);
-            for (r, &ww) in row.iter_mut().zip(wt.row(0).iter()) {
+            for (r, &ww) in row.iter_mut().zip(xw.row(0).iter()) {
                 *r *= ww;
             }
         }
@@ -297,10 +368,9 @@ impl Graph {
         let cv = self.value(c);
         assert_eq!(cv.cols(), 1, "column broadcast must be a single column");
         assert_eq!(cv.rows(), self.value(x).rows(), "column broadcast height mismatch");
-        let ct = cv.clone();
         let mut v = self.value(x).clone();
         for i in 0..v.rows() {
-            let s = ct.get(i, 0);
+            let s = cv.get(i, 0);
             v.row_mut(i).iter_mut().for_each(|val| *val *= s);
         }
         self.push(v, Op::MulCol(x, c))
@@ -653,8 +723,8 @@ impl Graph {
                 }
                 Op::Mul(a, b) => {
                     let (a, b) = (*a, *b);
-                    let ga = g.mul(&self.nodes[b.0].value);
-                    let gb = g.mul(&self.nodes[a.0].value);
+                    let ga = g.mul(self.value(b));
+                    let gb = g.mul(self.value(a));
                     Self::acc(&mut grads, a, ga);
                     Self::acc(&mut grads, b, gb);
                 }
@@ -673,8 +743,8 @@ impl Graph {
                 }
                 Op::MulBias(x, w) => {
                     let (x, w) = (*x, *w);
-                    let wt = self.nodes[w.0].value.clone();
-                    let xv = self.nodes[x.0].value.clone();
+                    let wt = self.value(w);
+                    let xv = self.value(x);
                     let mut gx = g.clone();
                     for i in 0..gx.rows() {
                         let row = gx.row_mut(i);
@@ -694,8 +764,8 @@ impl Graph {
                 }
                 Op::MulCol(x, c) => {
                     let (x, c) = (*x, *c);
-                    let cv = self.nodes[c.0].value.clone();
-                    let xv = self.nodes[x.0].value.clone();
+                    let cv = self.value(c);
+                    let xv = self.value(x);
                     let mut gx = g.clone();
                     for i in 0..gx.rows() {
                         let s = cv.get(i, 0);
@@ -721,52 +791,52 @@ impl Graph {
                 Op::MatMul(a, b) => {
                     let (a, b) = (*a, *b);
                     // y = a @ b: da = g @ b^T, db = a^T @ g.
-                    let ga = g.matmul_nt(&self.nodes[b.0].value);
-                    let gb = self.nodes[a.0].value.matmul_tn(&g);
+                    let ga = g.matmul_nt(self.value(b));
+                    let gb = self.value(a).matmul_tn(&g);
                     Self::acc(&mut grads, a, ga);
                     Self::acc(&mut grads, b, gb);
                 }
                 Op::MatMulNT(a, b) => {
                     let (a, b) = (*a, *b);
                     // y = a @ b^T: da = g @ b, db = g^T @ a.
-                    let ga = g.matmul(&self.nodes[b.0].value);
-                    let gb = g.matmul_tn(&self.nodes[a.0].value);
+                    let ga = g.matmul(self.value(b));
+                    let gb = g.matmul_tn(self.value(a));
                     Self::acc(&mut grads, a, ga);
                     Self::acc(&mut grads, b, gb);
                 }
                 Op::Sigmoid(x) => {
                     let x = *x;
-                    let y = &self.nodes[id].value;
+                    let y = self.value(NodeId(id));
                     let gx = g.zip(y, |g, y| g * y * (1.0 - y));
                     Self::acc(&mut grads, x, gx);
                 }
                 Op::Tanh(x) => {
                     let x = *x;
-                    let y = &self.nodes[id].value;
+                    let y = self.value(NodeId(id));
                     let gx = g.zip(y, |g, y| g * (1.0 - y * y));
                     Self::acc(&mut grads, x, gx);
                 }
                 Op::Relu(x) => {
                     let x = *x;
-                    let xv = &self.nodes[x.0].value;
+                    let xv = self.value(x);
                     let gx = g.zip(xv, |g, x| if x > 0.0 { g } else { 0.0 });
                     Self::acc(&mut grads, x, gx);
                 }
                 Op::Sin(x) => {
                     let x = *x;
-                    let xv = &self.nodes[x.0].value;
+                    let xv = self.value(x);
                     let gx = g.zip(xv, |g, x| g * x.cos());
                     Self::acc(&mut grads, x, gx);
                 }
                 Op::Cos(x) => {
                     let x = *x;
-                    let xv = &self.nodes[x.0].value;
+                    let xv = self.value(x);
                     let gx = g.zip(xv, |g, x| -g * x.sin());
                     Self::acc(&mut grads, x, gx);
                 }
                 Op::LeakyRelu(x, slopes) => {
                     let xid = *x;
-                    let xv = &self.nodes[xid.0].value;
+                    let xv = self.value(xid);
                     let gx = Tensor::from_fn(g.rows(), g.cols(), |i, j| {
                         if xv.get(i, j) >= 0.0 {
                             g.get(i, j)
@@ -778,7 +848,7 @@ impl Graph {
                 }
                 Op::Abs(x) => {
                     let x = *x;
-                    let xv = &self.nodes[x.0].value;
+                    let xv = self.value(x);
                     let gx = g.zip(xv, |g, x| if x >= 0.0 { g } else { -g });
                     Self::acc(&mut grads, x, gx);
                 }
@@ -789,7 +859,7 @@ impl Graph {
                 }
                 Op::GatherRows(x, idx) => {
                     let xid = *x;
-                    let n = self.nodes[xid.0].value.rows();
+                    let n = self.value(xid).rows();
                     let gx = g.scatter_add_rows(idx, n);
                     Self::acc(&mut grads, xid, gx);
                 }
@@ -804,14 +874,14 @@ impl Graph {
                 }
                 Op::SegmentSum(x, seg) => {
                     let xid = *x;
-                    let n = self.nodes[xid.0].value.rows();
+                    let n = self.value(xid).rows();
                     let gx = g.segment_sum(&seg.transpose(n));
                     Self::acc(&mut grads, xid, gx);
                 }
                 Op::ConcatCols(a, b) => {
                     let (a, b) = (*a, *b);
-                    let ca = self.nodes[a.0].value.cols();
-                    let cb = self.nodes[b.0].value.cols();
+                    let ca = self.value(a).cols();
+                    let cb = self.value(b).cols();
                     let ga = g.slice_cols(0, ca);
                     let gb = g.slice_cols(ca, ca + cb);
                     Self::acc(&mut grads, a, ga);
@@ -819,7 +889,7 @@ impl Graph {
                 }
                 Op::SliceCols(x, start, _end) => {
                     let (xid, start) = (*x, *start);
-                    let xv = &self.nodes[xid.0].value;
+                    let xv = self.value(xid);
                     let mut gx = Tensor::zeros(xv.rows(), xv.cols());
                     for i in 0..g.rows() {
                         for j in 0..g.cols() {
@@ -830,7 +900,7 @@ impl Graph {
                 }
                 Op::SoftmaxRows(x) => {
                     let xid = *x;
-                    let p = &self.nodes[id].value;
+                    let p = self.value(NodeId(id));
                     // dx = p * (g - sum_j g_j p_j) per row.
                     let mut gx = Tensor::zeros(g.rows(), g.cols());
                     for i in 0..g.rows() {
@@ -845,7 +915,7 @@ impl Graph {
                 }
                 Op::GatherCols(x, cols) => {
                     let xid = *x;
-                    let xv = &self.nodes[xid.0].value;
+                    let xv = self.value(xid);
                     let mut gx = Tensor::zeros(xv.rows(), xv.cols());
                     for (i, &c) in cols.iter().enumerate() {
                         gx.set(i, c as usize, g.get(i, 0));
@@ -854,26 +924,26 @@ impl Graph {
                 }
                 Op::Ln(x, eps) => {
                     let (xid, eps) = (*x, *eps);
-                    let xv = &self.nodes[xid.0].value;
+                    let xv = self.value(xid);
                     let gx = g.zip(xv, |g, x| g / (x + eps));
                     Self::acc(&mut grads, xid, gx);
                 }
                 Op::MeanAll(x) => {
                     let xid = *x;
-                    let xv = &self.nodes[xid.0].value;
+                    let xv = self.value(xid);
                     let scale = g.item() / xv.len().max(1) as f32;
                     let gx = Tensor::full(xv.rows(), xv.cols(), scale);
                     Self::acc(&mut grads, xid, gx);
                 }
                 Op::SumAll(x) => {
                     let xid = *x;
-                    let xv = &self.nodes[xid.0].value;
+                    let xv = self.value(xid);
                     let gx = Tensor::full(xv.rows(), xv.cols(), g.item());
                     Self::acc(&mut grads, xid, gx);
                 }
                 Op::SumRows(x) => {
                     let xid = *x;
-                    let xv = &self.nodes[xid.0].value;
+                    let xv = self.value(xid);
                     let mut gx = Tensor::zeros(xv.rows(), xv.cols());
                     for i in 0..xv.rows() {
                         let gi = g.get(i, 0);
@@ -889,8 +959,8 @@ impl Graph {
                 }
                 Op::NormalizeRows(x, eps) => {
                     let (xid, eps) = (*x, *eps);
-                    let xv = &self.nodes[xid.0].value;
-                    let y = &self.nodes[id].value;
+                    let xv = self.value(xid);
+                    let y = self.value(NodeId(id));
                     let mut gx = Tensor::zeros(g.rows(), g.cols());
                     for i in 0..g.rows() {
                         let n = xv.row(i).iter().map(|&v| v * v).sum::<f32>().sqrt();
@@ -910,7 +980,7 @@ impl Graph {
                 Op::LayerNormRows(x, stats) => {
                     let xid = *x;
                     let stats = stats.clone();
-                    let y = &self.nodes[id].value;
+                    let y = self.value(NodeId(id));
                     let d = y.cols() as f32;
                     let mut gx = Tensor::zeros(g.rows(), g.cols());
                     for i in 0..g.rows() {
@@ -928,8 +998,8 @@ impl Graph {
                 Op::Conv1d { x, w, b, in_ch, out_ch, ksize } => {
                     let (x, w, b) = (*x, *w, *b);
                     let (in_ch, out_ch, ksize) = (*in_ch, *out_ch, *ksize);
-                    let xv = self.nodes[x.0].value.clone();
-                    let wv = self.nodes[w.0].value.clone();
+                    let xv = self.value(x);
+                    let wv = self.value(w);
                     let width = xv.cols() / in_ch;
                     let pad = ksize / 2;
                     let batch = xv.rows();
@@ -1015,7 +1085,7 @@ impl Graph {
                 Op::SoftmaxXent(logits, targets) => {
                     let lid = *logits;
                     let targets = targets.clone();
-                    let probs = self.nodes[lid.0].value.softmax_rows();
+                    let probs = self.value(lid).softmax_rows();
                     let n = targets.len().max(1) as f32;
                     let mut gx = probs;
                     for (i, &t) in targets.iter().enumerate() {
@@ -1055,8 +1125,17 @@ mod tests {
         let loss = build(&mut g, x);
         g.backward(loss, &mut store);
         let analytic = store.grad("x").clone();
+        let numeric = numeric_grad(&x0, &build);
+        let diff = analytic.max_abs_diff(&numeric);
+        assert!(
+            diff < tol,
+            "gradient mismatch {diff} > {tol}\nanalytic: {analytic:?}\nnumeric: {numeric:?}"
+        );
+    }
 
-        // Numeric gradient.
+    /// Central finite-difference gradient of `build` with respect to its
+    /// input, evaluated at `x0`.
+    fn numeric_grad(x0: &Tensor, build: &impl Fn(&mut Graph, NodeId) -> NodeId) -> Tensor {
         let h = 1e-3f32;
         let mut numeric = Tensor::zeros(x0.rows(), x0.cols());
         for i in 0..x0.rows() {
@@ -1077,11 +1156,7 @@ mod tests {
                 }
             }
         }
-        let diff = analytic.max_abs_diff(&numeric);
-        assert!(
-            diff < tol,
-            "gradient mismatch {diff} > {tol}\nanalytic: {analytic:?}\nnumeric: {numeric:?}"
-        );
+        numeric
     }
 
     fn sample(r: usize, c: usize, seed: u64) -> Tensor {
@@ -1539,6 +1614,92 @@ mod tests {
         let w = g.param(&store, "w");
         let loss = g.sum_all(w);
         g.backward(loss, &mut store);
+    }
+
+    #[test]
+    fn param_node_shares_store_buffer() {
+        let mut store = ParamStore::new(0);
+        store.register("w", sample(4, 3, 7));
+        for mut g in [Graph::new(false, 0), Graph::inference()] {
+            let w = g.param(&store, "w");
+            assert_eq!(
+                g.value(w).data().as_ptr(),
+                store.value("w").data().as_ptr(),
+                "a parameter node must hold the store's buffer, not a copy"
+            );
+            assert_eq!(g.value_bytes(), 0, "a shared parameter buffer is not owned by the graph");
+        }
+    }
+
+    #[test]
+    fn store_write_under_a_live_graph_copies_on_write() {
+        let x0 = sample(3, 4, 3);
+        let build = |g: &mut Graph, x: NodeId| {
+            let t = g.tanh(x);
+            let sq = g.mul(t, x);
+            g.sum_all(sq)
+        };
+        let mut store = ParamStore::new(0);
+        let id = store.register("x", x0.clone());
+        store.accumulate_grad(id, &sample(3, 4, 4));
+
+        let mut g = Graph::new(false, 0);
+        let x = g.param(&store, "x");
+        let loss = build(&mut g, x);
+        let mut adam = crate::optim::Adam::new(0.1);
+        adam.step(&mut store);
+        store.zero_grad();
+        assert_eq!(g.value(x), &x0, "the graph must keep the value it was built with");
+        assert_ne!(store.value("x"), &x0, "the optimizer must update the store");
+        assert_ne!(g.value(x).data().as_ptr(), store.value("x").data().as_ptr());
+
+        // Backward through the outlived graph differentiates at the value
+        // the graph saw, not the updated one.
+        g.backward(loss, &mut store);
+        let diff = store.grad("x").max_abs_diff(&numeric_grad(&x0, &build));
+        assert!(diff < 1e-2, "gradient mismatch {diff}");
+    }
+
+    #[test]
+    fn release_since_is_a_no_op_on_a_recording_graph() {
+        let mut g = Graph::new(false, 0);
+        let x = g.constant(sample(2, 3, 1));
+        let mark = g.num_nodes();
+        let y = g.tanh(x);
+        let z = g.scale(y, 2.0);
+        let before = g.value_bytes();
+        g.release_since(mark, &[z]);
+        assert_eq!(g.value_bytes(), before);
+        assert!(g.value(y).all_finite(), "backward needs every recorded value");
+    }
+
+    #[test]
+    fn release_since_frees_all_but_kept_nodes_on_an_inference_graph() {
+        let mut store = ParamStore::new(0);
+        store.register("w", sample(3, 3, 2));
+        let mut g = Graph::inference();
+        let x = g.constant(sample(2, 3, 1));
+        let mark = g.num_nodes();
+        let w = g.param(&store, "w");
+        let y = g.matmul(x, w);
+        let z = g.tanh(y);
+        let expected = g.detach(z);
+        g.release_since(mark, &[z]);
+        assert_eq!(g.value(z), &expected, "kept nodes stay readable");
+        assert_eq!(g.value(x).shape(), (2, 3), "nodes before the mark are untouched");
+        assert_eq!(g.value_bytes(), 2 * (2 * 3) * std::mem::size_of::<f32>());
+    }
+
+    #[test]
+    #[should_panic(expected = "release_since")]
+    fn reading_a_released_node_names_release_since() {
+        let mut g = Graph::inference();
+        let x = g.constant(sample(2, 2, 1));
+        let mark = g.num_nodes();
+        let y = g.tanh(x);
+        let z = g.scale(y, 2.0);
+        g.release_since(mark, &[z]);
+        let _ = g.value(y);
     }
 
     /// Lockstep between the op vocabulary and the transfer tables: exercise

@@ -1,5 +1,7 @@
 //! First-order optimizers operating on a [`ParamStore`].
 
+use std::sync::Arc;
+
 use crate::param::ParamStore;
 
 /// Adam optimizer (Kingma & Ba, 2015) — the optimizer the RETIA paper uses
@@ -49,21 +51,23 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for p in store.params_mut() {
-            let n = p.value.len();
-            for i in 0..n {
-                let g = p.grad.data()[i];
-                let m = self.beta1 * p.m.data()[i] + (1.0 - self.beta1) * g;
-                let v = self.beta2 * p.v.data()[i] + (1.0 - self.beta2) * g * g;
-                p.m.data_mut()[i] = m;
-                p.v.data_mut()[i] = v;
+            // Copies the buffer only while a live graph or a cloned store
+            // still shares it.
+            let value = Arc::make_mut(&mut p.value).data_mut();
+            let (pm, pv) = (p.m.data_mut(), p.v.data_mut());
+            for (i, &g) in p.grad.data().iter().enumerate() {
+                let m = self.beta1 * pm[i] + (1.0 - self.beta1) * g;
+                let v = self.beta2 * pv[i] + (1.0 - self.beta2) * g * g;
+                pm[i] = m;
+                pv[i] = v;
                 let m_hat = m / bc1;
                 let v_hat = v / bc2;
-                let mut val = p.value.data()[i];
+                let mut val = value[i];
                 if self.weight_decay > 0.0 {
                     val -= self.lr * self.weight_decay * val;
                 }
                 val -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-                p.value.data_mut()[i] = val;
+                value[i] = val;
             }
         }
     }
@@ -93,17 +97,17 @@ impl Sgd {
     /// Applies one update. Does not zero the gradients.
     pub fn step(&mut self, store: &mut ParamStore) {
         for p in store.params_mut() {
-            let n = p.value.len();
-            for i in 0..n {
-                let g = p.grad.data()[i];
+            let value = Arc::make_mut(&mut p.value).data_mut();
+            let pm = p.m.data_mut();
+            for (i, &g) in p.grad.data().iter().enumerate() {
                 let update = if self.momentum > 0.0 {
-                    let m = self.momentum * p.m.data()[i] + g;
-                    p.m.data_mut()[i] = m;
+                    let m = self.momentum * pm[i] + g;
+                    pm[i] = m;
                     m
                 } else {
                     g
                 };
-                p.value.data_mut()[i] -= self.lr * update;
+                value[i] -= self.lr * update;
             }
         }
     }

@@ -4,8 +4,15 @@
 //! autodiff [`crate::Graph`] pulls current values out by name and pushes
 //! gradients back in, and the optimizer updates values (and its per-parameter
 //! moment estimates) in place.
+//!
+//! Each value lives behind an `Arc`: [`crate::Graph::param`] keeps a handle
+//! to the store's buffer instead of a copy, and every write goes through
+//! `Arc::make_mut`, which copies only while a graph (or a cloned store)
+//! still holds the old buffer. A graph that outlives a store write
+//! therefore keeps seeing the value it was built with.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,7 +27,7 @@ pub struct ParamId(pub(crate) usize);
 #[derive(Clone, Debug)]
 pub(crate) struct Param {
     pub(crate) name: String,
-    pub(crate) value: Tensor,
+    pub(crate) value: Arc<Tensor>,
     pub(crate) grad: Tensor,
     /// First-moment estimate (Adam).
     pub(crate) m: Tensor,
@@ -54,7 +61,7 @@ impl ParamStore {
         let id = ParamId(self.params.len());
         self.params.push(Param {
             name: name.to_string(),
-            value,
+            value: Arc::new(value),
             grad: Tensor::zeros(r, c),
             m: Tensor::zeros(r, c),
             v: Tensor::zeros(r, c),
@@ -112,10 +119,29 @@ impl ParamStore {
         &self.params[id.0].value
     }
 
-    /// Mutable value by name (used by tests and manual tweaks).
+    /// The shared buffer behind a parameter's value: what
+    /// [`crate::Graph::param`] holds instead of a copy.
+    pub(crate) fn shared_value(&self, id: ParamId) -> Arc<Tensor> {
+        Arc::clone(&self.params[id.0].value)
+    }
+
+    /// Mutable value by name (used by tests and manual tweaks). Copies the
+    /// buffer first if a graph or another store still shares it.
     pub fn value_mut(&mut self, name: &str) -> &mut Tensor {
         let id = self.id(name);
-        &mut self.params[id.0].value
+        Arc::make_mut(&mut self.params[id.0].value)
+    }
+
+    /// Replaces a parameter's value with `t`, installing it as a fresh
+    /// buffer (a shared old buffer is left to its other holders, not copied
+    /// just to be overwritten). Used when restoring a checkpoint.
+    ///
+    /// # Panics
+    /// Panics if the parameter does not exist (checkpoint loaders validate
+    /// names and shapes first and report a typed error).
+    pub(crate) fn set_value(&mut self, name: &str, t: Tensor) {
+        let id = self.id(name);
+        self.params[id.0].value = Arc::new(t);
     }
 
     /// Accumulated gradient of a parameter by name.
@@ -147,7 +173,7 @@ impl ParamStore {
 
     /// Iterates over `(name, value)` pairs in registration order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
-        self.params.iter().map(|p| (p.name.as_str(), &p.value))
+        self.params.iter().map(|p| (p.name.as_str(), &*p.value))
     }
 
     /// Iterates over `(name, gradient)` pairs in registration order. Used by
@@ -203,11 +229,12 @@ impl ParamStore {
 
     /// Copies all parameter values from `other` (shapes and names must match;
     /// optimizer state is not copied). Used by online-training checkpoints.
+    /// The two stores share the buffers until either one writes.
     pub fn copy_values_from(&mut self, other: &ParamStore) {
         assert_eq!(self.params.len(), other.params.len(), "param count mismatch");
         for (dst, src) in self.params.iter_mut().zip(other.params.iter()) {
             assert_eq!(dst.name, src.name, "param name mismatch");
-            dst.value = src.value.clone();
+            dst.value = Arc::clone(&src.value);
         }
     }
 }

@@ -440,7 +440,7 @@ impl ParamStore {
             self.check_shape(name, t.shape())?;
         }
         for (name, t) in tensors {
-            *self.value_mut(&name) = t;
+            self.set_value(&name, t);
         }
         Ok(())
     }
