@@ -1,20 +1,16 @@
 //! Static analysis and fault injection for the RETIA stack.
 //!
-//! - [`shape`] — an abstract shape interpreter. [`ShapeCtx`] replays the
-//!   model's op sequence over [`ShapeTensor`]s (shapes only, no allocation),
-//!   so a full EAM→RAM→TIM→decode→loss→backward pass can be dry-run at
-//!   startup and every dimension/index-space mismatch reported with the
-//!   module and paper-equation name attached. NN layers expose `validate`
-//!   methods built on this; `retia check` and the pre-`train`/`eval` guard
-//!   in the CLI surface it.
-//! - [`value`] + [`gradflow`] — a value-domain abstract interpreter over the
-//!   same op vocabulary: an interval + finiteness domain ([`AuditCtx`])
-//!   driven by the per-op transfer functions in `retia_tensor::transfer`,
-//!   gradient-flow reachability from the loss (declared-frozen parameters
-//!   and detach boundaries included), and reduction-order sensitivity
-//!   declarations. NN layers expose `audit` twins of `validate`; the
-//!   `retia audit` subcommand, the trainer pre-flight, and the serve boot
-//!   check surface it.
+//! - [`value`] + [`gradflow`] — the abstract interpreter behind `retia
+//!   audit`. [`AuditCtx`] replays the model's op vocabulary over shapes and
+//!   intervals (no tensor data): every op checks the dimension and
+//!   index-space preconditions its real kernel asserts, an interval +
+//!   finiteness domain is driven by the per-op transfer functions in
+//!   `retia_tensor::transfer`, gradient-flow reachability is walked from
+//!   the loss (declared-frozen parameters and detach boundaries included),
+//!   and reduction-order declarations are checked. Every NN layer exposes an
+//!   `audit` twin of its forward; the `retia audit` subcommand, the trainer
+//!   pre-flight, and the serve boot check surface the composed replay, each
+//!   finding named by module and paper equation.
 //! - [`lint`] — the repo-specific source lint behind the `retia-lint` binary
 //!   (`cargo run -p retia-analyze --bin retia-lint`), with an exact-count
 //!   allowlist ratchet in `scripts/lint-allowlist.txt` and a drift check of
@@ -33,9 +29,7 @@
 pub mod chaos;
 pub mod gradflow;
 pub mod lint;
-pub mod shape;
 pub mod value;
 
 pub use chaos::{ChaosPlan, GradFault};
-pub use shape::{ShapeCtx, ShapeIssue, ShapeReport, ShapeTensor};
 pub use value::{AuditCtx, AuditIssue, AuditKind, AuditReport, FrozenParam};

@@ -21,9 +21,9 @@
 //!   `record_stage` call naming the constant (or its string literal, in
 //!   crates that cannot depend on retia-serve) somewhere under
 //!   `crates/*/src`, keeping the request-trace taxonomy from drifting.
-//! - **layer-validate** — every public NN layer struct in `crates/nn/src`
-//!   must expose a `validate` method replaying its shapes through
-//!   [`crate::ShapeCtx`].
+//! - **layer-audit** — every public NN layer struct in `crates/nn/src` must
+//!   expose an `audit` method replaying its forward through
+//!   [`crate::AuditCtx`].
 //! - **no-as-cast** — `crates/tensor/src` must not use bare `as` numeric
 //!   casts: `as` silently truncates, wraps, and saturates, which is exactly
 //!   the class of value bug the abstract interpreter exists to rule out.
@@ -477,9 +477,9 @@ fn scan_stage_span_rule(files: &[SourceFile], violations: &mut Vec<Violation>) {
     }
 }
 
-/// Rule `layer-validate`: every `pub struct` in `crates/nn/src` must have a
-/// `validate` method in one of its `impl` blocks (same file).
-fn scan_layer_validate_rule(files: &[SourceFile], violations: &mut Vec<Violation>) {
+/// Rule `layer-audit`: every `pub struct` in `crates/nn/src` must have an
+/// `audit` method in one of its `impl` blocks (same file).
+fn scan_layer_audit_rule(files: &[SourceFile], violations: &mut Vec<Violation>) {
     for file in files {
         if !file.path.starts_with("crates/nn/src/") {
             continue;
@@ -502,14 +502,14 @@ fn scan_layer_validate_rule(files: &[SourceFile], violations: &mut Vec<Violation
             }
         }
         for (lineno, name) in structs {
-            if !impl_blocks_contain(&stripped, &name, "fn validate") {
+            if !impl_blocks_contain(&stripped, &name, "fn audit(") {
                 violations.push(Violation {
                     path: file.path.clone(),
                     line: lineno,
-                    rule: "layer-validate",
+                    rule: "layer-audit",
                     detail: format!(
-                        "public layer `{name}` has no `validate` method replaying its shapes \
-                         through retia_analyze::ShapeCtx"
+                        "public layer `{name}` has no `audit` method replaying its forward \
+                         through retia_analyze::AuditCtx"
                     ),
                 });
             }
@@ -605,7 +605,7 @@ pub fn scan_sources(files: &[SourceFile]) -> Vec<Violation> {
     }
     scan_kernel_rule(files, &mut violations);
     scan_stage_span_rule(files, &mut violations);
-    scan_layer_validate_rule(files, &mut violations);
+    scan_layer_audit_rule(files, &mut violations);
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     violations
 }
@@ -939,19 +939,21 @@ mod tests {\n\
     }
 
     #[test]
-    fn layer_validate_rule() {
+    fn layer_audit_rule() {
+        // A shape-only `validate` twin or an `audit_*` helper is not enough.
         let missing = SourceFile {
             path: "crates/nn/src/l.rs".to_string(),
-            content: "pub struct Thing { x: usize }\nimpl Thing { pub fn forward(&self) {} }\n"
+            content: "pub struct Thing { x: usize }\n\
+                      impl Thing { pub fn validate(&self) {} fn audit_frozen(&self) {} }\n"
                 .to_string(),
         };
         let v = scan_sources(&[missing]);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "layer-validate");
+        assert_eq!(v[0].rule, "layer-audit");
         let present = SourceFile {
             path: "crates/nn/src/l.rs".to_string(),
             content: "pub struct Thing { x: usize }\n\
-                      impl Thing {\n    pub fn validate(&self) {}\n}\n"
+                      impl Thing {\n    pub fn audit(&self) {}\n}\n"
                 .to_string(),
         };
         assert!(scan_sources(&[present]).is_empty());

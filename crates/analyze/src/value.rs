@@ -1,25 +1,32 @@
-//! Value-domain abstract interpreter.
+//! The abstract interpreter behind `retia audit`.
 //!
-//! Where [`crate::shape`] erases tensors down to dimensions, this module
-//! erases them down to an [`Interval`] per tensor — `[lo, hi]` bounds in
-//! f64 plus may-be-NaN / may-be-inf flags — and replays the model's op
-//! vocabulary over that domain using the per-op transfer functions that
-//! live next to the kernels in [`retia_tensor::transfer`]. Three coupled
-//! analyses run over one abstract execution:
+//! [`AuditCtx`] erases every tensor down to its shape and an [`Interval`] —
+//! `[lo, hi]` bounds in f64 plus may-be-NaN / may-be-inf flags — and
+//! replays the model's op vocabulary over that domain using the per-op
+//! transfer functions that live next to the kernels in
+//! [`retia_tensor::transfer`]. Four coupled analyses run over one abstract
+//! execution:
 //!
-//! 1. **Finiteness**: any op whose abstract output admits NaN/inf *when its
+//! 1. **Shapes and index spaces**: every op checks the dimension and index
+//!    preconditions its real kernel asserts (matmul inner dims, broadcast
+//!    shapes, gather and segment-sum indices in range, ...). A failed check
+//!    records an [`AuditKind::Shape`] finding and the op returns the shape
+//!    it *would* have produced, so one pass collects every mismatch rather
+//!    than the first. Layer twins add their own preconditions (row counts,
+//!    edge ranges) through [`AuditCtx::check`].
+//! 2. **Finiteness**: any op whose abstract output admits NaN/inf *when its
 //!    inputs did not* records an [`AuditIssue`] blaming the enclosing
-//!    module/equation scope (same poison-recovery discipline as the shape
-//!    interpreter: the replay continues, downstream ops do not re-report
-//!    inherited non-finiteness).
-//! 2. **Gradient-flow reachability** ([`crate::gradflow`]): every op also
+//!    module/equation scope (the same poison-recovery discipline: the
+//!    replay continues, downstream ops do not re-report inherited
+//!    non-finiteness).
+//! 3. **Gradient-flow reachability** ([`crate::gradflow`]): every op also
 //!    records its input edges, building an abstract tape. After the loss is
 //!    built, [`AuditCtx::check_gradient_flow`] walks it backward and
 //!    reports trainable parameters the walk never reaches — unless they are
 //!    declared frozen (with a reason) for the configuration under audit.
 //!    Inference graphs use [`AuditCtx::check_no_trainable_params`] to prove
 //!    the opposite: zero parameters on the tape at all.
-//! 3. **Reduction-order sensitivity**: [`AuditCtx::reorder`] declares an
+//! 4. **Reduction-order sensitivity**: [`AuditCtx::reorder`] declares an
 //!    intent to reorder a kernel loop (sharding, vectorization) and checks
 //!    it against `retia_tensor::transfer::REDUCTION_SITES` — reordering an
 //!    order-sensitive accumulation is a finding.
@@ -58,6 +65,8 @@ pub(crate) struct AbsNode {
 /// Which analysis a finding belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AuditKind {
+    /// A dimension or index-space precondition fails.
+    Shape,
     /// The op's abstract output admits NaN or `±inf`.
     NonFinite,
     /// Gradient-flow reachability disagrees with the declared frozen set.
@@ -69,6 +78,7 @@ pub enum AuditKind {
 impl AuditKind {
     pub fn as_str(self) -> &'static str {
         match self {
+            AuditKind::Shape => "shape",
             AuditKind::NonFinite => "non-finite",
             AuditKind::GradFlow => "gradient-flow",
             AuditKind::Reorder => "reduction-order",
@@ -76,8 +86,7 @@ impl AuditKind {
     }
 }
 
-/// One audit finding, tagged like a [`crate::ShapeIssue`] with the
-/// module/equation scope path.
+/// One audit finding, tagged with the module/equation scope path.
 #[derive(Clone, Debug)]
 pub struct AuditIssue {
     /// Module/equation scope path active when the check failed.
@@ -163,9 +172,9 @@ impl fmt::Display for AuditReport {
 
 impl std::error::Error for AuditReport {}
 
-/// The value-domain interpreter. API mirrors [`crate::ShapeCtx`]: ops
-/// record findings instead of panicking and return the abstract value they
-/// would have produced, so one pass collects everything.
+/// The abstract interpreter. API mirrors the autodiff `Graph`: ops record
+/// findings instead of panicking and return the abstract value they would
+/// have produced, so one pass collects everything.
 #[derive(Debug, Default)]
 pub struct AuditCtx {
     scope: Vec<String>,
@@ -280,6 +289,16 @@ impl AuditCtx {
         self.issues.push(AuditIssue { path: self.scope.join(" / "), op: op.into(), kind, detail });
     }
 
+    /// Records an [`AuditKind::Shape`] finding against `op` unless `cond`
+    /// holds. The ops use it for their kernels' preconditions; layer twins
+    /// for checks that are not a single op (e.g. "entity rows must match the
+    /// snapshot").
+    pub fn check(&mut self, op: &str, cond: bool, detail: impl FnOnce() -> String) {
+        if !cond {
+            self.record(AuditKind::Shape, op, detail());
+        }
+    }
+
     /// Registers the output of op `key` over `inputs`: flags a finiteness
     /// finding iff the op *introduces* non-finiteness (all inputs finite,
     /// output admits NaN/inf), then pushes the node so the replay continues.
@@ -315,45 +334,80 @@ impl AuditCtx {
         self.nodes[x.0].iv
     }
 
+    /// Elementwise binary ops need equal operand shapes.
+    fn same_shape(&mut self, op: &str, a: AbsId, b: AbsId) {
+        let (sa, sb) = (self.shape(a), self.shape(b));
+        self.check(op, sa == sb, || format!("operand shapes differ: {} vs {}", dims(sa), dims(sb)));
+    }
+
+    /// Row broadcasts need `w` to be `[1, x.cols]`.
+    fn row_broadcast(&mut self, op: &str, x: AbsId, w: AbsId) {
+        let (sx, sw) = (self.shape(x), self.shape(w));
+        self.check(op, sw == (1, sx.1), || {
+            format!("{} does not broadcast over {}", dims(sw), dims(sx))
+        });
+    }
+
+    /// One index per row of `x`, each addressing a column of `x` (the
+    /// `gather_cols` and `softmax_xent` target lists).
+    fn one_per_row(&mut self, op: &str, x: AbsId, cols: &[u32]) {
+        let (rows, width) = self.shape(x);
+        self.check(op, cols.len() == rows, || {
+            format!("{} column indices for {rows} rows", cols.len())
+        });
+        let bad = cols.iter().find(|&&c| c as usize >= width);
+        self.check(op, bad.is_none(), || {
+            format!("column index {} out of range for {width} columns", bad.unwrap_or(&0))
+        });
+    }
+
     // ---- elementwise ------------------------------------------------------
 
     pub fn add(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        self.same_shape("add", a, b);
         let iv = transfer::add(self.iv(a), self.iv(b));
         let (r, c) = self.shape(a);
         self.op("add", &[a, b], r, c, iv)
     }
 
     pub fn sub(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        self.same_shape("sub", a, b);
         let iv = transfer::sub(self.iv(a), self.iv(b));
         let (r, c) = self.shape(a);
         self.op("sub", &[a, b], r, c, iv)
     }
 
     pub fn mul(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        self.same_shape("mul", a, b);
         let iv = transfer::mul(self.iv(a), self.iv(b));
         let (r, c) = self.shape(a);
         self.op("mul", &[a, b], r, c, iv)
     }
 
-    /// Row-broadcast add (`x + bias`).
+    /// Row-broadcast add (`x + bias`, `bias: [1, x.cols]`).
     pub fn add_bias(&mut self, x: AbsId, bias: AbsId) -> AbsId {
+        self.row_broadcast("add_bias", x, bias);
         let iv = transfer::add(self.iv(x), self.iv(bias));
         let (r, c) = self.shape(x);
         self.op("add_bias", &[x, bias], r, c, iv)
     }
 
-    /// Row-broadcast multiply.
+    /// Row-broadcast multiply (`w: [1, x.cols]`).
     pub fn mul_bias(&mut self, x: AbsId, w: AbsId) -> AbsId {
+        self.row_broadcast("mul_bias", x, w);
         let iv = transfer::mul(self.iv(x), self.iv(w));
         let (r, c) = self.shape(x);
         self.op("mul_bias", &[x, w], r, c, iv)
     }
 
-    /// Column-broadcast multiply.
+    /// Column-broadcast multiply (`c: [x.rows, 1]`).
     pub fn mul_col(&mut self, x: AbsId, c: AbsId) -> AbsId {
+        let (sx, sc) = (self.shape(x), self.shape(c));
+        self.check("mul_col", sc == (sx.0, 1), || {
+            format!("column {} does not broadcast over {}", dims(sc), dims(sx))
+        });
         let iv = transfer::mul(self.iv(x), self.iv(c));
-        let (r, cols) = self.shape(x);
-        self.op("mul_col", &[x, c], r, cols, iv)
+        self.op("mul_col", &[x, c], sx.0, sx.1, iv)
     }
 
     pub fn scale(&mut self, x: AbsId, s: f64) -> AbsId {
@@ -370,6 +424,7 @@ impl AuditCtx {
 
     /// Elementwise division — pole rule from [`transfer::div`].
     pub fn div(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        self.same_shape("div", a, b);
         let iv = transfer::div(self.iv(a), self.iv(b));
         let (r, c) = self.shape(a);
         self.op("div", &[a, b], r, c, iv)
@@ -379,24 +434,27 @@ impl AuditCtx {
 
     /// `a @ b`: inner accumulation over `a.cols` terms.
     pub fn matmul(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let k = self.shape(a).1;
+        let ((ar, k), (br, bc)) = (self.shape(a), self.shape(b));
+        self.check("matmul", k == br, || {
+            format!("inner dims differ: {} x {}", dims((ar, k)), dims((br, bc)))
+        });
         let iv = transfer::dot(self.iv(a), self.iv(b), k);
-        let (ar, _) = self.shape(a);
-        let (_, bc) = self.shape(b);
         self.op("matmul", &[a, b], ar, bc, iv)
     }
 
     /// `a @ b^T`.
     pub fn matmul_nt(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let k = self.shape(a).1;
+        let ((ar, k), (br, bc)) = (self.shape(a), self.shape(b));
+        self.check("matmul_nt", k == bc, || {
+            format!("column counts differ: {} x {}^T", dims((ar, k)), dims((br, bc)))
+        });
         let iv = transfer::dot(self.iv(a), self.iv(b), k);
-        let (ar, _) = self.shape(a);
-        let (br, _) = self.shape(b);
         self.op("matmul_nt", &[a, b], ar, br, iv)
     }
 
-    /// 1-D convolution (`'same'` padding): accumulation over
-    /// `in_ch * ksize` taps plus the channel bias.
+    /// 1-D convolution (`'same'` padding) over `[batch, in_ch * width]` rows
+    /// with kernel `[out_ch, in_ch * ksize]` and bias `[1, out_ch]`:
+    /// accumulation over `in_ch * ksize` taps plus the channel bias.
     pub fn conv1d(
         &mut self,
         x: AbsId,
@@ -406,9 +464,19 @@ impl AuditCtx {
         out_ch: usize,
         ksize: usize,
     ) -> AbsId {
-        let acc = transfer::dot(self.iv(x), self.iv(w), in_ch * ksize);
+        let ((rows, cols), sw, sb) = (self.shape(x), self.shape(w), self.shape(b));
+        self.check("conv1d", in_ch > 0 && cols.is_multiple_of(in_ch), || {
+            format!("input width {cols} is not a multiple of in_ch={in_ch}")
+        });
+        let taps = in_ch * ksize;
+        self.check("conv1d", sw == (out_ch, taps), || {
+            format!("kernel is {}, expected [{out_ch}, {taps}] for ksize={ksize}", dims(sw))
+        });
+        self.check("conv1d", sb == (1, out_ch), || {
+            format!("bias is {}, expected [1, {out_ch}]", dims(sb))
+        });
+        let acc = transfer::dot(self.iv(x), self.iv(w), taps);
         let iv = transfer::add(acc, self.iv(b));
-        let (rows, cols) = self.shape(x);
         let width = cols.checked_div(in_ch).unwrap_or(0);
         self.op("conv1d", &[x, w, b], rows, out_ch * width, iv)
     }
@@ -465,43 +533,63 @@ impl AuditCtx {
 
     // ---- gathers / segment sums / layout ---------------------------------
 
-    /// Gather `count` rows: values are drawn from `x`.
-    pub fn gather_rows(&mut self, x: AbsId, count: usize) -> AbsId {
+    /// Row gather: every index must address a row of `x`; values are drawn
+    /// from `x`.
+    pub fn gather_rows(&mut self, x: AbsId, indices: &[u32]) -> AbsId {
+        let (rows, c) = self.shape(x);
+        let bad = indices.iter().find(|&&i| i as usize >= rows);
+        self.check("gather_rows", bad.is_none(), || {
+            format!("index {} out of range for {rows} rows", bad.unwrap_or(&0))
+        });
         let iv = self.iv(x);
-        let (_, c) = self.shape(x);
-        self.op("gather_rows", &[x], count, c, iv)
+        self.op("gather_rows", &[x], indices.len(), c, iv)
     }
 
     /// Sparse row operator `seg` applied to `x`, bounded by the operator's
-    /// measured per-row weight mass.
+    /// measured per-row weight mass. Every column index must address a row
+    /// of `x`.
     pub fn segment_sum(&mut self, x: AbsId, seg: &Segments) -> AbsId {
+        let (rows, c) = self.shape(x);
+        let bad = seg.cols().iter().find(|&&i| i as usize >= rows);
+        self.check("segment_sum", bad.is_none(), || {
+            format!("column index {} out of range for {rows} rows", bad.unwrap_or(&0))
+        });
         let iv = transfer::segment_sum(self.iv(x), seg.mass());
-        let (_, c) = self.shape(x);
         self.op("segment_sum", &[x], seg.num_rows(), c, iv)
     }
 
-    /// Per-row scaling by data-dependent weights inside `weights`.
-    pub fn row_scale(&mut self, x: AbsId, weights: Interval) -> AbsId {
-        let iv = transfer::mul(self.iv(x), weights);
+    /// Per-row scaling by `num_weights` data-dependent weights inside
+    /// `weights`, one per row of `x`.
+    pub fn row_scale(&mut self, x: AbsId, num_weights: usize, weights: Interval) -> AbsId {
         let (r, c) = self.shape(x);
+        self.check("row_scale", num_weights == r, || format!("{num_weights} weights for {r} rows"));
+        let iv = transfer::mul(self.iv(x), weights);
         self.op("row_scale", &[x], r, c, iv)
     }
 
+    /// Horizontal concatenation `[a | b]`.
     pub fn concat_cols(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        let ((r, ac), (br, bc)) = (self.shape(a), self.shape(b));
+        self.check("concat_cols", r == br, || {
+            format!("row counts differ: {} vs {}", dims((r, ac)), dims((br, bc)))
+        });
         let iv = self.iv(a).hull(self.iv(b));
-        let (r, ac) = self.shape(a);
-        let (_, bc) = self.shape(b);
         self.op("concat_cols", &[a, b], r, ac + bc, iv)
     }
 
+    /// Columns `start..end` of `x`.
     pub fn slice_cols(&mut self, x: AbsId, start: usize, end: usize) -> AbsId {
+        let (r, c) = self.shape(x);
+        self.check("slice_cols", start <= end && end <= c, || {
+            format!("slice {start}..{end} out of range for {c} columns")
+        });
         let iv = self.iv(x);
-        let (r, _) = self.shape(x);
         self.op("slice_cols", &[x], r, end.saturating_sub(start), iv)
     }
 
     /// `out[i, 0] = x[i, cols[i]]`.
-    pub fn gather_cols(&mut self, x: AbsId) -> AbsId {
+    pub fn gather_cols(&mut self, x: AbsId, cols: &[u32]) -> AbsId {
+        self.one_per_row("gather_cols", x, cols);
         let iv = self.iv(x);
         let (r, _) = self.shape(x);
         self.op("gather_cols", &[x], r, 1, iv)
@@ -515,14 +603,18 @@ impl AuditCtx {
         self.op("softmax_rows", &[x], r, c, iv)
     }
 
-    /// Fused softmax + cross-entropy.
-    pub fn softmax_xent(&mut self, x: AbsId) -> AbsId {
+    /// Fused softmax + cross-entropy, one target class per logit row: the
+    /// per-row losses `[rows, 1]`.
+    pub fn softmax_xent(&mut self, x: AbsId, targets: &[u32]) -> AbsId {
+        self.one_per_row("softmax_xent", x, targets);
         let iv = transfer::softmax_xent(self.iv(x));
         let (r, _) = self.shape(x);
         self.op("softmax_xent", &[x], r, 1, iv)
     }
 
     pub fn mean_all(&mut self, x: AbsId) -> AbsId {
+        let (r, c) = self.shape(x);
+        self.check("mean_all", r > 0 && c > 0, || format!("mean of empty tensor {}", dims((r, c))));
         let iv = transfer::mean(self.iv(x));
         self.op("mean_all", &[x], 1, 1, iv)
     }
@@ -539,7 +631,12 @@ impl AuditCtx {
         self.op("sum_rows", &[x], r, 1, iv)
     }
 
+    /// Sum of several same-shape tensors.
     pub fn add_n(&mut self, xs: &[AbsId]) -> AbsId {
+        self.check("add_n", !xs.is_empty(), || "needs at least one input".to_string());
+        for pair in xs.windows(2) {
+            self.same_shape("add_n", pair[0], pair[1]);
+        }
         let ivs: Vec<Interval> = xs.iter().map(|x| self.iv(*x)).collect();
         let iv = transfer::add_n(&ivs);
         let (r, c) = xs.first().map(|x| self.shape(*x)).unwrap_or((0, 0));
@@ -589,8 +686,12 @@ impl AuditCtx {
     /// reached parameter set with the declared frozen set: an expected-
     /// trainable parameter the walk misses is a finding (blamed at its
     /// declaration scope), as is an expected-frozen parameter the walk
-    /// reaches.
+    /// reaches. Backprop starts from a scalar, so `loss` must be `[1, 1]`.
     pub fn check_gradient_flow(&mut self, loss: AbsId, frozen: &[FrozenParam]) {
+        let shape = self.shape(loss);
+        self.check("backward", shape == (1, 1), || {
+            format!("loss is {}, expected the scalar [1, 1]", dims(shape))
+        });
         let reached = gradflow::reachable(&self.nodes, loss.0);
         let flows = gradflow::param_flows(&self.nodes, &reached);
         self.params_declared = flows.len();
@@ -652,9 +753,79 @@ impl AuditCtx {
     }
 }
 
+/// `[rows, cols]`, the way findings print a shape.
+fn dims((rows, cols): (usize, usize)) -> String {
+    format!("[{rows}, {cols}]")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `[rows, cols]` source inside `[-1, 1]`.
+    fn src(ctx: &mut AuditCtx, rows: usize, cols: usize) -> AbsId {
+        ctx.source(rows, cols, Interval::new(-1.0, 1.0))
+    }
+
+    #[test]
+    fn shape_mismatches_are_recorded_not_fatal() {
+        let mut ctx = AuditCtx::new();
+        let (a, b) = (src(&mut ctx, 2, 3), src(&mut ctx, 4, 5));
+        // The finding is recorded and the op returns the shape it would
+        // have produced, so the replay goes on and finds the next mismatch.
+        let y = ctx.scoped("eam.rgcn", Some("Eq. 4"), |ctx| {
+            ctx.scoped("layer 0", None, |ctx| ctx.matmul(a, b))
+        });
+        assert_eq!(ctx.shape(y), (2, 5));
+        let z = src(&mut ctx, 9, 9);
+        let sum = ctx.add(y, z);
+        assert_eq!(ctx.shape(sum), (2, 5));
+        let report = ctx.finish();
+        assert_eq!(report.issues.len(), 2, "{report}");
+        let first = &report.issues[0];
+        assert_eq!((first.kind, first.op.as_str()), (AuditKind::Shape, "matmul"));
+        assert_eq!(
+            first.to_string(),
+            "[eam.rgcn [Eq. 4] / layer 0] shape matmul: inner dims differ: [2, 3] x [4, 5]"
+        );
+    }
+
+    #[test]
+    fn every_op_checks_its_kernel_preconditions() {
+        // One violation per op. That valid uses raise nothing is checked
+        // against real execution in tests/value_soundness.rs.
+        let mut ctx = AuditCtx::new();
+        let x = src(&mut ctx, 4, 3);
+        let (row, col, wide) = (src(&mut ctx, 1, 3), src(&mut ctx, 4, 1), src(&mut ctx, 5, 3));
+        let (kernel, bias) = (src(&mut ctx, 16, 6), src(&mut ctx, 1, 16));
+        ctx.add_bias(x, col);
+        ctx.mul_col(x, row);
+        ctx.matmul_nt(x, col);
+        ctx.concat_cols(x, wide);
+        ctx.slice_cols(x, 2, 4);
+        ctx.row_scale(x, 3, Interval::new(0.0, 1.0));
+        ctx.conv1d(x, kernel, bias, 2, 16, 3);
+        ctx.softmax_xent(x, &[0, 1]);
+        ctx.add_n(&[x, wide]);
+        ctx.check_gradient_flow(x, &[]);
+        let report = ctx.finish();
+        assert!(report.issues.iter().all(|i| i.kind == AuditKind::Shape), "{report}");
+        let ops: Vec<&str> = report.issues.iter().map(|i| i.op.as_str()).collect();
+        let expected = [
+            "add_bias",
+            "mul_col",
+            "matmul_nt",
+            "concat_cols",
+            "slice_cols",
+            "row_scale",
+            "conv1d",
+            "softmax_xent",
+            "add_n",
+            "backward",
+        ];
+        assert_eq!(ops, expected);
+        assert!(report.issues[6].detail.contains("input width 3 is not a multiple"), "{report}");
+    }
 
     #[test]
     fn finiteness_finding_blames_scope_once() {

@@ -1,19 +1,20 @@
-//! Property tests: the interval domain must be *sound* against real f32
-//! execution. Random valid op sequences are replayed both ways — through
-//! [`retia_analyze::AuditCtx`] (abstract) and through a real
+//! Property tests: the abstract interpreter must be *sound* against real
+//! f32 execution. Random valid op sequences are replayed both ways —
+//! through [`retia_analyze::AuditCtx`] (abstract) and through a real
 //! [`retia_tensor::Graph`] in training mode (concrete, including the random
-//! dropout masks and rrelu slopes) — and every concrete element must lie
-//! inside the abstract interval at every step. Directed tests then pin the
-//! non-finiteness edges the random walk is unlikely to reach: exponential
-//! overflow, the log pole, division through zero, `inf - inf`, and softmax
-//! saturation.
+//! dropout masks and rrelu slopes). At every step the abstract shape must
+//! equal the concrete one, every concrete element must lie inside the
+//! abstract interval, and no valid op may raise a shape finding. Directed
+//! tests then pin the edges the random walk is unlikely to reach:
+//! out-of-range gathers and segment sums, exponential overflow, the log
+//! pole, division through zero, `inf - inf`, and softmax saturation.
 
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retia_analyze::value::AbsId;
-use retia_analyze::AuditCtx;
+use retia_analyze::{AuditCtx, AuditKind};
 use retia_tensor::transfer::{self, Interval, RowMass, F32_EXP_OVERFLOW};
 use retia_tensor::{Graph, NodeId, Segments, Tensor};
 
@@ -36,12 +37,19 @@ fn fresh(g: &mut Graph, ctx: &mut AuditCtx, rng: &mut StdRng, rows: usize, cols:
     }
 }
 
-/// Every concrete element must be admitted by the abstract value, and the
-/// abstract shape must match the concrete one.
+/// Every concrete element must be admitted by the abstract value, the
+/// abstract shape must match the concrete one, and the valid op must not
+/// have raised a shape finding.
 fn assert_contained(g: &Graph, ctx: &AuditCtx, t: Twin, seed: u64, step: usize, op: &str) {
     let iv = ctx.interval(t.abst);
     let real = g.value(t.real);
     assert_eq!(real.shape(), ctx.shape(t.abst), "seed {seed} step {step} {op}: shape diverged");
+    let shape_findings: Vec<_> =
+        ctx.issues().iter().filter(|i| i.kind == AuditKind::Shape).collect();
+    assert!(
+        shape_findings.is_empty(),
+        "seed {seed} step {step} {op}: a valid op raised shape findings: {shape_findings:?}"
+    );
     for (i, &v) in real.data().iter().enumerate() {
         assert!(
             iv.contains(v),
@@ -165,8 +173,8 @@ fn random_op_sequences_stay_inside_the_abstract_interval() {
                         .collect();
                     (
                         Twin {
+                            abst: ctx.gather_rows(t.abst, &idx),
                             real: g.gather_rows(t.real, Rc::new(idx)),
-                            abst: ctx.gather_rows(t.abst, count),
                         },
                         "gather_rows",
                     )
@@ -193,8 +201,8 @@ fn random_op_sequences_stay_inside_the_abstract_interval() {
                     let w: Vec<f32> = (0..rows).map(|_| rng.gen_range(0.0f32..1.0)).collect();
                     (
                         Twin {
+                            abst: ctx.row_scale(t.abst, w.len(), Interval::new(0.0, 1.0)),
                             real: g.row_scale(t.real, Rc::new(w)),
-                            abst: ctx.row_scale(t.abst, Interval::new(0.0, 1.0)),
                         },
                         "row_scale",
                     )
@@ -298,13 +306,13 @@ fn gather_cols_ln_and_xent_stay_inside_the_abstract_interval() {
             (0..n).map(|_| u32::try_from(rng.gen_range(0..c)).expect("small index")).collect();
         let picked = Twin {
             real: g.gather_cols(probs.real, Rc::new(targets.clone())),
-            abst: ctx.gather_cols(probs.abst),
+            abst: ctx.gather_cols(probs.abst, &targets),
         };
         assert_contained(&g, &ctx, picked, round, 0, "gather_cols");
         let nll = Twin { real: g.ln(picked.real, 1e-9), abst: ctx.ln(picked.abst, 1e-9) };
         assert_contained(&g, &ctx, nll, round, 1, "ln");
         // The fused kernel mean-reduces the per-row losses to a scalar.
-        let per_row = ctx.softmax_xent(x.abst);
+        let per_row = ctx.softmax_xent(x.abst, &targets);
         let fused =
             Twin { real: g.softmax_xent(x.real, Rc::new(targets)), abst: ctx.mean_all(per_row) };
         assert_contained(&g, &ctx, fused, round, 2, "softmax_xent");
@@ -363,6 +371,52 @@ fn segment_sum_bound_covers_weight_mass_above_one() {
     let assumed =
         transfer::segment_sum(Interval::new(0.25, 1.0), RowMass { pos: 1.0, neg: 0.0, terms: 0 });
     assert!(!assumed.contains(hub), "{assumed} unexpectedly contains {hub}");
+}
+
+// ---- directed out-of-range indices -----------------------------------------
+
+/// Runs `f` over a `[3, 4]` source and returns the one shape finding it
+/// raised, which must be against `op`.
+fn single_shape_finding(op: &str, f: impl FnOnce(&mut AuditCtx, AbsId)) -> String {
+    let mut ctx = AuditCtx::new();
+    let x = ctx.source(3, 4, Interval::new(-1.0, 1.0));
+    f(&mut ctx, x);
+    let report = ctx.finish();
+    assert_eq!(report.issues.len(), 1, "{report}");
+    let issue = &report.issues[0];
+    assert_eq!((issue.kind, issue.op.as_str()), (AuditKind::Shape, op), "{report}");
+    issue.detail.clone()
+}
+
+#[test]
+fn gather_rows_out_of_range_is_a_shape_finding() {
+    let detail = single_shape_finding("gather_rows", |ctx, x| {
+        let y = ctx.gather_rows(x, &[0, 3]);
+        // The replay continues with the shape the gather would produce.
+        assert_eq!(ctx.shape(y), (2, 4));
+    });
+    assert!(detail.contains("index 3 out of range for 3 rows"), "{detail}");
+}
+
+#[test]
+fn gather_cols_out_of_range_is_a_shape_finding() {
+    let detail = single_shape_finding("gather_cols", |ctx, x| {
+        ctx.gather_cols(x, &[0, 4, 1]);
+    });
+    assert!(detail.contains("column index 4 out of range for 4 columns"), "{detail}");
+    let detail = single_shape_finding("gather_cols", |ctx, x| {
+        ctx.gather_cols(x, &[0, 1]);
+    });
+    assert!(detail.contains("2 column indices for 3 rows"), "{detail}");
+}
+
+#[test]
+fn segment_sum_out_of_range_is_a_shape_finding() {
+    let detail = single_shape_finding("segment_sum", |ctx, x| {
+        let y = ctx.segment_sum(x, &Segments::unit(&[vec![0, 2], vec![], vec![3]]));
+        assert_eq!(ctx.shape(y), (3, 4));
+    });
+    assert!(detail.contains("column index 3 out of range for 3 rows"), "{detail}");
 }
 
 // ---- directed non-finiteness edges ----------------------------------------

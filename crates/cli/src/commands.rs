@@ -154,45 +154,14 @@ fn model_config_from(args: &Args) -> Result<RetiaConfig, String> {
     Ok(cfg)
 }
 
-/// `retia check [--data DIR] [hyperparameters...]`: abstract shape
-/// interpretation of one full training step — evolve, decode, loss,
-/// backward — without touching any floating-point data. Reports every
-/// shape/broadcast/index-space mismatch with the module and paper-equation
-/// name, in milliseconds even at paper scale.
-pub fn check(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["no-tim", "no-eam"])?;
-    let cfg = model_config_from(&args)?;
-    let (name, n, m) = match args.get("data") {
-        Some(_) => {
-            let ds = load_data(&args)?;
-            (ds.name.clone(), ds.num_entities, ds.num_relations)
-        }
-        // No dataset on hand: check against a stand-in shape (the wiring
-        // issues this catches are independent of N and M).
-        None => ("stand-in shape".to_string(), 128, 16),
-    };
-    let start = std::time::Instant::now();
-    let report = retia::validate_config(&cfg, n, m);
-    if report.is_clean() {
-        println!(
-            "ok: {} ops shape-checked against `{name}` ({n} entities, {m} relations) in {:.1?}",
-            report.ops_checked,
-            start.elapsed()
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "shape validation failed against `{name}` ({n} entities, {m} relations):\n{report}"
-        ))
-    }
-}
-
-/// `retia audit [--data DIR] [--all-configs] [hyperparameters...]`: value
-/// audit of one full training step — interval/finiteness abstract
-/// interpretation, gradient-flow reachability from the loss, and
-/// reduction-order declarations — without touching any floating-point
-/// tensor data. With `--all-configs`, sweeps every relation/hyperrelation
-/// ablation mode the paper exercises.
+/// `retia audit [--data DIR] [--all-configs] [hyperparameters...]`: static
+/// audit of one full training step — shape and index-space checks,
+/// interval/finiteness abstract interpretation, gradient-flow reachability
+/// from the loss, and reduction-order declarations — without touching any
+/// floating-point tensor data. Reports every finding with the module and
+/// paper-equation name, in milliseconds even at paper scale. With
+/// `--all-configs`, sweeps every relation/hyperrelation ablation mode the
+/// paper exercises.
 pub fn audit(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &["no-tim", "no-eam", "all-configs"])?;
     let cfg = model_config_from(&args)?;
@@ -230,7 +199,7 @@ pub fn audit(raw: &[String]) -> Result<(), String> {
                     let report = retia::audit_config(&cfg, n, m);
                     if !report.is_clean() {
                         return Err(format!(
-                            "value audit failed for {rm:?}/{hm:?}/tim={tim}/eam={eam} \
+                            "audit failed for {rm:?}/{hm:?}/tim={tim}/eam={eam} \
                              against `{name}` ({n} entities, {m} relations):\n{report}"
                         ));
                     }
@@ -240,7 +209,7 @@ pub fn audit(raw: &[String]) -> Result<(), String> {
             }
         }
         println!(
-            "ok: {ops} ops value-audited across {configs} configurations against \
+            "ok: {ops} ops audited across {configs} configurations against \
              `{name}` ({n} entities, {m} relations) in {:.1?}",
             start.elapsed()
         );
@@ -249,7 +218,7 @@ pub fn audit(raw: &[String]) -> Result<(), String> {
     let report = retia::audit_config(&cfg, n, m);
     if report.is_clean() {
         println!(
-            "ok: {} ops value-audited against `{name}` ({n} entities, {m} relations) in \
+            "ok: {} ops audited against `{name}` ({n} entities, {m} relations) in \
              {:.1?} — {} param(s) declared, {} reached, {} declared detach(es)",
             report.ops_checked,
             start.elapsed(),
@@ -259,7 +228,7 @@ pub fn audit(raw: &[String]) -> Result<(), String> {
         );
         Ok(())
     } else {
-        Err(format!("value audit failed against `{name}` ({n} entities, {m} relations):\n{report}"))
+        Err(format!("audit failed against `{name}` ({n} entities, {m} relations):\n{report}"))
     }
 }
 

@@ -3,8 +3,7 @@
 //! ```text
 //! retia generate --profile icews14 --out data/icews14      # synthesize a dataset
 //! retia stats    --data data/icews14                       # Table-V statistics + temporal structure
-//! retia check    --data data/icews14 --dim 200             # dry-run the model's shapes (no training)
-//! retia audit    --data data/icews14 --dim 200             # value audit: finiteness + gradient flow
+//! retia audit    --data data/icews14 --dim 200             # static audit: shapes, finiteness, gradient flow
 //! retia train    --data data/icews14 --out model.bin --epochs 10
 //! retia evaluate --data data/icews14 --model model.bin --split test --online
 //! retia predict  --data data/icews14 --model model.bin --subject 3 --relation 2 --topk 5
@@ -27,7 +26,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "generate" => commands::generate(rest),
         "stats" => commands::stats(rest),
-        "check" => commands::check(rest),
         "audit" => commands::audit(rest),
         "train" => commands::train(rest),
         "evaluate" => commands::evaluate(rest),
@@ -68,14 +66,13 @@ COMMANDS:
     stats      print dataset statistics and temporal structure
                --data DIR | --store DIR (adds temporal PageRank top-10 and
                community-evolution totals from the durable store)
-    check      dry-run a configuration's shapes (evolve -> decode -> loss ->
-               backward) without training; reports every mismatch with the
-               module and paper-equation name
-               [--data DIR] [--dim N] [--k N] [--channels N] [--no-tim] [--no-eam]
-    audit      value audit of a configuration (no training): interval/finiteness
-               abstract interpretation of evolve -> decode -> loss under the
-               parameter envelope, gradient-flow reachability reconciled with
-               the configuration's frozen set, and reduction-order checks;
+    audit      static audit of a configuration (no training): abstract
+               interpretation of evolve -> decode -> loss -> backward that
+               checks every shape and index-space precondition, proves
+               finiteness under the parameter envelope, reconciles
+               gradient-flow reachability with the configuration's frozen set,
+               and checks reduction-order declarations; reports every finding
+               with the module and paper-equation name;
                --all-configs sweeps every ablation mode
                [--data DIR] [--all-configs] [--dim N] [--k N] [--channels N]
                [--no-tim] [--no-eam]

@@ -1,27 +1,55 @@
-//! Model-level value audit: an abstract interpretation of one full training
-//! step (evolve → decode → loss → backward) over the interval + finiteness
-//! domain, plus gradient-flow reachability from the loss and reduction-order
-//! declarations. The complement of [`Retia::validate`]: where the shape dry
-//! run proves the tensors *wire together*, the audit proves the wired model
-//! cannot produce NaN/inf under the [`retia_analyze::value::PARAM_BOUND`]
-//! parameter envelope and that every trainable parameter either receives
-//! gradient or is declared frozen (with the ablation flag that freezes it).
+//! Model-level audit: an abstract interpretation of one full training step
+//! (evolve → decode → loss → backward) over shapes and the interval +
+//! finiteness domain, plus gradient-flow reachability from the loss and
+//! reduction-order declarations. A clean audit proves that the model's
+//! tensors wire together (every shape and index-space precondition the real
+//! kernels assert holds), that the wired model cannot produce NaN/inf under
+//! the [`retia_analyze::value::PARAM_BOUND`] parameter envelope, and that
+//! every trainable parameter either receives gradient or is declared frozen
+//! (with the ablation flag that freezes it).
 //!
 //! The replay is built from the per-layer `audit` twins in `retia_nn`
 //! composed exactly as [`Retia::evolve`]/[`Retia::loss`] compose the real
-//! layers, over the same synthetic window the shape dry run uses. `retia
-//! audit` surfaces it; the trainer pre-flight and the serve boot check run
-//! it before any real work.
+//! layers, over a synthetic window that touches the extreme ids of every
+//! index space. Because it never touches tensor data, even paper-scale
+//! configurations audit in well under a second. `retia audit` surfaces it;
+//! the trainer pre-flight and the serve boot check run it before any real
+//! work, so a mis-wired configuration fails in milliseconds, with the
+//! module and paper equation named, instead of mid-epoch.
 
 use retia_analyze::value::PARAM_BOUND;
 use retia_analyze::{AuditCtx, AuditIssue, AuditKind, AuditReport, FrozenParam};
-use retia_graph::{HyperSnapshot, NUM_HYPERRELS_WITH_INV};
+use retia_graph::{HyperSnapshot, Quad, Snapshot, NUM_HYPERRELS_WITH_INV};
 use retia_nn::audit_mean_pool_segments;
 use retia_tensor::transfer::Interval;
 
 use crate::config::{HyperrelMode, RelationMode, RetiaConfig};
 use crate::model::{entity_queries, relation_queries, Retia};
-use crate::validate::synthetic_window;
+
+/// A two-snapshot history plus a target snapshot exercising the extreme
+/// index spaces: entity ids `0` and `N-1`, relation ids `0` and `M-1`, so
+/// any gather or segment sum whose index space is off-by-one or mis-sized is
+/// caught without running on real data.
+fn synthetic_window(
+    num_entities: usize,
+    num_relations: usize,
+) -> (Vec<Snapshot>, Vec<HyperSnapshot>, Snapshot) {
+    let n = num_entities.max(2) as u32;
+    let m = num_relations.max(1) as u32;
+    let facts_at = |t: u32| {
+        vec![
+            Quad::new(0, 0, n - 1, t),
+            Quad::new(n - 1, m - 1, 0, t),
+            Quad::new(0, m - 1, 1 % n, t),
+            Quad::new(1 % n, 0, n - 1, t),
+        ]
+    };
+    let snaps: Vec<Snapshot> =
+        (0..2).map(|t| Snapshot::from_quads(&facts_at(t), num_entities, num_relations)).collect();
+    let hypers = snaps.iter().map(HyperSnapshot::from_snapshot).collect();
+    let target = Snapshot::from_quads(&facts_at(2), num_entities, num_relations);
+    (snaps, hypers, target)
+}
 
 /// Seeded-bug injections for the audit replay. All `false` in production;
 /// tests flip one at a time to prove the audit catches each class with the
@@ -40,14 +68,25 @@ pub(crate) struct AuditOptions {
 }
 
 impl Retia {
-    /// Audits one full training step on abstract values alone: finiteness
-    /// under the parameter envelope, gradient-flow reachability reconciled
-    /// against the configuration's frozen set, and reduction-order
-    /// declarations. A clean report means no kernel in the step can
-    /// introduce NaN/inf and every parameter's gradient disposition matches
-    /// the configuration. Costs no floating-point tensor work.
+    /// Audits one full training step on abstract values alone: shape and
+    /// index-space preconditions, finiteness under the parameter envelope,
+    /// gradient-flow reachability reconciled against the configuration's
+    /// frozen set, and reduction-order declarations. A clean report means
+    /// the tensors wire together, no kernel in the step can introduce
+    /// NaN/inf, and every parameter's gradient disposition matches the
+    /// configuration. Costs no floating-point tensor work.
     pub fn audit(&self) -> AuditReport {
         self.audit_run(&AuditOptions::default())
+    }
+
+    /// The [`AuditKind::Shape`] findings of [`Retia::audit`]: a clean
+    /// report means the configuration's tensors wire together. Kept for
+    /// callers that report the wiring apart from the rest of the audit
+    /// (perfbench's `train` preflight).
+    pub fn validate(&self) -> AuditReport {
+        let mut report = self.audit();
+        report.issues.retain(|i| i.kind == AuditKind::Shape);
+        report
     }
 
     pub(crate) fn audit_run(&self, opts: &AuditOptions) -> AuditReport {
@@ -83,7 +122,7 @@ impl Retia {
                 RelationMode::None | RelationMode::Static => r0,
                 RelationMode::Mp => ctx.scoped("tim", Some("Eq. 7"), |ctx| {
                     let pooled = audit_mean_pool_segments(ctx, e_prev, &snap.rel_entities);
-                    let fb = ctx.row_scale(r0, Interval::new(0.0, 1.0));
+                    let fb = ctx.row_scale(r0, snap.rel_entities.len(), Interval::new(0.0, 1.0));
                     ctx.add(pooled, fb)
                 }),
                 RelationMode::MpLstm | RelationMode::MpLstmAgg => {
@@ -116,7 +155,11 @@ impl Retia {
                             HyperrelMode::Hmp => ctx.scoped("tim.hyper", Some("Eq. 9"), |ctx| {
                                 let pooled =
                                     audit_mean_pool_segments(ctx, r_lstm, &hyper.hrel_relations);
-                                let fb = ctx.row_scale(hr0, Interval::new(0.0, 1.0));
+                                let fb = ctx.row_scale(
+                                    hr0,
+                                    hyper.hrel_relations.len(),
+                                    Interval::new(0.0, 1.0),
+                                );
                                 ctx.add(pooled, fb)
                             }),
                             HyperrelMode::HmpHlstm => {
@@ -171,7 +214,7 @@ impl Retia {
         }
 
         // ---- decode + loss (Eq. 11-14) ----
-        let (subjects, _rels, _e_targets) = entity_queries(&target, m);
+        let (subjects, rels, e_targets) = entity_queries(&target, m);
         let pe = ctx.scoped("decode.entity", Some("Eq. 11/13"), |ctx| {
             if opts.reorder_softmax_sum {
                 // Seeded bug (c): a shard plan over the softmax row-sum
@@ -180,8 +223,8 @@ impl Retia {
             }
             let mut probs = Vec::with_capacity(states.len());
             for &(e_t, r_t) in &states {
-                let s_emb = ctx.gather_rows(e_t, subjects.len());
-                let r_emb = ctx.gather_rows(r_t, subjects.len());
+                let s_emb = ctx.gather_rows(e_t, &subjects);
+                let r_emb = ctx.gather_rows(r_t, &rels);
                 let mut logits = self.dec_entity.audit(ctx, s_emb, r_emb, e_t);
                 if opts.exp_logits {
                     // Seeded bug (b): an unguarded exponential over the
@@ -193,13 +236,14 @@ impl Retia {
             ctx.add_n(&probs)
         });
 
-        let (rs, _ro, _r_targets) = relation_queries(&target);
+        let (rs, ro, r_targets) = relation_queries(&target);
+        let orig: Vec<u32> = (0..m as u32).collect();
         let pr = ctx.scoped("decode.relation", Some("Eq. 12/14"), |ctx| {
             let mut probs = Vec::with_capacity(states.len());
             for &(e_t, r_t) in &states {
-                let s_emb = ctx.gather_rows(e_t, rs.len());
-                let o_emb = ctx.gather_rows(e_t, rs.len());
-                let cand = ctx.gather_rows(r_t, m);
+                let s_emb = ctx.gather_rows(e_t, &rs);
+                let o_emb = ctx.gather_rows(e_t, &ro);
+                let cand = ctx.gather_rows(r_t, &orig);
                 let logits = self.dec_relation.audit(ctx, s_emb, o_emb, cand);
                 probs.push(ctx.softmax_rows(logits));
             }
@@ -207,11 +251,11 @@ impl Retia {
         });
 
         let loss = ctx.scoped("loss", Some("Eq. 13-14"), |ctx| {
-            let picked_e = ctx.gather_cols(pe);
+            let picked_e = ctx.gather_cols(pe, &e_targets);
             let ln_e = ctx.ln(picked_e, 1e-9);
             let mean_e = ctx.mean_all(ln_e);
             let le = ctx.scale(mean_e, -1.0);
-            let picked_r = ctx.gather_cols(pr);
+            let picked_r = ctx.gather_cols(pr, &r_targets);
             let ln_r = ctx.ln(picked_r, 1e-9);
             let mean_r = ctx.mean_all(ln_r);
             let lr = ctx.scale(mean_r, -1.0);
@@ -386,6 +430,7 @@ pub fn audit_config(cfg: &RetiaConfig, num_entities: usize, num_relations: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retia_nn::{ConvTransE, LstmCell};
 
     fn tiny_cfg() -> RetiaConfig {
         RetiaConfig { dim: 8, channels: 4, k: 2, ..Default::default() }
@@ -427,6 +472,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// True when `report` has a shape finding under the scope `path`.
+    fn shape_finding_under(report: &AuditReport, path: &str) -> bool {
+        report.issues.iter().any(|i| i.kind == AuditKind::Shape && i.path.contains(path))
+    }
+
+    #[test]
+    fn mis_built_tim_lstm_is_caught_and_named() {
+        // Sever the Eq. 8 concatenation: a TIM LSTM built for a plain d-wide
+        // input. The audit must flag it inside the TIM LSTM, not somewhere
+        // downstream, and keep replaying to the end.
+        let cfg = tiny_cfg();
+        let mut model = Retia::with_shape(&cfg, 12, 3);
+        let narrow = LstmCell::new(model.store_mut(), "tim_lstm_narrow", cfg.dim, cfg.dim);
+        model.tim_lstm = narrow;
+        let report = model.audit();
+        assert!(shape_finding_under(&report, "tim.lstm [Eq. 7-8]"), "{report}");
+        assert!(report.params_declared > 0, "the replay stopped before the gradient walk");
+        assert!(shape_finding_under(&model.validate(), "tim.lstm [Eq. 7-8]"));
+    }
+
+    #[test]
+    fn mis_built_decoder_is_caught_and_named() {
+        let cfg = tiny_cfg();
+        let mut model = Retia::with_shape(&cfg, 12, 3);
+        let (c, k, p) = (cfg.channels, cfg.ksize, cfg.dropout);
+        let wide = ConvTransE::new(model.store_mut(), "dec_e_wide", cfg.dim + 1, c, k, p);
+        model.dec_entity = wide;
+        let report = model.audit();
+        assert!(shape_finding_under(&report, "decode.entity [Eq. 11/13]"), "{report}");
+        assert!(!shape_finding_under(&report, "decode.relation"), "{report}");
     }
 
     #[test]

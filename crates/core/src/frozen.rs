@@ -243,8 +243,8 @@ impl FrozenModel {
         g.value(loss).item() as f64
     }
 
-    /// Value audit of the serving decode: replays the cached-state decode
-    /// (Eq. 11–14 without the loss) over the interval domain, with the
+    /// Audit of the serving decode: replays the cached-state decode
+    /// (Eq. 11–14 without the loss) over shapes and intervals, with the
     /// frozen window states entering as *declared* detach boundaries and
     /// the decoder weights as constant sources — then proves the abstract
     /// tape declares zero trainable parameters, which is exactly the
@@ -262,7 +262,12 @@ impl FrozenModel {
         let d = cfg.dim;
         let k = cfg.k.max(1);
         let env = Interval::new(-PARAM_BOUND, PARAM_BOUND);
-        let queries = 8; // abstract query count; intervals are row-uniform
+        // Queries address the first and last id of each index space, so a
+        // mis-sized table shows up as an out-of-range gather; intervals are
+        // row-uniform, so two queries bound any batch.
+        let ends = |count: usize| [0, count.max(1) as u32 - 1];
+        let (ent_ids, rel_ids) = (ends(n), ends(m2));
+        let orig: Vec<u32> = (0..m as u32).collect();
 
         ctx.scoped("serve", None, |ctx| {
             // The entity-sharded decode splits candidate columns across
@@ -290,8 +295,8 @@ impl FrozenModel {
             ctx.scoped("decode.entity", Some("Eq. 11/13"), |ctx| {
                 let mut probs = Vec::with_capacity(states.len());
                 for &(e_t, r_t) in &states {
-                    let s_emb = ctx.gather_rows(e_t, queries);
-                    let r_emb = ctx.gather_rows(r_t, queries);
+                    let s_emb = ctx.gather_rows(e_t, &ent_ids);
+                    let r_emb = ctx.gather_rows(r_t, &rel_ids);
                     let logits = self.model.dec_entity.audit_frozen(ctx, s_emb, r_emb, e_t);
                     probs.push(ctx.softmax_rows(logits));
                 }
@@ -301,9 +306,9 @@ impl FrozenModel {
             ctx.scoped("decode.relation", Some("Eq. 12/14"), |ctx| {
                 let mut probs = Vec::with_capacity(states.len());
                 for &(e_t, r_t) in &states {
-                    let s_emb = ctx.gather_rows(e_t, queries);
-                    let o_emb = ctx.gather_rows(e_t, queries);
-                    let cand = ctx.gather_rows(r_t, m);
+                    let s_emb = ctx.gather_rows(e_t, &ent_ids);
+                    let o_emb = ctx.gather_rows(e_t, &ent_ids);
+                    let cand = ctx.gather_rows(r_t, &orig);
                     let logits = self.model.dec_relation.audit_frozen(ctx, s_emb, o_emb, cand);
                     probs.push(ctx.softmax_rows(logits));
                 }

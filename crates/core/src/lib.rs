@@ -53,7 +53,6 @@ mod context;
 mod frozen;
 mod model;
 mod trainer;
-mod validate;
 
 pub use audit::audit_config;
 pub use checkpoint::CheckpointPolicy;
@@ -61,6 +60,5 @@ pub use config::{HyperrelMode, RelationMode, RetiaConfig};
 pub use context::{Split, TkgContext};
 pub use frozen::{FrozenModel, FrozenStates};
 pub use model::{entity_queries, relation_queries, EvolvedState, Retia};
-pub use retia_analyze::{AuditIssue, AuditReport, ShapeIssue, ShapeReport};
+pub use retia_analyze::{AuditIssue, AuditReport};
 pub use trainer::{DivergenceReport, EpochLoss, EvalReport, RecoveryPolicy, TrainError, Trainer};
-pub use validate::validate_config;

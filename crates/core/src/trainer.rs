@@ -376,17 +376,15 @@ impl Trainer {
             .any(|(_, g)| retia_obs::watchdog::count_non_finite(g.data()) > 0)
     }
 
-    /// Pre-flight before committing to hours of gradient steps: the shape
-    /// dry run (a mis-wired configuration fails with the module and paper
-    /// equation named), then the value audit (an op that can introduce
-    /// NaN/inf under the parameter envelope, or a parameter whose gradient
-    /// disposition disagrees with the configuration, fails the same way).
-    /// Both cost milliseconds and no floating-point tensor work.
+    /// Pre-flight before committing to hours of gradient steps: the model
+    /// audit. A mis-wired configuration, an op that can introduce NaN/inf
+    /// under the parameter envelope, or a parameter whose gradient
+    /// disposition disagrees with the configuration fails with the module
+    /// and paper equation named. Costs milliseconds and no floating-point
+    /// tensor work.
     fn check_wiring(&self) {
-        let report = self.model.validate();
-        assert!(report.is_clean(), "model failed shape validation:\n{report}");
         let audit = self.model.audit();
-        assert!(audit.is_clean(), "model failed the value audit:\n{audit}");
+        assert!(audit.is_clean(), "model failed the audit:\n{audit}");
     }
 
     /// Scans every parameter gradient for non-finite values (the NaN

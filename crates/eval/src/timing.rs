@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub struct Stopwatch {
     total: Duration,
-    started: Option<Instant>,
 }
 
 impl Default for Stopwatch {
@@ -21,9 +20,9 @@ impl Default for Stopwatch {
 }
 
 impl Stopwatch {
-    /// A stopped stopwatch at zero.
+    /// A stopwatch at zero.
     pub fn new() -> Self {
-        Stopwatch { total: Duration::ZERO, started: None }
+        Stopwatch { total: Duration::ZERO }
     }
 
     /// Opens a measured span that ends (and accumulates) when the returned
@@ -34,31 +33,9 @@ impl Stopwatch {
         StopwatchGuard { start: Instant::now(), sw: self }
     }
 
-    /// Starts (or restarts) timing. Idempotent while running.
-    #[deprecated(note = "manual start/stop is easy to unbalance across early \
-                         returns and panics; scope the region with `guard()` or `time()`")]
-    pub fn start(&mut self) {
-        if self.started.is_none() {
-            self.started = Some(Instant::now());
-        }
-    }
-
-    /// Stops timing, accumulating the elapsed span. Idempotent while stopped.
-    #[deprecated(note = "manual start/stop is easy to unbalance across early \
-                         returns and panics; scope the region with `guard()` or `time()`")]
-    pub fn stop(&mut self) {
-        if let Some(s) = self.started.take() {
-            self.total += s.elapsed();
-        }
-    }
-
-    /// Total accumulated time (including the current span if one is open
-    /// via the deprecated `start`).
+    /// Total accumulated time over every closed span.
     pub fn elapsed(&self) -> Duration {
-        match self.started {
-            Some(s) => self.total + s.elapsed(),
-            None => self.total,
-        }
+        self.total
     }
 
     /// Times a closure, accumulating its duration, and returns its output.
@@ -126,19 +103,6 @@ mod tests {
         }));
         assert!(caught.is_err());
         assert!(sw.elapsed() >= Duration::from_millis(3), "panicked span was lost");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_start_stop_still_work() {
-        let mut sw = Stopwatch::new();
-        sw.stop();
-        assert_eq!(sw.elapsed(), Duration::ZERO);
-        sw.start();
-        std::thread::sleep(Duration::from_millis(3));
-        sw.start();
-        sw.stop();
-        assert!(sw.elapsed() >= Duration::from_millis(3));
     }
 
     #[test]

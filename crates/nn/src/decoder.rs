@@ -12,7 +12,7 @@
 //! the substitution is recorded in DESIGN.md.
 
 use retia_analyze::value::{AbsId, PARAM_BOUND};
-use retia_analyze::{AuditCtx, ShapeCtx, ShapeTensor};
+use retia_analyze::AuditCtx;
 use retia_tensor::transfer::Interval;
 use retia_tensor::{Graph, NodeId, ParamStore};
 
@@ -99,86 +99,10 @@ impl ConvTransE {
         g.matmul_nt(q, candidates)
     }
 
-    /// Shape-only replay of [`ConvTransE::forward`]: stacks the two query
-    /// parts, runs the conv/projection op sequence, and scores against
-    /// `candidates`, recording any mismatch in `ctx`.
-    pub fn validate(
-        &self,
-        ctx: &mut ShapeCtx,
-        a: ShapeTensor,
-        b: ShapeTensor,
-        candidates: ShapeTensor,
-    ) -> ShapeTensor {
-        Self::validate_dims(ctx, self.dim, self.channels, self.ksize, a, b, candidates)
-    }
-
-    /// Static form of [`ConvTransE::validate`]: checks the op sequence for
-    /// the given dimensions without constructing the layer.
-    pub fn validate_dims(
-        ctx: &mut ShapeCtx,
-        dim: usize,
-        channels: usize,
-        ksize: usize,
-        a: ShapeTensor,
-        b: ShapeTensor,
-        candidates: ShapeTensor,
-    ) -> ShapeTensor {
-        ctx.scoped("ConvTransE", Some("Eq. 11/12"), |ctx| {
-            ctx.check("query_width", a.cols == dim, || {
-                format!("query part is {a}, decoder embedding width is {dim}")
-            });
-            ctx.check("query_parts", a.shape() == b.shape(), || {
-                format!("query parts disagree: {a} vs {b}")
-            });
-            let stacked = ctx.concat_cols(a, b);
-            let x = ctx.unary("dropout", stacked);
-            let conv = ctx.conv1d(
-                x,
-                ShapeTensor::new(channels, 2 * ksize),
-                ShapeTensor::new(1, channels),
-                2,
-                channels,
-                ksize,
-            );
-            let normed = ctx.unary("layer_norm_rows", conv);
-            let act = ctx.unary("relu", normed);
-            let act = ctx.unary("dropout", act);
-            let proj = ctx.matmul(act, ShapeTensor::new(channels * dim, dim));
-            let proj = ctx.add_bias(proj, ShapeTensor::new(1, dim));
-            let normed2 = ctx.unary("layer_norm_rows", proj);
-            let act2 = ctx.unary("relu", normed2);
-            let q = ctx.unary("dropout", act2);
-            ctx.matmul_nt(q, candidates)
-        })
-    }
-
-    /// Value-domain replay of the query embedding (the part of
-    /// [`ConvTransE::forward`] before candidate scoring), declaring the
+    /// Value-domain replay of [`ConvTransE::forward`], declaring the
     /// conv/projection weights by their store names.
-    pub fn audit_query_repr(&self, ctx: &mut AuditCtx, a: AbsId, b: AbsId) -> AbsId {
-        ctx.scoped("ConvTransE", Some("Eq. 11/12"), |ctx| {
-            let stacked = ctx.concat_cols(a, b);
-            let x = ctx.dropout(stacked, f64::from(self.dropout));
-            let cw = ctx.param(&self.conv_w, self.channels, 2 * self.ksize);
-            let cb = ctx.param(&self.conv_b, 1, self.channels);
-            let conv = ctx.conv1d(x, cw, cb, 2, self.channels, self.ksize);
-            let normed = ctx.layer_norm_rows(conv);
-            let act = ctx.relu(normed);
-            let act = ctx.dropout(act, f64::from(self.dropout));
-            let fw = ctx.param(&self.fc_w, self.channels * self.dim, self.dim);
-            let fb = ctx.param(&self.fc_b, 1, self.dim);
-            let proj = ctx.matmul(act, fw);
-            let proj = ctx.add_bias(proj, fb);
-            let normed2 = ctx.layer_norm_rows(proj);
-            let act2 = ctx.relu(normed2);
-            ctx.dropout(act2, f64::from(self.dropout))
-        })
-    }
-
-    /// Value-domain replay of [`ConvTransE::forward`].
     pub fn audit(&self, ctx: &mut AuditCtx, a: AbsId, b: AbsId, candidates: AbsId) -> AbsId {
-        let q = self.audit_query_repr(ctx, a, b);
-        ctx.scoped("ConvTransE", Some("Eq. 11/12"), |ctx| ctx.matmul_nt(q, candidates))
+        self.audit_with(ctx, a, b, candidates, |ctx, name, rows, cols| ctx.param(name, rows, cols))
     }
 
     /// Value-domain replay of [`ConvTransE::forward`] for the frozen
@@ -186,23 +110,45 @@ impl ConvTransE {
     /// parameter envelope instead of trainable declarations, so an
     /// inference-graph audit can prove the tape holds zero parameters.
     pub fn audit_frozen(&self, ctx: &mut AuditCtx, a: AbsId, b: AbsId, candidates: AbsId) -> AbsId {
+        let env = Interval::new(-PARAM_BOUND, PARAM_BOUND);
+        self.audit_with(ctx, a, b, candidates, |ctx, _, rows, cols| ctx.source(rows, cols, env))
+    }
+
+    /// The one replay behind [`ConvTransE::audit`] and
+    /// [`ConvTransE::audit_frozen`]: each weight enters through `weight`
+    /// (by store name and shape).
+    fn audit_with(
+        &self,
+        ctx: &mut AuditCtx,
+        a: AbsId,
+        b: AbsId,
+        candidates: AbsId,
+        weight: impl Fn(&mut AuditCtx, &str, usize, usize) -> AbsId,
+    ) -> AbsId {
         ctx.scoped("ConvTransE", Some("Eq. 11/12"), |ctx| {
-            let env = Interval::new(-PARAM_BOUND, PARAM_BOUND);
+            let (sa, sb) = (ctx.shape(a), ctx.shape(b));
+            ctx.check("query_width", sa.1 == self.dim, || {
+                format!("query part has width {}, decoder embedding width is {}", sa.1, self.dim)
+            });
+            ctx.check("query_parts", sa == sb, || {
+                format!("query parts disagree: [{}, {}] vs [{}, {}]", sa.0, sa.1, sb.0, sb.1)
+            });
+            let p = f64::from(self.dropout);
             let stacked = ctx.concat_cols(a, b);
-            let x = ctx.dropout(stacked, f64::from(self.dropout));
-            let cw = ctx.source(self.channels, 2 * self.ksize, env);
-            let cb = ctx.source(1, self.channels, env);
+            let x = ctx.dropout(stacked, p);
+            let cw = weight(ctx, &self.conv_w, self.channels, 2 * self.ksize);
+            let cb = weight(ctx, &self.conv_b, 1, self.channels);
             let conv = ctx.conv1d(x, cw, cb, 2, self.channels, self.ksize);
             let normed = ctx.layer_norm_rows(conv);
             let act = ctx.relu(normed);
-            let act = ctx.dropout(act, f64::from(self.dropout));
-            let fw = ctx.source(self.channels * self.dim, self.dim, env);
-            let fb = ctx.source(1, self.dim, env);
+            let act = ctx.dropout(act, p);
+            let fw = weight(ctx, &self.fc_w, self.channels * self.dim, self.dim);
+            let fb = weight(ctx, &self.fc_b, 1, self.dim);
             let proj = ctx.matmul(act, fw);
             let proj = ctx.add_bias(proj, fb);
             let normed2 = ctx.layer_norm_rows(proj);
             let act2 = ctx.relu(normed2);
-            let q = ctx.dropout(act2, f64::from(self.dropout));
+            let q = ctx.dropout(act2, p);
             ctx.matmul_nt(q, candidates)
         })
     }

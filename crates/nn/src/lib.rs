@@ -18,16 +18,13 @@
 //! [`retia_tensor::ParamStore`] at construction and are pure at forward time:
 //! `forward(&self, &mut Graph, &ParamStore, ...)`.
 //!
-//! Every layer also exposes a `validate` twin — a shape-only replay of its
-//! forward op sequence over [`retia_analyze::ShapeTensor`]s that records
-//! mismatches in a [`retia_analyze::ShapeCtx`] instead of panicking. The
-//! model-level dry run in `retia`'s `validate` module composes these to
-//! check an entire configuration before any training step.
-//!
-//! Layers likewise expose an `audit` twin — a value-domain replay over
-//! interval abstractions in a [`retia_analyze::AuditCtx`] that declares the
-//! layer's trainable parameters by store name, so the model-level audit can
-//! prove finiteness and gradient-flow reachability (`retia audit`).
+//! Every layer also exposes an `audit` twin — a replay of its forward op
+//! sequence over shapes and intervals in a [`retia_analyze::AuditCtx`]. It
+//! records shape and index-space mismatches instead of panicking and
+//! declares the layer's trainable parameters by store name, so the
+//! model-level audit (`retia audit`) can check the wiring, prove
+//! finiteness and prove gradient-flow reachability before any training
+//! step.
 
 mod decoder;
 mod linear;
@@ -37,6 +34,6 @@ mod rnn;
 
 pub use decoder::ConvTransE;
 pub use linear::Linear;
-pub use pooling::{audit_mean_pool_segments, mean_pool_segments, validate_mean_pool_segments};
+pub use pooling::{audit_mean_pool_segments, mean_pool_segments};
 pub use rgcn::{EntityRgcn, RelationRgcn, WeightMode};
 pub use rnn::{GruCell, LstmCell};

@@ -1,6 +1,7 @@
 //! Affine projection.
 
-use retia_analyze::{ShapeCtx, ShapeTensor};
+use retia_analyze::value::AbsId;
+use retia_analyze::AuditCtx;
 use retia_tensor::{Graph, NodeId, ParamStore};
 
 /// `y = x @ W + b` with Xavier-initialized `W` and zero `b`.
@@ -33,23 +34,14 @@ impl Linear {
         g.add_bias(y, b)
     }
 
-    /// Shape-only replay of [`Linear::forward`]: same op sequence over
-    /// [`ShapeTensor`]s, issues recorded in `ctx` instead of panics.
-    pub fn validate(&self, ctx: &mut ShapeCtx, x: ShapeTensor) -> ShapeTensor {
-        Self::validate_dims(ctx, self.in_dim, self.out_dim, x)
-    }
-
-    /// Static form of [`Linear::validate`]: checks the op sequence for the
-    /// given dimensions without constructing the layer (no parameters).
-    pub fn validate_dims(
-        ctx: &mut ShapeCtx,
-        in_dim: usize,
-        out_dim: usize,
-        x: ShapeTensor,
-    ) -> ShapeTensor {
+    /// Value-domain replay of [`Linear::forward`], declaring the weights by
+    /// their store names.
+    pub fn audit(&self, ctx: &mut AuditCtx, x: AbsId) -> AbsId {
         ctx.scoped("Linear", None, |ctx| {
-            let y = ctx.matmul(x, ShapeTensor::new(in_dim, out_dim));
-            ctx.add_bias(y, ShapeTensor::new(1, out_dim))
+            let w = ctx.param(&self.w, self.in_dim, self.out_dim);
+            let b = ctx.param(&self.b, 1, self.out_dim);
+            let y = ctx.matmul(x, w);
+            ctx.add_bias(y, b)
         })
     }
 

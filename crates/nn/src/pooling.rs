@@ -3,7 +3,7 @@
 use std::rc::Rc;
 
 use retia_analyze::value::AbsId;
-use retia_analyze::{AuditCtx, ShapeCtx, ShapeTensor};
+use retia_analyze::AuditCtx;
 use retia_tensor::transfer::Interval;
 use retia_tensor::{Graph, NodeId, Segments};
 
@@ -27,23 +27,6 @@ pub fn mean_pool_segments(g: &mut Graph, x: NodeId, segments: &[Vec<u32>]) -> No
     g.row_scale(summed, Rc::new(inv_counts))
 }
 
-/// Shape-only replay of [`mean_pool_segments`]: same segment-sum/scale op
-/// sequence over [`ShapeTensor`]s, issues recorded in `ctx`.
-pub fn validate_mean_pool_segments(
-    ctx: &mut ShapeCtx,
-    x: ShapeTensor,
-    segments: &[Vec<u32>],
-) -> ShapeTensor {
-    ctx.scoped("mean_pool_segments", Some("Eq. 7/9"), |ctx| {
-        let plan = Segments::unit(segments);
-        if plan.nnz() == 0 {
-            return ShapeTensor::new(segments.len(), x.cols);
-        }
-        let summed = ctx.segment_sum(x, &plan);
-        ctx.row_scale(summed, segments.len())
-    })
-}
-
 /// Value-domain replay of [`mean_pool_segments`]. The sums are bounded by
 /// the longest segment; the per-segment `1/count` weights live in `(0, 1]`
 /// (exactly 0 for empty segments).
@@ -58,7 +41,7 @@ pub fn audit_mean_pool_segments(ctx: &mut AuditCtx, x: AbsId, segments: &[Vec<u3
             return ctx.source(segments.len(), d, Interval::point(0.0));
         }
         let summed = ctx.segment_sum(x, &plan);
-        ctx.row_scale(summed, Interval::new(0.0, 1.0))
+        ctx.row_scale(summed, segments.len(), Interval::new(0.0, 1.0))
     })
 }
 

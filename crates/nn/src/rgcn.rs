@@ -22,7 +22,7 @@
 use std::rc::Rc;
 
 use retia_analyze::value::AbsId;
-use retia_analyze::{AuditCtx, ShapeCtx, ShapeTensor};
+use retia_analyze::AuditCtx;
 use retia_graph::{HyperSnapshot, Snapshot, NUM_HYPERRELS_WITH_INV};
 use retia_tensor::{Graph, NodeId, ParamStore, Segments};
 
@@ -43,6 +43,9 @@ pub enum WeightMode {
 /// (`Basis`), never once per edge.
 #[derive(Clone, Debug)]
 struct SlotPlan {
+    /// Lengths of the (src, type, dst, norm) edge arrays the plan was cut
+    /// from; the audit twin reports them unless they agree.
+    edge_lens: [usize; 4],
     /// Slot rows from `norm · h_src` over each slot's edges.
     src_sum: Rc<Segments>,
     /// Slot rows from `norm · e_type` over each slot's edges.
@@ -72,8 +75,8 @@ struct TypeSlots {
 }
 
 /// Node rows receiving row `i` at `nodes[i]` with unit weight: the
-/// transpose of a gather. Nodes out of range are left out; the shape twin
-/// reports them.
+/// transpose of a gather. Nodes out of range are left out; the audit twin's
+/// `edge_dst` check reports them.
 fn place(nodes: &[u32], num_nodes: usize) -> Rc<Segments> {
     let mut groups = vec![Vec::new(); num_nodes];
     for (i, &n) in nodes.iter().enumerate() {
@@ -87,9 +90,10 @@ fn place(nodes: &[u32], num_nodes: usize) -> Rc<Segments> {
 impl SlotPlan {
     /// Groups the edges by (type, destination); within a slot, edges keep
     /// their array order. Arrays of unequal length are cut to the shortest
-    /// (the shape twin reports the mismatch).
+    /// (the audit twin's `edge_arrays` check reports the mismatch).
     fn new(src: &[u32], etype: &[u32], dst: &[u32], norm: &[f32], num_nodes: usize) -> Self {
-        let n = src.len().min(etype.len()).min(dst.len()).min(norm.len());
+        let edge_lens = [src.len(), etype.len(), dst.len(), norm.len()];
+        let n = edge_lens.into_iter().min().unwrap_or(0);
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| (etype[i], dst[i]));
         let slots: Vec<&[usize]> =
@@ -123,6 +127,7 @@ impl SlotPlan {
             slot_dst.iter().map(|d| dests.partition_point(|x| x < d) as u32).collect();
 
         SlotPlan {
+            edge_lens,
             src_sum: Rc::new(Segments::new(offsets.clone(), in_order(src), weights.clone())),
             type_sum: Rc::new(Segments::new(offsets, in_order(etype), weights)),
             slot_type: Rc::new(slot_type),
@@ -250,79 +255,22 @@ impl RgcnCore {
         g.dropout(activated, self.dropout)
     }
 
-    /// Shape-only replay of [`RgcnCore::layer`]: same op sequence over
-    /// [`ShapeTensor`]s and the real edge arrays' plan, issues recorded in
-    /// `ctx`.
-    fn validate_layer(
-        &self,
-        ctx: &mut ShapeCtx,
-        layer: usize,
-        h_nodes: ShapeTensor,
-        edge_emb: ShapeTensor,
-        plan: &SlotPlan,
-        num_nodes: usize,
-    ) -> ShapeTensor {
-        let scope = format!("layer {layer}");
-        ctx.scoped(&scope, None, |ctx| {
-            let w0 = ShapeTensor::new(self.dim, self.dim);
-            let mut out = ctx.matmul(h_nodes, w0);
-            if !plan.is_empty() {
-                let top = plan.types.last().map_or(0, |ts| ts.ty);
-                ctx.check("edge_type_id", top < self.num_edge_types, || {
-                    format!(
-                        "edge type {top} has no registered weight (only {} types)",
-                        self.num_edge_types
-                    )
-                });
-                let top_dst = plan.dests.last().map_or(0, |&d| d as usize);
-                ctx.check("edge_dst", top_dst < num_nodes, || {
-                    format!("edge destination {top_dst} out of range for {num_nodes} nodes")
-                });
-                let h_sum = ctx.segment_sum(h_nodes, &plan.src_sum);
-                let e_sum = ctx.segment_sum(edge_emb, &plan.type_sum);
-                let msg = ctx.add(h_sum, e_sum);
-                let transformed = match self.mode {
-                    WeightMode::Basis(nb) => {
-                        let coef = ShapeTensor::new(self.num_edge_types, nb);
-                        let slot_coef = ctx.gather_rows(coef, &plan.slot_type);
-                        let mut acc: Option<ShapeTensor> = None;
-                        for b in 0..nb {
-                            let cb = ctx.slice_cols(slot_coef, b, b + 1);
-                            let scaled = ctx.mul_col(msg, cb);
-                            let per_dest = ctx.segment_sum(scaled, &plan.slot_to_dest);
-                            let vb = ShapeTensor::new(self.dim, self.dim);
-                            let y = ctx.matmul(per_dest, vb);
-                            acc = Some(match acc {
-                                Some(a) => ctx.add(a, y),
-                                None => y,
-                            });
-                        }
-                        ctx.check("basis_count", acc.is_some(), || {
-                            "basis decomposition with zero bases".to_string()
-                        });
-                        let t = acc.unwrap_or(msg);
-                        ctx.segment_sum(t, &plan.dest_to_node)
-                    }
-                    WeightMode::PerRelation => {
-                        let mut acc: Option<ShapeTensor> = None;
-                        for ts in &plan.types {
-                            let rows = ctx.gather_rows(msg, &ts.rows);
-                            let wr = ShapeTensor::new(self.dim, self.dim);
-                            let t = ctx.matmul(rows, wr);
-                            let part = ctx.segment_sum(t, &ts.to_node);
-                            acc = Some(match acc {
-                                Some(x) => ctx.add(x, part),
-                                None => part,
-                            });
-                        }
-                        acc.unwrap_or(ShapeTensor::new(num_nodes, self.dim))
-                    }
-                };
-                out = ctx.add(out, transformed);
-            }
-            let activated = ctx.unary("rrelu", out);
-            ctx.unary("dropout", activated)
-        })
+    /// The edge-set preconditions the real forward relies on, checked once
+    /// per replay: equal-length edge arrays, edge types with a registered
+    /// weight, and destinations inside the `num_nodes` node table.
+    fn audit_edges(&self, ctx: &mut AuditCtx, plan: &SlotPlan, num_nodes: usize) {
+        let lens = plan.edge_lens;
+        ctx.check("edge_arrays", lens.iter().all(|&l| l == lens[0]), || {
+            format!("edge arrays (src, type, dst, norm) have unequal lengths {lens:?}")
+        });
+        let top = plan.types.last().map_or(0, |ts| ts.ty);
+        ctx.check("edge_type_id", plan.is_empty() || top < self.num_edge_types, || {
+            format!("edge type {top} has no registered weight (only {} types)", self.num_edge_types)
+        });
+        let top_dst = plan.dests.last().map_or(0, |&d| d as usize);
+        ctx.check("edge_dst", plan.is_empty() || top_dst < num_nodes, || {
+            format!("edge destination {top_dst} out of range for {num_nodes} nodes")
+        });
     }
 
     /// Value-domain replay of [`RgcnCore::layer`], declaring every layer
@@ -355,7 +303,7 @@ impl RgcnCore {
                             self.num_edge_types,
                             nb,
                         );
-                        let slot_coef = ctx.gather_rows(coef, plan.slot_type.len());
+                        let slot_coef = ctx.gather_rows(coef, &plan.slot_type);
                         let mut acc: Option<AbsId> = None;
                         for b in 0..nb {
                             let cb = ctx.slice_cols(slot_coef, b, b + 1);
@@ -378,7 +326,7 @@ impl RgcnCore {
                     WeightMode::PerRelation => {
                         let mut acc: Option<AbsId> = None;
                         for ts in &plan.types {
-                            let rows = ctx.gather_rows(msg, ts.rows.len());
+                            let rows = ctx.gather_rows(msg, &ts.rows);
                             let wr = ctx.param(
                                 &format!("{}.l{layer}.w{}", self.prefix, ts.ty),
                                 self.dim,
@@ -446,37 +394,6 @@ impl EntityRgcn {
         h
     }
 
-    /// Shape-only replay of [`EntityRgcn::forward`] over `snap`'s real edge
-    /// arrays: `entities [N, d]`, `relations [2M, d]` -> `[N, d]`.
-    pub fn validate(
-        &self,
-        ctx: &mut ShapeCtx,
-        entities: ShapeTensor,
-        relations: ShapeTensor,
-        snap: &Snapshot,
-    ) -> ShapeTensor {
-        ctx.scoped("EntityRgcn", None, |ctx| {
-            ctx.check("entity_count", entities.rows == snap.num_entities, || {
-                format!(
-                    "entity embeddings are {entities}, snapshot has {} entities",
-                    snap.num_entities
-                )
-            });
-            ctx.check("relation_count", relations.rows == 2 * snap.num_relations, || {
-                format!(
-                    "relation embeddings are {relations}, expected {} rows (2M with inverses)",
-                    2 * snap.num_relations
-                )
-            });
-            let plan = SlotPlan::entity(snap);
-            let mut h = entities;
-            for l in 0..self.core.num_layers {
-                h = self.core.validate_layer(ctx, l, h, relations, &plan, snap.num_entities);
-            }
-            h
-        })
-    }
-
     /// Value-domain replay of [`EntityRgcn::forward`] over `snap`'s real
     /// edge arrays, declaring the layer weights the real graph would touch.
     pub fn audit(
@@ -487,7 +404,18 @@ impl EntityRgcn {
         snap: &Snapshot,
     ) -> AbsId {
         ctx.scoped("EntityRgcn", None, |ctx| {
+            let (n, m2) = (ctx.shape(entities).0, ctx.shape(relations).0);
+            ctx.check("entity_count", n == snap.num_entities, || {
+                format!("{n} entity embedding rows, snapshot has {} entities", snap.num_entities)
+            });
+            ctx.check("relation_count", m2 == 2 * snap.num_relations, || {
+                format!(
+                    "{m2} relation embedding rows, expected {} (2M with inverses)",
+                    2 * snap.num_relations
+                )
+            });
             let plan = SlotPlan::entity(snap);
+            self.core.audit_edges(ctx, &plan, snap.num_entities);
             let mut h = entities;
             for l in 0..self.core.num_layers {
                 h = self.core.audit_layer(ctx, l, h, relations, &plan);
@@ -552,38 +480,6 @@ impl RelationRgcn {
         h
     }
 
-    /// Shape-only replay of [`RelationRgcn::forward`] over `hyper`'s real
-    /// edge arrays: `relations [2M, d]`, `hyperrelations [2H, d]` ->
-    /// `[2M, d]`.
-    pub fn validate(
-        &self,
-        ctx: &mut ShapeCtx,
-        relations: ShapeTensor,
-        hyperrelations: ShapeTensor,
-        hyper: &HyperSnapshot,
-    ) -> ShapeTensor {
-        ctx.scoped("RelationRgcn", None, |ctx| {
-            ctx.check("relation_node_count", relations.rows == hyper.num_rel_nodes, || {
-                format!(
-                    "relation embeddings are {relations}, hypergraph has {} relation nodes",
-                    hyper.num_rel_nodes
-                )
-            });
-            ctx.check("hyperrelation_count", hyperrelations.rows == NUM_HYPERRELS_WITH_INV, || {
-                format!(
-                    "hyperrelation embeddings are {hyperrelations}, expected \
-                         {NUM_HYPERRELS_WITH_INV} rows"
-                )
-            });
-            let plan = SlotPlan::relation(hyper);
-            let mut h = relations;
-            for l in 0..self.core.num_layers {
-                h = self.core.validate_layer(ctx, l, h, hyperrelations, &plan, hyper.num_rel_nodes);
-            }
-            h
-        })
-    }
-
     /// Value-domain replay of [`RelationRgcn::forward`] over `hyper`'s real
     /// edge arrays.
     pub fn audit(
@@ -594,7 +490,18 @@ impl RelationRgcn {
         hyper: &HyperSnapshot,
     ) -> AbsId {
         ctx.scoped("RelationRgcn", None, |ctx| {
+            let (m2, h2) = (ctx.shape(relations).0, ctx.shape(hyperrelations).0);
+            ctx.check("relation_node_count", m2 == hyper.num_rel_nodes, || {
+                format!(
+                    "{m2} relation embedding rows, hypergraph has {} relation nodes",
+                    hyper.num_rel_nodes
+                )
+            });
+            ctx.check("hyperrelation_count", h2 == NUM_HYPERRELS_WITH_INV, || {
+                format!("{h2} hyperrelation embedding rows, expected {NUM_HYPERRELS_WITH_INV}")
+            });
             let plan = SlotPlan::relation(hyper);
+            self.core.audit_edges(ctx, &plan, hyper.num_rel_nodes);
             let mut h = relations;
             for l in 0..self.core.num_layers {
                 h = self.core.audit_layer(ctx, l, h, hyperrelations, &plan);

@@ -14,7 +14,7 @@
 //! deviation is recorded in DESIGN.md.
 
 use retia_analyze::value::AbsId;
-use retia_analyze::{AuditCtx, ShapeCtx, ShapeTensor};
+use retia_analyze::AuditCtx;
 use retia_tensor::{Graph, NodeId, ParamStore};
 
 /// Gated recurrent unit cell (Cho et al., 2014).
@@ -73,44 +73,6 @@ impl GruCell {
         let hmn = g.sub(h, n);
         let zh = g.mul(z, hmn);
         g.add(n, zh)
-    }
-
-    /// Shape-only replay of [`GruCell::forward`].
-    pub fn validate(&self, ctx: &mut ShapeCtx, x: ShapeTensor, h: ShapeTensor) -> ShapeTensor {
-        Self::validate_dims(ctx, self.input_dim, self.hidden_dim, x, h)
-    }
-
-    /// Static form of [`GruCell::validate`]: checks the gate op sequence for
-    /// the given dimensions without constructing the cell.
-    pub fn validate_dims(
-        ctx: &mut ShapeCtx,
-        input_dim: usize,
-        hidden_dim: usize,
-        x: ShapeTensor,
-        h: ShapeTensor,
-    ) -> ShapeTensor {
-        ctx.scoped("GruCell", None, |ctx| {
-            let d = hidden_dim;
-            let w = ShapeTensor::new(input_dim, 3 * d);
-            let u = ShapeTensor::new(hidden_dim, 3 * d);
-            let b = ShapeTensor::new(1, 3 * d);
-            let xw = ctx.matmul(x, w);
-            let hu = ctx.matmul(h, u);
-            let xwb = ctx.add_bias(xw, b);
-            let xz = ctx.slice_cols(xwb, 0, d);
-            let xr = ctx.slice_cols(xwb, d, 2 * d);
-            let xn = ctx.slice_cols(xwb, 2 * d, 3 * d);
-            let hz = ctx.slice_cols(hu, 0, d);
-            let hr = ctx.slice_cols(hu, d, 2 * d);
-            let hn = ctx.slice_cols(hu, 2 * d, 3 * d);
-            let z = ctx.add(xz, hz);
-            let r = ctx.add(xr, hr);
-            let rhn = ctx.mul(r, hn);
-            let n = ctx.add(xn, rhn);
-            let hmn = ctx.sub(h, n);
-            let zh = ctx.mul(z, hmn);
-            ctx.add(n, zh)
-        })
     }
 
     /// Value-domain replay of [`GruCell::forward`]: same op sequence over
@@ -216,49 +178,6 @@ impl LstmCell {
         let tc = g.tanh(c_new);
         let h_new = g.mul(o, tc);
         (h_new, c_new)
-    }
-
-    /// Shape-only replay of [`LstmCell::forward`].
-    pub fn validate(
-        &self,
-        ctx: &mut ShapeCtx,
-        x: ShapeTensor,
-        h: ShapeTensor,
-        c: ShapeTensor,
-    ) -> (ShapeTensor, ShapeTensor) {
-        Self::validate_dims(ctx, self.input_dim, self.hidden_dim, x, h, c)
-    }
-
-    /// Static form of [`LstmCell::validate`]: checks the gate op sequence for
-    /// the given dimensions without constructing the cell.
-    pub fn validate_dims(
-        ctx: &mut ShapeCtx,
-        input_dim: usize,
-        hidden_dim: usize,
-        x: ShapeTensor,
-        h: ShapeTensor,
-        c: ShapeTensor,
-    ) -> (ShapeTensor, ShapeTensor) {
-        ctx.scoped("LstmCell", None, |ctx| {
-            let d = hidden_dim;
-            let w = ShapeTensor::new(input_dim, 4 * d);
-            let u = ShapeTensor::new(hidden_dim, 4 * d);
-            let b = ShapeTensor::new(1, 4 * d);
-            let xw = ctx.matmul(x, w);
-            let hu = ctx.matmul(h, u);
-            let pre0 = ctx.add(xw, hu);
-            let pre = ctx.add_bias(pre0, b);
-            let i = ctx.slice_cols(pre, 0, d);
-            let f = ctx.slice_cols(pre, d, 2 * d);
-            let gg = ctx.slice_cols(pre, 2 * d, 3 * d);
-            let o = ctx.slice_cols(pre, 3 * d, 4 * d);
-            let fc = ctx.mul(f, c);
-            let ig = ctx.mul(i, gg);
-            let c_new = ctx.add(fc, ig);
-            let tc = ctx.unary("tanh", c_new);
-            let h_new = ctx.mul(o, tc);
-            (h_new, c_new)
-        })
     }
 
     /// Value-domain replay of [`LstmCell::forward`], declaring the gate

@@ -16,8 +16,11 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo "==> retia-lint (source conventions; allowlist: scripts/lint-allowlist.txt)"
 cargo run -q -p retia-analyze --bin retia-lint
 
-echo "==> retia audit gate (interval/finiteness + gradient-flow audit over every ablation config)"
+echo "==> retia audit gate (shape + interval/finiteness + gradient-flow audit over every ablation config)"
 ./target/release/retia audit --all-configs
+
+echo "==> retia audit gate at the paper's model size (d=200, 50 kernels)"
+./target/release/retia audit --all-configs --dim 200 --channels 50
 
 echo "==> write-set-tracked kernel pass (debug assertions + RETIA_WRITE_TRACK=1)"
 RETIA_WRITE_TRACK=1 cargo test -q -p retia-tensor
