@@ -1,8 +1,8 @@
 //! Substrate microbench: hyperrelation subgraph construction (Algorithm 1).
 //!
-//! DESIGN.md §4 ablation: the sparse per-entity hash join versus the paper's
-//! literal dense boolean incidence products (`RO×RS` etc.), which are
-//! `O(M² · N)`.
+//! DESIGN.md §4 ablation: the sparse per-entity join (packed candidate keys,
+//! one sort + dedup) versus the paper's literal dense boolean incidence
+//! products (`RO×RS` etc.), which are `O(M² · N)`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -61,7 +61,7 @@ fn bench_hypergraph(c: &mut Criterion) {
     for &(n, m, edges) in &[(100usize, 12usize, 200usize), (300, 24, 600)] {
         let snap = random_snapshot(n, m, edges, 7);
         group.bench_with_input(
-            BenchmarkId::new("sparse_hash_join", format!("n{n}_m{m}_e{edges}")),
+            BenchmarkId::new("sparse_sorted_join", format!("n{n}_m{m}_e{edges}")),
             &snap,
             |b, s| b.iter(|| black_box(HyperSnapshot::from_snapshot(s).num_edges())),
         );

@@ -1,7 +1,8 @@
 //! Validates the paper's §III-G computational-complexity analysis:
 //!
 //! * hyperrelation subgraph construction is `O(V)` in the facts per
-//!   timestamp (Algorithm 1 via sparse joins);
+//!   timestamp at bounded entity degree (Algorithm 1 via sparse joins,
+//!   whose candidate pairs grow with the square of each entity's degree);
 //! * relation aggregation is `O(M)`-dominated, entity aggregation `O(N)`;
 //! * mean pooling is `O(MP)`; the LSTM is `O(d²)`.
 //!
@@ -46,9 +47,14 @@ fn main() {
     let mut rep = Report::new("Complexity validation (paper §III-G)");
     rep.line("Each axis doubles its driving size; reported is time(2x)/time(1x).");
     rep.line("Interpretation per axis:");
-    rep.line("  * Algorithm 1 vs V        — linear (ratio ~2): the sparse-join construction.");
+    rep.line("  * Algorithm 1 vs V        — one sort of packed candidate keys, O(C log C) in");
+    rep.line("    the candidates C = sum over entities e of (|S_e| + |O_e|)^2. Here N stays");
+    rep.line("    at 400, so doubling V doubles every entity's relation lists and C grows");
+    rep.line("    up to 4x: the ratio reads 3-4. With N doubling alongside V (per-entity");
+    rep.line("    degree fixed) the same build reads ~2.2, i.e. linear up to the log.");
     rep.line("  * EAM vs N, fixed edges   — between 1 and 2: only the O(N d^2) self-loop");
-    rep.line("    doubles; the message term is edge-bound.");
+    rep.line("    doubles; the message term is edge-bound. On a shared 2-vCPU host the");
+    rep.line("    ratio reads 1.2-1.3 and run-to-run noise can take it just under 1.");
     rep.line("  * RAM vs M, fixed facts   — the weight transform is O(H M d^2): one row per");
     rep.line("    (hyperrelation, destination) slot, at most 2H x 2M. The super-linear rest");
     rep.line("    is the O(E d) slot-sum aggregation, the hyperedge count E growing with");

@@ -133,8 +133,9 @@ impl Default for RetiaConfig {
 
 impl RetiaConfig {
     /// The paper's hyperparameters at full scale (`d = 200`, 50 kernels).
-    /// Only used by documentation/examples — the mini-scale defaults train
-    /// on CPU in reasonable time.
+    /// The paper-dims audit test and the benchmark's `serve_query` scenario
+    /// run at these dimensions; training uses the mini-scale defaults,
+    /// which train on CPU in reasonable time.
     pub fn paper_scale() -> Self {
         RetiaConfig { dim: 200, channels: 50, ..Default::default() }
     }

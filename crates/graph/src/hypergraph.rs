@@ -15,13 +15,16 @@
 //! The paper computes these as boolean products of the relation–object and
 //! relation–subject incidence matrices (`OS = RO×RS`, `SO = RS×RO`,
 //! `OO = RO×RO`, `SS = RS×RS`, with zeroed diagonals for `o-o`/`s-s`). We
-//! produce the identical edge sets with per-entity hash joins in `O(nnz)`
-//! time; the dense product is kept in the tests as a reference oracle.
+//! produce the identical edges by joining on each shared entity instead:
+//! every entity's sorted subject and object relation lists pair up into
+//! candidate hyperedges, each packed with its inverse into one `u64` key,
+//! and a single sort + dedup of the keys yields the edge arrays in
+//! `(hyperrelation, r_s, r_o)` order. That costs `O(C log C)` in the `C`
+//! candidate pairs, never `O(M²)`, and hashes nothing; the dense product is
+//! kept in the tests as a reference oracle.
 //!
 //! As with ordinary facts, each hyperedge `(r_s, hr, r_o)` also yields the
 //! inverse hyperedge `(r_o, hr⁻¹, r_s)`, so only in-edges need aggregating.
-
-use std::collections::HashSet;
 
 use crate::snapshot::Snapshot;
 
@@ -97,114 +100,87 @@ pub struct HyperSnapshot {
 
 impl HyperSnapshot {
     /// Builds the twin hyperrelation subgraph of `snapshot` (Algorithm 1).
+    ///
+    /// # Panics
+    /// Panics if the snapshot has more than `2^29` relations.
     pub fn from_snapshot(snapshot: &Snapshot) -> Self {
         let num_rel_nodes = 2 * snapshot.num_relations;
+        assert!(num_rel_nodes <= NODE_MASK as usize + 1, "too many relations to pack a hyperedge");
 
         // Per-entity incidence: relations having the entity as subject/object.
         let n = snapshot.num_entities;
-        let mut subj_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut obj_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-        {
-            let mut seen_s: HashSet<(u32, u32)> = HashSet::new();
-            let mut seen_o: HashSet<(u32, u32)> = HashSet::new();
-            for i in 0..snapshot.num_edges() {
-                let (s, r, o) = (snapshot.src[i], snapshot.rel[i], snapshot.dst[i]);
-                if seen_s.insert((s, r)) {
-                    subj_of[s as usize].push(r);
-                }
-                if seen_o.insert((o, r)) {
-                    obj_of[o as usize].push(r);
-                }
-            }
-        }
+        let subj_of = Incidence::new(n, snapshot.src.iter().zip(&snapshot.rel));
+        let obj_of = Incidence::new(n, snapshot.dst.iter().zip(&snapshot.rel));
 
-        // Hash-join per entity; HashSet deduplicates pairs reachable through
-        // several shared entities (the boolean product semantics).
-        let mut edge_set: HashSet<(u32, u32, u32)> = HashSet::new();
+        // Join per entity. A pair reachable through several shared entities
+        // appears once per entity; the dedup below keeps one (the boolean
+        // product semantics).
+        let mut keys: Vec<u64> = Vec::new();
+        let mut push = |hr: HyperRel, rs: u32, ro: u32| {
+            keys.push(pack(hr.id(), rs, ro));
+            // Inverse hyperedge: (r_o, hr + 4, r_s).
+            keys.push(pack(hr.id() + NUM_HYPERRELS as u32, ro, rs));
+        };
         for e in 0..n {
-            let subs = &subj_of[e];
-            let objs = &obj_of[e];
-            if subs.is_empty() && objs.is_empty() {
-                continue;
-            }
+            let (subs, objs) = (subj_of.of(e), obj_of.of(e));
             for &rs in objs {
                 // o-s: object of r_s meets subject of r_o.
                 for &ro in subs {
-                    edge_set.insert((HyperRel::ObjectSubject.id(), rs, ro));
+                    push(HyperRel::ObjectSubject, rs, ro);
                 }
                 // o-o: shared object; no self-loops (zeroed diagonal).
-                for &ro in objs {
-                    if rs != ro {
-                        edge_set.insert((HyperRel::ObjectObject.id(), rs, ro));
-                    }
+                for &ro in objs.iter().filter(|&&ro| ro != rs) {
+                    push(HyperRel::ObjectObject, rs, ro);
                 }
             }
             for &rs in subs {
                 // s-o: subject of r_s meets object of r_o.
                 for &ro in objs {
-                    edge_set.insert((HyperRel::SubjectObject.id(), rs, ro));
+                    push(HyperRel::SubjectObject, rs, ro);
                 }
                 // s-s: shared subject; no self-loops.
-                for &ro in subs {
-                    if rs != ro {
-                        edge_set.insert((HyperRel::SubjectSubject.id(), rs, ro));
-                    }
+                for &ro in subs.iter().filter(|&&ro| ro != rs) {
+                    push(HyperRel::SubjectSubject, rs, ro);
                 }
             }
         }
+        keys.sort_unstable();
+        keys.dedup();
 
-        // Inverse hyperedges: (r_o, hr + 4, r_s).
-        let mut edges: Vec<(u32, u32, u32)> = Vec::with_capacity(edge_set.len() * 2);
-        for &(hr, rs, ro) in &edge_set {
-            edges.push((hr, rs, ro));
-            edges.push((hr + NUM_HYPERRELS as u32, ro, rs));
+        let hrel: Vec<u32> = keys.iter().map(|&key| (key >> HREL_SHIFT) as u32).collect();
+        let src: Vec<u32> = keys.iter().map(|&key| (key >> NODE_BITS) as u32 & NODE_MASK).collect();
+        let dst: Vec<u32> = keys.iter().map(|&key| key as u32 & NODE_MASK).collect();
+
+        // 1 / c_{r_o, hr}, counted in a dense [2M x 2H] table.
+        let slot = |i: usize| dst[i] as usize * NUM_HYPERRELS_WITH_INV + hrel[i] as usize;
+        let mut degree = vec![0u32; num_rel_nodes * NUM_HYPERRELS_WITH_INV];
+        for i in 0..keys.len() {
+            degree[slot(i)] += 1;
         }
-        edges.sort_unstable();
-        edges.dedup();
+        let edge_norm: Vec<f32> = (0..keys.len()).map(|i| 1.0 / degree[slot(i)] as f32).collect();
 
-        let mut src = Vec::with_capacity(edges.len());
-        let mut hrel = Vec::with_capacity(edges.len());
-        let mut dst = Vec::with_capacity(edges.len());
-        for &(h, s, o) in &edges {
-            hrel.push(h);
-            src.push(s);
-            dst.push(o);
-        }
-
-        // 1 / c_{r_o, hr}.
-        let mut degree = std::collections::HashMap::new();
-        for i in 0..hrel.len() {
-            *degree.entry((dst[i], hrel[i])).or_insert(0.0f32) += 1.0;
-        }
-        let edge_norm: Vec<f32> =
-            (0..hrel.len()).map(|i| 1.0 / degree[&(dst[i], hrel[i])]).collect();
-
+        // Contiguous per-hyperrelation ranges ((0, 0) for absent types).
         let mut hrel_ranges = vec![(0usize, 0usize); NUM_HYPERRELS_WITH_INV];
-        {
-            let mut i = 0;
-            while i < hrel.len() {
-                let h = hrel[i] as usize;
-                let start = i;
-                while i < hrel.len() && hrel[i] as usize == h {
-                    i += 1;
-                }
-                hrel_ranges[h] = (start, i);
-            }
+        let mut start = 0;
+        while start < hrel.len() {
+            let h = hrel[start];
+            let end = start + hrel[start..].partition_point(|&x| x == h);
+            hrel_ranges[h as usize] = (start, end);
+            start = end;
         }
 
-        // R_hr^t: relations incident to each hyperrelation type.
-        let mut sets: Vec<HashSet<u32>> = vec![HashSet::new(); NUM_HYPERRELS_WITH_INV];
-        for i in 0..hrel.len() {
-            let h = hrel[i] as usize;
-            sets[h].insert(src[i]);
-            sets[h].insert(dst[i]);
+        // R_hr^t: relations incident to each hyperrelation type, marked in a
+        // dense [2H x 2M] table and read out in ascending order.
+        let mut incident = vec![false; NUM_HYPERRELS_WITH_INV * num_rel_nodes];
+        for i in 0..keys.len() {
+            let row = hrel[i] as usize * num_rel_nodes;
+            incident[row + src[i] as usize] = true;
+            incident[row + dst[i] as usize] = true;
         }
-        let hrel_relations: Vec<Vec<u32>> = sets
-            .into_iter()
-            .map(|s| {
-                let mut v: Vec<u32> = s.into_iter().collect();
-                v.sort_unstable();
-                v
+        let hrel_relations: Vec<Vec<u32>> = (0..NUM_HYPERRELS_WITH_INV)
+            .map(|h| {
+                let row = &incident[h * num_rel_nodes..(h + 1) * num_rel_nodes];
+                (0u32..).zip(row).filter(|&(_, &on)| on).map(|(r, _)| r).collect()
             })
             .collect();
 
@@ -232,10 +208,51 @@ impl HyperSnapshot {
     }
 }
 
+/// Bits per relation node in a packed hyperedge key.
+const NODE_BITS: u32 = 30;
+/// Mask of one relation node in a packed key.
+const NODE_MASK: u32 = (1 << NODE_BITS) - 1;
+/// Shift of the hyperrelation id, above the two relation nodes.
+const HREL_SHIFT: u32 = 2 * NODE_BITS;
+
+/// Packs a hyperedge so that keys order as `(hr, r_s, r_o)` tuples do.
+fn pack(hr: u32, rs: u32, ro: u32) -> u64 {
+    u64::from(hr) << HREL_SHIFT | u64::from(rs) << NODE_BITS | u64::from(ro)
+}
+
+/// The distinct relations incident to each entity on one side of its
+/// facts, ascending: entity `e`'s are `rels[offsets[e]..offsets[e + 1]]`.
+struct Incidence {
+    offsets: Vec<usize>,
+    rels: Vec<u32>,
+}
+
+impl Incidence {
+    /// Groups `(entity, relation)` pairs by entity with one sort + dedup.
+    fn new<'a>(num_entities: usize, pairs: impl Iterator<Item = (&'a u32, &'a u32)>) -> Self {
+        let mut keys: Vec<u64> = pairs.map(|(&e, &r)| u64::from(e) << 32 | u64::from(r)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut offsets = vec![0usize; num_entities + 1];
+        for &key in &keys {
+            offsets[(key >> 32) as usize + 1] += 1;
+        }
+        for e in 0..num_entities {
+            offsets[e + 1] += offsets[e];
+        }
+        Incidence { offsets, rels: keys.iter().map(|&key| key as u32).collect() }
+    }
+
+    fn of(&self, e: usize) -> &[u32] {
+        &self.rels[self.offsets[e]..self.offsets[e + 1]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quad::Quad;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn snap(facts: &[(u32, u32, u32)], n: usize, m: usize) -> Snapshot {
         let quads: Vec<Quad> = facts.iter().map(|&(s, r, o)| Quad::new(s, r, o, 3)).collect();
@@ -243,9 +260,10 @@ mod tests {
     }
 
     /// Dense reference implementation: boolean incidence products as written
-    /// in Algorithm 1.
+    /// in Algorithm 1, returning every hyperedge `(hr, r_s, r_o)` (inverses
+    /// included) in ascending order.
     #[allow(clippy::needless_range_loop)]
-    fn dense_reference(snapshot: &Snapshot) -> HashSet<(u32, u32, u32)> {
+    fn dense_reference(snapshot: &Snapshot) -> Vec<(u32, u32, u32)> {
         let m2 = 2 * snapshot.num_relations;
         let n = snapshot.num_entities;
         let mut ro = vec![vec![false; n]; m2]; // relation has entity as object
@@ -255,20 +273,20 @@ mod tests {
             ro[snapshot.rel[i] as usize][snapshot.dst[i] as usize] = true;
         }
         let product = |a: &Vec<Vec<bool>>, b: &Vec<Vec<bool>>, zero_diag: bool| {
-            let mut out = HashSet::new();
+            let mut out = Vec::new();
             for r1 in 0..m2 {
                 for r2 in 0..m2 {
                     if zero_diag && r1 == r2 {
                         continue;
                     }
                     if (0..n).any(|e| a[r1][e] && b[r2][e]) {
-                        out.insert((r1 as u32, r2 as u32));
+                        out.push((r1 as u32, r2 as u32));
                     }
                 }
             }
             out
         };
-        let mut edges = HashSet::new();
+        let mut edges = BTreeSet::new();
         for (hr, pairs) in [
             (0u32, product(&ro, &rs, false)), // o-s
             (1, product(&rs, &ro, false)),    // s-o
@@ -280,11 +298,54 @@ mod tests {
                 edges.insert((hr + 4, r2, r1));
             }
         }
-        edges
+        edges.into_iter().collect()
     }
 
-    fn edge_set(h: &HyperSnapshot) -> HashSet<(u32, u32, u32)> {
-        (0..h.num_edges()).map(|i| (h.hrel[i], h.src[i], h.dst[i])).collect()
+    /// Asserts that the built subgraph equals the one derived from the
+    /// dense oracle, array by array and in order: the edge arrays sorted
+    /// by `(hrel, src, dst)`, `edge_norm = 1 / count(dst, hrel)`, the
+    /// per-type ranges ((0, 0) when absent) and the per-type relation sets.
+    fn assert_matches_oracle(s: &Snapshot, what: &str) {
+        let h = HyperSnapshot::from_snapshot(s);
+        let want = dense_reference(s);
+        let column = |f: fn(&(u32, u32, u32)) -> u32| want.iter().map(f).collect::<Vec<u32>>();
+        assert_eq!(h.hrel, column(|e| e.0), "{what}: hrel");
+        assert_eq!(h.src, column(|e| e.1), "{what}: src");
+        assert_eq!(h.dst, column(|e| e.2), "{what}: dst");
+
+        let mut count: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        for &(hr, _, dst) in &want {
+            *count.entry((dst, hr)).or_default() += 1;
+        }
+        let norms: Vec<u32> =
+            want.iter().map(|&(hr, _, dst)| (1.0 / count[&(dst, hr)] as f32).to_bits()).collect();
+        let got: Vec<u32> = h.edge_norm.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, norms, "{what}: edge_norm");
+
+        for hr in 0..NUM_HYPERRELS_WITH_INV as u32 {
+            let at: Vec<usize> = (0..want.len()).filter(|&i| want[i].0 == hr).collect();
+            let range = match (at.first(), at.last()) {
+                (Some(&a), Some(&b)) => (a, b + 1),
+                _ => (0, 0),
+            };
+            assert_eq!(h.hrel_ranges[hr as usize], range, "{what}: hrel_ranges[{hr}]");
+            let rels: BTreeSet<u32> = at.iter().flat_map(|&i| [want[i].1, want[i].2]).collect();
+            assert_eq!(
+                h.hrel_relations[hr as usize],
+                rels.into_iter().collect::<Vec<u32>>(),
+                "{what}: hrel_relations[{hr}]"
+            );
+        }
+    }
+
+    fn random_snap(rng: &mut rand::rngs::StdRng, n: usize, m: usize, facts: usize) -> Snapshot {
+        use rand::Rng;
+        let facts: Vec<(u32, u32, u32)> = (0..facts)
+            .map(|_| {
+                (rng.gen_range(0..n as u32), rng.gen_range(0..m as u32), rng.gen_range(0..n as u32))
+            })
+            .collect();
+        snap(&facts, n, m)
     }
 
     #[test]
@@ -346,8 +407,7 @@ mod tests {
     #[test]
     fn matches_dense_reference_small() {
         let s = snap(&[(0, 0, 1), (1, 1, 2), (2, 0, 0), (0, 2, 2), (3, 1, 1)], 4, 3);
-        let h = HyperSnapshot::from_snapshot(&s);
-        assert_eq!(edge_set(&h), dense_reference(&s));
+        assert_matches_oracle(&s, "small");
     }
 
     #[test]
@@ -355,20 +415,23 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         for case in 0..20 {
-            let n = rng.gen_range(2..8);
-            let m = rng.gen_range(1..5);
-            let facts: Vec<(u32, u32, u32)> = (0..rng.gen_range(1..15))
-                .map(|_| {
-                    (
-                        rng.gen_range(0..n as u32),
-                        rng.gen_range(0..m as u32),
-                        rng.gen_range(0..n as u32),
-                    )
-                })
-                .collect();
-            let s = snap(&facts, n, m);
-            let h = HyperSnapshot::from_snapshot(&s);
-            assert_eq!(edge_set(&h), dense_reference(&s), "case {case} facts {facts:?}");
+            let (n, m, facts) = (rng.gen_range(2..8), rng.gen_range(1..5), rng.gen_range(1..15));
+            let s = random_snap(&mut rng, n, m, facts);
+            assert_matches_oracle(&s, &format!("case {case} facts {:?}", s.facts));
+        }
+    }
+
+    #[test]
+    fn matches_dense_reference_at_benchmark_size() {
+        // The mini profiles' snapshots: dozens of relations, hundreds of
+        // facts, relations sharing entities many times over.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for case in 0..4 {
+            let (n, m, facts) =
+                (rng.gen_range(60..200), rng.gen_range(24..40), rng.gen_range(200..400));
+            let s = random_snap(&mut rng, n, m, facts);
+            assert_matches_oracle(&s, &format!("case {case}: n={n} m={m} facts={facts}"));
         }
     }
 
@@ -376,7 +439,7 @@ mod tests {
     fn edge_norm_sums_to_one_per_dst_type() {
         let s = snap(&[(0, 0, 1), (1, 1, 2), (0, 2, 2), (2, 1, 0)], 3, 3);
         let h = HyperSnapshot::from_snapshot(&s);
-        let mut sums = std::collections::HashMap::new();
+        let mut sums = BTreeMap::new();
         for i in 0..h.num_edges() {
             *sums.entry((h.dst[i], h.hrel[i])).or_insert(0.0f32) += h.edge_norm[i];
         }

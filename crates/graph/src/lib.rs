@@ -14,9 +14,10 @@
 //!   hyperrelations `o-s`, `s-o`, `o-o`, `s-s` (plus their inverses).
 //!
 //! The hyperrelation construction is the paper's sparse boolean products
-//! `RO×RS`, `RS×RO`, `RO×RO`, `RS×RS` realized as hash joins on the shared
-//! entity, which is `O(nnz)` instead of `O(M²)`; a dense reference
-//! implementation in the test suite validates equivalence.
+//! `RO×RS`, `RS×RO`, `RO×RO`, `RS×RS` realized as joins on the shared
+//! entity: candidate hyperedges packed into `u64` keys, then one sort and
+//! dedup, which scales with the candidate pairs instead of `O(M²)`; a dense
+//! reference implementation in the test suite validates the arrays in order.
 
 mod hypergraph;
 mod quad;

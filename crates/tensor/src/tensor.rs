@@ -223,24 +223,12 @@ impl Tensor {
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let _t = retia_obs::kernel_span("matmul");
         let mut out = vec![0.0f32; m * n];
-        // i-k-j loop order keeps the inner loop streaming over contiguous rows
-        // of `other` and `out`. Output rows are independent, so row-chunked
-        // execution computes each element with the same kk-ascending
-        // accumulation as the sequential loop.
+        let product = Product::<false>::new(self, other);
+        // Output rows are independent, so row-chunked execution computes each
+        // element with the same kk-ascending accumulation as one sequential
+        // pass (see `Product` for why the tiles do too).
         crate::parallel::for_each_row_chunk(&mut out, n, 2 * k * n, |first_row, chunk| {
-            for (d, o_row) in chunk.chunks_mut(n).enumerate() {
-                let i = first_row + d;
-                let a_row = &self.data[i * k..(i + 1) * k];
-                for (kk, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &other.data[kk * n..(kk + 1) * n];
-                    for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
+            product.rows_into(first_row, chunk)
         });
         Tensor { rows: m, cols: n, data: out }
     }
@@ -331,23 +319,12 @@ impl Tensor {
         let _t = retia_obs::kernel_span("matmul_tn");
         let mut out = vec![0.0f32; m * n];
         // Restructured from the kk-outer scatter loop to an output-row loop
-        // so rows can be chunked. Per element the accumulation is still
-        // kk-ascending with the same `a == 0.0` skip, so every value is
-        // bit-identical to the sequential kernel's.
+        // so rows can be chunked: `self` is read as the transposed left
+        // operand, and per element the accumulation is still kk-ascending
+        // with the same `a == 0.0` skip.
+        let product = Product::<true>::new(self, other);
         crate::parallel::for_each_row_chunk(&mut out, n, 2 * k * n, |first_row, chunk| {
-            for (d, o_row) in chunk.chunks_mut(n).enumerate() {
-                let i = first_row + d;
-                for kk in 0..k {
-                    let a = self.data[kk * m + i];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &other.data[kk * n..(kk + 1) * n];
-                    for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
-                        *o += a * b;
-                    }
-                }
-            }
+            product.rows_into(first_row, chunk)
         });
         Tensor { rows: m, cols: n, data: out }
     }
@@ -552,7 +529,9 @@ impl Tensor {
 
     /// True when all elements are finite.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        // A branch-free fold per block vectorizes; the blocks keep the
+        // early exit. This scan gates the matmul tiles on every product.
+        self.data.chunks(256).all(|block| block.iter().fold(true, |ok, x| ok & x.is_finite()))
     }
 
     /// Stabilized softmax of one row, shared by the sequential and
@@ -585,6 +564,162 @@ fn softmax_row_in_place(row: &mut [f32]) {
     }
     if sum > 0.0 {
         row.iter_mut().for_each(|x| *x /= sum);
+    }
+}
+
+/// Rows of the matmul micro-kernel's accumulator tile. Divides
+/// [`crate::parallel::CHUNK_ROWS`], so a tile never straddles a thread chunk.
+const TILE_ROWS: usize = 8;
+/// Columns of the accumulator tile: two 16-lane registers per row under
+/// AVX-512, so the whole 8×32 tile lives in 16 of its 32 vector registers.
+const TILE_COLS: usize = 32;
+
+/// `lhs @ rhs` (`[m,k] @ [k,n]`), computed output row by output row.
+/// `TRANSPOSED` names how `lhs` is stored: `[m,k]` row-major for `matmul`,
+/// or `[k,m]` for `matmul_tn`, which multiplies by its transpose.
+///
+/// Every element is accumulated from `+0.0` over `kk` ascending, one
+/// multiply and one add per term (Rust never fuses them), skipping terms
+/// whose left factor is `±0`. That is the i-k-j loop ([`Product::row`]),
+/// which handles edge rows and columns. Aligned groups of [`TILE_ROWS`]
+/// rows run [`Product::tile`] instead, which keeps an accumulator tile in
+/// registers and performs the same operation sequence per element, minus
+/// the skip. Adding a zero term gives the same bits as skipping it whenever
+/// its right factor is finite, because the accumulator starts at `+0.0`
+/// and a round-to-nearest sum is never `-0.0` unless both addends are. So
+/// tiles run only when `rhs` is all finite (`tiles`), and every output bit
+/// equals the i-k-j loop's.
+struct Product<'a, const TRANSPOSED: bool> {
+    lhs: &'a [f32],
+    rhs: &'a [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    tiles: bool,
+}
+
+impl<'a, const TRANSPOSED: bool> Product<'a, TRANSPOSED> {
+    /// The product of `lhs` (transposed when `TRANSPOSED`) and `rhs`. The
+    /// one pass over `rhs` that gates the tiles is skipped when no full
+    /// tile fits.
+    fn new(lhs: &'a Tensor, rhs: &'a Tensor) -> Self {
+        let m = if TRANSPOSED { lhs.cols } else { lhs.rows };
+        let (k, n) = rhs.shape();
+        let tiles = m >= TILE_ROWS && n >= TILE_COLS && rhs.all_finite();
+        Product { lhs: &lhs.data, rhs: &rhs.data, m, k, n, tiles }
+    }
+
+    /// The left factor `a[i, kk]`.
+    #[inline(always)]
+    fn a(&self, i: usize, kk: usize) -> f32 {
+        if TRANSPOSED {
+            self.lhs[kk * self.m + i]
+        } else {
+            self.lhs[i * self.k + kk]
+        }
+    }
+
+    /// Writes output rows `first_row..` into `chunk` (whole rows of width
+    /// `n`), through the AVX-512 instance of the kernel when the CPU has it.
+    fn rows_into(&self, first_row: usize, chunk: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `avx512f` was detected on this CPU at run time just above.
+            return unsafe { self.rows_into_avx512(first_row, chunk) };
+        }
+        self.rows_into_portable(first_row, chunk)
+    }
+
+    /// The kernel compiled for the build's baseline target: the only
+    /// instance that runs on CPUs without AVX-512.
+    fn rows_into_portable(&self, first_row: usize, chunk: &mut [f32]) {
+        self.rows_body(first_row, chunk)
+    }
+
+    /// The same kernel body compiled with AVX-512 enabled.
+    ///
+    /// # Safety
+    /// Calling this on a CPU without `avx512f` is undefined behaviour, so
+    /// every caller checks `is_x86_feature_detected!("avx512f")` first.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn rows_into_avx512(&self, first_row: usize, chunk: &mut [f32]) {
+        self.rows_body(first_row, chunk)
+    }
+
+    #[inline(always)]
+    fn rows_body(&self, first_row: usize, chunk: &mut [f32]) {
+        let n = self.n;
+        let rows = chunk.len() / n;
+        let tile_cols = if self.tiles { n - n % TILE_COLS } else { 0 };
+        let tile_rows = if tile_cols > 0 { rows - rows % TILE_ROWS } else { 0 };
+        let (tiled, rest) = chunk.split_at_mut(tile_rows * n);
+        for (g, group) in tiled.chunks_mut(TILE_ROWS * n).enumerate() {
+            let i0 = first_row + g * TILE_ROWS;
+            for j0 in (0..tile_cols).step_by(TILE_COLS) {
+                self.tile(i0, j0, group);
+            }
+            for (r, o_row) in group.chunks_mut(n).enumerate() {
+                self.row(i0 + r, tile_cols, o_row);
+            }
+        }
+        for (d, o_row) in rest.chunks_mut(n).enumerate() {
+            self.row(first_row + tile_rows + d, 0, o_row);
+        }
+    }
+
+    /// The i-k-j loop over columns `j_lo..n` of output row `i`.
+    #[inline(always)]
+    fn row(&self, i: usize, j_lo: usize, o_row: &mut [f32]) {
+        let o_row = &mut o_row[j_lo..];
+        for kk in 0..self.k {
+            let a = self.a(i, kk);
+            if a == 0.0 {
+                continue;
+            }
+            let b_row = &self.rhs[kk * self.n + j_lo..(kk + 1) * self.n];
+            for (o, &b) in o_row.iter_mut().zip(b_row) {
+                *o += a * b;
+            }
+        }
+    }
+
+    /// The `TILE_ROWS × TILE_COLS` block at rows `i0..`, columns `j0..`,
+    /// accumulated in registers and stored into `group` (the tile's rows).
+    ///
+    /// The rows are written out one statement each, and the only loop over
+    /// `acc` has a constant trip count: that is what lets LLVM keep the
+    /// accumulators in vector registers. A loop over the rows, or a loop
+    /// over `acc` whose trip count it cannot see, leaves them in memory as
+    /// scalar code.
+    #[inline(always)]
+    fn tile(&self, i0: usize, j0: usize, group: &mut [f32]) {
+        let mut acc = [[0.0f32; TILE_COLS]; TILE_ROWS];
+        for (kk, b_full) in self.rhs.chunks_exact(self.n).take(self.k).enumerate() {
+            let b: &[f32; TILE_COLS] =
+                b_full[j0..j0 + TILE_COLS].try_into().expect("a tile's columns lie inside rhs");
+            let [r0, r1, r2, r3, r4, r5, r6, r7] = &mut acc;
+            add_product(r0, self.a(i0, kk), b);
+            add_product(r1, self.a(i0 + 1, kk), b);
+            add_product(r2, self.a(i0 + 2, kk), b);
+            add_product(r3, self.a(i0 + 3, kk), b);
+            add_product(r4, self.a(i0 + 4, kk), b);
+            add_product(r5, self.a(i0 + 5, kk), b);
+            add_product(r6, self.a(i0 + 6, kk), b);
+            add_product(r7, self.a(i0 + 7, kk), b);
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            group[r * self.n + j0..][..TILE_COLS].copy_from_slice(acc_row);
+        }
+    }
+}
+
+/// `acc[c] += a * b[c]` across one tile row, a separate multiply and add
+/// per element.
+#[inline(always)]
+fn add_product(acc: &mut [f32; TILE_COLS], a: f32, b: &[f32; TILE_COLS]) {
+    for (o, &x) in acc.iter_mut().zip(b) {
+        *o += a * x;
     }
 }
 
@@ -634,6 +769,50 @@ mod tests {
         let a = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let c = a.matmul(&Tensor::eye(2));
         assert_eq!(c, a);
+    }
+
+    /// The output bits of one kernel instance `run`, called chunk by chunk
+    /// over `m` rows of width `n` as `Tensor::matmul` does on one thread.
+    fn by_chunks(m: usize, n: usize, run: impl Fn(usize, &mut [f32])) -> Vec<u32> {
+        let rows = crate::parallel::CHUNK_ROWS;
+        let mut out = vec![0.0f32; m * n];
+        for (c, chunk) in out.chunks_mut(rows * n).enumerate() {
+            run(c * rows, chunk);
+        }
+        out.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn matmul_kernel_instances_agree_bit_for_bit() {
+        // The portable instance is the only one CPUs without AVX-512 run,
+        // so the test calls it directly, even where `matmul` dispatches to
+        // the AVX-512 one. 37 rows and 70 columns leave partial tiles, and
+        // the zeros (one of them -0.0) hit the skip.
+        let (m, k, n) = (37usize, 65usize, 70usize);
+        let a = Tensor::from_fn(m, k, |i, j| match (i * k + j) % 9 {
+            0 => 0.0,
+            4 => -0.0,
+            r => (r as f32 - 4.5) * 0.37 + i as f32 * 0.01,
+        });
+        let b = Tensor::from_fn(k, n, |i, j| ((i * n + j) % 13) as f32 * 0.21 - 1.3);
+        let at = a.transpose();
+        let mm = Product::<false>::new(&a, &b);
+        let tn = Product::<true>::new(&at, &b);
+        assert!(mm.tiles && tn.tiles, "these operands must take the tile path");
+        let portable = by_chunks(m, n, |row, chunk| mm.rows_into_portable(row, chunk));
+        let want: Vec<u32> = a.matmul(&b).data().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(portable, want, "portable instance vs matmul");
+        let tn_portable = by_chunks(m, n, |row, chunk| tn.rows_into_portable(row, chunk));
+        assert_eq!(portable, tn_portable, "matmul_tn portable instance");
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: `avx512f` was detected on this CPU just above.
+            let avx512 = by_chunks(m, n, |row, chunk| unsafe { mm.rows_into_avx512(row, chunk) });
+            assert_eq!(portable, avx512, "matmul AVX-512 instance");
+            // SAFETY: as above.
+            let avx512 = by_chunks(m, n, |row, chunk| unsafe { tn.rows_into_avx512(row, chunk) });
+            assert_eq!(portable, avx512, "matmul_tn AVX-512 instance");
+        }
     }
 
     #[test]

@@ -118,6 +118,91 @@ fn matmul_tn_matches_explicit_transpose() {
     }
 }
 
+/// The i-k-j loop's semantics written as a plain triple loop: each element
+/// sums `a[i][kk] * b[kk][j]` from `+0.0` with `kk` ascending, skipping
+/// terms whose left factor is `±0`.
+fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    Tensor::from_fn(a.rows(), b.cols(), |i, j| {
+        let mut acc = 0.0f32;
+        for kk in 0..a.cols() {
+            let x = a.get(i, kk);
+            if x == 0.0 {
+                continue;
+            }
+            acc += x * b.get(kk, j);
+        }
+        acc
+    })
+}
+
+#[test]
+fn matmul_family_matches_naive_triple_loop_at_every_tile_edge() {
+    // m, k and n straddle the 8x32 register tile and the 16-row thread
+    // chunk. The left operand carries zeros and a -0.0 (the skipped terms);
+    // the second pass puts inf and NaN in the right-operand rows only those
+    // zeros multiply, which must still be skipped (0 * inf is NaN), and
+    // sends every product down the non-finite path.
+    for m in [1usize, 7, 8, 9, 16, 17, 200] {
+        for k in [0usize, 1, 33, 200] {
+            for n in [1usize, 31, 32, 33, 600] {
+                let mut a = rand_tensor(m, k, 40);
+                for (idx, x) in a.data_mut().iter_mut().enumerate() {
+                    if idx % 7 == 3 {
+                        *x = 0.0;
+                    }
+                }
+                let b = rand_tensor(k, n, 41);
+                let mut poisoned = b.clone();
+                if k > 0 {
+                    a.set(m - 1, k - 1, -0.0);
+                    // Column 0 of the left operand is all zeros, so row 0 of
+                    // the right operand only ever meets skipped terms.
+                    for i in 0..m {
+                        a.set(i, 0, if i % 2 == 0 { 0.0 } else { -0.0 });
+                    }
+                    for j in 0..n {
+                        poisoned.set(0, j, if j % 2 == 0 { f32::INFINITY } else { f32::NAN });
+                    }
+                }
+                let at = a.transpose();
+                for (rhs, what) in [(&b, "finite"), (&poisoned, "inf/NaN rows")] {
+                    let want = naive_matmul(&a, rhs);
+                    for (got, kernel) in
+                        [(a.matmul(rhs), "matmul"), (at.matmul_tn(rhs), "matmul_tn")]
+                    {
+                        assert_eq!(got.shape(), want.shape(), "{kernel} {m}x{k}x{n}: shape");
+                        let differs = (got.data().iter().zip(want.data()))
+                            .position(|(x, y)| x.to_bits() != y.to_bits());
+                        assert_eq!(
+                            differs, None,
+                            "{kernel} {m}x{k}x{n}, {what}: first element off the naive loop"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn matmul_tile_path_bit_identical_across_threads() {
+    // Full tiles plus partial edge rows and columns on both shapes.
+    for (m, k, n) in [(37usize, 65usize, 70usize), (200, 200, 600)] {
+        let a = rand_tensor(m, k, 42);
+        let b = rand_tensor(k, n, 43);
+        sweep_threads("matmul", || a.matmul(&b));
+    }
+}
+
+#[test]
+fn matmul_tn_tile_path_bit_identical_across_threads() {
+    for (k, m, n) in [(65usize, 37usize, 70usize), (200, 200, 600)] {
+        let a = rand_tensor(k, m, 44);
+        let b = rand_tensor(k, n, 45);
+        sweep_threads("matmul_tn", || a.matmul_tn(&b));
+    }
+}
+
 #[test]
 fn gather_softmax_bit_identical_across_threads() {
     let table = rand_tensor(300, 48, 9);
