@@ -28,6 +28,17 @@ fn load_data_or_store(args: &Args) -> Result<TkgDataset, String> {
     }
 }
 
+/// Options [`init_obs`] reads; every command that runs a model takes them.
+const OBS: &[&str] = &["log-level", "trace-out"];
+/// Hyperparameters [`model_config_from`] reads (plus `--no-tim`, `--no-eam`).
+const MODEL: &[&str] =
+    &["dim", "k", "channels", "epochs", "lr", "lambda", "seed", "static-weight", "patience"];
+/// Continual-learning options [`parse_online_options`] reads.
+const ONLINE: &[&str] =
+    &["online-steps", "online-interval-ms", "max-staleness", "drift-threshold", "drift-window"];
+/// Server knobs of `serve` and of the server `loadtest` self-hosts.
+const SERVER: &[&str] = &["workers", "queue-cap", "decode-shards"];
+
 /// Applies the shared observability options: `--log-level` overrides the
 /// `RETIA_LOG` stderr verbosity, `--trace-out FILE` installs a JSONL sink
 /// receiving every span and event, and the per-module timing aggregate is
@@ -72,7 +83,7 @@ fn print_timing_summary() {
 
 /// `retia generate --profile P --out DIR [--seed N]`.
 pub fn generate(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &[&["profile", "out", "seed"]])?;
     let profile = args.require("profile")?;
     let out = PathBuf::from(args.require("out")?);
     let mut cfg = match profile {
@@ -108,7 +119,7 @@ pub fn generate(raw: &[String]) -> Result<(), String> {
 /// `retia stats --data DIR` or `retia stats --store DIR` (store summary +
 /// deterministic graph analytics).
 pub fn stats(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &[&["data", "store"]])?;
     if args.get("store").is_some() {
         return crate::store_commands::store_stats(&args);
     }
@@ -163,7 +174,7 @@ fn model_config_from(args: &Args) -> Result<RetiaConfig, String> {
 /// `--all-configs`, sweeps every relation/hyperrelation ablation mode the
 /// paper exercises.
 pub fn audit(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["no-tim", "no-eam", "all-configs"])?;
+    let args = Args::parse(raw, &["no-tim", "no-eam", "all-configs"], &[&["data"], MODEL])?;
     let cfg = model_config_from(&args)?;
     let (name, n, m) = match args.get("data") {
         Some(_) => {
@@ -237,7 +248,8 @@ pub fn audit(raw: &[String]) -> Result<(), String> {
 /// training stream is the durable store's fact history (same 80/10/10
 /// timestamp split a generated dataset gets).
 pub fn train(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["no-tim", "no-eam", "no-recovery"])?;
+    let own = ["data", "store", "out", "resume", "checkpoint-dir", "checkpoint-every", "keep"];
+    let args = Args::parse(raw, &["no-tim", "no-eam", "no-recovery"], &[&own, MODEL, OBS])?;
     let trace = init_obs(&args)?;
     let ds = load_data_or_store(&args)?;
     let out = PathBuf::from(args.require("out")?);
@@ -351,7 +363,7 @@ fn load_model(args: &Args, ds: &TkgDataset) -> Result<(Retia, RetiaConfig), Stri
 
 /// `retia evaluate --data DIR --model FILE [--split valid|test] [--online] [--filtered]`.
 pub fn evaluate(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["online", "filtered"])?;
+    let args = Args::parse(raw, &["online", "filtered"], &[&["data", "model", "split"], OBS])?;
     let trace = init_obs(&args)?;
     let ds = load_data(&args)?;
     let (model, mut cfg) = load_model(&args, &ds)?;
@@ -454,77 +466,18 @@ fn parse_online_options(args: &Args) -> Result<retia_serve::OnlineOptions, Strin
     })
 }
 
-/// One-per-process deprecation notice for `--ingest-log`.
-static INGEST_LOG_DEPRECATION_WARNED: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// `--ingest-log FILE` is a deprecated alias for `--store {FILE}.store`:
-/// creates/opens that store (vocabulary sized to the dataset), migrates the
-/// legacy JSONL into it once (renaming `FILE` → `FILE.migrated`), and
-/// returns the store directory.
-fn migrate_ingest_log(file: &Path, ds: &TkgDataset) -> Result<PathBuf, String> {
-    if !INGEST_LOG_DEPRECATION_WARNED.swap(true, std::sync::atomic::Ordering::SeqCst) {
-        eprintln!(
-            "warning: --ingest-log is deprecated; it now aliases --store {}.store \
-             (binary fact log + compacted segments). Pass --store DIR directly.",
-            file.display()
-        );
-        event!(
-            Level::Warn,
-            "serve.ingest_log.deprecated";
-            "--ingest-log is deprecated: the JSONL log is migrated into a durable store"
-        );
-    }
-    let dir = PathBuf::from(format!("{}.store", file.display()));
-    let mut store = retia_store::Store::open_or_create(&dir, &ds.name, ds.granularity)
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
-    let (ents, rels) = crate::store_commands::synthetic_names(ds.num_entities, ds.num_relations);
-    store.ensure_names(&ents, &rels).map_err(|e| format!("{}: {e}", dir.display()))?;
-    if file.exists() {
-        let replay = retia_serve::online::replay_ingest_log(file)
-            .map_err(|e| format!("{}: {e}", file.display()))?;
-        let out = store
-            .append_quads_lenient(&replay.quads)
-            .map_err(|e| format!("{}: {e}", dir.display()))?;
-        let aside = PathBuf::from(format!("{}.migrated", file.display()));
-        std::fs::rename(file, &aside).map_err(|e| format!("{}: {e}", file.display()))?;
-        event!(
-            Level::Info,
-            "serve.ingest_log.migrated",
-            records = replay.records,
-            appended = out.appended,
-            skipped = out.skipped;
-            format!(
-                "migrated {} JSONL ingest record(s) ({} fact(s), {} skipped) into {}; \
-                 the old log is kept at {}",
-                replay.records,
-                out.appended,
-                out.skipped,
-                dir.display(),
-                aside.display()
-            )
-        );
-    }
-    Ok(dir)
-}
-
 /// `retia serve (--data DIR | --store DIR) --resume CKPT_DIR [--port N]
-/// [--host H] [--workers N] [--online] [--ingest-log FILE]`: online
-/// inference over HTTP from a checkpoint directory. With `--store` the boot
-/// window comes from the durable store (the same snapshots `train --store`
-/// saw) and every accepted ingest is appended to it; `--ingest-log` is a
-/// deprecated alias that migrates the legacy JSONL into `{FILE}.store`.
+/// [--host H] [--workers N] [--online]`: online inference over HTTP from a
+/// checkpoint directory. With `--store` the boot window comes from the
+/// durable store (the same snapshots `train --store` saw) and every
+/// accepted ingest is appended to it before the window advances.
 /// `--online` adds the isolated continual trainer (atomic swaps, drift
 /// rollback; tune with `--online-steps`, `--online-interval-ms`,
 /// `--max-staleness`, `--drift-threshold`, `--drift-window`).
 pub fn serve(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["online"])?;
+    let own = ["data", "store", "resume", "port", "host", "slo", "trace-slow-ms", "trace-sample"];
+    let args = Args::parse(raw, &["online"], &[&own, SERVER, OBS, ONLINE])?;
     let trace = init_obs(&args)?;
-    if args.get("store").is_some() && args.get("ingest-log").is_some() {
-        return Err(
-            "--ingest-log is a deprecated alias for --store; pass only --store DIR".to_string()
-        );
-    }
     let ds = load_data_or_store(&args)?;
     let dir = PathBuf::from(args.require("resume")?);
     // Resume rebuilds the exact trainer state (config + parameters) from
@@ -537,32 +490,6 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
         )
     })?;
     let ctx = TkgContext::new(&ds);
-    let mut window = ctx.snapshots.clone();
-
-    // Durable ingest store: `--store` uses it as both boot source and
-    // append target; the `--ingest-log` alias migrates the legacy JSONL,
-    // then replays the store's facts into the dataset window at every boot
-    // (the store holds only ingested facts in that mode).
-    let store_dir = match (args.get("store"), args.get("ingest-log")) {
-        (Some(dir), None) => Some(PathBuf::from(dir)),
-        (None, Some(file)) => {
-            let store_dir = migrate_ingest_log(Path::new(file), &ds)?;
-            let store = retia_store::Store::open(&store_dir)
-                .map_err(|e| format!("{}: {e}", store_dir.display()))?;
-            let facts = store.all_facts();
-            if !facts.is_empty() {
-                window = retia_serve::online::replay_into_window(
-                    window,
-                    &facts,
-                    ds.num_entities,
-                    ds.num_relations,
-                    trainer.cfg.k.max(1),
-                );
-            }
-            Some(store_dir)
-        }
-        _ => None,
-    };
 
     let port: u16 = args.get_or("port", 8080u16)?;
     let host = args.get_or("host", "127.0.0.1".to_string())?;
@@ -579,13 +506,12 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
         trace_slow_ms: args.get_or("trace-slow-ms", defaults.trace_slow_ms)?,
         trace_sample_every: args.get_or("trace-sample", defaults.trace_sample_every)?,
         online: if args.flag("online") { Some(parse_online_options(&args)?) } else { None },
-        // The legacy JSONL path was migrated above; both modes append to the
-        // durable store from here on.
-        ingest_log: None,
-        store: store_dir,
+        // `--store` is both the boot source (above) and the append target.
+        store: args.get("store").map(PathBuf::from),
         ..defaults
     };
-    let server = retia_serve::Server::start(retia::FrozenModel::new(trainer.model), window, &cfg)
+    let model = retia::FrozenModel::new(trainer.model);
+    let server = retia_serve::Server::start(model, ctx.snapshots, &cfg)
         .map_err(|e| format!("{}: {e}", cfg.addr))?;
     // The smoke test and scripts discover the ephemeral port from this line;
     // keep its shape stable.
@@ -639,7 +565,10 @@ fn self_host_tiny(
 }
 
 pub fn loadtest(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["online"])?;
+    // The ladder's shape, then an `--addr` target and its id spaces.
+    let ladder = ["connections", "requests", "ingest-every", "k", "out", "slo"];
+    let target = ["addr", "entities", "relations"];
+    let args = Args::parse(raw, &["online"], &[&ladder, &target, SERVER, ONLINE])?;
     let online = args.flag("online");
     let levels: Vec<usize> = args
         .get("connections")
@@ -782,7 +711,7 @@ pub fn loadtest(raw: &[String]) -> Result<(), String> {
 /// JSONL trace, or — with `--requests` — per-request stage trees from a
 /// saved `GET /v1/traces` document (`curl .../v1/traces > traces.json`).
 pub fn report(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["requests"])?;
+    let args = Args::parse(raw, &["requests"], &[&["trace"]])?;
     let path = PathBuf::from(args.require("trace")?);
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     if args.flag("requests") {
@@ -810,7 +739,7 @@ pub fn report(raw: &[String]) -> Result<(), String> {
 
 /// `retia predict --data DIR --model FILE --subject N --relation N [--topk N]`.
 pub fn predict(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &[&["data", "model", "subject", "relation", "topk"]])?;
     let ds = load_data(&args)?;
     let (model, cfg) = load_model(&args, &ds)?;
     let subject: u32 =

@@ -60,6 +60,8 @@ retia — temporal knowledge graph extrapolation (RETIA, ICDE 2023)
 USAGE:
     retia <command> [options]
 
+    An option the command does not read is an error, not silently ignored.
+
 COMMANDS:
     generate   synthesize a benchmark-shaped dataset
                --profile icews14|icews0515|icews18|yago|wiki|tiny  --out DIR [--seed N]
@@ -134,10 +136,6 @@ COMMANDS:
                                        and append every accepted ingest to it
                                        before the window advances; survives
                                        kill -9 at any byte offset
-               [--ingest-log FILE]     deprecated alias for --store: migrates
-                                       the legacy JSONL log into {FILE}.store
-                                       once (FILE is renamed FILE.migrated)
-                                       and serves from that store thereafter
     loadtest   replay a synthetic query/ingest mix and write BENCH_serve.json
                (p50/p99 latency and QPS per concurrency level)
                [--addr HOST:PORT] [--connections 1,2,4,...] [--requests N]

@@ -16,22 +16,11 @@ pub(crate) fn open_store(args: &Args) -> Result<Store, String> {
     Store::open(&dir).map_err(|e| e.to_string())
 }
 
-/// Synthetic `e{i}` / `r{i}` name lists covering a dataset's full id space,
-/// so store ids line up with dataset ids exactly.
-pub(crate) fn synthetic_names(
-    num_entities: usize,
-    num_relations: usize,
-) -> (Vec<String>, Vec<String>) {
-    (
-        (0..num_entities).map(|i| format!("e{i}")).collect(),
-        (0..num_relations).map(|i| format!("r{i}")).collect(),
-    )
-}
-
 /// `retia ingest --store DIR (--facts FILE.tsv | --from-data DIR) [--append]
 /// [--name NAME] [--granularity day|year] [--compact]`.
 pub fn ingest(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["append", "compact"])?;
+    let own = ["store", "facts", "from-data", "name", "granularity"];
+    let args = Args::parse(raw, &["append", "compact"], &[&own])?;
     let dir = PathBuf::from(args.require("store")?);
     // `--from-data` is loaded up front so a new store can inherit the
     // dataset's name and granularity unless overridden.
@@ -64,18 +53,12 @@ pub fn ingest(raw: &[String]) -> Result<(), String> {
             let rows = retia_store::parse_named_tsv(&text).map_err(|e| format!("{path}: {e}"))?;
             store.append_named(&rows).map_err(|e| e.to_string())?
         }
-        Some(ds) => {
-            let (ents, rels) = synthetic_names(ds.num_entities, ds.num_relations);
-            store.ensure_names(&ents, &rels).map_err(|e| e.to_string())?;
-            let quads: Vec<_> = ds.all_quads().copied().collect();
-            store.append_quads(&quads).map_err(|e| e.to_string())?
-        }
+        Some(ds) => store.append_dataset(ds).map_err(|e| e.to_string())?,
     };
     let stats = store.stats();
     println!(
-        "appended {} fact(s) ({} skipped, {} new entities, {} new relations) to {}",
+        "appended {} fact(s) ({} new entities, {} new relations) to {}",
         outcome.appended,
-        outcome.skipped,
         outcome.new_entities,
         outcome.new_relations,
         dir.display()
@@ -104,7 +87,7 @@ pub fn ingest(raw: &[String]) -> Result<(), String> {
 
 /// `retia compact --store DIR`.
 pub fn compact(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &[&["store"]])?;
     let mut store = open_store(&args)?;
     let out = store.compact().map_err(|e| e.to_string())?;
     match out.segment {
@@ -148,7 +131,8 @@ fn fact_json(store: &Store, q: &retia_graph::Quad) -> Value {
 /// `retia query --store DIR [--subject X] [--relation X] [--object X]
 /// [--since T] [--until T] [--limit N] [--json]`.
 pub fn query(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["json"])?;
+    let own = ["store", "subject", "relation", "object", "since", "until", "limit"];
+    let args = Args::parse(raw, &["json"], &[&own])?;
     let store = open_store(&args)?;
     let filter = FactFilter {
         s: args.get("subject").map(|v| resolve_entity(&store, v, "--subject")).transpose()?,
@@ -200,7 +184,7 @@ pub fn query(raw: &[String]) -> Result<(), String> {
 /// `retia path --store DIR --from X --to X [--since T] [--max-hops N]
 /// [--json]`.
 pub fn path(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["json"])?;
+    let args = Args::parse(raw, &["json"], &[&["store", "from", "to", "since", "max-hops"]])?;
     let store = open_store(&args)?;
     let q = PathQuery {
         from: resolve_entity(&store, args.require("from")?, "--from")?,
@@ -252,7 +236,7 @@ pub fn path(raw: &[String]) -> Result<(), String> {
 
 /// `retia communities --store DIR [--at T] [--json]`.
 pub fn communities(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["json"])?;
+    let args = Args::parse(raw, &["json"], &[&["store", "at"]])?;
     let store = open_store(&args)?;
     let snaps: Vec<_> = store
         .groups()
@@ -344,7 +328,7 @@ pub fn communities(raw: &[String]) -> Result<(), String> {
 
 /// `retia export --store DIR --format json|csv|graphml|cypher [--out FILE]`.
 pub fn export(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &[&["store", "format", "out"]])?;
     let store = open_store(&args)?;
     let token = args.require("format")?;
     let format = ExportFormat::parse(token)

@@ -1,7 +1,8 @@
-//! Smoke test for `retia serve --online --ingest-log`: generate → train →
-//! serve with the continual trainer live → ingest under training → kill -9
-//! the process mid-operation → restart on the same ingest log and verify the
-//! replayed window serves cleanly — all through the real binary.
+//! Smoke test for `retia serve --online --store`: generate → `ingest
+//! --from-data` → train and serve from the store with the continual trainer
+//! live → ingest under training → kill -9 the process mid-operation →
+//! restart on the same store and verify the replayed window serves cleanly
+//! — all through the real binary.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -62,12 +63,12 @@ impl Drop for Reap {
     }
 }
 
-fn spawn_serve(data: &str, ckpts: &str, log: &str) -> (Reap, String) {
+fn spawn_serve(store: &str, ckpts: &str) -> (Reap, String) {
     let mut child = Reap(
         retia(&[
             "serve",
-            "--data",
-            data,
+            "--store",
+            store,
             "--resume",
             ckpts,
             "--port",
@@ -77,8 +78,6 @@ fn spawn_serve(data: &str, ckpts: &str, log: &str) -> (Reap, String) {
             "--online",
             "--online-interval-ms",
             "20",
-            "--ingest-log",
-            log,
             "--log-level",
             "off",
         ])
@@ -110,22 +109,23 @@ fn window_end(addr: &str) -> u64 {
 }
 
 #[test]
-fn online_serve_survives_kill_dash_nine_and_replays_ingest_log() {
+fn online_serve_survives_kill_dash_nine_and_replays_store() {
     let dir = std::env::temp_dir().join(format!("retia-online-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let data = dir.join("data");
     let ckpts = dir.join("ckpts");
-    let log = dir.join("ingest.jsonl");
+    let store = dir.join("store");
     let data_s = data.to_string_lossy().into_owned();
     let ckpt_s = ckpts.to_string_lossy().into_owned();
-    let log_s = log.to_string_lossy().into_owned();
+    let store_s = store.to_string_lossy().into_owned();
 
     run(&["generate", "--profile", "tiny", "--out", &data_s]);
+    run(&["ingest", "--store", &store_s, "--from-data", &data_s]);
     run(&[
         "train",
-        "--data",
-        &data_s,
+        "--store",
+        &store_s,
         "--out",
         &dir.join("model.bin").to_string_lossy(),
         "--dim",
@@ -142,8 +142,8 @@ fn online_serve_survives_kill_dash_nine_and_replays_ingest_log() {
         "off",
     ]);
 
-    // Life 1: the trainer is live and the ingest log absorbs a new fact.
-    let (mut child, addr) = spawn_serve(&data_s, &ckpt_s, &log_s);
+    // Life 1: the trainer is live and the store absorbs a new fact.
+    let (mut child, addr) = spawn_serve(&store_s, &ckpt_s);
 
     let (status, body) = http(&addr, "GET", "/healthz", None);
     assert_eq!(status, 200, "{body}");
@@ -166,14 +166,14 @@ fn online_serve_survives_kill_dash_nine_and_replays_ingest_log() {
     assert_eq!(window_end(&addr), end + 1, "ingest did not advance the window");
 
     // Give the continual trainer a chance to be mid-round, then kill -9: no
-    // drain, no shutdown hook — the durability story is the ingest log alone.
+    // drain, no shutdown hook — the durability story is the store alone.
     std::thread::sleep(Duration::from_millis(50));
     child.0.kill().expect("kill -9 serve");
     drop(child);
 
-    // Life 2: boot replays the log; the ingested fact must still be in the
+    // Life 2: boot reads the store; the ingested fact must still be in the
     // window and serving must come up clean (liveness + readiness).
-    let (mut child, addr) = spawn_serve(&data_s, &ckpt_s, &log_s);
+    let (mut child, addr) = spawn_serve(&store_s, &ckpt_s);
     assert_eq!(window_end(&addr), end + 1, "ingest log was not replayed after kill -9");
     let (status, body) = http(&addr, "GET", "/healthz?ready=1", None);
     assert_eq!(status, 200, "restarted server is not ready: {body}");

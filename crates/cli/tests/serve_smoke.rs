@@ -211,6 +211,32 @@ fn serve_smoke_query_ingest_requery_shutdown() {
     cleanup(&dir);
 }
 
+/// An option `serve` does not read fails the command before any work: the
+/// deleted JSONL log flag, or a typo of `--store`, must not boot a server
+/// that silently drops durability. The dataset path does not exist, so
+/// only the flag check can produce the error.
+#[test]
+fn serve_rejects_options_it_does_not_read() {
+    for flag in ["--ingest-log", "--stroe"] {
+        let args = [
+            "serve",
+            "--data",
+            "no-such-data",
+            "--resume",
+            "no-such-ckpt",
+            "--port",
+            "0",
+            flag,
+            "x",
+        ];
+        let out = retia(&args).output().expect("spawn retia");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "serve accepted {flag}");
+        assert!(stderr.contains(flag), "error does not name {flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "serve did work before rejecting {flag}");
+    }
+}
+
 fn cleanup(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
 }

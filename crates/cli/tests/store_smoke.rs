@@ -188,69 +188,6 @@ fn store_lifecycle_survives_kill_dash_nine() {
     cleanup(&dir);
 }
 
-/// Satellite 1: a pre-existing PR-9 JSONL ingest log is migrated into
-/// `{FILE}.store` on the first `--ingest-log` boot (the legacy file is
-/// renamed `FILE.migrated`), and later boots serve from the store alone.
-#[test]
-fn legacy_ingest_log_is_migrated_into_a_store() {
-    let dir = std::env::temp_dir().join(format!("retia-store-migrate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let data_s = dir.join("data").to_string_lossy().into_owned();
-    let ckpt_s = dir.join("ckpts").to_string_lossy().into_owned();
-    let log = dir.join("ingest.jsonl");
-    let log_s = log.to_string_lossy().into_owned();
-
-    run(&["generate", "--profile", "tiny", "--out", &data_s]);
-    run(&[
-        "train",
-        "--data",
-        &data_s,
-        "--out",
-        &dir.join("model.bin").to_string_lossy(),
-        "--dim",
-        "8",
-        "--channels",
-        "4",
-        "--k",
-        "2",
-        "--epochs",
-        "1",
-        "--checkpoint-dir",
-        &ckpt_s,
-        "--log-level",
-        "off",
-    ]);
-
-    // A legacy log written by the PR-9 writer, with a fact past the
-    // dataset's horizon so its effect on window_end is unambiguous.
-    let mut legacy = retia_serve::online::IngestLog::open_append(&log).expect("write legacy JSONL");
-    legacy.append(&[retia_graph::Quad { s: 0, r: 0, o: 1, t: 500 }]).expect("append legacy");
-    drop(legacy);
-
-    let (child, addr) =
-        spawn_serve(&["--data", &data_s, "--resume", &ckpt_s, "--ingest-log", &log_s]);
-    assert_eq!(window_end(&addr), 500, "migrated fact missing from the boot window");
-    assert!(!log.exists(), "legacy JSONL still present after migration");
-    assert!(dir.join("ingest.jsonl.migrated").exists(), "legacy JSONL was not kept as .migrated");
-    assert!(
-        dir.join("ingest.jsonl.store").join("store.json").exists(),
-        "store manifest missing after migration"
-    );
-    drop(child);
-
-    // Second boot: the JSONL is gone; the store alone carries the fact.
-    let (mut child, addr) =
-        spawn_serve(&["--data", &data_s, "--resume", &ckpt_s, "--ingest-log", &log_s]);
-    assert_eq!(window_end(&addr), 500, "store did not carry the migrated fact");
-    let (status, body) = http(&addr, "POST", "/admin/shutdown", None);
-    assert_eq!(status, 200, "{body}");
-    let status = child.0.wait().expect("wait for serve");
-    assert!(status.success(), "serve exited with {status}");
-
-    cleanup(&dir);
-}
-
 fn cleanup(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir);
 }

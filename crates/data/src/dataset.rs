@@ -1,6 +1,6 @@
 //! The dataset container and its temporal split.
 
-use retia_graph::{group_by_timestamp, Quad, Snapshot};
+use retia_graph::{check_facts, group_by_timestamp, Quad, Snapshot};
 
 /// Timestamp granularity of a dataset (Table V's `#Granularity` row).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,14 +158,8 @@ impl TkgDataset {
     pub fn validate(&self) -> Result<(), String> {
         for (split, quads) in [("train", &self.train), ("valid", &self.valid), ("test", &self.test)]
         {
-            for q in quads.iter() {
-                if q.s as usize >= self.num_entities || q.o as usize >= self.num_entities {
-                    return Err(format!("{split}: entity id out of range in {q:?}"));
-                }
-                if q.r as usize >= self.num_relations {
-                    return Err(format!("{split}: relation id out of range in {q:?}"));
-                }
-            }
+            check_facts(quads, None, self.num_entities, self.num_relations)
+                .map_err(|e| format!("{split}: {e}"))?;
         }
         let max_train = self.train.iter().map(|q| q.t).max();
         let min_valid = self.valid.iter().map(|q| q.t).min();

@@ -77,7 +77,7 @@ impl HyperRel {
 /// let hyper = HyperSnapshot::from_snapshot(&snap);
 /// assert!(hyper.has_edge(HyperRel::ObjectSubject.id(), 0, 1));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HyperSnapshot {
     /// Timestamp (same as the underlying snapshot).
     pub t: u32,

@@ -11,7 +11,12 @@
 //!   twin-interact module's mean pooling;
 //! * [`HyperSnapshot`] — the *twin hyperrelation subgraph* of a snapshot
 //!   (Algorithm 1 of the paper): relation nodes joined by the four positional
-//!   hyperrelations `o-s`, `s-o`, `o-o`, `s-s` (plus their inverses).
+//!   hyperrelations `o-s`, `s-o`, `o-o`, `s-s` (plus their inverses);
+//! * [`Window`] — the last `k` snapshots of a forward-only fact stream under
+//!   the stream's one rule (ids in range, timestamps never move backwards,
+//!   same-timestamp facts merge into the newest group), which the store's
+//!   unbounded fact history shares through [`check_facts`] and
+//!   [`merge_groups`].
 //!
 //! The hyperrelation construction is the paper's sparse boolean products
 //! `RO×RS`, `RS×RO`, `RO×RO`, `RS×RS` realized as joins on the shared
@@ -22,7 +27,9 @@
 mod hypergraph;
 mod quad;
 mod snapshot;
+mod window;
 
 pub use hypergraph::{HyperRel, HyperSnapshot, NUM_HYPERRELS, NUM_HYPERRELS_WITH_INV};
 pub use quad::{group_by_timestamp, Quad};
 pub use snapshot::Snapshot;
+pub use window::{check_facts, merge_groups, Window, WindowError};

@@ -34,10 +34,9 @@ use std::time::Instant;
 
 use retia::{FrozenModel, FrozenStates};
 use retia_eval::{top_k, top_k_sharded};
-use retia_graph::{group_by_timestamp, HyperSnapshot, Quad, Snapshot};
+use retia_graph::{HyperSnapshot, Quad, Snapshot, Window};
 use retia_obs::trace::{self, TraceFrame};
 
-use crate::online::IngestLog;
 use crate::stages;
 
 /// What a single query predicts.
@@ -151,20 +150,16 @@ pub struct EngineOptions {
     /// (`1` = the fused single-thread path). Any value produces bit-identical
     /// ranks; see `FrozenModel::decode_entity_sharded`.
     pub decode_shards: usize,
-    /// Durability log: accepted ingest facts are appended here as
-    /// CRC-stamped JSONL **before** the epoch bump, so a crashed server
-    /// rebuilds the same window on restart (see [`crate::online::IngestLog`]).
-    pub ingest_log: Option<PathBuf>,
     /// Durable store directory: accepted ingest facts are appended to the
-    /// store's binary fact log **before** the epoch bump (the successor of
-    /// `ingest_log`; see `retia_store::Appender`). The store must already
-    /// exist — the CLI creates it at boot.
+    /// store's fact log **before** the window advances (see
+    /// `retia_store::Appender`), so a restart booted from the same store
+    /// serves the same window. The store must already exist.
     pub store: Option<PathBuf>,
 }
 
 impl Default for EngineOptions {
     fn default() -> EngineOptions {
-        EngineOptions { queue_cap: 256, decode_shards: 1, ingest_log: None, store: None }
+        EngineOptions { queue_cap: 256, decode_shards: 1, store: None }
     }
 }
 
@@ -467,31 +462,33 @@ pub struct Engine {
 
 impl Engine {
     /// Spawns the engine thread around a frozen model and the initial
-    /// history window (the last `k` snapshots of the training stream;
-    /// possibly empty), with default [`EngineOptions`].
+    /// history window (the snapshots of the training stream, of which the
+    /// newest `k` are kept; possibly empty), with default [`EngineOptions`].
     pub fn start(model: FrozenModel, window: Vec<Snapshot>) -> std::io::Result<Engine> {
         Engine::start_with(model, window, EngineOptions::default())
     }
 
-    /// [`Engine::start`] with explicit queue bound and decode sharding.
+    /// [`Engine::start`] with explicit queue bound, decode sharding and
+    /// durable store. A boot window that is out of timestamp order or built
+    /// over another id space than the model's is an
+    /// [`std::io::ErrorKind::InvalidInput`] error.
     pub fn start_with(
         model: FrozenModel,
         window: Vec<Snapshot>,
         opts: EngineOptions,
     ) -> std::io::Result<Engine> {
+        let (k, n, m) = (model.cfg().k, model.num_entities(), model.num_relations());
+        let window = Window::from_snapshots(k, n, m, window).map_err(|e| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("boot window: {e}"))
+        })?;
         let shared = Arc::new(Shared::new(opts.queue_cap));
         let stats = Arc::new(EngineStats::default());
         let handle = EngineHandle { shared: Arc::clone(&shared), stats: Arc::clone(&stats) };
-        let ingest_log = match &opts.ingest_log {
-            Some(path) => Some(IngestLog::open_append(path)?),
-            None => None,
-        };
         let store = match &opts.store {
             Some(dir) => Some(retia_store::Appender::open(dir).map_err(std::io::Error::other)?),
             None => None,
         };
-        let mut state =
-            EngineState::new(model, window, opts.decode_shards, stats, ingest_log, store);
+        let mut state = EngineState::new(model, window, opts.decode_shards, stats, store);
         let thread = std::thread::Builder::new()
             .name("retia-serve-engine".to_string())
             .spawn(move || state.run(&shared))?;
@@ -517,10 +514,8 @@ impl Engine {
 /// Everything the engine thread owns exclusively.
 struct EngineState {
     model: FrozenModel,
-    /// `(timestamp, facts)` per window snapshot, oldest first, ≤ `k` long.
-    window: Vec<(u32, Vec<Quad>)>,
-    snaps: Vec<Snapshot>,
-    hypers: Vec<HyperSnapshot>,
+    /// The last `k` snapshots and their hypergraphs.
+    window: Window,
     /// `(epoch, window_end, states)`, most recent last.
     cache: VecDeque<(u64, u32, FrozenStates)>,
     cache_cap: usize,
@@ -530,66 +525,43 @@ struct EngineState {
     /// Entity-decode sharding degree (`1` = fused single-thread path).
     decode_shards: usize,
     stats: Arc<EngineStats>,
-    ingest_log: Option<IngestLog>,
     store: Option<retia_store::Appender>,
 }
 
 impl EngineState {
     fn new(
         model: FrozenModel,
-        window: Vec<Snapshot>,
+        window: Window,
         decode_shards: usize,
         stats: Arc<EngineStats>,
-        ingest_log: Option<IngestLog>,
         store: Option<retia_store::Appender>,
     ) -> EngineState {
-        let k = model.cfg().k.max(1);
-        let tail = window.len().saturating_sub(k);
-        let window: Vec<(u32, Vec<Quad>)> =
-            window[tail..].iter().map(|s| (s.t, s.facts.clone())).collect();
-        let mut state = EngineState {
+        let state = EngineState {
             model,
             window,
-            snaps: Vec::new(),
-            hypers: Vec::new(),
             cache: VecDeque::new(),
             cache_cap: 4,
             epoch: 0,
             model_epoch: 0,
             decode_shards: decode_shards.max(1),
             stats,
-            ingest_log,
             store,
         };
-        state.rebuild_graphs();
+        state.publish_window_gauges();
         state
     }
 
     fn window_end(&self) -> u32 {
-        self.window.last().map(|(t, _)| *t).unwrap_or(0)
+        self.window.end().unwrap_or(0)
     }
 
     fn window_start(&self) -> u32 {
-        self.window.first().map(|(t, _)| *t).unwrap_or(0)
+        self.window.start().unwrap_or(0)
     }
 
-    /// Recomputes `Snapshot`/`HyperSnapshot` structures from the window's
-    /// raw facts (after construction and after every ingest).
-    fn rebuild_graphs(&mut self) {
-        let n = self.model.num_entities();
-        let m = self.model.num_relations();
-        self.snaps = self
-            .window
-            .iter()
-            .map(|(t, facts)| {
-                let mut snap = Snapshot::from_quads(facts, n, m);
-                snap.t = *t;
-                snap
-            })
-            .collect();
-        self.hypers = self.snaps.iter().map(HyperSnapshot::from_snapshot).collect();
+    fn publish_window_gauges(&self) {
         retia_obs::metrics::set_gauge("serve.window_end", self.window_end() as f64);
-        retia_obs::metrics::set_gauge("serve.window_len", self.window.len() as f64);
+        retia_obs::metrics::set_gauge("serve.window_len", self.window.snapshots().len() as f64);
     }
 
     /// Makes sure the current epoch's evolved states are cached, recording
@@ -603,7 +575,7 @@ impl EngineState {
             return;
         }
         retia_obs::metrics::inc("serve.cache_miss");
-        let states = self.model.evolve_window(&self.snaps, &self.hypers);
+        let states = self.model.evolve_window(self.window.snapshots(), self.window.hypers());
         self.cache.push_back((self.epoch, self.window_end(), states));
         while self.cache.len() > self.cache_cap {
             self.cache.pop_front();
@@ -647,8 +619,8 @@ impl EngineState {
                     }
                     Job::Window(reply) => {
                         let _ = reply.send(Ok(WindowView {
-                            snaps: self.snaps.clone(),
-                            hypers: self.hypers.clone(),
+                            snaps: self.window.snapshots().to_vec(),
+                            hypers: self.window.hypers().to_vec(),
                             epoch: self.epoch,
                             window_end: self.window_end(),
                         }));
@@ -679,43 +651,11 @@ impl EngineState {
         if facts.is_empty() {
             return Err(EngineError::InvalidIngest("no facts in payload".to_string()));
         }
-        let n = self.model.num_entities() as u32;
-        let m = self.model.num_relations() as u32;
-        let end = self.window_end();
-        for q in facts {
-            if q.s >= n || q.o >= n {
-                return Err(EngineError::InvalidIngest(format!(
-                    "entity id out of range in ({}, {}, {}, {}): have {n} entities",
-                    q.s, q.r, q.o, q.t
-                )));
-            }
-            if q.r >= m {
-                return Err(EngineError::InvalidIngest(format!(
-                    "relation id {} out of range: have {m} relations",
-                    q.r
-                )));
-            }
-            if !self.window.is_empty() && q.t < end {
-                return Err(EngineError::InvalidIngest(format!(
-                    "timestamp {} precedes the window end {end}; extrapolation ingests \
-                     forward only",
-                    q.t
-                )));
-            }
-        }
-        // Durability first: the log must hold the facts before any epoch
+        let invalid = |e: retia_graph::WindowError| EngineError::InvalidIngest(e.to_string());
+        self.window.check(facts).map_err(invalid)?;
+        // Durability first: the store must hold the facts before any epoch
         // observable to clients reflects them. A failed append degrades
         // durability, not availability — warn and keep serving.
-        if let Some(log) = &mut self.ingest_log {
-            if let Err(e) = log.append(facts) {
-                retia_obs::metrics::inc("serve.ingest_log.write_errors");
-                retia_obs::event!(
-                    retia_obs::Level::Warn,
-                    "serve.ingest_log.write_error";
-                    format!("ingest log append failed ({e}); facts accepted without durability")
-                );
-            }
-        }
         if let Some(store) = &mut self.store {
             if let Err(e) = store.append_quads(facts) {
                 retia_obs::metrics::inc("store.append_errors");
@@ -726,18 +666,12 @@ impl EngineState {
                 );
             }
         }
-        for (t, group) in group_by_timestamp(facts) {
-            match self.window.last_mut() {
-                Some((last_t, last_facts)) if *last_t == t => last_facts.extend(group),
-                _ => self.window.push((t, group)),
-            }
-        }
-        let k = self.model.cfg().k.max(1);
-        let overflow = self.window.len().saturating_sub(k);
-        self.window.drain(..overflow);
+        // The check above passed against this same window, so the push
+        // applies: an appended batch is never left out of the window.
+        self.window.push(facts).map_err(invalid)?;
         self.epoch += 1;
         self.stats.ingest_epoch.store(self.epoch, Ordering::Release);
-        self.rebuild_graphs();
+        self.publish_window_gauges();
         // Warm the cache eagerly: the recurrence cost lands on the ingest
         // call instead of the next query.
         self.ensure_states();
@@ -746,7 +680,7 @@ impl EngineState {
             accepted: facts.len(),
             window_start: self.window_start(),
             window_end: self.window_end(),
-            window_len: self.window.len(),
+            window_len: self.window.snapshots().len(),
             epoch: self.epoch,
             // Filled by the run loop, which owns the queue-wait measurement.
             queue_wait_ns: 0,
@@ -1152,6 +1086,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn boot_window_over_another_id_space_is_invalid_input() {
+        let ds = SyntheticConfig::tiny(5).generate();
+        let ctx = TkgContext::new(&ds);
+        let cfg = RetiaConfig { dim: 8, channels: 4, k: 2, ..Default::default() };
+        // The newest boot snapshot is built at N + 1 and holds entity id N,
+        // which the model does not have.
+        let mut window = ctx.snapshots.clone();
+        let last = window.last_mut().expect("nonempty window");
+        let wide = Quad::new(ds.num_entities as u32, 0, 0, last.t);
+        *last = Snapshot::from_quads(&[wide], ds.num_entities + 1, ds.num_relations);
+
+        let engine = Engine::start(FrozenModel::new(Retia::new(&cfg, &ds)), window.clone());
+        assert_eq!(engine.err().map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
+        let model = FrozenModel::new(Retia::new(&cfg, &ds));
+        let server = crate::Server::start(model, window, &crate::ServeConfig::default());
+        assert_eq!(server.err().map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
+    }
+
+    /// A store-backed server ingests a same-t merge, one batch over two new
+    /// timestamps and a batch that pushes the oldest snapshots out of the
+    /// window; a server booted from the reopened store must then hold the
+    /// same window and answer the same probes bit for bit.
+    #[test]
+    fn store_backed_window_reboots_bit_identically() {
+        let ds = SyntheticConfig::tiny(5).generate();
+        let cfg = RetiaConfig { dim: 8, channels: 4, k: 4, ..Default::default() };
+        let dir = std::env::temp_dir().join(format!("retia-engine-window-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store =
+            retia_store::Store::create(&dir, &ds.name, ds.granularity).expect("create store");
+        store.append_dataset(&ds).expect("seed the store");
+        let boot = store.window(cfg.k);
+        drop(store);
+        let start = |window: Vec<Snapshot>, store: Option<std::path::PathBuf>| {
+            let serve_cfg = crate::ServeConfig { workers: 1, store, ..Default::default() };
+            crate::Server::start(FrozenModel::new(Retia::new(&cfg, &ds)), window, &serve_cfg)
+                .expect("server boots")
+        };
+
+        let live = start(boot, Some(dir.clone()));
+        let h = live.engine_handle();
+        let end = h.window().expect("window view").window_end;
+        let (n, m) = (ds.num_entities as u32, ds.num_relations as u32);
+        let fact = |i: u32, t: u32| Quad::new(i % n, i % m, (7 * i + 1) % n, t);
+        let merged = h.ingest(vec![fact(1, end), fact(2, end)]).expect("same-t merge");
+        assert_eq!((merged.window_end, merged.window_len), (end, cfg.k));
+        let spanned = h
+            .ingest(vec![fact(3, end + 2), fact(4, end + 1), fact(5, end + 2)])
+            .expect("two new timestamps");
+        assert_eq!((spanned.window_start, spanned.window_end), (end - 1, end + 2));
+        let slid = h.ingest(vec![fact(6, end + 3)]).expect("forward ingest");
+        assert_eq!((slid.window_start, slid.window_end, slid.window_len), (end, end + 3, cfg.k));
+
+        let probes: Vec<Query> = (0..6u32)
+            .map(|i| match i % 3 {
+                2 => Query { kind: QueryKind::Relation, subject: i % n, b: (i + 1) % n, k: 5 },
+                _ => Query { kind: QueryKind::Entity, subject: i % n, b: i % (2 * m), k: 5 },
+            })
+            .collect();
+        let live_answer = h.query(probes.clone()).expect("live probes");
+        let live_view = h.window().expect("live window");
+        live.shutdown();
+
+        let reopened = retia_store::Store::open(&dir).expect("store reopens").window(cfg.k);
+        let rebooted = start(reopened, None);
+        let h = rebooted.engine_handle();
+        let answer = h.query(probes).expect("rebooted probes");
+        let view = h.window().expect("rebooted window");
+        rebooted.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let span = |v: &WindowView| (v.snaps[0].t, v.window_end, v.snaps.len());
+        assert_eq!(span(&view), span(&live_view));
+        assert_eq!((view.snaps, view.hypers), (live_view.snaps, live_view.hypers));
+        let bits = |r: &QueryResponse| -> Vec<(u32, u32, u32)> {
+            let ranked = r.results.iter().flat_map(|t| &t.candidates);
+            ranked.map(|&(id, score)| (r.window_end, id, score.to_bits())).collect()
+        };
+        assert_eq!(bits(&answer), bits(&live_answer), "rebooted server answers differently");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Self-healing online learning: the continual-trainer supervisor, the
-//! drift monitor with rollback, and the CRC-stamped ingest durability log.
+//! Self-healing online learning: the continual-trainer supervisor and the
+//! drift monitor with rollback. Ingest durability is the store's: the
+//! engine appends every accepted batch through `retia_store::Appender`.
 //!
 //! The supervisor runs on its own thread, completely isolated from the
 //! serving path: it polls the engine for the current history window, runs a
@@ -23,9 +24,6 @@
 //! faults, and `trainer-panic@R` clauses kill training round `R` outright
 //! to prove the isolation boundary holds.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -34,9 +32,7 @@ use std::time::Duration;
 use retia::{entity_queries, FrozenModel, RecoveryPolicy, Retia, TrainError, Trainer};
 use retia_analyze::ChaosPlan;
 use retia_eval::rank_of;
-use retia_graph::{group_by_timestamp, HyperSnapshot, Quad, Snapshot};
-use retia_json::Value;
-use retia_tensor::serialize::crc32;
+use retia_graph::{HyperSnapshot, Snapshot};
 
 use crate::engine::{EngineError, EngineHandle, SwapRequest, WindowView};
 use crate::stages;
@@ -560,290 +556,9 @@ fn window_mrr(
     rr / targets.len() as f64
 }
 
-// ---------------------------------------------------------------------------
-// Ingest durability log
-// ---------------------------------------------------------------------------
-
-/// Append-only JSONL durability log for accepted ingest facts. Each line is
-/// `{"crc":C,"facts":[[s,r,o,t],...]}` where `C` is the CRC-32 of the
-/// compact `facts` array text — enough to detect the torn or bit-flipped
-/// tail a crash mid-append leaves behind.
-pub struct IngestLog {
-    file: File,
-}
-
-impl IngestLog {
-    /// Opens (creating if needed) the log for appending.
-    pub fn open_append(path: &Path) -> std::io::Result<IngestLog> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(IngestLog { file })
-    }
-
-    /// Appends one accepted ingest batch and syncs it to disk.
-    pub fn append(&mut self, facts: &[Quad]) -> std::io::Result<()> {
-        let line = record_line(facts);
-        self.file.write_all(line.as_bytes())?;
-        self.file.sync_data()
-    }
-}
-
-fn facts_json(facts: &[Quad]) -> String {
-    Value::Array(
-        facts
-            .iter()
-            .map(|q| Value::Array(vec![q.s.into(), q.r.into(), q.o.into(), q.t.into()]))
-            .collect(),
-    )
-    .to_string_compact()
-}
-
-fn record_line(facts: &[Quad]) -> String {
-    let body = facts_json(facts);
-    let crc = crc32(body.as_bytes());
-    format!("{{\"crc\":{crc},\"facts\":{body}}}\n")
-}
-
-/// What boot replay recovered from an ingest log.
-#[derive(Debug, Default)]
-pub struct ReplayOutcome {
-    /// Every fact from the valid prefix, in append order.
-    pub quads: Vec<Quad>,
-    /// Valid records replayed.
-    pub records: usize,
-    /// Byte length the log was truncated to when a corrupt tail was found
-    /// (`None`: the whole log was valid).
-    pub truncated_to: Option<u64>,
-}
-
-/// Reads an ingest log, returning the facts of its valid prefix. A corrupt
-/// tail — torn final write, bit flip, garbage — is detected by the per-line
-/// CRC and **cleanly truncated** in place at the last valid record, so the
-/// next boot sees a wholly valid log.
-pub fn replay_ingest_log(path: &Path) -> std::io::Result<ReplayOutcome> {
-    let _t = retia_obs::span!(stages::REPLAY);
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(ReplayOutcome::default());
-        }
-        Err(e) => return Err(e),
-    };
-    let mut out = ReplayOutcome::default();
-    let mut offset = 0usize;
-    let mut corrupt = false;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        let (line, consumed) = match rest.iter().position(|&b| b == b'\n') {
-            Some(i) => (&rest[..i], i + 1),
-            // No trailing newline: accept the record anyway if it parses
-            // and its CRC matches (the payload is complete; only the
-            // delimiter was lost).
-            None => (rest, rest.len()),
-        };
-        match parse_record(line) {
-            Some(facts) => {
-                out.quads.extend(facts);
-                out.records += 1;
-                offset += consumed;
-            }
-            None => {
-                corrupt = true;
-                break;
-            }
-        }
-    }
-    if corrupt {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(offset as u64)?;
-        file.sync_data()?;
-        out.truncated_to = Some(offset as u64);
-        let dropped = bytes.len() - offset;
-        retia_obs::metrics::inc("serve.ingest_log.truncations");
-        retia_obs::event!(
-            retia_obs::Level::Warn,
-            "serve.ingest_log.truncated",
-            valid_records = out.records,
-            dropped_bytes = dropped;
-            format!(
-                "ingest log tail corrupt after {} valid record(s); truncated {} byte(s)",
-                out.records, dropped
-            )
-        );
-    }
-    retia_obs::metrics::set_gauge("serve.ingest_log.records", out.records as f64);
-    Ok(ReplayOutcome { quads: out.quads, records: out.records, truncated_to: out.truncated_to })
-}
-
-fn parse_record(line: &[u8]) -> Option<Vec<Quad>> {
-    let text = std::str::from_utf8(line).ok()?;
-    if text.trim().is_empty() {
-        return None;
-    }
-    let value = retia_json::parse(text).ok()?;
-    let crc = value.get("crc")?.as_u64()?;
-    let facts = value.get("facts")?;
-    // The CRC covers the compact rendering, which round-trips exactly for
-    // the u32 components a Quad holds.
-    if u64::from(crc32(facts.to_string_compact().as_bytes())) != crc {
-        return None;
-    }
-    let rows = facts.as_array()?;
-    let mut quads = Vec::with_capacity(rows.len());
-    for row in rows {
-        let cols = row.as_array()?;
-        if cols.len() != 4 {
-            return None;
-        }
-        let col = |i: usize| cols[i].as_u64().and_then(|v| u32::try_from(v).ok());
-        quads.push(Quad::new(col(0)?, col(1)?, col(2)?, col(3)?));
-    }
-    Some(quads)
-}
-
-/// Merges replayed facts into a boot window using the engine's ingest
-/// discipline: group by timestamp, extend the newest snapshot on a
-/// timestamp match, append forward-only, trim to the last `k`. Facts that
-/// jumped behind the window end (possible after a dataset change under the
-/// same log) are skipped with a warning rather than rejected.
-pub fn replay_into_window(
-    window: Vec<Snapshot>,
-    quads: &[Quad],
-    num_entities: usize,
-    num_relations: usize,
-    k: usize,
-) -> Vec<Snapshot> {
-    let mut groups: Vec<(u32, Vec<Quad>)> = window.iter().map(|s| (s.t, s.facts.clone())).collect();
-    let mut skipped = 0usize;
-    for (t, group) in group_by_timestamp(quads) {
-        let in_range = group.iter().all(|q| {
-            (q.s as usize) < num_entities
-                && (q.o as usize) < num_entities
-                && (q.r as usize) < num_relations
-        });
-        let end = groups.last().map(|(t, _)| *t);
-        if !in_range || end.is_some_and(|e| t < e) {
-            skipped += group.len();
-            continue;
-        }
-        match groups.last_mut() {
-            Some((last_t, last_facts)) if *last_t == t => last_facts.extend(group),
-            _ => groups.push((t, group)),
-        }
-    }
-    if skipped > 0 {
-        retia_obs::event!(
-            retia_obs::Level::Warn,
-            "serve.ingest_log.skipped",
-            facts = skipped;
-            format!("{skipped} replayed fact(s) out of window/id range; skipped")
-        );
-    }
-    let k = k.max(1);
-    let overflow = groups.len().saturating_sub(k);
-    groups
-        .into_iter()
-        .skip(overflow)
-        .map(|(t, facts)| {
-            let mut snap = Snapshot::from_quads(&facts, num_entities, num_relations);
-            snap.t = t;
-            snap
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("retia-online-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir.join("ingest.jsonl")
-    }
-
-    fn facts(t: u32) -> Vec<Quad> {
-        vec![Quad::new(0, 0, 1, t), Quad::new(1, 1, 2, t)]
-    }
-
-    #[test]
-    fn ingest_log_roundtrips() {
-        let path = tmp("roundtrip");
-        let mut log = IngestLog::open_append(&path).expect("open");
-        log.append(&facts(5)).expect("append");
-        log.append(&facts(6)).expect("append");
-        let replay = replay_ingest_log(&path).expect("replay");
-        assert_eq!(replay.records, 2);
-        assert_eq!(replay.quads.len(), 4);
-        assert_eq!(replay.quads[0], Quad::new(0, 0, 1, 5));
-        assert_eq!(replay.quads[3], Quad::new(1, 1, 2, 6));
-        assert!(replay.truncated_to.is_none());
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_at_last_valid_record() {
-        let path = tmp("torn");
-        let mut log = IngestLog::open_append(&path).expect("open");
-        log.append(&facts(5)).expect("append");
-        let valid_len = std::fs::metadata(&path).expect("meta").len();
-        log.append(&facts(6)).expect("append");
-        // Tear the second record mid-line (crash during append).
-        let bytes = std::fs::read(&path).expect("read");
-        std::fs::write(&path, &bytes[..bytes.len() - 7]).expect("tear");
-
-        let replay = replay_ingest_log(&path).expect("replay");
-        assert_eq!(replay.records, 1, "only the intact record survives");
-        assert_eq!(replay.truncated_to, Some(valid_len));
-        assert_eq!(std::fs::metadata(&path).expect("meta").len(), valid_len);
-        // A second replay over the truncated log is clean.
-        let again = replay_ingest_log(&path).expect("replay");
-        assert_eq!(again.records, 1);
-        assert!(again.truncated_to.is_none());
-    }
-
-    #[test]
-    fn bit_flipped_tail_is_detected_by_crc() {
-        let path = tmp("bitflip");
-        let mut log = IngestLog::open_append(&path).expect("open");
-        log.append(&facts(5)).expect("append");
-        log.append(&facts(6)).expect("append");
-        let bytes = std::fs::read(&path).expect("read");
-        // Flip a digit inside the second record's facts payload.
-        let flipped = retia_analyze::chaos::bit_flipped(&bytes, (bytes.len() - 10) * 8);
-        std::fs::write(&path, flipped).expect("write");
-
-        let replay = replay_ingest_log(&path).expect("replay");
-        assert_eq!(replay.records, 1, "crc must reject the flipped record");
-        assert!(replay.truncated_to.is_some());
-    }
-
-    #[test]
-    fn missing_log_replays_empty() {
-        let path = tmp("missing");
-        let replay = replay_ingest_log(&path).expect("replay");
-        assert_eq!(replay.records, 0);
-        assert!(replay.quads.is_empty());
-    }
-
-    #[test]
-    fn replay_into_window_merges_and_trims() {
-        let base = vec![Quad::new(0, 0, 1, 10)];
-        let mut snap = Snapshot::from_quads(&base, 4, 2);
-        snap.t = 10;
-        // Same-timestamp merge, forward append, then trim to k=2.
-        let quads = vec![
-            Quad::new(1, 1, 2, 10),
-            Quad::new(2, 0, 3, 11),
-            Quad::new(0, 1, 1, 12),
-            Quad::new(3, 0, 0, 5),  // behind the window: skipped
-            Quad::new(9, 0, 0, 13), // out of id range: skipped
-        ];
-        let window = replay_into_window(vec![snap], &quads, 4, 2, 2);
-        assert_eq!(window.len(), 2);
-        assert_eq!(window[0].t, 11);
-        assert_eq!(window[1].t, 12);
-        assert_eq!(window[1].facts, vec![Quad::new(0, 1, 1, 12)]);
-    }
 
     #[test]
     fn trainer_state_wire_names() {

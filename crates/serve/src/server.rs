@@ -61,7 +61,7 @@ use crate::engine::{Engine, EngineError, EngineHandle, EngineOptions, EngineStat
 use crate::http::{
     error_body, write_json_response, write_text_response, HttpError, Request, RequestBuffer,
 };
-use crate::online::{self, OnlineOptions, OnlineStatus, OnlineTrainer};
+use crate::online::{OnlineOptions, OnlineStatus, OnlineTrainer};
 use crate::stages;
 
 /// Sleep between no-progress poll passes while connections are open.
@@ -103,14 +103,10 @@ pub struct ServeConfig {
     /// When set, an isolated continual trainer fine-tunes on newly ingested
     /// windows and publishes via atomic model swaps (DESIGN.md §12).
     pub online: Option<OnlineOptions>,
-    /// When set, every accepted ingest is appended to this JSONL durability
-    /// log before the window advances, and boot replays it (corrupt tails
-    /// are truncated at the last valid record).
-    pub ingest_log: Option<PathBuf>,
     /// When set, every accepted ingest is appended to the durable store at
-    /// this directory before the window advances (the store-backed successor
-    /// of `ingest_log`; the caller boots the window from the same store, so
-    /// no separate boot replay happens here).
+    /// this directory before the window advances. The caller boots the
+    /// window from the same store (`Store::window` or its dataset), so a
+    /// restart serves the window the last life acknowledged.
     pub store: Option<PathBuf>,
 }
 
@@ -130,7 +126,6 @@ impl Default for ServeConfig {
             trace_sample_every: tracing.sample_every,
             trace_capacity: tracing.capacity,
             online: None,
-            ingest_log: None,
             store: None,
         }
     }
@@ -216,7 +211,9 @@ pub struct Server {
 impl Server {
     /// Binds, spawns the engine and the worker pool, and returns
     /// immediately. `window` is the initial history (the last `k` snapshots
-    /// are kept, matching the paper's decode window).
+    /// are kept, matching the paper's decode window); a failed boot audit or
+    /// a window out of timestamp order or over another id space than the
+    /// model's is an [`std::io::ErrorKind::InvalidInput`] error.
     pub fn start(
         model: FrozenModel,
         window: Vec<Snapshot>,
@@ -235,30 +232,6 @@ impl Server {
         // The continual trainer seeds from (and drift-scores against) the
         // boot model; clone it before the engine takes ownership.
         let baseline = cfg.online.as_ref().map(|_| FrozenModel::new(model.clone_model()));
-        // Durability replay: facts ingested before the last shutdown (or
-        // crash) re-enter the window before the engine boots, so the served
-        // window survives restarts. A torn or bit-flipped tail is truncated
-        // at the last valid record inside `replay_ingest_log`.
-        let mut window = window;
-        if let Some(path) = &cfg.ingest_log {
-            let replay = online::replay_ingest_log(path)?;
-            if !replay.quads.is_empty() {
-                window = online::replay_into_window(
-                    window,
-                    &replay.quads,
-                    model.num_entities(),
-                    model.num_relations(),
-                    model.cfg().k,
-                );
-                retia_obs::event!(
-                    retia_obs::Level::Info,
-                    "serve.ingest_log.replayed",
-                    records = replay.records as f64,
-                    facts = replay.quads.len() as f64;
-                    format!("replayed {} durable ingest records at boot", replay.records)
-                );
-            }
-        }
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -276,7 +249,6 @@ impl Server {
         let opts = EngineOptions {
             queue_cap: cfg.queue_cap,
             decode_shards: cfg.decode_shards,
-            ingest_log: cfg.ingest_log.clone(),
             store: cfg.store.clone(),
         };
         let engine = Engine::start_with(model, window, opts)?;

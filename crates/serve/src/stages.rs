@@ -23,7 +23,8 @@ pub const DECODE_SHARD: &str = "serve.decode.shard";
 pub const TOPK: &str = "serve.topk";
 /// Writing the response bytes back to the socket.
 pub const WRITE: &str = "serve.write";
-/// Window advance: validation, graph rebuild and eager cache warm.
+/// Window advance: validation, durable append, the build of the snapshots
+/// the batch changes, and the eager cache warm.
 pub const INGEST: &str = "serve.ingest";
 /// One continual-training round on the online trainer's thread.
 pub const TRAIN: &str = "serve.train";
@@ -31,5 +32,3 @@ pub const TRAIN: &str = "serve.train";
 pub const SWAP: &str = "serve.swap";
 /// Drift gate: candidate-vs-baseline scoring on the newest window.
 pub const DRIFT: &str = "serve.drift";
-/// Boot replay of the ingest durability log.
-pub const REPLAY: &str = "serve.replay";

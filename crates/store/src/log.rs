@@ -21,8 +21,7 @@
 //! torn final write, a bit flip, or outright garbage ends the prefix at the
 //! last whole valid record and is reported, never panicked on. The byte
 //! length of that prefix lets the opener truncate the file in place, so the
-//! next boot sees a wholly valid log — the same discipline the serve
-//! ingest log established.
+//! next boot sees a wholly valid log.
 
 use retia_graph::Quad;
 use retia_tensor::serialize::{crc32, Reader};

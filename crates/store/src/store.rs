@@ -5,7 +5,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use retia_data::{Granularity, TkgDataset, Vocab};
-use retia_graph::{group_by_timestamp, Quad, Snapshot};
+use retia_graph::{check_facts, group_by_timestamp, merge_groups, Quad, Snapshot};
 
 use crate::error::{corrupt, StoreError};
 use crate::export::GraphDoc;
@@ -34,9 +34,6 @@ pub struct NamedFact {
 pub struct AppendOutcome {
     /// Facts durably appended.
     pub appended: usize,
-    /// Facts skipped (lenient appends only: stale timestamp or id out of
-    /// range).
-    pub skipped: usize,
     /// Entity names first seen in this append.
     pub new_entities: usize,
     /// Relation names first seen in this append.
@@ -168,11 +165,9 @@ impl Store {
             {
                 return Err(corrupt(&entry.file, "segment disagrees with its manifest entry"));
             }
-            if let Some((end, _)) = groups.last() {
-                if seg.first_t < *end {
-                    return Err(corrupt(&entry.file, "segment overlaps an earlier timestamp"));
-                }
-            }
+            let end = groups.last().map(|(t, _)| *t);
+            check_facts(&seg.facts, end, entities.len(), relations.len())
+                .map_err(|e| corrupt(&entry.file, e.to_string()))?;
             segment_facts += entry.facts;
             merge_groups(&mut groups, &seg.facts);
         }
@@ -211,23 +206,8 @@ impl Store {
                 relations.intern(name);
             }
             let end = groups.last().map(|(t, _)| *t);
-            for q in &rec.facts {
-                let in_range = (q.s as usize) < entities.len()
-                    && (q.o as usize) < entities.len()
-                    && (q.r as usize) < relations.len();
-                if !in_range {
-                    return Err(corrupt(
-                        &manifest.log_file(),
-                        format!("log fact {q:?} references an id outside the vocabulary"),
-                    ));
-                }
-                if end.is_some_and(|e| q.t < e) {
-                    return Err(corrupt(
-                        &manifest.log_file(),
-                        format!("log fact {q:?} precedes the store end"),
-                    ));
-                }
-            }
+            check_facts(&rec.facts, end, entities.len(), relations.len())
+                .map_err(|e| corrupt(&manifest.log_file(), e.to_string()))?;
             merge_groups(&mut groups, &rec.facts);
             log_quads.extend(rec.facts.iter().copied());
         }
@@ -339,17 +319,10 @@ impl Store {
     /// share. Deterministic: the same store bytes always produce the same
     /// snapshots.
     pub fn window(&self, k: usize) -> Vec<Snapshot> {
-        let k = k.max(1);
-        let skip = self.groups.len().saturating_sub(k);
-        self.groups[skip..]
-            .iter()
-            .map(|(t, facts)| {
-                let mut snap =
-                    Snapshot::from_quads(facts, self.entities.len(), self.relations.len());
-                snap.t = *t;
-                snap
-            })
-            .collect()
+        let skip = self.groups.len().saturating_sub(k.max(1));
+        // Groups are never empty, so each snapshot takes its group's `t`.
+        let (n, m) = (self.entities.len(), self.relations.len());
+        self.groups[skip..].iter().map(|(_, facts)| Snapshot::from_quads(facts, n, m)).collect()
     }
 
     /// The store's facts as a standard 80/10/10 temporally split dataset
@@ -401,36 +374,12 @@ impl Store {
     /// into the newest group). The facts are on disk — CRC-tagged and
     /// fsynced — before this returns `Ok`.
     pub fn append_quads(&mut self, facts: &[Quad]) -> Result<AppendOutcome, StoreError> {
-        let groups = group_by_timestamp(facts);
-        self.validate_groups(&groups)?;
-        let ordered: Vec<Quad> = groups.iter().flat_map(|(_, g)| g.iter().copied()).collect();
+        check_facts(facts, self.end_t(), self.entities.len(), self.relations.len())
+            .map_err(|e| StoreError::Invalid(e.to_string()))?;
+        let ordered: Vec<Quad> =
+            group_by_timestamp(facts).into_iter().flat_map(|(_, g)| g).collect();
         self.commit(LogRecord { facts: ordered, ..Default::default() })?;
         Ok(AppendOutcome { appended: facts.len(), ..Default::default() })
-    }
-
-    /// [`Store::append_quads`], but stale-timestamp and out-of-range facts
-    /// are skipped (counted in the outcome) instead of failing the batch —
-    /// the discipline legacy ingest-log migration needs.
-    pub fn append_quads_lenient(&mut self, facts: &[Quad]) -> Result<AppendOutcome, StoreError> {
-        let end = self.end_t();
-        let (n, m) = (self.entities.len(), self.relations.len());
-        let keep: Vec<Quad> = facts
-            .iter()
-            .copied()
-            .filter(|q| {
-                (q.s as usize) < n
-                    && (q.o as usize) < n
-                    && (q.r as usize) < m
-                    && end.is_none_or(|e| q.t >= e)
-            })
-            .collect();
-        let skipped = facts.len() - keep.len();
-        if keep.is_empty() {
-            return Ok(AppendOutcome { skipped, ..Default::default() });
-        }
-        let mut out = self.append_quads(&keep)?;
-        out.skipped = skipped;
-        Ok(out)
     }
 
     /// Durably appends named facts, interning unseen entity/relation names
@@ -454,15 +403,8 @@ impl Store {
                 )
             })
             .collect();
-        let groups = group_by_timestamp(&quads);
-        if let (Some(end), Some((first, _))) = (self.end_t(), groups.first()) {
-            if *first < end {
-                return Err(StoreError::Invalid(format!(
-                    "timestamp {first} precedes the store end {end}; extrapolation stores \
-                     append forward only"
-                )));
-            }
-        }
+        check_facts(&quads, self.end_t(), entities.len(), relations.len())
+            .map_err(|e| StoreError::Invalid(e.to_string()))?;
         let new_entities: Vec<String> = (e_before..entities.len())
             .filter_map(|i| entities.name(i as u32))
             .map(String::from)
@@ -473,15 +415,25 @@ impl Store {
             .collect();
         let outcome = AppendOutcome {
             appended: rows.len(),
-            skipped: 0,
             new_entities: new_entities.len(),
             new_relations: new_relations.len(),
         };
-        let ordered: Vec<Quad> = groups.iter().flat_map(|(_, g)| g.iter().copied()).collect();
+        let ordered: Vec<Quad> =
+            group_by_timestamp(&quads).into_iter().flat_map(|(_, g)| g).collect();
         self.entities = entities;
         self.relations = relations;
         self.commit(LogRecord { new_entities, new_relations, facts: ordered })?;
         Ok(outcome)
+    }
+
+    /// Durably appends every fact of `ds` under synthetic `e{i}`/`r{i}`
+    /// names, interning the dataset's whole id space first so store ids
+    /// equal dataset ids (what `retia ingest --from-data` writes).
+    pub fn append_dataset(&mut self, ds: &TkgDataset) -> Result<AppendOutcome, StoreError> {
+        let ents: Vec<String> = (0..ds.num_entities).map(|i| format!("e{i}")).collect();
+        let rels: Vec<String> = (0..ds.num_relations).map(|i| format!("r{i}")).collect();
+        self.ensure_names(&ents, &rels)?;
+        self.append_quads(&ds.all_quads().copied().collect::<Vec<_>>())
     }
 
     /// Durably interns any of `entities`/`relations` not yet in the
@@ -522,34 +474,6 @@ impl Store {
         }
         self.commit(LogRecord { new_entities, new_relations, facts: Vec::new() })?;
         Ok(outcome)
-    }
-
-    fn validate_groups(&self, groups: &[(u32, Vec<Quad>)]) -> Result<(), StoreError> {
-        let (n, m) = (self.entities.len(), self.relations.len());
-        for (_, group) in groups {
-            for q in group {
-                if (q.s as usize) >= n || (q.o as usize) >= n {
-                    return Err(StoreError::Invalid(format!(
-                        "entity id out of range in {q:?}: the vocabulary has {n} entities"
-                    )));
-                }
-                if (q.r as usize) >= m {
-                    return Err(StoreError::Invalid(format!(
-                        "relation id {} out of range: the vocabulary has {m} relations",
-                        q.r
-                    )));
-                }
-            }
-        }
-        if let (Some(end), Some((first, _))) = (self.end_t(), groups.first()) {
-            if *first < end {
-                return Err(StoreError::Invalid(format!(
-                    "timestamp {first} precedes the store end {end}; extrapolation stores \
-                     append forward only"
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Writes one record durably and folds it into the in-memory view.
@@ -654,17 +578,6 @@ impl Store {
             "store.facts",
             self.groups.iter().map(|(_, g)| g.len()).sum::<usize>() as f64,
         );
-    }
-}
-
-/// Appends timestamp-grouped `facts` onto `groups`, merging a leading group
-/// that shares the newest timestamp (the engine's same-`t` merge).
-fn merge_groups(groups: &mut Vec<(u32, Vec<Quad>)>, facts: &[Quad]) {
-    for (t, group) in group_by_timestamp(facts) {
-        match groups.last_mut() {
-            Some((last_t, last)) if *last_t == t => last.extend(group),
-            _ => groups.push((t, group)),
-        }
     }
 }
 
@@ -873,10 +786,6 @@ mod tests {
         store.append_named(&[named("a", "r", "b", 0)]).expect("seed");
         assert!(store.append_quads(&[Quad::new(9, 0, 0, 1)]).is_err());
         assert!(store.append_quads(&[Quad::new(0, 9, 0, 1)]).is_err());
-        let out = store
-            .append_quads_lenient(&[Quad::new(9, 0, 0, 1), Quad::new(0, 0, 1, 1)])
-            .expect("lenient");
-        assert_eq!((out.appended, out.skipped), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

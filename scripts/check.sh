@@ -34,10 +34,10 @@ cargo test -q -p retia-cli --test serve_smoke
 echo "==> serve robustness suite (chaos HTTP inputs, cache bit-identity, drain-in-flight, trace trees, SLO export)"
 cargo test -q --test serve_http
 
-echo "==> online-learning suite (NaN storms under load, trainer panics, drift rollback, ingest-log replay)"
+echo "==> online-learning suite (NaN storms under load, trainer panics, drift rollback, store replay)"
 cargo test -q --test serve_online
 
-echo "==> online serve smoke (--online --ingest-log via the real binary; kill -9 + replay)"
+echo "==> online serve smoke (--online --store via the real binary; kill -9 + replay)"
 cargo test -q -p retia-cli --test online_smoke
 
 echo "==> store smoke (generate -> ingest --append x2 -> compact -> train/serve --store -> kill -9 -> restart -> query/path/stats/communities via the real binary)"

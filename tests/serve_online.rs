@@ -2,19 +2,22 @@
 //! fault isolation (a NaN-storming or panicking trainer never perturbs
 //! served answers and never surfaces as 5xx), the degradation ladder on
 //! `/healthz` (`?ready=1` flips 503 while liveness stays 200), drift
-//! rollback via `/v1/drift`, and the ingest durability log surviving
-//! restarts with a corrupt tail.
+//! rollback via `/v1/drift`, and the store-backed window surviving
+//! restarts with a corrupt log tail.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use retia::{FrozenModel, Retia, RetiaConfig, TkgContext};
 use retia_analyze::{ChaosPlan, GradFault};
 use retia_data::{SyntheticConfig, TkgDataset};
+use retia_graph::Quad;
 use retia_json::Value;
 use retia_serve::{OnlineOptions, ServeConfig, Server};
+use retia_store::log::{encode_record, LogRecord};
+use retia_store::manifest::StoreManifest;
+use retia_store::Store;
 
 fn dataset() -> TkgDataset {
     SyntheticConfig::tiny(6).generate()
@@ -318,30 +321,45 @@ fn disabled_online_reports_disabled_everywhere() {
 }
 
 #[test]
-fn ingest_log_replays_after_restart_and_truncates_corrupt_tail() {
-    let log = std::env::temp_dir()
-        .join(format!("retia-serve-online-{}-durability.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&log);
-    let with_log = |cfg: &mut ServeConfig| cfg.ingest_log = Some(PathBuf::from(&log));
+fn store_replays_after_restart_and_truncates_corrupt_tail() {
+    let dir =
+        std::env::temp_dir().join(format!("retia-serve-online-{}-durability", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The store holds the dataset's stream under its synthetic names, as
+    // `retia ingest --from-data` writes it; every life boots its window from
+    // the reopened store and appends its ingests to it.
+    let ds = dataset();
+    let mut store = Store::create(&dir, &ds.name, ds.granularity).expect("create store");
+    store.append_dataset(&ds).expect("seed the store");
+    let t0 = store.end_t().expect("seeded facts");
+    drop(store);
+    let boot = || {
+        let window = Store::open(&dir).expect("store opens").window(model_config().k);
+        let model = Retia::new(&model_config(), &ds);
+        let cfg = ServeConfig { workers: 2, store: Some(dir.clone()), ..Default::default() };
+        Server::start(FrozenModel::new(model), window, &cfg).expect("bind ephemeral port")
+    };
 
     // First life: two durable ingests, then a clean shutdown.
-    let (server, ctx) = start_server_with(with_log);
+    let server = boot();
     let addr = server.addr();
-    let t0 = ctx.snapshots.last().expect("window").t;
     ingest_one(addr, t0 + 1);
     ingest_one(addr, t0 + 2);
     let after_ingest = probe_answer(addr);
     server.shutdown();
 
-    // Crash damage: a torn half-record at the tail of the log.
-    let mut bytes = std::fs::read(&log).expect("ingest log exists");
+    // Crash damage: a torn half-record at the tail of the store's log.
+    let log = dir.join(StoreManifest::load(&dir).expect("store manifest").log_file());
+    let mut bytes = std::fs::read(&log).expect("store log exists");
     let clean_len = bytes.len();
-    bytes.extend_from_slice(br#"{"crc":123,"facts":[[0,0,"#);
+    let torn =
+        encode_record(&LogRecord { facts: vec![Quad::new(0, 0, 1, t0 + 3)], ..Default::default() });
+    bytes.extend_from_slice(&torn[..torn.len() / 2]);
     std::fs::write(&log, &bytes).expect("append torn tail");
 
-    // Second life: replay must truncate the torn tail, re-apply both valid
-    // records, and serve bit-identically to the pre-restart window.
-    let (server, _) = start_server_with(with_log);
+    // Second life: reopening must truncate the torn tail, keep both valid
+    // ingest records, and serve bit-identically to the pre-restart window.
+    let server = boot();
     assert_eq!(
         probe_answer(server.addr()),
         after_ingest,
@@ -349,14 +367,14 @@ fn ingest_log_replays_after_restart_and_truncates_corrupt_tail() {
     );
     server.shutdown();
     assert_eq!(
-        std::fs::read(&log).expect("ingest log exists").len(),
+        std::fs::read(&log).expect("store log exists").len(),
         clean_len,
         "boot replay must truncate the log back to the last valid record"
     );
 
     // Third life: the repaired log replays cleanly again.
-    let (server, _) = start_server_with(with_log);
+    let server = boot();
     assert_eq!(probe_answer(server.addr()), after_ingest);
     server.shutdown();
-    let _ = std::fs::remove_file(&log);
+    let _ = std::fs::remove_dir_all(&dir);
 }
