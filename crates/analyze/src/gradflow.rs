@@ -58,6 +58,8 @@ pub(crate) fn param_flows(nodes: &[AbsNode], reached: &[bool]) -> Vec<ParamFlow>
 
 #[cfg(test)]
 mod tests {
+    use retia_tensor::Ops;
+
     use crate::value::{AuditCtx, FrozenParam};
 
     #[test]
@@ -65,8 +67,8 @@ mod tests {
         // The same embedding referenced in two snapshots: reaching either
         // site counts as reached.
         let mut ctx = AuditCtx::new();
-        let p1 = ctx.param("rel0", 4, 2);
-        let _p2 = ctx.param("rel0", 4, 2);
+        let p1 = ctx.declare_param("rel0", 4, 2);
+        let _p2 = ctx.declare_param("rel0", 4, 2);
         let loss = ctx.mean_all(p1);
         ctx.check_gradient_flow(loss, &[]);
         let report = ctx.finish();
@@ -78,7 +80,7 @@ mod tests {
     #[test]
     fn deep_chains_are_walked_iteratively() {
         let mut ctx = AuditCtx::new();
-        let p = ctx.param("ent0", 2, 2);
+        let p = ctx.declare_param("ent0", 2, 2);
         let mut x = p;
         for _ in 0..20_000 {
             x = ctx.tanh(x);
@@ -91,7 +93,7 @@ mod tests {
     #[test]
     fn detach_stops_the_walk_but_sources_do_not_report() {
         let mut ctx = AuditCtx::new();
-        let p = ctx.param("ent0", 2, 2);
+        let p = ctx.declare_param("ent0", 2, 2);
         let h = ctx.tanh(p);
         let frozen_state = ctx.detach(h, "serving snapshot");
         let loss = ctx.mean_all(frozen_state);

@@ -7,10 +7,11 @@
 //!   finiteness domain is driven by the per-op transfer functions in
 //!   `retia_tensor::transfer`, gradient-flow reachability is walked from
 //!   the loss (declared-frozen parameters and detach boundaries included),
-//!   and reduction-order declarations are checked. Every NN layer exposes an
-//!   `audit` twin of its forward; the `retia audit` subcommand, the trainer
-//!   pre-flight, and the serve boot check surface the composed replay, each
-//!   finding named by module and paper equation.
+//!   and reduction-order declarations are checked. `AuditCtx` implements
+//!   `retia_tensor::Ops`, so it runs the NN layers' and the model's own
+//!   forward code; the `retia audit` subcommand, the trainer pre-flight,
+//!   and the serve boot check surface the result, each finding named by
+//!   module and paper equation.
 //! - [`lint`] — the repo-specific source lint behind the `retia-lint` binary
 //!   (`cargo run -p retia-analyze --bin retia-lint`), with an exact-count
 //!   allowlist ratchet in `scripts/lint-allowlist.txt` and a drift check of

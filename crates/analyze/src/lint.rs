@@ -1,6 +1,6 @@
 //! Repo-specific source lint (the `retia-lint` binary).
 //!
-//! Seven rules, scanned over `crates/*/src` (plus `crates/tensor/tests` as
+//! Six rules, scanned over `crates/*/src` (plus `crates/tensor/tests` as
 //! the evidence corpus for the kernel rule):
 //!
 //! - **no-unwrap** — library crates must not call `.unwrap()`, `panic!`, or
@@ -21,9 +21,6 @@
 //!   `record_stage` call naming the constant (or its string literal, in
 //!   crates that cannot depend on retia-serve) somewhere under
 //!   `crates/*/src`, keeping the request-trace taxonomy from drifting.
-//! - **layer-audit** — every public NN layer struct in `crates/nn/src` must
-//!   expose an `audit` method replaying its forward through
-//!   [`crate::AuditCtx`].
 //! - **no-as-cast** — `crates/tensor/src` must not use bare `as` numeric
 //!   casts: `as` silently truncates, wraps, and saturates, which is exactly
 //!   the class of value bug the abstract interpreter exists to rule out.
@@ -477,46 +474,6 @@ fn scan_stage_span_rule(files: &[SourceFile], violations: &mut Vec<Violation>) {
     }
 }
 
-/// Rule `layer-audit`: every `pub struct` in `crates/nn/src` must have an
-/// `audit` method in one of its `impl` blocks (same file).
-fn scan_layer_audit_rule(files: &[SourceFile], violations: &mut Vec<Violation>) {
-    for file in files {
-        if !file.path.starts_with("crates/nn/src/") {
-            continue;
-        }
-        let stripped = strip_code(&file.content);
-        let mask = test_block_mask(&stripped);
-        let mut structs: Vec<(usize, String)> = Vec::new();
-        for (idx, line) in stripped.iter().enumerate() {
-            if mask[idx] {
-                continue;
-            }
-            if let Some(pos) = line.find("pub struct ") {
-                let name: String = line[pos + "pub struct ".len()..]
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if !name.is_empty() {
-                    structs.push((idx + 1, name));
-                }
-            }
-        }
-        for (lineno, name) in structs {
-            if !impl_blocks_contain(&stripped, &name, "fn audit(") {
-                violations.push(Violation {
-                    path: file.path.clone(),
-                    line: lineno,
-                    rule: "layer-audit",
-                    detail: format!(
-                        "public layer `{name}` has no `audit` method replaying its forward \
-                         through retia_analyze::AuditCtx"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// Numeric primitive types a bare `as` cast can target. `as` between these
 /// silently truncates (`f64 as f32`), wraps (`usize as u32`), or saturates
 /// (`f32 as i64`) — the exact value bugs the interval domain tracks.
@@ -557,45 +514,6 @@ fn scan_as_cast_rule(file: &SourceFile, violations: &mut Vec<Violation>) {
     }
 }
 
-/// True if any `impl <name>` block in `stripped` contains `needle`.
-fn impl_blocks_contain(stripped: &[String], name: &str, needle: &str) -> bool {
-    let mut idx = 0usize;
-    while idx < stripped.len() {
-        let line = stripped[idx].trim_start();
-        let is_impl_for_name = line.strip_prefix("impl ").is_some_and(|rest| {
-            rest.strip_prefix(name)
-                .is_some_and(|after| !after.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
-        });
-        if !is_impl_for_name {
-            idx += 1;
-            continue;
-        }
-        // Walk the impl block by brace depth, searching for the needle.
-        let mut depth = 0i64;
-        let mut opened = false;
-        while idx < stripped.len() {
-            if stripped[idx].contains(needle) {
-                return true;
-            }
-            for c in stripped[idx].chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-            }
-            idx += 1;
-            if opened && depth <= 0 {
-                break;
-            }
-        }
-    }
-    false
-}
-
 /// Runs every rule over the given sources. Pure function of the inputs.
 pub fn scan_sources(files: &[SourceFile]) -> Vec<Violation> {
     let mut violations = Vec::new();
@@ -605,7 +523,6 @@ pub fn scan_sources(files: &[SourceFile]) -> Vec<Violation> {
     }
     scan_kernel_rule(files, &mut violations);
     scan_stage_span_rule(files, &mut violations);
-    scan_layer_audit_rule(files, &mut violations);
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     violations
 }
@@ -936,27 +853,6 @@ mod tests {\n\
         let v = scan_sources(&[stages, emit]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].detail.contains("`DECODE`"), "{v:?}");
-    }
-
-    #[test]
-    fn layer_audit_rule() {
-        // A shape-only `validate` twin or an `audit_*` helper is not enough.
-        let missing = SourceFile {
-            path: "crates/nn/src/l.rs".to_string(),
-            content: "pub struct Thing { x: usize }\n\
-                      impl Thing { pub fn validate(&self) {} fn audit_frozen(&self) {} }\n"
-                .to_string(),
-        };
-        let v = scan_sources(&[missing]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "layer-audit");
-        let present = SourceFile {
-            path: "crates/nn/src/l.rs".to_string(),
-            content: "pub struct Thing { x: usize }\n\
-                      impl Thing {\n    pub fn audit(&self) {}\n}\n"
-                .to_string(),
-        };
-        assert!(scan_sources(&[present]).is_empty());
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //!
 //! [`AuditCtx`] erases every tensor down to its shape and an [`Interval`] —
 //! `[lo, hi]` bounds in f64 plus may-be-NaN / may-be-inf flags — and
-//! replays the model's op vocabulary over that domain using the per-op
+//! implements [`retia_tensor::Ops`] over that domain using the per-op
 //! transfer functions that live next to the kernels in
-//! [`retia_tensor::transfer`]. Four coupled analyses run over one abstract
-//! execution:
+//! [`retia_tensor::transfer`]. The NN layers and the model step are written
+//! once against that trait, so the audit runs the model's own forward code,
+//! at any size, without touching tensor data. Four coupled analyses run
+//! over one abstract execution:
 //!
 //! 1. **Shapes and index spaces**: every op checks the dimension and index
 //!    preconditions its real kernel asserts (matmul inner dims, broadcast
 //!    shapes, gather and segment-sum indices in range, ...). A failed check
 //!    records an [`AuditKind::Shape`] finding and the op returns the shape
 //!    it *would* have produced, so one pass collects every mismatch rather
-//!    than the first. Layer twins add their own preconditions (row counts,
-//!    edge ranges) through [`AuditCtx::check`].
+//!    than the first. Layers add their own preconditions (row counts, edge
+//!    ranges) through `Ops::check`, which panics on a real graph.
 //! 2. **Finiteness**: any op whose abstract output admits NaN/inf *when its
 //!    inputs did not* records an [`AuditIssue`] blaming the enclosing
 //!    module/equation scope (the same poison-recovery discipline: the
@@ -24,8 +26,9 @@
 //!    built, [`AuditCtx::check_gradient_flow`] walks it backward and
 //!    reports trainable parameters the walk never reaches — unless they are
 //!    declared frozen (with a reason) for the configuration under audit.
-//!    Inference graphs use [`AuditCtx::check_no_trainable_params`] to prove
-//!    the opposite: zero parameters on the tape at all.
+//!    Inference audits ([`AuditCtx::inference`]) use
+//!    [`AuditCtx::check_no_trainable_params`] to prove the opposite: zero
+//!    parameters on the tape at all.
 //! 4. **Reduction-order sensitivity**: [`AuditCtx::reorder`] declares an
 //!    intent to reorder a kernel loop (sharding, vectorization) and checks
 //!    it against `retia_tensor::transfer::REDUCTION_SITES` — reordering an
@@ -34,7 +37,7 @@
 use std::fmt;
 
 use retia_tensor::transfer::{self, Interval};
-use retia_tensor::Segments;
+use retia_tensor::{OpCall, Ops, ParamStore};
 
 use crate::gradflow;
 
@@ -172,9 +175,10 @@ impl fmt::Display for AuditReport {
 
 impl std::error::Error for AuditReport {}
 
-/// The abstract interpreter. API mirrors the autodiff `Graph`: ops record
-/// findings instead of panicking and return the abstract value they would
-/// have produced, so one pass collects everything.
+/// The abstract interpreter: the second implementation of
+/// [`retia_tensor::Ops`]. Ops record findings instead of panicking and
+/// return the abstract value they would have produced, so one pass collects
+/// everything.
 #[derive(Debug, Default)]
 pub struct AuditCtx {
     scope: Vec<String>,
@@ -184,6 +188,9 @@ pub struct AuditCtx {
     detaches: Vec<DeclaredDetach>,
     params_declared: usize,
     params_reached: usize,
+    /// Parameters enter as constant sources, as a `Graph::inference` graph
+    /// records no tape.
+    inference: bool,
 }
 
 impl AuditCtx {
@@ -191,22 +198,26 @@ impl AuditCtx {
         Self::default()
     }
 
-    /// Runs `f` with `module` (and optionally a paper-equation tag) pushed
-    /// onto the scope path; findings recorded inside are attributed to it.
-    pub fn scoped<R>(
-        &mut self,
-        module: &str,
-        equation: Option<&str>,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> R {
-        let frame = match equation {
+    /// The audit of an inference graph: every parameter enters as a
+    /// constant source under the [`PARAM_BOUND`] envelope, so
+    /// [`AuditCtx::check_no_trainable_params`] can prove the tape holds
+    /// none.
+    pub fn inference() -> Self {
+        AuditCtx { inference: true, ..Self::default() }
+    }
+
+    /// Pushes `module` (and optionally a paper-equation tag) onto the scope
+    /// path that findings are attributed to, until [`AuditCtx::pop_scope`].
+    pub fn push_scope(&mut self, module: &str, equation: Option<&str>) {
+        self.scope.push(match equation {
             Some(eq) => format!("{module} [{eq}]"),
             None => module.to_string(),
-        };
-        self.scope.push(frame);
-        let out = f(self);
+        });
+    }
+
+    /// Pops the innermost scope frame.
+    pub fn pop_scope(&mut self) {
         self.scope.pop();
-        out
     }
 
     /// Number of op/flow checks performed so far.
@@ -253,8 +264,8 @@ impl AuditCtx {
     /// A trainable parameter, by its `ParamStore` name, bounded by the
     /// [`PARAM_BOUND`] envelope. Declaring the same name at several sites
     /// (as the per-snapshot loops do) references one parameter.
-    pub fn param(&mut self, name: &str, rows: usize, cols: usize) -> AbsId {
-        let id = self.push(rows, cols, Interval::new(-PARAM_BOUND, PARAM_BOUND), Vec::new());
+    pub(crate) fn declare_param(&mut self, name: &str, rows: usize, cols: usize) -> AbsId {
+        let id = self.push(rows, cols, param_envelope(), Vec::new());
         self.nodes[id.0].param = Some(name.to_string());
         id
     }
@@ -278,25 +289,10 @@ impl AuditCtx {
         self.nodes[x.0].iv
     }
 
-    /// `(rows, cols)` of a node.
-    pub fn shape(&self, x: AbsId) -> (usize, usize) {
-        (self.nodes[x.0].rows, self.nodes[x.0].cols)
-    }
-
     // ---- finding machinery ------------------------------------------------
 
     fn record(&mut self, kind: AuditKind, op: impl Into<String>, detail: String) {
         self.issues.push(AuditIssue { path: self.scope.join(" / "), op: op.into(), kind, detail });
-    }
-
-    /// Records an [`AuditKind::Shape`] finding against `op` unless `cond`
-    /// holds. The ops use it for their kernels' preconditions; layer twins
-    /// for checks that are not a single op (e.g. "entity rows must match the
-    /// snapshot").
-    pub fn check(&mut self, op: &str, cond: bool, detail: impl FnOnce() -> String) {
-        if !cond {
-            self.record(AuditKind::Shape, op, detail());
-        }
     }
 
     /// Registers the output of op `key` over `inputs`: flags a finiteness
@@ -306,8 +302,7 @@ impl AuditCtx {
         &mut self,
         key: &'static str,
         inputs: &[AbsId],
-        rows: usize,
-        cols: usize,
+        (rows, cols): (usize, usize),
         iv: Interval,
     ) -> AbsId {
         self.ops_checked += 1;
@@ -330,22 +325,30 @@ impl AuditCtx {
         self.push(rows, cols, iv, inputs.iter().map(|i| i.0).collect())
     }
 
-    fn iv(&self, x: AbsId) -> Interval {
-        self.nodes[x.0].iv
+    /// An op over `x` alone that keeps its shape.
+    fn map(&mut self, key: &'static str, x: AbsId, f: impl FnOnce(Interval) -> Interval) -> AbsId {
+        let iv = f(self.interval(x));
+        self.op(key, &[x], self.shape(x), iv)
     }
 
-    /// Elementwise binary ops need equal operand shapes.
+    /// An elementwise op over two operands of equal shape.
+    fn zip(&mut self, key: &'static str, a: AbsId, b: AbsId, f: Transfer2) -> AbsId {
+        self.same_shape(key, a, b);
+        self.op(key, &[a, b], self.shape(a), f(self.interval(a), self.interval(b)))
+    }
+
     fn same_shape(&mut self, op: &str, a: AbsId, b: AbsId) {
         let (sa, sb) = (self.shape(a), self.shape(b));
         self.check(op, sa == sb, || format!("operand shapes differ: {} vs {}", dims(sa), dims(sb)));
     }
 
-    /// Row broadcasts need `w` to be `[1, x.cols]`.
-    fn row_broadcast(&mut self, op: &str, x: AbsId, w: AbsId) {
+    /// A row broadcast: `w` must be `[1, x.cols]`.
+    fn row_broadcast(&mut self, key: &'static str, x: AbsId, w: AbsId, f: Transfer2) -> AbsId {
         let (sx, sw) = (self.shape(x), self.shape(w));
-        self.check(op, sw == (1, sx.1), || {
+        self.check(key, sw == (1, sx.1), || {
             format!("{} does not broadcast over {}", dims(sw), dims(sx))
         });
+        self.op(key, &[x, w], sx, f(self.interval(x), self.interval(w)))
     }
 
     /// One index per row of `x`, each addressing a column of `x` (the
@@ -361,298 +364,37 @@ impl AuditCtx {
         });
     }
 
-    // ---- elementwise ------------------------------------------------------
-
-    pub fn add(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        self.same_shape("add", a, b);
-        let iv = transfer::add(self.iv(a), self.iv(b));
-        let (r, c) = self.shape(a);
-        self.op("add", &[a, b], r, c, iv)
-    }
-
-    pub fn sub(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        self.same_shape("sub", a, b);
-        let iv = transfer::sub(self.iv(a), self.iv(b));
-        let (r, c) = self.shape(a);
-        self.op("sub", &[a, b], r, c, iv)
-    }
-
-    pub fn mul(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        self.same_shape("mul", a, b);
-        let iv = transfer::mul(self.iv(a), self.iv(b));
-        let (r, c) = self.shape(a);
-        self.op("mul", &[a, b], r, c, iv)
-    }
-
-    /// Row-broadcast add (`x + bias`, `bias: [1, x.cols]`).
-    pub fn add_bias(&mut self, x: AbsId, bias: AbsId) -> AbsId {
-        self.row_broadcast("add_bias", x, bias);
-        let iv = transfer::add(self.iv(x), self.iv(bias));
-        let (r, c) = self.shape(x);
-        self.op("add_bias", &[x, bias], r, c, iv)
-    }
+    // ---- ops outside the model's vocabulary (property tests) -------------
 
     /// Row-broadcast multiply (`w: [1, x.cols]`).
     pub fn mul_bias(&mut self, x: AbsId, w: AbsId) -> AbsId {
-        self.row_broadcast("mul_bias", x, w);
-        let iv = transfer::mul(self.iv(x), self.iv(w));
+        self.row_broadcast("mul_bias", x, w, transfer::mul)
+    }
+
+    pub fn sum_all(&mut self, x: AbsId) -> AbsId {
         let (r, c) = self.shape(x);
-        self.op("mul_bias", &[x, w], r, c, iv)
-    }
-
-    /// Column-broadcast multiply (`c: [x.rows, 1]`).
-    pub fn mul_col(&mut self, x: AbsId, c: AbsId) -> AbsId {
-        let (sx, sc) = (self.shape(x), self.shape(c));
-        self.check("mul_col", sc == (sx.0, 1), || {
-            format!("column {} does not broadcast over {}", dims(sc), dims(sx))
-        });
-        let iv = transfer::mul(self.iv(x), self.iv(c));
-        self.op("mul_col", &[x, c], sx.0, sx.1, iv)
-    }
-
-    pub fn scale(&mut self, x: AbsId, s: f64) -> AbsId {
-        let iv = transfer::scale(self.iv(x), s);
-        let (r, c) = self.shape(x);
-        self.op("scale", &[x], r, c, iv)
-    }
-
-    pub fn add_scalar(&mut self, x: AbsId, s: f64) -> AbsId {
-        let iv = transfer::add_scalar(self.iv(x), s);
-        let (r, c) = self.shape(x);
-        self.op("add_scalar", &[x], r, c, iv)
-    }
-
-    /// Elementwise division — pole rule from [`transfer::div`].
-    pub fn div(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        self.same_shape("div", a, b);
-        let iv = transfer::div(self.iv(a), self.iv(b));
-        let (r, c) = self.shape(a);
-        self.op("div", &[a, b], r, c, iv)
-    }
-
-    // ---- matmul family ----------------------------------------------------
-
-    /// `a @ b`: inner accumulation over `a.cols` terms.
-    pub fn matmul(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let ((ar, k), (br, bc)) = (self.shape(a), self.shape(b));
-        self.check("matmul", k == br, || {
-            format!("inner dims differ: {} x {}", dims((ar, k)), dims((br, bc)))
-        });
-        let iv = transfer::dot(self.iv(a), self.iv(b), k);
-        self.op("matmul", &[a, b], ar, bc, iv)
-    }
-
-    /// `a @ b^T`.
-    pub fn matmul_nt(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let ((ar, k), (br, bc)) = (self.shape(a), self.shape(b));
-        self.check("matmul_nt", k == bc, || {
-            format!("column counts differ: {} x {}^T", dims((ar, k)), dims((br, bc)))
-        });
-        let iv = transfer::dot(self.iv(a), self.iv(b), k);
-        self.op("matmul_nt", &[a, b], ar, br, iv)
-    }
-
-    /// 1-D convolution (`'same'` padding) over `[batch, in_ch * width]` rows
-    /// with kernel `[out_ch, in_ch * ksize]` and bias `[1, out_ch]`:
-    /// accumulation over `in_ch * ksize` taps plus the channel bias.
-    pub fn conv1d(
-        &mut self,
-        x: AbsId,
-        w: AbsId,
-        b: AbsId,
-        in_ch: usize,
-        out_ch: usize,
-        ksize: usize,
-    ) -> AbsId {
-        let ((rows, cols), sw, sb) = (self.shape(x), self.shape(w), self.shape(b));
-        self.check("conv1d", in_ch > 0 && cols.is_multiple_of(in_ch), || {
-            format!("input width {cols} is not a multiple of in_ch={in_ch}")
-        });
-        let taps = in_ch * ksize;
-        self.check("conv1d", sw == (out_ch, taps), || {
-            format!("kernel is {}, expected [{out_ch}, {taps}] for ksize={ksize}", dims(sw))
-        });
-        self.check("conv1d", sb == (1, out_ch), || {
-            format!("bias is {}, expected [1, {out_ch}]", dims(sb))
-        });
-        let acc = transfer::dot(self.iv(x), self.iv(w), taps);
-        let iv = transfer::add(acc, self.iv(b));
-        let width = cols.checked_div(in_ch).unwrap_or(0);
-        self.op("conv1d", &[x, w, b], rows, out_ch * width, iv)
-    }
-
-    // ---- nonlinearities ---------------------------------------------------
-
-    pub fn sigmoid(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::sigmoid(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("sigmoid", &[x], r, c, iv)
-    }
-
-    pub fn tanh(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::tanh(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("tanh", &[x], r, c, iv)
-    }
-
-    pub fn relu(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::relu(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("relu", &[x], r, c, iv)
-    }
-
-    /// Randomized leaky ReLU (negative slope in `[0, 1]`).
-    pub fn rrelu(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::rrelu(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("rrelu", &[x], r, c, iv)
+        let iv = transfer::sum(self.interval(x), r * c);
+        self.op("sum_all", &[x], (1, 1), iv)
     }
 
     /// Unguarded exponential — the overflow rule flags any input that can
     /// exceed `ln(f32::MAX)`. The shipped model has no bare `exp`; this is
     /// the op the audit exists to veto in future kernels.
     pub fn exp(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::exp(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("exp", &[x], r, c, iv)
+        self.map("exp", x, transfer::exp)
     }
 
-    /// `ln(x + eps)` — pole rule from [`transfer::ln`].
-    pub fn ln(&mut self, x: AbsId, eps: f64) -> AbsId {
-        let iv = transfer::ln(self.iv(x), eps);
-        let (r, c) = self.shape(x);
-        self.op("ln", &[x], r, c, iv)
-    }
-
-    /// Inverted dropout at the given rate.
-    pub fn dropout(&mut self, x: AbsId, rate: f64) -> AbsId {
-        let iv = transfer::dropout(self.iv(x), rate);
-        let (r, c) = self.shape(x);
-        self.op("dropout", &[x], r, c, iv)
-    }
-
-    // ---- gathers / segment sums / layout ---------------------------------
-
-    /// Row gather: every index must address a row of `x`; values are drawn
-    /// from `x`.
-    pub fn gather_rows(&mut self, x: AbsId, indices: &[u32]) -> AbsId {
-        let (rows, c) = self.shape(x);
-        let bad = indices.iter().find(|&&i| i as usize >= rows);
-        self.check("gather_rows", bad.is_none(), || {
-            format!("index {} out of range for {rows} rows", bad.unwrap_or(&0))
-        });
-        let iv = self.iv(x);
-        self.op("gather_rows", &[x], indices.len(), c, iv)
-    }
-
-    /// Sparse row operator `seg` applied to `x`, bounded by the operator's
-    /// measured per-row weight mass. Every column index must address a row
-    /// of `x`.
-    pub fn segment_sum(&mut self, x: AbsId, seg: &Segments) -> AbsId {
-        let (rows, c) = self.shape(x);
-        let bad = seg.cols().iter().find(|&&i| i as usize >= rows);
-        self.check("segment_sum", bad.is_none(), || {
-            format!("column index {} out of range for {rows} rows", bad.unwrap_or(&0))
-        });
-        let iv = transfer::segment_sum(self.iv(x), seg.mass());
-        self.op("segment_sum", &[x], seg.num_rows(), c, iv)
-    }
-
-    /// Per-row scaling by `num_weights` data-dependent weights inside
-    /// `weights`, one per row of `x`.
-    pub fn row_scale(&mut self, x: AbsId, num_weights: usize, weights: Interval) -> AbsId {
-        let (r, c) = self.shape(x);
-        self.check("row_scale", num_weights == r, || format!("{num_weights} weights for {r} rows"));
-        let iv = transfer::mul(self.iv(x), weights);
-        self.op("row_scale", &[x], r, c, iv)
-    }
-
-    /// Horizontal concatenation `[a | b]`.
-    pub fn concat_cols(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let ((r, ac), (br, bc)) = (self.shape(a), self.shape(b));
-        self.check("concat_cols", r == br, || {
-            format!("row counts differ: {} vs {}", dims((r, ac)), dims((br, bc)))
-        });
-        let iv = self.iv(a).hull(self.iv(b));
-        self.op("concat_cols", &[a, b], r, ac + bc, iv)
-    }
-
-    /// Columns `start..end` of `x`.
-    pub fn slice_cols(&mut self, x: AbsId, start: usize, end: usize) -> AbsId {
-        let (r, c) = self.shape(x);
-        self.check("slice_cols", start <= end && end <= c, || {
-            format!("slice {start}..{end} out of range for {c} columns")
-        });
-        let iv = self.iv(x);
-        self.op("slice_cols", &[x], r, end.saturating_sub(start), iv)
-    }
-
-    /// `out[i, 0] = x[i, cols[i]]`.
-    pub fn gather_cols(&mut self, x: AbsId, cols: &[u32]) -> AbsId {
-        self.one_per_row("gather_cols", x, cols);
-        let iv = self.iv(x);
-        let (r, _) = self.shape(x);
-        self.op("gather_cols", &[x], r, 1, iv)
-    }
-
-    // ---- reductions / normalizers ----------------------------------------
-
-    pub fn softmax_rows(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::softmax(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("softmax_rows", &[x], r, c, iv)
+    /// Elementwise division — pole rule from [`transfer::div`].
+    pub fn div(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        self.zip("div", a, b, transfer::div)
     }
 
     /// Fused softmax + cross-entropy, one target class per logit row: the
     /// per-row losses `[rows, 1]`.
     pub fn softmax_xent(&mut self, x: AbsId, targets: &[u32]) -> AbsId {
         self.one_per_row("softmax_xent", x, targets);
-        let iv = transfer::softmax_xent(self.iv(x));
-        let (r, _) = self.shape(x);
-        self.op("softmax_xent", &[x], r, 1, iv)
-    }
-
-    pub fn mean_all(&mut self, x: AbsId) -> AbsId {
-        let (r, c) = self.shape(x);
-        self.check("mean_all", r > 0 && c > 0, || format!("mean of empty tensor {}", dims((r, c))));
-        let iv = transfer::mean(self.iv(x));
-        self.op("mean_all", &[x], 1, 1, iv)
-    }
-
-    pub fn sum_all(&mut self, x: AbsId) -> AbsId {
-        let (r, c) = self.shape(x);
-        let iv = transfer::sum(self.iv(x), r * c);
-        self.op("sum_all", &[x], 1, 1, iv)
-    }
-
-    pub fn sum_rows(&mut self, x: AbsId) -> AbsId {
-        let (r, c) = self.shape(x);
-        let iv = transfer::sum(self.iv(x), c);
-        self.op("sum_rows", &[x], r, 1, iv)
-    }
-
-    /// Sum of several same-shape tensors.
-    pub fn add_n(&mut self, xs: &[AbsId]) -> AbsId {
-        self.check("add_n", !xs.is_empty(), || "needs at least one input".to_string());
-        for pair in xs.windows(2) {
-            self.same_shape("add_n", pair[0], pair[1]);
-        }
-        let ivs: Vec<Interval> = xs.iter().map(|x| self.iv(*x)).collect();
-        let iv = transfer::add_n(&ivs);
-        let (r, c) = xs.first().map(|x| self.shape(*x)).unwrap_or((0, 0));
-        self.op("add_n", xs, r, c, iv)
-    }
-
-    pub fn normalize_rows(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::normalize_rows(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("normalize_rows", &[x], r, c, iv)
-    }
-
-    pub fn layer_norm_rows(&mut self, x: AbsId) -> AbsId {
-        let (r, c) = self.shape(x);
-        let iv = transfer::layer_norm(self.iv(x), c);
-        self.op("layer_norm_rows", &[x], r, c, iv)
+        let iv = transfer::softmax_xent(self.interval(x));
+        self.op("softmax_xent", &[x], (self.shape(x).0, 1), iv)
     }
 
     // ---- reduction-order declarations ------------------------------------
@@ -753,6 +495,210 @@ impl AuditCtx {
     }
 }
 
+/// The abstract execution of the shared layer and model code: each op
+/// checks its kernel's shape and index preconditions and applies its
+/// transfer function.
+impl Ops for AuditCtx {
+    type Id = AbsId;
+
+    fn apply(&mut self, call: OpCall<'_, AbsId>) -> AbsId {
+        match call {
+            OpCall::Add(a, b) => self.zip("add", a, b, transfer::add),
+            OpCall::Sub(a, b) => self.zip("sub", a, b, transfer::sub),
+            OpCall::Mul(a, b) => self.zip("mul", a, b, transfer::mul),
+            OpCall::AddBias(x, b) => self.row_broadcast("add_bias", x, b, transfer::add),
+            OpCall::MulCol(x, c) => {
+                let (sx, sc) = (self.shape(x), self.shape(c));
+                self.check("mul_col", sc == (sx.0, 1), || {
+                    format!("column {} does not broadcast over {}", dims(sc), dims(sx))
+                });
+                self.op("mul_col", &[x, c], sx, transfer::mul(self.interval(x), self.interval(c)))
+            }
+            OpCall::Scale(x, s) => self.map("scale", x, |iv| transfer::scale(iv, f64::from(s))),
+            OpCall::AddScalar(x, s) => {
+                self.map("add_scalar", x, |iv| transfer::add_scalar(iv, f64::from(s)))
+            }
+            OpCall::MatMul(a, b) => {
+                let ((ar, k), (br, bc)) = (self.shape(a), self.shape(b));
+                self.check("matmul", k == br, || {
+                    format!("inner dims differ: {} x {}", dims((ar, k)), dims((br, bc)))
+                });
+                self.op(
+                    "matmul",
+                    &[a, b],
+                    (ar, bc),
+                    transfer::dot(self.interval(a), self.interval(b), k),
+                )
+            }
+            OpCall::MatMulNT(a, b) => {
+                let ((ar, k), (br, bc)) = (self.shape(a), self.shape(b));
+                self.check("matmul_nt", k == bc, || {
+                    format!("column counts differ: {} x {}^T", dims((ar, k)), dims((br, bc)))
+                });
+                self.op(
+                    "matmul_nt",
+                    &[a, b],
+                    (ar, br),
+                    transfer::dot(self.interval(a), self.interval(b), k),
+                )
+            }
+            OpCall::Conv1d(x, w, b, in_ch, out_ch, ksize) => {
+                // 'same' padding over `[batch, in_ch * width]` rows:
+                // accumulation over `in_ch * ksize` taps plus the bias.
+                let ((rows, cols), sw, sb) = (self.shape(x), self.shape(w), self.shape(b));
+                self.check("conv1d", in_ch > 0 && cols.is_multiple_of(in_ch), || {
+                    format!("input width {cols} is not a multiple of in_ch={in_ch}")
+                });
+                let taps = in_ch * ksize;
+                self.check("conv1d", sw == (out_ch, taps), || {
+                    format!("kernel is {}, expected [{out_ch}, {taps}] for ksize={ksize}", dims(sw))
+                });
+                self.check("conv1d", sb == (1, out_ch), || {
+                    format!("bias is {}, expected [1, {out_ch}]", dims(sb))
+                });
+                let acc = transfer::dot(self.interval(x), self.interval(w), taps);
+                let width = cols.checked_div(in_ch).unwrap_or(0);
+                let iv = transfer::add(acc, self.interval(b));
+                self.op("conv1d", &[x, w, b], (rows, out_ch * width), iv)
+            }
+            OpCall::Sigmoid(x) => self.map("sigmoid", x, transfer::sigmoid),
+            OpCall::Tanh(x) => self.map("tanh", x, transfer::tanh),
+            OpCall::Relu(x) => self.map("relu", x, transfer::relu),
+            OpCall::RRelu(x) => self.map("rrelu", x, transfer::rrelu),
+            OpCall::Dropout(x, p) => {
+                self.map("dropout", x, |iv| transfer::dropout(iv, f64::from(p)))
+            }
+            OpCall::GatherRows(x, indices) => {
+                let (rows, c) = self.shape(x);
+                let bad = indices.iter().find(|&&i| i as usize >= rows);
+                self.check("gather_rows", bad.is_none(), || {
+                    format!("index {} out of range for {rows} rows", bad.unwrap_or(&0))
+                });
+                self.op("gather_rows", &[x], (indices.len(), c), self.interval(x))
+            }
+            OpCall::SegmentSum(x, seg) => {
+                // Bounded by the operator's measured per-row weight mass.
+                let (rows, c) = self.shape(x);
+                let bad = seg.cols().iter().find(|&&i| i as usize >= rows);
+                self.check("segment_sum", bad.is_none(), || {
+                    format!("column index {} out of range for {rows} rows", bad.unwrap_or(&0))
+                });
+                let iv = transfer::segment_sum(self.interval(x), seg.mass());
+                self.op("segment_sum", &[x], (seg.num_rows(), c), iv)
+            }
+            OpCall::RowScale(x, weights) => {
+                let r = self.shape(x).0;
+                self.check("row_scale", weights.len() == r, || {
+                    format!("{} weights for {r} rows", weights.len())
+                });
+                self.map("row_scale", x, |iv| transfer::mul(iv, spanning(&weights)))
+            }
+            OpCall::ConcatCols(a, b) => {
+                let ((r, ac), (br, bc)) = (self.shape(a), self.shape(b));
+                self.check("concat_cols", r == br, || {
+                    format!("row counts differ: {} vs {}", dims((r, ac)), dims((br, bc)))
+                });
+                self.op(
+                    "concat_cols",
+                    &[a, b],
+                    (r, ac + bc),
+                    self.interval(a).hull(self.interval(b)),
+                )
+            }
+            OpCall::SliceCols(x, start, end) => {
+                let (r, c) = self.shape(x);
+                self.check("slice_cols", start <= end && end <= c, || {
+                    format!("slice {start}..{end} out of range for {c} columns")
+                });
+                self.op("slice_cols", &[x], (r, end.saturating_sub(start)), self.interval(x))
+            }
+            OpCall::GatherCols(x, cols) => {
+                self.one_per_row("gather_cols", x, &cols);
+                self.op("gather_cols", &[x], (self.shape(x).0, 1), self.interval(x))
+            }
+            OpCall::SoftmaxRows(x) => self.map("softmax_rows", x, transfer::softmax),
+            OpCall::Ln(x, eps) => self.map("ln", x, |iv| transfer::ln(iv, f64::from(eps))),
+            OpCall::MeanAll(x) => {
+                let (r, c) = self.shape(x);
+                self.check("mean_all", r > 0 && c > 0, || {
+                    format!("mean of empty tensor {}", dims((r, c)))
+                });
+                self.op("mean_all", &[x], (1, 1), transfer::mean(self.interval(x)))
+            }
+            OpCall::SumRows(x) => {
+                let (r, c) = self.shape(x);
+                self.op("sum_rows", &[x], (r, 1), transfer::sum(self.interval(x), c))
+            }
+            OpCall::AddN(xs) => {
+                self.check("add_n", !xs.is_empty(), || "needs at least one input".to_string());
+                for pair in xs.windows(2) {
+                    self.same_shape("add_n", pair[0], pair[1]);
+                }
+                let ivs: Vec<Interval> = xs.iter().map(|x| self.interval(*x)).collect();
+                let shape = xs.first().map_or((0, 0), |x| self.shape(*x));
+                self.op("add_n", xs, shape, transfer::add_n(&ivs))
+            }
+            OpCall::NormalizeRows(x) => self.map("normalize_rows", x, transfer::normalize_rows),
+            OpCall::LayerNormRows(x) => {
+                let c = self.shape(x).1;
+                self.map("layer_norm_rows", x, |iv| transfer::layer_norm(iv, c))
+            }
+        }
+    }
+
+    fn shape(&self, x: AbsId) -> (usize, usize) {
+        (self.nodes[x.0].rows, self.nodes[x.0].cols)
+    }
+
+    /// Records an [`AuditKind::Shape`] finding against `op` unless `cond`
+    /// holds, and goes on.
+    fn check(&mut self, op: &str, cond: bool, detail: impl FnOnce() -> String) {
+        if !cond {
+            self.record(AuditKind::Shape, op, detail());
+        }
+    }
+
+    fn frame<R>(&mut self, name: &str, eq: Option<&str>, f: impl FnOnce(&mut Self) -> R) -> R {
+        self.push_scope(name, eq);
+        let out = f(self);
+        self.pop_scope();
+        out
+    }
+
+    /// Declared by its store name and shape (the value is never read).
+    fn param(&mut self, store: &ParamStore, name: &str) -> AbsId {
+        if self.inference {
+            return self.frozen_param(store, name);
+        }
+        let (rows, cols) = store.value(name).shape();
+        self.declare_param(name, rows, cols)
+    }
+
+    fn frozen_param(&mut self, store: &ParamStore, name: &str) -> AbsId {
+        let (rows, cols) = store.value(name).shape();
+        self.source(rows, cols, param_envelope())
+    }
+
+    fn zeros(&mut self, rows: usize, cols: usize) -> AbsId {
+        self.source(rows, cols, Interval::point(0.0))
+    }
+}
+
+/// A two-operand transfer function.
+type Transfer2 = fn(Interval, Interval) -> Interval;
+
+/// The value envelope of a parameter: `[-PARAM_BOUND, PARAM_BOUND]`.
+fn param_envelope() -> Interval {
+    Interval::new(-PARAM_BOUND, PARAM_BOUND)
+}
+
+/// The smallest interval holding every value in `values` (a point at zero
+/// when there are none: nothing is multiplied by it).
+fn spanning(values: &[f32]) -> Interval {
+    let points = values.iter().map(|&v| Interval::point(f64::from(v)));
+    points.reduce(Interval::hull).unwrap_or(Interval::point(0.0))
+}
+
 /// `[rows, cols]`, the way findings print a shape.
 fn dims((rows, cols): (usize, usize)) -> String {
     format!("[{rows}, {cols}]")
@@ -760,6 +706,8 @@ fn dims((rows, cols): (usize, usize)) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
     use super::*;
 
     /// A `[rows, cols]` source inside `[-1, 1]`.
@@ -803,7 +751,7 @@ mod tests {
         ctx.matmul_nt(x, col);
         ctx.concat_cols(x, wide);
         ctx.slice_cols(x, 2, 4);
-        ctx.row_scale(x, 3, Interval::new(0.0, 1.0));
+        ctx.row_scale(x, Rc::new(vec![0.5; 3]));
         ctx.conv1d(x, kernel, bias, 2, 16, 3);
         ctx.softmax_xent(x, &[0, 1]);
         ctx.add_n(&[x, wide]);
@@ -860,8 +808,10 @@ mod tests {
     #[test]
     fn gradient_flow_reports_detached_param() {
         let mut ctx = AuditCtx::new();
-        let w = ctx.scoped("tim.lstm", Some("Eq. 7-8"), |ctx| ctx.param("tim_lstm.w", 4, 4));
-        let used = ctx.scoped("ram", Some("Eq. 1-2"), |ctx| ctx.param("ram.l0.wself", 4, 4));
+        let w =
+            ctx.scoped("tim.lstm", Some("Eq. 7-8"), |ctx| ctx.declare_param("tim_lstm.w", 4, 4));
+        let used =
+            ctx.scoped("ram", Some("Eq. 1-2"), |ctx| ctx.declare_param("ram.l0.wself", 4, 4));
         // `w` flows only into a detached value; `used` reaches the loss.
         let h = ctx.tanh(w);
         let _cut = ctx.detach(h, "test boundary");
@@ -882,7 +832,7 @@ mod tests {
     fn frozen_declarations_flip_both_ways() {
         // Declared frozen and indeed unreached: clean.
         let mut ctx = AuditCtx::new();
-        let w = ctx.param("hyper0", 2, 2);
+        let w = ctx.declare_param("hyper0", 2, 2);
         let live = ctx.source(2, 2, Interval::new(-1.0, 1.0));
         let _ = ctx.tanh(w);
         let loss = ctx.mean_all(live);
@@ -891,7 +841,7 @@ mod tests {
 
         // Declared frozen but reached: finding.
         let mut ctx = AuditCtx::new();
-        let w = ctx.param("hyper0", 2, 2);
+        let w = ctx.declare_param("hyper0", 2, 2);
         let loss = ctx.mean_all(w);
         ctx.check_gradient_flow(loss, &[FrozenParam::new("hyper0", "ablated")]);
         let report = ctx.finish();
@@ -922,7 +872,7 @@ mod tests {
         let _ = ctx.softmax_rows(s);
         ctx.check_no_trainable_params();
         assert!(ctx.issues().is_empty());
-        let _ = ctx.param("dec_e.fc.w", 2, 2);
+        let _ = ctx.declare_param("dec_e.fc.w", 2, 2);
         ctx.check_no_trainable_params();
         let report = ctx.finish();
         assert_eq!(report.issues.len(), 1);

@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use retia_analyze::value::AbsId;
 use retia_analyze::{AuditCtx, AuditKind};
 use retia_tensor::transfer::{self, Interval, RowMass, F32_EXP_OVERFLOW};
-use retia_tensor::{Graph, NodeId, Segments, Tensor};
+use retia_tensor::{Graph, NodeId, Ops, Segments, Tensor};
 
 /// One live value tracked through both executions.
 #[derive(Clone, Copy)]
@@ -118,18 +118,12 @@ fn random_op_sequences_stay_inside_the_abstract_interval() {
                 }
                 6 => {
                     let s = rng.gen_range(-2.0f32..2.0);
-                    (
-                        Twin { real: g.scale(t.real, s), abst: ctx.scale(t.abst, f64::from(s)) },
-                        "scale",
-                    )
+                    (Twin { real: g.scale(t.real, s), abst: ctx.scale(t.abst, s) }, "scale")
                 }
                 7 => {
                     let s = rng.gen_range(-2.0f32..2.0);
                     (
-                        Twin {
-                            real: g.add_scalar(t.real, s),
-                            abst: ctx.add_scalar(t.abst, f64::from(s)),
-                        },
+                        Twin { real: g.add_scalar(t.real, s), abst: ctx.add_scalar(t.abst, s) },
                         "add_scalar",
                     )
                 }
@@ -158,23 +152,19 @@ fn random_op_sequences_stay_inside_the_abstract_interval() {
                 13 => (Twin { real: g.rrelu(t.real), abst: ctx.rrelu(t.abst) }, "rrelu"),
                 14 => {
                     let p = rng.gen_range(0.0f32..0.5);
-                    (
-                        Twin {
-                            real: g.dropout(t.real, p),
-                            abst: ctx.dropout(t.abst, f64::from(p)),
-                        },
-                        "dropout",
-                    )
+                    (Twin { real: g.dropout(t.real, p), abst: ctx.dropout(t.abst, p) }, "dropout")
                 }
                 15 => {
                     let count = rng.gen_range(1..8usize);
-                    let idx: Vec<u32> = (0..count)
-                        .map(|_| u32::try_from(rng.gen_range(0..rows)).expect("small index"))
-                        .collect();
+                    let idx: Rc<Vec<u32>> = Rc::new(
+                        (0..count)
+                            .map(|_| u32::try_from(rng.gen_range(0..rows)).expect("small index"))
+                            .collect(),
+                    );
                     (
                         Twin {
-                            abst: ctx.gather_rows(t.abst, &idx),
-                            real: g.gather_rows(t.real, Rc::new(idx)),
+                            abst: ctx.gather_rows(t.abst, idx.clone()),
+                            real: g.gather_rows(t.real, idx),
                         },
                         "gather_rows",
                     )
@@ -188,21 +178,22 @@ fn random_op_sequences_stay_inside_the_abstract_interval() {
                         groups[rng.gen_range(0..out_rows)]
                             .push(u32::try_from(i).expect("small index"));
                     }
-                    let seg = Segments::unit(&groups);
+                    let seg = Rc::new(Segments::unit(&groups));
                     (
                         Twin {
-                            abst: ctx.segment_sum(t.abst, &seg),
-                            real: g.segment_sum(t.real, Rc::new(seg)),
+                            abst: ctx.segment_sum(t.abst, seg.clone()),
+                            real: g.segment_sum(t.real, seg),
                         },
                         "segment_sum (scatter)",
                     )
                 }
                 17 => {
-                    let w: Vec<f32> = (0..rows).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+                    let w: Rc<Vec<f32>> =
+                        Rc::new((0..rows).map(|_| rng.gen_range(0.0f32..1.0)).collect());
                     (
                         Twin {
-                            abst: ctx.row_scale(t.abst, w.len(), Interval::new(0.0, 1.0)),
-                            real: g.row_scale(t.real, Rc::new(w)),
+                            abst: ctx.row_scale(t.abst, w.clone()),
+                            real: g.row_scale(t.real, w),
                         },
                         "row_scale",
                     )
@@ -258,11 +249,11 @@ fn random_op_sequences_stay_inside_the_abstract_interval() {
                         }
                         offsets.push(idx.len());
                     }
-                    let seg = Segments::new(offsets, idx, w);
+                    let seg = Rc::new(Segments::new(offsets, idx, w));
                     (
                         Twin {
-                            abst: ctx.segment_sum(t.abst, &seg),
-                            real: g.segment_sum(t.real, Rc::new(seg)),
+                            abst: ctx.segment_sum(t.abst, seg.clone()),
+                            real: g.segment_sum(t.real, seg),
                         },
                         "segment_sum",
                     )
@@ -302,19 +293,19 @@ fn gather_cols_ln_and_xent_stay_inside_the_abstract_interval() {
         let mut ctx = AuditCtx::new();
         let x = fresh(&mut g, &mut ctx, &mut rng, n, c);
         let probs = Twin { real: g.softmax_rows(x.real), abst: ctx.softmax_rows(x.abst) };
-        let targets: Vec<u32> =
-            (0..n).map(|_| u32::try_from(rng.gen_range(0..c)).expect("small index")).collect();
+        let targets: Rc<Vec<u32>> = Rc::new(
+            (0..n).map(|_| u32::try_from(rng.gen_range(0..c)).expect("small index")).collect(),
+        );
         let picked = Twin {
-            real: g.gather_cols(probs.real, Rc::new(targets.clone())),
-            abst: ctx.gather_cols(probs.abst, &targets),
+            real: g.gather_cols(probs.real, targets.clone()),
+            abst: ctx.gather_cols(probs.abst, targets.clone()),
         };
         assert_contained(&g, &ctx, picked, round, 0, "gather_cols");
         let nll = Twin { real: g.ln(picked.real, 1e-9), abst: ctx.ln(picked.abst, 1e-9) };
         assert_contained(&g, &ctx, nll, round, 1, "ln");
         // The fused kernel mean-reduces the per-row losses to a scalar.
         let per_row = ctx.softmax_xent(x.abst, &targets);
-        let fused =
-            Twin { real: g.softmax_xent(x.real, Rc::new(targets)), abst: ctx.mean_all(per_row) };
+        let fused = Twin { real: g.softmax_xent(x.real, targets), abst: ctx.mean_all(per_row) };
         assert_contained(&g, &ctx, fused, round, 2, "softmax_xent");
     }
 }
@@ -362,8 +353,9 @@ fn segment_sum_bound_covers_weight_mass_above_one() {
         real: g.constant(Tensor::from_vec(4, 1, vec![1.0, 1.0, 1.0, 0.25])),
         abst: ctx.source(4, 1, Interval::new(0.25, 1.0)),
     };
+    let seg = Rc::new(seg);
     let summed =
-        Twin { abst: ctx.segment_sum(x.abst, &seg), real: g.segment_sum(x.real, Rc::new(seg)) };
+        Twin { abst: ctx.segment_sum(x.abst, seg.clone()), real: g.segment_sum(x.real, seg) };
     assert_contained(&g, &ctx, summed, 0, 0, "segment_sum");
     let hub = g.value(summed.real).get(0, 0);
     assert!(hub > 1.0005, "the f32 hub sum should overshoot 1, got {hub}");
@@ -391,7 +383,7 @@ fn single_shape_finding(op: &str, f: impl FnOnce(&mut AuditCtx, AbsId)) -> Strin
 #[test]
 fn gather_rows_out_of_range_is_a_shape_finding() {
     let detail = single_shape_finding("gather_rows", |ctx, x| {
-        let y = ctx.gather_rows(x, &[0, 3]);
+        let y = ctx.gather_rows(x, Rc::new(vec![0, 3]));
         // The replay continues with the shape the gather would produce.
         assert_eq!(ctx.shape(y), (2, 4));
     });
@@ -401,11 +393,11 @@ fn gather_rows_out_of_range_is_a_shape_finding() {
 #[test]
 fn gather_cols_out_of_range_is_a_shape_finding() {
     let detail = single_shape_finding("gather_cols", |ctx, x| {
-        ctx.gather_cols(x, &[0, 4, 1]);
+        ctx.gather_cols(x, Rc::new(vec![0, 4, 1]));
     });
     assert!(detail.contains("column index 4 out of range for 4 columns"), "{detail}");
     let detail = single_shape_finding("gather_cols", |ctx, x| {
-        ctx.gather_cols(x, &[0, 1]);
+        ctx.gather_cols(x, Rc::new(vec![0, 1]));
     });
     assert!(detail.contains("2 column indices for 3 rows"), "{detail}");
 }
@@ -413,7 +405,7 @@ fn gather_cols_out_of_range_is_a_shape_finding() {
 #[test]
 fn segment_sum_out_of_range_is_a_shape_finding() {
     let detail = single_shape_finding("segment_sum", |ctx, x| {
-        let y = ctx.segment_sum(x, &Segments::unit(&[vec![0, 2], vec![], vec![3]]));
+        let y = ctx.segment_sum(x, Rc::new(Segments::unit(&[vec![0, 2], vec![], vec![3]])));
         assert_eq!(ctx.shape(y), (3, 4));
     });
     assert!(detail.contains("column index 3 out of range for 3 rows"), "{detail}");

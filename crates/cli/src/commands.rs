@@ -189,35 +189,16 @@ pub fn audit(raw: &[String]) -> Result<(), String> {
     if args.flag("all-configs") {
         let mut ops = 0usize;
         let mut configs = 0usize;
-        for rm in [
-            retia::RelationMode::None,
-            retia::RelationMode::Static,
-            retia::RelationMode::Mp,
-            retia::RelationMode::MpLstm,
-            retia::RelationMode::MpLstmAgg,
-        ] {
-            for hm in
-                [retia::HyperrelMode::Init, retia::HyperrelMode::Hmp, retia::HyperrelMode::HmpHlstm]
-            {
-                for (tim, eam) in [(true, true), (false, true), (true, false)] {
-                    let cfg = RetiaConfig {
-                        relation_mode: rm,
-                        hyperrel_mode: hm,
-                        use_tim: tim,
-                        use_eam: eam,
-                        ..cfg.clone()
-                    };
-                    let report = retia::audit_config(&cfg, n, m);
-                    if !report.is_clean() {
-                        return Err(format!(
-                            "audit failed for {rm:?}/{hm:?}/tim={tim}/eam={eam} \
-                             against `{name}` ({n} entities, {m} relations):\n{report}"
-                        ));
-                    }
-                    ops += report.ops_checked;
-                    configs += 1;
-                }
+        for cfg in cfg.ablation_grid() {
+            let report = retia::audit_config(&cfg, n, m);
+            if !report.is_clean() {
+                return Err(format!(
+                    "audit failed for {} against `{name}` ({n} entities, {m} relations):\n{report}",
+                    cfg.ablation_label()
+                ));
             }
+            ops += report.ops_checked;
+            configs += 1;
         }
         println!(
             "ok: {ops} ops audited across {configs} configurations against \

@@ -3,34 +3,33 @@
 //! finiteness domain, plus gradient-flow reachability from the loss and
 //! reduction-order declarations. A clean audit proves that the model's
 //! tensors wire together (every shape and index-space precondition the real
-//! kernels assert holds), that the wired model cannot produce NaN/inf under
-//! the [`retia_analyze::value::PARAM_BOUND`] parameter envelope, and that
-//! every trainable parameter either receives gradient or is declared frozen
-//! (with the ablation flag that freezes it).
+//! kernels and layers assert holds), that the wired model cannot produce
+//! NaN/inf under the [`retia_analyze::value::PARAM_BOUND`] parameter
+//! envelope, and that every trainable parameter either receives gradient or
+//! is declared frozen (with the ablation flag that freezes it).
 //!
-//! The replay is built from the per-layer `audit` twins in `retia_nn`
-//! composed exactly as [`Retia::evolve`]/[`Retia::loss`] compose the real
-//! layers, over a synthetic window that touches the extreme ids of every
-//! index space. Because it never touches tensor data, even paper-scale
-//! configurations audit in well under a second. `retia audit` surfaces it;
-//! the trainer pre-flight and the serve boot check run it before any real
-//! work, so a mis-wired configuration fails in milliseconds, with the
-//! module and paper equation named, instead of mid-epoch.
+//! The audit runs the model's own [`Retia::evolve`] and [`Retia::loss`] over
+//! an [`AuditCtx`] on a synthetic window that touches the extreme ids of
+//! every index space. Because it never touches tensor data, even
+//! paper-scale configurations audit in well under a second. `retia audit`
+//! surfaces it; the trainer pre-flight and the serve boot check run it
+//! before any real work, so a mis-wired configuration fails in
+//! milliseconds, with the module and paper equation named, instead of
+//! mid-epoch.
 
-use retia_analyze::value::PARAM_BOUND;
+use retia_analyze::value::AbsId;
 use retia_analyze::{AuditCtx, AuditIssue, AuditKind, AuditReport, FrozenParam};
 use retia_graph::{HyperSnapshot, Quad, Snapshot, NUM_HYPERRELS_WITH_INV};
-use retia_nn::audit_mean_pool_segments;
-use retia_tensor::transfer::Interval;
+use retia_tensor::Ops;
 
 use crate::config::{HyperrelMode, RelationMode, RetiaConfig};
-use crate::model::{entity_queries, relation_queries, Retia};
+use crate::model::Retia;
 
 /// A two-snapshot history plus a target snapshot exercising the extreme
 /// index spaces: entity ids `0` and `N-1`, relation ids `0` and `M-1`, so
 /// any gather or segment sum whose index space is off-by-one or mis-sized is
 /// caught without running on real data.
-fn synthetic_window(
+pub(crate) fn synthetic_window(
     num_entities: usize,
     num_relations: usize,
 ) -> (Vec<Snapshot>, Vec<HyperSnapshot>, Snapshot) {
@@ -51,22 +50,6 @@ fn synthetic_window(
     (snaps, hypers, target)
 }
 
-/// Seeded-bug injections for the audit replay. All `false` in production;
-/// tests flip one at a time to prove the audit catches each class with the
-/// right module + equation attribution.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct AuditOptions {
-    /// (a) Sever the TIM LSTM output from the loss *without* declaring the
-    /// detach: its gate weights must be reported unreached.
-    pub detach_tim_output: bool,
-    /// (b) Apply an unguarded `exp` to the decode logits: the overflow rule
-    /// must flag it inside the entity decoder scope.
-    pub exp_logits: bool,
-    /// (c) Declare a reorder of the softmax row-sum accumulation: the
-    /// sensitivity map must veto it.
-    pub reorder_softmax_sum: bool,
-}
-
 impl Retia {
     /// Audits one full training step on abstract values alone: shape and
     /// index-space preconditions, finiteness under the parameter envelope,
@@ -76,7 +59,7 @@ impl Retia {
     /// NaN/inf, and every parameter's gradient disposition matches the
     /// configuration. Costs no floating-point tensor work.
     pub fn audit(&self) -> AuditReport {
-        self.audit_run(&AuditOptions::default())
+        self.audit_over(AuditCtx::new(), |ctx| ctx)
     }
 
     /// The [`AuditKind::Shape`] findings of [`Retia::audit`]: a clean
@@ -89,209 +72,26 @@ impl Retia {
         report
     }
 
-    pub(crate) fn audit_run(&self, opts: &AuditOptions) -> AuditReport {
-        let mut ctx = AuditCtx::new();
-        let n = self.num_entities();
-        let m = self.num_relations();
-        let m2 = 2 * m;
-        let d = self.cfg.dim;
-        let (snaps, hypers, target) = synthetic_window(n, m);
-        let param_iv = Interval::new(-PARAM_BOUND, PARAM_BOUND);
+    /// [`Retia::audit`] over any abstract execution that `into_ctx` turns
+    /// back into its [`AuditCtx`]: `evolve` and `loss` on the synthetic
+    /// window, then the gradient-flow walk and the store cross-check. Tests
+    /// pass a wrapper that seeds a bug into the model's own ops.
+    pub(crate) fn audit_over<C: Ops<Id = AbsId>>(
+        &self,
+        mut exec: C,
+        into_ctx: impl FnOnce(C) -> AuditCtx,
+    ) -> AuditReport {
+        let (snaps, hypers, target) = synthetic_window(self.num_entities(), self.num_relations());
+        let states = self.evolve(&mut exec, &snaps, &hypers);
+        let (loss, _, _) = self.loss(&mut exec, &states, &target);
 
-        // ---- initial embeddings (ablated ones enter as constants, exactly
-        // as `Retia::evolve` inserts them) ----
-        let ent0_raw =
-            if self.cfg.use_eam { ctx.param("ent0", n, d) } else { ctx.source(n, d, param_iv) };
-        let e0 = if self.cfg.normalize_entities { ctx.normalize_rows(ent0_raw) } else { ent0_raw };
-        let r0 = match self.cfg.relation_mode {
-            RelationMode::None => ctx.source(m2, d, param_iv),
-            _ => ctx.param("rel0", m2, d),
-        };
-        let hr0 = ctx.param("hyper0", NUM_HYPERRELS_WITH_INV, d);
-
-        // ---- evolve: the RAM/EAM/TIM recurrence (Eq. 1-10) ----
-        let mut e_prev = e0;
-        let mut r_prev = r0;
-        let mut hr_prev = hr0;
-        let mut c_prev = None;
-        let mut hc_prev = None;
-        let mut states = Vec::with_capacity(snaps.len());
-
-        for (snap, hyper) in snaps.iter().zip(hypers.iter()) {
-            let r_t = match self.cfg.relation_mode {
-                RelationMode::None | RelationMode::Static => r0,
-                RelationMode::Mp => ctx.scoped("tim", Some("Eq. 7"), |ctx| {
-                    let pooled = audit_mean_pool_segments(ctx, e_prev, &snap.rel_entities);
-                    let fb = ctx.row_scale(r0, snap.rel_entities.len(), Interval::new(0.0, 1.0));
-                    ctx.add(pooled, fb)
-                }),
-                RelationMode::MpLstm | RelationMode::MpLstmAgg => {
-                    let r_lstm = if self.cfg.use_tim {
-                        ctx.scoped("tim.lstm", Some("Eq. 7-8"), |ctx| {
-                            let pooled = audit_mean_pool_segments(ctx, e_prev, &snap.rel_entities);
-                            let r_mean = ctx.concat_cols(r0, pooled);
-                            let c0 =
-                                c_prev.unwrap_or_else(|| ctx.source(m2, d, Interval::point(0.0)));
-                            let (h, c) = self.tim_lstm.audit(ctx, r_mean, r_prev, c0);
-                            c_prev = Some(c);
-                            if opts.detach_tim_output {
-                                // Seeded bug (a): an *undeclared* detach —
-                                // the value flows on but the backward edge
-                                // is gone.
-                                let (rows, cols) = ctx.shape(h);
-                                let iv = ctx.interval(h);
-                                ctx.source(rows, cols, iv)
-                            } else {
-                                h
-                            }
-                        })
-                    } else {
-                        r_prev
-                    };
-
-                    if self.cfg.relation_mode == RelationMode::MpLstmAgg {
-                        let hr_t = match self.cfg.hyperrel_mode {
-                            HyperrelMode::Init => hr0,
-                            HyperrelMode::Hmp => ctx.scoped("tim.hyper", Some("Eq. 9"), |ctx| {
-                                let pooled =
-                                    audit_mean_pool_segments(ctx, r_lstm, &hyper.hrel_relations);
-                                let fb = ctx.row_scale(
-                                    hr0,
-                                    hyper.hrel_relations.len(),
-                                    Interval::new(0.0, 1.0),
-                                );
-                                ctx.add(pooled, fb)
-                            }),
-                            HyperrelMode::HmpHlstm => {
-                                ctx.scoped("tim.hyper_lstm", Some("Eq. 9-10"), |ctx| {
-                                    let pooled = audit_mean_pool_segments(
-                                        ctx,
-                                        r_lstm,
-                                        &hyper.hrel_relations,
-                                    );
-                                    let hr_mean = ctx.concat_cols(hr0, pooled);
-                                    let hc0 = hc_prev.unwrap_or_else(|| {
-                                        ctx.source(NUM_HYPERRELS_WITH_INV, d, Interval::point(0.0))
-                                    });
-                                    let (h, c) = self.hyper_lstm.audit(ctx, hr_mean, hr_prev, hc0);
-                                    hc_prev = Some(c);
-                                    hr_prev = h;
-                                    h
-                                })
-                            }
-                        };
-                        let r_agg = ctx.scoped("ram", Some("Eq. 1-2"), |ctx| {
-                            self.ram_rgcn.audit(ctx, r_lstm, hr_t, hyper)
-                        });
-                        ctx.scoped("ram.gru", Some("Eq. 3"), |ctx| {
-                            self.rel_gru.audit(ctx, r_agg, r_lstm)
-                        })
-                    } else {
-                        r_lstm
-                    }
-                }
-            };
-
-            let e_t = if self.cfg.use_eam {
-                ctx.scoped("eam", Some("Eq. 4-6"), |ctx| {
-                    let rel_for_eam =
-                        if self.cfg.use_tim { r_t } else { ctx.param("eam_rel0", m2, d) };
-                    let e_agg = self.eam_rgcn.audit(ctx, e_prev, rel_for_eam, snap);
-                    let e = self.ent_gru.audit(ctx, e_agg, e_prev);
-                    if self.cfg.normalize_entities {
-                        ctx.normalize_rows(e)
-                    } else {
-                        e
-                    }
-                })
-            } else {
-                e_prev
-            };
-
-            states.push((e_t, r_t));
-            e_prev = e_t;
-            r_prev = r_t;
-        }
-
-        // ---- decode + loss (Eq. 11-14) ----
-        let (subjects, rels, e_targets) = entity_queries(&target, m);
-        let pe = ctx.scoped("decode.entity", Some("Eq. 11/13"), |ctx| {
-            if opts.reorder_softmax_sum {
-                // Seeded bug (c): a shard plan over the softmax row-sum
-                // accumulation — order-sensitive, must be vetoed.
-                ctx.reorder("softmax_rows", "row-sum");
-            }
-            let mut probs = Vec::with_capacity(states.len());
-            for &(e_t, r_t) in &states {
-                let s_emb = ctx.gather_rows(e_t, &subjects);
-                let r_emb = ctx.gather_rows(r_t, &rels);
-                let mut logits = self.dec_entity.audit(ctx, s_emb, r_emb, e_t);
-                if opts.exp_logits {
-                    // Seeded bug (b): an unguarded exponential over the
-                    // unbounded logits.
-                    logits = ctx.exp(logits);
-                }
-                probs.push(ctx.softmax_rows(logits));
-            }
-            ctx.add_n(&probs)
-        });
-
-        let (rs, ro, r_targets) = relation_queries(&target);
-        let orig: Vec<u32> = (0..m as u32).collect();
-        let pr = ctx.scoped("decode.relation", Some("Eq. 12/14"), |ctx| {
-            let mut probs = Vec::with_capacity(states.len());
-            for &(e_t, r_t) in &states {
-                let s_emb = ctx.gather_rows(e_t, &rs);
-                let o_emb = ctx.gather_rows(e_t, &ro);
-                let cand = ctx.gather_rows(r_t, &orig);
-                let logits = self.dec_relation.audit(ctx, s_emb, o_emb, cand);
-                probs.push(ctx.softmax_rows(logits));
-            }
-            ctx.add_n(&probs)
-        });
-
-        let loss = ctx.scoped("loss", Some("Eq. 13-14"), |ctx| {
-            let picked_e = ctx.gather_cols(pe, &e_targets);
-            let ln_e = ctx.ln(picked_e, 1e-9);
-            let mean_e = ctx.mean_all(ln_e);
-            let le = ctx.scale(mean_e, -1.0);
-            let picked_r = ctx.gather_cols(pr, &r_targets);
-            let ln_r = ctx.ln(picked_r, 1e-9);
-            let mean_r = ctx.mean_all(ln_r);
-            let lr = ctx.scale(mean_r, -1.0);
-            let we = ctx.scale(le, f64::from(self.cfg.lambda));
-            let wr = ctx.scale(lr, f64::from(1.0 - self.cfg.lambda));
-            let mut loss = ctx.add(we, wr);
-            if self.cfg.static_weight > 0.0 && self.cfg.use_eam {
-                let ent0 = ctx.param("ent0", n, d);
-                let e0n = ctx.normalize_rows(ent0);
-                let mut terms = Vec::with_capacity(states.len());
-                for (j, &(e_t, _)) in states.iter().enumerate() {
-                    let en =
-                        if self.cfg.normalize_entities { e_t } else { ctx.normalize_rows(e_t) };
-                    let prod = ctx.mul(en, e0n);
-                    let cos = ctx.sum_rows(prod);
-                    let angle = (f64::from(self.cfg.static_angle_deg) * (j + 1) as f64).min(90.0);
-                    let thr = angle.to_radians().cos();
-                    let neg = ctx.scale(cos, -1.0);
-                    let gap = ctx.add_scalar(neg, thr);
-                    let pen = ctx.relu(gap);
-                    terms.push(ctx.mean_all(pen));
-                }
-                let total = ctx.add_n(&terms);
-                let stat = ctx.scale(total, 1.0 / states.len().max(1) as f64);
-                let ws = ctx.scale(stat, f64::from(self.cfg.static_weight));
-                loss = ctx.add(loss, ws);
-            }
-            loss
-        });
-
+        let mut ctx = into_ctx(exec);
         let frozen = self.frozen_params(&hypers);
         ctx.check_gradient_flow(loss, &frozen);
 
         // ---- store cross-check: every registered parameter must be on the
         // abstract tape or in the frozen table — a name in neither means the
-        // audit replay (or the model) forgot a module ----
+        // model step never touches a module it registered ----
         let declared = ctx.declared_param_names();
         let mut report = ctx.finish();
         for (name, _) in self.store().iter() {
@@ -430,10 +230,92 @@ pub fn audit_config(cfg: &RetiaConfig, num_entities: usize, num_relations: usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FrozenModel;
     use retia_nn::{ConvTransE, LstmCell};
+    use retia_tensor::{Graph, OpCall, ParamStore};
 
     fn tiny_cfg() -> RetiaConfig {
         RetiaConfig { dim: 8, channels: 4, k: 2, ..Default::default() }
+    }
+
+    /// A bug seeded into the model's own ops by [`Seeded`].
+    #[derive(Clone, Copy, PartialEq)]
+    enum Bug {
+        /// Every op inside `tim.lstm` cut from its inputs, undeclared.
+        DetachTim,
+        /// An unguarded `exp` after `decode.entity`'s scoring product.
+        ExpLogits,
+        /// The softmax row-sum reorder, declared in `decode.entity`.
+        ReorderSoftmax,
+    }
+
+    /// An [`AuditCtx`] that injects one [`Bug`] while the model step runs
+    /// over it.
+    struct Seeded {
+        ctx: AuditCtx,
+        bug: Bug,
+        frames: Vec<String>,
+    }
+
+    impl Seeded {
+        fn audit(model: &Retia, bug: Bug) -> AuditReport {
+            let seeded = Seeded { ctx: AuditCtx::new(), bug, frames: Vec::new() };
+            model.audit_over(seeded, |seeded| seeded.ctx)
+        }
+
+        fn inside(&self, frame: &str) -> bool {
+            self.frames.iter().any(|f| f == frame)
+        }
+    }
+
+    impl Ops for Seeded {
+        type Id = AbsId;
+
+        fn apply(&mut self, call: OpCall<'_, AbsId>) -> AbsId {
+            let scoring = matches!(call, OpCall::MatMulNT(..));
+            let y = self.ctx.apply(call);
+            match self.bug {
+                Bug::DetachTim if self.inside("tim.lstm") => {
+                    let (rows, cols) = self.ctx.shape(y);
+                    let iv = self.ctx.interval(y);
+                    self.ctx.source(rows, cols, iv)
+                }
+                Bug::ExpLogits if scoring && self.inside("decode.entity") => self.ctx.exp(y),
+                _ => y,
+            }
+        }
+
+        fn shape(&self, x: AbsId) -> (usize, usize) {
+            self.ctx.shape(x)
+        }
+
+        fn check(&mut self, op: &str, cond: bool, detail: impl FnOnce() -> String) {
+            self.ctx.check(op, cond, detail);
+        }
+
+        fn frame<R>(&mut self, name: &str, eq: Option<&str>, f: impl FnOnce(&mut Self) -> R) -> R {
+            self.ctx.push_scope(name, eq);
+            self.frames.push(name.to_string());
+            if self.bug == Bug::ReorderSoftmax && name == "decode.entity" {
+                self.ctx.reorder("softmax_rows", "row-sum");
+            }
+            let out = f(self);
+            self.frames.pop();
+            self.ctx.pop_scope();
+            out
+        }
+
+        fn param(&mut self, store: &ParamStore, name: &str) -> AbsId {
+            self.ctx.param(store, name)
+        }
+
+        fn frozen_param(&mut self, store: &ParamStore, name: &str) -> AbsId {
+            self.ctx.frozen_param(store, name)
+        }
+
+        fn zeros(&mut self, rows: usize, cols: usize) -> AbsId {
+            self.ctx.zeros(rows, cols)
+        }
     }
 
     #[test]
@@ -447,31 +329,30 @@ mod tests {
 
     #[test]
     fn every_ablation_mode_is_clean() {
-        for rm in [
-            RelationMode::None,
-            RelationMode::Static,
-            RelationMode::Mp,
-            RelationMode::MpLstm,
-            RelationMode::MpLstmAgg,
-        ] {
-            for hm in [HyperrelMode::Init, HyperrelMode::Hmp, HyperrelMode::HmpHlstm] {
-                for (tim, eam) in [(true, true), (false, true), (true, false)] {
-                    let cfg = RetiaConfig {
-                        relation_mode: rm,
-                        hyperrel_mode: hm,
-                        use_tim: tim,
-                        use_eam: eam,
-                        static_weight: 1.0,
-                        ..tiny_cfg()
-                    };
-                    let report = audit_config(&cfg, 9, 2);
-                    assert!(
-                        report.is_clean(),
-                        "findings for {rm:?}/{hm:?}/tim={tim}/eam={eam}:\n{report}"
-                    );
-                }
-            }
+        for cfg in (RetiaConfig { static_weight: 1.0, ..tiny_cfg() }).ablation_grid() {
+            let report = audit_config(&cfg, 9, 2);
+            assert!(report.is_clean(), "findings for {}:\n{report}", cfg.ablation_label());
         }
+    }
+
+    #[test]
+    fn the_audits_open_no_span() {
+        let (sink, handle) = retia_obs::CaptureSink::new();
+        let id = retia_obs::add_sink(Box::new(sink));
+        let me = retia_obs::current_thread();
+        let mine = || -> Vec<String> {
+            handle.events().into_iter().filter(|e| e.thread == me).map(|e| e.name).collect()
+        };
+        let model = Retia::with_shape(&tiny_cfg(), 12, 3);
+        model.audit();
+        FrozenModel::new(Retia::with_shape(&tiny_cfg(), 12, 3)).audit();
+        let from_audits = mine();
+        // The same step over a graph does open its spans.
+        let (snaps, hypers, _) = synthetic_window(12, 3);
+        model.evolve(&mut Graph::inference(), &snaps, &hypers);
+        retia_obs::remove_sink(id);
+        assert!(from_audits.is_empty(), "the audits emitted {from_audits:?}");
+        assert!(mine().iter().any(|s| s == "eam.rgcn"), "{:?}", mine());
     }
 
     /// True when `report` has a shape finding under the scope `path`.
@@ -509,8 +390,7 @@ mod tests {
     #[test]
     fn seeded_undeclared_detach_is_caught_in_the_tim() {
         let model = Retia::with_shape(&tiny_cfg(), 12, 3);
-        let report =
-            model.audit_run(&AuditOptions { detach_tim_output: true, ..Default::default() });
+        let report = Seeded::audit(&model, Bug::DetachTim);
         assert!(!report.is_clean(), "undeclared detach passed the audit");
         let flagged: Vec<_> =
             report.issues.iter().filter(|i| i.kind == retia_analyze::AuditKind::GradFlow).collect();
@@ -529,7 +409,7 @@ mod tests {
         // not flagged there.
         let cfg = RetiaConfig { dim: 32, channels: 8, k: 2, ..Default::default() };
         let model = Retia::with_shape(&cfg, 12, 3);
-        let report = model.audit_run(&AuditOptions { exp_logits: true, ..Default::default() });
+        let report = Seeded::audit(&model, Bug::ExpLogits);
         assert!(!report.is_clean(), "unguarded exp passed the audit");
         assert!(
             report.issues.iter().any(|i| {
@@ -544,8 +424,7 @@ mod tests {
     #[test]
     fn seeded_reduction_reorder_is_caught() {
         let model = Retia::with_shape(&tiny_cfg(), 12, 3);
-        let report =
-            model.audit_run(&AuditOptions { reorder_softmax_sum: true, ..Default::default() });
+        let report = Seeded::audit(&model, Bug::ReorderSoftmax);
         assert!(!report.is_clean(), "order-sensitive reorder passed the audit");
         assert!(
             report.issues.iter().any(|i| {

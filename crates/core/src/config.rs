@@ -140,6 +140,33 @@ impl RetiaConfig {
         RetiaConfig { dim: 200, channels: 50, ..Default::default() }
     }
 
+    /// The ablation grid over this configuration: every relation mode ×
+    /// hyperrelation mode × (TIM, EAM) pair the paper exercises (5 × 3 × 3 =
+    /// 45 configurations), each keeping this configuration's other fields.
+    /// `retia audit --all-configs` sweeps it.
+    pub fn ablation_grid(&self) -> Vec<RetiaConfig> {
+        use HyperrelMode::{Hmp, HmpHlstm, Init};
+        use RelationMode::{Mp, MpLstm, MpLstmAgg, Static};
+        let mut grid = Vec::with_capacity(45);
+        for relation_mode in [RelationMode::None, Static, Mp, MpLstm, MpLstmAgg] {
+            for hyperrel_mode in [Init, Hmp, HmpHlstm] {
+                for (use_tim, use_eam) in [(true, true), (false, true), (true, false)] {
+                    let c = self.clone();
+                    grid.push(RetiaConfig { relation_mode, hyperrel_mode, use_tim, use_eam, ..c });
+                }
+            }
+        }
+        grid
+    }
+
+    /// `relation/hyperrel/tim=../eam=..`: how reports name a grid point.
+    pub fn ablation_label(&self) -> String {
+        format!(
+            "{:?}/{:?}/tim={}/eam={}",
+            self.relation_mode, self.hyperrel_mode, self.use_tim, self.use_eam
+        )
+    }
+
     /// Sanity-checks field ranges.
     pub fn validate(&self) -> Result<(), String> {
         if self.dim == 0 {

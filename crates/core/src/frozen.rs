@@ -9,7 +9,8 @@
 //! be cached per window and decoded against arbitrarily many times — with
 //! scores bit-identical to [`Retia::predict_entity`] on the same window,
 //! because the decode replays the exact same float ops on the exact same
-//! input tensors.
+//! input tensors. [`FrozenModel::audit`] runs that same decode code over
+//! the abstract interpreter, so the serving audit checks what serves.
 
 use std::rc::Rc;
 
@@ -17,7 +18,7 @@ use retia_analyze::value::PARAM_BOUND;
 use retia_analyze::{AuditCtx, AuditReport};
 use retia_graph::{HyperSnapshot, Snapshot};
 use retia_tensor::transfer::Interval;
-use retia_tensor::{Graph, Tensor};
+use retia_tensor::{Graph, Ops, Tensor};
 
 use crate::config::RetiaConfig;
 use crate::model::{last_k, EvolvedState, Retia};
@@ -243,8 +244,9 @@ impl FrozenModel {
         g.value(loss).item() as f64
     }
 
-    /// Audit of the serving decode: replays the cached-state decode
-    /// (Eq. 11–14 without the loss) over shapes and intervals, with the
+    /// Audit of the serving decode: runs the model's own two decodes
+    /// ([`Retia::entity_prob_sum`], [`Retia::relation_prob_sum`]; Eq. 11–14
+    /// without the loss) over an inference-mode [`AuditCtx`], with the
     /// frozen window states entering as *declared* detach boundaries and
     /// the decoder weights as constant sources — then proves the abstract
     /// tape declares zero trainable parameters, which is exactly the
@@ -254,66 +256,38 @@ impl FrozenModel {
     ///
     /// The serve boot check runs this before accepting traffic.
     pub fn audit(&self) -> AuditReport {
-        let mut ctx = AuditCtx::new();
-        let cfg = self.cfg();
-        let n = self.num_entities();
-        let m = self.num_relations();
-        let m2 = 2 * m;
-        let d = cfg.dim;
-        let k = cfg.k.max(1);
+        let mut ctx = AuditCtx::inference();
+        let (n, m2, d) = (self.num_entities(), 2 * self.num_relations(), self.cfg().dim);
         let env = Interval::new(-PARAM_BOUND, PARAM_BOUND);
         // Queries address the first and last id of each index space, so a
         // mis-sized table shows up as an out-of-range gather; intervals are
         // row-uniform, so two queries bound any batch.
-        let ends = |count: usize| [0, count.max(1) as u32 - 1];
-        let (ent_ids, rel_ids) = (ends(n), ends(m2));
-        let orig: Vec<u32> = (0..m as u32).collect();
+        let ends = |count: usize| Rc::new(vec![0, count.max(1) as u32 - 1]);
 
-        ctx.scoped("serve", None, |ctx| {
+        ctx.frame("serve", None, |ctx| {
             // The entity-sharded decode splits candidate columns across
             // threads: a reorder of the scoring matmul's output lanes.
             ctx.reorder("matmul_nt", "output-lanes");
 
-            let states: Vec<_> = (0..k)
+            let states: Vec<EvolvedState<_>> = (0..self.cfg().k.max(1))
                 .map(|_| {
                     let e_raw = ctx.source(n, d, env);
-                    let e = ctx.detach(
+                    let entities = ctx.detach(
                         e_raw,
                         "frozen window states: evolve_window detaches the last-k \
                          entity embeddings",
                     );
                     let r_raw = ctx.source(m2, d, env);
-                    let r = ctx.detach(
+                    let relations = ctx.detach(
                         r_raw,
                         "frozen window states: evolve_window detaches the last-k \
                          relation embeddings",
                     );
-                    (e, r)
+                    EvolvedState { entities, relations }
                 })
                 .collect();
-
-            ctx.scoped("decode.entity", Some("Eq. 11/13"), |ctx| {
-                let mut probs = Vec::with_capacity(states.len());
-                for &(e_t, r_t) in &states {
-                    let s_emb = ctx.gather_rows(e_t, &ent_ids);
-                    let r_emb = ctx.gather_rows(r_t, &rel_ids);
-                    let logits = self.model.dec_entity.audit_frozen(ctx, s_emb, r_emb, e_t);
-                    probs.push(ctx.softmax_rows(logits));
-                }
-                ctx.add_n(&probs)
-            });
-
-            ctx.scoped("decode.relation", Some("Eq. 12/14"), |ctx| {
-                let mut probs = Vec::with_capacity(states.len());
-                for &(e_t, r_t) in &states {
-                    let s_emb = ctx.gather_rows(e_t, &ent_ids);
-                    let o_emb = ctx.gather_rows(e_t, &ent_ids);
-                    let cand = ctx.gather_rows(r_t, &orig);
-                    let logits = self.model.dec_relation.audit_frozen(ctx, s_emb, o_emb, cand);
-                    probs.push(ctx.softmax_rows(logits));
-                }
-                ctx.add_n(&probs)
-            });
+            self.model.entity_prob_sum(ctx, &states, ends(n), ends(m2));
+            self.model.relation_prob_sum(ctx, &states, ends(n), ends(n));
         });
 
         ctx.check_no_trainable_params();
@@ -453,7 +427,6 @@ mod tests {
     /// bit across the 45 configs `retia audit --all-configs` sweeps.
     #[test]
     fn inference_release_is_bit_identical_in_every_ablation_config() {
-        use crate::{HyperrelMode, RelationMode};
         let ds = SyntheticConfig::tiny(3).generate();
         let ctx = TkgContext::new(&ds);
         let idx = ctx.test_idx[0];
@@ -461,45 +434,26 @@ mod tests {
         let target = &ctx.snapshots[idx];
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let mut configs = 0;
-        for rm in [
-            RelationMode::None,
-            RelationMode::Static,
-            RelationMode::Mp,
-            RelationMode::MpLstm,
-            RelationMode::MpLstmAgg,
-        ] {
-            for hm in [HyperrelMode::Init, HyperrelMode::Hmp, HyperrelMode::HmpHlstm] {
-                for (tim, eam) in [(true, true), (false, true), (true, false)] {
-                    let cfg = RetiaConfig {
-                        dim: 8,
-                        channels: 4,
-                        k: 3,
-                        static_weight: 0.3,
-                        relation_mode: rm,
-                        hyperrel_mode: hm,
-                        use_tim: tim,
-                        use_eam: eam,
-                        ..Default::default()
-                    };
-                    let label = format!("{rm:?}/{hm:?}/tim={tim}/eam={eam}");
-                    let fm = FrozenModel::new(Retia::new(&cfg, &ds));
-                    let frozen = fm.evolve_window(history, hypers);
-                    let loss = fm.window_loss(history, hypers, target);
+        let base =
+            RetiaConfig { dim: 8, channels: 4, k: 3, static_weight: 0.3, ..Default::default() };
+        for cfg in base.ablation_grid() {
+            let label = cfg.ablation_label();
+            let fm = FrozenModel::new(Retia::new(&cfg, &ds));
+            let frozen = fm.evolve_window(history, hypers);
+            let loss = fm.window_loss(history, hypers, target);
 
-                    let mut g = Graph::new(false, 0);
-                    let states = fm.model.evolve(&mut g, history, hypers);
-                    let last = last_k(&states, cfg.k).to_vec();
-                    assert_eq!(frozen.states.len(), last.len(), "{label}");
-                    for ((e, r), st) in frozen.states.iter().zip(&last) {
-                        assert_eq!(bits(e), bits(g.value(st.entities)), "E_t diverged: {label}");
-                        assert_eq!(bits(r), bits(g.value(st.relations)), "R_t diverged: {label}");
-                    }
-                    let (rec_loss, _, _) = fm.model.loss(&mut g, &last, target);
-                    let rec_loss = f64::from(g.value(rec_loss).item());
-                    assert_eq!(loss.to_bits(), rec_loss.to_bits(), "loss diverged: {label}");
-                    configs += 1;
-                }
+            let mut g = Graph::new(false, 0);
+            let states = fm.model.evolve(&mut g, history, hypers);
+            let last = last_k(&states, cfg.k).to_vec();
+            assert_eq!(frozen.states.len(), last.len(), "{label}");
+            for ((e, r), st) in frozen.states.iter().zip(&last) {
+                assert_eq!(bits(e), bits(g.value(st.entities)), "E_t diverged: {label}");
+                assert_eq!(bits(r), bits(g.value(st.relations)), "R_t diverged: {label}");
             }
+            let (rec_loss, _, _) = fm.model.loss(&mut g, &last, target);
+            let rec_loss = f64::from(g.value(rec_loss).item());
+            assert_eq!(loss.to_bits(), rec_loss.to_bits(), "loss diverged: {label}");
+            configs += 1;
         }
         assert_eq!(configs, 45);
     }

@@ -8,21 +8,24 @@ use retia_graph::{HyperSnapshot, Snapshot, NUM_HYPERRELS_WITH_INV};
 use retia_nn::{
     mean_pool_segments, ConvTransE, EntityRgcn, GruCell, LstmCell, RelationRgcn, WeightMode,
 };
-use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
+use retia_tensor::{Graph, NodeId, Ops, ParamStore, Tensor};
 
 use crate::config::{HyperrelMode, RelationMode, RetiaConfig};
 
-/// The `(E_t, R_t)` pair produced for one historical timestamp.
+/// The `(E_t, R_t)` pair produced for one historical timestamp, as handles
+/// of the execution that produced it (graph nodes by default).
 #[derive(Clone, Copy, Debug)]
-pub struct EvolvedState {
+pub struct EvolvedState<I = NodeId> {
     /// Entity embeddings `E_t` (`[N, d]`).
-    pub entities: NodeId,
+    pub entities: I,
     /// Relation embeddings `R_t` (`[2M, d]`, inverses included).
-    pub relations: NodeId,
+    pub relations: I,
 }
 
 /// The RETIA model. Holds the parameter store and the module definitions;
 /// each forward pass unrolls the recurrence in a fresh autodiff [`Graph`].
+/// The step is written once over [`Ops`]: `retia audit` runs the same
+/// `evolve` and `loss` over the abstract interpreter (see `audit.rs`).
 pub struct Retia {
     /// Configuration the model was built with.
     pub cfg: RetiaConfig,
@@ -129,29 +132,27 @@ impl Retia {
     /// Unrolls the RAM/EAM/TIM recurrence over `history`, returning one
     /// [`EvolvedState`] per historical snapshot (or a single initial state if
     /// the history is empty, so decoding is always possible).
-    pub fn evolve(
+    pub fn evolve<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         history: &[Snapshot],
         hypers: &[HyperSnapshot],
-    ) -> Vec<EvolvedState> {
+    ) -> Vec<EvolvedState<O::Id>> {
         assert_eq!(history.len(), hypers.len(), "history/hypergraph length mismatch");
         let d = self.cfg.dim;
         let m2 = 2 * self.num_relations;
+        let store = &self.store;
 
         // The paper's module ablations freeze the ablated embeddings at their
         // random initialization (no gradient), so insert constants then.
-        let ent0_raw = if self.cfg.use_eam {
-            g.param(&self.store, "ent0")
-        } else {
-            g.constant(self.store.value("ent0").clone())
-        };
+        let ent0_raw =
+            if self.cfg.use_eam { g.param(store, "ent0") } else { g.frozen_param(store, "ent0") };
         let e0 = if self.cfg.normalize_entities { g.normalize_rows(ent0_raw) } else { ent0_raw };
         let r0 = match self.cfg.relation_mode {
-            RelationMode::None => g.constant(self.store.value("rel0").clone()),
-            _ => g.param(&self.store, "rel0"),
+            RelationMode::None => g.frozen_param(store, "rel0"),
+            _ => g.param(store, "rel0"),
         };
-        let hr0 = g.param(&self.store, "hyper0");
+        let hr0 = g.param(store, "hyper0");
 
         if history.is_empty() {
             return vec![EvolvedState { entities: e0, relations: r0 }];
@@ -160,8 +161,8 @@ impl Retia {
         let mut e_prev = e0;
         let mut r_prev = r0;
         let mut hr_prev = hr0;
-        let mut c_prev: Option<NodeId> = None;
-        let mut hc_prev: Option<NodeId> = None;
+        let mut c_prev: Option<O::Id> = None;
+        let mut hc_prev: Option<O::Id> = None;
         let mut states = Vec::with_capacity(history.len());
 
         for (snap, hyper) in history.iter().zip(hypers.iter()) {
@@ -169,21 +170,23 @@ impl Retia {
             // ---- relation update (TIM Eq. 7-8 + RAM Eq. 1-3) ----
             let r_t = match self.cfg.relation_mode {
                 RelationMode::None | RelationMode::Static => r0,
-                RelationMode::Mp => {
+                RelationMode::Mp => g.frame("tim", Some("Eq. 7"), |g| {
                     let pooled = mean_pool_segments(g, e_prev, &snap.rel_entities);
                     Self::fallback_absent(g, pooled, r0, &snap.rel_entities)
-                }
+                }),
                 RelationMode::MpLstm | RelationMode::MpLstmAgg => {
                     let r_lstm = if self.cfg.use_tim {
-                        let _t = retia_obs::span!("tim.lstm");
-                        // Eq. 7: R_mean = [R_0 ; MP(E_{t-1}, E_r^t)].
-                        let pooled = mean_pool_segments(g, e_prev, &snap.rel_entities);
-                        let r_mean = g.concat_cols(r0, pooled);
-                        // Eq. 8: LSTM along the snapshot sequence.
-                        let c0 = c_prev.unwrap_or_else(|| g.constant(Tensor::zeros(m2, d)));
-                        let (h, c) = self.tim_lstm.forward(g, &self.store, r_mean, r_prev, c0);
-                        c_prev = Some(c);
-                        h
+                        let _t = g.span("tim.lstm", &[]);
+                        g.frame("tim.lstm", Some("Eq. 7-8"), |g| {
+                            // Eq. 7: R_mean = [R_0 ; MP(E_{t-1}, E_r^t)].
+                            let pooled = mean_pool_segments(g, e_prev, &snap.rel_entities);
+                            let r_mean = g.concat_cols(r0, pooled);
+                            // Eq. 8: LSTM along the snapshot sequence.
+                            let c0 = c_prev.unwrap_or_else(|| g.zeros(m2, d));
+                            let (h, c) = self.tim_lstm.forward(g, store, r_mean, r_prev, c0);
+                            c_prev = Some(c);
+                            h
+                        })
                     } else {
                         // TIM severed: no entity→relation channel; relations
                         // evolve from their previous state alone.
@@ -191,31 +194,37 @@ impl Retia {
                     };
 
                     if self.cfg.relation_mode == RelationMode::MpLstmAgg {
-                        let _t = retia_obs::span!("ram.aggregate");
+                        let _t = g.span("ram.aggregate", &[]);
                         // Hyperrelation embeddings entering the RAM (Eq. 9-10).
                         let hr_t = match self.cfg.hyperrel_mode {
                             HyperrelMode::Init => hr0,
-                            HyperrelMode::Hmp => {
+                            HyperrelMode::Hmp => g.frame("tim.hyper", Some("Eq. 9"), |g| {
                                 let pooled = mean_pool_segments(g, r_lstm, &hyper.hrel_relations);
                                 Self::fallback_absent(g, pooled, hr0, &hyper.hrel_relations)
-                            }
+                            }),
                             HyperrelMode::HmpHlstm => {
-                                let pooled = mean_pool_segments(g, r_lstm, &hyper.hrel_relations);
-                                let hr_mean = g.concat_cols(hr0, pooled);
-                                let hc0 = hc_prev.unwrap_or_else(|| {
-                                    g.constant(Tensor::zeros(NUM_HYPERRELS_WITH_INV, d))
-                                });
-                                let (h, c) =
-                                    self.hyper_lstm.forward(g, &self.store, hr_mean, hr_prev, hc0);
-                                hc_prev = Some(c);
-                                hr_prev = h;
-                                h
+                                g.frame("tim.hyper_lstm", Some("Eq. 9-10"), |g| {
+                                    let pooled =
+                                        mean_pool_segments(g, r_lstm, &hyper.hrel_relations);
+                                    let hr_mean = g.concat_cols(hr0, pooled);
+                                    let hc0 = hc_prev
+                                        .unwrap_or_else(|| g.zeros(NUM_HYPERRELS_WITH_INV, d));
+                                    let (h, c) =
+                                        self.hyper_lstm.forward(g, store, hr_mean, hr_prev, hc0);
+                                    hc_prev = Some(c);
+                                    hr_prev = h;
+                                    h
+                                })
                             }
                         };
                         // Eq. 2: aggregate adjacent relations + hyperrelations.
-                        let r_agg = self.ram_rgcn.forward(g, &self.store, r_lstm, hr_t, hyper);
+                        let r_agg = g.frame("ram", Some("Eq. 1-2"), |g| {
+                            self.ram_rgcn.forward(g, store, r_lstm, hr_t, hyper)
+                        });
                         // Eq. 3: residual GRU against the pre-aggregation state.
-                        self.rel_gru.forward(g, &self.store, r_agg, r_lstm)
+                        g.frame("ram.gru", Some("Eq. 3"), |g| {
+                            self.rel_gru.forward(g, store, r_agg, r_lstm)
+                        })
                     } else {
                         r_lstm
                     }
@@ -224,16 +233,18 @@ impl Retia {
 
             // ---- entity update (EAM Eq. 4-6) ----
             let e_t = if self.cfg.use_eam {
-                let _t = retia_obs::span!("eam.rgcn");
-                let rel_for_eam =
-                    if self.cfg.use_tim { r_t } else { g.param(&self.store, "eam_rel0") };
-                let e_agg = self.eam_rgcn.forward(g, &self.store, e_prev, rel_for_eam, snap);
-                let e = self.ent_gru.forward(g, &self.store, e_agg, e_prev);
-                if self.cfg.normalize_entities {
-                    g.normalize_rows(e)
-                } else {
-                    e
-                }
+                let _t = g.span("eam.rgcn", &[]);
+                g.frame("eam", Some("Eq. 4-6"), |g| {
+                    let rel_for_eam =
+                        if self.cfg.use_tim { r_t } else { g.param(store, "eam_rel0") };
+                    let e_agg = self.eam_rgcn.forward(g, store, e_prev, rel_for_eam, snap);
+                    let e = self.ent_gru.forward(g, store, e_agg, e_prev);
+                    if self.cfg.normalize_entities {
+                        g.normalize_rows(e)
+                    } else {
+                        e
+                    }
+                })
             } else {
                 e_prev
             };
@@ -253,12 +264,12 @@ impl Retia {
     /// Rows of `pooled` whose segment was empty are replaced by the
     /// corresponding `fallback` row (absent relations keep their initial
     /// embedding instead of collapsing to zero).
-    fn fallback_absent(
-        g: &mut Graph,
-        pooled: NodeId,
-        fallback: NodeId,
+    fn fallback_absent<O: Ops>(
+        g: &mut O,
+        pooled: O::Id,
+        fallback: O::Id,
         segments: &[Vec<u32>],
-    ) -> NodeId {
+    ) -> O::Id {
         let absent: Rc<Vec<f32>> =
             Rc::new(segments.iter().map(|s| if s.is_empty() { 1.0 } else { 0.0 }).collect());
         let fb = g.row_scale(fallback, absent);
@@ -270,23 +281,25 @@ impl Retia {
     ///
     /// `subjects[i]` and `rels[i]` define query `i`; `rels` may contain
     /// inverse ids (`r + M`) for subject forecasting.
-    pub fn entity_prob_sum(
+    pub fn entity_prob_sum<O: Ops>(
         &self,
-        g: &mut Graph,
-        states: &[EvolvedState],
+        g: &mut O,
+        states: &[EvolvedState<O::Id>],
         subjects: Rc<Vec<u32>>,
         rels: Rc<Vec<u32>>,
-    ) -> NodeId {
+    ) -> O::Id {
         assert!(!states.is_empty(), "need at least one evolved state");
-        let _t = retia_obs::span!("decode.entity", timestamps = states.len());
-        let mut probs = Vec::with_capacity(states.len());
-        for st in states {
-            let s_emb = g.gather_rows(st.entities, subjects.clone());
-            let r_emb = g.gather_rows(st.relations, rels.clone());
-            let logits = self.dec_entity.forward(g, &self.store, s_emb, r_emb, st.entities);
-            probs.push(g.softmax_rows(logits));
-        }
-        g.add_n(&probs)
+        let _t = g.span("decode.entity", &[("timestamps", states.len() as f64)]);
+        g.frame("decode.entity", Some("Eq. 11/13"), |g| {
+            let mut probs = Vec::with_capacity(states.len());
+            for st in states {
+                let s_emb = g.gather_rows(st.entities, subjects.clone());
+                let r_emb = g.gather_rows(st.relations, rels.clone());
+                let logits = self.dec_entity.forward(g, &self.store, s_emb, r_emb, st.entities);
+                probs.push(g.softmax_rows(logits));
+            }
+            g.add_n(&probs)
+        })
     }
 
     /// Per-timestamp query representations for entity queries: the
@@ -321,71 +334,67 @@ impl Retia {
 
     /// Summed per-timestamp probabilities for relation queries
     /// (Eq. 12 + Eq. 14): `[Q, M]` over the original (non-inverse) relations.
-    pub fn relation_prob_sum(
+    pub fn relation_prob_sum<O: Ops>(
         &self,
-        g: &mut Graph,
-        states: &[EvolvedState],
+        g: &mut O,
+        states: &[EvolvedState<O::Id>],
         subjects: Rc<Vec<u32>>,
         objects: Rc<Vec<u32>>,
-    ) -> NodeId {
+    ) -> O::Id {
         assert!(!states.is_empty(), "need at least one evolved state");
-        let _t = retia_obs::span!("decode.relation", timestamps = states.len());
-        let orig: Rc<Vec<u32>> = Rc::new((0..self.num_relations as u32).collect());
-        let mut probs = Vec::with_capacity(states.len());
-        for st in states {
-            let s_emb = g.gather_rows(st.entities, subjects.clone());
-            let o_emb = g.gather_rows(st.entities, objects.clone());
-            let cand = g.gather_rows(st.relations, orig.clone());
-            let logits = self.dec_relation.forward(g, &self.store, s_emb, o_emb, cand);
-            probs.push(g.softmax_rows(logits));
-        }
-        g.add_n(&probs)
+        let _t = g.span("decode.relation", &[("timestamps", states.len() as f64)]);
+        g.frame("decode.relation", Some("Eq. 12/14"), |g| {
+            let orig: Rc<Vec<u32>> = Rc::new((0..self.num_relations as u32).collect());
+            let mut probs = Vec::with_capacity(states.len());
+            for st in states {
+                let s_emb = g.gather_rows(st.entities, subjects.clone());
+                let o_emb = g.gather_rows(st.entities, objects.clone());
+                let cand = g.gather_rows(st.relations, orig.clone());
+                let logits = self.dec_relation.forward(g, &self.store, s_emb, o_emb, cand);
+                probs.push(g.softmax_rows(logits));
+            }
+            g.add_n(&probs)
+        })
     }
 
     /// Joint training loss for forecasting `target`'s facts from `states`
     /// (Eq. 13/14 with weight `λ`, plus the optional static-consistency
-    /// constraint). Returns `(loss, entity_loss_value, relation_loss_value)`.
-    pub fn loss(
+    /// constraint). Returns `(loss, entity_loss, relation_loss)`; read the
+    /// two terms' values off a graph with `g.value(id).item()`.
+    pub fn loss<O: Ops>(
         &self,
-        g: &mut Graph,
-        states: &[EvolvedState],
+        g: &mut O,
+        states: &[EvolvedState<O::Id>],
         target: &Snapshot,
-    ) -> (NodeId, f32, f32) {
+    ) -> (O::Id, O::Id, O::Id) {
         let (subjects, rels, e_targets) = entity_queries(target, self.num_relations);
         let (rs, ro, r_targets) = relation_queries(target);
 
         let pe = self.entity_prob_sum(g, states, Rc::new(subjects), Rc::new(rels));
-        let picked_e = g.gather_cols(pe, Rc::new(e_targets));
-        let ln_e = g.ln(picked_e, 1e-9);
-        let mean_e = g.mean_all(ln_e);
-        let le = g.scale(mean_e, -1.0);
-
+        let le = g.frame("loss", Some("Eq. 13-14"), |g| nll(g, pe, e_targets));
         let pr = self.relation_prob_sum(g, states, Rc::new(rs), Rc::new(ro));
-        let picked_r = g.gather_cols(pr, Rc::new(r_targets));
-        let ln_r = g.ln(picked_r, 1e-9);
-        let mean_r = g.mean_all(ln_r);
-        let lr = g.scale(mean_r, -1.0);
+        let lr = g.frame("loss", Some("Eq. 13-14"), |g| nll(g, pr, r_targets));
 
-        let le_val = g.value(le).item();
-        let lr_val = g.value(lr).item();
-
-        let we = g.scale(le, self.cfg.lambda);
-        let wr = g.scale(lr, 1.0 - self.cfg.lambda);
-        let mut loss = g.add(we, wr);
-
-        if self.cfg.static_weight > 0.0 && self.cfg.use_eam {
-            let stat = self.static_constraint(g, states);
-            let ws = g.scale(stat, self.cfg.static_weight);
-            loss = g.add(loss, ws);
-        }
-        (loss, le_val, lr_val)
+        let loss = g.frame("loss", Some("Eq. 13-14"), |g| {
+            let we = g.scale(le, self.cfg.lambda);
+            let wr = g.scale(lr, 1.0 - self.cfg.lambda);
+            let loss = g.add(we, wr);
+            if self.cfg.static_weight > 0.0 && self.cfg.use_eam {
+                let stat = self.static_constraint(g, states);
+                let ws = g.scale(stat, self.cfg.static_weight);
+                g.add(loss, ws)
+            } else {
+                loss
+            }
+        });
+        (loss, le, lr)
     }
 
     /// Static-consistency constraint (the RE-GCN-style auxiliary loss the
     /// paper enables on the ICEWS datasets): the angle between each evolved
     /// entity embedding and its initial embedding may grow by at most
     /// `static_angle_deg` per step; violations are penalized linearly.
-    fn static_constraint(&self, g: &mut Graph, states: &[EvolvedState]) -> NodeId {
+    fn static_constraint<O: Ops>(&self, g: &mut O, states: &[EvolvedState<O::Id>]) -> O::Id {
         let ent0 = g.param(&self.store, "ent0");
         let e0n = g.normalize_rows(ent0);
         let mut terms = Vec::with_capacity(states.len());
@@ -441,8 +450,17 @@ impl Retia {
 }
 
 /// The last `k` states (all of them if fewer).
-pub(crate) fn last_k(states: &[EvolvedState], k: usize) -> &[EvolvedState] {
+pub(crate) fn last_k<I>(states: &[EvolvedState<I>], k: usize) -> &[EvolvedState<I>] {
     &states[states.len().saturating_sub(k)..]
+}
+
+/// The negative log-likelihood of each row's `targets` column of summed
+/// probabilities, averaged (one term of Eq. 13/14).
+fn nll<O: Ops>(g: &mut O, probs: O::Id, targets: Vec<u32>) -> O::Id {
+    let picked = g.gather_cols(probs, Rc::new(targets));
+    let ln = g.ln(picked, 1e-9);
+    let mean = g.mean_all(ln);
+    g.scale(mean, -1.0)
 }
 
 /// Entity-forecasting queries of a snapshot: each fact `(s, r, o)` yields the
@@ -576,6 +594,7 @@ mod tests {
         let mut g = Graph::new(true, 7);
         let states = model.evolve(&mut g, h, hh);
         let (loss, le, lr) = model.loss(&mut g, &states, &ctx.snapshots[idx]);
+        let (le, lr) = (g.value(le).item(), g.value(lr).item());
         let v = g.value(loss).item();
         assert!(v.is_finite() && v > 0.0, "loss {v}");
         assert!(le > 0.0 && lr > 0.0);
@@ -610,38 +629,41 @@ mod tests {
         }
     }
 
+    /// Every ablation config runs, over a real window and over the audit's
+    /// synthetic one, and the same generic `evolve` + `loss` on a recording
+    /// training graph (live dropout and rrelu draws) and on the abstract
+    /// interpreter agree: equal shapes, and every element of each `E_t`,
+    /// each `R_t` and the loss inside its abstract interval.
     #[test]
     fn ablated_modes_still_run() {
         let ds = SyntheticConfig::tiny(2).generate();
         let ctx = crate::TkgContext::new(&ds);
-        for (rm, hm, tim, eam) in [
-            (RelationMode::None, HyperrelMode::Init, true, true),
-            (RelationMode::Mp, HyperrelMode::Init, true, true),
-            (RelationMode::MpLstm, HyperrelMode::Init, true, true),
-            (RelationMode::MpLstmAgg, HyperrelMode::Init, true, true),
-            (RelationMode::MpLstmAgg, HyperrelMode::Hmp, true, true),
-            (RelationMode::MpLstmAgg, HyperrelMode::HmpHlstm, false, true),
-            (RelationMode::MpLstmAgg, HyperrelMode::HmpHlstm, true, false),
-        ] {
-            let cfg = RetiaConfig {
-                dim: 8,
-                channels: 4,
-                k: 2,
-                relation_mode: rm,
-                hyperrel_mode: hm,
-                use_tim: tim,
-                use_eam: eam,
-                ..Default::default()
-            };
+        let (h, hh) = ctx.history(3, 2);
+        let (sh, shh, st) = crate::audit::synthetic_window(ds.num_entities, ds.num_relations);
+        for cfg in (RetiaConfig { dim: 8, channels: 4, k: 2, ..Default::default() }).ablation_grid()
+        {
+            let label = cfg.ablation_label();
             let model = Retia::new(&cfg, &ds);
-            let (h, hh) = ctx.history(3, 2);
-            let mut g = Graph::new(true, 0);
-            let states = model.evolve(&mut g, h, hh);
-            let (loss, _, _) = model.loss(&mut g, &states, &ctx.snapshots[3]);
-            assert!(
-                g.value(loss).item().is_finite(),
-                "non-finite loss for {rm:?}/{hm:?}/tim={tim}/eam={eam}"
-            );
+            for (h, hh, target) in [(h, hh, &ctx.snapshots[3]), (&sh[..], &shh[..], &st)] {
+                let mut g = Graph::new(true, 0);
+                let states = model.evolve(&mut g, h, hh);
+                let (loss, _, _) = model.loss(&mut g, &states, target);
+                assert!(g.value(loss).item().is_finite(), "non-finite loss for {label}");
+
+                let mut audit = retia_analyze::AuditCtx::new();
+                let abst = model.evolve(&mut audit, h, hh);
+                let (abst_loss, _, _) = model.loss(&mut audit, &abst, target);
+                let pairs = states
+                    .iter()
+                    .zip(&abst)
+                    .flat_map(|(r, a)| [(r.entities, a.entities), (r.relations, a.relations)]);
+                for (i, (r, a)) in pairs.chain([(loss, abst_loss)]).enumerate() {
+                    let (value, iv) = (g.value(r), audit.interval(a));
+                    assert_eq!(value.shape(), audit.shape(a), "{label}: value {i} shape");
+                    let escaped = value.data().iter().find(|&&v| !iv.contains(v));
+                    assert!(escaped.is_none(), "{label}: value {i} has {escaped:?} outside {iv}");
+                }
+            }
         }
     }
 

@@ -262,6 +262,7 @@ impl Trainer {
         let states = self.model.evolve(&mut g, history, hypers);
         let decode_states = last_k(&states, self.cfg.k).to_vec();
         let (loss, le, lr) = self.model.loss(&mut g, &decode_states, target);
+        let (le, lr) = (g.value(le).item(), g.value(lr).item());
         let joint = g.value(loss).item() as f64;
         retia_obs::watchdog::check_value("loss.joint", step, joint);
         retia_obs::watchdog::check_value("loss.entity", step, le as f64);

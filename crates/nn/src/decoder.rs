@@ -11,10 +11,9 @@
 //! layer norm here (our substrate has no running-statistics batch norm);
 //! the substitution is recorded in DESIGN.md.
 
-use retia_analyze::value::{AbsId, PARAM_BOUND};
-use retia_analyze::AuditCtx;
-use retia_tensor::transfer::Interval;
-use retia_tensor::{Graph, NodeId, ParamStore};
+use retia_tensor::{Ops, ParamStore};
+
+use crate::check_width;
 
 /// Convolutional decoder producing `[queries, candidates]` score matrices.
 #[derive(Clone, Debug)]
@@ -58,26 +57,30 @@ impl ConvTransE {
 
     /// Embeds a query pair into a `[queries, dim]` representation (the part
     /// of the decoder before candidate scoring).
-    pub fn query_repr(&self, g: &mut Graph, store: &ParamStore, a: NodeId, b: NodeId) -> NodeId {
-        let _m = retia_obs::module_scope("ConvTransE");
-        assert_eq!(g.value(a).cols(), self.dim, "decoder input width mismatch");
-        assert_eq!(g.value(a).shape(), g.value(b).shape(), "query part shape mismatch");
-        // Channels-major stacking: [a | b] is channel 0 then channel 1.
-        let stacked = g.concat_cols(a, b);
-        let x = g.dropout(stacked, self.dropout);
-        let cw = g.param(store, &self.conv_w);
-        let cb = g.param(store, &self.conv_b);
-        let conv = g.conv1d(x, cw, cb, 2, self.channels, self.ksize);
-        let normed = g.layer_norm_rows(conv);
-        let act = g.relu(normed);
-        let act = g.dropout(act, self.dropout);
-        let fw = g.param(store, &self.fc_w);
-        let fb = g.param(store, &self.fc_b);
-        let proj = g.matmul(act, fw);
-        let proj = g.add_bias(proj, fb);
-        let normed2 = g.layer_norm_rows(proj);
-        let act2 = g.relu(normed2);
-        g.dropout(act2, self.dropout)
+    pub fn query_repr<O: Ops>(&self, g: &mut O, store: &ParamStore, a: O::Id, b: O::Id) -> O::Id {
+        g.scoped("ConvTransE", Some("Eq. 11/12"), |g| {
+            check_width(g, "query_width", "decoder input", a, self.dim);
+            let (sa, sb) = (g.shape(a), g.shape(b));
+            g.check("query_parts", sa == sb, || {
+                format!("query part shape mismatch: [{}, {}] vs [{}, {}]", sa.0, sa.1, sb.0, sb.1)
+            });
+            // Channels-major stacking: [a | b] is channel 0 then channel 1.
+            let stacked = g.concat_cols(a, b);
+            let x = g.dropout(stacked, self.dropout);
+            let cw = g.param(store, &self.conv_w);
+            let cb = g.param(store, &self.conv_b);
+            let conv = g.conv1d(x, cw, cb, 2, self.channels, self.ksize);
+            let normed = g.layer_norm_rows(conv);
+            let act = g.relu(normed);
+            let act = g.dropout(act, self.dropout);
+            let fw = g.param(store, &self.fc_w);
+            let fb = g.param(store, &self.fc_b);
+            let proj = g.matmul(act, fw);
+            let proj = g.add_bias(proj, fb);
+            let normed2 = g.layer_norm_rows(proj);
+            let act2 = g.relu(normed2);
+            g.dropout(act2, self.dropout)
+        })
     }
 
     /// Scores every candidate for every query:
@@ -87,77 +90,25 @@ impl ConvTransE {
     /// it (and the conv/projection above) runs on the chunk-parallel kernels
     /// in `retia_tensor::parallel`, whose output is bit-identical at any
     /// `RETIA_NUM_THREADS`.
-    pub fn forward(
+    pub fn forward<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         store: &ParamStore,
-        a: NodeId,
-        b: NodeId,
-        candidates: NodeId,
-    ) -> NodeId {
+        a: O::Id,
+        b: O::Id,
+        candidates: O::Id,
+    ) -> O::Id {
         let q = self.query_repr(g, store, a, b);
-        g.matmul_nt(q, candidates)
-    }
-
-    /// Value-domain replay of [`ConvTransE::forward`], declaring the
-    /// conv/projection weights by their store names.
-    pub fn audit(&self, ctx: &mut AuditCtx, a: AbsId, b: AbsId, candidates: AbsId) -> AbsId {
-        self.audit_with(ctx, a, b, candidates, |ctx, name, rows, cols| ctx.param(name, rows, cols))
-    }
-
-    /// Value-domain replay of [`ConvTransE::forward`] for the frozen
-    /// serving path: the weights enter as constant sources under the
-    /// parameter envelope instead of trainable declarations, so an
-    /// inference-graph audit can prove the tape holds zero parameters.
-    pub fn audit_frozen(&self, ctx: &mut AuditCtx, a: AbsId, b: AbsId, candidates: AbsId) -> AbsId {
-        let env = Interval::new(-PARAM_BOUND, PARAM_BOUND);
-        self.audit_with(ctx, a, b, candidates, |ctx, _, rows, cols| ctx.source(rows, cols, env))
-    }
-
-    /// The one replay behind [`ConvTransE::audit`] and
-    /// [`ConvTransE::audit_frozen`]: each weight enters through `weight`
-    /// (by store name and shape).
-    fn audit_with(
-        &self,
-        ctx: &mut AuditCtx,
-        a: AbsId,
-        b: AbsId,
-        candidates: AbsId,
-        weight: impl Fn(&mut AuditCtx, &str, usize, usize) -> AbsId,
-    ) -> AbsId {
-        ctx.scoped("ConvTransE", Some("Eq. 11/12"), |ctx| {
-            let (sa, sb) = (ctx.shape(a), ctx.shape(b));
-            ctx.check("query_width", sa.1 == self.dim, || {
-                format!("query part has width {}, decoder embedding width is {}", sa.1, self.dim)
-            });
-            ctx.check("query_parts", sa == sb, || {
-                format!("query parts disagree: [{}, {}] vs [{}, {}]", sa.0, sa.1, sb.0, sb.1)
-            });
-            let p = f64::from(self.dropout);
-            let stacked = ctx.concat_cols(a, b);
-            let x = ctx.dropout(stacked, p);
-            let cw = weight(ctx, &self.conv_w, self.channels, 2 * self.ksize);
-            let cb = weight(ctx, &self.conv_b, 1, self.channels);
-            let conv = ctx.conv1d(x, cw, cb, 2, self.channels, self.ksize);
-            let normed = ctx.layer_norm_rows(conv);
-            let act = ctx.relu(normed);
-            let act = ctx.dropout(act, p);
-            let fw = weight(ctx, &self.fc_w, self.channels * self.dim, self.dim);
-            let fb = weight(ctx, &self.fc_b, 1, self.dim);
-            let proj = ctx.matmul(act, fw);
-            let proj = ctx.add_bias(proj, fb);
-            let normed2 = ctx.layer_norm_rows(proj);
-            let act2 = ctx.relu(normed2);
-            let q = ctx.dropout(act2, p);
-            ctx.matmul_nt(q, candidates)
-        })
+        // The scoring product runs outside the module tag; the audit still
+        // attributes it to the decoder.
+        g.frame("ConvTransE", Some("Eq. 11/12"), |g| g.matmul_nt(q, candidates))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retia_tensor::{optim::Adam, Tensor};
+    use retia_tensor::{optim::Adam, Graph, Tensor};
     use std::rc::Rc;
 
     #[test]

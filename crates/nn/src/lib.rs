@@ -16,15 +16,12 @@
 //!
 //! Modules register their parameters under a prefix in a shared
 //! [`retia_tensor::ParamStore`] at construction and are pure at forward time:
-//! `forward(&self, &mut Graph, &ParamStore, ...)`.
-//!
-//! Every layer also exposes an `audit` twin — a replay of its forward op
-//! sequence over shapes and intervals in a [`retia_analyze::AuditCtx`]. It
-//! records shape and index-space mismatches instead of panicking and
-//! declares the layer's trainable parameters by store name, so the
-//! model-level audit (`retia audit`) can check the wiring, prove
-//! finiteness and prove gradient-flow reachability before any training
-//! step.
+//! `forward(&self, &mut O, &ParamStore, ...)`, generic over
+//! [`retia_tensor::Ops`]. Each layer is written once: over a
+//! [`retia_tensor::Graph`] it computes tensors, over the audit interpreter
+//! (`retia_analyze::AuditCtx`) the same code checks shapes and intervals
+//! for `retia audit`. A precondition stated with `Ops::check` panics on a
+//! graph and is a shape finding, named after the layer, in the audit.
 
 mod decoder;
 mod linear;
@@ -34,6 +31,22 @@ mod rnn;
 
 pub use decoder::ConvTransE;
 pub use linear::Linear;
-pub use pooling::{audit_mean_pool_segments, mean_pool_segments};
+pub use pooling::mean_pool_segments;
 pub use rgcn::{EntityRgcn, RelationRgcn, WeightMode};
 pub use rnn::{GruCell, LstmCell};
+
+use retia_tensor::Ops;
+
+/// A layer's width precondition: `x` has `width` columns.
+fn check_width<O: Ops>(g: &mut O, op: &str, what: &str, x: O::Id, width: usize) {
+    let cols = g.shape(x).1;
+    g.check(op, cols == width, || {
+        format!("{what} width mismatch: {cols} columns, expected {width}")
+    });
+}
+
+/// A layer's row-count precondition: `x` has `rows` rows.
+fn check_rows<O: Ops>(g: &mut O, op: &str, what: &str, x: O::Id, rows: usize) {
+    let n = g.shape(x).0;
+    g.check(op, n == rows, || format!("{what} count mismatch: {n} rows, expected {rows}"));
+}

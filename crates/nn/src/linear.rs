@@ -1,8 +1,8 @@
 //! Affine projection.
 
-use retia_analyze::value::AbsId;
-use retia_analyze::AuditCtx;
-use retia_tensor::{Graph, NodeId, ParamStore};
+use retia_tensor::{Ops, ParamStore};
+
+use crate::check_width;
 
 /// `y = x @ W + b` with Xavier-initialized `W` and zero `b`.
 #[derive(Clone, Debug)]
@@ -25,23 +25,13 @@ impl Linear {
     }
 
     /// Applies the projection to `x` (`[n, in_dim] -> [n, out_dim]`).
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        let _m = retia_obs::module_scope("Linear");
-        assert_eq!(g.value(x).cols(), self.in_dim, "Linear input width mismatch");
-        let w = g.param(store, &self.w);
-        let b = g.param(store, &self.b);
-        let y = g.matmul(x, w);
-        g.add_bias(y, b)
-    }
-
-    /// Value-domain replay of [`Linear::forward`], declaring the weights by
-    /// their store names.
-    pub fn audit(&self, ctx: &mut AuditCtx, x: AbsId) -> AbsId {
-        ctx.scoped("Linear", None, |ctx| {
-            let w = ctx.param(&self.w, self.in_dim, self.out_dim);
-            let b = ctx.param(&self.b, 1, self.out_dim);
-            let y = ctx.matmul(x, w);
-            ctx.add_bias(y, b)
+    pub fn forward<O: Ops>(&self, g: &mut O, store: &ParamStore, x: O::Id) -> O::Id {
+        g.scoped("Linear", None, |g| {
+            check_width(g, "input_width", "Linear input", x, self.in_dim);
+            let w = g.param(store, &self.w);
+            let b = g.param(store, &self.b);
+            let y = g.matmul(x, w);
+            g.add_bias(y, b)
         })
     }
 
@@ -54,7 +44,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retia_tensor::{optim::Adam, Tensor};
+    use retia_tensor::{optim::Adam, Graph, Tensor};
 
     #[test]
     fn forward_shape() {

@@ -2,46 +2,26 @@
 
 use std::rc::Rc;
 
-use retia_analyze::value::AbsId;
-use retia_analyze::AuditCtx;
-use retia_tensor::transfer::Interval;
-use retia_tensor::{Graph, NodeId, Segments};
+use retia_tensor::{Ops, Segments};
 
 /// Mean-pools rows of `x` (`[n, d]`) over `segments`: output row `i` is the
 /// mean of `x[j]` for `j in segments[i]`. Empty segments yield zero rows
 /// (absent relations / hyperrelations keep no pooled signal, matching the
 /// reference implementation).
-pub fn mean_pool_segments(g: &mut Graph, x: NodeId, segments: &[Vec<u32>]) -> NodeId {
-    let _m = retia_obs::module_scope("mean_pool_segments");
-    let plan = Segments::unit(segments);
-    if plan.nnz() == 0 {
-        // All segments empty: a zero tensor with no gradient path.
-        let d = g.value(x).cols();
-        return g.constant(retia_tensor::Tensor::zeros(segments.len(), d));
-    }
-    let inv_counts: Vec<f32> = segments
-        .iter()
-        .map(|seg| if seg.is_empty() { 0.0 } else { 1.0 / seg.len() as f32 })
-        .collect();
-    let summed = g.segment_sum(x, Rc::new(plan));
-    g.row_scale(summed, Rc::new(inv_counts))
-}
-
-/// Value-domain replay of [`mean_pool_segments`]. The sums are bounded by
-/// the longest segment; the per-segment `1/count` weights live in `(0, 1]`
-/// (exactly 0 for empty segments).
-pub fn audit_mean_pool_segments(ctx: &mut AuditCtx, x: AbsId, segments: &[Vec<u32>]) -> AbsId {
-    ctx.scoped("mean_pool_segments", Some("Eq. 7/9"), |ctx| {
+pub fn mean_pool_segments<O: Ops>(g: &mut O, x: O::Id, segments: &[Vec<u32>]) -> O::Id {
+    g.scoped("mean_pool_segments", Some("Eq. 7/9"), |g| {
         let plan = Segments::unit(segments);
         if plan.nnz() == 0 {
-            // All segments empty: a zero constant with no gradient path —
-            // mirrored so the flow walk sees the same disconnection the
-            // real graph has.
-            let (_, d) = ctx.shape(x);
-            return ctx.source(segments.len(), d, Interval::point(0.0));
+            // All segments empty: a zero tensor with no gradient path.
+            let d = g.shape(x).1;
+            return g.zeros(segments.len(), d);
         }
-        let summed = ctx.segment_sum(x, &plan);
-        ctx.row_scale(summed, segments.len(), Interval::new(0.0, 1.0))
+        let inv_counts: Vec<f32> = segments
+            .iter()
+            .map(|seg| if seg.is_empty() { 0.0 } else { 1.0 / seg.len() as f32 })
+            .collect();
+        let summed = g.segment_sum(x, Rc::new(plan));
+        g.row_scale(summed, Rc::new(inv_counts))
     })
 }
 

@@ -21,10 +21,10 @@
 
 use std::rc::Rc;
 
-use retia_analyze::value::AbsId;
-use retia_analyze::AuditCtx;
 use retia_graph::{HyperSnapshot, Snapshot, NUM_HYPERRELS_WITH_INV};
-use retia_tensor::{Graph, NodeId, ParamStore, Segments};
+use retia_tensor::{Ops, ParamStore, Segments};
+
+use crate::check_rows;
 
 /// How per-edge-type transforms are parameterized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +44,7 @@ pub enum WeightMode {
 #[derive(Clone, Debug)]
 struct SlotPlan {
     /// Lengths of the (src, type, dst, norm) edge arrays the plan was cut
-    /// from; the audit twin reports them unless they agree.
+    /// from; the layers' `edge_arrays` check rejects them unless they agree.
     edge_lens: [usize; 4],
     /// Slot rows from `norm · h_src` over each slot's edges.
     src_sum: Rc<Segments>,
@@ -75,8 +75,8 @@ struct TypeSlots {
 }
 
 /// Node rows receiving row `i` at `nodes[i]` with unit weight: the
-/// transpose of a gather. Nodes out of range are left out; the audit twin's
-/// `edge_dst` check reports them.
+/// transpose of a gather. Nodes out of range are left out; the layers'
+/// `edge_dst` check rejects them.
 fn place(nodes: &[u32], num_nodes: usize) -> Rc<Segments> {
     let mut groups = vec![Vec::new(); num_nodes];
     for (i, &n) in nodes.iter().enumerate() {
@@ -90,7 +90,7 @@ fn place(nodes: &[u32], num_nodes: usize) -> Rc<Segments> {
 impl SlotPlan {
     /// Groups the edges by (type, destination); within a slot, edges keep
     /// their array order. Arrays of unequal length are cut to the shortest
-    /// (the audit twin's `edge_arrays` check reports the mismatch).
+    /// (the layers' `edge_arrays` check rejects the mismatch).
     fn new(src: &[u32], etype: &[u32], dst: &[u32], norm: &[f32], num_nodes: usize) -> Self {
         let edge_lens = [src.len(), etype.len(), dst.len(), norm.len()];
         let n = edge_lens.into_iter().min().unwrap_or(0);
@@ -157,7 +157,6 @@ impl SlotPlan {
 #[derive(Clone, Debug)]
 struct RgcnCore {
     prefix: String,
-    dim: usize,
     num_edge_types: usize,
     mode: WeightMode,
     num_layers: usize,
@@ -191,20 +190,55 @@ impl RgcnCore {
                 }
             }
         }
-        RgcnCore { prefix: prefix.to_string(), dim, num_edge_types, mode, num_layers, dropout }
+        RgcnCore { prefix: prefix.to_string(), num_edge_types, mode, num_layers, dropout }
+    }
+
+    /// The edge-set preconditions the layers rely on: equal-length edge
+    /// arrays, edge types with a registered weight, and destinations inside
+    /// the `num_nodes` node table. Then every layer over `plan`.
+    fn forward<O: Ops>(
+        &self,
+        g: &mut O,
+        store: &ParamStore,
+        h_nodes: O::Id,
+        edge_emb: O::Id,
+        plan: &SlotPlan,
+        num_nodes: usize,
+    ) -> O::Id {
+        let lens = plan.edge_lens;
+        g.check("edge_arrays", lens.iter().all(|&l| l == lens[0]), || {
+            format!("edge arrays (src, type, dst, norm) have unequal lengths {lens:?}")
+        });
+        let top = plan.types.last().map_or(0, |ts| ts.ty);
+        g.check("edge_type_id", plan.is_empty() || top < self.num_edge_types, || {
+            format!("edge type {top} has no registered weight (only {} types)", self.num_edge_types)
+        });
+        let top_dst = plan.dests.last().map_or(0, |&d| d as usize);
+        g.check("edge_dst", plan.is_empty() || top_dst < num_nodes, || {
+            format!("edge destination {top_dst} out of range for {num_nodes} nodes")
+        });
+        let mut h = h_nodes;
+        for l in 0..self.num_layers {
+            h = g
+                .frame(&format!("layer {l}"), None, |g| self.layer(g, store, l, h, edge_emb, plan));
+        }
+        h
     }
 
     /// One layer: `h_nodes` `[n, d]`, `edge_emb` `[num_edge_types, d]`
-    /// (relation or hyperrelation embeddings added into messages).
-    fn layer(
+    /// (relation or hyperrelation embeddings added into messages). In
+    /// `PerRelation` mode, `w{r}` for an edge type with no edge in the plan
+    /// never enters the graph; the model-level audit declares such weights
+    /// frozen with a "type absent from the audit window" reason.
+    fn layer<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         store: &ParamStore,
         layer: usize,
-        h_nodes: NodeId,
-        edge_emb: NodeId,
+        h_nodes: O::Id,
+        edge_emb: O::Id,
         plan: &SlotPlan,
-    ) -> NodeId {
+    ) -> O::Id {
         let w0 = g.param(store, &format!("{}.l{layer}.wself", self.prefix));
         let mut out = g.matmul(h_nodes, w0);
         if !plan.is_empty() {
@@ -219,7 +253,7 @@ impl RgcnCore {
                     // each basis once per destination.
                     let coef = g.param(store, &format!("{}.l{layer}.coef", self.prefix));
                     let slot_coef = g.gather_rows(coef, plan.slot_type.clone());
-                    let mut acc: Option<NodeId> = None;
+                    let mut acc: Option<O::Id> = None;
                     for b in 0..nb {
                         let cb = g.slice_cols(slot_coef, b, b + 1);
                         let scaled = g.mul_col(msg, cb);
@@ -235,7 +269,7 @@ impl RgcnCore {
                     g.segment_sum(t, plan.dest_to_node.clone())
                 }
                 WeightMode::PerRelation => {
-                    let mut acc: Option<NodeId> = None;
+                    let mut acc: Option<O::Id> = None;
                     for ts in &plan.types {
                         let rows = g.gather_rows(msg, ts.rows.clone());
                         let wr = g.param(store, &format!("{}.l{layer}.w{}", self.prefix, ts.ty));
@@ -253,100 +287,6 @@ impl RgcnCore {
         }
         let activated = g.rrelu(out);
         g.dropout(activated, self.dropout)
-    }
-
-    /// The edge-set preconditions the real forward relies on, checked once
-    /// per replay: equal-length edge arrays, edge types with a registered
-    /// weight, and destinations inside the `num_nodes` node table.
-    fn audit_edges(&self, ctx: &mut AuditCtx, plan: &SlotPlan, num_nodes: usize) {
-        let lens = plan.edge_lens;
-        ctx.check("edge_arrays", lens.iter().all(|&l| l == lens[0]), || {
-            format!("edge arrays (src, type, dst, norm) have unequal lengths {lens:?}")
-        });
-        let top = plan.types.last().map_or(0, |ts| ts.ty);
-        ctx.check("edge_type_id", plan.is_empty() || top < self.num_edge_types, || {
-            format!("edge type {top} has no registered weight (only {} types)", self.num_edge_types)
-        });
-        let top_dst = plan.dests.last().map_or(0, |&d| d as usize);
-        ctx.check("edge_dst", plan.is_empty() || top_dst < num_nodes, || {
-            format!("edge destination {top_dst} out of range for {num_nodes} nodes")
-        });
-    }
-
-    /// Value-domain replay of [`RgcnCore::layer`], declaring every layer
-    /// parameter the real graph would touch for this plan. In
-    /// `PerRelation` mode, `w{r}` for an edge type with no edge in this
-    /// window is *not* declared — mirroring the real graph, which never
-    /// creates that param node; the model-level audit declares such params
-    /// frozen with a "type absent from the audit window" reason.
-    fn audit_layer(
-        &self,
-        ctx: &mut AuditCtx,
-        layer: usize,
-        h_nodes: AbsId,
-        edge_emb: AbsId,
-        plan: &SlotPlan,
-    ) -> AbsId {
-        let scope = format!("layer {layer}");
-        ctx.scoped(&scope, None, |ctx| {
-            let w0 = ctx.param(&format!("{}.l{layer}.wself", self.prefix), self.dim, self.dim);
-            let mut out = ctx.matmul(h_nodes, w0);
-            if !plan.is_empty() {
-                // Slot sums are bounded by the plan's measured norm mass.
-                let h_sum = ctx.segment_sum(h_nodes, &plan.src_sum);
-                let e_sum = ctx.segment_sum(edge_emb, &plan.type_sum);
-                let msg = ctx.add(h_sum, e_sum);
-                let transformed = match self.mode {
-                    WeightMode::Basis(nb) => {
-                        let coef = ctx.param(
-                            &format!("{}.l{layer}.coef", self.prefix),
-                            self.num_edge_types,
-                            nb,
-                        );
-                        let slot_coef = ctx.gather_rows(coef, &plan.slot_type);
-                        let mut acc: Option<AbsId> = None;
-                        for b in 0..nb {
-                            let cb = ctx.slice_cols(slot_coef, b, b + 1);
-                            let scaled = ctx.mul_col(msg, cb);
-                            let per_dest = ctx.segment_sum(scaled, &plan.slot_to_dest);
-                            let vb = ctx.param(
-                                &format!("{}.l{layer}.basis{b}", self.prefix),
-                                self.dim,
-                                self.dim,
-                            );
-                            let y = ctx.matmul(per_dest, vb);
-                            acc = Some(match acc {
-                                Some(a) => ctx.add(a, y),
-                                None => y,
-                            });
-                        }
-                        let t = acc.unwrap_or(msg);
-                        ctx.segment_sum(t, &plan.dest_to_node)
-                    }
-                    WeightMode::PerRelation => {
-                        let mut acc: Option<AbsId> = None;
-                        for ts in &plan.types {
-                            let rows = ctx.gather_rows(msg, &ts.rows);
-                            let wr = ctx.param(
-                                &format!("{}.l{layer}.w{}", self.prefix, ts.ty),
-                                self.dim,
-                                self.dim,
-                            );
-                            let t = ctx.matmul(rows, wr);
-                            let part = ctx.segment_sum(t, &ts.to_node);
-                            acc = Some(match acc {
-                                Some(x) => ctx.add(x, part),
-                                None => part,
-                            });
-                        }
-                        acc.expect("a non-empty plan has at least one edge type")
-                    }
-                };
-                out = ctx.add(out, transformed);
-            }
-            let activated = ctx.rrelu(out);
-            ctx.dropout(activated, f64::from(self.dropout))
-        })
     }
 }
 
@@ -375,52 +315,19 @@ impl EntityRgcn {
 
     /// Aggregates over `snap`: `entities [N, d]`, `relations [2M, d]` →
     /// `[N, d]`.
-    pub fn forward(
+    pub fn forward<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         store: &ParamStore,
-        entities: NodeId,
-        relations: NodeId,
+        entities: O::Id,
+        relations: O::Id,
         snap: &Snapshot,
-    ) -> NodeId {
-        let _m = retia_obs::module_scope("EntityRgcn");
-        assert_eq!(g.value(entities).rows(), snap.num_entities, "entity count mismatch");
-        assert_eq!(g.value(relations).rows(), 2 * snap.num_relations, "relation count mismatch");
-        let plan = SlotPlan::entity(snap);
-        let mut h = entities;
-        for l in 0..self.core.num_layers {
-            h = self.core.layer(g, store, l, h, relations, &plan);
-        }
-        h
-    }
-
-    /// Value-domain replay of [`EntityRgcn::forward`] over `snap`'s real
-    /// edge arrays, declaring the layer weights the real graph would touch.
-    pub fn audit(
-        &self,
-        ctx: &mut AuditCtx,
-        entities: AbsId,
-        relations: AbsId,
-        snap: &Snapshot,
-    ) -> AbsId {
-        ctx.scoped("EntityRgcn", None, |ctx| {
-            let (n, m2) = (ctx.shape(entities).0, ctx.shape(relations).0);
-            ctx.check("entity_count", n == snap.num_entities, || {
-                format!("{n} entity embedding rows, snapshot has {} entities", snap.num_entities)
-            });
-            ctx.check("relation_count", m2 == 2 * snap.num_relations, || {
-                format!(
-                    "{m2} relation embedding rows, expected {} (2M with inverses)",
-                    2 * snap.num_relations
-                )
-            });
+    ) -> O::Id {
+        g.scoped("EntityRgcn", None, |g| {
+            check_rows(g, "entity_count", "entity", entities, snap.num_entities);
+            check_rows(g, "relation_count", "relation (2M)", relations, 2 * snap.num_relations);
             let plan = SlotPlan::entity(snap);
-            self.core.audit_edges(ctx, &plan, snap.num_entities);
-            let mut h = entities;
-            for l in 0..self.core.num_layers {
-                h = self.core.audit_layer(ctx, l, h, relations, &plan);
-            }
-            h
+            self.core.forward(g, store, entities, relations, &plan, snap.num_entities)
         })
     }
 }
@@ -457,56 +364,20 @@ impl RelationRgcn {
 
     /// Aggregates over `hyper`: `relations [2M, d]`,
     /// `hyperrelations [2H, d]` → `[2M, d]`.
-    pub fn forward(
+    pub fn forward<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         store: &ParamStore,
-        relations: NodeId,
-        hyperrelations: NodeId,
+        relations: O::Id,
+        hyperrelations: O::Id,
         hyper: &HyperSnapshot,
-    ) -> NodeId {
-        let _m = retia_obs::module_scope("RelationRgcn");
-        assert_eq!(g.value(relations).rows(), hyper.num_rel_nodes, "relation node count mismatch");
-        assert_eq!(
-            g.value(hyperrelations).rows(),
-            NUM_HYPERRELS_WITH_INV,
-            "hyperrelation embedding count mismatch"
-        );
-        let plan = SlotPlan::relation(hyper);
-        let mut h = relations;
-        for l in 0..self.core.num_layers {
-            h = self.core.layer(g, store, l, h, hyperrelations, &plan);
-        }
-        h
-    }
-
-    /// Value-domain replay of [`RelationRgcn::forward`] over `hyper`'s real
-    /// edge arrays.
-    pub fn audit(
-        &self,
-        ctx: &mut AuditCtx,
-        relations: AbsId,
-        hyperrelations: AbsId,
-        hyper: &HyperSnapshot,
-    ) -> AbsId {
-        ctx.scoped("RelationRgcn", None, |ctx| {
-            let (m2, h2) = (ctx.shape(relations).0, ctx.shape(hyperrelations).0);
-            ctx.check("relation_node_count", m2 == hyper.num_rel_nodes, || {
-                format!(
-                    "{m2} relation embedding rows, hypergraph has {} relation nodes",
-                    hyper.num_rel_nodes
-                )
-            });
-            ctx.check("hyperrelation_count", h2 == NUM_HYPERRELS_WITH_INV, || {
-                format!("{h2} hyperrelation embedding rows, expected {NUM_HYPERRELS_WITH_INV}")
-            });
+    ) -> O::Id {
+        g.scoped("RelationRgcn", None, |g| {
+            check_rows(g, "relation_node_count", "relation node", relations, hyper.num_rel_nodes);
+            let hr = NUM_HYPERRELS_WITH_INV;
+            check_rows(g, "hyperrelation_count", "hyperrelation", hyperrelations, hr);
             let plan = SlotPlan::relation(hyper);
-            self.core.audit_edges(ctx, &plan, hyper.num_rel_nodes);
-            let mut h = relations;
-            for l in 0..self.core.num_layers {
-                h = self.core.audit_layer(ctx, l, h, hyperrelations, &plan);
-            }
-            h
+            self.core.forward(g, store, relations, hyperrelations, &plan, hyper.num_rel_nodes)
         })
     }
 }
@@ -515,7 +386,7 @@ impl RelationRgcn {
 mod tests {
     use super::*;
     use retia_graph::Quad;
-    use retia_tensor::{Tensor, RRELU_EVAL_SLOPE};
+    use retia_tensor::{Graph, Tensor, RRELU_EVAL_SLOPE};
 
     fn toy_snapshot() -> Snapshot {
         let quads = vec![Quad::new(0, 0, 1, 0), Quad::new(2, 1, 1, 0), Quad::new(1, 0, 3, 0)];
@@ -727,6 +598,32 @@ mod tests {
         // Eval is deterministic across seeds; train is not (dropout masks).
         assert_eq!(run(false, 1), run(false, 2));
         assert_ne!(run(true, 1), run(true, 2));
+    }
+
+    /// Runs a one-layer entity R-GCN over `snap` (4 entities, 2 relations).
+    fn forward_over(snap: &Snapshot) {
+        let mut store = ParamStore::new(0);
+        let rgcn = EntityRgcn::new(&mut store, "e", 8, 4, WeightMode::PerRelation, 1, 0.0);
+        let mut g = Graph::new(false, 0);
+        let e = g.constant(Tensor::ones(4, 8));
+        let r = g.constant(Tensor::ones(4, 8));
+        rgcn.forward(&mut g, &store, e, r, snap);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge_arrays")]
+    fn unequal_edge_arrays_are_rejected_not_cut() {
+        let mut snap = toy_snapshot();
+        snap.edge_norm.pop();
+        forward_over(&snap);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge_dst")]
+    fn out_of_range_destinations_are_rejected_not_dropped() {
+        let mut snap = toy_snapshot();
+        snap.dst[0] = 99;
+        forward_over(&snap);
     }
 
     #[test]

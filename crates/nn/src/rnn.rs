@@ -13,9 +13,9 @@
 //! into the gate weights, which preserves the information flow. This
 //! deviation is recorded in DESIGN.md.
 
-use retia_analyze::value::AbsId;
-use retia_analyze::AuditCtx;
-use retia_tensor::{Graph, NodeId, ParamStore};
+use retia_tensor::{Ops, ParamStore};
+
+use crate::check_width;
 
 /// Gated recurrent unit cell (Cho et al., 2014).
 #[derive(Clone, Debug)]
@@ -42,67 +42,37 @@ impl GruCell {
 
     /// One step: `h' = GRU(x, h)`, with `x: [n, input_dim]`,
     /// `h: [n, hidden_dim]`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId, h: NodeId) -> NodeId {
-        let _m = retia_obs::module_scope("GruCell");
-        assert_eq!(g.value(x).cols(), self.input_dim, "GRU input width mismatch");
-        assert_eq!(g.value(h).cols(), self.hidden_dim, "GRU hidden width mismatch");
-        let d = self.hidden_dim;
-        let w = g.param(store, &self.w);
-        let u = g.param(store, &self.u);
-        let b = g.param(store, &self.b);
-        let xw = g.matmul(x, w);
-        let hu = g.matmul(h, u);
-        let xwb = g.add_bias(xw, b);
-
-        let xz = g.slice_cols(xwb, 0, d);
-        let xr = g.slice_cols(xwb, d, 2 * d);
-        let xn = g.slice_cols(xwb, 2 * d, 3 * d);
-        let hz = g.slice_cols(hu, 0, d);
-        let hr = g.slice_cols(hu, d, 2 * d);
-        let hn = g.slice_cols(hu, 2 * d, 3 * d);
-
-        let z_in = g.add(xz, hz);
-        let z = g.sigmoid(z_in);
-        let r_in = g.add(xr, hr);
-        let r = g.sigmoid(r_in);
-        let rhn = g.mul(r, hn);
-        let n_in = g.add(xn, rhn);
-        let n = g.tanh(n_in);
-
-        // h' = (1 - z) * n + z * h = n + z * (h - n).
-        let hmn = g.sub(h, n);
-        let zh = g.mul(z, hmn);
-        g.add(n, zh)
-    }
-
-    /// Value-domain replay of [`GruCell::forward`]: same op sequence over
-    /// intervals, declaring the gate weights by their store names so the
-    /// gradient-flow walk can reconcile them.
-    pub fn audit(&self, ctx: &mut AuditCtx, x: AbsId, h: AbsId) -> AbsId {
-        ctx.scoped("GruCell", None, |ctx| {
+    pub fn forward<O: Ops>(&self, g: &mut O, store: &ParamStore, x: O::Id, h: O::Id) -> O::Id {
+        g.scoped("GruCell", None, |g| {
+            check_width(g, "input_width", "GRU input", x, self.input_dim);
+            check_width(g, "hidden_width", "GRU hidden", h, self.hidden_dim);
             let d = self.hidden_dim;
-            let w = ctx.param(&self.w, self.input_dim, 3 * d);
-            let u = ctx.param(&self.u, self.hidden_dim, 3 * d);
-            let b = ctx.param(&self.b, 1, 3 * d);
-            let xw = ctx.matmul(x, w);
-            let hu = ctx.matmul(h, u);
-            let xwb = ctx.add_bias(xw, b);
-            let xz = ctx.slice_cols(xwb, 0, d);
-            let xr = ctx.slice_cols(xwb, d, 2 * d);
-            let xn = ctx.slice_cols(xwb, 2 * d, 3 * d);
-            let hz = ctx.slice_cols(hu, 0, d);
-            let hr = ctx.slice_cols(hu, d, 2 * d);
-            let hn = ctx.slice_cols(hu, 2 * d, 3 * d);
-            let z_in = ctx.add(xz, hz);
-            let z = ctx.sigmoid(z_in);
-            let r_in = ctx.add(xr, hr);
-            let r = ctx.sigmoid(r_in);
-            let rhn = ctx.mul(r, hn);
-            let n_in = ctx.add(xn, rhn);
-            let n = ctx.tanh(n_in);
-            let hmn = ctx.sub(h, n);
-            let zh = ctx.mul(z, hmn);
-            ctx.add(n, zh)
+            let w = g.param(store, &self.w);
+            let u = g.param(store, &self.u);
+            let b = g.param(store, &self.b);
+            let xw = g.matmul(x, w);
+            let hu = g.matmul(h, u);
+            let xwb = g.add_bias(xw, b);
+
+            let xz = g.slice_cols(xwb, 0, d);
+            let xr = g.slice_cols(xwb, d, 2 * d);
+            let xn = g.slice_cols(xwb, 2 * d, 3 * d);
+            let hz = g.slice_cols(hu, 0, d);
+            let hr = g.slice_cols(hu, d, 2 * d);
+            let hn = g.slice_cols(hu, 2 * d, 3 * d);
+
+            let z_in = g.add(xz, hz);
+            let z = g.sigmoid(z_in);
+            let r_in = g.add(xr, hr);
+            let r = g.sigmoid(r_in);
+            let rhn = g.mul(r, hn);
+            let n_in = g.add(xn, rhn);
+            let n = g.tanh(n_in);
+
+            // h' = (1 - z) * n + z * h = n + z * (h - n).
+            let hmn = g.sub(h, n);
+            let zh = g.mul(z, hmn);
+            g.add(n, zh)
         })
     }
 }
@@ -141,70 +111,42 @@ impl LstmCell {
 
     /// One step: `(h', c') = LSTM(x, (h, c))`, with `x: [n, input_dim]`,
     /// `h, c: [n, hidden_dim]`.
-    pub fn forward(
+    pub fn forward<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         store: &ParamStore,
-        x: NodeId,
-        h: NodeId,
-        c: NodeId,
-    ) -> (NodeId, NodeId) {
-        let _m = retia_obs::module_scope("LstmCell");
-        assert_eq!(g.value(x).cols(), self.input_dim, "LSTM input width mismatch");
-        assert_eq!(g.value(h).cols(), self.hidden_dim, "LSTM hidden width mismatch");
-        assert_eq!(g.value(c).cols(), self.hidden_dim, "LSTM cell width mismatch");
-        let d = self.hidden_dim;
-        let w = g.param(store, &self.w);
-        let u = g.param(store, &self.u);
-        let b = g.param(store, &self.b);
-        let xw = g.matmul(x, w);
-        let hu = g.matmul(h, u);
-        let pre0 = g.add(xw, hu);
-        let pre = g.add_bias(pre0, b);
-
-        let i_in = g.slice_cols(pre, 0, d);
-        let f_in = g.slice_cols(pre, d, 2 * d);
-        let g_in = g.slice_cols(pre, 2 * d, 3 * d);
-        let o_in = g.slice_cols(pre, 3 * d, 4 * d);
-
-        let i = g.sigmoid(i_in);
-        let f = g.sigmoid(f_in);
-        let gg = g.tanh(g_in);
-        let o = g.sigmoid(o_in);
-
-        let fc = g.mul(f, c);
-        let ig = g.mul(i, gg);
-        let c_new = g.add(fc, ig);
-        let tc = g.tanh(c_new);
-        let h_new = g.mul(o, tc);
-        (h_new, c_new)
-    }
-
-    /// Value-domain replay of [`LstmCell::forward`], declaring the gate
-    /// weights by their store names.
-    pub fn audit(&self, ctx: &mut AuditCtx, x: AbsId, h: AbsId, c: AbsId) -> (AbsId, AbsId) {
-        ctx.scoped("LstmCell", None, |ctx| {
+        x: O::Id,
+        h: O::Id,
+        c: O::Id,
+    ) -> (O::Id, O::Id) {
+        g.scoped("LstmCell", None, |g| {
+            check_width(g, "input_width", "LSTM input", x, self.input_dim);
+            check_width(g, "hidden_width", "LSTM hidden", h, self.hidden_dim);
+            check_width(g, "cell_width", "LSTM cell", c, self.hidden_dim);
             let d = self.hidden_dim;
-            let w = ctx.param(&self.w, self.input_dim, 4 * d);
-            let u = ctx.param(&self.u, self.hidden_dim, 4 * d);
-            let b = ctx.param(&self.b, 1, 4 * d);
-            let xw = ctx.matmul(x, w);
-            let hu = ctx.matmul(h, u);
-            let pre0 = ctx.add(xw, hu);
-            let pre = ctx.add_bias(pre0, b);
-            let i_in = ctx.slice_cols(pre, 0, d);
-            let f_in = ctx.slice_cols(pre, d, 2 * d);
-            let g_in = ctx.slice_cols(pre, 2 * d, 3 * d);
-            let o_in = ctx.slice_cols(pre, 3 * d, 4 * d);
-            let i = ctx.sigmoid(i_in);
-            let f = ctx.sigmoid(f_in);
-            let gg = ctx.tanh(g_in);
-            let o = ctx.sigmoid(o_in);
-            let fc = ctx.mul(f, c);
-            let ig = ctx.mul(i, gg);
-            let c_new = ctx.add(fc, ig);
-            let tc = ctx.tanh(c_new);
-            let h_new = ctx.mul(o, tc);
+            let w = g.param(store, &self.w);
+            let u = g.param(store, &self.u);
+            let b = g.param(store, &self.b);
+            let xw = g.matmul(x, w);
+            let hu = g.matmul(h, u);
+            let pre0 = g.add(xw, hu);
+            let pre = g.add_bias(pre0, b);
+
+            let i_in = g.slice_cols(pre, 0, d);
+            let f_in = g.slice_cols(pre, d, 2 * d);
+            let g_in = g.slice_cols(pre, 2 * d, 3 * d);
+            let o_in = g.slice_cols(pre, 3 * d, 4 * d);
+
+            let i = g.sigmoid(i_in);
+            let f = g.sigmoid(f_in);
+            let gg = g.tanh(g_in);
+            let o = g.sigmoid(o_in);
+
+            let fc = g.mul(f, c);
+            let ig = g.mul(i, gg);
+            let c_new = g.add(fc, ig);
+            let tc = g.tanh(c_new);
+            let h_new = g.mul(o, tc);
             (h_new, c_new)
         })
     }
@@ -213,7 +155,7 @@ impl LstmCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retia_tensor::{optim::Adam, Tensor};
+    use retia_tensor::{optim::Adam, Graph, Tensor};
 
     #[test]
     fn gru_shapes() {

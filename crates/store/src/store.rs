@@ -9,7 +9,7 @@ use retia_graph::{check_facts, group_by_timestamp, merge_groups, Quad, Snapshot}
 
 use crate::error::{corrupt, StoreError};
 use crate::export::GraphDoc;
-use crate::log::{encode_record, scan, LogRecord};
+use crate::log::{encode_record, scan, LogRecord, LogScan};
 use crate::manifest::{
     segment_file_name, stale_log_files, SegmentEntry, StoreManifest, VOCAB_FILE,
 };
@@ -172,31 +172,7 @@ impl Store {
             merge_groups(&mut groups, &seg.facts);
         }
 
-        let log_path = dir.join(manifest.log_file());
-        let log_bytes_raw = match std::fs::read(&log_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        let scan = scan(&log_bytes_raw);
-        if scan.corrupt_tail {
-            let file = OpenOptions::new().write(true).open(&log_path)?;
-            file.set_len(scan.valid_len as u64)?;
-            file.sync_data()?;
-            let dropped = log_bytes_raw.len() - scan.valid_len;
-            retia_obs::metrics::inc("store.log_truncations");
-            retia_obs::event!(
-                retia_obs::Level::Warn,
-                "store.log_truncated",
-                valid_records = scan.records.len(),
-                dropped_bytes = dropped;
-                format!(
-                    "store log tail corrupt after {} valid record(s); truncated {} byte(s)",
-                    scan.records.len(),
-                    dropped
-                )
-            );
-        }
+        let scan = recover_log(&dir.join(manifest.log_file()))?;
         let mut log_quads = Vec::new();
         for rec in &scan.records {
             for name in &rec.new_entities {
@@ -597,19 +573,7 @@ impl Appender {
     pub fn open(dir: &Path) -> Result<Appender, StoreError> {
         let manifest = StoreManifest::load(dir)?;
         let path = dir.join(manifest.log_file());
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        let scanned = scan(&bytes);
-        if scanned.corrupt_tail {
-            // truncate(false): only the corrupt tail is cut, via set_len.
-            let file = OpenOptions::new().write(true).create(true).truncate(false).open(&path)?;
-            file.set_len(scanned.valid_len as u64)?;
-            file.sync_data()?;
-            retia_obs::metrics::inc("store.log_truncations");
-        }
+        recover_log(&path)?;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Appender { file, facts: 0 })
     }
@@ -631,6 +595,39 @@ impl Appender {
     pub fn appended_facts(&self) -> u64 {
         self.facts
     }
+}
+
+/// Reads the log at `path` (a missing file reads as empty) and cuts a torn
+/// tail: the file is truncated to its valid prefix and synced, the cut is
+/// counted in `store.log_truncations` and reported as a
+/// `store.log_truncated` warning. Returns the valid prefix's records. Both
+/// [`Store::open`] and [`Appender::open`] recover through here.
+fn recover_log(path: &Path) -> Result<LogScan, StoreError> {
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(StoreError::Io(e)),
+    };
+    let scan = scan(&bytes);
+    if scan.corrupt_tail {
+        let file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(scan.valid_len as u64)?;
+        file.sync_data()?;
+        let dropped = bytes.len() - scan.valid_len;
+        retia_obs::metrics::inc("store.log_truncations");
+        retia_obs::event!(
+            retia_obs::Level::Warn,
+            "store.log_truncated",
+            valid_records = scan.records.len(),
+            dropped_bytes = dropped;
+            format!(
+                "store log tail corrupt after {} valid record(s); truncated {} byte(s)",
+                scan.records.len(),
+                dropped
+            )
+        );
+    }
+    Ok(scan)
 }
 
 /// Parses the named-fact TSV (`s\tr\to\tt`, `#` comments and blank lines
@@ -846,6 +843,33 @@ mod tests {
         let mut app = Appender::open(&dir).expect("appender");
         app.append_quads(&[Quad::new(1, 0, 0, 2)]).expect("append");
         assert_eq!(app.appended_facts(), 1);
+        drop(app);
+        let store = Store::open(&dir).expect("reopen");
+        assert_eq!(store.all_facts(), vec![Quad::new(0, 0, 1, 0), Quad::new(1, 0, 0, 2)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appender_cuts_a_torn_tail_and_warns() {
+        let dir = tmp("appender-torn");
+        let mut store = Store::create(&dir, "toy", Granularity::Day).expect("create");
+        store.append_named(&[named("a", "r", "b", 0)]).expect("append 1");
+        store.append_quads(&[Quad::new(1, 0, 0, 1)]).expect("append 2");
+        let log = dir.join(store.manifest.log_file());
+        drop(store);
+        let bytes = std::fs::read(&log).expect("read log");
+        std::fs::write(&log, &bytes[..bytes.len() - 5]).expect("tear");
+
+        let (sink, handle) = retia_obs::CaptureSink::new();
+        let id = retia_obs::add_sink(Box::new(sink));
+        let me = retia_obs::current_thread();
+        let mut app = Appender::open(&dir).expect("appender over a torn log");
+        retia_obs::remove_sink(id);
+        let warned =
+            handle.events().iter().any(|e| e.thread == me && e.name == "store.log_truncated");
+        assert!(warned, "the appender cut the torn tail silently");
+
+        app.append_quads(&[Quad::new(1, 0, 0, 2)]).expect("append 3");
         drop(app);
         let store = Store::open(&dir).expect("reopen");
         assert_eq!(store.all_facts(), vec![Quad::new(0, 0, 1, 0), Quad::new(1, 0, 0, 2)]);

@@ -22,6 +22,10 @@
 //! * 1-D convolution with channels (the kernel of Conv-TransE decoders),
 //! * dropout and softmax cross-entropy.
 //!
+//! The layers and the model are written once against the [`Ops`] trait,
+//! which [`Graph`] implements with these ops and the audit interpreter
+//! (`retia_analyze::AuditCtx`) implements over shapes and intervals.
+//!
 //! Every op's gradient is validated against central finite differences in the
 //! test suite (see `autodiff::tests` and `tests/gradcheck.rs`).
 //!
@@ -56,6 +60,7 @@
 
 mod autodiff;
 pub mod init;
+mod ops;
 pub mod optim;
 pub mod parallel;
 mod param;
@@ -65,7 +70,10 @@ mod tensor;
 pub mod transfer;
 
 pub use autodiff::{Graph, NodeId};
+pub use ops::{OpCall, Ops};
 pub use param::{ParamId, ParamStore};
+/// The timing-span guard [`Ops::span`] opens on a [`Graph`].
+pub use retia_obs::SpanGuard;
 pub use segments::Segments;
 pub use serialize::CheckpointError;
 pub use tensor::Tensor;
