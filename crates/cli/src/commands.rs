@@ -189,8 +189,7 @@ pub fn audit(raw: &[String]) -> Result<(), String> {
     if args.flag("all-configs") {
         let mut ops = 0usize;
         let mut configs = 0usize;
-        for cfg in cfg.ablation_grid() {
-            let report = retia::audit_config(&cfg, n, m);
+        for (cfg, report) in retia::audit_ablation_grid(&cfg, n, m) {
             if !report.is_clean() {
                 return Err(format!(
                     "audit failed for {} against `{name}` ({n} entities, {m} relations):\n{report}",

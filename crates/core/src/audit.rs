@@ -227,6 +227,26 @@ pub fn audit_config(cfg: &RetiaConfig, num_entities: usize, num_relations: usize
     model.audit()
 }
 
+/// Audits every point of `cfg`'s [`RetiaConfig::ablation_grid`] against one
+/// model — the implementation behind `retia audit --all-configs`. The grid
+/// varies only the ablation switches, which `evolve`, `loss` and the frozen
+/// table read and parameter registration does not, so each point's report
+/// equals [`audit_config`]'s while the parameters are built once.
+pub fn audit_ablation_grid(
+    cfg: &RetiaConfig,
+    num_entities: usize,
+    num_relations: usize,
+) -> Vec<(RetiaConfig, AuditReport)> {
+    let mut model = Retia::with_shape(cfg, num_entities, num_relations);
+    cfg.ablation_grid()
+        .into_iter()
+        .map(|point| {
+            model.cfg = point.clone();
+            (point, model.audit())
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,6 +352,23 @@ mod tests {
         for cfg in (RetiaConfig { static_weight: 1.0, ..tiny_cfg() }).ablation_grid() {
             let report = audit_config(&cfg, 9, 2);
             assert!(report.is_clean(), "findings for {}:\n{report}", cfg.ablation_label());
+        }
+    }
+
+    /// The one-model sweep reports exactly what a fresh model per grid
+    /// point does.
+    #[test]
+    fn grid_sweep_matches_a_model_per_config() {
+        let base = RetiaConfig { static_weight: 1.0, ..tiny_cfg() };
+        let swept = audit_ablation_grid(&base, 9, 2);
+        assert_eq!(swept.len(), 45);
+        for (cfg, report) in &swept {
+            let fresh = audit_config(cfg, 9, 2);
+            let label = cfg.ablation_label();
+            assert_eq!(report.ops_checked, fresh.ops_checked, "{label}");
+            assert_eq!(report.params_declared, fresh.params_declared, "{label}");
+            assert_eq!(report.params_reached, fresh.params_reached, "{label}");
+            assert_eq!(report.to_string(), fresh.to_string(), "{label}");
         }
     }
 

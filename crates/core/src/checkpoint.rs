@@ -354,7 +354,7 @@ impl Trainer {
         trainer.model.store_mut().load_moments_payloads(m, v)?;
         let has_best = trainer.apply_trainer_state(require_section(&sections, "trainer")?)?;
         if has_best {
-            let mut best = trainer.model.store().clone();
+            let mut best = trainer.model.store().values_only();
             best.load_values_payload(require_section(&sections, "best")?)?;
             trainer.best_params = Some(best);
         }

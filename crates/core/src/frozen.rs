@@ -13,6 +13,7 @@
 //! the abstract interpreter, so the serving audit checks what serves.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use retia_analyze::value::PARAM_BOUND;
 use retia_analyze::{AuditCtx, AuditReport};
@@ -24,12 +25,13 @@ use crate::config::RetiaConfig;
 use crate::model::{last_k, EvolvedState, Retia};
 
 /// Detached last-`k` evolved embeddings for one history window: the
-/// query-independent half of the decode, safe to cache and share.
+/// query-independent half of the decode, safe to cache and share. Each
+/// decode graph shares these buffers instead of copying them.
 #[derive(Clone, Debug)]
 pub struct FrozenStates {
     /// `(E_t, R_t)` pairs for the window's last `k` timestamps, oldest
     /// first. `E_t` is `[N, d]`, `R_t` is `[2M, d]` (inverses included).
-    pub states: Vec<(Tensor, Tensor)>,
+    pub states: Vec<(Arc<Tensor>, Arc<Tensor>)>,
 }
 
 impl FrozenStates {
@@ -80,8 +82,9 @@ impl FrozenModel {
         let states = self.model.evolve(&mut g, history, hypers);
         let last = last_k(&states, self.model.cfg.k);
         assert_eq!(g.tape_ops(), 0, "inference evolve must not allocate a tape");
+        let detach = |id| Arc::new(g.detach(id));
         FrozenStates {
-            states: last.iter().map(|st| (g.detach(st.entities), g.detach(st.relations))).collect(),
+            states: last.iter().map(|st| (detach(st.entities), detach(st.relations))).collect(),
         }
     }
 
@@ -213,16 +216,13 @@ impl FrozenModel {
         g.detach(p)
     }
 
-    /// Builds a fresh trainable [`Retia`] carrying this model's parameter
-    /// values (Adam moments start at zero). The continual trainer seeds
-    /// itself from the served model this way, and the drift monitor uses it
-    /// to rebuild a last-good model for rollback — the frozen model itself
-    /// stays immutable throughout.
+    /// A trainable [`Retia`] carrying this model's parameter values
+    /// ([`Retia::values_copy`]: shared buffers, Adam moments start at zero).
+    /// The continual trainer seeds itself from the served model this way,
+    /// and the drift monitor uses it to rebuild a last-good model for
+    /// rollback — the frozen model itself stays immutable throughout.
     pub fn clone_model(&self) -> Retia {
-        let mut model =
-            Retia::with_shape(&self.model.cfg, self.num_entities(), self.num_relations());
-        model.store_mut().copy_values_from(self.model.store());
-        model
+        self.model.values_copy()
     }
 
     /// Joint forecasting loss of `target` given `history`, computed in a
@@ -294,8 +294,9 @@ impl FrozenModel {
         ctx.finish()
     }
 
-    /// Re-inserts cached embedding matrices as constants of a fresh
-    /// inference graph.
+    /// Re-inserts cached embedding matrices into a fresh inference graph as
+    /// constants sharing the cache's buffers (the decode writes none of
+    /// them).
     fn replay(&self, states: &FrozenStates) -> (Graph, Vec<EvolvedState>) {
         assert!(!states.states.is_empty(), "frozen states must hold at least one timestamp");
         let mut g = Graph::inference();
@@ -303,8 +304,8 @@ impl FrozenModel {
             .states
             .iter()
             .map(|(e, r)| EvolvedState {
-                entities: g.constant(e.clone()),
-                relations: g.constant(r.clone()),
+                entities: g.shared_constant(Arc::clone(e)),
+                relations: g.shared_constant(Arc::clone(r)),
             })
             .collect();
         (g, evolved)
@@ -421,10 +422,12 @@ mod tests {
         assert!(l0.is_finite());
     }
 
-    /// The per-snapshot release in `Retia::evolve` must keep everything a
-    /// later read needs in every ablation mode: the inference paths (which
-    /// release) and a recording graph (which releases nothing) agree bit for
-    /// bit across the 45 configs `retia audit --all-configs` sweeps.
+    /// The releases in `Retia::evolve`, in each layer and in each decoded
+    /// timestamp must keep everything a later read needs in every ablation
+    /// mode: the inference paths (which release) and a recording graph
+    /// (which releases nothing) agree bit for bit across the 45 configs
+    /// `retia audit --all-configs` sweeps, and at the paper's model size,
+    /// where the released buffers are largest.
     #[test]
     fn inference_release_is_bit_identical_in_every_ablation_config() {
         let ds = SyntheticConfig::tiny(3).generate();
@@ -433,12 +436,9 @@ mod tests {
         let (history, hypers) = ctx.history(idx, 4);
         let target = &ctx.snapshots[idx];
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        let mut configs = 0;
-        let base =
-            RetiaConfig { dim: 8, channels: 4, k: 3, static_weight: 0.3, ..Default::default() };
-        for cfg in base.ablation_grid() {
+        let check = |cfg: &RetiaConfig| {
             let label = cfg.ablation_label();
-            let fm = FrozenModel::new(Retia::new(&cfg, &ds));
+            let fm = FrozenModel::new(Retia::new(cfg, &ds));
             let frozen = fm.evolve_window(history, hypers);
             let loss = fm.window_loss(history, hypers, target);
 
@@ -453,9 +453,16 @@ mod tests {
             let (rec_loss, _, _) = fm.model.loss(&mut g, &last, target);
             let rec_loss = f64::from(g.value(rec_loss).item());
             assert_eq!(loss.to_bits(), rec_loss.to_bits(), "loss diverged: {label}");
+        };
+        let mut configs = 0;
+        let base =
+            RetiaConfig { dim: 8, channels: 4, k: 3, static_weight: 0.3, ..Default::default() };
+        for cfg in base.ablation_grid() {
+            check(&cfg);
             configs += 1;
         }
         assert_eq!(configs, 45);
+        check(&RetiaConfig { dim: 200, channels: 50, ..Default::default() });
     }
 
     #[test]

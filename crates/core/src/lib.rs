@@ -54,7 +54,7 @@ mod frozen;
 mod model;
 mod trainer;
 
-pub use audit::audit_config;
+pub use audit::{audit_ablation_grid, audit_config};
 pub use checkpoint::CheckpointPolicy;
 pub use config::{HyperrelMode, RelationMode, RetiaConfig};
 pub use context::{Split, TkgContext};

@@ -129,6 +129,27 @@ impl Retia {
         self.store.num_scalars()
     }
 
+    /// A copy carrying this model's parameter values and nothing else: it
+    /// shares the value buffers until either model writes, and holds no
+    /// gradient or optimizer state (a trainer built on it starts from zero
+    /// moments, as on a fresh model).
+    pub fn values_copy(&self) -> Retia {
+        Retia {
+            cfg: self.cfg.clone(),
+            num_entities: self.num_entities,
+            num_relations: self.num_relations,
+            store: self.store.values_only(),
+            ram_rgcn: self.ram_rgcn.clone(),
+            eam_rgcn: self.eam_rgcn.clone(),
+            rel_gru: self.rel_gru.clone(),
+            ent_gru: self.ent_gru.clone(),
+            tim_lstm: self.tim_lstm.clone(),
+            hyper_lstm: self.hyper_lstm.clone(),
+            dec_entity: self.dec_entity.clone(),
+            dec_relation: self.dec_relation.clone(),
+        }
+    }
+
     /// Unrolls the RAM/EAM/TIM recurrence over `history`, returning one
     /// [`EvolvedState`] per historical snapshot (or a single initial state if
     /// the history is empty, so decoding is always possible).
@@ -293,10 +314,15 @@ impl Retia {
         g.frame("decode.entity", Some("Eq. 11/13"), |g| {
             let mut probs = Vec::with_capacity(states.len());
             for st in states {
+                let mark = g.num_nodes();
                 let s_emb = g.gather_rows(st.entities, subjects.clone());
                 let r_emb = g.gather_rows(st.relations, rels.clone());
                 let logits = self.dec_entity.forward(g, &self.store, s_emb, r_emb, st.entities);
-                probs.push(g.softmax_rows(logits));
+                let p = g.softmax_rows(logits);
+                // Only the timestamp's probabilities outlive it (no-op when
+                // recording).
+                g.release_since(mark, &[p]);
+                probs.push(p);
             }
             g.add_n(&probs)
         })
@@ -347,11 +373,14 @@ impl Retia {
             let orig: Rc<Vec<u32>> = Rc::new((0..self.num_relations as u32).collect());
             let mut probs = Vec::with_capacity(states.len());
             for st in states {
+                let mark = g.num_nodes();
                 let s_emb = g.gather_rows(st.entities, subjects.clone());
                 let o_emb = g.gather_rows(st.entities, objects.clone());
                 let cand = g.gather_rows(st.relations, orig.clone());
                 let logits = self.dec_relation.forward(g, &self.store, s_emb, o_emb, cand);
-                probs.push(g.softmax_rows(logits));
+                let p = g.softmax_rows(logits);
+                g.release_since(mark, &[p]);
+                probs.push(p);
             }
             g.add_n(&probs)
         })
@@ -583,6 +612,28 @@ mod tests {
         let states = model.evolve(&mut g, h, hh);
         let p = model.relation_prob_sum(&mut g, &states, Rc::new(vec![0, 1]), Rc::new(vec![2, 3]));
         assert_eq!(g.value(p).shape(), (2, model.num_relations()));
+    }
+
+    /// On an inference graph each decoded timestamp frees all but its
+    /// probabilities: a decode adds one `[Q, N]` (or `[Q, M]`) per timestamp
+    /// plus their sum to what the graph owned before.
+    #[test]
+    fn inference_decodes_keep_only_each_timestamps_probabilities() {
+        let (model, ctx) = tiny_model();
+        let (h, hh) = ctx.history(4, 3);
+        let mut g = Graph::inference();
+        let states = model.evolve(&mut g, h, hh);
+        assert!(states.len() > 1);
+        let bytes = |g: &Graph, id| g.value(id).len() * std::mem::size_of::<f32>();
+
+        let before = g.value_bytes();
+        let (subjects, rels) = (Rc::new(vec![0, 1, 2]), Rc::new(vec![0, 1, 2]));
+        let pe = model.entity_prob_sum(&mut g, &states, subjects, rels);
+        assert_eq!(g.value_bytes(), before + (states.len() + 1) * bytes(&g, pe));
+
+        let before = g.value_bytes();
+        let pr = model.relation_prob_sum(&mut g, &states, Rc::new(vec![0, 1]), Rc::new(vec![2, 3]));
+        assert_eq!(g.value_bytes(), before + (states.len() + 1) * bytes(&g, pr));
     }
 
     #[test]

@@ -478,7 +478,7 @@ impl Trainer {
                 self.last_valid_mrr = Some(mrr);
                 if mrr > self.best_mrr {
                     self.best_mrr = mrr;
-                    self.best_params = Some(self.model.store().clone());
+                    self.best_params = Some(self.model.store().values_only());
                     self.bad_epochs = 0;
                 } else {
                     self.bad_epochs += 1;

@@ -195,7 +195,9 @@ impl RgcnCore {
 
     /// The edge-set preconditions the layers rely on: equal-length edge
     /// arrays, edge types with a registered weight, and destinations inside
-    /// the `num_nodes` node table. Then every layer over `plan`.
+    /// the `num_nodes` node table. Then every layer over `plan`; each
+    /// passes only its output onward, so an inference graph frees a layer's
+    /// messages (and the output it consumed) as soon as it returns.
     fn forward<O: Ops>(
         &self,
         g: &mut O,
@@ -217,10 +219,12 @@ impl RgcnCore {
         g.check("edge_dst", plan.is_empty() || top_dst < num_nodes, || {
             format!("edge destination {top_dst} out of range for {num_nodes} nodes")
         });
+        let mark = g.num_nodes();
         let mut h = h_nodes;
         for l in 0..self.num_layers {
             h = g
                 .frame(&format!("layer {l}"), None, |g| self.layer(g, store, l, h, edge_emb, plan));
+            g.release_since(mark, &[h]);
         }
         h
     }
@@ -505,6 +509,48 @@ mod tests {
                 };
                 let diff = got.max_abs_diff(&want);
                 assert!(diff < 1e-5, "entity={entity} {mode:?}: diff {diff}");
+            }
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// On an inference graph each layer frees its messages and the output
+    /// it consumed: after a two-layer forward the graph owns the nodes made
+    /// before the call plus the output, which equals a recording graph's
+    /// bit for bit.
+    #[test]
+    fn rgcns_keep_only_their_output_on_an_inference_graph() {
+        let d = 5;
+        let snap = shared_slot_snapshot();
+        let hyper = HyperSnapshot::from_snapshot(&snap);
+        let table = |rows: usize, k: usize| {
+            Tensor::from_fn(rows, d, move |i, j| ((i * 7 + j * k) % 11) as f32 / 5.0 - 1.0)
+        };
+        for mode in [WeightMode::PerRelation, WeightMode::Basis(3)] {
+            let mut store = ParamStore::new(11);
+            let ent_rgcn = EntityRgcn::new(&mut store, "e", d, 4, mode, 2, 0.2);
+            let rel_rgcn = RelationRgcn::new(&mut store, "r", d, mode, 2, 0.2);
+            for entity in [true, false] {
+                let run = |g: &mut Graph| {
+                    let ent = g.constant(table(4, 3));
+                    let rel = g.constant(table(4, 5));
+                    let hr = g.constant(table(NUM_HYPERRELS_WITH_INV, 2));
+                    let before = g.value_bytes();
+                    let out = if entity {
+                        ent_rgcn.forward(g, &store, ent, rel, &snap)
+                    } else {
+                        rel_rgcn.forward(g, &store, rel, hr, &hyper)
+                    };
+                    (before, g.value_bytes(), g.value(out).clone())
+                };
+                let (before, after, out) = run(&mut Graph::inference());
+                let out_bytes = out.len() * std::mem::size_of::<f32>();
+                assert_eq!(after, before + out_bytes, "entity={entity} {mode:?}");
+                let (_, _, want) = run(&mut Graph::new(false, 0));
+                assert_eq!(bits(&out), bits(&want), "entity={entity} {mode:?}");
             }
         }
     }

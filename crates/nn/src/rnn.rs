@@ -41,11 +41,13 @@ impl GruCell {
     }
 
     /// One step: `h' = GRU(x, h)`, with `x: [n, input_dim]`,
-    /// `h: [n, hidden_dim]`.
+    /// `h: [n, hidden_dim]`. Only `h'` outlives the call on an inference
+    /// graph: the gates are freed before it returns.
     pub fn forward<O: Ops>(&self, g: &mut O, store: &ParamStore, x: O::Id, h: O::Id) -> O::Id {
         g.scoped("GruCell", None, |g| {
             check_width(g, "input_width", "GRU input", x, self.input_dim);
             check_width(g, "hidden_width", "GRU hidden", h, self.hidden_dim);
+            let mark = g.num_nodes();
             let d = self.hidden_dim;
             let w = g.param(store, &self.w);
             let u = g.param(store, &self.u);
@@ -72,7 +74,9 @@ impl GruCell {
             // h' = (1 - z) * n + z * h = n + z * (h - n).
             let hmn = g.sub(h, n);
             let zh = g.mul(z, hmn);
-            g.add(n, zh)
+            let h_new = g.add(n, zh);
+            g.release_since(mark, &[h_new]);
+            h_new
         })
     }
 }
@@ -110,7 +114,8 @@ impl LstmCell {
     }
 
     /// One step: `(h', c') = LSTM(x, (h, c))`, with `x: [n, input_dim]`,
-    /// `h, c: [n, hidden_dim]`.
+    /// `h, c: [n, hidden_dim]`. Only `(h', c')` outlives the call on an
+    /// inference graph: the gates are freed before it returns.
     pub fn forward<O: Ops>(
         &self,
         g: &mut O,
@@ -123,6 +128,7 @@ impl LstmCell {
             check_width(g, "input_width", "LSTM input", x, self.input_dim);
             check_width(g, "hidden_width", "LSTM hidden", h, self.hidden_dim);
             check_width(g, "cell_width", "LSTM cell", c, self.hidden_dim);
+            let mark = g.num_nodes();
             let d = self.hidden_dim;
             let w = g.param(store, &self.w);
             let u = g.param(store, &self.u);
@@ -147,6 +153,7 @@ impl LstmCell {
             let c_new = g.add(fc, ig);
             let tc = g.tanh(c_new);
             let h_new = g.mul(o, tc);
+            g.release_since(mark, &[h_new, c_new]);
             (h_new, c_new)
         })
     }
@@ -245,6 +252,43 @@ mod tests {
     fn lstm_learns_memory_task() {
         let loss = memory_task_loss(2, true);
         assert!(loss < 1e-2, "LSTM loss {loss}");
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn bytes(t: &Tensor) -> usize {
+        t.len() * std::mem::size_of::<f32>()
+    }
+
+    /// On an inference graph a cell frees its gates before returning: the
+    /// graph then owns the nodes made before the call plus the outputs, and
+    /// the outputs equal a recording graph's bit for bit.
+    #[test]
+    fn cells_keep_only_their_outputs_on_an_inference_graph() {
+        let mut store = ParamStore::new(4);
+        let gru = GruCell::new(&mut store, "gru", 6, 4);
+        let lstm = LstmCell::new(&mut store, "lstm", 6, 4);
+        let x = Tensor::from_fn(3, 6, |i, j| (i as f32 - j as f32) / 5.0);
+        let h = Tensor::from_fn(3, 4, |i, j| (i * j) as f32 / 7.0 - 0.5);
+        let c = Tensor::from_fn(3, 4, |i, j| (i + j) as f32 / 9.0);
+        let run = |g: &mut Graph| {
+            let (x, h, c) = (g.constant(x.clone()), g.constant(h.clone()), g.constant(c.clone()));
+            let before = g.value_bytes();
+            let h_gru = gru.forward(g, &store, x, h);
+            let after_gru = g.value_bytes();
+            let (h_lstm, c_lstm) = lstm.forward(g, &store, x, h, c);
+            let outs = [h_gru, h_lstm, c_lstm].map(|id| g.value(id).clone());
+            (before, after_gru, g.value_bytes(), outs)
+        };
+        let (before, after_gru, after_lstm, outs) = run(&mut Graph::inference());
+        assert_eq!(after_gru, before + bytes(&outs[0]), "GRU kept more than h'");
+        assert_eq!(after_lstm, after_gru + bytes(&outs[1]) + bytes(&outs[2]), "LSTM kept more");
+        let (_, _, _, want) = run(&mut Graph::new(false, 0));
+        for (got, want) in outs.iter().zip(&want) {
+            assert_eq!(bits(got), bits(want));
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use retia::{entity_queries, FrozenModel, RecoveryPolicy, Retia, TrainError, Trainer};
+use retia::{entity_queries, FrozenModel, RecoveryPolicy, TrainError, Trainer};
 use retia_analyze::ChaosPlan;
 use retia_eval::rank_of;
 use retia_graph::{HyperSnapshot, Snapshot};
@@ -264,7 +264,7 @@ fn supervise(
 
     // Last-good parameter values: what both the served model and a restored
     // trainer fall back to. Starts as the boot model.
-    let mut good_params = trainer.model.store().clone();
+    let mut good_params = trainer.model.store().values_only();
     let mut good_trained_epoch = 0u64;
     let mut last_trained_epoch = 0u64;
     let mut round = 0u64;
@@ -474,7 +474,7 @@ fn publish(
     // Healthy candidate: pre-evolve its states off the engine thread so the
     // swap installs them without paying the recurrence under the queue.
     let states = candidate.evolve_window(&view.snaps, &view.hypers);
-    let next_good = trainer.model.store().clone();
+    let next_good = trainer.model.store().values_only();
     match engine.swap(SwapRequest {
         model: candidate,
         trained_epoch: view.epoch,
@@ -515,13 +515,7 @@ fn publish(
 
 /// A frozen copy of the trainer's current parameters.
 fn freeze_candidate(trainer: &Trainer) -> FrozenModel {
-    let mut model = Retia::with_shape(
-        &trainer.cfg,
-        trainer.model.num_entities(),
-        trainer.model.num_relations(),
-    );
-    model.store_mut().copy_values_from(trainer.model.store());
-    FrozenModel::new(model)
+    FrozenModel::new(trainer.model.values_copy())
 }
 
 /// The last-good model rebuilt from its parameter snapshot.

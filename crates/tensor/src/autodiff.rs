@@ -152,7 +152,8 @@ impl Op {
 enum Value {
     /// Computed by this graph (or handed to it as a constant).
     Owned(Tensor),
-    /// A parameter's buffer, shared with the [`ParamStore`].
+    /// A buffer shared with its owner: a parameter's, with the
+    /// [`ParamStore`], or a cached input's ([`Graph::shared_constant`]).
     Shared(Arc<Tensor>),
     /// Freed by [`Graph::release_since`].
     Released,
@@ -302,6 +303,13 @@ impl Graph {
         self.push(t, Op::Leaf)
     }
 
+    /// Inserts a constant that shares `t`'s buffer instead of owning a copy
+    /// of it (a cached window state entering a decode graph). Like a
+    /// parameter node, it counts zero in [`Graph::value_bytes`].
+    pub fn shared_constant(&mut self, t: Arc<Tensor>) -> NodeId {
+        self.push_value(Value::Shared(t), Op::Leaf)
+    }
+
     /// Inserts a learnable parameter by name. The node shares the store's
     /// buffer instead of copying it; a later store write (an optimizer step,
     /// a checkpoint restore) copies the buffer first if this graph still
@@ -432,24 +440,28 @@ impl Graph {
         self.push(v, Op::Cos(x))
     }
 
-    /// Leaky ReLU with a fixed negative slope.
+    /// Leaky ReLU with a fixed negative slope. A graph without a tape
+    /// applies the slope directly; a recording graph keeps the per-element
+    /// slopes its backward reads.
     pub fn leaky_relu(&mut self, x: NodeId, slope: f32) -> NodeId {
+        if !self.record {
+            let v = self.value(x).map(|val| if val >= 0.0 { val } else { val * slope });
+            return self.push(v, Op::Leaf);
+        }
         let (r, c) = self.value(x).shape();
-        let slopes = Tensor::full(r, c, slope);
-        self.leaky_relu_with(x, slopes)
+        self.leaky_relu_with(x, Tensor::full(r, c, slope))
     }
 
     /// Randomized leaky ReLU: slopes ~ U(1/8, 1/3) per element in training,
     /// the mean slope in evaluation — PyTorch `RReLU` semantics, the
     /// activation used throughout RETIA's R-GCNs.
     pub fn rrelu(&mut self, x: NodeId) -> NodeId {
+        if !self.training {
+            return self.leaky_relu(x, RRELU_EVAL_SLOPE);
+        }
         let (r, c) = self.value(x).shape();
-        let slopes = if self.training {
-            let rng = &mut self.rng;
-            Tensor::from_fn(r, c, |_, _| rng.gen_range(0.125f32..(1.0 / 3.0)))
-        } else {
-            Tensor::full(r, c, RRELU_EVAL_SLOPE)
-        };
+        let rng = &mut self.rng;
+        let slopes = Tensor::from_fn(r, c, |_, _| rng.gen_range(0.125f32..(1.0 / 3.0)));
         self.leaky_relu_with(x, slopes)
     }
 
@@ -1124,7 +1136,7 @@ mod tests {
         let x = g.param(&store, "x");
         let loss = build(&mut g, x);
         g.backward(loss, &mut store);
-        let analytic = store.grad("x").clone();
+        let analytic = store.grad("x").into_owned();
         let numeric = numeric_grad(&x0, &build);
         let diff = analytic.max_abs_diff(&numeric);
         assert!(
@@ -1339,7 +1351,7 @@ mod tests {
         let loss = g.softmax_xent(x, Rc::new(targets.clone()));
         let fused_loss = g.value(loss).item();
         g.backward(loss, &mut store);
-        let fused_grad = store.grad("x").clone();
+        let fused_grad = store.grad("x").into_owned();
 
         let mut store2 = ParamStore::new(0);
         store2.register("x", x0);
@@ -1352,7 +1364,7 @@ mod tests {
         let loss2 = g2.scale(m, -1.0);
         let composed_loss = g2.value(loss2).item();
         g2.backward(loss2, &mut store2);
-        let composed_grad = store2.grad("x").clone();
+        let composed_grad = store2.grad("x").into_owned();
 
         assert!((fused_loss - composed_loss).abs() < 1e-5);
         assert!(fused_grad.max_abs_diff(&composed_grad) < 1e-5);

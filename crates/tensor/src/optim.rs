@@ -1,7 +1,5 @@
 //! First-order optimizers operating on a [`ParamStore`].
 
-use std::sync::Arc;
-
 use crate::param::ParamStore;
 
 /// Adam optimizer (Kingma & Ba, 2015) — the optimizer the RETIA paper uses
@@ -51,11 +49,10 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for p in store.params_mut() {
-            // Copies the buffer only while a live graph or a cloned store
-            // still shares it.
-            let value = Arc::make_mut(&mut p.value).data_mut();
-            let (pm, pv) = (p.m.data_mut(), p.v.data_mut());
-            for (i, &g) in p.grad.data().iter().enumerate() {
+            // Copies the value buffer only while a live graph or a cloned
+            // store still shares it; makes absent state buffers (zeros).
+            let (value, grad, pm, pv) = p.step_state();
+            for (i, &g) in grad.iter().enumerate() {
                 let m = self.beta1 * pm[i] + (1.0 - self.beta1) * g;
                 let v = self.beta2 * pv[i] + (1.0 - self.beta2) * g * g;
                 pm[i] = m;
@@ -97,9 +94,8 @@ impl Sgd {
     /// Applies one update. Does not zero the gradients.
     pub fn step(&mut self, store: &mut ParamStore) {
         for p in store.params_mut() {
-            let value = Arc::make_mut(&mut p.value).data_mut();
-            let pm = p.m.data_mut();
-            for (i, &g) in p.grad.data().iter().enumerate() {
+            let (value, grad, pm, _) = p.step_state();
+            for (i, &g) in grad.iter().enumerate() {
                 let update = if self.momentum > 0.0 {
                     let m = self.momentum * pm[i] + g;
                     pm[i] = m;

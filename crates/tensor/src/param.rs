@@ -10,7 +10,14 @@
 //! `Arc::make_mut`, which copies only while a graph (or a cloned store)
 //! still holds the old buffer. A graph that outlives a store write
 //! therefore keeps seeing the value it was built with.
+//!
+//! A parameter's gradient and Adam moments are made on the first write that
+//! needs each of them (a backward pass, an optimizer step, a moment
+//! restore). Until then every reader sees the zero tensor of the
+//! parameter's shape, so a store that only serves or decodes holds its
+//! values alone.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -24,15 +31,43 @@ use crate::tensor::Tensor;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
+/// One parameter. The three state buffers are `None` until first written
+/// and read as zeros of the value's shape until then.
 #[derive(Clone, Debug)]
 pub(crate) struct Param {
-    pub(crate) name: String,
-    pub(crate) value: Arc<Tensor>,
-    pub(crate) grad: Tensor,
+    name: String,
+    value: Arc<Tensor>,
+    grad: Option<Tensor>,
     /// First-moment estimate (Adam).
-    pub(crate) m: Tensor,
+    m: Option<Tensor>,
     /// Second-moment estimate (Adam).
-    pub(crate) v: Tensor,
+    v: Option<Tensor>,
+}
+
+/// A state buffer as its readers see it: the buffer, or the zeros of
+/// `shape` it stands for while absent.
+fn read(buf: &Option<Tensor>, (rows, cols): (usize, usize)) -> Cow<'_, Tensor> {
+    buf.as_ref().map_or_else(|| Cow::Owned(Tensor::zeros(rows, cols)), Cow::Borrowed)
+}
+
+/// A state buffer for writing: made (zeros of `shape`) on the first write.
+fn made(buf: &mut Option<Tensor>, (rows, cols): (usize, usize)) -> &mut Tensor {
+    buf.get_or_insert_with(|| Tensor::zeros(rows, cols))
+}
+
+impl Param {
+    /// What an optimizer step reads and writes: `(value, grad, m, v)`, with
+    /// every absent state buffer made first, as if it had been allocated at
+    /// registration.
+    pub(crate) fn step_state(&mut self) -> (&mut [f32], &[f32], &mut [f32], &mut [f32]) {
+        let shape = self.value.shape();
+        (
+            Arc::make_mut(&mut self.value).data_mut(),
+            made(&mut self.grad, shape).data(),
+            made(&mut self.m, shape).data_mut(),
+            made(&mut self.v, shape).data_mut(),
+        )
+    }
 }
 
 /// Collection of named learnable tensors with their gradients and optimizer
@@ -57,14 +92,13 @@ impl ParamStore {
     /// Panics if a parameter with the same name already exists.
     pub fn register(&mut self, name: &str, value: Tensor) -> ParamId {
         assert!(!self.by_name.contains_key(name), "parameter `{name}` registered twice");
-        let (r, c) = value.shape();
         let id = ParamId(self.params.len());
         self.params.push(Param {
             name: name.to_string(),
             value: Arc::new(value),
-            grad: Tensor::zeros(r, c),
-            m: Tensor::zeros(r, c),
-            v: Tensor::zeros(r, c),
+            grad: None,
+            m: None,
+            v: None,
         });
         self.by_name.insert(name.to_string(), id);
         id
@@ -144,20 +178,25 @@ impl ParamStore {
         self.params[id.0].value = Arc::new(t);
     }
 
-    /// Accumulated gradient of a parameter by name.
-    pub fn grad(&self, name: &str) -> &Tensor {
-        &self.params[self.id(name).0].grad
+    /// Accumulated gradient of a parameter by name (zeros of the
+    /// parameter's shape before any gradient reached it).
+    pub fn grad(&self, name: &str) -> Cow<'_, Tensor> {
+        let p = &self.params[self.id(name).0];
+        read(&p.grad, p.value.shape())
     }
 
-    /// Adds `g` into the gradient accumulator of `id`.
+    /// Adds `g` into the gradient accumulator of `id`, making the
+    /// accumulator (zeros) on the first write.
     pub fn accumulate_grad(&mut self, id: ParamId, g: &Tensor) {
-        self.params[id.0].grad.add_assign(g);
+        let p = &mut self.params[id.0];
+        made(&mut p.grad, p.value.shape()).add_assign(g);
     }
 
-    /// Zeroes all gradient accumulators.
+    /// Zeroes all gradient accumulators (keeping their buffers for the next
+    /// step).
     pub fn zero_grad(&mut self) {
-        for p in &mut self.params {
-            p.grad.fill_zero();
+        for grad in self.params.iter_mut().filter_map(|p| p.grad.as_mut()) {
+            grad.fill_zero();
         }
     }
 
@@ -178,21 +217,25 @@ impl ParamStore {
 
     /// Iterates over `(name, gradient)` pairs in registration order. Used by
     /// training-health instrumentation (per-parameter norms, NaN scans).
-    pub fn iter_grads(&self) -> impl Iterator<Item = (&str, &Tensor)> {
-        self.params.iter().map(|p| (p.name.as_str(), &p.grad))
+    pub fn iter_grads(&self) -> impl Iterator<Item = (&str, Cow<'_, Tensor>)> {
+        self.params.iter().map(|p| (p.name.as_str(), read(&p.grad, p.value.shape())))
     }
 
-    /// Mutable access to every gradient accumulator in registration order.
-    /// Exists for fault injection (the chaos harness poisons gradients
-    /// in-place between backward and the optimizer step).
+    /// Mutable access to every gradient accumulator in registration order,
+    /// made (zeros) where absent. Exists for fault injection (the chaos
+    /// harness poisons gradients in-place between backward and the
+    /// optimizer step).
     pub fn iter_grads_mut(&mut self) -> impl Iterator<Item = (&str, &mut Tensor)> {
-        self.params.iter_mut().map(|p| (p.name.as_str(), &mut p.grad))
+        self.params.iter_mut().map(|p| (p.name.as_str(), made(&mut p.grad, p.value.shape())))
     }
 
     /// Iterates over `(name, m, v)` Adam moment estimates in registration
     /// order. Used by full train-state checkpoints.
-    pub fn iter_moments(&self) -> impl Iterator<Item = (&str, &Tensor, &Tensor)> {
-        self.params.iter().map(|p| (p.name.as_str(), &p.m, &p.v))
+    pub fn iter_moments(&self) -> impl Iterator<Item = (&str, Cow<'_, Tensor>, Cow<'_, Tensor>)> {
+        self.params.iter().map(|p| {
+            let shape = p.value.shape();
+            (p.name.as_str(), read(&p.m, shape), read(&p.v, shape))
+        })
     }
 
     /// Overwrites one Adam moment estimate (`first == true` selects `m`,
@@ -205,21 +248,23 @@ impl ParamStore {
         let id = self.id(name);
         let p = &mut self.params[id.0];
         if first {
-            p.m = t;
+            p.m = Some(t);
         } else {
-            p.v = t;
+            p.v = Some(t);
         }
     }
 
-    /// Global gradient L2 norm over all parameters.
+    /// Global gradient L2 norm over all parameters. An absent gradient adds
+    /// the `+0.0` a zero tensor's squared norm is.
     pub fn grad_norm(&self) -> f32 {
-        self.params.iter().map(|p| p.grad.norm_sq()).sum::<f32>().sqrt()
+        self.params.iter().map(|p| p.grad.as_ref().map_or(0.0, Tensor::norm_sq)).sum::<f32>().sqrt()
     }
 
-    /// Scales all gradients by `s` (used by gradient clipping).
+    /// Scales all gradients by `s` (used by gradient clipping, whose factor
+    /// is finite, so an absent gradient stays zero).
     pub fn scale_grads(&mut self, s: f32) {
-        for p in &mut self.params {
-            p.grad.map_inplace(|x| x * s);
+        for grad in self.params.iter_mut().filter_map(|p| p.grad.as_mut()) {
+            grad.map_inplace(|x| x * s);
         }
     }
 
@@ -236,6 +281,25 @@ impl ParamStore {
             assert_eq!(dst.name, src.name, "param name mismatch");
             dst.value = Arc::clone(&src.value);
         }
+    }
+
+    /// A copy holding only the parameter values, sharing their buffers
+    /// until either store writes: no gradient or optimizer state. What a
+    /// last-good or best-validation snapshot keeps, and what a served copy
+    /// of a model is built from.
+    pub fn values_only(&self) -> ParamStore {
+        let params = self
+            .params
+            .iter()
+            .map(|p| Param {
+                name: p.name.clone(),
+                value: Arc::clone(&p.value),
+                grad: None,
+                m: None,
+                v: None,
+            })
+            .collect();
+        ParamStore { by_name: self.by_name.clone(), params, ..*self }
     }
 }
 
@@ -301,6 +365,87 @@ mod tests {
         s.register_xavier("a", 4, 4);
         s.register_xavier("b", 4, 4);
         assert_ne!(s.value("a"), s.value("b"));
+    }
+
+    fn two_param_store() -> ParamStore {
+        let mut s = ParamStore::new(3);
+        s.register_xavier("w", 3, 4);
+        s.register_zeros("b", 1, 4);
+        s
+    }
+
+    fn holds_state(s: &ParamStore) -> Vec<(bool, bool, bool)> {
+        s.params.iter().map(|p| (p.grad.is_some(), p.m.is_some(), p.v.is_some())).collect()
+    }
+
+    #[test]
+    fn a_fresh_store_holds_no_gradient_or_moment() {
+        let s = two_param_store();
+        assert_eq!(holds_state(&s), vec![(false, false, false); 2]);
+        assert_eq!(holds_state(&s.values_only()), vec![(false, false, false); 2]);
+    }
+
+    /// Every reader of an absent buffer sees what the store read when it
+    /// allocated zeroed buffers at registration.
+    #[test]
+    fn absent_state_reads_as_the_eager_zeros() {
+        let lazy = two_param_store();
+        let mut eager = lazy.clone();
+        for (_, g) in eager.iter_grads_mut() {
+            g.fill_zero();
+        }
+        for (name, (r, c)) in [("w", (3, 4)), ("b", (1, 4))] {
+            eager.set_moment(name, true, Tensor::zeros(r, c));
+            eager.set_moment(name, false, Tensor::zeros(r, c));
+        }
+        assert_eq!(holds_state(&eager), vec![(true, true, true); 2]);
+
+        assert_eq!(lazy.grad("w").shape(), (3, 4));
+        assert_eq!(*lazy.grad("w"), *eager.grad("w"));
+        assert_eq!(lazy.grad_norm().to_bits(), eager.grad_norm().to_bits());
+        let grads = |s: &ParamStore| {
+            s.iter_grads().map(|(n, g)| (n.to_string(), g.into_owned())).collect::<Vec<_>>()
+        };
+        assert_eq!(grads(&lazy), grads(&eager));
+        assert_eq!(lazy.moments_payloads(), eager.moments_payloads());
+        // Reading made nothing.
+        assert_eq!(holds_state(&lazy), vec![(false, false, false); 2]);
+
+        // A present gradient beside an absent one: the norm's bits match.
+        let (mut lazy, mut eager) = (lazy, eager);
+        let g = Tensor::from_vec(1, 4, vec![0.5, -1.5, 2.0, 0.25]);
+        lazy.accumulate_grad(lazy.id("b"), &g);
+        eager.accumulate_grad(eager.id("b"), &g);
+        assert_eq!(holds_state(&lazy), vec![(false, false, false), (true, false, false)]);
+        assert_eq!(lazy.grad_norm().to_bits(), eager.grad_norm().to_bits());
+    }
+
+    #[test]
+    fn an_optimizer_step_makes_every_parameters_state() {
+        let mut s = two_param_store();
+        s.accumulate_grad(s.id("b"), &Tensor::ones(1, 4));
+        crate::optim::Adam::new(0.1).step(&mut s);
+        assert_eq!(holds_state(&s), vec![(true, true, true); 2]);
+        // The values-only copy shares the values and drops the state.
+        let copy = s.values_only();
+        assert_eq!(holds_state(&copy), vec![(false, false, false); 2]);
+        assert!(Arc::ptr_eq(&s.shared_value(s.id("w")), &copy.shared_value(copy.id("w"))));
+    }
+
+    /// Restoring the moments and then writing a gradient must not replace
+    /// the restored moments with zeros.
+    #[test]
+    fn restored_moments_survive_the_next_gradient_write() {
+        let mut trained = two_param_store();
+        trained.accumulate_grad(trained.id("w"), &Tensor::full(3, 4, 0.5));
+        crate::optim::Adam::new(0.1).step(&mut trained);
+        let (m, v) = trained.moments_payloads();
+
+        let mut resumed = two_param_store();
+        resumed.load_moments_payloads(&m, &v).unwrap();
+        assert_eq!(holds_state(&resumed), vec![(false, true, true); 2]);
+        resumed.accumulate_grad(resumed.id("w"), &Tensor::ones(3, 4));
+        assert_eq!(resumed.moments_payloads(), (m, v));
     }
 
     #[test]

@@ -449,8 +449,9 @@ impl ParamStore {
     /// `(m, v)` — the `"opt.m"` / `"opt.v"` sections of a train-state
     /// checkpoint.
     pub fn moments_payloads(&self) -> (Vec<u8>, Vec<u8>) {
-        let m = encode_tensors(self.iter_moments().map(|(n, m, _)| (n, m)));
-        let v = encode_tensors(self.iter_moments().map(|(n, _, v)| (n, v)));
+        let moments: Vec<_> = self.iter_moments().collect();
+        let m = encode_tensors(moments.iter().map(|(n, m, _)| (*n, &**m)));
+        let v = encode_tensors(moments.iter().map(|(n, _, v)| (*n, &**v)));
         (m, v)
     }
 

@@ -61,7 +61,7 @@ fn run_chain(ops: &[UnaryOp], x0: &Tensor, weights: &Tensor) -> (f32, Tensor) {
     let loss = g.sum_all(mixed);
     let v = g.value(loss).item();
     g.backward(loss, &mut store);
-    (v, store.grad("x").clone())
+    (v, store.grad("x").into_owned())
 }
 
 proptest! {
@@ -119,7 +119,7 @@ proptest! {
             let loss = g.sum_all(t);
             let v = g.value(loss).item();
             g.backward(loss, &mut store);
-            (v, store.grad("x").clone())
+            (v, store.grad("x").into_owned())
         };
         let (_, analytic) = run(&x0);
         let h = 1e-3f32;
@@ -165,7 +165,7 @@ proptest! {
             let loss = g.sum_all(t);
             let v = g.value(loss).item();
             g.backward(loss, &mut store);
-            (v, store.grad("x").clone())
+            (v, store.grad("x").into_owned())
         };
         let (_, analytic) = run(&x0);
         let h = 1e-3f32;

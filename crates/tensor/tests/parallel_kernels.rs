@@ -257,7 +257,7 @@ fn segment_sum_forward_and_backward_bit_identical_across_threads() {
         let sq = g.mul(y, y);
         let loss = g.sum_all(sq);
         g.backward(loss, &mut store);
-        store.grad("x").clone()
+        store.grad("x").into_owned()
     });
 }
 
@@ -311,7 +311,12 @@ fn conv1d_forward_and_backward_bit_identical_across_threads() {
         let loss = g.softmax_xent(y, targets.clone());
         let out = g.value(y).clone();
         g.backward(loss, &mut store);
-        (out, store.grad("x").clone(), store.grad("w").clone(), store.grad("b").clone())
+        (
+            out,
+            store.grad("x").into_owned(),
+            store.grad("w").into_owned(),
+            store.grad("b").into_owned(),
+        )
     };
 
     let _guard = lock();

@@ -51,7 +51,7 @@ fn full_model_gradient_matches_finite_differences() {
     // Check a sample of coordinates across parameter families.
     let h = 2e-3f32;
     for name in ["ent0", "rel0", "hyper0", "rgru_ent.w", "tim_lstm.u", "dec_e.fc.w"] {
-        let grad = model.store().grad(name).clone();
+        let grad = model.store().grad(name).into_owned();
         let (rows, cols) = grad.shape();
         // Probe up to 4 coordinates per tensor, spread deterministically.
         let probes: Vec<(usize, usize)> =
