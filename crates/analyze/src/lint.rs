@@ -393,7 +393,7 @@ const STAGE_EVIDENCE_WINDOW: usize = 4;
 
 /// Occurrences of `ident` in `line` bounded by non-identifier characters on
 /// both sides (unlike [`token_hits`], which only checks the left side) — so
-/// `DECODE` does not match inside `DECODE_SHARD`.
+/// `DECODE` does not match inside a longer name such as `DECODE_BATCH`.
 fn ident_hit(line: &str, ident: &str) -> bool {
     line.match_indices(ident).any(|(pos, _)| {
         let left_ok = !line[..pos].ends_with(|c: char| c.is_alphanumeric() || c == '_');

@@ -37,7 +37,7 @@ const MODEL: &[&str] =
 const ONLINE: &[&str] =
     &["online-steps", "online-interval-ms", "max-staleness", "drift-threshold", "drift-window"];
 /// Server knobs of `serve` and of the server `loadtest` self-hosts.
-const SERVER: &[&str] = &["workers", "queue-cap", "decode-shards"];
+const SERVER: &[&str] = &["workers", "queue-cap"];
 
 /// Applies the shared observability options: `--log-level` overrides the
 /// `RETIA_LOG` stderr verbosity, `--trace-out FILE` installs a JSONL sink
@@ -478,7 +478,6 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
         addr: format!("{host}:{port}"),
         workers: args.get_or("workers", 4usize)?,
         queue_cap: args.get_or("queue-cap", defaults.queue_cap)?,
-        decode_shards: args.get_or("decode-shards", defaults.decode_shards)?,
         slos: match args.get("slo") {
             Some(spec) => parse_slos(spec)?,
             None => Vec::new(),
@@ -509,16 +508,6 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `retia loadtest [--addr HOST:PORT] [--connections LIST] [--requests N]
-/// [--ingest-every N] [--k N] [--out FILE]`: replay a synthetic query/ingest
-/// mix over keep-alive connections at a ladder of concurrency levels and
-/// write p50/p99/QPS per level as `BENCH_serve.json`.
-///
-/// Without `--addr` it self-hosts a tiny untrained model on an ephemeral
-/// port (so CI can smoke the whole serving stack with one command); the
-/// self-hosted server honors `--workers`, `--queue-cap` and
-/// `--decode-shards`. Exits nonzero if any response was a 5xx or no request
-/// succeeded at all.
 /// Self-hosts the loadtest's tiny synthetic server on an ephemeral port,
 /// optionally with the continual trainer enabled. Returns the server plus
 /// the id spaces the generator may draw from.
@@ -535,7 +524,6 @@ fn self_host_tiny(
         addr: "127.0.0.1:0".to_string(),
         workers: args.get_or("workers", 4usize)?,
         queue_cap: args.get_or("queue-cap", defaults.queue_cap)?,
-        decode_shards: args.get_or("decode-shards", defaults.decode_shards)?,
         online,
         ..defaults
     };
@@ -544,6 +532,15 @@ fn self_host_tiny(
     Ok((server, ds.num_entities as u32, ds.num_relations as u32))
 }
 
+/// `retia loadtest [--addr HOST:PORT] [--connections LIST] [--requests N]
+/// [--ingest-every N] [--k N] [--out FILE]`: replay a synthetic query/ingest
+/// mix over keep-alive connections at a ladder of concurrency levels and
+/// write p50/p99/QPS per level as `BENCH_serve.json`.
+///
+/// Without `--addr` it self-hosts a tiny untrained model on an ephemeral
+/// port (so CI can smoke the whole serving stack with one command); the
+/// self-hosted server honors `--workers` and `--queue-cap`. Exits nonzero
+/// if any response was a 5xx or no request succeeded at all.
 pub fn loadtest(raw: &[String]) -> Result<(), String> {
     // The ladder's shape, then an `--addr` target and its id spaces.
     let ladder = ["connections", "requests", "ingest-every", "k", "out", "slo"];

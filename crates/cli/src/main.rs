@@ -102,8 +102,7 @@ COMMANDS:
                --data DIR --model FILE --subject N --relation N [--topk N]
     serve      online inference over HTTP from a train checkpoint directory
                (--data DIR | --store DIR) --resume CKPT_DIR
-               [--port N] [--host H] [--workers N]
-               [--queue-cap N] [--decode-shards N]
+               [--port N] [--host H] [--workers N] [--queue-cap N]
                [--slo LIST] [--trace-slow-ms F] [--trace-sample N]
                [--log-level L] [--trace-out FILE]
                port 0 binds an ephemeral port (printed on stdout at startup);
@@ -113,11 +112,10 @@ COMMANDS:
                (tail-sampled request traces), GET /v1/drift (online drift
                monitor readout), POST /admin/shutdown (drains, then exits);
                --queue-cap bounds the engine queue (overflow answers 429 with
-               Retry-After), --decode-shards fans candidate scoring out over
-               N threads with bit-identical ranks; --slo installs latency
-               objectives exported as slo.* burn-rate gauges; every request
-               slower than --trace-slow-ms (plus a 1-in---trace-sample
-               deterministic sample) is kept in the trace store
+               Retry-After); --slo installs latency objectives exported as
+               slo.* burn-rate gauges; every request slower than
+               --trace-slow-ms (plus a 1-in---trace-sample deterministic
+               sample) is kept in the trace store
                online learning:
                [--online]              continual trainer: fine-tunes on newly
                                        ingested windows in an isolated thread,
@@ -142,7 +140,7 @@ COMMANDS:
                [--ingest-every N] [--k N] [--out FILE] [--slo LIST]
                [--entities N] [--relations N]   id spaces for --addr targets
                without --addr, self-hosts a tiny untrained model (honoring
-               [--workers N] [--queue-cap N] [--decode-shards N]); exits
+               [--workers N] [--queue-cap N]); exits
                nonzero on any 5xx, if no request succeeded, or if any --slo
                objective burns against the client-measured latencies
                [--online]  adds a second self-hosted ladder with the continual

@@ -213,11 +213,12 @@ fn serve_smoke_query_ingest_requery_shutdown() {
 
 /// An option `serve` does not read fails the command before any work: the
 /// deleted JSONL log flag, or a typo of `--store`, must not boot a server
-/// that silently drops durability. The dataset path does not exist, so
-/// only the flag check can produce the error.
+/// that silently drops durability, and the deleted decode-sharding flag
+/// must not look accepted. The dataset path does not exist, so only the
+/// flag check can produce the error.
 #[test]
 fn serve_rejects_options_it_does_not_read() {
-    for flag in ["--ingest-log", "--stroe"] {
+    for flag in ["--ingest-log", "--stroe", "--decode-shards"] {
         let args = [
             "serve",
             "--data",

@@ -106,100 +106,17 @@ impl FrozenModel {
         g.detach(p)
     }
 
-    /// Entity decode with candidate scoring sharded across `shards` threads
-    /// by entity range — bit-identical to [`FrozenModel::decode_entity`].
-    ///
-    /// The decode splits into three phases with different parallelism:
-    ///
-    /// 1. **Query representations** (engine thread, graph): gather + the
-    ///    Conv-TransE head, one detached `[Q, d]` tensor per timestamp.
-    /// 2. **Candidate scoring** (scoped shard threads): each shard computes
-    ///    `q_t @ E_t[lo..hi]^T` for every timestamp with
-    ///    [`Tensor::matmul_nt_range`]. Every logit is the same independent
-    ///    sequential dot product the fused path computes, so slicing the
-    ///    candidate rows changes no bit of it.
-    /// 3. **Normalize + accumulate** (engine thread): shard columns are
-    ///    stitched back into full `[Q, N]` logit matrices (a pure copy),
-    ///    then softmax and the across-timestamp sum run in the exact
-    ///    single-thread order (`softmax_rows`, then `add_assign` oldest
-    ///    first — the same association the graph's `add_n` uses). Softmax
-    ///    must happen *after* the merge: its row sum is global across all
-    ///    `N` candidates, so normalizing per shard would change the result.
+    /// Forwards to [`FrozenModel::decode_entity`]; `_shards` is ignored.
+    /// Kept only because the repository benchmark (`perfbench`) calls it;
+    /// it goes when the benchmark next changes.
     pub fn decode_entity_sharded(
         &self,
         states: &FrozenStates,
         subjects: Vec<u32>,
         rels: Vec<u32>,
-        shards: usize,
+        _shards: usize,
     ) -> Tensor {
-        let n = self.num_entities();
-        let shards = shards.clamp(1, n.max(1));
-        if shards == 1 {
-            return self.decode_entity(states, subjects, rels);
-        }
-        let _t = retia_obs::span!("serve.decode_sharded", shards = shards);
-        let queries = subjects.len();
-        let (mut g, evolved) = self.replay(states);
-        let reprs =
-            self.model.entity_query_reprs(&mut g, &evolved, Rc::new(subjects), Rc::new(rels));
-        assert_eq!(g.tape_ops(), 0, "inference decode must not allocate a tape");
-
-        let ranges: Vec<(usize, usize)> = retia_eval::shard_ranges(n, shards);
-        // Interval-overlap proof for the column sharding: the shard ranges
-        // must partition the candidate columns exactly, or two threads
-        // would score (and later stitch) the same logit column.
-        let col_plan: Vec<std::ops::Range<usize>> = ranges.iter().map(|&(lo, hi)| lo..hi).collect();
-        let plan = retia_tensor::parallel::verify_col_plan(n, &col_plan);
-        assert!(plan.is_ok(), "decode shard plan failed the column race prover: {plan:?}");
-        // Phase 2: shard threads score candidate ranges. Only the detached
-        // tensors are borrowed into the scope, and results come back in
-        // shard order via the join handles, so the merge is deterministic.
-        // Each shard adopts the request traces active on the engine thread,
-        // so its `serve.decode.shard` span lands in every request of the
-        // fused batch with per-shard timings.
-        let frames = retia_obs::trace::current_frames();
-        let per_shard: Vec<Vec<Tensor>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .enumerate()
-                .map(|(shard, &(lo, hi))| {
-                    let reprs = &reprs;
-                    let frozen = &states.states;
-                    let frames = frames.clone();
-                    scope.spawn(move || {
-                        let _adopted = retia_obs::trace::adopt(frames);
-                        let _s =
-                            retia_obs::span!("serve.decode.shard", shard = shard, lo = lo, hi = hi);
-                        reprs
-                            .iter()
-                            .zip(frozen.iter())
-                            .map(|(q, (e_t, _))| q.matmul_nt_range(e_t, lo, hi))
-                            .collect::<Vec<Tensor>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("decode shard thread panicked")).collect()
-        });
-
-        // Phase 3: stitch columns, normalize globally, accumulate in the
-        // single-thread order.
-        let mut acc: Option<Tensor> = None;
-        for t in 0..reprs.len() {
-            let mut logits = Tensor::zeros(queries, n);
-            for (shard, &(lo, hi)) in per_shard.iter().zip(ranges.iter()) {
-                let part = &shard[t];
-                for i in 0..queries {
-                    let dst = i * n + lo;
-                    logits.data_mut()[dst..dst + (hi - lo)].copy_from_slice(part.row(i));
-                }
-            }
-            let probs = logits.softmax_rows();
-            match acc.as_mut() {
-                None => acc = Some(probs),
-                Some(a) => a.add_assign(&probs),
-            }
-        }
-        acc.expect("frozen states hold at least one timestamp")
+        self.decode_entity(states, subjects, rels)
     }
 
     /// Relation decode against cached states: summed probabilities `[Q, M]`
@@ -251,8 +168,6 @@ impl FrozenModel {
     /// the decoder weights as constant sources — then proves the abstract
     /// tape declares zero trainable parameters, which is exactly the
     /// no-grad guarantee the `tape_ops() == 0` asserts enforce at runtime.
-    /// The sharded decode's column split is declared as a reorder of the
-    /// `matmul_nt` output lanes, which the sensitivity map must rule legal.
     ///
     /// The serve boot check runs this before accepting traffic.
     pub fn audit(&self) -> AuditReport {
@@ -265,10 +180,6 @@ impl FrozenModel {
         let ends = |count: usize| Rc::new(vec![0, count.max(1) as u32 - 1]);
 
         ctx.frame("serve", None, |ctx| {
-            // The entity-sharded decode splits candidate columns across
-            // threads: a reorder of the scoring matmul's output lanes.
-            ctx.reorder("matmul_nt", "output-lanes");
-
             let states: Vec<EvolvedState<_>> = (0..self.cfg().k.max(1))
                 .map(|_| {
                     let e_raw = ctx.source(n, d, env);
@@ -336,41 +247,15 @@ mod tests {
         let (subjects, rels, _) = entity_queries(target, ctx.num_relations);
         let direct = fm.model.predict_entity(history, hypers, subjects.clone(), rels.clone());
         let frozen = fm.evolve_window(history, hypers);
-        let cached = fm.decode_entity(&frozen, subjects, rels);
+        let cached = fm.decode_entity(&frozen, subjects.clone(), rels.clone());
         assert_eq!(direct.data(), cached.data(), "entity scores must be bit-identical");
+        let stub = fm.decode_entity_sharded(&frozen, subjects, rels, 1);
+        assert_eq!(stub.data(), cached.data(), "the benchmark's decode entry point diverged");
 
         let (rs, ro, _) = relation_queries(target);
         let direct = fm.model.predict_relation(history, hypers, rs.clone(), ro.clone());
         let cached = fm.decode_relation(&frozen, rs, ro);
         assert_eq!(direct.data(), cached.data(), "relation scores must be bit-identical");
-    }
-
-    #[test]
-    fn sharded_decode_is_bitwise_identical_to_fused_decode() {
-        let (fm, ctx) = setup();
-        let idx = ctx.test_idx[0];
-        let (history, hypers) = ctx.history(idx, fm.cfg().k);
-        let target = &ctx.snapshots[idx];
-        let (subjects, rels, _) = entity_queries(target, ctx.num_relations);
-
-        let frozen = fm.evolve_window(history, hypers);
-        let fused = fm.decode_entity(&frozen, subjects.clone(), rels.clone());
-        // ≥2 shard counts, including one that doesn't divide N and one per
-        // entity, per the sharding acceptance criterion.
-        for shards in [2usize, 3, fm.num_entities()] {
-            let sharded = fm.decode_entity_sharded(&frozen, subjects.clone(), rels.clone(), shards);
-            assert_eq!(fused.shape(), sharded.shape());
-            for (a, b) in fused.data().iter().zip(sharded.data().iter()) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "sharded decode diverged from fused at {shards} shards"
-                );
-            }
-        }
-        // shards=1 must route through the fused path unchanged.
-        let one = fm.decode_entity_sharded(&frozen, subjects, rels, 1);
-        assert_eq!(one.data(), fused.data());
     }
 
     #[test]

@@ -328,36 +328,6 @@ impl Retia {
         })
     }
 
-    /// Per-timestamp query representations for entity queries: the
-    /// candidate-independent half of the Eq. 11 decode — everything before
-    /// the `q @ E_t^T` scoring matmul. One detached `[Q, d]` tensor per
-    /// evolved state, oldest first.
-    ///
-    /// The entity-sharded serving decode computes these once on the engine
-    /// thread, then scores them against candidate row ranges outside the
-    /// graph (`Tensor::matmul_nt_range`), which is bit-identical to the
-    /// fused [`Retia::entity_prob_sum`] logits because each logit is an
-    /// independent sequential dot product either way.
-    pub fn entity_query_reprs(
-        &self,
-        g: &mut Graph,
-        states: &[EvolvedState],
-        subjects: Rc<Vec<u32>>,
-        rels: Rc<Vec<u32>>,
-    ) -> Vec<Tensor> {
-        assert!(!states.is_empty(), "need at least one evolved state");
-        let _t = retia_obs::span!("decode.entity_repr", timestamps = states.len());
-        states
-            .iter()
-            .map(|st| {
-                let s_emb = g.gather_rows(st.entities, subjects.clone());
-                let r_emb = g.gather_rows(st.relations, rels.clone());
-                let q = self.dec_entity.query_repr(g, &self.store, s_emb, r_emb);
-                g.detach(q)
-            })
-            .collect()
-    }
-
     /// Summed per-timestamp probabilities for relation queries
     /// (Eq. 12 + Eq. 14): `[Q, M]` over the original (non-inverse) relations.
     pub fn relation_prob_sum<O: Ops>(

@@ -23,6 +23,6 @@ mod timing;
 
 pub use metrics::Metrics;
 pub use parallel::{collect_metrics, collect_paired_metrics};
-pub use ranking::{rank_of, rank_of_filtered, shard_ranges, top_k, top_k_sharded, FilterSet};
+pub use ranking::{rank_of, rank_of_filtered, top_k, FilterSet};
 pub use series::MetricSeries;
 pub use timing::{format_duration, Stopwatch};

@@ -130,41 +130,13 @@ pub fn top_k(scores: &[f32], k: usize) -> Vec<(u32, f32)> {
 
 /// Badness key: greater = worse candidate. Non-finite scores are worst, then
 /// lower (totally-ordered) score, then higher index. This is the *total*
-/// order behind [`top_k`]; totality is what makes the sharded merge in
-/// [`top_k_sharded`] exact rather than approximate.
+/// order behind [`top_k`].
 fn badness(score: f32, index: u32) -> (Reverse<i32>, u32) {
     let s = if score.is_finite() { score } else { f32::NEG_INFINITY };
     // Sign-magnitude float bits → a totally ordered integer key.
     let bits = s.to_bits() as i32;
     let ordered = if bits < 0 { !bits | i32::MIN } else { bits };
     (Reverse(ordered), index)
-}
-
-/// Contiguous candidate ranges `[lo, hi)` splitting `n` items into at most
-/// `shards` near-equal pieces (the same split the sharded decode uses).
-pub fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
-    let shards = shards.clamp(1, n.max(1));
-    (0..shards).map(|s| (s * n / shards, (s + 1) * n / shards)).collect()
-}
-
-/// [`top_k`] evaluated shard-by-shard over contiguous candidate ranges, then
-/// merged. Bit-identical to the single-pass `top_k`: each shard's local
-/// winners carry their global indices, and the merge re-sorts by the same
-/// total [`badness`] order `top_k` uses, so no candidate that belongs in the
-/// global top-k can be displaced (it is within the top-k of its own shard by
-/// construction). This is the reduction step of the entity-sharded decode;
-/// the equivalence is asserted across shard counts in the tests.
-pub fn top_k_sharded(scores: &[f32], k: usize, shards: usize) -> Vec<(u32, f32)> {
-    // Timed so request traces can attribute merge cost per shard count (the
-    // span is inert unless timing, sinks or a live trace are active).
-    let _t = retia_obs::span!("eval.topk_merge", candidates = scores.len(), shards = shards);
-    let mut merged: Vec<(u32, f32)> = Vec::with_capacity(k.saturating_mul(2));
-    for (lo, hi) in shard_ranges(scores.len(), shards) {
-        merged.extend(top_k(&scores[lo..hi], k).into_iter().map(|(i, s)| (i + lo as u32, s)));
-    }
-    merged.sort_by_key(|&(i, s)| badness(s, i));
-    merged.truncate(k);
-    merged
 }
 
 #[cfg(test)]
@@ -295,47 +267,6 @@ mod tests {
         full.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         for k in [1, 2, 10, 101, 257] {
             assert_eq!(top_k(&scores, k), full[..k.min(full.len())].to_vec());
-        }
-    }
-
-    #[test]
-    fn shard_ranges_cover_exactly() {
-        for (n, shards) in [(10, 3), (7, 7), (7, 20), (0, 4), (1000, 16), (5, 1)] {
-            let ranges = shard_ranges(n, shards);
-            assert!(ranges.len() <= shards.max(1));
-            assert_eq!(ranges.first().map(|r| r.0), Some(0));
-            assert_eq!(ranges.last().map(|r| r.1), Some(n));
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "ranges must tile {n} without gap or overlap");
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_sharded_is_bit_identical_to_top_k() {
-        // Adversarial score vector: ties across shard boundaries, negatives,
-        // and non-finite values, so the merge has to reproduce every tie-break
-        // rule exactly.
-        let mut scores: Vec<f32> =
-            (0..503).map(|i| ((i * 37 % 101) as f32) / 100.0 - 0.5).collect();
-        scores[7] = f32::NAN;
-        scores[250] = f32::INFINITY;
-        scores[251] = f32::NEG_INFINITY;
-        scores[499] = scores[3];
-        for k in [1usize, 4, 10, 503, 600] {
-            let reference = top_k(&scores, k);
-            for shards in [1usize, 2, 3, 5, 16, 503] {
-                let sharded = top_k_sharded(&scores, k, shards);
-                assert_eq!(reference.len(), sharded.len(), "k={k} shards={shards}");
-                for (a, b) in reference.iter().zip(sharded.iter()) {
-                    assert_eq!(a.0, b.0, "index diverged at k={k} shards={shards}");
-                    assert_eq!(
-                        a.1.to_bits(),
-                        b.1.to_bits(),
-                        "score bits diverged at k={k} shards={shards}"
-                    );
-                }
-            }
         }
     }
 }

@@ -57,7 +57,7 @@ impl ConvTransE {
 
     /// Embeds a query pair into a `[queries, dim]` representation (the part
     /// of the decoder before candidate scoring).
-    pub fn query_repr<O: Ops>(&self, g: &mut O, store: &ParamStore, a: O::Id, b: O::Id) -> O::Id {
+    fn query_repr<O: Ops>(&self, g: &mut O, store: &ParamStore, a: O::Id, b: O::Id) -> O::Id {
         g.scoped("ConvTransE", Some("Eq. 11/12"), |g| {
             check_width(g, "query_width", "decoder input", a, self.dim);
             let (sa, sb) = (g.shape(a), g.shape(b));

@@ -55,8 +55,7 @@ pub use span::{
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Master switch. When `false`, spans are inert, events are dropped, metrics
-/// are no-ops and the watchdog skips its scans — the baseline the
-/// `obs_overhead` bench measures instrumentation cost against.
+/// are no-ops and the watchdog skips its scans.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -22,7 +22,7 @@
 //! Frames are `(trace_id, parent_span_id)` pairs. Nesting works because a
 //! span guard pushes a derived scope whose parent is the new span's id;
 //! threads hand frames across boundaries with [`current_frames`] + [`adopt`]
-//! (the decode shard threads do exactly this).
+//! (each serve job carries its worker's frames to the engine thread this way).
 //!
 //! Cost when no request is in flight: one relaxed atomic load per
 //! instrumentation point — the same budget as the rest of retia-obs.

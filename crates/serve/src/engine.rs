@@ -14,16 +14,11 @@
 //! against a cached epoch is a decode plus a bounded top-k heap; the first
 //! query after an ingest pays one recurrence over the window.
 //!
-//! Two scale-out levers sit on top of that model:
-//!
-//! - **Admission control**: the job queue is bounded ([`EngineOptions::queue_cap`]).
-//!   A full queue bounces the submission with [`EngineError::Overloaded`]
-//!   (HTTP `429` + `Retry-After`) instead of letting latency and memory grow
-//!   without limit. Control jobs (stop/pause) are exempt.
-//! - **Sharded entity decode** ([`EngineOptions::decode_shards`]): candidate
-//!   scoring — the O(|E|) hot loop — splits across scoped threads by entity
-//!   range and merges with the same deterministic total order the
-//!   single-thread path uses, so ranks stay bit-identical at any shard count.
+//! Admission control sits on top of that model: the job queue is bounded
+//! ([`EngineOptions::queue_cap`]). A full queue bounces the submission with
+//! [`EngineError::Overloaded`] (HTTP `429` + `Retry-After`) instead of
+//! letting latency and memory grow without limit. Control jobs (stop/pause)
+//! are exempt.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -33,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use retia::{FrozenModel, FrozenStates};
-use retia_eval::{top_k, top_k_sharded};
+use retia_eval::top_k;
 use retia_graph::{HyperSnapshot, Quad, Snapshot, Window};
 use retia_obs::trace::{self, TraceFrame};
 
@@ -146,10 +141,6 @@ pub struct EngineOptions {
     /// Bound on queued jobs (admission control). Submissions beyond it get
     /// [`EngineError::Overloaded`] instead of queueing without limit.
     pub queue_cap: usize,
-    /// Threads the entity decode shards candidate scoring across
-    /// (`1` = the fused single-thread path). Any value produces bit-identical
-    /// ranks; see `FrozenModel::decode_entity_sharded`.
-    pub decode_shards: usize,
     /// Durable store directory: accepted ingest facts are appended to the
     /// store's fact log **before** the window advances (see
     /// `retia_store::Appender`), so a restart booted from the same store
@@ -159,7 +150,7 @@ pub struct EngineOptions {
 
 impl Default for EngineOptions {
     fn default() -> EngineOptions {
-        EngineOptions { queue_cap: 256, decode_shards: 1, store: None }
+        EngineOptions { queue_cap: 256, store: None }
     }
 }
 
@@ -468,10 +459,9 @@ impl Engine {
         Engine::start_with(model, window, EngineOptions::default())
     }
 
-    /// [`Engine::start`] with explicit queue bound, decode sharding and
-    /// durable store. A boot window that is out of timestamp order or built
-    /// over another id space than the model's is an
-    /// [`std::io::ErrorKind::InvalidInput`] error.
+    /// [`Engine::start`] with explicit queue bound and durable store. A boot
+    /// window that is out of timestamp order or built over another id space
+    /// than the model's is an [`std::io::ErrorKind::InvalidInput`] error.
     pub fn start_with(
         model: FrozenModel,
         window: Vec<Snapshot>,
@@ -488,7 +478,7 @@ impl Engine {
             Some(dir) => Some(retia_store::Appender::open(dir).map_err(std::io::Error::other)?),
             None => None,
         };
-        let mut state = EngineState::new(model, window, opts.decode_shards, stats, store);
+        let mut state = EngineState::new(model, window, stats, store);
         let thread = std::thread::Builder::new()
             .name("retia-serve-engine".to_string())
             .spawn(move || state.run(&shared))?;
@@ -522,8 +512,6 @@ struct EngineState {
     epoch: u64,
     /// Served-model version; bumped on every swap.
     model_epoch: u64,
-    /// Entity-decode sharding degree (`1` = fused single-thread path).
-    decode_shards: usize,
     stats: Arc<EngineStats>,
     store: Option<retia_store::Appender>,
 }
@@ -532,7 +520,6 @@ impl EngineState {
     fn new(
         model: FrozenModel,
         window: Window,
-        decode_shards: usize,
         stats: Arc<EngineStats>,
         store: Option<retia_store::Appender>,
     ) -> EngineState {
@@ -543,7 +530,6 @@ impl EngineState {
             cache_cap: 4,
             epoch: 0,
             model_epoch: 0,
-            decode_shards: decode_shards.max(1),
             stats,
             store,
         };
@@ -804,12 +790,8 @@ impl EngineState {
                 .map(|(_, _, s)| s)
                 .expect("states cached by ensure_states above");
             let model = &self.model;
-            let shards = self.decode_shards;
-            // Entity scoring is the O(|E|) hot loop; it shards across
-            // threads by candidate range, bit-identical to the fused path.
-            // Relation decode scores only M candidates and stays fused.
             let ent_probs = (!ent_args.0.is_empty())
-                .then(|| model.decode_entity_sharded(states, ent_args.0, ent_args.1, shards));
+                .then(|| model.decode_entity(states, ent_args.0, ent_args.1));
             let rel_probs = (!rel_args.0.is_empty())
                 .then(|| model.decode_relation(states, rel_args.0, rel_args.1));
 
@@ -829,15 +811,7 @@ impl EngineState {
                         }
                     };
                     let scores = row.expect("probs computed for every query kind present");
-                    // The sharded merge reduction is bit-identical to the
-                    // plain scan (same total order); route entity queries
-                    // through it so the whole sharded path is exercised end
-                    // to end.
-                    let candidates = match q.kind {
-                        QueryKind::Entity if shards > 1 => top_k_sharded(scores, q.k, shards),
-                        _ => top_k(scores, q.k),
-                    };
-                    results.push(TopK { candidates });
+                    results.push(TopK { candidates: top_k(scores, q.k) });
                 }
                 answered.push((
                     reply,
@@ -1047,48 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_answers_bit_identical_to_fused() {
-        let ds = SyntheticConfig::tiny(5).generate();
-        let ctx = TkgContext::new(&ds);
-        let cfg = RetiaConfig { dim: 8, channels: 4, k: 2, ..Default::default() };
-        let queries: Vec<Query> = (0..6)
-            .map(|i| Query {
-                kind: QueryKind::Entity,
-                subject: i % ctx.num_entities as u32,
-                b: i % (2 * ctx.num_relations as u32),
-                k: 5,
-            })
-            .collect();
-        let mut answers = Vec::new();
-        // ≥2 shard counts beyond the fused baseline, per the acceptance
-        // criterion; 7 does not divide the entity count evenly.
-        for shards in [1usize, 2, 3, 7] {
-            let model = Retia::new(&cfg, &ds);
-            let opts = EngineOptions { decode_shards: shards, ..Default::default() };
-            let engine = Engine::start_with(FrozenModel::new(model), ctx.snapshots.clone(), opts)
-                .expect("engine thread spawns");
-            let got = engine.handle().query(queries.clone()).expect("valid queries");
-            engine.shutdown();
-            answers.push((shards, got));
-        }
-        let (_, reference) = &answers[0];
-        for (shards, got) in &answers[1..] {
-            assert_eq!(reference.results.len(), got.results.len());
-            for (a, b) in reference.results.iter().zip(got.results.iter()) {
-                assert_eq!(a.candidates.len(), b.candidates.len(), "{shards} shards");
-                for (x, y) in a.candidates.iter().zip(b.candidates.iter()) {
-                    assert_eq!(x.0, y.0, "rank order diverged at {shards} shards");
-                    assert_eq!(
-                        x.1.to_bits(),
-                        y.1.to_bits(),
-                        "score bits diverged at {shards} shards"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn boot_window_over_another_id_space_is_invalid_input() {
         let ds = SyntheticConfig::tiny(5).generate();
         let ctx = TkgContext::new(&ds);
@@ -1177,7 +1109,7 @@ mod tests {
         let cfg = RetiaConfig { dim: 8, channels: 4, k: 2, ..Default::default() };
         let model = Retia::new(&cfg, &ds);
         let cap = 3usize;
-        let opts = EngineOptions { queue_cap: cap, decode_shards: 1, ..Default::default() };
+        let opts = EngineOptions { queue_cap: cap, ..Default::default() };
         let engine = Engine::start_with(FrozenModel::new(model), ctx.snapshots.clone(), opts)
             .expect("engine thread spawns");
         let h = engine.handle();

@@ -20,13 +20,9 @@
 //!        engine thread             drains the whole queue per wake:
 //!             │                    consecutive query jobs fuse into ONE
 //!             │                    batched Conv-TransE decode (micro-batch)
-//!      ┌──────┼────────────┐
+//!      ┌──────┴────────────┐
 //!      frozen model        embedding cache
 //!      (no-grad forward)   (detached last-k E_t/R_t per window epoch)
-//!             │ entity decode: scoped shard threads
-//!   ┌─────────┼─────────┐
-//!   shard   shard ...  shard       q_t @ E_t[lo..hi]^T per entity range;
-//!   └─────────┼─────────┘          merged ranks bit-identical to 1 thread
 //! ```
 //!
 //! The split mirrors the paper's decode strategy: scores are summed over the

@@ -2,9 +2,8 @@
 //!
 //! Replays a synthetic query/ingest mix over **keep-alive** connections at a
 //! ladder of concurrency levels and reports p50/p99 latency and QPS per
-//! level — the numbers `BENCH_serve.json` tracks. Lives in the library so
-//! the CLI (`retia loadtest`), the bench bin and the tests share one client
-//! and one report shape.
+//! level, written as `BENCH_serve.json` by `retia loadtest`. Lives in the
+//! library so the CLI and the tests share one client and one report shape.
 //!
 //! The generator is deterministic: query ids derive from a SplitMix64 hash
 //! of `(level, connection, request)`, and every ingest reuses the fixed

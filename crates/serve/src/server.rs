@@ -87,9 +87,6 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Engine job-queue bound (admission control); overflow → `429`.
     pub queue_cap: usize,
-    /// Threads the entity decode shards candidate scoring across
-    /// (bit-identical ranks at any value; `1` = fused path).
-    pub decode_shards: usize,
     /// Service-level objectives evaluated against the per-endpoint latency
     /// histograms and exported as `slo.*` gauges on `/metrics`.
     pub slos: Vec<SloSpec>,
@@ -120,7 +117,6 @@ impl Default for ServeConfig {
             io_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
             queue_cap: engine.queue_cap,
-            decode_shards: engine.decode_shards,
             slos: Vec::new(),
             trace_slow_ms: tracing.slow_ms,
             trace_sample_every: tracing.sample_every,
@@ -246,11 +242,7 @@ impl Server {
         if !cfg.slos.is_empty() {
             retia_obs::slo::configure(cfg.slos.clone());
         }
-        let opts = EngineOptions {
-            queue_cap: cfg.queue_cap,
-            decode_shards: cfg.decode_shards,
-            store: cfg.store.clone(),
-        };
+        let opts = EngineOptions { queue_cap: cfg.queue_cap, store: cfg.store.clone() };
         let engine = Engine::start_with(model, window, opts)?;
         let gate = Arc::new(Gate::new());
         let online = match (&cfg.online, baseline) {
@@ -284,10 +276,9 @@ impl Server {
             retia_obs::Level::Info,
             "serve.started";
             format!(
-                "listening on {addr} with {} workers (queue cap {}, {} decode shards)",
+                "listening on {addr} with {} workers (queue cap {})",
                 workers.len(),
-                cfg.queue_cap,
-                cfg.decode_shards
+                cfg.queue_cap
             )
         );
         Ok(Server { addr, gate, workers, engine, online, health })

@@ -17,9 +17,7 @@ pub const CACHE: &str = "serve.cache";
 pub const EVOLVE: &str = "serve.evolve";
 /// The fused scoring decode over a batch of queries.
 pub const DECODE: &str = "serve.decode";
-/// One entity-range shard of the sharded decode.
-pub const DECODE_SHARD: &str = "serve.decode.shard";
-/// Per-query top-k extraction and merge.
+/// Per-query top-k extraction.
 pub const TOPK: &str = "serve.topk";
 /// Writing the response bytes back to the socket.
 pub const WRITE: &str = "serve.write";

@@ -132,30 +132,13 @@ impl fmt::Display for PlanError {
 /// the output is left unwritten. Chunk order does not matter; zero-length
 /// chunks contribute nothing and are tolerated.
 pub fn verify_row_plan(rows: usize, chunks: &[Range<usize>]) -> Result<(), PlanError> {
-    verify_extent_plan(rows, chunks)
-}
-
-/// Column-range twin of [`verify_row_plan`], for plans that shard the
-/// *columns* of an output — the sharded decode splits `matmul_nt` over
-/// candidate-column ranges (one disjoint `lo..hi` slice of the logit matrix
-/// per thread), and this is the interval-overlap proof that those writes
-/// cannot race and no candidate column is left unscored. The `matmul_nt`
-/// output-lane loop is order-invariant (see `transfer::REDUCTION_SITES`),
-/// so a verified column plan also preserves bit-identity.
-pub fn verify_col_plan(cols: usize, chunks: &[Range<usize>]) -> Result<(), PlanError> {
-    verify_extent_plan(cols, chunks)
-}
-
-/// Shared interval sweep behind [`verify_row_plan`] / [`verify_col_plan`]:
-/// the lane axis (rows or columns) is abstract here.
-fn verify_extent_plan(extent: usize, chunks: &[Range<usize>]) -> Result<(), PlanError> {
     let mut sorted: Vec<Range<usize>> = Vec::with_capacity(chunks.len());
     for c in chunks {
         if c.end < c.start {
             return Err(PlanError::Inverted { chunk: c.clone() });
         }
-        if c.end > extent {
-            return Err(PlanError::OutOfBounds { chunk: c.clone(), rows: extent });
+        if c.end > rows {
+            return Err(PlanError::OutOfBounds { chunk: c.clone(), rows });
         }
         if !c.is_empty() {
             sorted.push(c.clone());
@@ -174,8 +157,8 @@ fn verify_extent_plan(extent: usize, chunks: &[Range<usize>]) -> Result<(), Plan
         covered = c.end;
         prev = c;
     }
-    if covered < extent {
-        return Err(PlanError::Gap { from: covered, to: extent });
+    if covered < rows {
+        return Err(PlanError::Gap { from: covered, to: rows });
     }
     Ok(())
 }
@@ -460,34 +443,6 @@ mod tests {
         // Empty plans only cover empty outputs.
         assert_eq!(verify_row_plan(0, &[]), Ok(()));
         assert_eq!(verify_row_plan(4, &[]), Err(PlanError::Gap { from: 0, to: 4 }));
-    }
-
-    #[test]
-    fn col_plan_mirrors_row_plan_semantics() {
-        // The decode sharding shape: near-equal contiguous column ranges.
-        for (cols, shards) in [(1usize, 1usize), (7, 3), (64, 4), (100, 7), (23_033, 8)] {
-            let base = cols / shards;
-            let extra = cols % shards;
-            let mut plan = Vec::new();
-            let mut start = 0;
-            for s in 0..shards {
-                let len = base + usize::from(s < extra);
-                plan.push(start..start + len);
-                start += len;
-            }
-            assert_eq!(verify_col_plan(cols, &plan), Ok(()), "cols {cols} shards {shards}");
-        }
-        // Out-of-order shards still verify; racy/partial plans do not.
-        assert_eq!(verify_col_plan(10, &[5..10, 0..5]), Ok(()));
-        assert_eq!(
-            verify_col_plan(10, &[0..6, 4..10]),
-            Err(PlanError::Overlap { a: 0..6, b: 4..10 })
-        );
-        assert_eq!(verify_col_plan(10, &[0..4, 6..10]), Err(PlanError::Gap { from: 4, to: 6 }));
-        assert_eq!(
-            verify_col_plan(8, std::slice::from_ref(&(0..9))),
-            Err(PlanError::OutOfBounds { chunk: 0..9, rows: 8 })
-        );
     }
 
     #[cfg(debug_assertions)]

@@ -268,41 +268,6 @@ impl Tensor {
         Tensor { rows: m, cols: n, data: out }
     }
 
-    /// The row-range slice of [`Tensor::matmul_nt`]:
-    /// `self @ other[lo..hi]^T` (`[m,k] @ [hi-lo,k]^T -> [m,hi-lo]`).
-    ///
-    /// This is the entity-sharded decode kernel: each shard scores its
-    /// candidate range with this call and the results are concatenated
-    /// column-wise. Every output element is the same independent sequential
-    /// dot product `matmul_nt` computes, so the concatenation is bitwise
-    /// identical to the unsharded product — asserted by the bit-identity
-    /// sweep. Runs sequentially (callers parallelize across shards).
-    pub fn matmul_nt_range(&self, other: &Tensor, lo: usize, hi: usize) -> Tensor {
-        assert_eq!(
-            self.cols,
-            other.cols,
-            "matmul_nt_range shape mismatch: {:?} @ {:?}^T",
-            self.shape(),
-            other.shape()
-        );
-        assert!(lo <= hi && hi <= other.rows, "row range {lo}..{hi} out of 0..{}", other.rows);
-        let (m, k, n) = (self.rows, self.cols, hi - lo);
-        let _t = retia_obs::kernel_span("matmul_nt_range");
-        let mut out = vec![0.0f32; m * n];
-        for (i, o_row) in out.chunks_mut(n.max(1)).enumerate().take(m) {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                let b_row = &other.data[(lo + j) * k..(lo + j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
-        Tensor { rows: m, cols: n, data: out }
-    }
-
     /// Matrix product with the left operand transposed:
     /// `self^T @ other` (`[k,m]^T @ [k,n] -> [m,n]`).
     ///

@@ -439,7 +439,7 @@ pub const REDUCTION_SITES: &[ReductionSite] = &[
         op: "matmul_nt",
         site: "output-lanes",
         order: ReductionOrder::Invariant,
-        note: "column shards concatenate bit-identically (decode sharding)",
+        note: "each output element is an independent dot product",
     },
     ReductionSite {
         op: "matmul_nt",

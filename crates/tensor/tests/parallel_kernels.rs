@@ -64,38 +64,6 @@ fn matmul_nt_bit_identical_across_threads() {
 }
 
 #[test]
-fn matmul_nt_range_shards_concatenate_bit_identical() {
-    // The entity-sharded decode contract: scoring candidate row ranges with
-    // "matmul_nt_range" and concatenating the columns must reproduce the
-    // unsharded matmul_nt bit for bit, at any thread count and any shard
-    // split (each output element is the same sequential dot product).
-    let a = rand_tensor(50, 64, 30);
-    let b = rand_tensor(80, 64, 31);
-    let reference = {
-        let _guard = lock();
-        parallel::set_num_threads(1);
-        let r = a.matmul_nt(&b);
-        parallel::set_num_threads(0);
-        r
-    };
-    for shards in [1usize, 2, 3, 7, 80] {
-        let bounds: Vec<usize> = (0..=shards).map(|s| s * b.rows() / shards).collect();
-        let parts: Vec<Tensor> =
-            bounds.windows(2).map(|w| a.matmul_nt_range(&b, w[0], w[1])).collect();
-        let mut stitched = Tensor::zeros(a.rows(), b.rows());
-        for i in 0..a.rows() {
-            let mut col = 0usize;
-            for part in &parts {
-                let dst = i * b.rows() + col;
-                stitched.data_mut()[dst..dst + part.cols()].copy_from_slice(part.row(i));
-                col += part.cols();
-            }
-        }
-        assert_bits_eq(&reference, &stitched, &format!("matmul_nt_range at {shards} shards"));
-    }
-}
-
-#[test]
 fn matmul_tn_bit_identical_across_threads() {
     let a = rand_tensor(64, 200, 5);
     let b = rand_tensor(64, 80, 6);

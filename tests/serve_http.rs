@@ -637,9 +637,9 @@ fn dur_ms_of(s: &Value) -> f64 {
 }
 
 /// Asserts one query's trace reconstructs the pipeline as a tree: socket
-/// read, queue wait and response write at the root; cache, top-k (and the
-/// shard fan-out when sharded) nested under the decode span.
-fn assert_query_trace_tree(trace_id: u64, t: &Value, shards: usize) {
+/// read, queue wait and response write at the root; cache and top-k nested
+/// under the decode span.
+fn assert_query_trace_tree(trace_id: u64, t: &Value) {
     assert_eq!(t.get("trace_id").and_then(Value::as_u64), Some(trace_id));
     assert_eq!(t.get("endpoint").and_then(Value::as_str), Some("/v1/query"));
     assert_eq!(t.get("status").and_then(Value::as_u64), Some(200));
@@ -657,21 +657,6 @@ fn assert_query_trace_tree(trace_id: u64, t: &Value, shards: usize) {
     if let Some(evolve) = stage(t, "serve.evolve") {
         assert_eq!(parent_of(evolve), span_id_of(cache), "evolve nests under cache");
     }
-    if shards > 1 {
-        let fan = stage(t, "serve.decode_sharded").expect("sharded fan-out stage");
-        assert_eq!(parent_of(fan), span_id_of(decode));
-        let shard_stages: Vec<&Value> = t
-            .get("stages")
-            .and_then(Value::as_array)
-            .expect("stages")
-            .iter()
-            .filter(|s| s.get("name").and_then(Value::as_str) == Some("serve.decode.shard"))
-            .collect();
-        assert_eq!(shard_stages.len(), shards, "one shard span per decode shard");
-        for s in shard_stages {
-            assert_eq!(parent_of(s), span_id_of(fan), "shard spans nest under the fan-out");
-        }
-    }
     // Queue wait and service segments fit inside the request total.
     let total = t.get("total_ms").and_then(Value::as_f64).expect("total_ms");
     let wait = dur_ms_of(stage(t, "serve.queue_wait").expect("queue_wait stage"));
@@ -687,11 +672,9 @@ fn assert_query_trace_tree(trace_id: u64, t: &Value, shards: usize) {
 /// and every `Server::start` (including concurrent tests') re-asserts its
 /// own, so keep re-arming keep-everything sampling and retry until one burst
 /// runs wholly under it.
-fn pipelined_queries_trace_case(shards: usize) {
-    let (server, _ctx) = start_server_with(|cfg| {
-        cfg.decode_shards = shards;
-        cfg.trace_sample_every = 1;
-    });
+#[test]
+fn pipelined_queries_produce_three_distinct_trace_trees() {
+    let (server, _ctx) = start_server_with(|cfg| cfg.trace_sample_every = 1);
     let addr = server.addr();
     let mut captured: Option<Vec<(u64, Value)>> = None;
     'attempt: for _ in 0..50 {
@@ -736,19 +719,9 @@ fn pipelined_queries_trace_case(shards: usize) {
     }
     let captured = captured.expect("no burst of 3 queries survived the sampling policy races");
     for (id, t) in &captured {
-        assert_query_trace_tree(*id, t, shards);
+        assert_query_trace_tree(*id, t);
     }
     server.shutdown();
-}
-
-#[test]
-fn pipelined_queries_produce_three_distinct_trace_trees() {
-    pipelined_queries_trace_case(1);
-}
-
-#[test]
-fn pipelined_queries_trace_per_shard_spans_under_sharded_decode() {
-    pipelined_queries_trace_case(2);
 }
 
 #[test]
@@ -782,7 +755,7 @@ fn paused_engine_query_is_tail_sampled_with_nonzero_queue_wait() {
     let t = find_trace(addr, trace_id, Duration::from_secs(5))
         .expect("slow query missing from /v1/traces");
     assert_eq!(t.get("kept").and_then(Value::as_str), Some("slow"));
-    assert_query_trace_tree(trace_id, &t, 1);
+    assert_query_trace_tree(trace_id, &t);
     let wait_stage_ms = dur_ms_of(stage(&t, "serve.queue_wait").expect("queue_wait stage"));
     assert!(wait_stage_ms >= 250.0, "queue_wait stage records {wait_stage_ms}ms");
     let total = t.get("total_ms").and_then(Value::as_f64).expect("total_ms");
@@ -864,27 +837,4 @@ fn configured_slos_export_burn_rate_gauges() {
     assert_eq!(gauge("slo.query.burning"), Some(0.0), "{body:?}");
     assert!(gauge("slo.query.burn_long").is_some() && gauge("slo.query.burn_short").is_some());
     server.shutdown();
-}
-
-#[test]
-fn sharded_server_answers_bit_identical_to_fused_server() {
-    // Identically seeded models behind different shard counts must serve
-    // byte-identical candidate lists (same ids, same score bits — JSON
-    // float formatting is deterministic, so string equality is bit
-    // equality).
-    let query = r#"{"kind": "entity", "k": 9, "queries": [{"subject": 0, "relation": 1}, {"subject": 2, "relation": 0}]}"#;
-    let mut reference: Option<Vec<Vec<(u32, f32)>>> = None;
-    for shards in [1usize, 2, 3] {
-        let (server, _ctx) = start_server_with(|cfg| cfg.decode_shards = shards);
-        let (status, body) = request(server.addr(), "POST", "/v1/query", Some(query));
-        assert_eq!(status, 200, "shards={shards}: {body:?}");
-        let got = vec![candidates(&body, 0), candidates(&body, 1)];
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => {
-                assert_eq!(want, &got, "decode_shards={shards} changed served ranks/scores");
-            }
-        }
-        server.shutdown();
-    }
 }
