@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
-use retia::TkgContext;
+use retia::{Forecaster, TkgContext};
 use retia_nn::ConvTransE;
 use retia_tensor::optim::Adam;
 use retia_tensor::{Graph, ParamStore, Tensor};
@@ -26,15 +26,6 @@ pub enum ConvFlavor {
     ConvE,
     /// Conv-TransE (channel stacking, translation-preserving).
     ConvTransE,
-}
-
-impl ConvFlavor {
-    fn label(self) -> &'static str {
-        match self {
-            ConvFlavor::ConvE => "ConvE",
-            ConvFlavor::ConvTransE => "Conv-TransE",
-        }
-    }
 }
 
 /// A static KG model with a convolutional decoder over learned embeddings.
@@ -73,10 +64,6 @@ impl ConvDecoder {
 }
 
 impl TkgBaseline for ConvDecoder {
-    fn name(&self) -> String {
-        self.flavor.label().to_string()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         let triples = static_triples(ctx);
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
@@ -120,7 +107,9 @@ impl TkgBaseline for ConvDecoder {
             }
         }
     }
+}
 
+impl Forecaster for ConvDecoder {
     fn entity_scores(
         &self,
         _ctx: &TkgContext,
@@ -164,8 +153,7 @@ impl TkgBaseline for ConvDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
     #[test]
@@ -174,17 +162,9 @@ mod tests {
         let cfg = StaticTrainConfig { epochs: 8, ..Default::default() };
         let mut m = ConvDecoder::new(cfg, ConvFlavor::ConvTransE, &ctx);
         m.fit(&ctx);
-        let report = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let report = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(report.entity_raw.mrr() > chance * 3.0);
         assert!(report.relation_raw.mrr() > 2.0 / (ctx.num_relations as f64 + 1.0));
-    }
-
-    #[test]
-    fn flavors_have_distinct_names() {
-        let ctx = TkgContext::new(&SyntheticConfig::tiny(6).generate());
-        let a = ConvDecoder::new(StaticTrainConfig::default(), ConvFlavor::ConvE, &ctx);
-        let b = ConvDecoder::new(StaticTrainConfig::default(), ConvFlavor::ConvTransE, &ctx);
-        assert_ne!(a.name(), b.name());
     }
 }

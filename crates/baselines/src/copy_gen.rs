@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use retia::TkgContext;
+use retia::{Forecaster, TkgContext};
 use retia_tensor::Tensor;
 
 use crate::factorization::DistMult;
@@ -71,10 +71,6 @@ impl CyGNetCopy {
 }
 
 impl TkgBaseline for CyGNetCopy {
-    fn name(&self) -> String {
-        "CyGNet".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         self.gen.fit(ctx);
         // Absorb the training history; evaluation-time history is absorbed
@@ -82,7 +78,9 @@ impl TkgBaseline for CyGNetCopy {
         let last_train = ctx.train_idx.last().map(|&i| i + 1).unwrap_or(0);
         self.absorb_upto(ctx, last_train);
     }
+}
 
+impl Forecaster for CyGNetCopy {
     fn begin_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
         self.absorb_upto(ctx, idx);
     }
@@ -131,8 +129,7 @@ impl TkgBaseline for CyGNetCopy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
     #[test]
@@ -142,11 +139,11 @@ mod tests {
 
         let mut pure = DistMult::new(cfg.clone(), &ctx);
         pure.fit(&ctx);
-        let gen_report = evaluate_baseline(&mut pure, &ctx, Split::Test);
+        let gen_report = evaluate(&mut pure, &ctx, Split::Test).unwrap();
 
         let mut cyg = CyGNetCopy::new(cfg, &ctx);
         cyg.fit(&ctx);
-        let copy_report = evaluate_baseline(&mut cyg, &ctx, Split::Test);
+        let copy_report = evaluate(&mut cyg, &ctx, Split::Test).unwrap();
 
         // Recurring facts make the copy mechanism a strong signal.
         assert!(

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
-use retia::TkgContext;
+use retia::{Forecaster, TkgContext};
 use retia_tensor::optim::Adam;
 use retia_tensor::{Graph, ParamStore, Tensor};
 
@@ -39,10 +39,6 @@ impl DistMult {
 }
 
 impl TkgBaseline for DistMult {
-    fn name(&self) -> String {
-        "DistMult".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         let triples = static_triples(ctx);
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
@@ -68,7 +64,9 @@ impl TkgBaseline for DistMult {
             }
         }
     }
+}
 
+impl Forecaster for DistMult {
     fn entity_scores(
         &self,
         _ctx: &TkgContext,
@@ -132,10 +130,6 @@ impl ComplEx {
 }
 
 impl TkgBaseline for ComplEx {
-    fn name(&self) -> String {
-        "ComplEx".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         let triples = static_triples(ctx);
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
@@ -172,7 +166,9 @@ impl TkgBaseline for ComplEx {
             }
         }
     }
+}
 
+impl Forecaster for ComplEx {
     fn entity_scores(
         &self,
         _ctx: &TkgContext,
@@ -210,8 +206,7 @@ impl TkgBaseline for ComplEx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
     fn ctx() -> TkgContext {
@@ -224,7 +219,7 @@ mod tests {
         let cfg = StaticTrainConfig { epochs: 10, ..Default::default() };
         let mut m = DistMult::new(cfg, &ctx);
         m.fit(&ctx);
-        let report = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let report = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(
             report.entity_raw.mrr() > chance * 3.0,
@@ -240,7 +235,7 @@ mod tests {
         let cfg = StaticTrainConfig { epochs: 10, ..Default::default() };
         let mut m = ComplEx::new(cfg, &ctx);
         m.fit(&ctx);
-        let report = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let report = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(
             report.entity_raw.mrr() > chance * 3.0,

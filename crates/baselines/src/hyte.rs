@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use retia::TkgContext;
+use retia::{Forecaster, TkgContext};
 use retia_tensor::optim::Adam;
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
@@ -71,10 +71,6 @@ impl HyTE {
 }
 
 impl TkgBaseline for HyTE {
-    fn name(&self) -> String {
-        "HyTE".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         let m = ctx.num_relations as u32;
         let mut quads: Vec<(u32, u32, u32, u32)> = Vec::new();
@@ -141,7 +137,9 @@ impl TkgBaseline for HyTE {
             }
         }
     }
+}
 
+impl Forecaster for HyTE {
     fn entity_scores(
         &self,
         ctx: &TkgContext,
@@ -197,8 +195,7 @@ impl TkgBaseline for HyTE {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
     #[test]
@@ -227,7 +224,7 @@ mod tests {
         let cfg = StaticTrainConfig { epochs: 10, ..Default::default() };
         let mut m = HyTE::new(cfg, &ctx);
         m.fit(&ctx);
-        let rep = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let rep = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(
             rep.entity_raw.mrr() > chance * 1.5,

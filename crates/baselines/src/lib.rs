@@ -10,15 +10,16 @@
 //! |---|---|---|
 //! | static | [`DistMult`], [`ComplEx`], [`ConvDecoder`] (ConvE-style and Conv-TransE), [`RotatE`], [`StaticRgcn`] | trained on the train split with the time dimension removed |
 //! | interpolation | [`TTransE`], [`TaDistMult`], [`HyTE`] | timestamp embeddings; future timestamps clamp to the last seen one (interpolation methods cannot extrapolate, which the paper's tables demonstrate) |
-//! | extrapolation | [`Regcn`] (RE-GCN / CEN / RGCRN via configuration), [`CyGNetCopy`] | RE-GCN-family models are ablated RETIA configurations — RE-GCN *is* RETIA without the RAM/hyperrelation machinery |
+//! | extrapolation | RE-GCN / CEN / RGCRN ([`RegcnFlavor`]), [`CyGNetCopy`], [`TirgnLite`], [`RenetLite`] | RE-GCN-family models are ablated RETIA configurations (RE-GCN *is* RETIA without the RAM/hyperrelation machinery), each a `retia::Trainer` over [`RegcnFlavor::config`] |
 //!
 //! Reinforcement-learning and rule-based baselines (CluSTeR, TITer, xERTE,
 //! TLogic) are *not* reimplemented (each is a paper-sized system);
 //! the table harness prints the paper's reported numbers for those rows,
 //! marked `paper-reported`. See DESIGN.md §1.
 //!
-//! All models implement [`TkgBaseline`]; [`evaluate_baseline`] runs the same
-//! protocol as `retia::Trainer::evaluate`.
+//! All models implement [`TkgBaseline`] (as does `retia::Trainer`), a
+//! `retia::Forecaster` that can train itself; the harness scores every one
+//! with `retia::evaluate`, the code `retia evaluate` runs.
 
 mod conv;
 mod copy_gen;
@@ -36,10 +37,10 @@ pub use conv::{ConvDecoder, ConvFlavor};
 pub use copy_gen::CyGNetCopy;
 pub use factorization::{ComplEx, DistMult};
 pub use hyte::HyTE;
-pub use regcn::{Regcn, RegcnFlavor, RetiaBaseline};
+pub use regcn::RegcnFlavor;
 pub use renet::RenetLite;
 pub use rotate::RotatE;
 pub use static_rgcn::StaticRgcn;
 pub use temporal::{TTransE, TaDistMult};
 pub use tirgn::TirgnLite;
-pub use traits::{evaluate_baseline, StaticTrainConfig, TkgBaseline};
+pub use traits::{StaticTrainConfig, TkgBaseline};

@@ -4,12 +4,10 @@
 //! This is faithful to the paper's own framing: RE-GCN is RETIA's EAM with
 //! mean-pooling+recurrent relation updates ("w. MP+LSTM" in Figure 6) and no
 //! hyperrelation aggregation; CEN adds online continual training; RGCRN is
-//! the entity GCN + GRU without relation modeling.
+//! the entity GCN + GRU without relation modeling. Each member is a plain
+//! [`retia::Trainer`] over [`RegcnFlavor::config`], scored like RETIA.
 
-use retia::{RelationMode, Retia, RetiaConfig, TkgContext, Trainer};
-use retia_tensor::Tensor;
-
-use crate::traits::TkgBaseline;
+use retia::{RelationMode, RetiaConfig};
 
 /// Which family member to instantiate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,192 +23,43 @@ pub enum RegcnFlavor {
 }
 
 impl RegcnFlavor {
-    fn label(self) -> &'static str {
-        match self {
-            RegcnFlavor::Regcn => "RE-GCN",
-            RegcnFlavor::Cen => "CEN",
-            RegcnFlavor::Rgcrn => "RGCRN",
-        }
-    }
-}
-
-/// An RE-GCN-family baseline.
-pub struct Regcn {
-    trainer: Trainer,
-    flavor: RegcnFlavor,
-    online: bool,
-}
-
-impl Regcn {
-    /// Builds an untrained model. `base` supplies the shared
+    /// The family member's configuration: `base` supplies the shared
     /// hyperparameters (dim, k, epochs...); the flavor overrides the
-    /// architecture switches.
-    pub fn new(base: &RetiaConfig, flavor: RegcnFlavor, ctx: &TkgContext) -> Self {
-        let mut cfg = base.clone();
-        match flavor {
-            RegcnFlavor::Regcn => {
-                cfg.relation_mode = RelationMode::MpLstm;
-                cfg.use_tim = true;
-                cfg.online = false;
-            }
-            RegcnFlavor::Cen => {
-                cfg.relation_mode = RelationMode::MpLstm;
-                cfg.use_tim = true;
-                cfg.online = true;
-            }
-            RegcnFlavor::Rgcrn => {
-                cfg.relation_mode = RelationMode::Static;
-                cfg.use_tim = false;
-                cfg.online = false;
-            }
-        }
-        let online = cfg.online;
-        let model = Retia::with_shape(&cfg, ctx.num_entities, ctx.num_relations);
-        Regcn { trainer: Trainer::new(model, cfg), flavor, online }
-    }
-
-    /// Access to the inner trainer (loss curves, parameter counts).
-    pub fn trainer(&self) -> &Trainer {
-        &self.trainer
-    }
-}
-
-impl TkgBaseline for Regcn {
-    fn name(&self) -> String {
-        self.flavor.label().to_string()
-    }
-
-    fn fit(&mut self, ctx: &TkgContext) {
-        self.trainer.fit(ctx);
-    }
-
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let (history, hypers) = ctx.history(idx, self.trainer.cfg.k);
-        self.trainer.model.predict_entity(history, hypers, subjects.to_vec(), rels.to_vec())
-    }
-
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        let (history, hypers) = ctx.history(idx, self.trainer.cfg.k);
-        self.trainer.model.predict_relation(history, hypers, subjects.to_vec(), objects.to_vec())
-    }
-
-    fn end_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
-        if self.online {
-            for _ in 0..self.trainer.cfg.online_steps {
-                self.trainer.train_step(ctx, idx);
-            }
-        }
-    }
-
-    fn loss_history(&self) -> Vec<(f64, f64, f64)> {
-        self.trainer.loss_history.iter().map(|l| (l.entity, l.relation, l.joint)).collect()
-    }
-}
-
-/// RETIA itself behind the baseline interface, so the table harness treats
-/// every row uniformly.
-pub struct RetiaBaseline {
-    trainer: Trainer,
-    online: bool,
-}
-
-impl RetiaBaseline {
-    /// Wraps a configured RETIA model.
-    pub fn new(cfg: &RetiaConfig, ctx: &TkgContext) -> Self {
-        let model = Retia::with_shape(cfg, ctx.num_entities, ctx.num_relations);
-        RetiaBaseline { trainer: Trainer::new(model, cfg.clone()), online: cfg.online }
-    }
-
-    /// Access to the inner trainer.
-    pub fn trainer(&self) -> &Trainer {
-        &self.trainer
-    }
-
-    /// Mutable access (used by harnesses that drive training manually).
-    pub fn trainer_mut(&mut self) -> &mut Trainer {
-        &mut self.trainer
-    }
-}
-
-impl TkgBaseline for RetiaBaseline {
-    fn name(&self) -> String {
-        "RETIA".into()
-    }
-
-    fn fit(&mut self, ctx: &TkgContext) {
-        self.trainer.fit(ctx);
-    }
-
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let (history, hypers) = ctx.history(idx, self.trainer.cfg.k);
-        self.trainer.model.predict_entity(history, hypers, subjects.to_vec(), rels.to_vec())
-    }
-
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        let (history, hypers) = ctx.history(idx, self.trainer.cfg.k);
-        self.trainer.model.predict_relation(history, hypers, subjects.to_vec(), objects.to_vec())
-    }
-
-    fn end_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
-        if self.online {
-            for _ in 0..self.trainer.cfg.online_steps {
-                self.trainer.train_step(ctx, idx);
-            }
-        }
-    }
-
-    fn loss_history(&self) -> Vec<(f64, f64, f64)> {
-        self.trainer.loss_history.iter().map(|l| (l.entity, l.relation, l.joint)).collect()
+    /// architecture switches and the online flag.
+    pub fn config(self, base: &RetiaConfig) -> RetiaConfig {
+        let (relation_mode, use_tim, online) = match self {
+            RegcnFlavor::Regcn => (RelationMode::MpLstm, true, false),
+            RegcnFlavor::Cen => (RelationMode::MpLstm, true, true),
+            RegcnFlavor::Rgcrn => (RelationMode::Static, false, false),
+        };
+        RetiaConfig { relation_mode, use_tim, online, ..base.clone() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Retia, Split, TkgContext, Trainer};
     use retia_data::SyntheticConfig;
 
-    fn quick_cfg() -> RetiaConfig {
-        RetiaConfig { dim: 8, channels: 4, k: 2, epochs: 2, patience: 0, ..Default::default() }
+    fn trainer(flavor: RegcnFlavor, ctx: &TkgContext) -> Trainer {
+        let base =
+            RetiaConfig { dim: 8, channels: 4, k: 2, epochs: 2, patience: 0, ..Default::default() };
+        let cfg = flavor.config(&base);
+        Trainer::new(Retia::with_shape(&cfg, ctx.num_entities, ctx.num_relations), cfg)
     }
 
     #[test]
     fn regcn_family_trains_and_scores() {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(13).generate());
         for flavor in [RegcnFlavor::Regcn, RegcnFlavor::Rgcrn] {
-            let mut m = Regcn::new(&quick_cfg(), flavor, &ctx);
+            let mut m = trainer(flavor, &ctx);
             m.fit(&ctx);
-            let report = evaluate_baseline(&mut m, &ctx, Split::Test);
+            let report = evaluate(&mut m, &ctx, Split::Test).unwrap();
             let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
             assert!(
                 report.entity_raw.mrr() > chance * 2.0,
-                "{}: mrr {}",
-                m.name(),
+                "{flavor:?}: mrr {}",
                 report.entity_raw.mrr()
             );
         }
@@ -219,29 +68,13 @@ mod tests {
     #[test]
     fn cen_updates_online() {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(13).generate());
-        let mut m = Regcn::new(&quick_cfg(), RegcnFlavor::Cen, &ctx);
+        let mut m = trainer(RegcnFlavor::Cen, &ctx);
         m.fit(&ctx);
-        let before = m.trainer.model.store().value("ent0").clone();
-        let _ = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let before = m.model.store().value("ent0").clone();
+        let _ = evaluate(&mut m, &ctx, Split::Test).unwrap();
         assert!(
-            before.max_abs_diff(m.trainer.model.store().value("ent0")) > 0.0,
+            before.max_abs_diff(m.model.store().value("ent0")) > 0.0,
             "CEN must update during evaluation"
-        );
-    }
-
-    #[test]
-    fn retia_wrapper_matches_trainer_protocol() {
-        let ds = SyntheticConfig::tiny(13).generate();
-        let ctx = TkgContext::new(&ds);
-        let mut cfg = quick_cfg();
-        cfg.online = false;
-        let mut wrapper = RetiaBaseline::new(&cfg, &ctx);
-        wrapper.fit(&ctx);
-        let via_wrapper = evaluate_baseline(&mut wrapper, &ctx, Split::Test);
-        let via_trainer = wrapper.trainer_mut().evaluate_offline(&ctx, Split::Test);
-        assert!(
-            (via_wrapper.entity_raw.mrr() - via_trainer.entity_raw.mrr()).abs() < 1e-9,
-            "wrapper and trainer protocols disagree"
         );
     }
 }

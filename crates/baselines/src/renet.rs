@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use retia::{RetiaConfig, TkgContext};
+use retia::{Forecaster, RetiaConfig, TkgContext};
 use retia_graph::Snapshot;
 use retia_nn::{mean_pool_segments, GruCell, Linear};
 use retia_tensor::optim::{clip_grad_norm, Adam};
@@ -117,10 +117,6 @@ impl RenetLite {
 }
 
 impl TkgBaseline for RenetLite {
-    fn name(&self) -> String {
-        "RE-NET".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         let mut adam = Adam::new(self.cfg.lr);
         let m = ctx.num_relations as u32;
@@ -160,7 +156,9 @@ impl TkgBaseline for RenetLite {
             }
         }
     }
+}
 
+impl Forecaster for RenetLite {
     fn entity_scores(
         &self,
         ctx: &TkgContext,
@@ -191,8 +189,7 @@ impl TkgBaseline for RenetLite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
     fn quick_cfg() -> RetiaConfig {
@@ -204,7 +201,7 @@ mod tests {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(41).generate());
         let mut m = RenetLite::new(&quick_cfg(), &ctx);
         m.fit(&ctx);
-        let rep = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let rep = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(
             rep.entity_raw.mrr() > chance * 2.0,

@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use retia::TkgContext;
+use retia::{Forecaster, TkgContext};
 use retia_tensor::optim::Adam;
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
@@ -109,10 +109,6 @@ impl RotatE {
 }
 
 impl TkgBaseline for RotatE {
-    fn name(&self) -> String {
-        "RotatE".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         let triples = static_triples(ctx);
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
@@ -158,7 +154,9 @@ impl TkgBaseline for RotatE {
             }
         }
     }
+}
 
+impl Forecaster for RotatE {
     fn entity_scores(
         &self,
         ctx: &TkgContext,
@@ -208,8 +206,7 @@ impl TkgBaseline for RotatE {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
     #[test]
@@ -218,7 +215,7 @@ mod tests {
         let cfg = StaticTrainConfig { epochs: 12, ..Default::default() };
         let mut m = RotatE::new(cfg, &ctx);
         m.fit(&ctx);
-        let report = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let report = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(
             report.entity_raw.mrr() > chance * 3.0,

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
-use retia::TkgContext;
+use retia::{Forecaster, TkgContext};
 use retia_graph::{Quad, Snapshot};
 use retia_nn::{EntityRgcn, WeightMode};
 use retia_tensor::optim::Adam;
@@ -74,10 +74,6 @@ impl StaticRgcn {
 }
 
 impl TkgBaseline for StaticRgcn {
-    fn name(&self) -> String {
-        "R-GCN".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         self.static_snap = Some(Self::build_static_snapshot(ctx));
         let triples = static_triples(ctx);
@@ -109,7 +105,9 @@ impl TkgBaseline for StaticRgcn {
         let (enc, _) = self.encode(&mut g);
         self.cached_entities = Some(g.detach(enc));
     }
+}
 
+impl Forecaster for StaticRgcn {
     fn entity_scores(
         &self,
         _ctx: &TkgContext,
@@ -140,8 +138,7 @@ impl TkgBaseline for StaticRgcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
     #[test]
@@ -150,7 +147,7 @@ mod tests {
         let cfg = StaticTrainConfig { epochs: 8, ..Default::default() };
         let mut m = StaticRgcn::new(cfg, &ctx);
         m.fit(&ctx);
-        let report = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let report = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(
             report.entity_raw.mrr() > chance * 2.0,

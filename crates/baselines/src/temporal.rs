@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
-use retia::TkgContext;
+use retia::{Forecaster, TkgContext};
 use retia_tensor::optim::Adam;
 use retia_tensor::{Graph, ParamStore, Tensor};
 
@@ -69,10 +69,6 @@ impl TTransE {
 }
 
 impl TkgBaseline for TTransE {
-    fn name(&self) -> String {
-        "TTransE".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         let (quads, max_t) = train_quads(ctx);
         self.max_trained_t = max_t;
@@ -128,7 +124,9 @@ impl TkgBaseline for TTransE {
             }
         }
     }
+}
 
+impl Forecaster for TTransE {
     fn entity_scores(
         &self,
         ctx: &TkgContext,
@@ -205,10 +203,6 @@ impl TaDistMult {
 }
 
 impl TkgBaseline for TaDistMult {
-    fn name(&self) -> String {
-        "TA-DistMult".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         let (quads, max_t) = train_quads(ctx);
         self.max_trained_t = max_t;
@@ -239,7 +233,9 @@ impl TkgBaseline for TaDistMult {
             }
         }
     }
+}
 
+impl Forecaster for TaDistMult {
     fn entity_scores(
         &self,
         ctx: &TkgContext,
@@ -278,8 +274,7 @@ impl TkgBaseline for TaDistMult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
     #[test]
@@ -288,7 +283,7 @@ mod tests {
         let cfg = StaticTrainConfig { epochs: 12, ..Default::default() };
         let mut m = TTransE::new(cfg, &ctx);
         m.fit(&ctx);
-        let report = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let report = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(
             report.entity_raw.mrr() > chance * 2.0,
@@ -303,7 +298,7 @@ mod tests {
         let cfg = StaticTrainConfig { epochs: 10, ..Default::default() };
         let mut m = TaDistMult::new(cfg, &ctx);
         m.fit(&ctx);
-        let report = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let report = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(report.entity_raw.mrr() > chance * 3.0);
     }

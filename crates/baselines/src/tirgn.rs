@@ -9,10 +9,10 @@
 
 use std::collections::HashMap;
 
-use retia::{RetiaConfig, TkgContext};
+use retia::{Forecaster, Retia, RetiaConfig, TkgContext, Trainer};
 use retia_tensor::Tensor;
 
-use crate::regcn::{Regcn, RegcnFlavor};
+use crate::regcn::RegcnFlavor;
 use crate::traits::TkgBaseline;
 
 /// Frequency index of historical query answers (the "global history").
@@ -63,7 +63,7 @@ impl CopyIndex {
 
 /// The TiRGN-lite baseline: local RE-GCN channel + global copy channel.
 pub struct TirgnLite {
-    local: Regcn,
+    local: Trainer,
     index: CopyIndex,
     /// Global-channel weight `α` (TiRGN's `history rate`).
     pub alpha: f32,
@@ -72,8 +72,9 @@ pub struct TirgnLite {
 impl TirgnLite {
     /// Builds an untrained model sharing the RE-GCN hyperparameters.
     pub fn new(base: &RetiaConfig, ctx: &TkgContext) -> Self {
+        let cfg = RegcnFlavor::Regcn.config(base);
         TirgnLite {
-            local: Regcn::new(base, RegcnFlavor::Regcn, ctx),
+            local: Trainer::new(Retia::with_shape(&cfg, ctx.num_entities, ctx.num_relations), cfg),
             index: CopyIndex::default(),
             alpha: 0.3,
         }
@@ -98,16 +99,18 @@ impl TirgnLite {
 }
 
 impl TkgBaseline for TirgnLite {
-    fn name(&self) -> String {
-        "TiRGN".into()
-    }
-
     fn fit(&mut self, ctx: &TkgContext) {
         self.local.fit(ctx);
         let last_train = ctx.train_idx.last().map(|&i| i + 1).unwrap_or(0);
         self.index.absorb_upto(ctx, last_train);
     }
 
+    fn loss_history(&self) -> Vec<(f64, f64, f64)> {
+        self.local.loss_history()
+    }
+}
+
+impl Forecaster for TirgnLite {
     fn begin_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
         self.index.absorb_upto(ctx, idx);
     }
@@ -143,17 +146,12 @@ impl TkgBaseline for TirgnLite {
             .collect();
         self.blend(local, copies)
     }
-
-    fn loss_history(&self) -> Vec<(f64, f64, f64)> {
-        self.local.loss_history()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::evaluate_baseline;
-    use retia::Split;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
     #[test]
@@ -163,7 +161,7 @@ mod tests {
             RetiaConfig { dim: 8, channels: 4, k: 2, epochs: 2, patience: 0, ..Default::default() };
         let mut m = TirgnLite::new(&cfg, &ctx);
         m.fit(&ctx);
-        let rep = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let rep = evaluate(&mut m, &ctx, Split::Test).unwrap();
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(rep.entity_raw.mrr() > chance * 2.0);
     }
@@ -173,13 +171,13 @@ mod tests {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(22).generate());
         let cfg =
             RetiaConfig { dim: 8, channels: 4, k: 2, epochs: 2, patience: 0, ..Default::default() };
-        let mut local = Regcn::new(&cfg, RegcnFlavor::Regcn, &ctx);
+        let mut local = TirgnLite::new(&cfg, &ctx).local;
         local.fit(&ctx);
-        let local_rep = evaluate_baseline(&mut local, &ctx, Split::Test);
+        let local_rep = evaluate(&mut local, &ctx, Split::Test).unwrap();
 
         let mut tirgn = TirgnLite::new(&cfg, &ctx);
         tirgn.fit(&ctx);
-        let tirgn_rep = evaluate_baseline(&mut tirgn, &ctx, Split::Test);
+        let tirgn_rep = evaluate(&mut tirgn, &ctx, Split::Test).unwrap();
 
         assert!(
             tirgn_rep.entity_raw.mrr() > local_rep.entity_raw.mrr() * 0.9,

@@ -1,49 +1,29 @@
-//! The baseline interface and the shared evaluation protocol.
+//! The baseline interface: a [`Forecaster`] that can also train itself.
 
-use retia::{entity_queries, relation_queries, EvalReport, Split, TkgContext};
-use retia_eval::{rank_of, rank_of_filtered, FilterSet};
-use retia_graph::Snapshot;
-use retia_tensor::Tensor;
+use retia::{Forecaster, TkgContext, Trainer};
 
-/// A model evaluable under the RETIA protocol.
-///
-/// `idx` arguments are snapshot indices into [`TkgContext::snapshots`]; the
-/// history available to a model when scoring snapshot `idx` is everything
-/// strictly before it (ground truth history, the standard protocol).
-pub trait TkgBaseline {
-    /// Display name for tables.
-    fn name(&self) -> String;
-
+/// A model the table harness trains and then scores with
+/// [`retia::evaluate`]. [`Trainer`] is one: RETIA, its ablations and the
+/// RE-GCN family are `Trainer`s over different [`retia::RetiaConfig`]s.
+pub trait TkgBaseline: Forecaster {
     /// Trains on the training split.
     fn fit(&mut self, ctx: &TkgContext);
-
-    /// Called before scoring snapshot `idx` — models that index history
-    /// (copy mechanisms) bring their caches up to date here.
-    fn begin_snapshot(&mut self, _ctx: &TkgContext, _idx: usize) {}
-
-    /// Scores `[Q, N]` for entity queries `(subjects[i], rels[i], ?)`
-    /// (inverse relation ids `r + M` denote subject queries).
-    fn entity_scores(&self, ctx: &TkgContext, idx: usize, subjects: &[u32], rels: &[u32])
-        -> Tensor;
-
-    /// Scores `[Q, M]` for relation queries `(subjects[i], ?, objects[i])`.
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor;
-
-    /// Called after a snapshot is scored — online models take their
-    /// continual-training step here; copy models absorb the new facts.
-    fn end_snapshot(&mut self, _ctx: &TkgContext, _idx: usize) {}
 
     /// Per-epoch `(entity, relation, joint)` losses of the last `fit` call
     /// (empty for models that do not expose a loss curve). Used by the
     /// Figure 3/4 harness.
     fn loss_history(&self) -> Vec<(f64, f64, f64)> {
         Vec::new()
+    }
+}
+
+impl TkgBaseline for Trainer {
+    fn fit(&mut self, ctx: &TkgContext) {
+        Trainer::fit(self, ctx);
+    }
+
+    fn loss_history(&self) -> Vec<(f64, f64, f64)> {
+        self.loss_history.iter().map(|l| (l.entity, l.relation, l.joint)).collect()
     }
 }
 
@@ -68,70 +48,6 @@ impl Default for StaticTrainConfig {
     }
 }
 
-/// Runs the full evaluation protocol over a split: per snapshot, entity
-/// queries in both directions plus relation queries, raw and time-aware
-/// filtered, with `begin_snapshot`/`end_snapshot` callbacks.
-pub fn evaluate_baseline(
-    model: &mut dyn TkgBaseline,
-    ctx: &TkgContext,
-    split: Split,
-) -> EvalReport {
-    let mut report = EvalReport::default();
-    let indices: Vec<usize> = ctx.split_indices(split).to_vec();
-    for idx in indices {
-        model.begin_snapshot(ctx, idx);
-        let target = &ctx.snapshots[idx];
-
-        let (subjects, rels, targets) = entity_queries(target, ctx.num_relations);
-        let scores = model.entity_scores(ctx, idx, &subjects, &rels);
-        assert_eq!(scores.shape(), (targets.len(), ctx.num_entities));
-        let filters = entity_filters(target, ctx.num_relations);
-        for (i, &t) in targets.iter().enumerate() {
-            let row = scores.row(i);
-            report.entity_raw.record(rank_of(row, t as usize));
-            report.entity_filtered.record(rank_of_filtered(row, t as usize, &filters[i]));
-        }
-
-        let (rs, ro, rt) = relation_queries(target);
-        let scores = model.relation_scores(ctx, idx, &rs, &ro);
-        assert_eq!(scores.shape(), (rt.len(), ctx.num_relations));
-        let rfilters = relation_filters(target);
-        for (i, &t) in rt.iter().enumerate() {
-            let row = scores.row(i);
-            report.relation_raw.record(rank_of(row, t as usize));
-            report.relation_filtered.record(rank_of_filtered(row, t as usize, &rfilters[i]));
-        }
-
-        model.end_snapshot(ctx, idx);
-    }
-    report
-}
-
-fn entity_filters(snap: &Snapshot, num_relations: usize) -> Vec<FilterSet> {
-    use std::collections::HashMap;
-    let m = num_relations as u32;
-    let mut truths: HashMap<(u32, u32), FilterSet> = HashMap::new();
-    for q in &snap.facts {
-        truths.entry((q.s, q.r)).or_default().insert(q.o);
-        truths.entry((q.o, q.r + m)).or_default().insert(q.s);
-    }
-    let mut out = Vec::with_capacity(snap.facts.len() * 2);
-    for q in &snap.facts {
-        out.push(truths[&(q.s, q.r)].clone());
-        out.push(truths[&(q.o, q.r + m)].clone());
-    }
-    out
-}
-
-fn relation_filters(snap: &Snapshot) -> Vec<FilterSet> {
-    use std::collections::HashMap;
-    let mut truths: HashMap<(u32, u32), FilterSet> = HashMap::new();
-    for q in &snap.facts {
-        truths.entry((q.s, q.o)).or_default().insert(q.r);
-    }
-    snap.facts.iter().map(|q| truths[&(q.s, q.o)].clone()).collect()
-}
-
 /// All training triples with inverses appended (`(o, r + M, s)`), the static
 /// view shared by the non-temporal baselines.
 pub(crate) fn static_triples(ctx: &TkgContext) -> Vec<(u32, u32, u32)> {
@@ -149,15 +65,13 @@ pub(crate) fn static_triples(ctx: &TkgContext) -> Vec<(u32, u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
+    use retia_tensor::Tensor;
 
     /// A trivially constant model to exercise the protocol machinery.
     struct Uniform;
-    impl TkgBaseline for Uniform {
-        fn name(&self) -> String {
-            "Uniform".into()
-        }
-        fn fit(&mut self, _ctx: &TkgContext) {}
+    impl Forecaster for Uniform {
         fn entity_scores(
             &self,
             ctx: &TkgContext,
@@ -183,7 +97,7 @@ mod tests {
         let ds = SyntheticConfig::tiny(3).generate();
         let ctx = TkgContext::new(&ds);
         let mut m = Uniform;
-        let report = evaluate_baseline(&mut m, &ctx, Split::Test);
+        let report = evaluate(&mut m, &ctx, Split::Test).unwrap();
         // Average-tie ranking puts a constant scorer at the middle rank.
         let n = ctx.num_entities as f64;
         let expected_mrr = 2.0 / (n + 1.0);

@@ -5,7 +5,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use retia::Split;
-use retia_baselines::evaluate_baseline;
 use retia_data::DatasetProfile;
 use retia_eval::Metrics;
 use retia_json::Value;
@@ -195,7 +194,9 @@ pub fn run_experiment(profile: DatasetProfile, variant: Variant, settings: &Sett
     let fit_secs = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let report = evaluate_baseline(model.as_mut(), &ctx, Split::Test);
+    let report = retia::evaluate(model.as_mut(), &ctx, Split::Test)
+        .map_err(|e| e.to_string())
+        .expect("online evaluation diverged");
     let eval_secs = t0.elapsed().as_secs_f64();
 
     let result = ExpResult {

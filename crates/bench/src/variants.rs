@@ -1,11 +1,10 @@
 //! Model-variant registry: every (dataset, variant) cell of the paper's
 //! tables maps to one [`Variant`] here.
 
-use retia::{HyperrelMode, RelationMode, RetiaConfig, TkgContext};
+use retia::{HyperrelMode, RelationMode, Retia, RetiaConfig, TkgContext, Trainer};
 use retia_baselines::{
-    ComplEx, ConvDecoder, ConvFlavor, CyGNetCopy, DistMult, HyTE, Regcn, RegcnFlavor, RenetLite,
-    RetiaBaseline, RotatE, StaticRgcn, StaticTrainConfig, TTransE, TaDistMult, TirgnLite,
-    TkgBaseline,
+    ComplEx, ConvDecoder, ConvFlavor, CyGNetCopy, DistMult, HyTE, RegcnFlavor, RenetLite, RotatE,
+    StaticRgcn, StaticTrainConfig, TTransE, TaDistMult, TirgnLite, TkgBaseline,
 };
 use retia_data::{DatasetProfile, SyntheticConfig, TkgDataset};
 
@@ -201,43 +200,33 @@ impl Variant {
             batch: 512,
             seed: 7,
         };
+        // RETIA, its ablations and the RE-GCN family are trainers over
+        // different configurations, scored like `retia evaluate` scores them.
+        let trainer = |cfg: RetiaConfig| -> Box<dyn TkgBaseline> {
+            let model = Retia::with_shape(&cfg, ctx.num_entities, ctx.num_relations);
+            Box::new(Trainer::new(model, cfg))
+        };
         match self {
-            Variant::Retia => Box::new(RetiaBaseline::new(&base, ctx)),
-            Variant::RetiaOffline => {
-                let cfg = RetiaConfig { online: false, ..base };
-                Box::new(RetiaBaseline::new(&cfg, ctx))
-            }
-            Variant::RetiaNoTim => {
-                let cfg = RetiaConfig { use_tim: false, ..base };
-                Box::new(RetiaBaseline::new(&cfg, ctx))
-            }
-            Variant::RetiaNoEam => {
-                let cfg = RetiaConfig { use_eam: false, ..base };
-                Box::new(RetiaBaseline::new(&cfg, ctx))
-            }
+            Variant::Retia => trainer(base),
+            Variant::RetiaOffline => trainer(RetiaConfig { online: false, ..base }),
+            Variant::RetiaNoTim => trainer(RetiaConfig { use_tim: false, ..base }),
+            Variant::RetiaNoEam => trainer(RetiaConfig { use_eam: false, ..base }),
             Variant::RetiaRmNone => {
-                let cfg = RetiaConfig { relation_mode: RelationMode::None, ..base };
-                Box::new(RetiaBaseline::new(&cfg, ctx))
+                trainer(RetiaConfig { relation_mode: RelationMode::None, ..base })
             }
-            Variant::RetiaRmMp => {
-                let cfg = RetiaConfig { relation_mode: RelationMode::Mp, ..base };
-                Box::new(RetiaBaseline::new(&cfg, ctx))
-            }
+            Variant::RetiaRmMp => trainer(RetiaConfig { relation_mode: RelationMode::Mp, ..base }),
             Variant::RetiaRmMpLstm => {
-                let cfg = RetiaConfig { relation_mode: RelationMode::MpLstm, ..base };
-                Box::new(RetiaBaseline::new(&cfg, ctx))
+                trainer(RetiaConfig { relation_mode: RelationMode::MpLstm, ..base })
             }
             Variant::RetiaHrmInit => {
-                let cfg = RetiaConfig { hyperrel_mode: HyperrelMode::Init, ..base };
-                Box::new(RetiaBaseline::new(&cfg, ctx))
+                trainer(RetiaConfig { hyperrel_mode: HyperrelMode::Init, ..base })
             }
             Variant::RetiaHrmHmp => {
-                let cfg = RetiaConfig { hyperrel_mode: HyperrelMode::Hmp, ..base };
-                Box::new(RetiaBaseline::new(&cfg, ctx))
+                trainer(RetiaConfig { hyperrel_mode: HyperrelMode::Hmp, ..base })
             }
-            Variant::Regcn => Box::new(Regcn::new(&base, RegcnFlavor::Regcn, ctx)),
-            Variant::Cen => Box::new(Regcn::new(&base, RegcnFlavor::Cen, ctx)),
-            Variant::Rgcrn => Box::new(Regcn::new(&base, RegcnFlavor::Rgcrn, ctx)),
+            Variant::Regcn => trainer(RegcnFlavor::Regcn.config(&base)),
+            Variant::Cen => trainer(RegcnFlavor::Cen.config(&base)),
+            Variant::Rgcrn => trainer(RegcnFlavor::Rgcrn.config(&base)),
             Variant::CyGNet => Box::new(CyGNetCopy::new(static_cfg, ctx)),
             Variant::DistMult => Box::new(DistMult::new(static_cfg, ctx)),
             Variant::ComplEx => Box::new(ComplEx::new(static_cfg, ctx)),

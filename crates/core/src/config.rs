@@ -94,11 +94,6 @@ pub struct RetiaConfig {
     pub normalize_entities: bool,
     /// Seed for parameter init and stochastic ops.
     pub seed: u64,
-    /// Worker threads for the tensor/eval kernels. `0` defers to the
-    /// `RETIA_NUM_THREADS` environment variable (falling back to the
-    /// available parallelism). Any value produces bit-identical results —
-    /// chunking is a function of shape, never of thread count.
-    pub num_threads: usize,
 }
 
 impl Default for RetiaConfig {
@@ -126,7 +121,6 @@ impl Default for RetiaConfig {
             online_steps: 1,
             normalize_entities: true,
             seed: 42,
-            num_threads: 0,
         }
     }
 }
@@ -216,7 +210,6 @@ impl RetiaConfig {
         o.insert("online_steps", Value::from(self.online_steps));
         o.insert("normalize_entities", Value::from(self.normalize_entities));
         o.insert("seed", Value::from(self.seed));
-        o.insert("num_threads", Value::from(self.num_threads));
         o.to_string_pretty()
     }
 
@@ -260,7 +253,6 @@ impl RetiaConfig {
         field!("online_steps", cfg.online_steps, as_u64, "a non-negative integer");
         field!("normalize_entities", cfg.normalize_entities, as_bool, "a boolean");
         field!("seed", cfg.seed, as_u64, "a non-negative integer");
-        field!("num_threads", cfg.num_threads, as_u64, "a non-negative integer");
         if let Some(v) = doc.get("relation_mode") {
             let s = v.as_str().ok_or("relation_mode must be a string")?;
             cfg.relation_mode = s.parse()?;
@@ -361,7 +353,6 @@ mod tests {
         c.online = false;
         c.lr = 5e-4;
         c.seed = 123;
-        c.num_threads = 4;
         let back = RetiaConfig::from_json(&c.to_json()).unwrap();
         assert_eq!(format!("{c:?}"), format!("{back:?}"));
     }
@@ -373,6 +364,10 @@ mod tests {
         assert_eq!(c.seed, 7);
         assert_eq!(c.k, RetiaConfig::default().k);
         assert_eq!(c.relation_mode, RelationMode::MpLstmAgg);
+        // Configs written while the config carried a thread count (older
+        // sidecars and checkpoints) still load; the field is ignored.
+        let old = RetiaConfig::from_json(r#"{"dim": 64, "num_threads": 4}"#).unwrap();
+        assert_eq!(old.dim, 64);
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!
 //! Decoding uses Conv-TransE score heads summed over the last `k` snapshot
 //! states (the time-variability strategy, Eq. 11–14), and evaluation can run
-//! with online continual training, as in the paper.
+//! with online continual training, as in the paper. [`evaluate`] is that
+//! protocol, written once: it scores any [`Forecaster`], a [`Trainer`] or a
+//! baseline.
 //!
 //! ## Quickstart
 //!
@@ -52,6 +54,7 @@ mod config;
 mod context;
 mod frozen;
 mod model;
+mod protocol;
 mod trainer;
 
 pub use audit::{audit_ablation_grid, audit_config};
@@ -60,5 +63,6 @@ pub use config::{HyperrelMode, RelationMode, RetiaConfig};
 pub use context::{Split, TkgContext};
 pub use frozen::{FrozenModel, FrozenStates};
 pub use model::{entity_queries, relation_queries, EvolvedState, Retia};
+pub use protocol::{evaluate, EvalReport, Forecaster};
 pub use retia_analyze::{AuditIssue, AuditReport};
-pub use trainer::{DivergenceReport, EpochLoss, EvalReport, RecoveryPolicy, TrainError, Trainer};
+pub use trainer::{DivergenceReport, EpochLoss, RecoveryPolicy, TrainError, Trainer};

@@ -13,15 +13,15 @@
 //! [`retia_analyze::ChaosPlan`] to prove all of this works.
 
 use retia_analyze::ChaosPlan;
-use retia_eval::{collect_paired_metrics, rank_of, rank_of_filtered, FilterSet, Metrics};
 use retia_graph::{HyperSnapshot, Snapshot};
 use retia_tensor::optim::{clip_grad_norm, Adam};
-use retia_tensor::{Graph, ParamStore};
+use retia_tensor::{Graph, ParamStore, Tensor};
 
 use crate::checkpoint::CheckpointPolicy;
 use crate::config::RetiaConfig;
 use crate::context::{Split, TkgContext};
-use crate::model::{entity_queries, last_k, relation_queries, Retia};
+use crate::model::{last_k, Retia};
+use crate::protocol::{EvalReport, Forecaster};
 
 /// Per-epoch mean losses (the series plotted in Figures 3 and 4).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -32,20 +32,6 @@ pub struct EpochLoss {
     pub relation: f64,
     /// Mean joint loss `λL_e + (1-λ)L_r`.
     pub joint: f64,
-}
-
-/// Evaluation results for one split.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EvalReport {
-    /// Entity forecasting under the raw setting (the paper's headline
-    /// metric; subject and object directions averaged).
-    pub entity_raw: Metrics,
-    /// Entity forecasting under the time-aware filtered setting.
-    pub entity_filtered: Metrics,
-    /// Relation forecasting under the raw setting.
-    pub relation_raw: Metrics,
-    /// Relation forecasting under the time-aware filtered setting.
-    pub relation_filtered: Metrics,
 }
 
 /// How the trainer reacts to non-finite losses/gradients. Without a policy
@@ -176,9 +162,6 @@ impl Trainer {
     /// [`Trainer::set_recovery`], [`Trainer::set_chaos`],
     /// [`Trainer::set_checkpointing`].
     pub fn new(model: Retia, cfg: RetiaConfig) -> Self {
-        // Results are bit-identical at any thread count, so applying the
-        // config knob here never changes what a run computes — only how fast.
-        retia_tensor::parallel::set_num_threads(cfg.num_threads);
         let opt = Adam::new(cfg.lr);
         Trainer {
             model,
@@ -576,124 +559,82 @@ impl Trainer {
     /// `cfg.online_steps` gradient steps) after being scored, before moving
     /// to the next timestamp — the paper's time-variability strategy.
     ///
-    /// Infallible wrapper over [`Trainer::try_evaluate`].
+    /// Audits the model first, then runs [`crate::evaluate`]; panics if an
+    /// online step diverges beyond the recovery budget (call
+    /// [`crate::evaluate`] directly to handle that as an error).
     pub fn evaluate(&mut self, ctx: &TkgContext, split: Split) -> EvalReport {
-        self.try_evaluate(ctx, split)
-            .map_err(|e| e.to_string())
-            .expect("online evaluation diverged; use try_evaluate to handle it")
-    }
-
-    /// [`Trainer::evaluate`] with divergence recovery on the online
-    /// continual-training steps.
-    pub fn try_evaluate(
-        &mut self,
-        ctx: &TkgContext,
-        split: Split,
-    ) -> Result<EvalReport, TrainError> {
         self.check_wiring();
-        if self.cfg.online {
-            self.try_evaluate_online(ctx, split)
-        } else {
-            Ok(self.evaluate_offline(ctx, split))
-        }
-    }
-
-    /// Evaluation without parameter updates.
-    pub fn evaluate_offline(&mut self, ctx: &TkgContext, split: Split) -> EvalReport {
-        let mut report = EvalReport::default();
-        for &idx in ctx.split_indices(split) {
-            self.score_snapshot(ctx, idx, &mut report);
-        }
-        report
-    }
-
-    /// Evaluation with online continual training (infallible wrapper).
-    pub fn evaluate_online(&mut self, ctx: &TkgContext, split: Split) -> EvalReport {
-        self.try_evaluate_online(ctx, split)
+        crate::evaluate(self, ctx, split)
             .map_err(|e| e.to_string())
-            .expect("online evaluation diverged; use try_evaluate_online to handle it")
+            .expect("online evaluation diverged; call retia::evaluate to handle it")
     }
 
-    /// Evaluation with online continual training.
-    pub fn try_evaluate_online(
-        &mut self,
+    /// Evaluation without parameter updates, whatever `cfg.online` says.
+    pub fn evaluate_offline(&mut self, ctx: &TkgContext, split: Split) -> EvalReport {
+        crate::evaluate(&mut Offline(self), ctx, split)
+            .expect("offline evaluation takes no training step, so it cannot fail")
+    }
+}
+
+/// The trainer scores the model it trains. With `cfg.online` set,
+/// `end_snapshot` takes `cfg.online_steps` gradient steps on the snapshot
+/// just scored.
+impl Forecaster for Trainer {
+    fn entity_scores(
+        &self,
         ctx: &TkgContext,
-        split: Split,
-    ) -> Result<EvalReport, TrainError> {
-        let mut report = EvalReport::default();
-        let indices: Vec<usize> = ctx.split_indices(split).to_vec();
-        for idx in indices {
-            self.score_snapshot(ctx, idx, &mut report);
+        idx: usize,
+        subjects: &[u32],
+        rels: &[u32],
+    ) -> Tensor {
+        let (history, hypers) = ctx.history(idx, self.cfg.k);
+        self.model.predict_entity(history, hypers, subjects.to_vec(), rels.to_vec())
+    }
+
+    fn relation_scores(
+        &self,
+        ctx: &TkgContext,
+        idx: usize,
+        subjects: &[u32],
+        objects: &[u32],
+    ) -> Tensor {
+        let (history, hypers) = ctx.history(idx, self.cfg.k);
+        self.model.predict_relation(history, hypers, subjects.to_vec(), objects.to_vec())
+    }
+
+    fn end_snapshot(&mut self, ctx: &TkgContext, idx: usize) -> Result<(), TrainError> {
+        if self.cfg.online {
             for _ in 0..self.cfg.online_steps {
                 self.try_train_step(ctx, idx)?;
             }
         }
-        Ok(report)
-    }
-
-    /// Scores one snapshot's queries into `report`.
-    fn score_snapshot(&self, ctx: &TkgContext, idx: usize, report: &mut EvalReport) {
-        let _t = retia_obs::span!("eval.snapshot", idx = idx);
-        let (history, hypers) = ctx.history(idx, self.cfg.k);
-        let target = &ctx.snapshots[idx];
-
-        // ---- entity forecasting (both directions) ----
-        let (subjects, rels, targets) = entity_queries(target, ctx.num_relations);
-        let probs = self.model.predict_entity(history, hypers, subjects.clone(), rels.clone());
-        let filters = entity_filters(target, ctx.num_relations);
-        // Queries are ranked in parallel over fixed chunks with the partial
-        // accumulators merged in chunk order, so the report is the same at
-        // any thread count.
-        let (raw, filtered) = collect_paired_metrics(targets.len(), probs.cols(), |i| {
-            let scores = probs.row(i);
-            let t = targets[i] as usize;
-            (rank_of(scores, t), rank_of_filtered(scores, t, &filters[i]))
-        });
-        report.entity_raw.merge(&raw);
-        report.entity_filtered.merge(&filtered);
-
-        // ---- relation forecasting ----
-        let (rs, ro, rt) = relation_queries(target);
-        let probs = self.model.predict_relation(history, hypers, rs.clone(), ro.clone());
-        let rfilters = relation_filters(target);
-        let (raw, filtered) = collect_paired_metrics(rt.len(), probs.cols(), |i| {
-            let scores = probs.row(i);
-            let t = rt[i] as usize;
-            (rank_of(scores, t), rank_of_filtered(scores, t, &rfilters[i]))
-        });
-        report.relation_raw.merge(&raw);
-        report.relation_filtered.merge(&filtered);
+        Ok(())
     }
 }
 
-/// Time-aware filter sets for the entity queries of a snapshot: for query
-/// `(s, r)`, every true object at this timestamp (and symmetrically for
-/// inverse queries).
-fn entity_filters(snap: &Snapshot, num_relations: usize) -> Vec<FilterSet> {
-    use std::collections::HashMap;
-    let m = num_relations as u32;
-    let mut truths: HashMap<(u32, u32), FilterSet> = HashMap::new();
-    for q in &snap.facts {
-        truths.entry((q.s, q.r)).or_default().insert(q.o);
-        truths.entry((q.o, q.r + m)).or_default().insert(q.s);
-    }
-    let mut out = Vec::with_capacity(snap.facts.len() * 2);
-    for q in &snap.facts {
-        out.push(truths[&(q.s, q.r)].clone());
-        out.push(truths[&(q.o, q.r + m)].clone());
-    }
-    out
-}
+/// A trainer scored without its online steps ([`Trainer::evaluate_offline`]).
+struct Offline<'a>(&'a Trainer);
 
-/// Time-aware filter sets for relation queries: for query `(s, o)`, every
-/// true relation at this timestamp.
-fn relation_filters(snap: &Snapshot) -> Vec<FilterSet> {
-    use std::collections::HashMap;
-    let mut truths: HashMap<(u32, u32), FilterSet> = HashMap::new();
-    for q in &snap.facts {
-        truths.entry((q.s, q.o)).or_default().insert(q.r);
+impl Forecaster for Offline<'_> {
+    fn entity_scores(
+        &self,
+        ctx: &TkgContext,
+        idx: usize,
+        subjects: &[u32],
+        rels: &[u32],
+    ) -> Tensor {
+        self.0.entity_scores(ctx, idx, subjects, rels)
     }
-    snap.facts.iter().map(|q| truths[&(q.s, q.o)].clone()).collect()
+
+    fn relation_scores(
+        &self,
+        ctx: &TkgContext,
+        idx: usize,
+        subjects: &[u32],
+        objects: &[u32],
+    ) -> Tensor {
+        self.0.relation_scores(ctx, idx, subjects, objects)
+    }
 }
 
 #[cfg(test)]
@@ -716,6 +657,17 @@ mod tests {
         };
         let model = Retia::new(&cfg, &ds);
         (Trainer::new(model, cfg), ctx)
+    }
+
+    #[test]
+    fn building_a_trainer_keeps_the_thread_override() {
+        // The thread count is the process's (`RETIA_NUM_THREADS` or
+        // `parallel::set_num_threads`); no trainer, resumed or fresh,
+        // resets it.
+        retia_tensor::parallel::set_num_threads(3);
+        let _ = tiny_setup(1);
+        assert_eq!(retia_tensor::parallel::num_threads(), 3);
+        retia_tensor::parallel::set_num_threads(0);
     }
 
     #[test]

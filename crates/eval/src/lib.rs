@@ -12,17 +12,15 @@
 //! * entity metrics average the subject- and object-forecasting directions;
 //! * relation forecasting reports MRR over the `M` original relations.
 //!
-//! [`Metrics`] accumulates MRR / Hits@{1,3,10}; [`Stopwatch`] provides the
-//! wall-clock measurements behind the paper's Table VIII.
+//! [`Metrics`] accumulates MRR / Hits@{1,3,10}; [`format_duration`] prints
+//! the paper's Table VIII units (the harness times runs with `Instant`).
 
 mod metrics;
 pub mod parallel;
 mod ranking;
-mod series;
 mod timing;
 
 pub use metrics::Metrics;
 pub use parallel::{collect_metrics, collect_paired_metrics};
 pub use ranking::{rank_of, rank_of_filtered, top_k, FilterSet};
-pub use series::MetricSeries;
-pub use timing::{format_duration, Stopwatch};
+pub use timing::format_duration;

@@ -1,63 +1,6 @@
-//! Wall-clock measurement for the run-time comparison (Table VIII).
+//! Duration formatting for the run-time comparison (Table VIII).
 
-use std::time::{Duration, Instant};
-
-/// A cumulative stopwatch. Measured regions are scoped with [`guard`]
-/// (RAII: the span ends when the guard drops, on every exit path including
-/// panics) or the [`time`] closure wrapper.
-///
-/// [`guard`]: Stopwatch::guard
-/// [`time`]: Stopwatch::time
-#[derive(Debug)]
-pub struct Stopwatch {
-    total: Duration,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Stopwatch {
-    /// A stopwatch at zero.
-    pub fn new() -> Self {
-        Stopwatch { total: Duration::ZERO }
-    }
-
-    /// Opens a measured span that ends (and accumulates) when the returned
-    /// guard is dropped. The borrow makes overlapping manual spans on the
-    /// same stopwatch impossible.
-    #[must_use = "the span is measured until the guard drops; binding it to _ ends it immediately"]
-    pub fn guard(&mut self) -> StopwatchGuard<'_> {
-        StopwatchGuard { start: Instant::now(), sw: self }
-    }
-
-    /// Total accumulated time over every closed span.
-    pub fn elapsed(&self) -> Duration {
-        self.total
-    }
-
-    /// Times a closure, accumulating its duration, and returns its output.
-    /// The duration is recorded even if the closure panics.
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let _g = self.guard();
-        f()
-    }
-}
-
-/// An open measured span on a [`Stopwatch`]; accumulates on drop.
-#[derive(Debug)]
-pub struct StopwatchGuard<'a> {
-    sw: &'a mut Stopwatch,
-    start: Instant,
-}
-
-impl Drop for StopwatchGuard<'_> {
-    fn drop(&mut self) {
-        self.sw.total += self.start.elapsed();
-    }
-}
+use std::time::Duration;
 
 /// Formats a duration the way the paper's Table VIII does
 /// (`s` / `min` / `h` / `d` units).
@@ -77,33 +20,6 @@ pub fn format_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn guard_accumulates_across_spans() {
-        let mut sw = Stopwatch::new();
-        {
-            let _g = sw.guard();
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let first = sw.elapsed();
-        assert!(first >= Duration::from_millis(5));
-        sw.time(|| std::thread::sleep(Duration::from_millis(5)));
-        assert!(sw.elapsed() > first);
-        assert!(sw.elapsed() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn guard_records_on_panic() {
-        let mut sw = Stopwatch::new();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sw.time(|| {
-                std::thread::sleep(Duration::from_millis(3));
-                panic!("measured region panics");
-            })
-        }));
-        assert!(caught.is_err());
-        assert!(sw.elapsed() >= Duration::from_millis(3), "panicked span was lost");
-    }
 
     #[test]
     fn format_units() {

@@ -9,10 +9,9 @@
 //! RAM) on a hyperrelation subgraph: each relation node aggregates
 //! `W_hr (r_s + hr)` from its hyperrelation in-edges plus a self-loop.
 //!
-//! Per-edge-type weights come in two flavors (the [`WeightMode`] ablation of
-//! `benches/rgcn.rs`): independent matrices per type, or the basis
-//! decomposition of Schlichtkrull et al. (`W_r = Σ_b a_{rb} V_b`), which is
-//! what large relation vocabularies need.
+//! Per-edge-type weights come in two flavors ([`WeightMode`]): independent
+//! matrices per type, or the basis decomposition of Schlichtkrull et al.
+//! (`W_r = Σ_b a_{rb} V_b`), which is what large relation vocabularies need.
 //!
 //! Both layers aggregate through a per-forward `SlotPlan`: messages are
 //! summed per (edge type, destination) slot with [`Graph::segment_sum`]

@@ -5,8 +5,8 @@
 //!
 //! The deep-learning substrate of the RETIA reproduction: a dense, row-major
 //! `f32` matrix type ([`Tensor`]), a reverse-mode automatic-differentiation
-//! engine ([`Graph`]), a named parameter store ([`ParamStore`]) and
-//! first-order optimizers ([`optim::Adam`], [`optim::Sgd`]).
+//! engine ([`Graph`]), a named parameter store ([`ParamStore`]) and the
+//! Adam optimizer ([`optim::Adam`]).
 //!
 //! The original paper trains on PyTorch/CUDA; no comparable Rust stack is
 //! available offline, so this crate reimplements exactly the operator set the

@@ -2,33 +2,27 @@
 
 use crate::param::ParamStore;
 
+/// Adam's first-moment decay.
+const BETA1: f32 = 0.9;
+/// Adam's second-moment decay.
+const BETA2: f32 = 0.999;
+/// Adam's numerical stabilizer.
+const EPS: f32 = 1e-8;
+
 /// Adam optimizer (Kingma & Ba, 2015) — the optimizer the RETIA paper uses
-/// (`lr = 0.001` for both general and online continual training).
+/// (`lr = 0.001` for both general and online continual training), with the
+/// standard `(0.9, 0.999, 1e-8)` hyperparameters.
 #[derive(Clone, Debug)]
 pub struct Adam {
-    /// Learning rate.
+    /// Learning rate (the trainer's rollback backoff lowers it).
     pub lr: f32,
-    /// Exponential decay for the first moment.
-    pub beta1: f32,
-    /// Exponential decay for the second moment.
-    pub beta2: f32,
-    /// Numerical stabilizer.
-    pub eps: f32,
-    /// Decoupled weight decay (AdamW-style); 0 disables.
-    pub weight_decay: f32,
     t: u64,
 }
 
 impl Adam {
-    /// Adam with the standard `(0.9, 0.999, 1e-8)` hyperparameters.
+    /// Adam at learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0, t: 0 }
-    }
-
-    /// Sets decoupled weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
+        Adam { lr, t: 0 }
     }
 
     /// Number of steps taken so far.
@@ -46,64 +40,20 @@ impl Adam {
     /// store. Does not zero the gradients.
     pub fn step(&mut self, store: &mut ParamStore) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for p in store.params_mut() {
             // Copies the value buffer only while a live graph or a cloned
             // store still shares it; makes absent state buffers (zeros).
             let (value, grad, pm, pv) = p.step_state();
             for (i, &g) in grad.iter().enumerate() {
-                let m = self.beta1 * pm[i] + (1.0 - self.beta1) * g;
-                let v = self.beta2 * pv[i] + (1.0 - self.beta2) * g * g;
+                let m = BETA1 * pm[i] + (1.0 - BETA1) * g;
+                let v = BETA2 * pv[i] + (1.0 - BETA2) * g * g;
                 pm[i] = m;
                 pv[i] = v;
                 let m_hat = m / bc1;
                 let v_hat = v / bc2;
-                let mut val = value[i];
-                if self.weight_decay > 0.0 {
-                    val -= self.lr * self.weight_decay * val;
-                }
-                val -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-                value[i] = val;
-            }
-        }
-    }
-}
-
-/// Plain SGD with optional momentum; used by ablation benches to isolate the
-/// optimizer's contribution.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 = vanilla SGD).
-    pub momentum: f32,
-}
-
-impl Sgd {
-    /// Vanilla SGD.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr, momentum: 0.0 }
-    }
-
-    /// SGD with classical momentum, reusing the store's `m` buffers.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum }
-    }
-
-    /// Applies one update. Does not zero the gradients.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        for p in store.params_mut() {
-            let (value, grad, pm, _) = p.step_state();
-            for (i, &g) in grad.iter().enumerate() {
-                let update = if self.momentum > 0.0 {
-                    let m = self.momentum * pm[i] + g;
-                    pm[i] = m;
-                    m
-                } else {
-                    g
-                };
-                value[i] -= self.lr * update;
+                value[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
     }
@@ -155,21 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new(0);
-        store.register("w", Tensor::from_vec(1, 2, vec![8.0, -2.0]));
-        let mut sgd = Sgd::with_momentum(0.05, 0.5);
-        for _ in 0..200 {
-            quadratic_loss(&mut store);
-            sgd.step(&mut store);
-            store.zero_grad();
-        }
-        for &w in store.value("w").data() {
-            assert!((w - 3.0).abs() < 0.05);
-        }
-    }
-
-    #[test]
     fn clip_grad_norm_rescales() {
         let mut store = ParamStore::new(0);
         let id = store.register("w", Tensor::zeros(1, 2));
@@ -181,16 +116,5 @@ mod tests {
         let pre2 = clip_grad_norm(&mut store, 10.0);
         assert!((pre2 - 1.0).abs() < 1e-5);
         assert!((store.grad_norm() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut store = ParamStore::new(0);
-        store.register("w", Tensor::from_vec(1, 1, vec![1.0]));
-        // Zero gradient, pure decay.
-        let mut adam = Adam::new(0.1).with_weight_decay(0.5);
-        adam.step(&mut store);
-        let w = store.value("w").item();
-        assert!(w < 1.0 && w > 0.9, "w {w}");
     }
 }

@@ -32,9 +32,8 @@ const MAX_THREADS: usize = 256;
 
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Programmatic thread-count override; `0` returns control to the
-/// `RETIA_NUM_THREADS` environment variable / auto detection. Typically
-/// driven by `RetiaConfig::num_threads`.
+/// Process-wide thread-count override; `0` returns control to the
+/// `RETIA_NUM_THREADS` environment variable / auto detection.
 pub fn set_num_threads(n: usize) {
     OVERRIDE.store(n, Ordering::Relaxed);
 }

@@ -8,6 +8,9 @@ echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
 echo "==> cargo test -q --workspace"
+# Every test target once, the root package's integration suites (fault
+# tolerance, checkpoint corruption, store durability, serve, online) and
+# retia-cli's smokes through the real binary included.
 cargo test -q --workspace
 
 echo "==> perfbench unit tests (the repo benchmark is its own workspace; building it checks the crate APIs it calls)"
@@ -31,23 +34,7 @@ echo "==> retia audit gate at the paper's model size (d=200, 50 kernels)"
 echo "==> write-set-tracked kernel pass (debug assertions + RETIA_WRITE_TRACK=1)"
 RETIA_WRITE_TRACK=1 cargo test -q -p retia-tensor
 
-echo "==> fault-tolerance suite (chaos injection, corruption sweep, resume bit-identity, store byte-sweep)"
-cargo test -q --test fault_tolerance --test checkpoint_corruption --test store_durability
-
-echo "==> serve + trace smoke (query, ingest, re-query, /v1/traces, ?format=prom, slo.* gauges, drain via the real binary)"
-cargo test -q -p retia-cli --test serve_smoke
-
-echo "==> serve robustness suite (chaos HTTP inputs, cache bit-identity, drain-in-flight, trace trees, SLO export)"
-cargo test -q --test serve_http
-
-echo "==> online-learning suite (NaN storms under load, trainer panics, drift rollback, store replay)"
-cargo test -q --test serve_online
-
-echo "==> online serve smoke (--online --store via the real binary; kill -9 + replay)"
-cargo test -q -p retia-cli --test online_smoke
-
-echo "==> store smoke (generate -> ingest --append x2 -> compact -> train/serve --store -> kill -9 -> restart -> query/path/stats/communities via the real binary)"
-cargo test -q -p retia-cli --test store_smoke
+echo "==> store smoke (generate -> ingest --append x2 -> compact -> query/path/stats/communities/export via the release binary)"
 STORE_SMOKE_DIR=target/store-smoke
 rm -rf "$STORE_SMOKE_DIR" && mkdir -p "$STORE_SMOKE_DIR"
 ./target/release/retia generate --profile tiny --out "$STORE_SMOKE_DIR/data"

@@ -48,12 +48,12 @@ fn training_is_reproducible_for_fixed_seed() {
 fn results_are_bit_identical_at_any_thread_count() {
     // The parallel compute layer's contract: chunk boundaries and reduction
     // order depend only on shape, so losses, parameters and rankings must be
-    // bit-for-bit identical at RETIA_NUM_THREADS = 1, 2 and 8. The trainer
-    // applies `cfg.num_threads` via `set_num_threads` on construction.
+    // bit-for-bit identical at RETIA_NUM_THREADS = 1, 2 and 8.
     let ds = SyntheticConfig::tiny(200).generate();
     let ctx = TkgContext::new(&ds);
     let run = |threads: usize| {
-        let c = RetiaConfig { num_threads: threads, ..cfg() };
+        retia_tensor::parallel::set_num_threads(threads);
+        let c = cfg();
         let mut t = Trainer::new(Retia::new(&c, &ds), c);
         let losses = t.fit(&ctx);
         let report = t.evaluate(&ctx, Split::Test);

@@ -16,7 +16,6 @@ fn cfg(epochs: usize) -> RetiaConfig {
         epochs,
         patience: 0,
         online: false,
-        num_threads: 1,
         ..Default::default()
     }
 }
@@ -38,6 +37,7 @@ fn kill_and_resume_is_bit_identical() {
     let ctx = TkgContext::new(&ds);
 
     // Reference: 4 epochs straight through, single-threaded.
+    retia_tensor::parallel::set_num_threads(1);
     let mut reference = Trainer::new(Retia::new(&cfg(4), &ds), cfg(4));
     reference.try_fit(&ctx).unwrap();
     let want = reference.model.store().to_bytes();

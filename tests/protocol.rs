@@ -1,8 +1,11 @@
 //! Evaluation-protocol invariants across the core trainer and the baseline
 //! harness.
 
-use retia::{entity_queries, relation_queries, Retia, RetiaConfig, Split, TkgContext, Trainer};
-use retia_baselines::{evaluate_baseline, DistMult, StaticTrainConfig, TkgBaseline};
+use retia::{
+    entity_queries, evaluate, relation_queries, Forecaster, Retia, RetiaConfig, Split, TkgContext,
+    Trainer,
+};
+use retia_baselines::{DistMult, StaticTrainConfig, TkgBaseline};
 use retia_data::SyntheticConfig;
 use retia_eval::{rank_of, rank_of_filtered, FilterSet};
 
@@ -28,12 +31,47 @@ fn query_counts_match_across_harnesses() {
     // Baseline harness.
     let mut dm = DistMult::new(StaticTrainConfig { epochs: 1, ..Default::default() }, &ctx);
     dm.fit(&ctx);
-    let base_rep = evaluate_baseline(&mut dm, &ctx, Split::Test);
+    let base_rep = evaluate(&mut dm, &ctx, Split::Test).unwrap();
 
     assert_eq!(core_rep.entity_raw.count(), base_rep.entity_raw.count());
     assert_eq!(core_rep.relation_raw.count(), base_rep.relation_raw.count());
     assert_eq!(core_rep.entity_raw.count(), ds.test.len() * 2);
     assert_eq!(core_rep.relation_raw.count(), ds.test.len());
+}
+
+#[test]
+fn harness_and_trainer_score_retia_identically() {
+    // The table harness boxes a trainer as a `dyn TkgBaseline` and scores it
+    // with `retia::evaluate`; `retia evaluate` calls `Trainer::evaluate`.
+    // Two twins trained the same way must report the same bits, online
+    // steps included.
+    let ds = SyntheticConfig::tiny(13).generate();
+    let ctx = TkgContext::new(&ds);
+    for online in [false, true] {
+        let cfg = RetiaConfig {
+            dim: 8,
+            channels: 4,
+            k: 2,
+            epochs: 2,
+            patience: 0,
+            online,
+            ..Default::default()
+        };
+        let twin = || Trainer::new(Retia::new(&cfg, &ds), cfg.clone());
+
+        let mut boxed: Box<dyn TkgBaseline> = Box::new(twin());
+        boxed.fit(&ctx);
+        let via_harness = evaluate(boxed.as_mut(), &ctx, Split::Test).unwrap();
+
+        let mut trainer = twin();
+        trainer.fit(&ctx);
+        let via_trainer = trainer.evaluate(&ctx, Split::Test);
+
+        assert_eq!(via_harness.entity_raw, via_trainer.entity_raw, "online={online}");
+        assert_eq!(via_harness.entity_filtered, via_trainer.entity_filtered, "online={online}");
+        assert_eq!(via_harness.relation_raw, via_trainer.relation_raw, "online={online}");
+        assert_eq!(via_harness.relation_filtered, via_trainer.relation_filtered, "online={online}");
+    }
 }
 
 #[test]
@@ -85,11 +123,7 @@ fn online_models_see_strictly_past_information_only() {
     struct Probe {
         log: Vec<(usize, &'static str)>,
     }
-    impl TkgBaseline for Probe {
-        fn name(&self) -> String {
-            "probe".into()
-        }
-        fn fit(&mut self, _ctx: &TkgContext) {}
+    impl Forecaster for Probe {
         fn begin_snapshot(&mut self, _ctx: &TkgContext, idx: usize) {
             self.log.push((idx, "begin"));
         }
@@ -112,15 +146,16 @@ fn online_models_see_strictly_past_information_only() {
         ) -> retia_tensor::Tensor {
             retia_tensor::Tensor::zeros(subjects.len(), ctx.num_relations)
         }
-        fn end_snapshot(&mut self, _ctx: &TkgContext, idx: usize) {
+        fn end_snapshot(&mut self, _ctx: &TkgContext, idx: usize) -> Result<(), retia::TrainError> {
             self.log.push((idx, "end"));
+            Ok(())
         }
     }
 
     let ds = SyntheticConfig::tiny(402).generate();
     let ctx = TkgContext::new(&ds);
     let mut probe = Probe { log: Vec::new() };
-    evaluate_baseline(&mut probe, &ctx, Split::Test);
+    evaluate(&mut probe, &ctx, Split::Test).unwrap();
     // Strictly ascending snapshot indices, begin before end for each.
     let mut last_idx = 0usize;
     for pair in probe.log.chunks(2) {
