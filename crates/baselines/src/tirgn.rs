@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use retia::{Forecaster, Retia, RetiaConfig, TkgContext, Trainer};
+use retia::{Forecaster, Retia, RetiaConfig, TkgContext, TrainError, Trainer};
 use retia_tensor::Tensor;
 
 use crate::regcn::RegcnFlavor;
@@ -113,6 +113,7 @@ impl TkgBaseline for TirgnLite {
 impl Forecaster for TirgnLite {
     fn begin_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
         self.index.absorb_upto(ctx, idx);
+        self.local.begin_snapshot(ctx, idx);
     }
 
     fn entity_scores(
@@ -145,6 +146,10 @@ impl Forecaster for TirgnLite {
             .map(|(&s, &o)| self.index.relation_distribution((s, o), ctx.num_relations))
             .collect();
         self.blend(local, copies)
+    }
+
+    fn end_snapshot(&mut self, ctx: &TkgContext, idx: usize) -> Result<(), TrainError> {
+        self.local.end_snapshot(ctx, idx)
     }
 }
 

@@ -1,17 +1,17 @@
-//! Read-only serving façade over a trained [`Retia`].
+//! The one inference route. Every query at a timestamp is scored against
+//! the same last-`k` evolved states (Eq. 11–14), so [`Retia::evolve_window`]
+//! runs the EAM/RAM/TIM recurrence once in a no-tape inference graph and
+//! returns the detached states as a [`FrozenStates`] value, which
+//! [`Retia::decode_entity`], [`Retia::decode_relation`] and
+//! [`Retia::window_loss`] read as often as needed. `predict_*` is one evolve
+//! and one decode; evaluation evolves once per scored snapshot, the server
+//! once per window, and the drift monitor once per model and round.
 //!
-//! The serving path splits the paper's decode (Eq. 11–14) into two halves
-//! with very different costs: the EAM/RAM/TIM recurrence over the history
-//! window (expensive, query-independent) and the Conv-TransE decode against
-//! the last `k` evolved states (cheap, query-dependent). [`FrozenModel`]
-//! runs the recurrence once in a no-tape inference graph and hands back the
-//! detached last-`k` embedding matrices as a [`FrozenStates`] value that can
-//! be cached per window and decoded against arbitrarily many times — with
-//! scores bit-identical to [`Retia::predict_entity`] on the same window,
-//! because the decode replays the exact same float ops on the exact same
-//! input tensors. [`FrozenModel::audit`] runs that same decode code over
-//! the abstract interpreter, so the serving audit checks what serves.
+//! [`FrozenModel`] only owns a model nothing may mutate (it derefs to
+//! [`Retia`], never mutably); [`FrozenModel::audit`] runs the decode over the
+//! abstract interpreter, so the serving audit checks what serves.
 
+use std::ops::Deref;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -21,7 +21,6 @@ use retia_graph::{HyperSnapshot, Snapshot};
 use retia_tensor::transfer::Interval;
 use retia_tensor::{Graph, Ops, Tensor};
 
-use crate::config::RetiaConfig;
 use crate::model::{last_k, EvolvedState, Retia};
 
 /// Detached last-`k` evolved embeddings for one history window: the
@@ -42,12 +41,97 @@ impl FrozenStates {
             .map(|(e, r)| (e.data().len() + r.data().len()) * std::mem::size_of::<f32>())
             .sum()
     }
+
+    /// Re-inserts the cached embedding matrices into a fresh inference
+    /// graph as constants sharing the cache's buffers (a decode writes none
+    /// of them).
+    fn replay(&self) -> (Graph, Vec<EvolvedState>) {
+        assert!(!self.states.is_empty(), "frozen states must hold at least one timestamp");
+        let mut g = Graph::inference();
+        let evolved = self
+            .states
+            .iter()
+            .map(|(e, r)| EvolvedState {
+                entities: g.shared_constant(Arc::clone(e)),
+                relations: g.shared_constant(Arc::clone(r)),
+            })
+            .collect();
+        (g, evolved)
+    }
 }
 
-/// An immutable, inference-only view of a trained model. Construction takes
-/// ownership of the [`Retia`]; nothing here can mutate parameters.
+impl Retia {
+    /// Runs the RAM/EAM/TIM recurrence once over `history` in a no-tape
+    /// inference graph and returns the detached last-`k` states.
+    ///
+    /// Panics if the inference graph recorded any tape op — the no-grad
+    /// guarantee the serve engine advertises.
+    pub fn evolve_window(&self, history: &[Snapshot], hypers: &[HyperSnapshot]) -> FrozenStates {
+        let mut g = Graph::inference();
+        let states = self.evolve(&mut g, history, hypers);
+        let last = last_k(&states, self.cfg.k);
+        assert_eq!(g.tape_ops(), 0, "inference evolve must not allocate a tape");
+        let detach = |id| Arc::new(g.detach(id));
+        FrozenStates {
+            states: last.iter().map(|st| (detach(st.entities), detach(st.relations))).collect(),
+        }
+    }
+
+    /// Entity decode against evolved states: summed per-timestamp
+    /// probabilities `[Q, N]` for queries `(subjects[i], rels[i], ?)`.
+    /// `rels` may contain inverse ids (`r + M`) for subject forecasting.
+    pub fn decode_entity(
+        &self,
+        states: &FrozenStates,
+        subjects: Vec<u32>,
+        rels: Vec<u32>,
+    ) -> Tensor {
+        let (mut g, evolved) = states.replay();
+        let p = self.entity_prob_sum(&mut g, &evolved, Rc::new(subjects), Rc::new(rels));
+        assert_eq!(g.tape_ops(), 0, "inference decode must not allocate a tape");
+        g.detach(p)
+    }
+
+    /// Relation decode against evolved states: summed probabilities
+    /// `[Q, M]` for queries `(subjects[i], ?, objects[i])`.
+    pub fn decode_relation(
+        &self,
+        states: &FrozenStates,
+        subjects: Vec<u32>,
+        objects: Vec<u32>,
+    ) -> Tensor {
+        let (mut g, evolved) = states.replay();
+        let p = self.relation_prob_sum(&mut g, &evolved, Rc::new(subjects), Rc::new(objects));
+        assert_eq!(g.tape_ops(), 0, "inference decode must not allocate a tape");
+        g.detach(p)
+    }
+
+    /// Joint forecasting loss of `target` from evolved states, computed in a
+    /// no-tape inference graph (no gradients, no parameter mutation). This
+    /// is the drift monitor's signal: the same Eq. 13/14 objective training
+    /// minimizes, evaluated by the served (or candidate) weights on the
+    /// facts that just arrived.
+    pub fn window_loss(&self, states: &FrozenStates, target: &Snapshot) -> f64 {
+        let (mut g, evolved) = states.replay();
+        let (loss, _, _) = self.loss(&mut g, &evolved, target);
+        assert_eq!(g.tape_ops(), 0, "inference loss must not allocate a tape");
+        f64::from(g.value(loss).item())
+    }
+}
+
+/// An immutable, inference-only model. Construction takes ownership of the
+/// [`Retia`]; the inference route is reached through `Deref`, and nothing
+/// here can mutate parameters.
 pub struct FrozenModel {
     model: Retia,
+}
+
+impl Deref for FrozenModel {
+    type Target = Retia;
+
+    fn deref(&self) -> &Retia {
+        &self.model
+    }
 }
 
 impl FrozenModel {
@@ -56,59 +140,9 @@ impl FrozenModel {
         FrozenModel { model }
     }
 
-    /// The configuration the model was trained with.
-    pub fn cfg(&self) -> &RetiaConfig {
-        &self.model.cfg
-    }
-
-    /// Number of entities `N`.
-    pub fn num_entities(&self) -> usize {
-        self.model.num_entities()
-    }
-
-    /// Number of original relations `M` (inverses excluded).
-    pub fn num_relations(&self) -> usize {
-        self.model.num_relations()
-    }
-
-    /// Runs the RAM/EAM/TIM recurrence once over `history` in a no-tape
-    /// inference graph and returns the detached last-`k` states.
-    ///
-    /// Panics if the inference graph recorded any tape op — the no-grad
-    /// guarantee the serve engine advertises.
-    pub fn evolve_window(&self, history: &[Snapshot], hypers: &[HyperSnapshot]) -> FrozenStates {
-        let _t = retia_obs::span!("serve.evolve", window = history.len());
-        let mut g = Graph::inference();
-        let states = self.model.evolve(&mut g, history, hypers);
-        let last = last_k(&states, self.model.cfg.k);
-        assert_eq!(g.tape_ops(), 0, "inference evolve must not allocate a tape");
-        let detach = |id| Arc::new(g.detach(id));
-        FrozenStates {
-            states: last.iter().map(|st| (detach(st.entities), detach(st.relations))).collect(),
-        }
-    }
-
-    /// Entity decode against cached states: summed per-timestamp
-    /// probabilities `[Q, N]` for queries `(subjects[i], rels[i], ?)`.
-    /// `rels` may contain inverse ids (`r + M`) for subject forecasting.
-    ///
-    /// Bit-identical to [`Retia::predict_entity`] over the window the states
-    /// were evolved from.
-    pub fn decode_entity(
-        &self,
-        states: &FrozenStates,
-        subjects: Vec<u32>,
-        rels: Vec<u32>,
-    ) -> Tensor {
-        let (mut g, evolved) = self.replay(states);
-        let p = self.model.entity_prob_sum(&mut g, &evolved, Rc::new(subjects), Rc::new(rels));
-        assert_eq!(g.tape_ops(), 0, "inference decode must not allocate a tape");
-        g.detach(p)
-    }
-
-    /// Forwards to [`FrozenModel::decode_entity`]; `_shards` is ignored.
-    /// Kept only because the repository benchmark (`perfbench`) calls it;
-    /// it goes when the benchmark next changes.
+    /// Forwards to [`Retia::decode_entity`]; `_shards` is ignored. Kept
+    /// only because the repository benchmark (`perfbench`) calls it; it goes
+    /// when the benchmark next changes.
     pub fn decode_entity_sharded(
         &self,
         states: &FrozenStates,
@@ -119,46 +153,11 @@ impl FrozenModel {
         self.decode_entity(states, subjects, rels)
     }
 
-    /// Relation decode against cached states: summed probabilities `[Q, M]`
-    /// for queries `(subjects[i], ?, objects[i])`.
-    pub fn decode_relation(
-        &self,
-        states: &FrozenStates,
-        subjects: Vec<u32>,
-        objects: Vec<u32>,
-    ) -> Tensor {
-        let (mut g, evolved) = self.replay(states);
-        let p = self.model.relation_prob_sum(&mut g, &evolved, Rc::new(subjects), Rc::new(objects));
-        assert_eq!(g.tape_ops(), 0, "inference decode must not allocate a tape");
-        g.detach(p)
-    }
-
-    /// A trainable [`Retia`] carrying this model's parameter values
-    /// ([`Retia::values_copy`]: shared buffers, Adam moments start at zero).
-    /// The continual trainer seeds itself from the served model this way,
-    /// and the drift monitor uses it to rebuild a last-good model for
-    /// rollback — the frozen model itself stays immutable throughout.
+    /// Forwards to [`Retia::values_copy`]. Kept only because the repository
+    /// benchmark (`perfbench`) calls it; it goes when the benchmark next
+    /// changes.
     pub fn clone_model(&self) -> Retia {
-        self.model.values_copy()
-    }
-
-    /// Joint forecasting loss of `target` given `history`, computed in a
-    /// no-tape inference graph (no gradients, no parameter mutation). This
-    /// is the drift monitor's signal: the same Eq. 13/14 objective training
-    /// minimizes, evaluated by the served (or candidate) weights on the
-    /// facts that just arrived.
-    pub fn window_loss(
-        &self,
-        history: &[Snapshot],
-        hypers: &[HyperSnapshot],
-        target: &Snapshot,
-    ) -> f64 {
-        let mut g = Graph::inference();
-        let states = self.model.evolve(&mut g, history, hypers);
-        let decode_states = last_k(&states, self.model.cfg.k).to_vec();
-        let (loss, _, _) = self.model.loss(&mut g, &decode_states, target);
-        assert_eq!(g.tape_ops(), 0, "inference loss must not allocate a tape");
-        g.value(loss).item() as f64
+        self.values_copy()
     }
 
     /// Audit of the serving decode: runs the model's own two decodes
@@ -172,7 +171,7 @@ impl FrozenModel {
     /// The serve boot check runs this before accepting traffic.
     pub fn audit(&self) -> AuditReport {
         let mut ctx = AuditCtx::inference();
-        let (n, m2, d) = (self.num_entities(), 2 * self.num_relations(), self.cfg().dim);
+        let (n, m2, d) = (self.num_entities(), 2 * self.num_relations(), self.cfg.dim);
         let env = Interval::new(-PARAM_BOUND, PARAM_BOUND);
         // Queries address the first and last id of each index space, so a
         // mis-sized table shows up as an out-of-range gather; intervals are
@@ -180,7 +179,7 @@ impl FrozenModel {
         let ends = |count: usize| Rc::new(vec![0, count.max(1) as u32 - 1]);
 
         ctx.frame("serve", None, |ctx| {
-            let states: Vec<EvolvedState<_>> = (0..self.cfg().k.max(1))
+            let states: Vec<EvolvedState<_>> = (0..self.cfg.k.max(1))
                 .map(|_| {
                     let e_raw = ctx.source(n, d, env);
                     let entities = ctx.detach(
@@ -204,23 +203,6 @@ impl FrozenModel {
         ctx.check_no_trainable_params();
         ctx.finish()
     }
-
-    /// Re-inserts cached embedding matrices into a fresh inference graph as
-    /// constants sharing the cache's buffers (the decode writes none of
-    /// them).
-    fn replay(&self, states: &FrozenStates) -> (Graph, Vec<EvolvedState>) {
-        assert!(!states.states.is_empty(), "frozen states must hold at least one timestamp");
-        let mut g = Graph::inference();
-        let evolved = states
-            .states
-            .iter()
-            .map(|(e, r)| EvolvedState {
-                entities: g.shared_constant(Arc::clone(e)),
-                relations: g.shared_constant(Arc::clone(r)),
-            })
-            .collect();
-        (g, evolved)
-    }
 }
 
 #[cfg(test)]
@@ -241,11 +223,18 @@ mod tests {
     fn cached_decode_is_bitwise_identical_to_direct_predict() {
         let (fm, ctx) = setup();
         let idx = ctx.test_idx[0];
-        let (history, hypers) = ctx.history(idx, fm.cfg().k);
+        let (history, hypers) = ctx.history(idx, fm.cfg.k);
         let target = &ctx.snapshots[idx];
 
+        // The reference: evolve and decode on one recording eval graph, the
+        // path the training loss takes.
+        let mut g = Graph::new(false, 0);
+        let evolved = fm.evolve(&mut g, history, hypers);
+        let last = last_k(&evolved, fm.cfg.k);
+
         let (subjects, rels, _) = entity_queries(target, ctx.num_relations);
-        let direct = fm.model.predict_entity(history, hypers, subjects.clone(), rels.clone());
+        let p = fm.entity_prob_sum(&mut g, last, Rc::new(subjects.clone()), Rc::new(rels.clone()));
+        let direct = g.detach(p);
         let frozen = fm.evolve_window(history, hypers);
         let cached = fm.decode_entity(&frozen, subjects.clone(), rels.clone());
         assert_eq!(direct.data(), cached.data(), "entity scores must be bit-identical");
@@ -253,7 +242,8 @@ mod tests {
         assert_eq!(stub.data(), cached.data(), "the benchmark's decode entry point diverged");
 
         let (rs, ro, _) = relation_queries(target);
-        let direct = fm.model.predict_relation(history, hypers, rs.clone(), ro.clone());
+        let p = fm.relation_prob_sum(&mut g, last, Rc::new(rs.clone()), Rc::new(ro.clone()));
+        let direct = g.detach(p);
         let cached = fm.decode_relation(&frozen, rs, ro);
         assert_eq!(direct.data(), cached.data(), "relation scores must be bit-identical");
     }
@@ -278,10 +268,10 @@ mod tests {
         }
         // The clone decodes bit-identically to the original.
         let idx = ctx.test_idx[0];
-        let (history, hypers) = ctx.history(idx, fm.cfg().k);
+        let (history, hypers) = ctx.history(idx, fm.cfg.k);
         let target = &ctx.snapshots[idx];
         let (subjects, rels, _) = entity_queries(target, ctx.num_relations);
-        let a = fm.model.predict_entity(history, hypers, subjects.clone(), rels.clone());
+        let a = fm.predict_entity(history, hypers, subjects.clone(), rels.clone());
         let b = clone.predict_entity(history, hypers, subjects, rels);
         assert_eq!(a.data(), b.data());
     }
@@ -290,11 +280,12 @@ mod tests {
     fn window_loss_is_finite_deterministic_and_pure() {
         let (fm, ctx) = setup();
         let idx = ctx.test_idx[0];
-        let (history, hypers) = ctx.history(idx, fm.cfg().k);
+        let (history, hypers) = ctx.history(idx, fm.cfg.k);
         let target = &ctx.snapshots[idx];
         let before: Vec<f32> = fm.model.store().value("ent0").data().to_vec();
-        let l1 = fm.window_loss(history, hypers, target);
-        let l2 = fm.window_loss(history, hypers, target);
+        let states = fm.evolve_window(history, hypers);
+        let l1 = fm.window_loss(&states, target);
+        let l2 = fm.window_loss(&states, target);
         assert!(l1.is_finite() && l1 > 0.0, "joint loss should be a positive NLL: {l1}");
         assert_eq!(l1.to_bits(), l2.to_bits(), "window loss must be deterministic");
         assert_eq!(
@@ -303,7 +294,7 @@ mod tests {
             "window loss must not mutate params"
         );
         // Empty history decodes from the initial state and still yields a loss.
-        let l0 = fm.window_loss(&[], &[], target);
+        let l0 = fm.window_loss(&fm.evolve_window(&[], &[]), target);
         assert!(l0.is_finite());
     }
 
@@ -325,7 +316,7 @@ mod tests {
             let label = cfg.ablation_label();
             let fm = FrozenModel::new(Retia::new(cfg, &ds));
             let frozen = fm.evolve_window(history, hypers);
-            let loss = fm.window_loss(history, hypers, target);
+            let loss = fm.window_loss(&frozen, target);
 
             let mut g = Graph::new(false, 0);
             let states = fm.model.evolve(&mut g, history, hypers);
@@ -356,11 +347,11 @@ mod tests {
         let idx = *ctx.test_idx.last().expect("test split");
         let (history, hypers) = ctx.history(idx, 5);
         let frozen = fm.evolve_window(history, hypers);
-        assert_eq!(frozen.states.len(), fm.cfg().k.min(history.len().max(1)));
+        assert_eq!(frozen.states.len(), fm.cfg.k.min(history.len().max(1)));
         assert!(frozen.num_bytes() > 0);
         for (e, r) in &frozen.states {
-            assert_eq!(e.shape(), (fm.num_entities(), fm.cfg().dim));
-            assert_eq!(r.shape(), (2 * fm.num_relations(), fm.cfg().dim));
+            assert_eq!(e.shape(), (fm.num_entities(), fm.cfg.dim));
+            assert_eq!(r.shape(), (2 * fm.num_relations(), fm.cfg.dim));
         }
     }
 }

@@ -8,7 +8,7 @@ use retia_graph::{HyperSnapshot, Snapshot, NUM_HYPERRELS_WITH_INV};
 use retia_nn::{
     mean_pool_segments, ConvTransE, EntityRgcn, GruCell, LstmCell, RelationRgcn, WeightMode,
 };
-use retia_tensor::{Graph, NodeId, Ops, ParamStore, Tensor};
+use retia_tensor::{NodeId, Ops, ParamStore, Tensor};
 
 use crate::config::{HyperrelMode, RelationMode, RetiaConfig};
 
@@ -23,9 +23,10 @@ pub struct EvolvedState<I = NodeId> {
 }
 
 /// The RETIA model. Holds the parameter store and the module definitions;
-/// each forward pass unrolls the recurrence in a fresh autodiff [`Graph`].
-/// The step is written once over [`Ops`]: `retia audit` runs the same
-/// `evolve` and `loss` over the abstract interpreter (see `audit.rs`).
+/// each forward pass unrolls the recurrence in a fresh autodiff
+/// [`Graph`](retia_tensor::Graph). The step is written once over [`Ops`]:
+/// `retia audit` runs the same `evolve` and `loss` over the abstract
+/// interpreter (see `audit.rs`).
 pub struct Retia {
     /// Configuration the model was built with.
     pub cfg: RetiaConfig,
@@ -416,8 +417,8 @@ impl Retia {
         g.scale(total, 1.0 / states.len().max(1) as f32)
     }
 
-    /// Inference: summed entity probabilities as a plain tensor
-    /// (`[Q, N]`, eval mode, no gradients retained).
+    /// Inference: summed entity probabilities (`[Q, N]`) through
+    /// [`Retia::evolve_window`] and [`Retia::decode_entity`].
     pub fn predict_entity(
         &self,
         history: &[Snapshot],
@@ -425,11 +426,7 @@ impl Retia {
         subjects: Vec<u32>,
         rels: Vec<u32>,
     ) -> Tensor {
-        let mut g = Graph::inference();
-        let states = self.evolve(&mut g, history, hypers);
-        let last = last_k(&states, self.cfg.k);
-        let p = self.entity_prob_sum(&mut g, last, Rc::new(subjects), Rc::new(rels));
-        g.detach(p)
+        self.decode_entity(&self.evolve_window(history, hypers), subjects, rels)
     }
 
     /// Inference: summed relation probabilities (`[Q, M]`).
@@ -440,11 +437,7 @@ impl Retia {
         subjects: Vec<u32>,
         objects: Vec<u32>,
     ) -> Tensor {
-        let mut g = Graph::inference();
-        let states = self.evolve(&mut g, history, hypers);
-        let last = last_k(&states, self.cfg.k);
-        let p = self.relation_prob_sum(&mut g, last, Rc::new(subjects), Rc::new(objects));
-        g.detach(p)
+        self.decode_relation(&self.evolve_window(history, hypers), subjects, objects)
     }
 }
 
@@ -498,6 +491,7 @@ pub fn relation_queries(snap: &Snapshot) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
 mod tests {
     use super::*;
     use retia_data::SyntheticConfig;
+    use retia_tensor::Graph;
 
     fn tiny_model() -> (Retia, crate::TkgContext) {
         let ds = SyntheticConfig::tiny(1).generate();

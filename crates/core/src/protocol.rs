@@ -1,8 +1,10 @@
 //! The evaluation protocol every model is scored by — RE-GCN's, which the
 //! paper follows. Per evaluated snapshot: entity queries in both directions
 //! and relation queries once per fact, each ranked raw and time-aware
-//! filtered. An online model trains on a snapshot after it is scored (the
-//! time-variability strategy, §III-F) through [`Forecaster::end_snapshot`].
+//! filtered. A [`crate::Trainer`] evolves each snapshot's window once, in
+//! [`Forecaster::begin_snapshot`], and an online model trains on a snapshot
+//! after it is scored (the time-variability strategy, §III-F) through
+//! [`Forecaster::end_snapshot`].
 //!
 //! RETIA, its ablations and every baseline in the table harness go through
 //! the one [`evaluate`] here.
@@ -36,7 +38,8 @@ pub struct EvalReport {
 /// strictly before it (ground truth history, the standard protocol).
 pub trait Forecaster {
     /// Called before scoring snapshot `idx` — models that index history
-    /// (copy mechanisms) bring their caches up to date here.
+    /// (copy mechanisms) bring their caches up to date here, and a
+    /// [`crate::Trainer`] evolves the snapshot's history window.
     fn begin_snapshot(&mut self, _ctx: &TkgContext, _idx: usize) {}
 
     /// Scores `[Q, N]` for entity queries `(subjects[i], rels[i], ?)`
@@ -71,8 +74,8 @@ pub fn evaluate<F: Forecaster + ?Sized>(
 ) -> Result<EvalReport, TrainError> {
     let mut report = EvalReport::default();
     for &idx in ctx.split_indices(split) {
-        model.begin_snapshot(ctx, idx);
         let scoring = retia_obs::span!("eval.snapshot", idx = idx);
+        model.begin_snapshot(ctx, idx);
         let target = &ctx.snapshots[idx];
 
         // ---- entity forecasting (both directions) ----

@@ -2,6 +2,10 @@
 //! continual training the paper uses at evaluation time (the
 //! time-variability strategy, §III-F).
 //!
+//! A [`Trainer`] is the [`Forecaster`] of its model: `begin_snapshot`
+//! evolves the scored snapshot's window once, both score methods decode
+//! against it, and `end_snapshot` drops it before any online step.
+//!
 //! Training here is fault-tolerant. A [`RecoveryPolicy`] turns the obs NaN
 //! watchdog from warn-only into a state machine: non-finite losses or
 //! gradients **skip** the optimizer step; a streak of skips **rolls back**
@@ -20,6 +24,7 @@ use retia_tensor::{Graph, ParamStore, Tensor};
 use crate::checkpoint::CheckpointPolicy;
 use crate::config::RetiaConfig;
 use crate::context::{Split, TkgContext};
+use crate::frozen::FrozenStates;
 use crate::model::{last_k, Retia};
 use crate::protocol::{EvalReport, Forecaster};
 
@@ -154,6 +159,9 @@ pub struct Trainer {
     recovery_state: RecoveryState,
     chaos: ChaosPlan,
     checkpoint: Option<CheckpointPolicy>,
+    /// The window states `begin_snapshot` evolved, keyed by the index of
+    /// the snapshot being scored; `end_snapshot` drops them.
+    evolved: Option<(usize, FrozenStates)>,
 }
 
 impl Trainer {
@@ -179,6 +187,7 @@ impl Trainer {
             recovery_state: RecoveryState::default(),
             chaos: ChaosPlan::none(),
             checkpoint: None,
+            evolved: None,
         }
     }
 
@@ -230,6 +239,18 @@ impl Trainer {
         ctx: &TkgContext,
         target_idx: usize,
     ) -> Result<EpochLoss, TrainError> {
+        let (history, hypers) = ctx.history(target_idx, self.cfg.k);
+        self.train_on(history, hypers, &ctx.snapshots[target_idx])
+    }
+
+    /// The gradient step behind [`Trainer::try_train_step`] and
+    /// [`Trainer::fit_window`]: forecast `target` from `history`.
+    fn train_on(
+        &mut self,
+        history: &[Snapshot],
+        hypers: &[HyperSnapshot],
+        target: &Snapshot,
+    ) -> Result<EpochLoss, TrainError> {
         // Seed the last-good snapshot from the pre-step state so a rollback
         // target exists even if the very first step diverges.
         if self.recovery.is_some() && self.recovery_state.snapshot.is_none() {
@@ -238,8 +259,6 @@ impl Trainer {
         self.steps += 1;
         let step = self.steps;
         let _t = retia_obs::span!("train.step", step = step);
-        let (history, hypers) = ctx.history(target_idx, self.cfg.k);
-        let target = &ctx.snapshots[target_idx];
         self.step_seed = self.step_seed.wrapping_add(1);
         let mut g = Graph::new(true, self.step_seed);
         let states = self.model.evolve(&mut g, history, hypers);
@@ -525,20 +544,13 @@ impl Trainer {
                 hypers.len()
             )));
         }
-        let ctx = TkgContext {
-            snapshots: snaps.to_vec(),
-            hypers: hypers.to_vec(),
-            train_idx: Vec::new(),
-            valid_idx: Vec::new(),
-            test_idx: Vec::new(),
-            num_entities: self.model.num_entities(),
-            num_relations: self.model.num_relations(),
-        };
-        let target_idx = ctx.snapshots.len() - 1;
+        let target_idx = snaps.len() - 1;
+        let start = target_idx.saturating_sub(self.cfg.k);
+        let (history, hypers) = (&snaps[start..target_idx], &hypers[start..target_idx]);
         let (mut se, mut sr, mut sj) = (0.0f64, 0.0f64, 0.0f64);
         let n = steps.max(1);
         for _ in 0..n {
-            let l = self.try_train_step(&ctx, target_idx)?;
+            let l = self.train_on(history, hypers, &snaps[target_idx])?;
             se += l.entity;
             sr += l.relation;
             sj += l.joint;
@@ -569,17 +581,37 @@ impl Trainer {
             .expect("online evaluation diverged; call retia::evaluate to handle it")
     }
 
-    /// Evaluation without parameter updates, whatever `cfg.online` says.
+    /// Evaluation without parameter updates: `cfg.online` is off for the call.
     pub fn evaluate_offline(&mut self, ctx: &TkgContext, split: Split) -> EvalReport {
-        crate::evaluate(&mut Offline(self), ctx, split)
-            .expect("offline evaluation takes no training step, so it cannot fail")
+        let online = std::mem::replace(&mut self.cfg.online, false);
+        let report = crate::evaluate(self, ctx, split);
+        self.cfg.online = online;
+        report.expect("offline evaluation takes no training step, so it cannot fail")
+    }
+
+    /// The window states for scoring snapshot `idx`: those `begin_snapshot`
+    /// evolved (shared, not copied), or, for a score call it did not
+    /// prepare, the same evolve run now (the bits are the same).
+    fn states_for(&self, ctx: &TkgContext, idx: usize) -> FrozenStates {
+        match &self.evolved {
+            Some((at, states)) if *at == idx => states.clone(),
+            _ => {
+                let (history, hypers) = ctx.history(idx, self.cfg.k);
+                self.model.evolve_window(history, hypers)
+            }
+        }
     }
 }
 
-/// The trainer scores the model it trains. With `cfg.online` set,
-/// `end_snapshot` takes `cfg.online_steps` gradient steps on the snapshot
-/// just scored.
+/// The trainer scores the model it trains, evolving each scored snapshot's
+/// window once. With `cfg.online` set, `end_snapshot` takes
+/// `cfg.online_steps` gradient steps on the snapshot just scored.
 impl Forecaster for Trainer {
+    fn begin_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
+        let (history, hypers) = ctx.history(idx, self.cfg.k);
+        self.evolved = Some((idx, self.model.evolve_window(history, hypers)));
+    }
+
     fn entity_scores(
         &self,
         ctx: &TkgContext,
@@ -587,8 +619,8 @@ impl Forecaster for Trainer {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        let (history, hypers) = ctx.history(idx, self.cfg.k);
-        self.model.predict_entity(history, hypers, subjects.to_vec(), rels.to_vec())
+        let states = self.states_for(ctx, idx);
+        self.model.decode_entity(&states, subjects.to_vec(), rels.to_vec())
     }
 
     fn relation_scores(
@@ -598,42 +630,19 @@ impl Forecaster for Trainer {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        let (history, hypers) = ctx.history(idx, self.cfg.k);
-        self.model.predict_relation(history, hypers, subjects.to_vec(), objects.to_vec())
+        let states = self.states_for(ctx, idx);
+        self.model.decode_relation(&states, subjects.to_vec(), objects.to_vec())
     }
 
     fn end_snapshot(&mut self, ctx: &TkgContext, idx: usize) -> Result<(), TrainError> {
+        // The states hold the pre-step parameters' evolve.
+        self.evolved = None;
         if self.cfg.online {
             for _ in 0..self.cfg.online_steps {
                 self.try_train_step(ctx, idx)?;
             }
         }
         Ok(())
-    }
-}
-
-/// A trainer scored without its online steps ([`Trainer::evaluate_offline`]).
-struct Offline<'a>(&'a Trainer);
-
-impl Forecaster for Offline<'_> {
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        self.0.entity_scores(ctx, idx, subjects, rels)
-    }
-
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        self.0.relation_scores(ctx, idx, subjects, objects)
     }
 }
 
@@ -751,6 +760,59 @@ mod tests {
         // Filtered ranks can only be at least as good as raw ranks.
         assert!(report.entity_filtered.mrr() >= report.entity_raw.mrr() - 1e-9);
         assert!(report.relation_filtered.mrr() >= report.relation_raw.mrr() - 1e-9);
+    }
+
+    /// `retia::evaluate` evolves each scored snapshot's window once for
+    /// both query kinds (one `eam.rgcn` span per history snapshot), and an
+    /// online step adds its own evolve.
+    #[test]
+    fn evaluation_evolves_each_scored_window_once() {
+        let (sink, handle) = retia_obs::CaptureSink::new();
+        let id = retia_obs::add_sink(Box::new(sink));
+        let me = retia_obs::current_thread();
+        let evolved = || {
+            handle.events().into_iter().filter(|e| e.thread == me && e.name == "eam.rgcn").count()
+        };
+
+        let (mut trainer, ctx) = tiny_setup(1);
+        trainer.cfg.online_steps = 2;
+        let window: usize =
+            ctx.test_idx.iter().map(|&idx| ctx.history(idx, trainer.cfg.k).0.len()).sum();
+        crate::evaluate(&mut trainer, &ctx, Split::Test).unwrap();
+        let offline = evolved();
+        trainer.cfg.online = true;
+        crate::evaluate(&mut trainer, &ctx, Split::Test).unwrap();
+        let online = evolved() - offline;
+        retia_obs::remove_sink(id);
+
+        assert_eq!(offline, window, "offline: one evolve per scored snapshot");
+        assert_eq!(online, window * (1 + trainer.cfg.online_steps), "online: plus one per step");
+    }
+
+    /// A score call `begin_snapshot` did not prepare (none, or one for
+    /// another snapshot) evolves the window itself, to the same bits.
+    #[test]
+    fn unprepared_score_calls_match_the_prepared_route() {
+        let (mut trainer, ctx) = tiny_setup(1);
+        let bits = |t: Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let scores = |trainer: &Trainer, idx: usize| {
+            let target = &ctx.snapshots[idx];
+            let (s, r, _) = crate::entity_queries(target, ctx.num_relations);
+            let (rs, ro, _) = crate::relation_queries(target);
+            (
+                bits(trainer.entity_scores(&ctx, idx, &s, &r)),
+                bits(trainer.relation_scores(&ctx, idx, &rs, &ro)),
+            )
+        };
+        let (idx, other) = (ctx.test_idx[0], ctx.valid_idx[0]);
+        let cold = scores(&trainer, idx);
+        let cold_other = scores(&trainer, other);
+
+        trainer.begin_snapshot(&ctx, idx);
+        assert_eq!(scores(&trainer, idx), cold, "prepared states diverged from a fresh evolve");
+        assert_eq!(scores(&trainer, other), cold_other, "states keyed to another snapshot");
+        trainer.end_snapshot(&ctx, idx).unwrap();
+        assert_eq!(scores(&trainer, idx), cold);
     }
 
     #[test]

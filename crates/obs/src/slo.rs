@@ -96,7 +96,7 @@ pub fn reset() {
 }
 
 /// Opportunistic sampling hook for hot paths: a no-op unless objectives are
-/// configured and at least [`TICK_INTERVAL_NS`] has passed since the last
+/// configured and at least `TICK_INTERVAL_NS` has passed since the last
 /// effective tick (one atomic load on the fast path).
 pub fn tick() {
     if !crate::enabled() {

@@ -467,7 +467,7 @@ impl Engine {
         window: Vec<Snapshot>,
         opts: EngineOptions,
     ) -> std::io::Result<Engine> {
-        let (k, n, m) = (model.cfg().k, model.num_entities(), model.num_relations());
+        let (k, n, m) = (model.cfg.k, model.num_entities(), model.num_relations());
         let window = Window::from_snapshots(k, n, m, window).map_err(|e| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("boot window: {e}"))
         })?;
@@ -561,6 +561,7 @@ impl EngineState {
             return;
         }
         retia_obs::metrics::inc("serve.cache_miss");
+        let _evolve = retia_obs::span!(stages::EVOLVE, window = self.window.snapshots().len());
         let states = self.model.evolve_window(self.window.snapshots(), self.window.hypers());
         self.cache.push_back((self.epoch, self.window_end(), states));
         while self.cache.len() > self.cache_cap {
@@ -688,11 +689,10 @@ impl EngineState {
                 "candidate model has {rn} entities / {rm} relations; serving {n} / {m}"
             )));
         }
-        if req.model.cfg().k != self.model.cfg().k {
+        if req.model.cfg.k != self.model.cfg.k {
             return Err(EngineError::InvalidSwap(format!(
                 "candidate window size k={} does not match serving k={}",
-                req.model.cfg().k,
-                self.model.cfg().k
+                req.model.cfg.k, self.model.cfg.k
             )));
         }
         self.model = req.model;

@@ -29,8 +29,8 @@
 //! last `k` evolved snapshot states (Eq. 13/14), so those `k` embedding
 //! matrices fully determine every answer until the window moves. The engine
 //! computes them once per window epoch in a no-tape inference graph
-//! ([`retia_tensor::Graph::inference`] via [`retia::FrozenModel`]) and
-//! caches them; per-query work is one decode batch plus a bounded top-k
+//! ([`retia::Retia::evolve_window`], on the [`retia::FrozenModel`] it owns)
+//! and caches them; per-query work is one decode batch plus a bounded top-k
 //! heap. `POST /v1/ingest` appends facts, advances the window and recomputes
 //! the cache — the online extrapolation setting, minus parameter updates.
 //!

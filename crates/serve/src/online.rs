@@ -29,10 +29,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use retia::{entity_queries, FrozenModel, RecoveryPolicy, TrainError, Trainer};
+use retia::{
+    entity_queries, FrozenModel, FrozenStates, RecoveryPolicy, Retia, TrainError, Trainer,
+};
 use retia_analyze::ChaosPlan;
 use retia_eval::rank_of;
-use retia_graph::{HyperSnapshot, Snapshot};
+use retia_graph::Snapshot;
 
 use crate::engine::{EngineError, EngineHandle, SwapRequest, WindowView};
 use crate::stages;
@@ -257,8 +259,8 @@ fn supervise(
     opts: OnlineOptions,
     status: &OnlineStatus,
 ) {
-    let cfg = baseline.cfg().clone();
-    let mut trainer = Trainer::new(baseline.clone_model(), cfg.clone());
+    let cfg = baseline.cfg.clone();
+    let mut trainer = Trainer::new(baseline.values_copy(), cfg.clone());
     trainer.set_recovery(Some(RecoveryPolicy::default()));
     trainer.set_chaos(opts.chaos.clone());
 
@@ -405,7 +407,7 @@ fn publish(
     good_params: &mut retia_tensor::ParamStore,
     good_trained_epoch: &mut u64,
 ) -> Publish {
-    let candidate = freeze_candidate(trainer);
+    let candidate = FrozenModel::new(trainer.model.values_copy());
 
     // Pre-swap audit gate (PR-8): the engine must never install a model the
     // value audit cannot prove NaN-free and tape-free.
@@ -420,15 +422,18 @@ fn publish(
         return Publish::Held;
     }
 
-    // Drift gate: score candidate and pinned baseline on the newest window.
+    // Drift gate: score candidate and pinned baseline on the newest window,
+    // each from one evolve of its history.
     let _t = retia_obs::span!(stages::DRIFT, epoch = view.epoch);
     let (history, target) = view.snaps.split_at(view.snaps.len() - 1);
     let hyper_history = &view.hypers[..history.len()];
     let target = &target[0];
-    let cand_loss = candidate.window_loss(history, hyper_history, target);
-    let base_loss = baseline.window_loss(history, hyper_history, target);
-    let cand_mrr = window_mrr(&candidate, history, hyper_history, target);
-    let base_mrr = window_mrr(baseline, history, hyper_history, target);
+    let cand_states = candidate.evolve_window(history, hyper_history);
+    let base_states = baseline.evolve_window(history, hyper_history);
+    let cand_loss = candidate.window_loss(&cand_states, target);
+    let base_loss = baseline.window_loss(&base_states, target);
+    let cand_mrr = window_mrr(&candidate, &cand_states, target);
+    let base_mrr = window_mrr(baseline, &base_states, target);
     let loss_breach =
         !cand_loss.is_finite() || cand_loss > base_loss * (1.0 + opts.drift_threshold).max(0.0);
     let mrr_breach = cand_mrr < base_mrr * (1.0 - opts.drift_threshold).min(1.0);
@@ -513,26 +518,17 @@ fn publish(
     }
 }
 
-/// A frozen copy of the trainer's current parameters.
-fn freeze_candidate(trainer: &Trainer) -> FrozenModel {
-    FrozenModel::new(trainer.model.values_copy())
-}
-
 /// The last-good model rebuilt from its parameter snapshot.
 fn rollback_model(baseline: &FrozenModel, good_params: &retia_tensor::ParamStore) -> FrozenModel {
-    let mut model = baseline.clone_model();
+    let mut model = baseline.values_copy();
     model.store_mut().copy_values_from(good_params);
     FrozenModel::new(model)
 }
 
-/// Entity MRR of `model` forecasting `target` from `history` (capped at
-/// [`MRR_QUERY_CAP`] queries to bound the drift monitor's cost).
-fn window_mrr(
-    model: &FrozenModel,
-    history: &[Snapshot],
-    hypers: &[HyperSnapshot],
-    target: &Snapshot,
-) -> f64 {
+/// Entity MRR of `model` forecasting `target` from its evolved history
+/// `states` (capped at `MRR_QUERY_CAP` queries to bound the drift monitor's
+/// cost).
+fn window_mrr(model: &Retia, states: &FrozenStates, target: &Snapshot) -> f64 {
     const MRR_QUERY_CAP: usize = 256;
     let (mut subjects, mut rels, mut targets) = entity_queries(target, model.num_relations());
     subjects.truncate(MRR_QUERY_CAP);
@@ -541,8 +537,7 @@ fn window_mrr(
     if targets.is_empty() {
         return 0.0;
     }
-    let states = model.evolve_window(history, hypers);
-    let probs = model.decode_entity(&states, subjects, rels);
+    let probs = model.decode_entity(states, subjects, rels);
     let mut rr = 0.0;
     for (i, t) in targets.iter().enumerate() {
         rr += 1.0 / rank_of(probs.row(i), *t as usize);

@@ -227,7 +227,7 @@ impl Server {
         }
         // The continual trainer seeds from (and drift-scores against) the
         // boot model; clone it before the engine takes ownership.
-        let baseline = cfg.online.as_ref().map(|_| FrozenModel::new(model.clone_model()));
+        let baseline = cfg.online.as_ref().map(|_| FrozenModel::new(model.values_copy()));
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;

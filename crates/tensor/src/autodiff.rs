@@ -178,7 +178,7 @@ struct Node {
 ///
 /// `training` toggles stochastic ops (dropout masks, RReLU slope sampling);
 /// `seed` makes them reproducible. A graph built with [`Graph::inference`]
-/// additionally skips the tape: every node is stored as [`Op::Leaf`], so no
+/// additionally skips the tape: every node is stored as `Op::Leaf`, so no
 /// backward contexts (index lists, dropout masks, saved softmax outputs) are
 /// allocated and [`Graph::backward`] is unavailable.
 pub struct Graph {
@@ -221,7 +221,7 @@ impl Graph {
     }
 
     /// Number of nodes carrying backward context (anything other than
-    /// [`Op::Leaf`]). Always `0` for an inference graph — the assertion the
+    /// `Op::Leaf`). Always `0` for an inference graph — the assertion the
     /// no-grad tests and the serve engine rely on.
     pub fn tape_ops(&self) -> usize {
         self.nodes.iter().filter(|n| !matches!(n.op, Op::Leaf)).count()

@@ -15,7 +15,7 @@
 //!
 //! Soundness conventions:
 //! - Bounds are tracked in f64 and padded by a small relative slack
-//!   ([`Interval::widened`]) so f32 rounding in the concrete kernels cannot
+//!   (`Interval::widened`) so f32 rounding in the concrete kernels cannot
 //!   escape the abstract interval.
 //! - Any bound whose magnitude exceeds `f32::MAX` sets the may-be-inf flag:
 //!   the concrete kernel would have overflowed to `±inf` even though the

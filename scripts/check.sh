@@ -57,6 +57,9 @@ echo "==> loadtest smoke (self-hosted on port 0; exits nonzero on any 5xx, zero 
 ./target/release/retia loadtest --connections 1,4 --requests 25 --ingest-every 10 \
   --slo query:99:30000 --online --out target/BENCH_serve_smoke.json
 
+echo "==> rustdoc with warnings denied (a dangling, private or ambiguous intra-doc link fails)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -208,7 +208,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Acceptable length specifications for [`vec`]: an exact length or a
+    /// Acceptable length specifications for [`vec()`]: an exact length or a
     /// half-open range of lengths.
     pub trait SizeRange {
         fn pick(&self, rng: &mut StdRng) -> usize;
