@@ -9,15 +9,16 @@
 //! The substitution is recorded in DESIGN.md.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, SeedableRng};
 use retia::{Forecaster, TkgContext};
 use retia_nn::ConvTransE;
-use retia_tensor::optim::Adam;
-use retia_tensor::{Graph, ParamStore, Tensor};
+use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
-use crate::traits::{static_triples, StaticTrainConfig, TkgBaseline};
+use crate::factorization::{embeddings, tables};
+use crate::train::{all_relations, ids, infer, Batch, MinibatchLoss, BATCH};
+use crate::traits::{StaticTrainConfig, TkgBaseline};
 
 /// Which convolutional decoder variant to emulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,81 +32,95 @@ pub enum ConvFlavor {
 /// A static KG model with a convolutional decoder over learned embeddings.
 pub struct ConvDecoder {
     cfg: StaticTrainConfig,
-    flavor: ConvFlavor,
-    store: ParamStore,
+    pub(crate) store: ParamStore,
     decoder: ConvTransE,
     rel_decoder: ConvTransE,
+    /// The ConvE flavor's column permutation `[d, d]`.
+    permutation: Option<Arc<Tensor>>,
     num_relations: usize,
 }
 
 impl ConvDecoder {
     /// Builds an untrained model.
     pub fn new(cfg: StaticTrainConfig, flavor: ConvFlavor, ctx: &TkgContext) -> Self {
-        let mut store = ParamStore::new(cfg.seed);
-        store.register_xavier("ent", ctx.num_entities, cfg.dim);
-        store.register_xavier("rel", 2 * ctx.num_relations, cfg.dim);
-        let decoder = ConvTransE::new(&mut store, "dec_e", cfg.dim, 8, 3, 0.2);
-        let rel_decoder = ConvTransE::new(&mut store, "dec_r", cfg.dim, 8, 3, 0.2);
-        ConvDecoder { cfg, flavor, store, decoder, rel_decoder, num_relations: ctx.num_relations }
+        let (d, mut store) = (cfg.dim, embeddings(cfg.dim, ctx));
+        let decoder = ConvTransE::new(&mut store, "dec_e", d, 8, 3, 0.2);
+        let rel_decoder = ConvTransE::new(&mut store, "dec_r", d, 8, 3, 0.2);
+        // Column j of the product is column (7j + 1) mod d of its input.
+        let permutation = (flavor == ConvFlavor::ConvE).then(|| {
+            Arc::new(Tensor::from_fn(d, d, |k, j| if k == (7 * j + 1) % d { 1.0 } else { 0.0 }))
+        });
+        let num_relations = ctx.num_relations;
+        ConvDecoder { cfg, store, decoder, rel_decoder, permutation, num_relations }
     }
 
-    /// Interleaves the ConvE flavor's inputs (a crude stand-in for ConvE's
-    /// 2-D reshape, which destroys the translational alignment Conv-TransE
-    /// keeps).
-    fn maybe_permute(&self, t: &Tensor) -> Tensor {
-        match self.flavor {
-            ConvFlavor::ConvTransE => t.clone(),
-            ConvFlavor::ConvE => {
-                let (r, c) = t.shape();
-                Tensor::from_fn(r, c, |i, j| t.get(i, (j * 7 + 1) % c))
-            }
+    /// The flavor's arrangement of a decoder input. The ConvE flavor
+    /// interleaves its columns (a crude stand-in for ConvE's 2-D reshape,
+    /// which destroys the translational alignment Conv-TransE keeps) by a
+    /// product with a constant 0/1 matrix, exact for finite inputs.
+    fn arrange(&self, g: &mut Graph, x: NodeId) -> NodeId {
+        let Some(p) = &self.permutation else { return x };
+        let p = g.shared_constant(Arc::clone(p));
+        g.matmul(x, p)
+    }
+
+    /// Entity logits `[Q, N]` over the embedding tables `(ent, rel)`.
+    pub(crate) fn entity_logits(
+        &self,
+        g: &mut Graph,
+        (ent, rel): (NodeId, NodeId),
+        q: &Batch,
+    ) -> NodeId {
+        let s = g.gather_rows(ent, Rc::clone(&q.subjects));
+        let r = g.gather_rows(rel, Rc::clone(&q.rels));
+        let (s, r) = (self.arrange(g, s), self.arrange(g, r));
+        self.decoder.forward(g, &self.store, s, r, ent)
+    }
+
+    /// Relation logits `[Q, M]` over the original relations.
+    fn relation_logits(
+        &self,
+        g: &mut Graph,
+        (ent, rel): (NodeId, NodeId),
+        subjects: Rc<Vec<u32>>,
+        objects: Rc<Vec<u32>>,
+    ) -> NodeId {
+        let s = g.gather_rows(ent, subjects);
+        let o = g.gather_rows(ent, objects);
+        let cand = g.gather_rows(rel, all_relations(self.num_relations));
+        let (s, o) = (self.arrange(g, s), self.arrange(g, o));
+        self.rel_decoder.forward(g, &self.store, s, o, cand)
+    }
+}
+
+impl MinibatchLoss for ConvDecoder {
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    /// Entity cross-entropy, joined (0.7 / 0.3) by a relation head over the
+    /// batch's original-direction facts.
+    fn batch_loss(&self, g: &mut Graph, batch: &Batch, _rng: &mut StdRng) -> NodeId {
+        let tables = tables(g, &self.store);
+        let logits = self.entity_logits(g, tables, batch);
+        let loss = g.softmax_xent(logits, Rc::clone(&batch.objects));
+        let m = self.num_relations as u32;
+        let orig: Vec<usize> = (0..batch.rels.len()).filter(|&i| batch.rels[i] < m).collect();
+        if orig.is_empty() {
+            return loss;
         }
+        let pick = |column: &[u32]| Rc::new(orig.iter().map(|&i| column[i]).collect());
+        let rlogits = self.relation_logits(g, tables, pick(&batch.subjects), pick(&batch.objects));
+        let rloss = g.softmax_xent(rlogits, pick(&batch.rels));
+        let half = g.scale(rloss, 0.3);
+        let whole = g.scale(loss, 0.7);
+        g.add(whole, half)
     }
 }
 
 impl TkgBaseline for ConvDecoder {
     fn fit(&mut self, ctx: &TkgContext) {
-        let triples = static_triples(ctx);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut adam = Adam::new(self.cfg.lr);
-        let mut order: Vec<usize> = (0..triples.len()).collect();
-        let m = ctx.num_relations as u32;
-        for epoch in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch) {
-                let subjects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].0).collect());
-                let rels: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].1).collect());
-                let targets: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].2).collect());
-                let mut g = Graph::new(true, self.cfg.seed ^ epoch as u64);
-                let ent = g.param(&self.store, "ent");
-                let rel = g.param(&self.store, "rel");
-                let s = g.gather_rows(ent, subjects.clone());
-                let r = g.gather_rows(rel, rels.clone());
-                let logits = self.decoder.forward(&mut g, &self.store, s, r, ent);
-                let mut loss = g.softmax_xent(logits, targets.clone());
-
-                // Joint relation head (only original-direction facts).
-                let orig: Vec<usize> =
-                    chunk.iter().copied().filter(|&i| triples[i].1 < m).collect();
-                if !orig.is_empty() {
-                    let ss: Rc<Vec<u32>> = Rc::new(orig.iter().map(|&i| triples[i].0).collect());
-                    let oo: Rc<Vec<u32>> = Rc::new(orig.iter().map(|&i| triples[i].2).collect());
-                    let rt: Rc<Vec<u32>> = Rc::new(orig.iter().map(|&i| triples[i].1).collect());
-                    let se = g.gather_rows(ent, ss);
-                    let oe = g.gather_rows(ent, oo);
-                    let cand: Rc<Vec<u32>> = Rc::new((0..m).collect());
-                    let rc = g.gather_rows(rel, cand);
-                    let rlogits = self.rel_decoder.forward(&mut g, &self.store, se, oe, rc);
-                    let rloss = g.softmax_xent(rlogits, rt);
-                    let half = g.scale(rloss, 0.3);
-                    let whole = g.scale(loss, 0.7);
-                    loss = g.add(whole, half);
-                }
-                g.backward(loss, &mut self.store);
-                adam.step(&mut self.store);
-                self.store.zero_grad();
-            }
-        }
+        self.fit_minibatches(ctx, self.cfg.epochs, BATCH);
     }
 }
 
@@ -117,16 +132,10 @@ impl Forecaster for ConvDecoder {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        let ent = self.store.value("ent").clone();
-        let rel = self.store.value("rel");
-        let s = self.maybe_permute(&ent.gather_rows(subjects));
-        let r = self.maybe_permute(&rel.gather_rows(rels));
-        let mut g = Graph::new(false, 0);
-        let sn = g.constant(s);
-        let rn = g.constant(r);
-        let cand = g.constant(ent);
-        let logits = self.decoder.forward(&mut g, &self.store, sn, rn, cand);
-        g.detach(logits)
+        infer(|g| {
+            let tables = tables(g, &self.store);
+            self.entity_logits(g, tables, &Batch::queries(subjects, rels, 0))
+        })
     }
 
     fn relation_scores(
@@ -136,17 +145,10 @@ impl Forecaster for ConvDecoder {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        let ent = self.store.value("ent").clone();
-        let rel = self.store.value("rel");
-        let orig: Vec<u32> = (0..self.num_relations as u32).collect();
-        let s = self.maybe_permute(&ent.gather_rows(subjects));
-        let o = self.maybe_permute(&ent.gather_rows(objects));
-        let mut g = Graph::new(false, 0);
-        let sn = g.constant(s);
-        let on = g.constant(o);
-        let cand = g.constant(rel.gather_rows(&orig));
-        let logits = self.rel_decoder.forward(&mut g, &self.store, sn, on, cand);
-        g.detach(logits)
+        infer(|g| {
+            let tables = tables(g, &self.store);
+            self.relation_logits(g, tables, ids(subjects), ids(objects))
+        })
     }
 }
 
@@ -166,5 +168,22 @@ mod tests {
         let chance = 2.0 / (ctx.num_entities as f64 + 1.0);
         assert!(report.entity_raw.mrr() > chance * 3.0);
         assert!(report.relation_raw.mrr() > 2.0 / (ctx.num_relations as f64 + 1.0));
+    }
+
+    #[test]
+    fn conve_arrangement_permutes_columns_exactly() {
+        let ctx = TkgContext::new(&SyntheticConfig::tiny(6).generate());
+        let cfg = StaticTrainConfig { dim: 8, ..Default::default() };
+        let m = ConvDecoder::new(cfg, ConvFlavor::ConvE, &ctx);
+        let x = Tensor::from_fn(3, 8, |i, j| (i * 8 + j) as f32 * 0.37 - 4.0);
+        let mut g = Graph::inference();
+        let xn = g.constant(x.clone());
+        let out = m.arrange(&mut g, xn);
+        let out = g.value(out);
+        for i in 0..3 {
+            for j in 0..8 {
+                assert_eq!(out.get(i, j).to_bits(), x.get(i, (7 * j + 1) % 8).to_bits());
+            }
+        }
     }
 }

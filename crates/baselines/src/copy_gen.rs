@@ -1,4 +1,5 @@
-//! CyGNet-style copy-generation baseline (Zhu et al., 2021).
+//! CyGNet-style copy-generation baseline (Zhu et al., 2021), and the copy
+//! index it shares with TiRGN-lite.
 //!
 //! CyGNet scores a candidate as a mixture of a *copy* distribution (how often
 //! the candidate answered the same `(s, r)` query in the past) and a
@@ -14,51 +15,54 @@ use retia_tensor::Tensor;
 use crate::factorization::DistMult;
 use crate::traits::{StaticTrainConfig, TkgBaseline};
 
-/// Copy-generation model: `p = α · copy + (1 - α) · softmax(generation)`.
-pub struct CyGNetCopy {
-    gen: DistMult,
-    /// Copy weight `α`.
-    pub alpha: f32,
-    ent_counts: HashMap<(u32, u32), HashMap<u32, f32>>,
-    rel_counts: HashMap<(u32, u32), HashMap<u32, f32>>,
+/// Copy weight `α`.
+const ALPHA: f32 = 0.8;
+
+/// Frequency index of historical query answers: how often each candidate
+/// answered an entity query `(s, r)` or a relation query `(s, o)` in the
+/// snapshots absorbed so far.
+#[derive(Default)]
+pub(crate) struct CopyIndex {
+    entity: HashMap<(u32, u32), HashMap<u32, f32>>,
+    relation: HashMap<(u32, u32), HashMap<u32, f32>>,
     seen_upto: usize,
-    num_relations: usize,
 }
 
-impl CyGNetCopy {
-    /// Builds an untrained model.
-    pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
-        CyGNetCopy {
-            gen: DistMult::new(cfg, ctx),
-            alpha: 0.8,
-            ent_counts: HashMap::new(),
-            rel_counts: HashMap::new(),
-            seen_upto: 0,
-            num_relations: ctx.num_relations,
-        }
-    }
-
-    fn absorb_upto(&mut self, ctx: &TkgContext, upto: usize) {
+impl CopyIndex {
+    /// Absorbs every snapshot before `upto` not absorbed yet.
+    pub(crate) fn absorb_upto(&mut self, ctx: &TkgContext, upto: usize) {
         let m = ctx.num_relations as u32;
         while self.seen_upto < upto {
             let snap = &ctx.snapshots[self.seen_upto];
             for q in &snap.facts {
-                *self.ent_counts.entry((q.s, q.r)).or_default().entry(q.o).or_insert(0.0) += 1.0;
-                *self.ent_counts.entry((q.o, q.r + m)).or_default().entry(q.s).or_insert(0.0) +=
-                    1.0;
-                *self.rel_counts.entry((q.s, q.o)).or_default().entry(q.r).or_insert(0.0) += 1.0;
+                *self.entity.entry((q.s, q.r)).or_default().entry(q.o).or_insert(0.0) += 1.0;
+                *self.entity.entry((q.o, q.r + m)).or_default().entry(q.s).or_insert(0.0) += 1.0;
+                *self.relation.entry((q.s, q.o)).or_default().entry(q.r).or_insert(0.0) += 1.0;
             }
             self.seen_upto += 1;
         }
     }
 
-    fn copy_distribution(
-        counts: &HashMap<(u32, u32), HashMap<u32, f32>>,
-        key: (u32, u32),
-        n: usize,
-    ) -> Vec<f32> {
+    /// Absorbs the training history (every snapshot up to the last training
+    /// one); evaluation-time history follows through `begin_snapshot`.
+    pub(crate) fn absorb_training(&mut self, ctx: &TkgContext) {
+        let last_train = ctx.train_idx.last().map(|&i| i + 1).unwrap_or(0);
+        self.absorb_upto(ctx, last_train);
+    }
+
+    /// Normalized copy distribution for one entity query.
+    pub(crate) fn entity_distribution(&self, key: (u32, u32), n: usize) -> Vec<f32> {
+        Self::normalize(self.entity.get(&key), n)
+    }
+
+    /// Normalized copy distribution for one relation query.
+    pub(crate) fn relation_distribution(&self, key: (u32, u32), m: usize) -> Vec<f32> {
+        Self::normalize(self.relation.get(&key), m)
+    }
+
+    fn normalize(counts: Option<&HashMap<u32, f32>>, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; n];
-        if let Some(c) = counts.get(&key) {
+        if let Some(c) = counts {
             let total: f32 = c.values().sum();
             if total > 0.0 {
                 for (&cand, &cnt) in c {
@@ -70,19 +74,41 @@ impl CyGNetCopy {
     }
 }
 
+/// Copy-generation model: `p = α · copy + (1 - α) · softmax(generation)`.
+pub struct CyGNetCopy {
+    gen: DistMult,
+    index: CopyIndex,
+}
+
+impl CyGNetCopy {
+    /// Builds an untrained model.
+    pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
+        CyGNetCopy { gen: DistMult::new(cfg, ctx), index: CopyIndex::default() }
+    }
+
+    /// Mixes each row's copy distribution into the softmax of `gen`.
+    fn blend(gen: Tensor, copy: impl Fn(usize) -> Vec<f32>) -> Tensor {
+        let mut out = gen.softmax_rows();
+        for i in 0..out.rows() {
+            let copy = copy(i);
+            for (x, c) in out.row_mut(i).iter_mut().zip(copy) {
+                *x = ALPHA * c + (1.0 - ALPHA) * *x;
+            }
+        }
+        out
+    }
+}
+
 impl TkgBaseline for CyGNetCopy {
     fn fit(&mut self, ctx: &TkgContext) {
         self.gen.fit(ctx);
-        // Absorb the training history; evaluation-time history is absorbed
-        // incrementally by `begin_snapshot`.
-        let last_train = ctx.train_idx.last().map(|&i| i + 1).unwrap_or(0);
-        self.absorb_upto(ctx, last_train);
+        self.index.absorb_training(ctx);
     }
 }
 
 impl Forecaster for CyGNetCopy {
     fn begin_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
-        self.absorb_upto(ctx, idx);
+        self.index.absorb_upto(ctx, idx);
     }
 
     fn entity_scores(
@@ -92,17 +118,10 @@ impl Forecaster for CyGNetCopy {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        let gen = self.gen.entity_scores(ctx, idx, subjects, rels).softmax_rows();
-        let n = ctx.num_entities;
-        let mut out = Tensor::zeros(subjects.len(), n);
-        for i in 0..subjects.len() {
-            let copy = Self::copy_distribution(&self.ent_counts, (subjects[i], rels[i]), n);
-            let row = out.row_mut(i);
-            for j in 0..n {
-                row[j] = self.alpha * copy[j] + (1.0 - self.alpha) * gen.get(i, j);
-            }
-        }
-        out
+        let gen = self.gen.entity_scores(ctx, idx, subjects, rels);
+        Self::blend(gen, |i| {
+            self.index.entity_distribution((subjects[i], rels[i]), ctx.num_entities)
+        })
     }
 
     fn relation_scores(
@@ -112,17 +131,10 @@ impl Forecaster for CyGNetCopy {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        let gen = self.gen.relation_scores(ctx, idx, subjects, objects).softmax_rows();
-        let m = self.num_relations;
-        let mut out = Tensor::zeros(subjects.len(), m);
-        for i in 0..subjects.len() {
-            let copy = Self::copy_distribution(&self.rel_counts, (subjects[i], objects[i]), m);
-            let row = out.row_mut(i);
-            for j in 0..m {
-                row[j] = self.alpha * copy[j] + (1.0 - self.alpha) * gen.get(i, j);
-            }
-        }
-        out
+        let gen = self.gen.relation_scores(ctx, idx, subjects, objects);
+        Self::blend(gen, |i| {
+            self.index.relation_distribution((subjects[i], objects[i]), ctx.num_relations)
+        })
     }
 }
 
@@ -156,14 +168,14 @@ mod tests {
 
     #[test]
     fn copy_distribution_normalizes() {
-        let mut counts: HashMap<(u32, u32), HashMap<u32, f32>> = HashMap::new();
-        counts.entry((0, 0)).or_default().insert(1, 3.0);
-        counts.entry((0, 0)).or_default().insert(2, 1.0);
-        let d = CyGNetCopy::copy_distribution(&counts, (0, 0), 4);
+        let mut index = CopyIndex::default();
+        index.entity.entry((0, 0)).or_default().insert(1, 3.0);
+        index.entity.entry((0, 0)).or_default().insert(2, 1.0);
+        let d = index.entity_distribution((0, 0), 4);
         assert!((d.iter().sum::<f32>() - 1.0).abs() < 1e-6);
         assert!((d[1] - 0.75).abs() < 1e-6);
         // Unknown key: all zeros.
-        let z = CyGNetCopy::copy_distribution(&counts, (9, 9), 4);
+        let z = index.entity_distribution((9, 9), 4);
         assert_eq!(z, vec![0.0; 4]);
     }
 
@@ -171,11 +183,11 @@ mod tests {
     fn begin_snapshot_absorbs_incrementally() {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(14).generate());
         let mut cyg = CyGNetCopy::new(StaticTrainConfig::default(), &ctx);
-        assert_eq!(cyg.seen_upto, 0);
+        assert_eq!(cyg.index.seen_upto, 0);
         cyg.begin_snapshot(&ctx, 5);
-        assert_eq!(cyg.seen_upto, 5);
+        assert_eq!(cyg.index.seen_upto, 5);
         // Going backwards is a no-op.
         cyg.begin_snapshot(&ctx, 3);
-        assert_eq!(cyg.seen_upto, 5);
+        assert_eq!(cyg.index.seen_upto, 5);
     }
 }

@@ -8,61 +8,78 @@
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, SeedableRng};
 use retia::{Forecaster, TkgContext};
-use retia_tensor::optim::Adam;
-use retia_tensor::{Graph, ParamStore, Tensor};
+use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
-use crate::traits::{static_triples, StaticTrainConfig, TkgBaseline};
+use crate::train::{all_relations, ids, infer, Batch, MinibatchLoss, BATCH, SEED};
+use crate::traits::{StaticTrainConfig, TkgBaseline};
+
+/// The `ent` and `rel` tables of a static model with inverse relations.
+pub(crate) fn embeddings(dim: usize, ctx: &TkgContext) -> ParamStore {
+    let mut store = ParamStore::new(SEED);
+    store.register_xavier("ent", ctx.num_entities, dim);
+    store.register_xavier("rel", 2 * ctx.num_relations, dim);
+    store
+}
+
+/// The `ent` and `rel` tables as graph nodes.
+pub(crate) fn tables(g: &mut Graph, store: &ParamStore) -> (NodeId, NodeId) {
+    (g.param(store, "ent"), g.param(store, "rel"))
+}
 
 /// DistMult (Yang et al., 2015): `score(s, r, o) = Σ_k s_k r_k o_k`.
 pub struct DistMult {
     cfg: StaticTrainConfig,
-    store: ParamStore,
+    pub(crate) store: ParamStore,
     num_relations: usize,
 }
 
 impl DistMult {
     /// Builds an untrained model for the dataset behind `ctx`.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
-        let mut store = ParamStore::new(cfg.seed);
-        store.register_xavier("ent", ctx.num_entities, cfg.dim);
-        store.register_xavier("rel", 2 * ctx.num_relations, cfg.dim);
-        DistMult { cfg, store, num_relations: ctx.num_relations }
+        DistMult { store: embeddings(cfg.dim, ctx), cfg, num_relations: ctx.num_relations }
     }
 
-    fn sr_product(&self, subjects: &[u32], rels: &[u32]) -> Tensor {
-        let ent = self.store.value("ent");
-        let rel = self.store.value("rel");
-        ent.gather_rows(subjects).mul(&rel.gather_rows(rels))
+    /// Entity logits `[Q, N]`: `(s ∘ r) · e` for every row `e` of `ent`.
+    pub(crate) fn entity_logits(g: &mut Graph, (ent, rel): (NodeId, NodeId), q: &Batch) -> NodeId {
+        let s = g.gather_rows(ent, Rc::clone(&q.subjects));
+        let r = g.gather_rows(rel, Rc::clone(&q.rels));
+        let sr = g.mul(s, r);
+        g.matmul_nt(sr, ent)
+    }
+
+    /// Relation logits `[Q, M]` over the first `m` rows of `rel`: the same
+    /// score, linear in `r`, as `(s ∘ o) · r`.
+    pub(crate) fn relation_logits(
+        g: &mut Graph,
+        (ent, rel): (NodeId, NodeId),
+        subjects: &[u32],
+        objects: &[u32],
+        m: usize,
+    ) -> NodeId {
+        let s = g.gather_rows(ent, ids(subjects));
+        let o = g.gather_rows(ent, ids(objects));
+        let so = g.mul(s, o);
+        let cand = g.gather_rows(rel, all_relations(m));
+        g.matmul_nt(so, cand)
+    }
+}
+
+impl MinibatchLoss for DistMult {
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn batch_loss(&self, g: &mut Graph, batch: &Batch, _rng: &mut StdRng) -> NodeId {
+        let tables = tables(g, &self.store);
+        let logits = Self::entity_logits(g, tables, batch);
+        g.softmax_xent(logits, Rc::clone(&batch.objects))
     }
 }
 
 impl TkgBaseline for DistMult {
     fn fit(&mut self, ctx: &TkgContext) {
-        let triples = static_triples(ctx);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut adam = Adam::new(self.cfg.lr);
-        let mut order: Vec<usize> = (0..triples.len()).collect();
-        for epoch in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch) {
-                let subjects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].0).collect());
-                let rels: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].1).collect());
-                let targets: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].2).collect());
-                let mut g = Graph::new(true, self.cfg.seed ^ epoch as u64);
-                let ent = g.param(&self.store, "ent");
-                let rel = g.param(&self.store, "rel");
-                let s = g.gather_rows(ent, subjects.clone());
-                let r = g.gather_rows(rel, rels.clone());
-                let sr = g.mul(s, r);
-                let logits = g.matmul_nt(sr, ent);
-                let loss = g.softmax_xent(logits, targets.clone());
-                g.backward(loss, &mut self.store);
-                adam.step(&mut self.store);
-                self.store.zero_grad();
-            }
-        }
+        self.fit_minibatches(ctx, self.cfg.epochs, BATCH);
     }
 }
 
@@ -74,7 +91,10 @@ impl Forecaster for DistMult {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        self.sr_product(subjects, rels).matmul_nt(self.store.value("ent"))
+        infer(|g| {
+            let tables = tables(g, &self.store);
+            Self::entity_logits(g, tables, &Batch::queries(subjects, rels, 0))
+        })
     }
 
     fn relation_scores(
@@ -84,12 +104,10 @@ impl Forecaster for DistMult {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        // score(s, ?, o) is linear in r: coefficient = s ∘ o.
-        let ent = self.store.value("ent");
-        let so = ent.gather_rows(subjects).mul(&ent.gather_rows(objects));
-        let rel = self.store.value("rel");
-        let orig: Vec<u32> = (0..self.num_relations as u32).collect();
-        so.matmul_nt(&rel.gather_rows(&orig))
+        infer(|g| {
+            let tables = tables(g, &self.store);
+            Self::relation_logits(g, tables, subjects, objects, self.num_relations)
+        })
     }
 }
 
@@ -97,74 +115,72 @@ impl Forecaster for DistMult {
 /// `score = Re(⟨s, r, conj(o)⟩)`. Stored as `[re | im]` halves.
 pub struct ComplEx {
     cfg: StaticTrainConfig,
-    store: ParamStore,
+    pub(crate) store: ParamStore,
     num_relations: usize,
-    half: usize,
 }
 
 impl ComplEx {
     /// Builds an untrained model. `cfg.dim` must be even.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
         assert!(cfg.dim.is_multiple_of(2), "ComplEx needs an even dimension");
-        let mut store = ParamStore::new(cfg.seed);
-        store.register_xavier("ent", ctx.num_entities, cfg.dim);
-        store.register_xavier("rel", 2 * ctx.num_relations, cfg.dim);
-        let half = cfg.dim / 2;
-        ComplEx { cfg, store, num_relations: ctx.num_relations, half }
+        ComplEx { store: embeddings(cfg.dim, ctx), cfg, num_relations: ctx.num_relations }
     }
 
-    /// `[q_re | q_im]` such that `score = [q_re | q_im] · [o_re | o_im]`.
-    fn query_vector(&self, subjects: &[u32], rels: &[u32]) -> Tensor {
-        let h = self.half;
-        let ent = self.store.value("ent");
-        let rel = self.store.value("rel");
-        let s = ent.gather_rows(subjects);
-        let r = rel.gather_rows(rels);
-        let (s_re, s_im) = (s.slice_cols(0, h), s.slice_cols(h, 2 * h));
-        let (r_re, r_im) = (r.slice_cols(0, h), r.slice_cols(h, 2 * h));
-        // Re(s r conj(o)) = (s_re r_re - s_im r_im)·o_re + (s_re r_im + s_im r_re)·o_im
-        let q_re = s_re.mul(&r_re).sub(&s_im.mul(&r_im));
-        let q_im = s_re.mul(&r_im).add(&s_im.mul(&r_re));
-        q_re.concat_cols(&q_im)
+    /// Gathers rows of `table` and splits them into `[re | im]` halves.
+    fn halves(&self, g: &mut Graph, table: NodeId, rows: Rc<Vec<u32>>) -> (NodeId, NodeId) {
+        let h = self.cfg.dim / 2;
+        let x = g.gather_rows(table, rows);
+        (g.slice_cols(x, 0, h), g.slice_cols(x, h, 2 * h))
+    }
+
+    /// Entity logits `[Q, N]`: `Re(s r conj(o)) = [q_re | q_im] · [o_re | o_im]`
+    /// with `q_re = s_re r_re - s_im r_im` and `q_im = s_re r_im + s_im r_re`.
+    pub(crate) fn entity_logits(&self, g: &mut Graph, q: &Batch) -> NodeId {
+        let (ent, rel) = tables(g, &self.store);
+        let (s_re, s_im) = self.halves(g, ent, Rc::clone(&q.subjects));
+        let (r_re, r_im) = self.halves(g, rel, Rc::clone(&q.rels));
+        let a = g.mul(s_re, r_re);
+        let b = g.mul(s_im, r_im);
+        let q_re = g.sub(a, b);
+        let c = g.mul(s_re, r_im);
+        let d = g.mul(s_im, r_re);
+        let q_im = g.add(c, d);
+        let q = g.concat_cols(q_re, q_im);
+        g.matmul_nt(q, ent)
+    }
+
+    /// Relation logits `[Q, M]`: the same score, linear in `r`, with
+    /// coefficients `c_re = s_re o_re + s_im o_im`, `c_im = s_im o_re - s_re o_im`.
+    fn relation_logits(&self, g: &mut Graph, subjects: &[u32], objects: &[u32]) -> NodeId {
+        let (ent, rel) = tables(g, &self.store);
+        let (s_re, s_im) = self.halves(g, ent, ids(subjects));
+        let (o_re, o_im) = self.halves(g, ent, ids(objects));
+        let a = g.mul(s_re, o_re);
+        let b = g.mul(s_im, o_im);
+        let c_re = g.add(a, b);
+        let c = g.mul(s_im, o_re);
+        let d = g.mul(s_re, o_im);
+        let c_im = g.sub(c, d);
+        let coeff = g.concat_cols(c_re, c_im);
+        let cand = g.gather_rows(rel, all_relations(self.num_relations));
+        g.matmul_nt(coeff, cand)
+    }
+}
+
+impl MinibatchLoss for ComplEx {
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn batch_loss(&self, g: &mut Graph, batch: &Batch, _rng: &mut StdRng) -> NodeId {
+        let logits = self.entity_logits(g, batch);
+        g.softmax_xent(logits, Rc::clone(&batch.objects))
     }
 }
 
 impl TkgBaseline for ComplEx {
     fn fit(&mut self, ctx: &TkgContext) {
-        let triples = static_triples(ctx);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut adam = Adam::new(self.cfg.lr);
-        let h = self.half;
-        let mut order: Vec<usize> = (0..triples.len()).collect();
-        for epoch in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch) {
-                let subjects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].0).collect());
-                let rels: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].1).collect());
-                let targets: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].2).collect());
-                let mut g = Graph::new(true, self.cfg.seed ^ epoch as u64);
-                let ent = g.param(&self.store, "ent");
-                let rel = g.param(&self.store, "rel");
-                let s = g.gather_rows(ent, subjects.clone());
-                let r = g.gather_rows(rel, rels.clone());
-                let s_re = g.slice_cols(s, 0, h);
-                let s_im = g.slice_cols(s, h, 2 * h);
-                let r_re = g.slice_cols(r, 0, h);
-                let r_im = g.slice_cols(r, h, 2 * h);
-                let a = g.mul(s_re, r_re);
-                let b = g.mul(s_im, r_im);
-                let q_re = g.sub(a, b);
-                let c = g.mul(s_re, r_im);
-                let d = g.mul(s_im, r_re);
-                let q_im = g.add(c, d);
-                let q = g.concat_cols(q_re, q_im);
-                let logits = g.matmul_nt(q, ent);
-                let loss = g.softmax_xent(logits, targets.clone());
-                g.backward(loss, &mut self.store);
-                adam.step(&mut self.store);
-                self.store.zero_grad();
-            }
-        }
+        self.fit_minibatches(ctx, self.cfg.epochs, BATCH);
     }
 }
 
@@ -176,7 +192,7 @@ impl Forecaster for ComplEx {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        self.query_vector(subjects, rels).matmul_nt(self.store.value("ent"))
+        infer(|g| self.entity_logits(g, &Batch::queries(subjects, rels, 0)))
     }
 
     fn relation_scores(
@@ -186,20 +202,7 @@ impl Forecaster for ComplEx {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        // Re(s r conj(o)) as a linear function of r:
-        // coeff_re = s_re∘o_re + s_im∘o_im, coeff_im = s_im∘o_re - s_re∘o_im.
-        let h = self.half;
-        let ent = self.store.value("ent");
-        let s = ent.gather_rows(subjects);
-        let o = ent.gather_rows(objects);
-        let (s_re, s_im) = (s.slice_cols(0, h), s.slice_cols(h, 2 * h));
-        let (o_re, o_im) = (o.slice_cols(0, h), o.slice_cols(h, 2 * h));
-        let c_re = s_re.mul(&o_re).add(&s_im.mul(&o_im));
-        let c_im = s_im.mul(&o_re).sub(&s_re.mul(&o_im));
-        let coeff = c_re.concat_cols(&c_im);
-        let rel = self.store.value("rel");
-        let orig: Vec<u32> = (0..self.num_relations as u32).collect();
-        coeff.matmul_nt(&rel.gather_rows(&orig))
+        infer(|g| self.relation_logits(g, subjects, objects))
     }
 }
 

@@ -11,131 +11,99 @@
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, Rng, SeedableRng};
 use retia::{Forecaster, TkgContext};
-use retia_tensor::optim::Adam;
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
+use crate::factorization::{embeddings, tables};
+use crate::train::{
+    all_pairs, infer, l1_distances, margin_loss, Batch, MinibatchLoss, Timestamps, BATCH,
+};
 use crate::traits::{StaticTrainConfig, TkgBaseline};
+
+/// Margin γ of the loss.
+const GAMMA: f32 = 4.0;
 
 /// HyTE with per-timestamp hyperplane normals.
 pub struct HyTE {
     cfg: StaticTrainConfig,
-    store: ParamStore,
+    pub(crate) store: ParamStore,
     num_relations: usize,
-    max_trained_t: u32,
-    /// Margin of the sigmoid ranking loss.
-    pub gamma: f32,
-    /// Negatives per positive.
-    pub num_negatives: usize,
+    times: Timestamps,
 }
 
 impl HyTE {
     /// Builds an untrained model.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
-        let num_ts = ctx.snapshots.last().map(|s| s.t + 1).unwrap_or(1) as usize;
-        let mut store = ParamStore::new(cfg.seed);
-        store.register_xavier("ent", ctx.num_entities, cfg.dim);
-        store.register_xavier("rel", 2 * ctx.num_relations, cfg.dim);
-        store.register_xavier("plane", num_ts, cfg.dim);
-        HyTE {
-            cfg,
-            store,
-            num_relations: ctx.num_relations,
-            max_trained_t: 0,
-            gamma: 4.0,
-            num_negatives: 8,
-        }
+        let mut store = embeddings(cfg.dim, ctx);
+        store.register_xavier("plane", Timestamps::num_ts(ctx), cfg.dim);
+        HyTE { cfg, store, num_relations: ctx.num_relations, times: Timestamps::default() }
     }
 
-    /// Projects rows of `v` onto the hyperplanes `w` (row-aligned; `w` rows
-    /// are L2-normalized inside the graph): `v - (w·v) w`.
-    fn project(g: &mut Graph, v: NodeId, w_unit: NodeId) -> NodeId {
+    /// Unit hyperplane normals `w_t` for each of `times` (`[Q, d]`).
+    pub(crate) fn normals(&self, g: &mut Graph, times: Rc<Vec<u32>>) -> NodeId {
+        let plane = g.param(&self.store, "plane");
+        let w_rows = g.gather_rows(plane, times);
+        g.normalize_rows(w_rows)
+    }
+
+    /// Projects rows of `v` onto the hyperplanes `w_unit` (row-aligned unit
+    /// normals): `v - (w·v) w`.
+    pub(crate) fn project(g: &mut Graph, v: NodeId, w_unit: NodeId) -> NodeId {
         let prod = g.mul(v, w_unit);
         let dots = g.sum_rows(prod); // [Q, 1]
         let scaled = g.mul_col(w_unit, dots);
         g.sub(v, scaled)
     }
 
-    fn clamp_t(&self, t: u32) -> u32 {
-        t.min(self.max_trained_t)
+    /// Projected queries `P_t(s) + P_t(r)` (`[Q, d]`).
+    pub(crate) fn query(
+        g: &mut Graph,
+        (ent, rel): (NodeId, NodeId),
+        w_unit: NodeId,
+        q: &Batch,
+    ) -> NodeId {
+        let s = g.gather_rows(ent, Rc::clone(&q.subjects));
+        let r = g.gather_rows(rel, Rc::clone(&q.rels));
+        let ps = Self::project(g, s, w_unit);
+        let pr = Self::project(g, r, w_unit);
+        g.add(ps, pr)
     }
 
-    /// Eval-time projection in plain tensors.
-    fn project_eval(v: &[f32], w: &[f32]) -> Vec<f32> {
-        let norm: f32 = w.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
-        let wn: Vec<f32> = w.iter().map(|x| x / norm).collect();
-        let dot: f32 = v.iter().zip(wn.iter()).map(|(a, b)| a * b).sum();
-        v.iter().zip(wn.iter()).map(|(a, b)| a - dot * b).collect()
+    /// `‖q - P_t(o)‖₁` per row (`[Q, 1]`).
+    pub(crate) fn distance(
+        g: &mut Graph,
+        ent: NodeId,
+        w_unit: NodeId,
+        q: NodeId,
+        objects: Rc<Vec<u32>>,
+    ) -> NodeId {
+        let o = g.gather_rows(ent, objects);
+        let po = Self::project(g, o, w_unit);
+        let d = g.sub(q, po);
+        let a = g.abs(d);
+        g.sum_rows(a)
+    }
+}
+
+impl MinibatchLoss for HyTE {
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn batch_loss(&self, g: &mut Graph, batch: &Batch, rng: &mut StdRng) -> NodeId {
+        let tables = tables(g, &self.store);
+        let w_unit = self.normals(g, Rc::clone(&batch.times));
+        let q = Self::query(g, tables, w_unit, batch);
+        let (ent, n) = (tables.0, g.value(tables.0).rows());
+        margin_loss(g, batch, GAMMA, n, rng, |g, objects| {
+            Self::distance(g, ent, w_unit, q, objects)
+        })
     }
 }
 
 impl TkgBaseline for HyTE {
     fn fit(&mut self, ctx: &TkgContext) {
-        let m = ctx.num_relations as u32;
-        let mut quads: Vec<(u32, u32, u32, u32)> = Vec::new();
-        for &idx in &ctx.train_idx {
-            for q in &ctx.snapshots[idx].facts {
-                quads.push((q.s, q.r, q.o, q.t));
-                quads.push((q.o, q.r + m, q.s, q.t));
-                self.max_trained_t = self.max_trained_t.max(q.t);
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut adam = Adam::new(self.cfg.lr);
-        let n = ctx.num_entities as u32;
-        let mut order: Vec<usize> = (0..quads.len()).collect();
-        for epoch in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch) {
-                let subjects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].0).collect());
-                let rels: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].1).collect());
-                let objects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].2).collect());
-                let times: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].3).collect());
-
-                let mut g = Graph::new(true, self.cfg.seed ^ epoch as u64);
-                let ent = g.param(&self.store, "ent");
-                let rel = g.param(&self.store, "rel");
-                let plane = g.param(&self.store, "plane");
-                let w_rows = g.gather_rows(plane, times);
-                let w_unit = g.normalize_rows(w_rows);
-
-                let s = g.gather_rows(ent, subjects);
-                let r = g.gather_rows(rel, rels);
-                let ps = Self::project(&mut g, s, w_unit);
-                let pr = Self::project(&mut g, r, w_unit);
-                let q_vec = g.add(ps, pr);
-
-                let dist_to = |g: &mut Graph, objs: Rc<Vec<u32>>| {
-                    let o = g.gather_rows(ent, objs);
-                    let po = Self::project(g, o, w_unit);
-                    let d = g.sub(q_vec, po);
-                    let a = g.abs(d);
-                    g.sum_rows(a)
-                };
-                let d_pos = dist_to(&mut g, objects);
-                let nd = g.scale(d_pos, -1.0);
-                let mp_in = g.add_scalar(nd, self.gamma);
-                let sp = g.sigmoid(mp_in);
-                let lp = g.ln(sp, 1e-9);
-                let mp = g.mean_all(lp);
-                let mut loss = g.scale(mp, -1.0);
-                for _ in 0..self.num_negatives {
-                    let negs: Rc<Vec<u32>> =
-                        Rc::new(chunk.iter().map(|_| rng.gen_range(0..n)).collect());
-                    let d_neg = dist_to(&mut g, negs);
-                    let mn_in = g.add_scalar(d_neg, -self.gamma);
-                    let sn = g.sigmoid(mn_in);
-                    let ln_ = g.ln(sn, 1e-9);
-                    let mn = g.mean_all(ln_);
-                    let term = g.scale(mn, -1.0 / self.num_negatives as f32);
-                    loss = g.add(loss, term);
-                }
-                g.backward(loss, &mut self.store);
-                adam.step(&mut self.store);
-                self.store.zero_grad();
-            }
-        }
+        self.times = self.fit_minibatches(ctx, self.cfg.epochs, BATCH);
     }
 }
 
@@ -147,23 +115,19 @@ impl Forecaster for HyTE {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        let t = self.clamp_t(ctx.snapshots[idx].t) as usize;
-        let ent = self.store.value("ent");
-        let rel = self.store.value("rel");
-        let w = self.store.value("plane").row(t).to_vec();
-        let d = self.cfg.dim;
-        // Pre-project all candidate objects once.
-        let projected: Vec<Vec<f32>> =
-            (0..ctx.num_entities).map(|e| Self::project_eval(ent.row(e), &w)).collect();
-        Tensor::from_fn(subjects.len(), ctx.num_entities, |i, cand| {
-            let ps = Self::project_eval(ent.row(subjects[i] as usize), &w);
-            let pr = Self::project_eval(rel.row(rels[i] as usize), &w);
-            let mut dist = 0.0f32;
-            for k in 0..d {
-                dist += (ps[k] + pr[k] - projected[cand][k]).abs();
-            }
-            -dist
-        })
+        let t = self.times.clamp(ctx.snapshots[idx].t);
+        let (q, n) = (subjects.len(), ctx.num_entities);
+        let queries = Batch::queries(subjects, rels, t);
+        let mut g = Graph::inference();
+        let tables = tables(&mut g, &self.store);
+        let w_unit = self.normals(&mut g, Rc::clone(&queries.times));
+        let query = Self::query(&mut g, tables, w_unit, &queries);
+        // Every candidate, projected once.
+        let w_cand = self.normals(&mut g, Rc::new(vec![t; n]));
+        let cand = Self::project(&mut g, tables.0, w_cand);
+        let cols: Vec<usize> = (0..self.cfg.dim).collect();
+        let dist = l1_distances(g.value(query), g.value(cand), all_pairs(q, n), &cols);
+        Tensor::from_vec(q, n, dist.into_iter().map(|d| -d).collect())
     }
 
     fn relation_scores(
@@ -173,22 +137,16 @@ impl Forecaster for HyTE {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        let t = self.clamp_t(ctx.snapshots[idx].t) as usize;
-        let ent = self.store.value("ent");
-        let rel = self.store.value("rel");
-        let w = self.store.value("plane").row(t).to_vec();
-        let d = self.cfg.dim;
-        let proj_rel: Vec<Vec<f32>> =
-            (0..self.num_relations).map(|r| Self::project_eval(rel.row(r), &w)).collect();
-        Tensor::from_fn(subjects.len(), self.num_relations, |i, r| {
-            let ps = Self::project_eval(ent.row(subjects[i] as usize), &w);
-            let po = Self::project_eval(ent.row(objects[i] as usize), &w);
-            let mut dist = 0.0f32;
-            for k in 0..d {
-                dist += (ps[k] + proj_rel[r][k] - po[k]).abs();
-            }
-            -dist
-        })
+        let t = self.times.clamp(ctx.snapshots[idx].t);
+        let pairs = Batch::relation_pairs(subjects, objects, self.num_relations, t);
+        let scores = infer(|g| {
+            let tables = tables(g, &self.store);
+            let w_unit = self.normals(g, Rc::clone(&pairs.times));
+            let q = Self::query(g, tables, w_unit, &pairs);
+            let d = Self::distance(g, tables.0, w_unit, q, Rc::clone(&pairs.objects));
+            g.scale(d, -1.0)
+        });
+        Tensor::from_vec(subjects.len(), self.num_relations, scores.data().to_vec())
     }
 }
 
@@ -198,11 +156,22 @@ mod tests {
     use retia::{evaluate, Split};
     use retia_data::SyntheticConfig;
 
+    /// `v` projected onto the hyperplane with normal `w` by the graph's
+    /// normalization and [`HyTE::project`].
+    fn project(v: &[f32], w: &[f32]) -> Vec<f32> {
+        let mut g = Graph::inference();
+        let v = g.constant(Tensor::from_vec(1, v.len(), v.to_vec()));
+        let w = g.constant(Tensor::from_vec(1, w.len(), w.to_vec()));
+        let w_unit = g.normalize_rows(w);
+        let p = HyTE::project(&mut g, v, w_unit);
+        g.value(p).row(0).to_vec()
+    }
+
     #[test]
     fn projection_is_orthogonal_to_normal() {
         let v = vec![1.0f32, 2.0, 3.0];
         let w = vec![0.0f32, 1.0, 0.0];
-        let p = HyTE::project_eval(&v, &w);
+        let p = project(&v, &w);
         assert!((p[1]).abs() < 1e-6, "component along normal must vanish: {p:?}");
         assert!((p[0] - 1.0).abs() < 1e-6 && (p[2] - 3.0).abs() < 1e-6);
     }
@@ -211,8 +180,8 @@ mod tests {
     fn projection_is_idempotent() {
         let v = vec![0.5f32, -1.0, 2.0, 0.3];
         let w = vec![1.0f32, 1.0, -0.5, 0.2];
-        let once = HyTE::project_eval(&v, &w);
-        let twice = HyTE::project_eval(&once, &w);
+        let once = project(&v, &w);
+        let twice = project(&once, &w);
         for (a, b) in once.iter().zip(twice.iter()) {
             assert!((a - b).abs() < 1e-5);
         }

@@ -20,6 +20,14 @@
 //! All models implement [`TkgBaseline`] (as does `retia::Trainer`), a
 //! `retia::Forecaster` that can train itself; the harness scores every one
 //! with `retia::evaluate`, the code `retia evaluate` runs.
+//!
+//! Each static and interpolation baseline writes its score once, as a
+//! function building it in an autodiff graph: `fit` trains a loss on it and
+//! the score methods run it in a no-tape inference graph, so a model ranks
+//! with exactly what it trained. They share one training loop (seeded
+//! minibatches of the training facts and their inverses, one Adam step
+//! each), and the distance models (RotatE, TTransE, HyTE) one margin loss.
+//! CyGNet and TiRGN-lite share one index of historical answers.
 
 mod conv;
 mod copy_gen;
@@ -31,6 +39,7 @@ mod rotate;
 mod static_rgcn;
 mod temporal;
 mod tirgn;
+mod train;
 mod traits;
 
 pub use conv::{ConvDecoder, ConvFlavor};

@@ -119,7 +119,6 @@ impl RenetLite {
 impl TkgBaseline for RenetLite {
     fn fit(&mut self, ctx: &TkgContext) {
         let mut adam = Adam::new(self.cfg.lr);
-        let m = ctx.num_relations as u32;
         for epoch in 0..self.cfg.epochs {
             for &idx in &ctx.train_idx {
                 if idx == 0 {
@@ -127,17 +126,7 @@ impl TkgBaseline for RenetLite {
                 }
                 let (history, _) = ctx.history(idx, self.cfg.k);
                 let target = &ctx.snapshots[idx];
-                let mut subjects = Vec::with_capacity(target.facts.len() * 2);
-                let mut rels = Vec::with_capacity(target.facts.len() * 2);
-                let mut targets = Vec::with_capacity(target.facts.len() * 2);
-                for q in &target.facts {
-                    subjects.push(q.s);
-                    rels.push(q.r);
-                    targets.push(q.o);
-                    subjects.push(q.o);
-                    rels.push(q.r + m);
-                    targets.push(q.s);
-                }
+                let (subjects, rels, targets) = retia::entity_queries(target, ctx.num_relations);
                 let mut g = Graph::new(true, self.cfg.seed ^ (epoch * 7919 + idx) as u64);
                 let logits = self.entity_logits(&mut g, &subjects, &rels, history);
                 let le = g.softmax_xent(logits, Rc::new(targets));

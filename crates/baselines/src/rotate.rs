@@ -8,49 +8,48 @@
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, Rng, SeedableRng};
 use retia::{Forecaster, TkgContext};
-use retia_tensor::optim::Adam;
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
-use crate::traits::{static_triples, StaticTrainConfig, TkgBaseline};
+use crate::train::{all_pairs, l1_distances, margin_loss, Batch, MinibatchLoss, BATCH, SEED};
+use crate::traits::{StaticTrainConfig, TkgBaseline};
+
+/// Margin γ of the score and the loss.
+pub(crate) const GAMMA: f32 = 6.0;
 
 /// RotatE with phase-parameterized relations.
 pub struct RotatE {
     cfg: StaticTrainConfig,
-    store: ParamStore,
+    pub(crate) store: ParamStore,
     num_relations: usize,
-    half: usize,
-    /// Margin γ.
-    pub gamma: f32,
-    /// Negatives per positive.
-    pub num_negatives: usize,
 }
 
 impl RotatE {
     /// Builds an untrained model. `cfg.dim` must be even (re/im halves).
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
         assert!(cfg.dim.is_multiple_of(2), "RotatE needs an even dimension");
-        let half = cfg.dim / 2;
-        let mut store = ParamStore::new(cfg.seed);
+        let mut store = ParamStore::new(SEED);
         store.register_xavier("ent", ctx.num_entities, cfg.dim);
         // Phases in radians.
-        store.register_normal("phase", 2 * ctx.num_relations, half, 1.0);
-        RotatE { cfg, store, num_relations: ctx.num_relations, half, gamma: 6.0, num_negatives: 8 }
+        store.register_normal("phase", 2 * ctx.num_relations, cfg.dim / 2, 1.0);
+        RotatE { cfg, store, num_relations: ctx.num_relations }
     }
 
-    /// Rotated query `(s ∘ r)` as `[q_re | q_im]` inside a graph.
-    fn rotate_query(
+    /// The `ent` and `phase` tables.
+    pub(crate) fn tables(&self, g: &mut Graph) -> (NodeId, NodeId) {
+        (g.param(&self.store, "ent"), g.param(&self.store, "phase"))
+    }
+
+    /// Rotated queries `s ∘ r` as `(q_re, q_im)`.
+    pub(crate) fn rotate_query(
         &self,
         g: &mut Graph,
-        ent: NodeId,
-        phase: NodeId,
-        subjects: Rc<Vec<u32>>,
-        rels: Rc<Vec<u32>>,
+        (ent, phase): (NodeId, NodeId),
+        q: &Batch,
     ) -> (NodeId, NodeId) {
-        let h = self.half;
-        let s = g.gather_rows(ent, subjects);
-        let p = g.gather_rows(phase, rels);
+        let h = self.cfg.dim / 2;
+        let s = g.gather_rows(ent, Rc::clone(&q.subjects));
+        let p = g.gather_rows(phase, Rc::clone(&q.rels));
         let s_re = g.slice_cols(s, 0, h);
         let s_im = g.slice_cols(s, h, 2 * h);
         let cosp = g.cos(p);
@@ -65,16 +64,15 @@ impl RotatE {
         (q_re, q_im)
     }
 
-    /// `‖q - o‖₁` per row inside a graph (`[Q, 1]`).
-    fn l1_distance(
+    /// `‖q - o‖₁` per row (`[Q, 1]`), each half summed first.
+    pub(crate) fn l1_distance(
         &self,
         g: &mut Graph,
-        q_re: NodeId,
-        q_im: NodeId,
+        (q_re, q_im): (NodeId, NodeId),
         ent: NodeId,
         objects: Rc<Vec<u32>>,
     ) -> NodeId {
-        let h = self.half;
+        let h = self.cfg.dim / 2;
         let o = g.gather_rows(ent, objects);
         let o_re = g.slice_cols(o, 0, h);
         let o_im = g.slice_cols(o, h, 2 * h);
@@ -87,72 +85,37 @@ impl RotatE {
         g.add(sre, sim)
     }
 
-    /// Plain-tensor rotated queries (eval path).
-    fn rotate_query_eval(&self, subjects: &[u32], rels: &[u32]) -> (Tensor, Tensor) {
-        let h = self.half;
-        let ent = self.store.value("ent");
-        let phase = self.store.value("phase");
-        let s = ent.gather_rows(subjects);
-        let p = phase.gather_rows(rels);
-        let mut q_re = Tensor::zeros(subjects.len(), h);
-        let mut q_im = Tensor::zeros(subjects.len(), h);
-        for i in 0..subjects.len() {
-            for k in 0..h {
-                let (sre, sim) = (s.get(i, k), s.get(i, h + k));
-                let (c, sn) = (p.get(i, k).cos(), p.get(i, k).sin());
-                q_re.set(i, k, sre * c - sim * sn);
-                q_im.set(i, k, sre * sn + sim * c);
-            }
-        }
-        (q_re, q_im)
+    /// `γ - ‖q - o‖₁` of the rotated queries `q` for each `(query row,
+    /// entity)` pair of `pairs`, adding the real and imaginary terms at
+    /// each `k`.
+    fn scores(&self, q: &Batch, pairs: impl Iterator<Item = (usize, usize)>) -> Vec<f32> {
+        let h = self.cfg.dim / 2;
+        let mut g = Graph::inference();
+        let tables = self.tables(&mut g);
+        let (q_re, q_im) = self.rotate_query(&mut g, tables, q);
+        let query = g.concat_cols(q_re, q_im);
+        let interleaved: Vec<usize> = (0..h).flat_map(|k| [k, h + k]).collect();
+        let dist = l1_distances(g.value(query), g.value(tables.0), pairs, &interleaved);
+        dist.into_iter().map(|d| GAMMA - d).collect()
+    }
+}
+
+impl MinibatchLoss for RotatE {
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn batch_loss(&self, g: &mut Graph, batch: &Batch, rng: &mut StdRng) -> NodeId {
+        let tables = self.tables(g);
+        let query = self.rotate_query(g, tables, batch);
+        let (ent, n) = (tables.0, g.value(tables.0).rows());
+        margin_loss(g, batch, GAMMA, n, rng, |g, objects| self.l1_distance(g, query, ent, objects))
     }
 }
 
 impl TkgBaseline for RotatE {
     fn fit(&mut self, ctx: &TkgContext) {
-        let triples = static_triples(ctx);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut adam = Adam::new(self.cfg.lr);
-        let n = ctx.num_entities as u32;
-        let mut order: Vec<usize> = (0..triples.len()).collect();
-        for epoch in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch) {
-                let subjects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].0).collect());
-                let rels: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].1).collect());
-                let objects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].2).collect());
-
-                let mut g = Graph::new(true, self.cfg.seed ^ epoch as u64);
-                let ent = g.param(&self.store, "ent");
-                let phase = g.param(&self.store, "phase");
-                let (q_re, q_im) = self.rotate_query(&mut g, ent, phase, subjects, rels);
-
-                // Positive part: -ln σ(γ - d_pos).
-                let d_pos = self.l1_distance(&mut g, q_re, q_im, ent, objects);
-                let neg_d = g.scale(d_pos, -1.0);
-                let margin_pos = g.add_scalar(neg_d, self.gamma);
-                let sp = g.sigmoid(margin_pos);
-                let lp = g.ln(sp, 1e-9);
-                let mp = g.mean_all(lp);
-                let mut loss = g.scale(mp, -1.0);
-
-                // Negative parts: -ln σ(d_neg - γ), averaged over samples.
-                for _ in 0..self.num_negatives {
-                    let negs: Rc<Vec<u32>> =
-                        Rc::new(chunk.iter().map(|_| rng.gen_range(0..n)).collect());
-                    let d_neg = self.l1_distance(&mut g, q_re, q_im, ent, negs);
-                    let margin_neg = g.add_scalar(d_neg, -self.gamma);
-                    let sn = g.sigmoid(margin_neg);
-                    let ln_ = g.ln(sn, 1e-9);
-                    let mn = g.mean_all(ln_);
-                    let term = g.scale(mn, -1.0 / self.num_negatives as f32);
-                    loss = g.add(loss, term);
-                }
-                g.backward(loss, &mut self.store);
-                adam.step(&mut self.store);
-                self.store.zero_grad();
-            }
-        }
+        self.fit_minibatches(ctx, self.cfg.epochs, BATCH);
     }
 }
 
@@ -164,18 +127,8 @@ impl Forecaster for RotatE {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        let (q_re, q_im) = self.rotate_query_eval(subjects, rels);
-        let ent = self.store.value("ent");
-        let h = self.half;
-        let n = ctx.num_entities;
-        Tensor::from_fn(subjects.len(), n, |i, cand| {
-            let mut dist = 0.0f32;
-            for k in 0..h {
-                dist += (q_re.get(i, k) - ent.get(cand, k)).abs();
-                dist += (q_im.get(i, k) - ent.get(cand, h + k)).abs();
-            }
-            self.gamma - dist
-        })
+        let (q, n) = (subjects.len(), ctx.num_entities);
+        Tensor::from_vec(q, n, self.scores(&Batch::queries(subjects, rels, 0), all_pairs(q, n)))
     }
 
     fn relation_scores(
@@ -185,21 +138,9 @@ impl Forecaster for RotatE {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        let ent = self.store.value("ent");
-        let phase = self.store.value("phase");
-        let h = self.half;
-        let s = ent.gather_rows(subjects);
-        let o = ent.gather_rows(objects);
-        Tensor::from_fn(subjects.len(), self.num_relations, |i, r| {
-            let mut dist = 0.0f32;
-            for k in 0..h {
-                let (sre, sim) = (s.get(i, k), s.get(i, h + k));
-                let (c, sn) = (phase.get(r, k).cos(), phase.get(r, k).sin());
-                dist += (sre * c - sim * sn - o.get(i, k)).abs();
-                dist += (sre * sn + sim * c - o.get(i, h + k)).abs();
-            }
-            self.gamma - dist
-        })
+        let pairs = Batch::relation_pairs(subjects, objects, self.num_relations, 0);
+        let rows = pairs.objects.iter().enumerate().map(|(row, &o)| (row, o as usize));
+        Tensor::from_vec(subjects.len(), self.num_relations, self.scores(&pairs, rows))
     }
 }
 
@@ -228,9 +169,12 @@ mod tests {
     fn rotation_preserves_modulus() {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(8).generate());
         let m = RotatE::new(StaticTrainConfig::default(), &ctx);
-        let (q_re, q_im) = m.rotate_query_eval(&[1], &[0]);
+        let mut g = Graph::inference();
+        let tables = m.tables(&mut g);
+        let (q_re, q_im) = m.rotate_query(&mut g, tables, &Batch::queries(&[1], &[0], 0));
+        let (q_re, q_im) = (g.value(q_re), g.value(q_im));
         let ent = m.store.value("ent");
-        let h = m.half;
+        let h = m.cfg.dim / 2;
         for k in 0..h {
             let before = ent.get(1, k).powi(2) + ent.get(1, h + k).powi(2);
             let after = q_re.get(0, k).powi(2) + q_im.get(0, k).powi(2);

@@ -3,51 +3,39 @@
 //! paper's tables.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, SeedableRng};
 use retia::{Forecaster, TkgContext};
 use retia_graph::{Quad, Snapshot};
 use retia_nn::{EntityRgcn, WeightMode};
-use retia_tensor::optim::Adam;
-use retia_tensor::{Graph, ParamStore, Tensor};
+use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
-use crate::traits::{static_triples, StaticTrainConfig, TkgBaseline};
+use crate::factorization::{embeddings, DistMult};
+use crate::train::{infer, Batch, MinibatchLoss};
+use crate::traits::{StaticTrainConfig, TkgBaseline};
 
-/// R-GCN over the static training graph with a DistMult score head.
+/// Minibatch size in facts: the GCN pass dominates a step, so this model
+/// takes fewer, larger steps than the others.
+const BATCH: usize = 1024;
+
+/// R-GCN over the static training graph with DistMult's score head.
 pub struct StaticRgcn {
     cfg: StaticTrainConfig,
-    store: ParamStore,
+    pub(crate) store: ParamStore,
     rgcn: EntityRgcn,
     static_snap: Option<Snapshot>,
     num_relations: usize,
-    /// Cached post-GCN entity embeddings (refreshed after training).
-    cached_entities: Option<Tensor>,
+    /// The eval-mode encoded entities, computed once after training.
+    encoded: Option<Arc<Tensor>>,
 }
 
 impl StaticRgcn {
     /// Builds an untrained model.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
-        let mut store = ParamStore::new(cfg.seed);
-        store.register_xavier("ent", ctx.num_entities, cfg.dim);
-        store.register_xavier("rel", 2 * ctx.num_relations, cfg.dim);
-        let rgcn = EntityRgcn::new(
-            &mut store,
-            "gcn",
-            cfg.dim,
-            2 * ctx.num_relations,
-            WeightMode::Basis(4),
-            2,
-            0.2,
-        );
-        StaticRgcn {
-            cfg,
-            store,
-            rgcn,
-            static_snap: None,
-            num_relations: ctx.num_relations,
-            cached_entities: None,
-        }
+        let (m, mut store) = (ctx.num_relations, embeddings(cfg.dim, ctx));
+        let rgcn = EntityRgcn::new(&mut store, "gcn", cfg.dim, 2 * m, WeightMode::Basis(4), 2, 0.2);
+        StaticRgcn { cfg, store, rgcn, static_snap: None, num_relations: m, encoded: None }
     }
 
     /// Collapses all training facts into one timestamp-0 snapshot.
@@ -64,46 +52,44 @@ impl StaticRgcn {
         Snapshot::from_quads(&facts, ctx.num_entities, ctx.num_relations)
     }
 
-    fn encode(&self, g: &mut Graph) -> (retia_tensor::NodeId, retia_tensor::NodeId) {
+    /// The encoded entities and the relation table.
+    pub(crate) fn encode(&self, g: &mut Graph) -> (NodeId, NodeId) {
         let snap = self.static_snap.as_ref().expect("fit() must run first");
         let ent = g.param(&self.store, "ent");
         let rel = g.param(&self.store, "rel");
-        let enc = self.rgcn.forward(g, &self.store, ent, rel, snap);
-        (enc, rel)
+        (self.rgcn.forward(g, &self.store, ent, rel, snap), rel)
+    }
+
+    /// Runs a score head over the cached encoding in an inference graph.
+    fn scores(&self, head: impl FnOnce(&mut Graph, (NodeId, NodeId)) -> NodeId) -> Tensor {
+        let encoded = self.encoded.as_ref().expect("fit() must run first");
+        infer(|g| {
+            let enc = g.shared_constant(Arc::clone(encoded));
+            let rel = g.param(&self.store, "rel");
+            head(g, (enc, rel))
+        })
+    }
+}
+
+impl MinibatchLoss for StaticRgcn {
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn batch_loss(&self, g: &mut Graph, batch: &Batch, _rng: &mut StdRng) -> NodeId {
+        let encoded = self.encode(g);
+        let logits = DistMult::entity_logits(g, encoded, batch);
+        g.softmax_xent(logits, Rc::clone(&batch.objects))
     }
 }
 
 impl TkgBaseline for StaticRgcn {
     fn fit(&mut self, ctx: &TkgContext) {
         self.static_snap = Some(Self::build_static_snapshot(ctx));
-        let triples = static_triples(ctx);
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut adam = Adam::new(self.cfg.lr);
-        let mut order: Vec<usize> = (0..triples.len()).collect();
-        // The GCN pass dominates; use larger batches, fewer steps.
-        let batch = self.cfg.batch.max(1024);
-        for epoch in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(batch) {
-                let subjects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].0).collect());
-                let rels: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].1).collect());
-                let targets: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| triples[i].2).collect());
-                let mut g = Graph::new(true, self.cfg.seed ^ epoch as u64);
-                let (enc, rel) = self.encode(&mut g);
-                let s = g.gather_rows(enc, subjects);
-                let r = g.gather_rows(rel, rels);
-                let sr = g.mul(s, r);
-                let logits = g.matmul_nt(sr, enc);
-                let loss = g.softmax_xent(logits, targets);
-                g.backward(loss, &mut self.store);
-                adam.step(&mut self.store);
-                self.store.zero_grad();
-            }
-        }
-        // Cache the eval-mode encoded entities.
-        let mut g = Graph::new(false, 0);
+        self.fit_minibatches(ctx, self.cfg.epochs, BATCH);
+        let mut g = Graph::inference();
         let (enc, _) = self.encode(&mut g);
-        self.cached_entities = Some(g.detach(enc));
+        self.encoded = Some(g.share(enc));
     }
 }
 
@@ -115,9 +101,9 @@ impl Forecaster for StaticRgcn {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        let enc = self.cached_entities.as_ref().expect("fit() must run first");
-        let rel = self.store.value("rel");
-        enc.gather_rows(subjects).mul(&rel.gather_rows(rels)).matmul_nt(enc)
+        self.scores(|g, encoded| {
+            DistMult::entity_logits(g, encoded, &Batch::queries(subjects, rels, 0))
+        })
     }
 
     fn relation_scores(
@@ -127,11 +113,8 @@ impl Forecaster for StaticRgcn {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        let enc = self.cached_entities.as_ref().expect("fit() must run first");
-        let rel = self.store.value("rel");
-        let so = enc.gather_rows(subjects).mul(&enc.gather_rows(objects));
-        let orig: Vec<u32> = (0..self.num_relations as u32).collect();
-        so.matmul_nt(&rel.gather_rows(&orig))
+        let m = self.num_relations;
+        self.scores(|g, encoded| DistMult::relation_logits(g, encoded, subjects, objects, m))
     }
 }
 

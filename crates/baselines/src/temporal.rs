@@ -9,120 +9,85 @@
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use rand::{seq::SliceRandom, Rng, SeedableRng};
 use retia::{Forecaster, TkgContext};
-use retia_tensor::optim::Adam;
-use retia_tensor::{Graph, ParamStore, Tensor};
+use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
+use crate::factorization::embeddings;
+use crate::train::{
+    all_pairs, all_relations, ids, infer, l1_distances, margin_loss, Batch, MinibatchLoss,
+    Timestamps, BATCH,
+};
 use crate::traits::{StaticTrainConfig, TkgBaseline};
 
-/// Training quadruples with inverses: `(s, r(+M), o, t)`.
-fn train_quads(ctx: &TkgContext) -> (Vec<(u32, u32, u32, u32)>, u32) {
-    let m = ctx.num_relations as u32;
-    let mut out = Vec::new();
-    let mut max_t = 0u32;
-    for &idx in &ctx.train_idx {
-        let snap = &ctx.snapshots[idx];
-        for q in &snap.facts {
-            out.push((q.s, q.r, q.o, q.t));
-            out.push((q.o, q.r + m, q.s, q.t));
-            max_t = max_t.max(q.t);
-        }
-    }
-    (out, max_t)
+/// Margin γ of TTransE's loss.
+const GAMMA: f32 = 4.0;
+
+/// The `ent` and `rel` tables plus one `time` row per timestamp (only
+/// training ones receive gradient).
+fn timed_embeddings(dim: usize, ctx: &TkgContext) -> ParamStore {
+    let mut store = embeddings(dim, ctx);
+    store.register_xavier("time", Timestamps::num_ts(ctx), dim);
+    store
+}
+
+/// The parameter tables of an interpolation model: `ent`, `rel` and `time`.
+pub(crate) fn tables(g: &mut Graph, store: &ParamStore) -> (NodeId, NodeId, NodeId) {
+    (g.param(store, "ent"), g.param(store, "rel"), g.param(store, "time"))
 }
 
 /// TTransE (Jiang et al., 2016): `score = -‖s + r + τ_t - o‖₁`.
 pub struct TTransE {
     cfg: StaticTrainConfig,
-    store: ParamStore,
+    pub(crate) store: ParamStore,
     num_relations: usize,
-    max_trained_t: u32,
-    /// Margin for the sigmoid ranking loss.
-    pub gamma: f32,
-    /// Negatives per positive.
-    pub num_negatives: usize,
+    times: Timestamps,
 }
 
 impl TTransE {
-    /// Builds an untrained model; time embeddings cover every timestamp of
-    /// the dataset (only training ones receive gradient).
+    /// Builds an untrained model.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
-        let num_ts = ctx.snapshots.last().map(|s| s.t + 1).unwrap_or(1) as usize;
-        let mut store = ParamStore::new(cfg.seed);
-        store.register_xavier("ent", ctx.num_entities, cfg.dim);
-        store.register_xavier("rel", 2 * ctx.num_relations, cfg.dim);
-        store.register_xavier("time", num_ts, cfg.dim);
-        TTransE {
-            cfg,
-            store,
-            num_relations: ctx.num_relations,
-            max_trained_t: 0,
-            gamma: 4.0,
-            num_negatives: 8,
-        }
+        let (store, times) = (timed_embeddings(cfg.dim, ctx), Timestamps::default());
+        TTransE { cfg, store, num_relations: ctx.num_relations, times }
     }
 
-    fn clamp_t(&self, t: u32) -> u32 {
-        t.min(self.max_trained_t)
+    /// Translated queries `s + r + τ_t` (`[Q, d]`).
+    pub(crate) fn query(
+        g: &mut Graph,
+        (ent, rel, time): (NodeId, NodeId, NodeId),
+        q: &Batch,
+    ) -> NodeId {
+        let s = g.gather_rows(ent, Rc::clone(&q.subjects));
+        let r = g.gather_rows(rel, Rc::clone(&q.rels));
+        let tau = g.gather_rows(time, Rc::clone(&q.times));
+        let sr = g.add(s, r);
+        g.add(sr, tau)
+    }
+
+    /// `‖q - o‖₁` per row (`[Q, 1]`).
+    pub(crate) fn distance(g: &mut Graph, ent: NodeId, q: NodeId, objects: Rc<Vec<u32>>) -> NodeId {
+        let o = g.gather_rows(ent, objects);
+        let d = g.sub(q, o);
+        let a = g.abs(d);
+        g.sum_rows(a)
+    }
+}
+
+impl MinibatchLoss for TTransE {
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn batch_loss(&self, g: &mut Graph, batch: &Batch, rng: &mut StdRng) -> NodeId {
+        let tables = tables(g, &self.store);
+        let q = Self::query(g, tables, batch);
+        let (ent, n) = (tables.0, g.value(tables.0).rows());
+        margin_loss(g, batch, GAMMA, n, rng, |g, objects| Self::distance(g, ent, q, objects))
     }
 }
 
 impl TkgBaseline for TTransE {
     fn fit(&mut self, ctx: &TkgContext) {
-        let (quads, max_t) = train_quads(ctx);
-        self.max_trained_t = max_t;
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut adam = Adam::new(self.cfg.lr);
-        let n = ctx.num_entities as u32;
-        let mut order: Vec<usize> = (0..quads.len()).collect();
-        for epoch in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch) {
-                let subjects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].0).collect());
-                let rels: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].1).collect());
-                let objects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].2).collect());
-                let times: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].3).collect());
-
-                let mut g = Graph::new(true, self.cfg.seed ^ epoch as u64);
-                let ent = g.param(&self.store, "ent");
-                let rel = g.param(&self.store, "rel");
-                let time = g.param(&self.store, "time");
-                let s = g.gather_rows(ent, subjects);
-                let r = g.gather_rows(rel, rels);
-                let tau = g.gather_rows(time, times);
-                let sr = g.add(s, r);
-                let q = g.add(sr, tau);
-
-                let make_dist = |g: &mut Graph, objs: Rc<Vec<u32>>| {
-                    let o = g.gather_rows(ent, objs);
-                    let d = g.sub(q, o);
-                    let a = g.abs(d);
-                    g.sum_rows(a)
-                };
-                let d_pos = make_dist(&mut g, objects);
-                let nd = g.scale(d_pos, -1.0);
-                let mpos = g.add_scalar(nd, self.gamma);
-                let sp = g.sigmoid(mpos);
-                let lp = g.ln(sp, 1e-9);
-                let mp = g.mean_all(lp);
-                let mut loss = g.scale(mp, -1.0);
-                for _ in 0..self.num_negatives {
-                    let negs: Rc<Vec<u32>> =
-                        Rc::new(chunk.iter().map(|_| rng.gen_range(0..n)).collect());
-                    let d_neg = make_dist(&mut g, negs);
-                    let mneg = g.add_scalar(d_neg, -self.gamma);
-                    let sn = g.sigmoid(mneg);
-                    let ln_ = g.ln(sn, 1e-9);
-                    let mn = g.mean_all(ln_);
-                    let term = g.scale(mn, -1.0 / self.num_negatives as f32);
-                    loss = g.add(loss, term);
-                }
-                g.backward(loss, &mut self.store);
-                adam.step(&mut self.store);
-                self.store.zero_grad();
-            }
-        }
+        self.times = self.fit_minibatches(ctx, self.cfg.epochs, BATCH);
     }
 }
 
@@ -134,21 +99,14 @@ impl Forecaster for TTransE {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        let t = self.clamp_t(ctx.snapshots[idx].t);
-        let ent = self.store.value("ent");
-        let rel = self.store.value("rel");
-        let tau = self.store.value("time");
-        let d = self.cfg.dim;
-        let s = ent.gather_rows(subjects);
-        let r = rel.gather_rows(rels);
-        Tensor::from_fn(subjects.len(), ctx.num_entities, |i, cand| {
-            let mut dist = 0.0f32;
-            for k in 0..d {
-                dist +=
-                    (s.get(i, k) + r.get(i, k) + tau.get(t as usize, k) - ent.get(cand, k)).abs();
-            }
-            -dist
-        })
+        let t = self.times.clamp(ctx.snapshots[idx].t);
+        let (q, n) = (subjects.len(), ctx.num_entities);
+        let mut g = Graph::inference();
+        let tables = tables(&mut g, &self.store);
+        let query = Self::query(&mut g, tables, &Batch::queries(subjects, rels, t));
+        let cols: Vec<usize> = (0..self.cfg.dim).collect();
+        let dist = l1_distances(g.value(query), g.value(tables.0), all_pairs(q, n), &cols);
+        Tensor::from_vec(q, n, dist.into_iter().map(|d| -d).collect())
     }
 
     fn relation_scores(
@@ -158,20 +116,15 @@ impl Forecaster for TTransE {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        let t = self.clamp_t(ctx.snapshots[idx].t);
-        let ent = self.store.value("ent");
-        let rel = self.store.value("rel");
-        let tau = self.store.value("time");
-        let d = self.cfg.dim;
-        let s = ent.gather_rows(subjects);
-        let o = ent.gather_rows(objects);
-        Tensor::from_fn(subjects.len(), self.num_relations, |i, r| {
-            let mut dist = 0.0f32;
-            for k in 0..d {
-                dist += (s.get(i, k) + rel.get(r, k) + tau.get(t as usize, k) - o.get(i, k)).abs();
-            }
-            -dist
-        })
+        let t = self.times.clamp(ctx.snapshots[idx].t);
+        let pairs = Batch::relation_pairs(subjects, objects, self.num_relations, t);
+        let scores = infer(|g| {
+            let tables = tables(g, &self.store);
+            let q = Self::query(g, tables, &pairs);
+            let d = Self::distance(g, tables.0, q, Rc::clone(&pairs.objects));
+            g.scale(d, -1.0)
+        });
+        Tensor::from_vec(subjects.len(), self.num_relations, scores.data().to_vec())
     }
 }
 
@@ -181,57 +134,57 @@ impl Forecaster for TTransE {
 /// behaviour the tables test — see DESIGN.md).
 pub struct TaDistMult {
     cfg: StaticTrainConfig,
-    store: ParamStore,
+    pub(crate) store: ParamStore,
     num_relations: usize,
-    max_trained_t: u32,
+    times: Timestamps,
 }
 
 impl TaDistMult {
     /// Builds an untrained model.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
-        let num_ts = ctx.snapshots.last().map(|s| s.t + 1).unwrap_or(1) as usize;
-        let mut store = ParamStore::new(cfg.seed);
-        store.register_xavier("ent", ctx.num_entities, cfg.dim);
-        store.register_xavier("rel", 2 * ctx.num_relations, cfg.dim);
-        store.register_xavier("time", num_ts, cfg.dim);
-        TaDistMult { cfg, store, num_relations: ctx.num_relations, max_trained_t: 0 }
+        let (store, times) = (timed_embeddings(cfg.dim, ctx), Timestamps::default());
+        TaDistMult { cfg, store, num_relations: ctx.num_relations, times }
     }
 
-    fn clamp_t(&self, t: u32) -> u32 {
-        t.min(self.max_trained_t)
+    /// Entity logits `[Q, N]`: `(s ∘ (r + τ_t)) · e` for every entity `e`.
+    pub(crate) fn entity_logits(&self, g: &mut Graph, q: &Batch) -> NodeId {
+        let (ent, rel, time) = tables(g, &self.store);
+        let s = g.gather_rows(ent, Rc::clone(&q.subjects));
+        let r = g.gather_rows(rel, Rc::clone(&q.rels));
+        let tau = g.gather_rows(time, Rc::clone(&q.times));
+        let rt = g.add(r, tau);
+        let sr = g.mul(s, rt);
+        g.matmul_nt(sr, ent)
+    }
+
+    /// Relation logits `[Q, M]` at timestamp `t`: `(s ∘ o) · (r + τ_t)` for
+    /// every original relation.
+    fn relation_logits(&self, g: &mut Graph, subjects: &[u32], objects: &[u32], t: u32) -> NodeId {
+        let (ent, rel, time) = tables(g, &self.store);
+        let s = g.gather_rows(ent, ids(subjects));
+        let o = g.gather_rows(ent, ids(objects));
+        let so = g.mul(s, o);
+        let r = g.gather_rows(rel, all_relations(self.num_relations));
+        let tau = g.gather_rows(time, Rc::new(vec![t; self.num_relations]));
+        let rt = g.add(r, tau);
+        g.matmul_nt(so, rt)
+    }
+}
+
+impl MinibatchLoss for TaDistMult {
+    fn store_mut(&mut self) -> &mut ParamStore {
+        &mut self.store
+    }
+
+    fn batch_loss(&self, g: &mut Graph, batch: &Batch, _rng: &mut StdRng) -> NodeId {
+        let logits = self.entity_logits(g, batch);
+        g.softmax_xent(logits, Rc::clone(&batch.objects))
     }
 }
 
 impl TkgBaseline for TaDistMult {
     fn fit(&mut self, ctx: &TkgContext) {
-        let (quads, max_t) = train_quads(ctx);
-        self.max_trained_t = max_t;
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut adam = Adam::new(self.cfg.lr);
-        let mut order: Vec<usize> = (0..quads.len()).collect();
-        for epoch in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch) {
-                let subjects: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].0).collect());
-                let rels: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].1).collect());
-                let targets: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].2).collect());
-                let times: Rc<Vec<u32>> = Rc::new(chunk.iter().map(|&i| quads[i].3).collect());
-                let mut g = Graph::new(true, self.cfg.seed ^ epoch as u64);
-                let ent = g.param(&self.store, "ent");
-                let rel = g.param(&self.store, "rel");
-                let time = g.param(&self.store, "time");
-                let s = g.gather_rows(ent, subjects);
-                let r = g.gather_rows(rel, rels);
-                let tau = g.gather_rows(time, times);
-                let rt = g.add(r, tau);
-                let sr = g.mul(s, rt);
-                let logits = g.matmul_nt(sr, ent);
-                let loss = g.softmax_xent(logits, targets);
-                g.backward(loss, &mut self.store);
-                adam.step(&mut self.store);
-                self.store.zero_grad();
-            }
-        }
+        self.times = self.fit_minibatches(ctx, self.cfg.epochs, BATCH);
     }
 }
 
@@ -243,13 +196,8 @@ impl Forecaster for TaDistMult {
         subjects: &[u32],
         rels: &[u32],
     ) -> Tensor {
-        let t = self.clamp_t(ctx.snapshots[idx].t) as usize;
-        let ent = self.store.value("ent");
-        let rel = self.store.value("rel");
-        let tau = self.store.value("time");
-        let times: Vec<u32> = vec![t as u32; subjects.len()];
-        let rt = rel.gather_rows(rels).add(&tau.gather_rows(&times));
-        ent.gather_rows(subjects).mul(&rt).matmul_nt(ent)
+        let t = self.times.clamp(ctx.snapshots[idx].t);
+        infer(|g| self.entity_logits(g, &Batch::queries(subjects, rels, t)))
     }
 
     fn relation_scores(
@@ -259,15 +207,8 @@ impl Forecaster for TaDistMult {
         subjects: &[u32],
         objects: &[u32],
     ) -> Tensor {
-        let t = self.clamp_t(ctx.snapshots[idx].t) as usize;
-        let ent = self.store.value("ent");
-        let rel = self.store.value("rel");
-        let tau = self.store.value("time");
-        let so = ent.gather_rows(subjects).mul(&ent.gather_rows(objects));
-        let orig: Vec<u32> = (0..self.num_relations as u32).collect();
-        let times: Vec<u32> = vec![t as u32; self.num_relations];
-        let rt = rel.gather_rows(&orig).add(&tau.gather_rows(&times));
-        so.matmul_nt(&rt)
+        let t = self.times.clamp(ctx.snapshots[idx].t);
+        infer(|g| self.relation_logits(g, subjects, objects, t))
     }
 }
 
@@ -307,8 +248,8 @@ mod tests {
     fn future_timestamps_clamp() {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(10).generate());
         let mut m = TTransE::new(StaticTrainConfig::default(), &ctx);
-        m.max_trained_t = 5;
-        assert_eq!(m.clamp_t(3), 3);
-        assert_eq!(m.clamp_t(99), 5);
+        m.times.max_trained = 5;
+        assert_eq!(m.times.clamp(3), 3);
+        assert_eq!(m.times.clamp(99), 5);
     }
 }

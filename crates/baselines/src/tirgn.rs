@@ -7,66 +7,20 @@
 //! recurrence + one-hop historical repetition; see the paper's §IV-B
 //! discussion of TiRGN's historical candidate restriction).
 
-use std::collections::HashMap;
-
 use retia::{Forecaster, Retia, RetiaConfig, TkgContext, TrainError, Trainer};
 use retia_tensor::Tensor;
 
+use crate::copy_gen::CopyIndex;
 use crate::regcn::RegcnFlavor;
 use crate::traits::TkgBaseline;
 
-/// Frequency index of historical query answers (the "global history").
-#[derive(Default)]
-pub(crate) struct CopyIndex {
-    entity: HashMap<(u32, u32), HashMap<u32, f32>>,
-    relation: HashMap<(u32, u32), HashMap<u32, f32>>,
-    seen_upto: usize,
-}
-
-impl CopyIndex {
-    pub(crate) fn absorb_upto(&mut self, ctx: &TkgContext, upto: usize) {
-        let m = ctx.num_relations as u32;
-        while self.seen_upto < upto {
-            let snap = &ctx.snapshots[self.seen_upto];
-            for q in &snap.facts {
-                *self.entity.entry((q.s, q.r)).or_default().entry(q.o).or_insert(0.0) += 1.0;
-                *self.entity.entry((q.o, q.r + m)).or_default().entry(q.s).or_insert(0.0) += 1.0;
-                *self.relation.entry((q.s, q.o)).or_default().entry(q.r).or_insert(0.0) += 1.0;
-            }
-            self.seen_upto += 1;
-        }
-    }
-
-    /// Normalized copy distribution for one entity query.
-    pub(crate) fn entity_distribution(&self, key: (u32, u32), n: usize) -> Vec<f32> {
-        Self::normalize(self.entity.get(&key), n)
-    }
-
-    /// Normalized copy distribution for one relation query.
-    pub(crate) fn relation_distribution(&self, key: (u32, u32), m: usize) -> Vec<f32> {
-        Self::normalize(self.relation.get(&key), m)
-    }
-
-    fn normalize(counts: Option<&HashMap<u32, f32>>, n: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; n];
-        if let Some(c) = counts {
-            let total: f32 = c.values().sum();
-            if total > 0.0 {
-                for (&cand, &cnt) in c {
-                    out[cand as usize] = cnt / total;
-                }
-            }
-        }
-        out
-    }
-}
+/// Global-channel weight `α` (TiRGN's `history rate`).
+const ALPHA: f32 = 0.3;
 
 /// The TiRGN-lite baseline: local RE-GCN channel + global copy channel.
 pub struct TirgnLite {
     local: Trainer,
     index: CopyIndex,
-    /// Global-channel weight `α` (TiRGN's `history rate`).
-    pub alpha: f32,
 }
 
 impl TirgnLite {
@@ -76,11 +30,10 @@ impl TirgnLite {
         TirgnLite {
             local: Trainer::new(Retia::with_shape(&cfg, ctx.num_entities, ctx.num_relations), cfg),
             index: CopyIndex::default(),
-            alpha: 0.3,
         }
     }
 
-    fn blend(&self, local: Tensor, copy_rows: Vec<Vec<f32>>) -> Tensor {
+    fn blend(local: Tensor, copy_rows: Vec<Vec<f32>>) -> Tensor {
         // Local scores are summed softmax probabilities over the k decode
         // states; renormalize rows to distributions before mixing.
         let mut out = local;
@@ -91,7 +44,7 @@ impl TirgnLite {
                 row.iter_mut().for_each(|x| *x /= row_sum);
             }
             for (x, &c) in row.iter_mut().zip(copies.iter()) {
-                *x = (1.0 - self.alpha) * *x + self.alpha * c;
+                *x = (1.0 - ALPHA) * *x + ALPHA * c;
             }
         }
         out
@@ -101,8 +54,7 @@ impl TirgnLite {
 impl TkgBaseline for TirgnLite {
     fn fit(&mut self, ctx: &TkgContext) {
         self.local.fit(ctx);
-        let last_train = ctx.train_idx.last().map(|&i| i + 1).unwrap_or(0);
-        self.index.absorb_upto(ctx, last_train);
+        self.index.absorb_training(ctx);
     }
 
     fn loss_history(&self) -> Vec<(f64, f64, f64)> {
@@ -129,7 +81,7 @@ impl Forecaster for TirgnLite {
             .zip(rels.iter())
             .map(|(&s, &r)| self.index.entity_distribution((s, r), ctx.num_entities))
             .collect();
-        self.blend(local, copies)
+        Self::blend(local, copies)
     }
 
     fn relation_scores(
@@ -145,7 +97,7 @@ impl Forecaster for TirgnLite {
             .zip(objects.iter())
             .map(|(&s, &o)| self.index.relation_distribution((s, o), ctx.num_relations))
             .collect();
-        self.blend(local, copies)
+        Self::blend(local, copies)
     }
 
     fn end_snapshot(&mut self, ctx: &TkgContext, idx: usize) -> Result<(), TrainError> {

@@ -27,39 +27,21 @@ impl TkgBaseline for Trainer {
     }
 }
 
-/// Hyperparameters shared by the static / interpolation baselines.
+/// Hyperparameters of the static / interpolation baselines. Their learning
+/// rate, minibatch size and seed are shared constants of the one training
+/// loop (`crate::train`).
 #[derive(Clone, Debug)]
 pub struct StaticTrainConfig {
     /// Embedding dimensionality.
     pub dim: usize,
     /// Training epochs over the (static) triple set.
     pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Minibatch size in facts.
-    pub batch: usize,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for StaticTrainConfig {
     fn default() -> Self {
-        StaticTrainConfig { dim: 32, epochs: 20, lr: 1e-2, batch: 512, seed: 7 }
+        StaticTrainConfig { dim: 32, epochs: 20 }
     }
-}
-
-/// All training triples with inverses appended (`(o, r + M, s)`), the static
-/// view shared by the non-temporal baselines.
-pub(crate) fn static_triples(ctx: &TkgContext) -> Vec<(u32, u32, u32)> {
-    let m = ctx.num_relations as u32;
-    let mut out = Vec::new();
-    for &idx in &ctx.train_idx {
-        for q in &ctx.snapshots[idx].facts {
-            out.push((q.s, q.r, q.o));
-            out.push((q.o, q.r + m, q.s));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -106,16 +88,5 @@ mod tests {
             "mrr {} expected ~{expected_mrr}",
             report.entity_raw.mrr()
         );
-    }
-
-    #[test]
-    fn static_triples_include_inverses() {
-        let ds = SyntheticConfig::tiny(3).generate();
-        let ctx = TkgContext::new(&ds);
-        let triples = static_triples(&ctx);
-        assert_eq!(triples.len() % 2, 0);
-        let m = ctx.num_relations as u32;
-        assert!(triples.iter().any(|&(_, r, _)| r >= m));
-        assert!(triples.iter().any(|&(_, r, _)| r < m));
     }
 }

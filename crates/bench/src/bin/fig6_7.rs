@@ -1,6 +1,8 @@
 //! Figures 6 and 7: relation-modeling depth on ICEWS18 — entity forecasting
 //! (Fig. 6) and relation forecasting (Fig. 7) across `wo. RM`, `w. MP`,
 //! `w. MP+LSTM` (the RE-GCN/TiRGN level) and `w. MP+LSTM+Agg` (full RETIA).
+//! `w. MP+LSTM` is RETIA with `RelationMode::MpLstm` and nothing else
+//! changed, which is the CEN configuration, so its row is CEN's run.
 
 use retia_bench::report::Report;
 use retia_bench::{run_experiment, Settings, Variant};
@@ -18,7 +20,7 @@ fn main() {
     let variants = [
         ("wo. RM", Variant::RetiaRmNone),
         ("w. MP", Variant::RetiaRmMp),
-        ("w. MP+LSTM", Variant::RetiaRmMpLstm),
+        ("w. MP+LSTM", Variant::Cen),
         ("w. MP+LSTM+Agg", Variant::Retia),
     ];
 

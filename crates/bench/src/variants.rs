@@ -60,10 +60,9 @@ pub enum Variant {
     /// Relation modeling ablations (Figures 6–7; `RmNone` is also Table VI's
     /// "wo. RAM").
     RetiaRmNone,
-    /// "w. MP" — mean pooling only.
+    /// "w. MP" — mean pooling only. (The next level, "w. MP+LSTM", is
+    /// exactly [`Variant::Cen`]'s configuration.)
     RetiaRmMp,
-    /// "w. MP+LSTM" — the RE-GCN level.
-    RetiaRmMpLstm,
     /// Hyperrelation ablations (Figure 5): initial embeddings into the RAM.
     RetiaHrmInit,
     /// "w. HMP" — hyper mean pooling only.
@@ -110,7 +109,6 @@ impl Variant {
             Variant::RetiaNoEam => "retia-wo-eam",
             Variant::RetiaRmNone => "retia-rm-none",
             Variant::RetiaRmMp => "retia-rm-mp",
-            Variant::RetiaRmMpLstm => "retia-rm-mplstm",
             Variant::RetiaHrmInit => "retia-hrm-init",
             Variant::RetiaHrmHmp => "retia-hrm-hmp",
             Variant::Regcn => "regcn",
@@ -140,7 +138,6 @@ impl Variant {
             Variant::RetiaNoEam => "wo. EAM",
             Variant::RetiaRmNone => "wo. RM / wo. RAM",
             Variant::RetiaRmMp => "w. MP",
-            Variant::RetiaRmMpLstm => "w. MP+LSTM",
             Variant::RetiaHrmInit => "wo. HRM",
             Variant::RetiaHrmHmp => "w. HMP",
             Variant::Regcn => "RE-GCN",
@@ -193,13 +190,7 @@ impl Variant {
         s: &Settings,
     ) -> Box<dyn TkgBaseline> {
         let base = retia_config_for(profile, s);
-        let static_cfg = StaticTrainConfig {
-            dim: s.dim,
-            epochs: s.static_epochs,
-            lr: 1e-2,
-            batch: 512,
-            seed: 7,
-        };
+        let static_cfg = StaticTrainConfig { dim: s.dim, epochs: s.static_epochs };
         // RETIA, its ablations and the RE-GCN family are trainers over
         // different configurations, scored like `retia evaluate` scores them.
         let trainer = |cfg: RetiaConfig| -> Box<dyn TkgBaseline> {
@@ -215,9 +206,6 @@ impl Variant {
                 trainer(RetiaConfig { relation_mode: RelationMode::None, ..base })
             }
             Variant::RetiaRmMp => trainer(RetiaConfig { relation_mode: RelationMode::Mp, ..base }),
-            Variant::RetiaRmMpLstm => {
-                trainer(RetiaConfig { relation_mode: RelationMode::MpLstm, ..base })
-            }
             Variant::RetiaHrmInit => {
                 trainer(RetiaConfig { hyperrel_mode: HyperrelMode::Init, ..base })
             }
@@ -258,7 +246,6 @@ mod tests {
             Variant::RetiaNoEam,
             Variant::RetiaRmNone,
             Variant::RetiaRmMp,
-            Variant::RetiaRmMpLstm,
             Variant::RetiaHrmInit,
             Variant::RetiaHrmHmp,
             Variant::Regcn,
@@ -279,6 +266,60 @@ mod tests {
         ];
         let ids: std::collections::HashSet<_> = all.iter().map(|v| v.id()).collect();
         assert_eq!(ids.len(), all.len());
+    }
+
+    /// Figures 6–7's "w. MP+LSTM" row reads CEN's run: the two would be one
+    /// configuration trained twice.
+    #[test]
+    fn cen_is_retia_with_mp_lstm_relations() {
+        for profile in DatasetProfile::ALL {
+            let base = retia_config_for(profile, &Settings::default());
+            let mp_lstm = RetiaConfig { relation_mode: RelationMode::MpLstm, ..base.clone() };
+            assert_eq!(RegcnFlavor::Cen.config(&base), mp_lstm, "{}", profile.name());
+        }
+    }
+
+    /// Builds every model that is not a `Trainer` configuration through
+    /// `Variant::build`, fits it for one epoch at d=8 on the tiny profile and
+    /// scores it with `retia::evaluate`.
+    #[test]
+    fn every_baseline_variant_fits_and_scores_on_the_tiny_profile() {
+        let ctx = TkgContext::new(&SyntheticConfig::tiny(5).generate());
+        let settings =
+            Settings { dim: 8, channels: 4, epochs: 1, static_epochs: 1, refresh: false };
+        let facts: usize = ctx.test_idx.iter().map(|&i| ctx.snapshots[i].facts.len()).sum();
+        for variant in [
+            Variant::CyGNet,
+            Variant::DistMult,
+            Variant::ComplEx,
+            Variant::ConvE,
+            Variant::ConvTransE,
+            Variant::RotatE,
+            Variant::StaticRgcn,
+            Variant::TTransE,
+            Variant::TaDistMult,
+            Variant::Tirgn,
+            Variant::Hyte,
+            Variant::Renet,
+        ] {
+            let mut model = variant.build(DatasetProfile::Yago, &ctx, &settings);
+            model.fit(&ctx);
+            let report = retia::evaluate(model.as_mut(), &ctx, retia::Split::Test).unwrap();
+            let name = variant.label();
+            for (metrics, count) in [
+                (report.entity_raw, 2 * facts),
+                (report.entity_filtered, 2 * facts),
+                (report.relation_raw, facts),
+                (report.relation_filtered, facts),
+            ] {
+                let (mrr, h1, h3, h10) = metrics.as_percentages();
+                assert!(
+                    [mrr, h1, h3, h10].iter().all(|x| x.is_finite()),
+                    "{name}: non-finite metrics {metrics:?}"
+                );
+                assert_eq!(metrics.count(), count, "{name}: query count");
+            }
+        }
     }
 
     #[test]

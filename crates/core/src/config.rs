@@ -43,7 +43,7 @@ pub enum HyperrelMode {
 }
 
 /// Full configuration of a RETIA model and its trainer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RetiaConfig {
     /// Embedding dimensionality `d` (the paper uses 200; the mini-scale
     /// harness uses 32).

@@ -34,14 +34,6 @@ pub struct FrozenStates {
 }
 
 impl FrozenStates {
-    /// Approximate resident size in bytes (for cache accounting).
-    pub fn num_bytes(&self) -> usize {
-        self.states
-            .iter()
-            .map(|(e, r)| (e.data().len() + r.data().len()) * std::mem::size_of::<f32>())
-            .sum()
-    }
-
     /// Re-inserts the cached embedding matrices into a fresh inference
     /// graph as constants sharing the cache's buffers (a decode writes none
     /// of them).
@@ -62,7 +54,8 @@ impl FrozenStates {
 
 impl Retia {
     /// Runs the RAM/EAM/TIM recurrence once over `history` in a no-tape
-    /// inference graph and returns the detached last-`k` states.
+    /// inference graph and returns the detached last-`k` states, moved out
+    /// of the graph without a copy ([`Graph::share`]).
     ///
     /// Panics if the inference graph recorded any tape op — the no-grad
     /// guarantee the serve engine advertises.
@@ -71,9 +64,11 @@ impl Retia {
         let states = self.evolve(&mut g, history, hypers);
         let last = last_k(&states, self.cfg.k);
         assert_eq!(g.tape_ops(), 0, "inference evolve must not allocate a tape");
-        let detach = |id| Arc::new(g.detach(id));
+        // The graph is dropped next, so its states move out instead of being
+        // copied. A state node repeated across timestamps (a static `R_t`,
+        // or every `E_t` without the EAM) shares one buffer.
         FrozenStates {
-            states: last.iter().map(|st| (detach(st.entities), detach(st.relations))).collect(),
+            states: last.iter().map(|st| (g.share(st.entities), g.share(st.relations))).collect(),
         }
     }
 
@@ -348,10 +343,33 @@ mod tests {
         let (history, hypers) = ctx.history(idx, 5);
         let frozen = fm.evolve_window(history, hypers);
         assert_eq!(frozen.states.len(), fm.cfg.k.min(history.len().max(1)));
-        assert!(frozen.num_bytes() > 0);
         for (e, r) in &frozen.states {
             assert_eq!(e.shape(), (fm.num_entities(), fm.cfg.dim));
             assert_eq!(r.shape(), (2 * fm.num_relations(), fm.cfg.dim));
+        }
+    }
+
+    /// A static relation table is one node at every timestamp, so the
+    /// window holds it once, not `k` times.
+    #[test]
+    fn a_static_relation_table_is_one_buffer_across_the_window() {
+        let ds = SyntheticConfig::tiny(3).generate();
+        let ctx = TkgContext::new(&ds);
+        let cfg = RetiaConfig {
+            dim: 8,
+            channels: 4,
+            k: 3,
+            relation_mode: crate::RelationMode::Static,
+            ..Default::default()
+        };
+        let model = Retia::new(&cfg, &ds);
+        let idx = *ctx.test_idx.last().expect("test split");
+        let (history, hypers) = ctx.history(idx, cfg.k);
+        let frozen = model.evolve_window(history, hypers);
+        assert_eq!(frozen.states.len(), cfg.k);
+        let (_, first) = &frozen.states[0];
+        for (_, r) in &frozen.states[1..] {
+            assert!(Arc::ptr_eq(first, r), "the k relation states must share one buffer");
         }
     }
 }

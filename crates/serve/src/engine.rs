@@ -9,10 +9,11 @@
 //! re-scores the later one against the advanced window), with consecutive
 //! query jobs fused into a single `[Q, N]` / `[Q, M]` scoring matmul.
 //!
-//! The cache holds the detached last-`k` embedding matrices per window
-//! *epoch* (bumped on every ingest), keyed by `(window_end, epoch)`. A query
-//! against a cached epoch is a decode plus a bounded top-k heap; the first
-//! query after an ingest pays one recurrence over the window.
+//! The cache holds the detached last-`k` embedding matrices of the current
+//! window under the current model, one slot emptied whenever either
+//! changes. A query against a warm slot is a decode plus a bounded top-k
+//! heap. An ingest pays one recurrence over the window, and so does a model
+//! swap that brings no states for it.
 //!
 //! Admission control sits on top of that model: the job queue is bounded
 //! ([`EngineOptions::queue_cap`]). A full queue bounces the submission with
@@ -506,9 +507,9 @@ struct EngineState {
     model: FrozenModel,
     /// The last `k` snapshots and their hypergraphs.
     window: Window,
-    /// `(epoch, window_end, states)`, most recent last.
-    cache: VecDeque<(u64, u32, FrozenStates)>,
-    cache_cap: usize,
+    /// The window's evolved states under the current model; emptied
+    /// whenever the window or the model changes.
+    states: Option<FrozenStates>,
     epoch: u64,
     /// Served-model version; bumped on every swap.
     model_epoch: u64,
@@ -523,16 +524,8 @@ impl EngineState {
         stats: Arc<EngineStats>,
         store: Option<retia_store::Appender>,
     ) -> EngineState {
-        let state = EngineState {
-            model,
-            window,
-            cache: VecDeque::new(),
-            cache_cap: 4,
-            epoch: 0,
-            model_epoch: 0,
-            stats,
-            store,
-        };
+        let state =
+            EngineState { model, window, states: None, epoch: 0, model_epoch: 0, stats, store };
         state.publish_window_gauges();
         state
     }
@@ -550,11 +543,11 @@ impl EngineState {
         retia_obs::metrics::set_gauge("serve.window_len", self.window.snapshots().len() as f64);
     }
 
-    /// Makes sure the current epoch's evolved states are cached, recording
+    /// Makes sure the window's evolved states are cached, recording
     /// hit/miss counters. The whole consultation is one `serve.cache` stage
     /// in request traces; on a miss the `serve.evolve` span nests under it.
     fn ensure_states(&mut self) {
-        let hit = self.cache.iter().any(|(e, _, _)| *e == self.epoch);
+        let hit = self.states.is_some();
         let _t = retia_obs::span!(stages::CACHE, hit = u8::from(hit));
         if hit {
             retia_obs::metrics::inc("serve.cache_hit");
@@ -562,12 +555,7 @@ impl EngineState {
         }
         retia_obs::metrics::inc("serve.cache_miss");
         let _evolve = retia_obs::span!(stages::EVOLVE, window = self.window.snapshots().len());
-        let states = self.model.evolve_window(self.window.snapshots(), self.window.hypers());
-        self.cache.push_back((self.epoch, self.window_end(), states));
-        while self.cache.len() > self.cache_cap {
-            self.cache.pop_front();
-        }
-        retia_obs::metrics::set_gauge("serve.cache_entries", self.cache.len() as f64);
+        self.states = Some(self.model.evolve_window(self.window.snapshots(), self.window.hypers()));
     }
 
     fn run(&mut self, shared: &Shared) {
@@ -656,6 +644,8 @@ impl EngineState {
         // The check above passed against this same window, so the push
         // applies: an appended batch is never left out of the window.
         self.window.push(facts).map_err(invalid)?;
+        // Free the stale states before the new ones are evolved.
+        self.states = None;
         self.epoch += 1;
         self.stats.ingest_epoch.store(self.epoch, Ordering::Release);
         self.publish_window_gauges();
@@ -695,13 +685,12 @@ impl EngineState {
                 req.model.cfg.k, self.model.cfg.k
             )));
         }
+        // Cached states encode the *old* weights.
+        self.states = None;
         self.model = req.model;
-        // Cached states encode the *old* weights; every entry is now stale
-        // regardless of epoch key.
-        self.cache.clear();
         let states_reused = match req.states {
             Some(states) if trained_epoch == self.epoch => {
-                self.cache.push_back((self.epoch, self.window_end(), states));
+                self.states = Some(states);
                 true
             }
             _ => false,
@@ -716,7 +705,6 @@ impl EngineState {
         self.stats.trained_epoch.store(trained_epoch, Ordering::Release);
         retia_obs::metrics::inc("serve.swaps");
         retia_obs::metrics::set_gauge("serve.model_epoch", self.model_epoch as f64);
-        retia_obs::metrics::set_gauge("serve.cache_entries", self.cache.len() as f64);
         Ok(SwapResponse { model_epoch: self.model_epoch, states_reused })
     }
 
@@ -783,12 +771,7 @@ impl EngineState {
                 }
             }
             self.ensure_states();
-            let states = self
-                .cache
-                .iter()
-                .find(|(e, _, _)| *e == self.epoch)
-                .map(|(_, _, s)| s)
-                .expect("states cached by ensure_states above");
+            let states = self.states.as_ref().expect("states cached by ensure_states above");
             let model = &self.model;
             let ent_probs = (!ent_args.0.is_empty())
                 .then(|| model.decode_entity(states, ent_args.0, ent_args.1));

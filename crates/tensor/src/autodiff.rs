@@ -296,6 +296,26 @@ impl Graph {
         self.value(id).clone()
     }
 
+    /// A node's value behind an `Arc`, with no gradient connection and no
+    /// copy: an owned value moves behind the `Arc` in place, and the graph
+    /// keeps reading the same buffer. A node already shared (a parameter,
+    /// a [`Graph::shared_constant`], or one passed here before) hands out
+    /// its existing `Arc`, so two calls on one node return one buffer.
+    ///
+    /// # Panics
+    /// Panics if [`Graph::release_since`] freed the node.
+    pub fn share(&mut self, id: NodeId) -> Arc<Tensor> {
+        let node = &mut self.nodes[id.0];
+        let shared = match std::mem::replace(&mut node.value, Value::Released) {
+            Value::Owned(t) => Some(Arc::new(t)),
+            Value::Shared(t) => Some(t),
+            Value::Released => None,
+        }
+        .expect("node value was freed by Graph::release_since: pass the node in `keep`");
+        node.value = Value::Shared(Arc::clone(&shared));
+        shared
+    }
+
     // ---- inputs -----------------------------------------------------------
 
     /// Inserts a constant (non-differentiable) input.
@@ -1641,6 +1661,29 @@ mod tests {
             );
             assert_eq!(g.value_bytes(), 0, "a shared parameter buffer is not owned by the graph");
         }
+    }
+
+    #[test]
+    fn share_moves_an_owned_value_and_hands_out_one_buffer() {
+        let mut store = ParamStore::new(0);
+        store.register("w", sample(3, 3, 2));
+        let mut g = Graph::inference();
+        let x = g.constant(sample(2, 3, 1));
+        let w = g.param(&store, "w");
+        let y = g.matmul(x, w);
+        let expected = g.detach(y);
+        let ptr = g.value(y).data().as_ptr();
+        let owned = g.value_bytes();
+
+        let a = g.share(y);
+        let b = g.share(y);
+        assert_eq!(*a, expected);
+        assert_eq!(a.data().as_ptr(), ptr, "sharing must move the buffer, not copy it");
+        assert!(Arc::ptr_eq(&a, &b), "a node shared twice must hand out one buffer");
+        assert_eq!(g.value(y), &expected, "the graph keeps reading the shared value");
+        assert_eq!(g.value_bytes(), owned - expected.len() * std::mem::size_of::<f32>());
+        let p = g.share(w);
+        assert_eq!(p.data().as_ptr(), store.value("w").data().as_ptr());
     }
 
     #[test]
