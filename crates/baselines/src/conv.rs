@@ -12,7 +12,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use retia::{Forecaster, TkgContext};
+use retia::{Forecaster, Past, TkgContext};
 use retia_nn::ConvTransE;
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
@@ -125,26 +125,14 @@ impl TkgBaseline for ConvDecoder {
 }
 
 impl Forecaster for ConvDecoder {
-    fn entity_scores(
-        &self,
-        _ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
+    fn entity_scores(&self, _past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
         infer(|g| {
             let tables = tables(g, &self.store);
             self.entity_logits(g, tables, &Batch::queries(subjects, rels, 0))
         })
     }
 
-    fn relation_scores(
-        &self,
-        _ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
+    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
         infer(|g| {
             let tables = tables(g, &self.store);
             self.relation_logits(g, tables, ids(subjects), ids(objects))

@@ -9,7 +9,8 @@
 
 use std::collections::HashMap;
 
-use retia::{Forecaster, TkgContext};
+use retia::{Forecaster, Past, TkgContext};
+use retia_graph::Snapshot;
 use retia_tensor::Tensor;
 
 use crate::factorization::DistMult;
@@ -20,7 +21,7 @@ const ALPHA: f32 = 0.8;
 
 /// Frequency index of historical query answers: how often each candidate
 /// answered an entity query `(s, r)` or a relation query `(s, o)` in the
-/// snapshots absorbed so far.
+/// snapshots absorbed so far, which are a prefix of the timeline.
 #[derive(Default)]
 pub(crate) struct CopyIndex {
     entity: HashMap<(u32, u32), HashMap<u32, f32>>,
@@ -29,11 +30,11 @@ pub(crate) struct CopyIndex {
 }
 
 impl CopyIndex {
-    /// Absorbs every snapshot before `upto` not absorbed yet.
-    pub(crate) fn absorb_upto(&mut self, ctx: &TkgContext, upto: usize) {
-        let m = ctx.num_relations as u32;
-        while self.seen_upto < upto {
-            let snap = &ctx.snapshots[self.seen_upto];
+    /// Absorbs the snapshots of the prefix `history` not absorbed yet: a
+    /// [`Past`]'s snapshots at scoring time.
+    pub(crate) fn absorb(&mut self, history: &[Snapshot], num_relations: usize) {
+        let m = num_relations as u32;
+        for snap in history.get(self.seen_upto..).unwrap_or_default() {
             for q in &snap.facts {
                 *self.entity.entry((q.s, q.r)).or_default().entry(q.o).or_insert(0.0) += 1.0;
                 *self.entity.entry((q.o, q.r + m)).or_default().entry(q.s).or_insert(0.0) += 1.0;
@@ -47,7 +48,7 @@ impl CopyIndex {
     /// one); evaluation-time history follows through `begin_snapshot`.
     pub(crate) fn absorb_training(&mut self, ctx: &TkgContext) {
         let last_train = ctx.train_idx.last().map(|&i| i + 1).unwrap_or(0);
-        self.absorb_upto(ctx, last_train);
+        self.absorb(&ctx.snapshots[..last_train], ctx.num_relations);
     }
 
     /// Normalized copy distribution for one entity query.
@@ -107,33 +108,21 @@ impl TkgBaseline for CyGNetCopy {
 }
 
 impl Forecaster for CyGNetCopy {
-    fn begin_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
-        self.index.absorb_upto(ctx, idx);
+    fn begin_snapshot(&mut self, past: Past<'_>) {
+        self.index.absorb(past.snapshots, past.num_relations);
     }
 
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let gen = self.gen.entity_scores(ctx, idx, subjects, rels);
+    fn entity_scores(&self, past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
+        let gen = self.gen.entity_scores(past, subjects, rels);
         Self::blend(gen, |i| {
-            self.index.entity_distribution((subjects[i], rels[i]), ctx.num_entities)
+            self.index.entity_distribution((subjects[i], rels[i]), past.num_entities)
         })
     }
 
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        let gen = self.gen.relation_scores(ctx, idx, subjects, objects);
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        let gen = self.gen.relation_scores(past, subjects, objects);
         Self::blend(gen, |i| {
-            self.index.relation_distribution((subjects[i], objects[i]), ctx.num_relations)
+            self.index.relation_distribution((subjects[i], objects[i]), past.num_relations)
         })
     }
 }
@@ -184,10 +173,10 @@ mod tests {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(14).generate());
         let mut cyg = CyGNetCopy::new(StaticTrainConfig::default(), &ctx);
         assert_eq!(cyg.index.seen_upto, 0);
-        cyg.begin_snapshot(&ctx, 5);
+        cyg.begin_snapshot(ctx.past(5));
         assert_eq!(cyg.index.seen_upto, 5);
         // Going backwards is a no-op.
-        cyg.begin_snapshot(&ctx, 3);
+        cyg.begin_snapshot(ctx.past(3));
         assert_eq!(cyg.index.seen_upto, 5);
     }
 }

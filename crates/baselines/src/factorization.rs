@@ -8,7 +8,7 @@
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use retia::{Forecaster, TkgContext};
+use retia::{Forecaster, Past, TkgContext};
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
 use crate::train::{all_relations, ids, infer, Batch, MinibatchLoss, BATCH, SEED};
@@ -84,26 +84,14 @@ impl TkgBaseline for DistMult {
 }
 
 impl Forecaster for DistMult {
-    fn entity_scores(
-        &self,
-        _ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
+    fn entity_scores(&self, _past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
         infer(|g| {
             let tables = tables(g, &self.store);
             Self::entity_logits(g, tables, &Batch::queries(subjects, rels, 0))
         })
     }
 
-    fn relation_scores(
-        &self,
-        _ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
+    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
         infer(|g| {
             let tables = tables(g, &self.store);
             Self::relation_logits(g, tables, subjects, objects, self.num_relations)
@@ -185,23 +173,11 @@ impl TkgBaseline for ComplEx {
 }
 
 impl Forecaster for ComplEx {
-    fn entity_scores(
-        &self,
-        _ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
+    fn entity_scores(&self, _past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
         infer(|g| self.entity_logits(g, &Batch::queries(subjects, rels, 0)))
     }
 
-    fn relation_scores(
-        &self,
-        _ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
+    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
         infer(|g| self.relation_logits(g, subjects, objects))
     }
 }
@@ -252,7 +228,7 @@ mod tests {
         // relation_scores must equal scoring each relation explicitly.
         let ctx = ctx();
         let m = DistMult::new(StaticTrainConfig::default(), &ctx);
-        let scores = m.relation_scores(&ctx, 0, &[3], &[5]);
+        let scores = m.relation_scores(ctx.past(0), &[3], &[5]);
         let ent = m.store.value("ent");
         let rel = m.store.value("rel");
         for r in 0..ctx.num_relations {

@@ -11,7 +11,7 @@
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use retia::{Forecaster, TkgContext};
+use retia::{Forecaster, Past, TkgContext};
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
 use crate::factorization::{embeddings, tables};
@@ -108,15 +108,9 @@ impl TkgBaseline for HyTE {
 }
 
 impl Forecaster for HyTE {
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let t = self.times.clamp(ctx.snapshots[idx].t);
-        let (q, n) = (subjects.len(), ctx.num_entities);
+    fn entity_scores(&self, past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
+        let t = self.times.clamp(past.t);
+        let (q, n) = (subjects.len(), past.num_entities);
         let queries = Batch::queries(subjects, rels, t);
         let mut g = Graph::inference();
         let tables = tables(&mut g, &self.store);
@@ -130,14 +124,8 @@ impl Forecaster for HyTE {
         Tensor::from_vec(q, n, dist.into_iter().map(|d| -d).collect())
     }
 
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        let t = self.times.clamp(ctx.snapshots[idx].t);
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        let t = self.times.clamp(past.t);
         let pairs = Batch::relation_pairs(subjects, objects, self.num_relations, t);
         let scores = infer(|g| {
             let tables = tables(g, &self.store);

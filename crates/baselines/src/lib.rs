@@ -19,12 +19,17 @@
 //!
 //! All models implement [`TkgBaseline`] (as does `retia::Trainer`), a
 //! `retia::Forecaster` that can train itself; the harness scores every one
-//! with `retia::evaluate`, the code `retia evaluate` runs.
+//! with `retia::evaluate`, the code `retia evaluate` runs. A model's score
+//! methods read only the `retia::Past` that `evaluate` hands them: the
+//! snapshots before the scored one, its timestamp and the vocabulary
+//! sizes. The temporal models read the timestamp, RE-NET-lite its last `k`
+//! snapshots, and the copy index absorbs them all. The `retia::TkgContext`
+//! reaches a model only through its constructor and `fit`.
 //!
 //! Each static and interpolation baseline writes its score once, as a
 //! function building it in an autodiff graph: `fit` trains a loss on it and
 //! the score methods run it in a no-tape inference graph, so a model ranks
-//! with exactly what it trained. They share one training loop (seeded
+//! with exactly what it trained. RE-NET-lite scores in one too. They share one training loop (seeded
 //! minibatches of the training facts and their inverses, one Adam step
 //! each), and the distance models (RotatE, TTransE, HyTE) one margin loss.
 //! CyGNet and TiRGN-lite share one index of historical answers.

@@ -10,12 +10,13 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use retia::{Forecaster, RetiaConfig, TkgContext};
+use retia::{Forecaster, Past, RetiaConfig, TkgContext};
 use retia_graph::Snapshot;
 use retia_nn::{mean_pool_segments, GruCell, Linear};
 use retia_tensor::optim::{clip_grad_norm, Adam};
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
+use crate::train::infer;
 use crate::traits::TkgBaseline;
 
 /// RE-NET-lite baseline.
@@ -148,30 +149,14 @@ impl TkgBaseline for RenetLite {
 }
 
 impl Forecaster for RenetLite {
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let (history, _) = ctx.history(idx, self.cfg.k);
-        let mut g = Graph::new(false, 0);
-        let logits = self.entity_logits(&mut g, subjects, rels, history);
-        g.detach(logits)
+    fn entity_scores(&self, past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
+        let (history, _) = past.window(self.cfg.k);
+        infer(|g| self.entity_logits(g, subjects, rels, history))
     }
 
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        let (history, _) = ctx.history(idx, self.cfg.k);
-        let mut g = Graph::new(false, 0);
-        let logits = self.relation_logits(&mut g, subjects, objects, history);
-        g.detach(logits)
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        let (history, _) = past.window(self.cfg.k);
+        infer(|g| self.relation_logits(g, subjects, objects, history))
     }
 }
 
@@ -214,7 +199,7 @@ mod tests {
     fn empty_history_still_scores() {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(43).generate());
         let m = RenetLite::new(&quick_cfg(), &ctx);
-        let scores = m.entity_scores(&ctx, 0, &[0, 1], &[0, 1]);
+        let scores = m.entity_scores(ctx.past(0), &[0, 1], &[0, 1]);
         assert_eq!(scores.shape(), (2, ctx.num_entities));
         assert!(scores.all_finite());
     }

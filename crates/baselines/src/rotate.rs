@@ -8,7 +8,7 @@
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use retia::{Forecaster, TkgContext};
+use retia::{Forecaster, Past, TkgContext};
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
 use crate::train::{all_pairs, l1_distances, margin_loss, Batch, MinibatchLoss, BATCH, SEED};
@@ -120,24 +120,12 @@ impl TkgBaseline for RotatE {
 }
 
 impl Forecaster for RotatE {
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let (q, n) = (subjects.len(), ctx.num_entities);
+    fn entity_scores(&self, past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
+        let (q, n) = (subjects.len(), past.num_entities);
         Tensor::from_vec(q, n, self.scores(&Batch::queries(subjects, rels, 0), all_pairs(q, n)))
     }
 
-    fn relation_scores(
-        &self,
-        _ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
+    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
         let pairs = Batch::relation_pairs(subjects, objects, self.num_relations, 0);
         let rows = pairs.objects.iter().enumerate().map(|(row, &o)| (row, o as usize));
         Tensor::from_vec(subjects.len(), self.num_relations, self.scores(&pairs, rows))

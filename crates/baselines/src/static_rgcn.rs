@@ -6,7 +6,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use retia::{Forecaster, TkgContext};
+use retia::{Forecaster, Past, TkgContext};
 use retia_graph::{Quad, Snapshot};
 use retia_nn::{EntityRgcn, WeightMode};
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
@@ -94,25 +94,13 @@ impl TkgBaseline for StaticRgcn {
 }
 
 impl Forecaster for StaticRgcn {
-    fn entity_scores(
-        &self,
-        _ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
+    fn entity_scores(&self, _past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
         self.scores(|g, encoded| {
             DistMult::entity_logits(g, encoded, &Batch::queries(subjects, rels, 0))
         })
     }
 
-    fn relation_scores(
-        &self,
-        _ctx: &TkgContext,
-        _idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
+    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
         let m = self.num_relations;
         self.scores(|g, encoded| DistMult::relation_logits(g, encoded, subjects, objects, m))
     }
@@ -144,6 +132,6 @@ mod tests {
     fn scoring_before_fit_panics() {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(12).generate());
         let m = StaticRgcn::new(StaticTrainConfig::default(), &ctx);
-        m.entity_scores(&ctx, 0, &[0], &[0]);
+        m.entity_scores(ctx.past(0), &[0], &[0]);
     }
 }

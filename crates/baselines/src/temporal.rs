@@ -9,7 +9,7 @@
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use retia::{Forecaster, TkgContext};
+use retia::{Forecaster, Past, TkgContext};
 use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
 
 use crate::factorization::embeddings;
@@ -92,15 +92,9 @@ impl TkgBaseline for TTransE {
 }
 
 impl Forecaster for TTransE {
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let t = self.times.clamp(ctx.snapshots[idx].t);
-        let (q, n) = (subjects.len(), ctx.num_entities);
+    fn entity_scores(&self, past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
+        let t = self.times.clamp(past.t);
+        let (q, n) = (subjects.len(), past.num_entities);
         let mut g = Graph::inference();
         let tables = tables(&mut g, &self.store);
         let query = Self::query(&mut g, tables, &Batch::queries(subjects, rels, t));
@@ -109,14 +103,8 @@ impl Forecaster for TTransE {
         Tensor::from_vec(q, n, dist.into_iter().map(|d| -d).collect())
     }
 
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        let t = self.times.clamp(ctx.snapshots[idx].t);
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        let t = self.times.clamp(past.t);
         let pairs = Batch::relation_pairs(subjects, objects, self.num_relations, t);
         let scores = infer(|g| {
             let tables = tables(g, &self.store);
@@ -189,25 +177,13 @@ impl TkgBaseline for TaDistMult {
 }
 
 impl Forecaster for TaDistMult {
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let t = self.times.clamp(ctx.snapshots[idx].t);
+    fn entity_scores(&self, past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
+        let t = self.times.clamp(past.t);
         infer(|g| self.entity_logits(g, &Batch::queries(subjects, rels, t)))
     }
 
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        let t = self.times.clamp(ctx.snapshots[idx].t);
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        let t = self.times.clamp(past.t);
         infer(|g| self.relation_logits(g, subjects, objects, t))
     }
 }

@@ -7,7 +7,8 @@
 //! recurrence + one-hop historical repetition; see the paper's §IV-B
 //! discussion of TiRGN's historical candidate restriction).
 
-use retia::{Forecaster, Retia, RetiaConfig, TkgContext, TrainError, Trainer};
+use retia::{Forecaster, Past, Retia, RetiaConfig, TkgContext, TrainError, Trainer};
+use retia_graph::Snapshot;
 use retia_tensor::Tensor;
 
 use crate::copy_gen::CopyIndex;
@@ -63,45 +64,33 @@ impl TkgBaseline for TirgnLite {
 }
 
 impl Forecaster for TirgnLite {
-    fn begin_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
-        self.index.absorb_upto(ctx, idx);
-        self.local.begin_snapshot(ctx, idx);
+    fn begin_snapshot(&mut self, past: Past<'_>) {
+        self.index.absorb(past.snapshots, past.num_relations);
+        self.local.begin_snapshot(past);
     }
 
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let local = self.local.entity_scores(ctx, idx, subjects, rels);
+    fn entity_scores(&self, past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
+        let local = self.local.entity_scores(past, subjects, rels);
         let copies: Vec<Vec<f32>> = subjects
             .iter()
             .zip(rels.iter())
-            .map(|(&s, &r)| self.index.entity_distribution((s, r), ctx.num_entities))
+            .map(|(&s, &r)| self.index.entity_distribution((s, r), past.num_entities))
             .collect();
         Self::blend(local, copies)
     }
 
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        let local = self.local.relation_scores(ctx, idx, subjects, objects);
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        let local = self.local.relation_scores(past, subjects, objects);
         let copies: Vec<Vec<f32>> = subjects
             .iter()
             .zip(objects.iter())
-            .map(|(&s, &o)| self.index.relation_distribution((s, o), ctx.num_relations))
+            .map(|(&s, &o)| self.index.relation_distribution((s, o), past.num_relations))
             .collect();
         Self::blend(local, copies)
     }
 
-    fn end_snapshot(&mut self, ctx: &TkgContext, idx: usize) -> Result<(), TrainError> {
-        self.local.end_snapshot(ctx, idx)
+    fn end_snapshot(&mut self, past: Past<'_>, revealed: &Snapshot) -> Result<(), TrainError> {
+        self.local.end_snapshot(past, revealed)
     }
 }
 
@@ -148,7 +137,8 @@ mod tests {
     fn copy_index_distributions_normalize() {
         let ctx = TkgContext::new(&SyntheticConfig::tiny(23).generate());
         let mut idx = CopyIndex::default();
-        idx.absorb_upto(&ctx, 5);
+        let past = ctx.past(5);
+        idx.absorb(past.snapshots, past.num_relations);
         let snap = &ctx.snapshots[0];
         let q = snap.facts[0];
         let d = idx.entity_distribution((q.s, q.r), ctx.num_entities);

@@ -244,7 +244,7 @@ mod tests {
         };
         let negated = |d: &Tensor| -> Vec<f32> { d.data().iter().map(|&d| -d).collect() };
         let compare = |name: &str, m: &dyn Forecaster, trained: Vec<f32>, rel_tol: f32| {
-            let scores = m.entity_scores(&ctx, idx, &subjects, &rels);
+            let scores = m.entity_scores(ctx.past(idx), &subjects, &rels);
             assert_eq!(trained.len(), targets.len(), "{name}");
             for (i, (&o, want)) in targets.iter().zip(trained).enumerate() {
                 let got = scores.get(i, o as usize);

@@ -47,30 +47,18 @@ impl Default for StaticTrainConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retia::{evaluate, Split};
+    use retia::{evaluate, Past, Split};
     use retia_data::SyntheticConfig;
     use retia_tensor::Tensor;
 
     /// A trivially constant model to exercise the protocol machinery.
     struct Uniform;
     impl Forecaster for Uniform {
-        fn entity_scores(
-            &self,
-            ctx: &TkgContext,
-            _idx: usize,
-            subjects: &[u32],
-            _rels: &[u32],
-        ) -> Tensor {
-            Tensor::zeros(subjects.len(), ctx.num_entities)
+        fn entity_scores(&self, past: Past<'_>, subjects: &[u32], _rels: &[u32]) -> Tensor {
+            Tensor::zeros(subjects.len(), past.num_entities)
         }
-        fn relation_scores(
-            &self,
-            ctx: &TkgContext,
-            _idx: usize,
-            subjects: &[u32],
-            _objects: &[u32],
-        ) -> Tensor {
-            Tensor::zeros(subjects.len(), ctx.num_relations)
+        fn relation_scores(&self, past: Past<'_>, subjects: &[u32], _objects: &[u32]) -> Tensor {
+            Tensor::zeros(subjects.len(), past.num_relations)
         }
     }
 

@@ -20,10 +20,12 @@
 //! cargo run -p retia-bench --release --bin run_all  # populate the cache for everything
 //! ```
 //!
-//! Every (dataset, model-variant) pair is trained at most once; results are
-//! cached as JSON under `results/cache/` so the table binaries are cheap
-//! re-renders. Delete the cache (or set `RETIA_REFRESH=1`) to re-run.
-//! `RETIA_FAST=1` switches to a low-epoch smoke configuration.
+//! Every (dataset, model-variant) pair is trained at most once per
+//! [`Settings`]; results are cached as JSON under `results/cache/` so the
+//! table binaries are cheap re-renders. Each file records the settings that
+//! wrote it, and a file written under other settings is a miss. Delete the
+//! cache (or set `RETIA_REFRESH=1`) to re-run. `RETIA_FAST=1` switches to a
+//! low-epoch smoke configuration.
 
 pub mod paper;
 pub mod report;

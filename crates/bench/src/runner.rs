@@ -1,7 +1,7 @@
 //! Cached experiment runner: each (dataset, variant) pair trains at most
-//! once; results live in `results/cache/*.json`.
+//! once per [`Settings`]; results live in `results/cache/*.json`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use retia::Split;
@@ -52,6 +52,13 @@ impl Settings {
         }
         s
     }
+
+    /// The settings a result depends on, as one line: a cache file written
+    /// under other settings, or under none, is a miss.
+    pub fn cache_key(&self) -> String {
+        let Settings { dim, channels, epochs, static_epochs, refresh: _ } = self;
+        format!("dim {dim}, channels {channels}, epochs {epochs}, static_epochs {static_epochs}")
+    }
 }
 
 /// Serializable snapshot of a [`Metrics`] accumulator (percent scale).
@@ -83,6 +90,8 @@ pub struct ExpResult {
     pub dataset: String,
     /// Variant id.
     pub variant: String,
+    /// The [`Settings::cache_key`] it was produced under.
+    pub settings: String,
     /// Entity forecasting, raw setting.
     pub entity_raw: BenchMetrics,
     /// Entity forecasting, time-aware filtered setting.
@@ -128,6 +137,7 @@ impl ExpResult {
         let mut o = Value::object();
         o.insert("dataset", Value::from(self.dataset.as_str()));
         o.insert("variant", Value::from(self.variant.as_str()));
+        o.insert("settings", Value::from(self.settings.as_str()));
         o.insert("entity_raw", self.entity_raw.to_value());
         o.insert("entity_filtered", self.entity_filtered.to_value());
         o.insert("relation_raw", self.relation_raw.to_value());
@@ -158,6 +168,7 @@ impl ExpResult {
         Some(ExpResult {
             dataset: doc.get("dataset")?.as_str()?.to_string(),
             variant: doc.get("variant")?.as_str()?.to_string(),
+            settings: doc.get("settings")?.as_str()?.to_string(),
             entity_raw: BenchMetrics::from_value(doc.get("entity_raw")?)?,
             entity_filtered: BenchMetrics::from_value(doc.get("entity_filtered")?)?,
             relation_raw: BenchMetrics::from_value(doc.get("relation_raw")?)?,
@@ -169,19 +180,24 @@ impl ExpResult {
     }
 }
 
-fn cache_path(profile: DatasetProfile, variant: Variant) -> PathBuf {
-    let dir = std::env::var("RETIA_CACHE_DIR").unwrap_or_else(|_| "results/cache".to_string());
-    PathBuf::from(dir).join(format!("{}_{}.json", profile.name(), variant.id()))
+fn cache_path(dir: &Path, profile: DatasetProfile, variant: Variant) -> PathBuf {
+    dir.join(format!("{}_{}.json", profile.name(), variant.id()))
+}
+
+/// The result cached at `path`, if it parses and was written under
+/// `settings`.
+fn cached(path: &Path, settings: &Settings) -> Option<ExpResult> {
+    let result = ExpResult::from_json(&std::fs::read_to_string(path).ok()?)?;
+    (result.settings == settings.cache_key()).then_some(result)
 }
 
 /// Runs (or loads) one experiment.
 pub fn run_experiment(profile: DatasetProfile, variant: Variant, settings: &Settings) -> ExpResult {
-    let path = cache_path(profile, variant);
+    let dir = std::env::var("RETIA_CACHE_DIR").unwrap_or_else(|_| "results/cache".to_string());
+    let path = cache_path(Path::new(&dir), profile, variant);
     if !settings.refresh {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Some(result) = ExpResult::from_json(&text) {
-                return result;
-            }
+        if let Some(result) = cached(&path, settings) {
+            return result;
         }
     }
 
@@ -202,6 +218,7 @@ pub fn run_experiment(profile: DatasetProfile, variant: Variant, settings: &Sett
     let result = ExpResult {
         dataset: profile.name().to_string(),
         variant: variant.id().to_string(),
+        settings: settings.cache_key(),
         entity_raw: report.entity_raw.into(),
         entity_filtered: report.entity_filtered.into(),
         relation_raw: report.relation_raw.into(),
@@ -254,6 +271,7 @@ mod tests {
         let result = ExpResult {
             dataset: "icews-mini".into(),
             variant: "retia".into(),
+            settings: Settings::default().cache_key(),
             entity_raw: BenchMetrics { mrr: 32.5, h1: 22.0, h3: 36.5, h10: 51.25, count: 400 },
             entity_filtered: BenchMetrics::default(),
             relation_raw: BenchMetrics::default(),
@@ -267,6 +285,46 @@ mod tests {
         // Structural damage is a cache miss, not a panic.
         assert!(ExpResult::from_json("{\"dataset\": \"x\"}").is_none());
         assert!(ExpResult::from_json("not json").is_none());
+    }
+
+    /// A cache file is a hit only under the settings that wrote it; one
+    /// without the settings line (written before it existed) is a miss.
+    #[test]
+    fn cache_hits_only_under_the_settings_that_wrote_it() {
+        let dir = std::env::temp_dir().join(format!("retia-cache-key-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = cache_path(&dir, DatasetProfile::Yago, Variant::DistMult);
+        let full = Settings::default();
+        let fast = Settings { epochs: 2, static_epochs: 4, ..Settings::default() };
+        let result = ExpResult {
+            dataset: "YAGO-mini".into(),
+            variant: "distmult".into(),
+            settings: fast.cache_key(),
+            entity_raw: BenchMetrics::default(),
+            entity_filtered: BenchMetrics::default(),
+            relation_raw: BenchMetrics::default(),
+            relation_filtered: BenchMetrics::default(),
+            fit_secs: 1.0,
+            eval_secs: 1.0,
+            loss_history: Vec::new(),
+        };
+        let json = result.to_json();
+        std::fs::write(&path, &json).unwrap();
+        assert!(cached(&path, &fast).is_some(), "a file misses under its own settings");
+        assert!(cached(&path, &full).is_none(), "a 2-epoch file hits under the full settings");
+        for other in [
+            Settings { dim: 8, ..fast.clone() },
+            Settings { channels: 4, ..fast.clone() },
+            Settings { epochs: 3, ..fast.clone() },
+            Settings { static_epochs: 5, ..fast.clone() },
+        ] {
+            assert!(cached(&path, &other).is_none(), "hit under {}", other.cache_key());
+        }
+        let unkeyed: String = json.lines().filter(|l| !l.contains("\"settings\"")).collect();
+        assert!(retia_json::parse(&unkeyed).is_ok(), "{unkeyed}");
+        std::fs::write(&path, unkeyed).unwrap();
+        assert!(cached(&path, &fast).is_none(), "a file without settings hits");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -236,36 +236,46 @@ impl Variant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use retia::{Forecaster, Past, Split, TrainError};
+    use retia_graph::Snapshot;
+    use retia_tensor::Tensor;
+
+    /// Every harness variant: 11 `Trainer` configurations, then the 12
+    /// other models.
+    const ALL: [Variant; 23] = [
+        Variant::Retia,
+        Variant::RetiaOffline,
+        Variant::RetiaNoTim,
+        Variant::RetiaNoEam,
+        Variant::RetiaRmNone,
+        Variant::RetiaRmMp,
+        Variant::RetiaHrmInit,
+        Variant::RetiaHrmHmp,
+        Variant::Regcn,
+        Variant::Cen,
+        Variant::Rgcrn,
+        Variant::CyGNet,
+        Variant::DistMult,
+        Variant::ComplEx,
+        Variant::ConvE,
+        Variant::ConvTransE,
+        Variant::RotatE,
+        Variant::StaticRgcn,
+        Variant::TTransE,
+        Variant::TaDistMult,
+        Variant::Tirgn,
+        Variant::Hyte,
+        Variant::Renet,
+    ];
 
     #[test]
     fn variant_ids_are_unique() {
-        let all = [
-            Variant::Retia,
-            Variant::RetiaOffline,
-            Variant::RetiaNoTim,
-            Variant::RetiaNoEam,
-            Variant::RetiaRmNone,
-            Variant::RetiaRmMp,
-            Variant::RetiaHrmInit,
-            Variant::RetiaHrmHmp,
-            Variant::Regcn,
-            Variant::Cen,
-            Variant::Rgcrn,
-            Variant::CyGNet,
-            Variant::DistMult,
-            Variant::ComplEx,
-            Variant::ConvE,
-            Variant::ConvTransE,
-            Variant::RotatE,
-            Variant::StaticRgcn,
-            Variant::TTransE,
-            Variant::TaDistMult,
-            Variant::Tirgn,
-            Variant::Hyte,
-            Variant::Renet,
-        ];
-        let ids: std::collections::HashSet<_> = all.iter().map(|v| v.id()).collect();
-        assert_eq!(ids.len(), all.len());
+        let ids: std::collections::HashSet<_> = ALL.iter().map(|v| v.id()).collect();
+        assert_eq!(ids.len(), ALL.len());
     }
 
     /// Figures 6–7's "w. MP+LSTM" row reads CEN's run: the two would be one
@@ -319,6 +329,80 @@ mod tests {
                 );
                 assert_eq!(metrics.count(), count, "{name}: query count");
             }
+        }
+    }
+
+    /// A model scored through `retia::evaluate` that keeps the bits of the
+    /// last scored snapshot's entity and relation scores.
+    struct LastScores<'m> {
+        model: &'m mut dyn TkgBaseline,
+        bits: RefCell<Vec<u32>>,
+    }
+
+    impl LastScores<'_> {
+        fn keep(&self, scores: Tensor) -> Tensor {
+            self.bits.borrow_mut().extend(scores.data().iter().map(|x| x.to_bits()));
+            scores
+        }
+    }
+
+    impl Forecaster for LastScores<'_> {
+        fn begin_snapshot(&mut self, past: Past<'_>) {
+            self.bits.get_mut().clear();
+            self.model.begin_snapshot(past);
+        }
+
+        fn entity_scores(&self, past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
+            self.keep(self.model.entity_scores(past, subjects, rels))
+        }
+
+        fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+            self.keep(self.model.relation_scores(past, subjects, objects))
+        }
+
+        fn end_snapshot(&mut self, past: Past<'_>, revealed: &Snapshot) -> Result<(), TrainError> {
+            self.model.end_snapshot(past, revealed)
+        }
+    }
+
+    /// Scoring is causal end to end. Two tiny-profile contexts differ only
+    /// in the subjects and objects of the test snapshots' facts; a fresh
+    /// model of each variant (d=8, one epoch) is fitted on each and scored
+    /// on the validation split, and the last validation snapshot's scores
+    /// must agree bit for bit. A `fit`, a scorer or a protocol that let a
+    /// test snapshot reach a model early would tell the two apart.
+    #[test]
+    fn scores_never_depend_on_later_snapshots() {
+        let ds = SyntheticConfig::tiny(5).generate();
+        let mut scrambled = ds.clone();
+        let mut rng = StdRng::seed_from_u64(1);
+        let n = ds.num_entities as u32;
+        for q in &mut scrambled.test {
+            (q.s, q.o) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        }
+        let (ctx, other) = (TkgContext::new(&ds), TkgContext::new(&scrambled));
+        let times = |c: &TkgContext| c.snapshots.iter().map(|s| s.t).collect::<Vec<_>>();
+        assert_eq!(times(&ctx), times(&other));
+        assert_eq!((&ctx.valid_idx, &ctx.test_idx), (&other.valid_idx, &other.test_idx));
+        assert!(ctx.test_idx.iter().any(|&i| ctx.snapshots[i] != other.snapshots[i]));
+
+        let settings =
+            Settings { dim: 8, channels: 4, epochs: 1, static_epochs: 1, refresh: false };
+        let last_valid_scores = |variant: Variant, ctx: &TkgContext| {
+            let mut model = variant.build(DatasetProfile::Yago, ctx, &settings);
+            model.fit(ctx);
+            let mut scored = LastScores { model: model.as_mut(), bits: RefCell::default() };
+            retia::evaluate(&mut scored, ctx, Split::Valid).unwrap();
+            scored.bits.into_inner()
+        };
+        for variant in ALL {
+            let bits = last_valid_scores(variant, &ctx);
+            assert!(!bits.is_empty(), "{}: nothing scored", variant.label());
+            assert!(
+                bits == last_valid_scores(variant, &other),
+                "{}: the last validation snapshot's scores read the test snapshots",
+                variant.label()
+            );
         }
     }
 

@@ -1,4 +1,5 @@
-//! Precomputed snapshot/hypergraph sequences over a dataset.
+//! Precomputed snapshot/hypergraph sequences over a dataset, and the causal
+//! view of one of them that a scored model receives.
 
 use std::collections::HashSet;
 
@@ -73,11 +74,22 @@ impl TkgContext {
         }
     }
 
-    /// The history window of the `k` snapshots strictly before index `i`
-    /// (shorter near the beginning of the sequence).
+    /// What a model may read when snapshot `i` is scored: everything
+    /// strictly before it.
+    pub fn past(&self, i: usize) -> Past<'_> {
+        Past {
+            snapshots: &self.snapshots[..i],
+            hypers: &self.hypers[..i],
+            t: self.snapshots[i].t,
+            num_entities: self.num_entities,
+            num_relations: self.num_relations,
+        }
+    }
+
+    /// The history window of the `k` snapshots strictly before index `i`:
+    /// [`Past::window`] of [`TkgContext::past`].
     pub fn history(&self, i: usize, k: usize) -> (&[Snapshot], &[HyperSnapshot]) {
-        let start = i.saturating_sub(k);
-        (&self.snapshots[start..i], &self.hypers[start..i])
+        self.past(i).window(k)
     }
 
     /// Snapshot indices of a split.
@@ -91,6 +103,32 @@ impl TkgContext {
     /// Total facts in a split's snapshots.
     pub fn split_fact_count(&self, split: Split) -> usize {
         self.split_indices(split).iter().map(|&i| self.snapshots[i].facts.len()).sum()
+    }
+}
+
+/// The ground truth before the snapshot being scored, the standard
+/// protocol's history. Every [`crate::Forecaster`] method reads this, so a
+/// scorer has no way to reach the scored snapshot or a later one.
+#[derive(Clone, Copy)]
+pub struct Past<'a> {
+    /// Every snapshot before the scored one, ascending by timestamp.
+    pub snapshots: &'a [Snapshot],
+    /// Their twin hyperrelation subgraphs, parallel with `snapshots`.
+    pub hypers: &'a [HyperSnapshot],
+    /// The scored snapshot's timestamp, the query time.
+    pub t: u32,
+    /// Number of entities `N`.
+    pub num_entities: usize,
+    /// Number of original relations `M`.
+    pub num_relations: usize,
+}
+
+impl<'a> Past<'a> {
+    /// The last `k` snapshots and their hypergraphs (fewer near the start
+    /// of the sequence): the history window a recurrent model evolves.
+    pub fn window(&self, k: usize) -> (&'a [Snapshot], &'a [HyperSnapshot]) {
+        let start = self.snapshots.len().saturating_sub(k);
+        (&self.snapshots[start..], &self.hypers[start..])
     }
 }
 
@@ -127,13 +165,29 @@ mod tests {
     fn history_window_sizes() {
         let ds = SyntheticConfig::tiny(0).generate();
         let ctx = TkgContext::new(&ds);
-        let (h, hh) = ctx.history(0, 3);
+        let (h, hh) = ctx.past(0).window(3);
         assert!(h.is_empty() && hh.is_empty());
-        let (h, _) = ctx.history(2, 3);
+        let (h, _) = ctx.past(2).window(3);
         assert_eq!(h.len(), 2);
-        let (h, _) = ctx.history(10, 3);
+        let (h, _) = ctx.past(10).window(3);
         assert_eq!(h.len(), 3);
         assert!(h[2].t < ctx.snapshots[10].t);
+    }
+
+    #[test]
+    fn the_past_of_a_snapshot_is_every_earlier_snapshot() {
+        let ds = SyntheticConfig::tiny(0).generate();
+        let ctx = TkgContext::new(&ds);
+        for i in 0..ctx.snapshots.len() {
+            let past = ctx.past(i);
+            assert_eq!(past.snapshots.len(), i);
+            assert_eq!(past.hypers.len(), i);
+            assert_eq!(past.t, ctx.snapshots[i].t);
+            for (s, held) in ctx.snapshots[..i].iter().zip(past.snapshots) {
+                assert!(std::ptr::eq(s, held), "snapshot {i}'s past skips or reorders");
+                assert!(held.t < past.t, "snapshot {i}'s past holds t={}", held.t);
+            }
+        }
     }
 
     #[test]

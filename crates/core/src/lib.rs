@@ -60,7 +60,7 @@ mod trainer;
 pub use audit::{audit_ablation_grid, audit_config};
 pub use checkpoint::CheckpointPolicy;
 pub use config::{HyperrelMode, RelationMode, RetiaConfig};
-pub use context::{Split, TkgContext};
+pub use context::{Past, Split, TkgContext};
 pub use frozen::{FrozenModel, FrozenStates};
 pub use model::{entity_queries, relation_queries, EvolvedState, Retia};
 pub use protocol::{evaluate, EvalReport, Forecaster};

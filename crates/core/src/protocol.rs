@@ -1,10 +1,15 @@
 //! The evaluation protocol every model is scored by — RE-GCN's, which the
 //! paper follows. Per evaluated snapshot: entity queries in both directions
 //! and relation queries once per fact, each ranked raw and time-aware
-//! filtered. A [`crate::Trainer`] evolves each snapshot's window once, in
-//! [`Forecaster::begin_snapshot`], and an online model trains on a snapshot
-//! after it is scored (the time-variability strategy, §III-F) through
-//! [`Forecaster::end_snapshot`].
+//! filtered.
+//!
+//! It is causal by type: [`evaluate`] is the one place that turns a context
+//! and a snapshot index into the [`Past`] a model reads, and it hands the
+//! scored snapshot itself only to [`Forecaster::end_snapshot`], once both
+//! score methods have run. A [`crate::Trainer`] evolves each snapshot's
+//! window once, in [`Forecaster::begin_snapshot`], and an online model
+//! trains on a snapshot after it is scored (the time-variability strategy,
+//! §III-F), in `end_snapshot`.
 //!
 //! RETIA, its ablations and every baseline in the table harness go through
 //! the one [`evaluate`] here.
@@ -13,7 +18,7 @@ use retia_eval::{collect_paired_metrics, rank_of, rank_of_filtered, FilterSet, M
 use retia_graph::Snapshot;
 use retia_tensor::Tensor;
 
-use crate::context::{Split, TkgContext};
+use crate::context::{Past, Split, TkgContext};
 use crate::model::{entity_queries, relation_queries};
 use crate::trainer::TrainError;
 
@@ -31,34 +36,24 @@ pub struct EvalReport {
     pub relation_filtered: Metrics,
 }
 
-/// A model scored by [`evaluate`].
-///
-/// `idx` arguments are snapshot indices into [`TkgContext::snapshots`]; the
-/// history available to a model when scoring snapshot `idx` is everything
-/// strictly before it (ground truth history, the standard protocol).
+/// A model scored by [`evaluate`]. Every method reads the [`Past`] of the
+/// snapshot being scored, never the snapshot itself or a later one.
 pub trait Forecaster {
-    /// Called before scoring snapshot `idx` — models that index history
-    /// (copy mechanisms) bring their caches up to date here, and a
+    /// Called before scoring a snapshot — models that index history (copy
+    /// mechanisms) bring their caches up to date here, and a
     /// [`crate::Trainer`] evolves the snapshot's history window.
-    fn begin_snapshot(&mut self, _ctx: &TkgContext, _idx: usize) {}
+    fn begin_snapshot(&mut self, _past: Past<'_>) {}
 
     /// Scores `[Q, N]` for entity queries `(subjects[i], rels[i], ?)`
     /// (inverse relation ids `r + M` denote subject queries).
-    fn entity_scores(&self, ctx: &TkgContext, idx: usize, subjects: &[u32], rels: &[u32])
-        -> Tensor;
+    fn entity_scores(&self, past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor;
 
     /// Scores `[Q, M]` for relation queries `(subjects[i], ?, objects[i])`.
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor;
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor;
 
-    /// Called after snapshot `idx` is scored — online models take their
-    /// continual-training steps here; copy models absorb the new facts.
-    fn end_snapshot(&mut self, _ctx: &TkgContext, _idx: usize) -> Result<(), TrainError> {
+    /// Called once the snapshot is scored, with its facts `revealed` —
+    /// online models take their continual-training steps here.
+    fn end_snapshot(&mut self, _past: Past<'_>, _revealed: &Snapshot) -> Result<(), TrainError> {
         Ok(())
     }
 }
@@ -75,12 +70,13 @@ pub fn evaluate<F: Forecaster + ?Sized>(
     let mut report = EvalReport::default();
     for &idx in ctx.split_indices(split) {
         let scoring = retia_obs::span!("eval.snapshot", idx = idx);
-        model.begin_snapshot(ctx, idx);
+        let past = ctx.past(idx);
+        model.begin_snapshot(past);
         let target = &ctx.snapshots[idx];
 
         // ---- entity forecasting (both directions) ----
         let (subjects, rels, targets) = entity_queries(target, ctx.num_relations);
-        let scores = model.entity_scores(ctx, idx, &subjects, &rels);
+        let scores = model.entity_scores(past, &subjects, &rels);
         assert_eq!(scores.shape(), (targets.len(), ctx.num_entities));
         let filters = entity_filters(target, ctx.num_relations);
         // Queries are ranked in parallel over fixed chunks with the partial
@@ -96,7 +92,7 @@ pub fn evaluate<F: Forecaster + ?Sized>(
 
         // ---- relation forecasting ----
         let (rs, ro, rt) = relation_queries(target);
-        let scores = model.relation_scores(ctx, idx, &rs, &ro);
+        let scores = model.relation_scores(past, &rs, &ro);
         assert_eq!(scores.shape(), (rt.len(), ctx.num_relations));
         let rfilters = relation_filters(target);
         let (raw, filtered) = collect_paired_metrics(rt.len(), scores.cols(), |i| {
@@ -108,7 +104,7 @@ pub fn evaluate<F: Forecaster + ?Sized>(
         report.relation_filtered.merge(&filtered);
         drop(scoring);
 
-        model.end_snapshot(ctx, idx)?;
+        model.end_snapshot(past, target)?;
     }
     Ok(report)
 }

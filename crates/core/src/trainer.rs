@@ -4,7 +4,8 @@
 //!
 //! A [`Trainer`] is the [`Forecaster`] of its model: `begin_snapshot`
 //! evolves the scored snapshot's window once, both score methods decode
-//! against it, and `end_snapshot` drops it before any online step.
+//! against it, and `end_snapshot` drops it before any online step on the
+//! revealed snapshot.
 //!
 //! Training here is fault-tolerant. A [`RecoveryPolicy`] turns the obs NaN
 //! watchdog from warn-only into a state machine: non-finite losses or
@@ -23,7 +24,7 @@ use retia_tensor::{Graph, ParamStore, Tensor};
 
 use crate::checkpoint::CheckpointPolicy;
 use crate::config::RetiaConfig;
-use crate::context::{Split, TkgContext};
+use crate::context::{Past, Split, TkgContext};
 use crate::frozen::FrozenStates;
 use crate::model::{last_k, Retia};
 use crate::protocol::{EvalReport, Forecaster};
@@ -159,9 +160,9 @@ pub struct Trainer {
     recovery_state: RecoveryState,
     chaos: ChaosPlan,
     checkpoint: Option<CheckpointPolicy>,
-    /// The window states `begin_snapshot` evolved, keyed by the index of
-    /// the snapshot being scored; `end_snapshot` drops them.
-    evolved: Option<(usize, FrozenStates)>,
+    /// The window states `begin_snapshot` evolved for the snapshot being
+    /// scored; `end_snapshot` drops them.
+    evolved: Option<FrozenStates>,
 }
 
 impl Trainer {
@@ -239,18 +240,14 @@ impl Trainer {
         ctx: &TkgContext,
         target_idx: usize,
     ) -> Result<EpochLoss, TrainError> {
-        let (history, hypers) = ctx.history(target_idx, self.cfg.k);
-        self.train_on(history, hypers, &ctx.snapshots[target_idx])
+        self.train_on(ctx.past(target_idx), &ctx.snapshots[target_idx])
     }
 
-    /// The gradient step behind [`Trainer::try_train_step`] and
-    /// [`Trainer::fit_window`]: forecast `target` from `history`.
-    fn train_on(
-        &mut self,
-        history: &[Snapshot],
-        hypers: &[HyperSnapshot],
-        target: &Snapshot,
-    ) -> Result<EpochLoss, TrainError> {
+    /// The gradient step behind [`Trainer::try_train_step`],
+    /// [`Trainer::fit_window`] and an online `end_snapshot`: forecast
+    /// `target` from the last `k` snapshots of its `past`.
+    fn train_on(&mut self, past: Past<'_>, target: &Snapshot) -> Result<EpochLoss, TrainError> {
+        let (history, hypers) = past.window(self.cfg.k);
         // Seed the last-good snapshot from the pre-step state so a rollback
         // target exists even if the very first step diverges.
         if self.recovery.is_some() && self.recovery_state.snapshot.is_none() {
@@ -544,13 +541,18 @@ impl Trainer {
                 hypers.len()
             )));
         }
-        let target_idx = snaps.len() - 1;
-        let start = target_idx.saturating_sub(self.cfg.k);
-        let (history, hypers) = (&snaps[start..target_idx], &hypers[start..target_idx]);
+        let last = snaps.len() - 1;
+        let past = Past {
+            snapshots: &snaps[..last],
+            hypers: &hypers[..last],
+            t: snaps[last].t,
+            num_entities: self.model.num_entities(),
+            num_relations: self.model.num_relations(),
+        };
         let (mut se, mut sr, mut sj) = (0.0f64, 0.0f64, 0.0f64);
         let n = steps.max(1);
         for _ in 0..n {
-            let l = self.train_on(history, hypers, &snaps[target_idx])?;
+            let l = self.train_on(past, &snaps[last])?;
             se += l.entity;
             sr += l.relation;
             sj += l.joint;
@@ -589,17 +591,9 @@ impl Trainer {
         report.expect("offline evaluation takes no training step, so it cannot fail")
     }
 
-    /// The window states for scoring snapshot `idx`: those `begin_snapshot`
-    /// evolved (shared, not copied), or, for a score call it did not
-    /// prepare, the same evolve run now (the bits are the same).
-    fn states_for(&self, ctx: &TkgContext, idx: usize) -> FrozenStates {
-        match &self.evolved {
-            Some((at, states)) if *at == idx => states.clone(),
-            _ => {
-                let (history, hypers) = ctx.history(idx, self.cfg.k);
-                self.model.evolve_window(history, hypers)
-            }
-        }
+    /// The window states `begin_snapshot` evolved.
+    fn states(&self) -> &FrozenStates {
+        self.evolved.as_ref().expect("begin_snapshot evolves the window before scoring")
     }
 }
 
@@ -607,39 +601,25 @@ impl Trainer {
 /// window once. With `cfg.online` set, `end_snapshot` takes
 /// `cfg.online_steps` gradient steps on the snapshot just scored.
 impl Forecaster for Trainer {
-    fn begin_snapshot(&mut self, ctx: &TkgContext, idx: usize) {
-        let (history, hypers) = ctx.history(idx, self.cfg.k);
-        self.evolved = Some((idx, self.model.evolve_window(history, hypers)));
+    fn begin_snapshot(&mut self, past: Past<'_>) {
+        let (history, hypers) = past.window(self.cfg.k);
+        self.evolved = Some(self.model.evolve_window(history, hypers));
     }
 
-    fn entity_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        rels: &[u32],
-    ) -> Tensor {
-        let states = self.states_for(ctx, idx);
-        self.model.decode_entity(&states, subjects.to_vec(), rels.to_vec())
+    fn entity_scores(&self, _past: Past<'_>, subjects: &[u32], rels: &[u32]) -> Tensor {
+        self.model.decode_entity(self.states(), subjects.to_vec(), rels.to_vec())
     }
 
-    fn relation_scores(
-        &self,
-        ctx: &TkgContext,
-        idx: usize,
-        subjects: &[u32],
-        objects: &[u32],
-    ) -> Tensor {
-        let states = self.states_for(ctx, idx);
-        self.model.decode_relation(&states, subjects.to_vec(), objects.to_vec())
+    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        self.model.decode_relation(self.states(), subjects.to_vec(), objects.to_vec())
     }
 
-    fn end_snapshot(&mut self, ctx: &TkgContext, idx: usize) -> Result<(), TrainError> {
+    fn end_snapshot(&mut self, past: Past<'_>, revealed: &Snapshot) -> Result<(), TrainError> {
         // The states hold the pre-step parameters' evolve.
         self.evolved = None;
         if self.cfg.online {
             for _ in 0..self.cfg.online_steps {
-                self.try_train_step(ctx, idx)?;
+                self.train_on(past, revealed)?;
             }
         }
         Ok(())
@@ -787,32 +767,6 @@ mod tests {
 
         assert_eq!(offline, window, "offline: one evolve per scored snapshot");
         assert_eq!(online, window * (1 + trainer.cfg.online_steps), "online: plus one per step");
-    }
-
-    /// A score call `begin_snapshot` did not prepare (none, or one for
-    /// another snapshot) evolves the window itself, to the same bits.
-    #[test]
-    fn unprepared_score_calls_match_the_prepared_route() {
-        let (mut trainer, ctx) = tiny_setup(1);
-        let bits = |t: Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        let scores = |trainer: &Trainer, idx: usize| {
-            let target = &ctx.snapshots[idx];
-            let (s, r, _) = crate::entity_queries(target, ctx.num_relations);
-            let (rs, ro, _) = crate::relation_queries(target);
-            (
-                bits(trainer.entity_scores(&ctx, idx, &s, &r)),
-                bits(trainer.relation_scores(&ctx, idx, &rs, &ro)),
-            )
-        };
-        let (idx, other) = (ctx.test_idx[0], ctx.valid_idx[0]);
-        let cold = scores(&trainer, idx);
-        let cold_other = scores(&trainer, other);
-
-        trainer.begin_snapshot(&ctx, idx);
-        assert_eq!(scores(&trainer, idx), cold, "prepared states diverged from a fresh evolve");
-        assert_eq!(scores(&trainer, other), cold_other, "states keyed to another snapshot");
-        trainer.end_snapshot(&ctx, idx).unwrap();
-        assert_eq!(scores(&trainer, idx), cold);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! harness.
 
 use retia::{
-    entity_queries, evaluate, relation_queries, Forecaster, Retia, RetiaConfig, Split, TkgContext,
-    Trainer,
+    entity_queries, evaluate, relation_queries, Forecaster, Past, Retia, RetiaConfig, Split,
+    TkgContext, Trainer,
 };
 use retia_baselines::{DistMult, StaticTrainConfig, TkgBaseline};
 use retia_data::SyntheticConfig;
 use retia_eval::{rank_of, rank_of_filtered, FilterSet};
+use retia_graph::Snapshot;
 
 #[test]
 fn query_counts_match_across_harnesses() {
@@ -119,35 +120,39 @@ fn entity_queries_are_invertible() {
 fn online_models_see_strictly_past_information_only() {
     // The begin/end snapshot callbacks must never expose the evaluated
     // snapshot's facts to the model *before* it is scored. We detect this by
-    // a probe model that records the order of callbacks.
+    // a probe model that records the order of callbacks, keyed by the index
+    // of the scored snapshot (the length of its past).
     struct Probe {
         log: Vec<(usize, &'static str)>,
     }
     impl Forecaster for Probe {
-        fn begin_snapshot(&mut self, _ctx: &TkgContext, idx: usize) {
-            self.log.push((idx, "begin"));
+        fn begin_snapshot(&mut self, past: Past<'_>) {
+            self.log.push((past.snapshots.len(), "begin"));
         }
         fn entity_scores(
             &self,
-            ctx: &TkgContext,
-            idx: usize,
+            past: Past<'_>,
             subjects: &[u32],
             _rels: &[u32],
         ) -> retia_tensor::Tensor {
+            let idx = past.snapshots.len();
             assert_eq!(self.log.last().unwrap(), &(idx, "begin"));
-            retia_tensor::Tensor::zeros(subjects.len(), ctx.num_entities)
+            retia_tensor::Tensor::zeros(subjects.len(), past.num_entities)
         }
         fn relation_scores(
             &self,
-            ctx: &TkgContext,
-            _idx: usize,
+            past: Past<'_>,
             subjects: &[u32],
             _objects: &[u32],
         ) -> retia_tensor::Tensor {
-            retia_tensor::Tensor::zeros(subjects.len(), ctx.num_relations)
+            retia_tensor::Tensor::zeros(subjects.len(), past.num_relations)
         }
-        fn end_snapshot(&mut self, _ctx: &TkgContext, idx: usize) -> Result<(), retia::TrainError> {
-            self.log.push((idx, "end"));
+        fn end_snapshot(
+            &mut self,
+            past: Past<'_>,
+            _revealed: &Snapshot,
+        ) -> Result<(), retia::TrainError> {
+            self.log.push((past.snapshots.len(), "end"));
             Ok(())
         }
     }
@@ -172,7 +177,7 @@ fn history_never_includes_the_target_snapshot() {
     let ds = SyntheticConfig::tiny(403).generate();
     let ctx = TkgContext::new(&ds);
     for idx in 1..ctx.snapshots.len() {
-        let (h, _) = ctx.history(idx, 4);
+        let (h, _) = ctx.past(idx).window(4);
         for s in h {
             assert!(s.t < ctx.snapshots[idx].t, "future leak at idx {idx}");
         }
