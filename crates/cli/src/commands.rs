@@ -469,7 +469,9 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
             ds.name, ds.num_entities, ds.num_relations
         )
     })?;
-    let ctx = TkgContext::new(&ds);
+    // The window keeps the newest `k` snapshots and builds their
+    // hypergraphs itself; nothing older is built.
+    let window = ds.last_snapshots(trainer.model.cfg.k);
 
     let port: u16 = args.get_or("port", 8080u16)?;
     let host = args.get_or("host", "127.0.0.1".to_string())?;
@@ -490,7 +492,7 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
         ..defaults
     };
     let model = retia::FrozenModel::new(trainer.model);
-    let server = retia_serve::Server::start(model, ctx.snapshots, &cfg)
+    let server = retia_serve::Server::start(model, window, &cfg)
         .map_err(|e| format!("{}: {e}", cfg.addr))?;
     // The smoke test and scripts discover the ephemeral port from this line;
     // keep its shape stable.
@@ -516,7 +518,6 @@ fn self_host_tiny(
     online: Option<retia_serve::OnlineOptions>,
 ) -> Result<(retia_serve::Server, u32, u32), String> {
     let ds = SyntheticConfig::tiny(7).generate();
-    let ctx = TkgContext::new(&ds);
     let cfg = RetiaConfig { dim: 8, channels: 4, k: 2, ..Default::default() };
     let model = Retia::new(&cfg, &ds);
     let defaults = retia_serve::ServeConfig::default();
@@ -527,7 +528,8 @@ fn self_host_tiny(
         online,
         ..defaults
     };
-    let server = retia_serve::Server::start(retia::FrozenModel::new(model), ctx.snapshots, &scfg)
+    let window = ds.last_snapshots(cfg.k);
+    let server = retia_serve::Server::start(retia::FrozenModel::new(model), window, &scfg)
         .map_err(|e| format!("{}: {e}", scfg.addr))?;
     Ok((server, ds.num_entities as u32, ds.num_relations as u32))
 }

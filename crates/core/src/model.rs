@@ -188,6 +188,10 @@ impl Retia {
         let mut states = Vec::with_capacity(history.len());
 
         for (snap, hyper) in history.iter().zip(hypers.iter()) {
+            // After each layer, an inference graph frees this snapshot's
+            // values that no later line reads; each keep list names what
+            // the lines below it read and the recurrent state carried so far
+            // (a no-op when recording).
             let mark = g.num_nodes();
             // ---- relation update (TIM Eq. 7-8 + RAM Eq. 1-3) ----
             let r_t = match self.cfg.relation_mode {
@@ -199,7 +203,7 @@ impl Retia {
                 RelationMode::MpLstm | RelationMode::MpLstmAgg => {
                     let r_lstm = if self.cfg.use_tim {
                         let _t = g.span("tim.lstm", &[]);
-                        g.frame("tim.lstm", Some("Eq. 7-8"), |g| {
+                        let h = g.frame("tim.lstm", Some("Eq. 7-8"), |g| {
                             // Eq. 7: R_mean = [R_0 ; MP(E_{t-1}, E_r^t)].
                             let pooled = mean_pool_segments(g, e_prev, &snap.rel_entities);
                             let r_mean = g.concat_cols(r0, pooled);
@@ -208,7 +212,9 @@ impl Retia {
                             let (h, c) = self.tim_lstm.forward(g, store, r_mean, r_prev, c0);
                             c_prev = Some(c);
                             h
-                        })
+                        });
+                        g.release_since(mark, &with_cells(&[h, hr_prev], c_prev, hc_prev));
+                        h
                     } else {
                         // TIM severed: no entity→relation channel; relations
                         // evolve from their previous state alone.
@@ -239,6 +245,8 @@ impl Retia {
                                 })
                             }
                         };
+                        let live = with_cells(&[r_lstm, hr_t, hr_prev], c_prev, hc_prev);
+                        g.release_since(mark, &live);
                         // Eq. 2: aggregate adjacent relations + hyperrelations.
                         let r_agg = g.frame("ram", Some("Eq. 1-2"), |g| {
                             self.ram_rgcn.forward(g, store, r_lstm, hr_t, hyper)
@@ -252,6 +260,8 @@ impl Retia {
                     }
                 }
             };
+
+            g.release_since(mark, &with_cells(&[r_t, hr_prev], c_prev, hc_prev));
 
             // ---- entity update (EAM Eq. 4-6) ----
             let e_t = if self.cfg.use_eam {
@@ -274,8 +284,7 @@ impl Retia {
             // Only E_t, R_t and the recurrent state (the hyperrelation
             // embeddings and both LSTM cells) outlive the snapshot, so an
             // inference graph frees the rest now (no-op when recording).
-            let carried = [e_t, r_t, hr_prev].into_iter().chain(c_prev).chain(hc_prev);
-            g.release_since(mark, &carried.collect::<Vec<_>>());
+            g.release_since(mark, &with_cells(&[e_t, r_t, hr_prev], c_prev, hc_prev));
             states.push(EvolvedState { entities: e_t, relations: r_t });
             e_prev = e_t;
             r_prev = r_t;
@@ -441,6 +450,12 @@ impl Retia {
     }
 }
 
+/// A keep list for `release_since` inside a snapshot: `ids` plus the
+/// TIM and hyperrelation LSTM cells carried so far.
+fn with_cells<I: Copy>(ids: &[I], c: Option<I>, hc: Option<I>) -> Vec<I> {
+    ids.iter().copied().chain(c).chain(hc).collect()
+}
+
 /// The last `k` states (all of them if fewer).
 pub(crate) fn last_k<I>(states: &[EvolvedState<I>], k: usize) -> &[EvolvedState<I>] {
     &states[states.len().saturating_sub(k)..]
@@ -491,7 +506,7 @@ pub fn relation_queries(snap: &Snapshot) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
 mod tests {
     use super::*;
     use retia_data::SyntheticConfig;
-    use retia_tensor::Graph;
+    use retia_tensor::{Graph, NodeId};
 
     fn tiny_model() -> (Retia, crate::TkgContext) {
         let ds = SyntheticConfig::tiny(1).generate();
@@ -513,6 +528,15 @@ mod tests {
             assert!(g.value(st.entities).all_finite());
             assert!(g.value(st.relations).all_finite());
         }
+    }
+
+    /// The high-water mark of `layer` run alone on a fresh inference graph
+    /// over zero inputs of the given shapes, the inputs included.
+    fn alone(shapes: &[(usize, usize)], layer: impl FnOnce(&mut Graph, &[NodeId])) -> usize {
+        let mut g = Graph::inference();
+        let inputs: Vec<NodeId> = shapes.iter().map(|&(r, c)| g.zeros(r, c)).collect();
+        layer(&mut g, &inputs);
+        g.peak_value_bytes()
     }
 
     #[test]
@@ -540,6 +564,44 @@ mod tests {
             held * 4 < rec.value_bytes(),
             "inference evolve holds {held} B against the recording graph's {} B",
             rec.value_bytes()
+        );
+
+        // Every value is freed after its last read, so beside the outputs
+        // and the carried state the evolve holds one layer at a time: at
+        // most what its largest layer holds run alone, inputs included.
+        let (m, s, hr) = (&model, model.store(), NUM_HYPERRELS_WITH_INV);
+        let largest_layer = h
+            .iter()
+            .zip(hh)
+            .flat_map(|(snap, hyper)| {
+                [
+                    alone(&[(n, d), (m2, d)], |g, x| {
+                        m.eam_rgcn.forward(g, s, x[0], x[1], snap);
+                    }),
+                    alone(&[(n, d), (n, d)], |g, x| {
+                        m.ent_gru.forward(g, s, x[0], x[1]);
+                    }),
+                    alone(&[(m2, d), (hr, d)], |g, x| {
+                        m.ram_rgcn.forward(g, s, x[0], x[1], hyper);
+                    }),
+                    alone(&[(m2, d), (m2, d)], |g, x| {
+                        m.rel_gru.forward(g, s, x[0], x[1]);
+                    }),
+                    alone(&[(m2, 2 * d), (m2, d), (m2, d)], |g, x| {
+                        m.tim_lstm.forward(g, s, x[0], x[1], x[2]);
+                    }),
+                    alone(&[(hr, 2 * d), (hr, d), (hr, d)], |g, x| {
+                        m.hyper_lstm.forward(g, s, x[0], x[1], x[2]);
+                    }),
+                ]
+            })
+            .max()
+            .expect("a non-empty window");
+        let peak = inf.peak_value_bytes();
+        assert!(
+            peak <= outputs + carried + largest_layer,
+            "inference evolve peaked at {peak} B, above outputs {outputs} B + carried {carried} B \
+             + the largest layer's {largest_layer} B"
         );
     }
 

@@ -148,6 +148,19 @@ impl TkgDataset {
             .collect()
     }
 
+    /// The newest `k` snapshots across every split, oldest first: a serve
+    /// window's boot history, built without the older snapshots it drops.
+    pub fn last_snapshots(&self, k: usize) -> Vec<Snapshot> {
+        let quads: Vec<Quad> = self.all_quads().copied().collect();
+        let groups = group_by_timestamp(&quads);
+        let skip = groups.len().saturating_sub(k);
+        groups
+            .into_iter()
+            .skip(skip)
+            .map(|(_, g)| Snapshot::from_quads(&g, self.num_entities, self.num_relations))
+            .collect()
+    }
+
     /// The largest timestamp index present in any split.
     pub fn max_timestamp(&self) -> u32 {
         self.all_quads().map(|q| q.t).max().unwrap_or(0)
@@ -230,6 +243,16 @@ mod tests {
         let snaps = ds.train_snapshots();
         for w in snaps.windows(2) {
             assert!(w[0].t < w[1].t);
+        }
+    }
+
+    #[test]
+    fn last_snapshots_are_the_newest_of_every_split() {
+        let ds = TkgDataset::from_quads("toy", 5, 3, Granularity::Day, uniform_quads(10, 3));
+        let all: Vec<Quad> = ds.all_quads().copied().collect();
+        let every = ds.snapshots_of(&all);
+        for k in [0, 1, 4, 10, 12] {
+            assert_eq!(ds.last_snapshots(k), every[10 - k.min(10)..], "k = {k}");
         }
     }
 

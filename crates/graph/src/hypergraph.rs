@@ -63,8 +63,10 @@ impl HyperRel {
 
 /// The twin hyperrelation subgraph of one snapshot, prepared for the
 /// relation-aggregating R-GCN (Eq. 1) exactly like [`Snapshot`] is for the
-/// entity-aggregating one: parallel edge arrays sorted by hyperrelation id,
-/// degree normalization and hyperrelation→relation incidence sets.
+/// entity-aggregating one: parallel edge arrays sorted by hyperrelation id
+/// and hyperrelation→relation incidence sets. As there, Eq. 1's `1/c_{r_o,
+/// hr}` is not stored: the R-GCN counts each (hyperrelation, destination)
+/// pair's edges when it groups them.
 ///
 /// # Examples
 ///
@@ -89,8 +91,6 @@ pub struct HyperSnapshot {
     pub hrel: Vec<u32>,
     /// Message destinations (`r_o`).
     pub dst: Vec<u32>,
-    /// Per-edge `1 / c_{r_o, hr}` normalization (Eq. 1).
-    pub edge_norm: Vec<f32>,
     /// `(start, end)` ranges into the edge arrays per hyperrelation id.
     pub hrel_ranges: Vec<(usize, usize)>,
     /// Relations incident to each hyperrelation type regardless of direction
@@ -151,14 +151,6 @@ impl HyperSnapshot {
         let src: Vec<u32> = keys.iter().map(|&key| (key >> NODE_BITS) as u32 & NODE_MASK).collect();
         let dst: Vec<u32> = keys.iter().map(|&key| key as u32 & NODE_MASK).collect();
 
-        // 1 / c_{r_o, hr}, counted in a dense [2M x 2H] table.
-        let slot = |i: usize| dst[i] as usize * NUM_HYPERRELS_WITH_INV + hrel[i] as usize;
-        let mut degree = vec![0u32; num_rel_nodes * NUM_HYPERRELS_WITH_INV];
-        for i in 0..keys.len() {
-            degree[slot(i)] += 1;
-        }
-        let edge_norm: Vec<f32> = (0..keys.len()).map(|i| 1.0 / degree[slot(i)] as f32).collect();
-
         // Contiguous per-hyperrelation ranges ((0, 0) for absent types).
         let mut hrel_ranges = vec![(0usize, 0usize); NUM_HYPERRELS_WITH_INV];
         let mut start = 0;
@@ -184,16 +176,7 @@ impl HyperSnapshot {
             })
             .collect();
 
-        HyperSnapshot {
-            t: snapshot.t,
-            num_rel_nodes,
-            src,
-            hrel,
-            dst,
-            edge_norm,
-            hrel_ranges,
-            hrel_relations,
-        }
+        HyperSnapshot { t: snapshot.t, num_rel_nodes, src, hrel, dst, hrel_ranges, hrel_relations }
     }
 
     /// Number of hyperedges (inverses included).
@@ -252,7 +235,7 @@ impl Incidence {
 mod tests {
     use super::*;
     use crate::quad::Quad;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
     fn snap(facts: &[(u32, u32, u32)], n: usize, m: usize) -> Snapshot {
         let quads: Vec<Quad> = facts.iter().map(|&(s, r, o)| Quad::new(s, r, o, 3)).collect();
@@ -303,8 +286,9 @@ mod tests {
 
     /// Asserts that the built subgraph equals the one derived from the
     /// dense oracle, array by array and in order: the edge arrays sorted
-    /// by `(hrel, src, dst)`, `edge_norm = 1 / count(dst, hrel)`, the
-    /// per-type ranges ((0, 0) when absent) and the per-type relation sets.
+    /// by `(hrel, src, dst)`, the per-type ranges ((0, 0) when absent) and
+    /// the per-type relation sets. (The R-GCN's slot plan, which derives
+    /// Eq. 1's `1/c` from these arrays, is checked against its own oracle.)
     fn assert_matches_oracle(s: &Snapshot, what: &str) {
         let h = HyperSnapshot::from_snapshot(s);
         let want = dense_reference(s);
@@ -312,15 +296,6 @@ mod tests {
         assert_eq!(h.hrel, column(|e| e.0), "{what}: hrel");
         assert_eq!(h.src, column(|e| e.1), "{what}: src");
         assert_eq!(h.dst, column(|e| e.2), "{what}: dst");
-
-        let mut count: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-        for &(hr, _, dst) in &want {
-            *count.entry((dst, hr)).or_default() += 1;
-        }
-        let norms: Vec<u32> =
-            want.iter().map(|&(hr, _, dst)| (1.0 / count[&(dst, hr)] as f32).to_bits()).collect();
-        let got: Vec<u32> = h.edge_norm.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(got, norms, "{what}: edge_norm");
 
         for hr in 0..NUM_HYPERRELS_WITH_INV as u32 {
             let at: Vec<usize> = (0..want.len()).filter(|&i| want[i].0 == hr).collect();
@@ -432,19 +407,6 @@ mod tests {
                 (rng.gen_range(60..200), rng.gen_range(24..40), rng.gen_range(200..400));
             let s = random_snap(&mut rng, n, m, facts);
             assert_matches_oracle(&s, &format!("case {case}: n={n} m={m} facts={facts}"));
-        }
-    }
-
-    #[test]
-    fn edge_norm_sums_to_one_per_dst_type() {
-        let s = snap(&[(0, 0, 1), (1, 1, 2), (0, 2, 2), (2, 1, 0)], 3, 3);
-        let h = HyperSnapshot::from_snapshot(&s);
-        let mut sums = BTreeMap::new();
-        for i in 0..h.num_edges() {
-            *sums.entry((h.dst[i], h.hrel[i])).or_insert(0.0f32) += h.edge_norm[i];
-        }
-        for (&k, &v) in &sums {
-            assert!((v - 1.0).abs() < 1e-5, "norms for {k:?} sum to {v}");
         }
     }
 

@@ -6,9 +6,10 @@
 //!
 //! * [`Quad`] — a dated fact `(s, r, o, t)`;
 //! * [`Snapshot`] — one timestamp's facts with inverse-relation augmentation,
-//!   the edge list grouped for R-GCN message passing, per-edge degree
-//!   normalization, and the relation→entity incidence sets used by the
-//!   twin-interact module's mean pooling;
+//!   the edge list grouped for R-GCN message passing (which derives each
+//!   edge's degree normalization from it), and the relation→entity
+//!   incidence sets used by the twin-interact module's mean pooling, all by
+//!   sort + dedup;
 //! * [`HyperSnapshot`] — the *twin hyperrelation subgraph* of a snapshot
 //!   (Algorithm 1 of the paper): relation nodes joined by the four positional
 //!   hyperrelations `o-s`, `s-o`, `o-o`, `s-s` (plus their inverses);

@@ -1,7 +1,5 @@
 //! A single timestamp's subgraph, prepared for R-GCN message passing.
 
-use std::collections::{HashMap, HashSet};
-
 use crate::quad::Quad;
 
 /// One timestamp's facts with inverse augmentation and the index structures
@@ -13,6 +11,9 @@ use crate::quad::Quad;
 /// `(s, r, o)` contributes the edge `s --r--> o` and the inverse edge
 /// `o --r+M--> s`, so aggregating over in-edges covers both directions, as the
 /// paper prescribes ("only the in-degree edges need to be considered").
+/// Eq. 4's normalization `1/c_{o,r}` is not stored: `c_{o,r}` is the number
+/// of edges sharing a (relation, destination) pair, which the R-GCN counts
+/// when it groups the edges into those pairs.
 ///
 /// # Examples
 ///
@@ -39,8 +40,6 @@ pub struct Snapshot {
     pub rel: Vec<u32>,
     /// Message destinations (objects), parallel with `src` / `rel`.
     pub dst: Vec<u32>,
-    /// Per-edge normalization `1 / |E_dst^rel|` (Eq. 4's `1/c_{o,r}`).
-    pub edge_norm: Vec<f32>,
     /// `(start, end)` ranges into the edge arrays per relation id (`0..2M`).
     pub rel_ranges: Vec<(usize, usize)>,
     /// Entities adjacent to each relation id regardless of direction
@@ -67,19 +66,11 @@ impl Snapshot {
         }
         let m = num_relations;
 
-        // Deduplicated augmented edges, sorted by (rel, src, dst).
-        let mut edges: Vec<(u32, u32, u32)> = Vec::with_capacity(facts.len() * 2);
-        let mut seen: HashSet<(u32, u32, u32)> = HashSet::with_capacity(facts.len() * 2);
-        for q in facts {
-            if seen.insert((q.r, q.s, q.o)) {
-                edges.push((q.r, q.s, q.o));
-            }
-            let inv = (q.r + m as u32, q.o, q.s);
-            if seen.insert(inv) {
-                edges.push(inv);
-            }
-        }
+        // Augmented edges, sorted by (rel, src, dst) and deduplicated.
+        let mut edges: Vec<(u32, u32, u32)> =
+            facts.iter().flat_map(|q| [(q.r, q.s, q.o), (q.r + m as u32, q.o, q.s)]).collect();
         edges.sort_unstable();
+        edges.dedup();
 
         let mut src = Vec::with_capacity(edges.len());
         let mut rel = Vec::with_capacity(edges.len());
@@ -89,13 +80,6 @@ impl Snapshot {
             src.push(s);
             dst.push(o);
         }
-
-        // 1 / |E_o^r|: neighbors of each destination through each relation.
-        let mut degree: HashMap<(u32, u32), f32> = HashMap::new();
-        for i in 0..rel.len() {
-            *degree.entry((dst[i], rel[i])).or_insert(0.0) += 1.0;
-        }
-        let edge_norm: Vec<f32> = (0..rel.len()).map(|i| 1.0 / degree[&(dst[i], rel[i])]).collect();
 
         // Contiguous per-relation ranges (empty for absent relations).
         let mut rel_ranges = vec![(0usize, 0usize); 2 * m];
@@ -111,31 +95,23 @@ impl Snapshot {
             }
         }
 
-        // E_r^t: entities touching each relation, either side, deduplicated.
-        let mut rel_entity_sets: Vec<HashSet<u32>> = vec![HashSet::new(); 2 * m];
-        for q in facts {
-            let r = q.r as usize;
-            rel_entity_sets[r].insert(q.s);
-            rel_entity_sets[r].insert(q.o);
-            rel_entity_sets[r + m].insert(q.s);
-            rel_entity_sets[r + m].insert(q.o);
+        // E_r^t: entities touching each relation, either side, ascending and
+        // deduplicated; the inverse relation r + M touches the same ones.
+        let mut touches: Vec<(u32, u32)> =
+            facts.iter().flat_map(|q| [(q.r, q.s), (q.r, q.o)]).collect();
+        touches.sort_unstable();
+        touches.dedup();
+        let mut rel_entities = vec![Vec::new(); 2 * m];
+        for &(r, e) in &touches {
+            rel_entities[r as usize].push(e);
         }
-        let rel_entities: Vec<Vec<u32>> = rel_entity_sets
-            .into_iter()
-            .map(|s| {
-                let mut v: Vec<u32> = s.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
+        for r in 0..m {
+            rel_entities[r + m] = rel_entities[r].clone();
+        }
 
-        let mut active: HashSet<u32> = HashSet::new();
-        for q in facts {
-            active.insert(q.s);
-            active.insert(q.o);
-        }
-        let mut active_entities: Vec<u32> = active.into_iter().collect();
+        let mut active_entities: Vec<u32> = facts.iter().flat_map(|q| [q.s, q.o]).collect();
         active_entities.sort_unstable();
+        active_entities.dedup();
 
         Snapshot {
             t,
@@ -144,7 +120,6 @@ impl Snapshot {
             src,
             rel,
             dst,
-            edge_norm,
             rel_ranges,
             rel_entities,
             active_entities,
@@ -181,10 +156,102 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn snap(facts: &[(u32, u32, u32)], n: usize, m: usize) -> Snapshot {
         let quads: Vec<Quad> = facts.iter().map(|&(s, r, o)| Quad::new(s, r, o, 0)).collect();
         Snapshot::from_quads(&quads, n, m)
+    }
+
+    /// The builder written with hash sets: the oracle the sort + dedup
+    /// builder must equal field for field.
+    fn hashed_reference(facts: &[Quad], num_entities: usize, num_relations: usize) -> Snapshot {
+        let t = facts.first().map(|q| q.t).unwrap_or(0);
+        let m = num_relations;
+        let mut edges: Vec<(u32, u32, u32)> = Vec::with_capacity(facts.len() * 2);
+        let mut seen: HashSet<(u32, u32, u32)> = HashSet::with_capacity(facts.len() * 2);
+        for q in facts {
+            if seen.insert((q.r, q.s, q.o)) {
+                edges.push((q.r, q.s, q.o));
+            }
+            let inv = (q.r + m as u32, q.o, q.s);
+            if seen.insert(inv) {
+                edges.push(inv);
+            }
+        }
+        edges.sort_unstable();
+        let rel: Vec<u32> = edges.iter().map(|e| e.0).collect();
+        let src: Vec<u32> = edges.iter().map(|e| e.1).collect();
+        let dst: Vec<u32> = edges.iter().map(|e| e.2).collect();
+
+        let mut rel_ranges = vec![(0usize, 0usize); 2 * m];
+        let mut i = 0;
+        while i < rel.len() {
+            let r = rel[i] as usize;
+            let start = i;
+            while i < rel.len() && rel[i] as usize == r {
+                i += 1;
+            }
+            rel_ranges[r] = (start, i);
+        }
+
+        let mut rel_entity_sets: Vec<HashSet<u32>> = vec![HashSet::new(); 2 * m];
+        for q in facts {
+            let r = q.r as usize;
+            for set in [r, r + m] {
+                rel_entity_sets[set].insert(q.s);
+                rel_entity_sets[set].insert(q.o);
+            }
+        }
+        let sorted = |set: HashSet<u32>| {
+            let mut v: Vec<u32> = set.into_iter().collect();
+            v.sort_unstable();
+            v
+        };
+        let active: HashSet<u32> = facts.iter().flat_map(|q| [q.s, q.o]).collect();
+        Snapshot {
+            t,
+            num_entities,
+            num_relations,
+            src,
+            rel,
+            dst,
+            rel_ranges,
+            rel_entities: rel_entity_sets.into_iter().map(sorted).collect(),
+            active_entities: sorted(active),
+            facts: facts.to_vec(),
+        }
+    }
+
+    /// Facts over at most 5 entities and 3 relations, so duplicate facts
+    /// and `s == o` facts are common; zero facts give the empty snapshot.
+    fn arb_facts() -> impl Strategy<Value = (Vec<Quad>, usize, usize)> {
+        (1..6u32, 1..4u32).prop_flat_map(|(n, m)| {
+            let quad = (0..n, 0..m, 0..n).prop_map(|(s, r, o)| Quad::new(s, r, o, 4));
+            (prop::collection::vec(quad, 0..24), Just(n as usize), Just(m as usize))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sorted_builder_equals_the_hashed_one((facts, n, m) in arb_facts()) {
+            prop_assert_eq!(Snapshot::from_quads(&facts, n, m), hashed_reference(&facts, n, m));
+        }
+    }
+
+    /// The cases the random sweep must reach, pinned: a duplicate fact, an
+    /// `s == o` fact (whose inverse is a distinct edge) and no facts.
+    #[test]
+    fn sorted_builder_equals_the_hashed_one_on_edge_cases() {
+        let q = |s, r, o| Quad::new(s, r, o, 2);
+        for facts in
+            [vec![q(0, 1, 2), q(3, 0, 3), q(0, 1, 2), q(3, 0, 3)], vec![q(1, 0, 1)], vec![]]
+        {
+            assert_eq!(Snapshot::from_quads(&facts, 4, 2), hashed_reference(&facts, 4, 2));
+        }
     }
 
     #[test]
@@ -201,23 +268,6 @@ mod tests {
     fn duplicate_facts_deduplicated() {
         let s = snap(&[(0, 0, 1), (0, 0, 1)], 2, 1);
         assert_eq!(s.num_edges(), 2);
-    }
-
-    #[test]
-    fn edge_norm_is_inverse_neighbor_count() {
-        // Object 2 receives via relation 0 from subjects 0 and 1.
-        let s = snap(&[(0, 0, 2), (1, 0, 2)], 3, 1);
-        let (a, b) = s.rel_ranges[0];
-        assert_eq!(b - a, 2);
-        for i in a..b {
-            assert_eq!(s.dst[i], 2);
-            assert!((s.edge_norm[i] - 0.5).abs() < 1e-6);
-        }
-        // Each inverse edge targets a distinct entity: norm 1.
-        let (a, b) = s.rel_ranges[1];
-        for i in a..b {
-            assert!((s.edge_norm[i] - 1.0).abs() < 1e-6);
-        }
     }
 
     #[test]

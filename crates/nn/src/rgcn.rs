@@ -16,7 +16,9 @@
 //! Both layers aggregate through a per-forward `SlotPlan`: messages are
 //! summed per (edge type, destination) slot with [`Graph::segment_sum`]
 //! before any weight is applied, so a `[d, d]` weight multiplies one row per
-//! slot (or per destination, for bases) instead of one row per edge.
+//! slot (or per destination, for bases) instead of one row per edge. The
+//! slot is also the normalization's neighbor set: `c_{o,r}` is its size,
+//! so the plan derives each edge's `1/c` weight from the grouping itself.
 
 use std::rc::Rc;
 
@@ -35,19 +37,20 @@ pub enum WeightMode {
 }
 
 /// The aggregation plan of one edge set, built once per forward pass and
-/// shared by every layer. A *slot* is one (edge type, destination) pair.
-/// The per-type transform is linear, `Σ_i n_i (h_i + e) W = (Σ_i n_i (h_i +
-/// e)) W`, so each slot's degree-normalized messages are summed first and a
-/// weight is applied once per slot (`PerRelation`) or once per destination
-/// (`Basis`), never once per edge.
+/// shared by every layer. A *slot* is one (edge type, destination) pair,
+/// and each of its `c` edges is normalized by `1/c` (Eq. 1/4's
+/// `1/c_{o,r}`). The per-type transform is linear, `Σ_i n_i (h_i + e) W =
+/// (Σ_i n_i (h_i + e)) W`, so each slot's normalized messages are summed
+/// first and a weight is applied once per slot (`PerRelation`) or once per
+/// destination (`Basis`), never once per edge.
 #[derive(Clone, Debug)]
 struct SlotPlan {
-    /// Lengths of the (src, type, dst, norm) edge arrays the plan was cut
-    /// from; the layers' `edge_arrays` check rejects them unless they agree.
-    edge_lens: [usize; 4],
-    /// Slot rows from `norm · h_src` over each slot's edges.
+    /// Lengths of the (src, type, dst) edge arrays the plan was cut from;
+    /// the layers' `edge_arrays` check rejects them unless they agree.
+    edge_lens: [usize; 3],
+    /// Slot rows from `h_src / c` over each slot's `c` edges.
     src_sum: Rc<Segments>,
-    /// Slot rows from `norm · e_type` over each slot's edges.
+    /// Slot rows from `e_type / c` over each slot's `c` edges.
     type_sum: Rc<Segments>,
     /// Edge type of each slot, ascending.
     slot_type: Rc<Vec<u32>>,
@@ -88,10 +91,11 @@ fn place(nodes: &[u32], num_nodes: usize) -> Rc<Segments> {
 
 impl SlotPlan {
     /// Groups the edges by (type, destination); within a slot, edges keep
-    /// their array order. Arrays of unequal length are cut to the shortest
-    /// (the layers' `edge_arrays` check rejects the mismatch).
-    fn new(src: &[u32], etype: &[u32], dst: &[u32], norm: &[f32], num_nodes: usize) -> Self {
-        let edge_lens = [src.len(), etype.len(), dst.len(), norm.len()];
+    /// their array order, and each weighs `1 / c` in a `c`-edge slot.
+    /// Arrays of unequal length are cut to the shortest (the layers'
+    /// `edge_arrays` check rejects the mismatch).
+    fn new(src: &[u32], etype: &[u32], dst: &[u32], num_nodes: usize) -> Self {
+        let edge_lens = [src.len(), etype.len(), dst.len()];
         let n = edge_lens.into_iter().min().unwrap_or(0);
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| (etype[i], dst[i]));
@@ -104,7 +108,8 @@ impl SlotPlan {
             offsets.push(end);
         }
         let in_order = |ids: &[u32]| order.iter().map(|&i| ids[i]).collect::<Vec<u32>>();
-        let weights: Vec<f32> = order.iter().map(|&i| norm[i]).collect();
+        let weights: Vec<f32> =
+            slots.iter().flat_map(|s| std::iter::repeat_n(1.0 / s.len() as f32, s.len())).collect();
         let slot_type: Vec<u32> = slots.iter().map(|s| etype[s[0]]).collect();
         let slot_dst: Vec<u32> = slots.iter().map(|s| dst[s[0]]).collect();
 
@@ -139,12 +144,12 @@ impl SlotPlan {
 
     /// The plan of an entity snapshot's (augmented) edges (Eq. 4).
     fn entity(snap: &Snapshot) -> Self {
-        Self::new(&snap.src, &snap.rel, &snap.dst, &snap.edge_norm, snap.num_entities)
+        Self::new(&snap.src, &snap.rel, &snap.dst, snap.num_entities)
     }
 
     /// The plan of a hyperrelation subgraph's edges (Eq. 1).
     fn relation(hyper: &HyperSnapshot) -> Self {
-        Self::new(&hyper.src, &hyper.hrel, &hyper.dst, &hyper.edge_norm, hyper.num_rel_nodes)
+        Self::new(&hyper.src, &hyper.hrel, &hyper.dst, hyper.num_rel_nodes)
     }
 
     fn is_empty(&self) -> bool {
@@ -152,7 +157,7 @@ impl SlotPlan {
     }
 }
 
-/// Shared implementation over (src, etype, dst, norm) edge arrays.
+/// Shared implementation over (src, etype, dst) edge arrays.
 #[derive(Clone, Debug)]
 struct RgcnCore {
     prefix: String,
@@ -208,7 +213,7 @@ impl RgcnCore {
     ) -> O::Id {
         let lens = plan.edge_lens;
         g.check("edge_arrays", lens.iter().all(|&l| l == lens[0]), || {
-            format!("edge arrays (src, type, dst, norm) have unequal lengths {lens:?}")
+            format!("edge arrays (src, type, dst) have unequal lengths {lens:?}")
         });
         let top = plan.types.last().map_or(0, |ts| ts.ty);
         g.check("edge_type_id", plan.is_empty() || top < self.num_edge_types, || {
@@ -232,7 +237,11 @@ impl RgcnCore {
     /// (relation or hyperrelation embeddings added into messages). In
     /// `PerRelation` mode, `w{r}` for an edge type with no edge in the plan
     /// never enters the graph; the model-level audit declares such weights
-    /// frozen with a "type absent from the audit window" reason.
+    /// frozen with a "type absent from the audit window" reason. On an
+    /// inference graph every value is freed after its last read: the slot
+    /// sums once added into messages, each basis's or edge type's rows once
+    /// transformed and its product once added to the running sum, the
+    /// messages once transformed, the summands once added.
     fn layer<O: Ops>(
         &self,
         g: &mut O,
@@ -242,13 +251,15 @@ impl RgcnCore {
         edge_emb: O::Id,
         plan: &SlotPlan,
     ) -> O::Id {
+        let mark = g.num_nodes();
         let w0 = g.param(store, &format!("{}.l{layer}.wself", self.prefix));
         let mut out = g.matmul(h_nodes, w0);
         if !plan.is_empty() {
-            // Σ norm·(h_src + edge_emb) per (type, destination) slot.
+            // Σ (h_src + edge_emb) / |slot| per (type, destination) slot.
             let h_sum = g.segment_sum(h_nodes, plan.src_sum.clone());
             let e_sum = g.segment_sum(edge_emb, plan.type_sum.clone());
             let msg = g.add(h_sum, e_sum);
+            g.release_since(mark, &[out, msg]);
             let transformed = match self.mode {
                 WeightMode::Basis(nb) => {
                     // W_r = Σ_b a_rb V_b: scale slots by their type's
@@ -256,41 +267,59 @@ impl RgcnCore {
                     // each basis once per destination.
                     let coef = g.param(store, &format!("{}.l{layer}.coef", self.prefix));
                     let slot_coef = g.gather_rows(coef, plan.slot_type.clone());
-                    let mut acc: Option<O::Id> = None;
-                    for b in 0..nb {
+                    let t = running_sum(g, 0..nb, |g, b| {
+                        let basis_mark = g.num_nodes();
                         let cb = g.slice_cols(slot_coef, b, b + 1);
                         let scaled = g.mul_col(msg, cb);
                         let per_dest = g.segment_sum(scaled, plan.slot_to_dest.clone());
+                        g.release_since(basis_mark, &[per_dest]);
                         let vb = g.param(store, &format!("{}.l{layer}.basis{b}", self.prefix));
-                        let y = g.matmul(per_dest, vb);
-                        acc = Some(match acc {
-                            Some(a) => g.add(a, y),
-                            None => y,
-                        });
-                    }
-                    let t = acc.expect("at least one basis");
+                        g.matmul(per_dest, vb)
+                    })
+                    .expect("at least one basis");
                     g.segment_sum(t, plan.dest_to_node.clone())
                 }
-                WeightMode::PerRelation => {
-                    let mut acc: Option<O::Id> = None;
-                    for ts in &plan.types {
-                        let rows = g.gather_rows(msg, ts.rows.clone());
-                        let wr = g.param(store, &format!("{}.l{layer}.w{}", self.prefix, ts.ty));
-                        let t = g.matmul(rows, wr);
-                        let part = g.segment_sum(t, ts.to_node.clone());
-                        acc = Some(match acc {
-                            Some(x) => g.add(x, part),
-                            None => part,
-                        });
-                    }
-                    acc.expect("a non-empty plan has at least one edge type")
-                }
+                WeightMode::PerRelation => running_sum(g, &plan.types, |g, ts| {
+                    let type_mark = g.num_nodes();
+                    let rows = g.gather_rows(msg, ts.rows.clone());
+                    let wr = g.param(store, &format!("{}.l{layer}.w{}", self.prefix, ts.ty));
+                    let t = g.matmul(rows, wr);
+                    g.release_since(type_mark, &[t]);
+                    g.segment_sum(t, ts.to_node.clone())
+                })
+                .expect("a non-empty plan has at least one edge type"),
             };
+            g.release_since(mark, &[out, transformed]);
             out = g.add(out, transformed);
+            g.release_since(mark, &[out]);
         }
         let activated = g.rrelu(out);
         g.dropout(activated, self.dropout)
     }
+}
+
+/// `term(item)` summed over `items` left to right, or `None` when there are
+/// none. On an inference graph only the running sum outlives each step:
+/// a term's intermediates and the previous sum are freed as soon as the
+/// next sum exists.
+fn running_sum<O: Ops, T>(
+    g: &mut O,
+    items: impl IntoIterator<Item = T>,
+    mut term: impl FnMut(&mut O, T) -> O::Id,
+) -> Option<O::Id> {
+    let (mut acc, mut acc_mark) = (None, g.num_nodes());
+    for item in items {
+        let mark = g.num_nodes();
+        let y = term(g, item);
+        let sum = match acc {
+            Some(a) => g.add(a, y),
+            None => y,
+        };
+        // The previous sum was made after `acc_mark`, this term after `mark`.
+        g.release_since(acc_mark, &[sum]);
+        (acc, acc_mark) = (Some(sum), mark);
+    }
+    acc
 }
 
 /// The entity-aggregating R-GCN (Eq. 4).
@@ -388,6 +417,7 @@ impl RelationRgcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use retia_graph::Quad;
     use retia_tensor::{Graph, Tensor, RRELU_EVAL_SLOPE};
 
@@ -444,7 +474,8 @@ mod tests {
     }
 
     /// One eval-mode layer as a direct per-edge loop of Eq. 4 / Eq. 1:
-    /// `rrelu(W_0 h_o + Σ_(s,r,o) norm · (h_s + e_r) W_r)`.
+    /// `rrelu(W_0 h_o + Σ_(s,r,o) (h_s + e_r) W_r / c_{o,r})`, where
+    /// `c_{o,r}` counts the edges of type `r` into `o`.
     #[allow(clippy::too_many_arguments)]
     fn naive_layer(
         store: &ParamStore,
@@ -455,14 +486,14 @@ mod tests {
         src: &[u32],
         etype: &[u32],
         dst: &[u32],
-        norm: &[f32],
     ) -> Tensor {
         let d = h.cols();
         let mut expected = h.matmul(store.value(&format!("{prefix}.l0.wself")));
         for i in 0..src.len() {
             let (s, r, o) = (src[i] as usize, etype[i] as usize, dst[i] as usize);
+            let c = (0..src.len()).filter(|&j| (etype[j], dst[j]) == (etype[i], dst[i])).count();
             let msg: Vec<f32> = h.row(s).iter().zip(e.row(r)).map(|(&a, &b)| a + b).collect();
-            let msg = Tensor::from_vec(1, d, msg).scale(norm[i]);
+            let msg = Tensor::from_vec(1, d, msg).scale(1.0 / c as f32);
             let t = msg.matmul(&type_weight(store, prefix, mode, r));
             for j in 0..d {
                 expected.set(o, j, expected.get(o, j) + t.get(0, j));
@@ -497,14 +528,14 @@ mod tests {
                     let rgcn = EntityRgcn::new(&mut store, "e", d, 4, mode, 1, 0.0);
                     let (e, r) = (g.constant(ent.clone()), g.constant(rel.clone()));
                     let out = rgcn.forward(&mut g, &store, e, r, &snap);
-                    let (s, t, o, n) = (&snap.src, &snap.rel, &snap.dst, &snap.edge_norm);
-                    (g.value(out).clone(), naive_layer(&store, "e", mode, &ent, &rel, s, t, o, n))
+                    let (s, t, o) = (&snap.src, &snap.rel, &snap.dst);
+                    (g.value(out).clone(), naive_layer(&store, "e", mode, &ent, &rel, s, t, o))
                 } else {
                     let rgcn = RelationRgcn::new(&mut store, "r", d, mode, 1, 0.0);
                     let (r, h) = (g.constant(rel.clone()), g.constant(hr.clone()));
                     let out = rgcn.forward(&mut g, &store, r, h, &hyper);
-                    let (s, t, o, n) = (&hyper.src, &hyper.hrel, &hyper.dst, &hyper.edge_norm);
-                    (g.value(out).clone(), naive_layer(&store, "r", mode, &rel, &hr, s, t, o, n))
+                    let (s, t, o) = (&hyper.src, &hyper.hrel, &hyper.dst);
+                    (g.value(out).clone(), naive_layer(&store, "r", mode, &rel, &hr, s, t, o))
                 };
                 let diff = got.max_abs_diff(&want);
                 assert!(diff < 1e-5, "entity={entity} {mode:?}: diff {diff}");
@@ -512,8 +543,171 @@ mod tests {
         }
     }
 
+    /// Every edge the plan sums, as `(type, src, dst, weight bits)` in slot
+    /// order, after checking that the type sums read the same entries.
+    fn planned_edges(plan: &SlotPlan) -> Vec<(u32, u32, u32, u32)> {
+        let mut slot_dst = vec![0; plan.slot_type.len()];
+        for (row, &dst) in plan.dests.iter().enumerate() {
+            for &slot in plan.slot_to_dest.row(row).0 {
+                slot_dst[slot as usize] = dst;
+            }
+        }
+        let mut edges = Vec::new();
+        for (slot, (&ty, &dst)) in plan.slot_type.iter().zip(&slot_dst).enumerate() {
+            let ((srcs, w), (types, tw)) = (plan.src_sum.row(slot), plan.type_sum.row(slot));
+            assert!(types.iter().all(|&t| t == ty) && tw == w, "slot {slot}: type sum differs");
+            edges.extend(srcs.iter().zip(w).map(|(&s, w)| (ty, s, dst, w.to_bits())));
+        }
+        edges
+    }
+
+    /// Eq. 1/4's normalization, written out: edge `i` weighs `1 / c`, `c`
+    /// counting the edges that share its (type, destination).
+    fn counted_norms(src: &[u32], etype: &[u32], dst: &[u32]) -> Vec<(u32, u32, u32, u32)> {
+        let mut count: std::collections::BTreeMap<(u32, u32), u32> = Default::default();
+        for i in 0..src.len() {
+            *count.entry((etype[i], dst[i])).or_default() += 1;
+        }
+        let mut edges: Vec<_> = (0..src.len())
+            .map(|i| {
+                let norm = 1.0 / count[&(etype[i], dst[i])] as f32;
+                (etype[i], src[i], dst[i], norm.to_bits())
+            })
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    /// Object 2 receives through relation 0 from subjects 0 and 1, so each
+    /// of that slot's edges weighs 1/2; each inverse edge is alone in its
+    /// slot and weighs 1.
+    #[test]
+    fn slot_weights_are_inverse_neighbor_counts() {
+        let quads = [Quad::new(0, 0, 2, 0), Quad::new(1, 0, 2, 0)];
+        let plan = SlotPlan::entity(&Snapshot::from_quads(&quads, 3, 1));
+        let (half, one) = (0.5f32.to_bits(), 1.0f32.to_bits());
+        let want = vec![(0, 0, 2, half), (0, 1, 2, half), (1, 2, 0, one), (1, 2, 1, one)];
+        assert_eq!(planned_edges(&plan), want);
+    }
+
+    /// The plan's weights equal `1 / count(type, dst)` bit for bit, for the
+    /// entity edges and the hyperedges of random snapshots, small and at
+    /// the mini profiles' size (dozens of relations, hundreds of facts).
+    #[test]
+    fn slot_weights_match_counted_norms_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        for case in 0..24 {
+            let (n, m, f) = match case {
+                0..20 => (rng.gen_range(2..8), rng.gen_range(1..5), rng.gen_range(1..15)),
+                _ => (rng.gen_range(60..200), rng.gen_range(24..40), rng.gen_range(200..400)),
+            };
+            let quads: Vec<Quad> = (0..f)
+                .map(|_| {
+                    Quad::new(rng.gen_range(0..n), rng.gen_range(0..m), rng.gen_range(0..n), 0)
+                })
+                .collect();
+            let snap = Snapshot::from_quads(&quads, n as usize, m as usize);
+            let hyper = HyperSnapshot::from_snapshot(&snap);
+            let mut got = planned_edges(&SlotPlan::entity(&snap));
+            got.sort_unstable();
+            assert_eq!(got, counted_norms(&snap.src, &snap.rel, &snap.dst), "case {case}: entity");
+            let mut got = planned_edges(&SlotPlan::relation(&hyper));
+            got.sort_unstable();
+            let want = counted_norms(&hyper.src, &hyper.hrel, &hyper.dst);
+            assert_eq!(got, want, "case {case}: hyperedges");
+        }
+    }
+
+    fn arb_facts(max_n: u32, max_m: u32) -> impl Strategy<Value = (Vec<Quad>, usize, usize)> {
+        (2..max_n, 1..max_m).prop_flat_map(|(n, m)| {
+            let quad = (0..n, 0..m, 0..n).prop_map(|(s, r, o)| Quad::new(s, r, o, 0));
+            (prop::collection::vec(quad, 1..30), Just(n as usize), Just(m as usize))
+        })
+    }
+
+    // Each slot's weights sum to 1: the entity plan's per (dst, rel), the
+    // hyperedge plan's per (dst, hyperrelation).
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn slot_weights_sum_to_one_per_slot((facts, n, m) in arb_facts(12, 6)) {
+            let snap = Snapshot::from_quads(&facts, n, m);
+            let hyper = HyperSnapshot::from_snapshot(&snap);
+            for plan in [SlotPlan::entity(&snap), SlotPlan::relation(&hyper)] {
+                for slot in 0..plan.slot_type.len() {
+                    let sum: f32 = plan.src_sum.row(slot).1.iter().sum();
+                    prop_assert!((sum - 1.0).abs() < 1e-4, "slot {} sums to {}", slot, sum);
+                }
+            }
+        }
+    }
+
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The most one layer holds at once above its inputs, in floats, as
+    /// `RgcnCore::layer` frees its values: `n` node rows, `s` slot rows and
+    /// `dests` destination rows of width `d`. Either mode starts with the
+    /// self-loop product, two slot sums and the messages. `Basis` then
+    /// holds one basis at a time beside the messages, the slot coefficients
+    /// and the running sum: first the scaled slots and the destination sum,
+    /// then the destination sum, the product and the new sum. `PerRelation`
+    /// holds one edge type's rows and product (at most `st` slots), then
+    /// that product, its placement on the nodes and the new node sum. Both
+    /// end with the self-loop, the transform and their sum.
+    fn layer_working_set(plan: &SlotPlan, mode: WeightMode, n: usize, d: usize) -> usize {
+        let (s, dests) = (plan.slot_type.len(), plan.dests.len());
+        let steps = match mode {
+            WeightMode::Basis(nb) => vec![
+                (n + 2 * s + 2 * dests) * d + s * (nb + 1),
+                (n + s + 4 * dests) * d + s * nb,
+                (2 * n + s + dests) * d + s * nb,
+            ],
+            WeightMode::PerRelation => {
+                let st = plan.types.iter().map(|ts| ts.rows.len()).max().unwrap_or(0);
+                vec![(2 * n + s + 2 * st) * d, (4 * n + s + st) * d]
+            }
+        };
+        steps.into_iter().chain([(n + 3 * s) * d, 3 * n * d]).max().unwrap_or(0)
+    }
+
+    /// Freed value by value, a two-layer forward on an inference graph
+    /// peaks at the first layer's output (the second's input) plus one
+    /// layer's working set, in both weight modes and for both layers.
+    #[test]
+    fn rgcn_layers_peak_at_one_layers_working_set() {
+        // Four entities and 2M = 4 relation nodes.
+        let (n, d) = (4, 8);
+        let snap = shared_slot_snapshot();
+        let hyper = HyperSnapshot::from_snapshot(&snap);
+        for mode in [WeightMode::PerRelation, WeightMode::Basis(3)] {
+            let mut store = ParamStore::new(11);
+            let ent_rgcn = EntityRgcn::new(&mut store, "e", d, 4, mode, 2, 0.2);
+            let rel_rgcn = RelationRgcn::new(&mut store, "r", d, mode, 2, 0.2);
+            for entity in [true, false] {
+                let mut g = Graph::inference();
+                let types = if entity { 4 } else { NUM_HYPERRELS_WITH_INV };
+                let nodes = g.constant(Tensor::ones(n, d));
+                let edge_emb = g.constant(Tensor::ones(types, d));
+                let before = g.value_bytes();
+                let plan = if entity {
+                    ent_rgcn.forward(&mut g, &store, nodes, edge_emb, &snap);
+                    SlotPlan::entity(&snap)
+                } else {
+                    rel_rgcn.forward(&mut g, &store, nodes, edge_emb, &hyper);
+                    SlotPlan::relation(&hyper)
+                };
+                let bound = n * d + layer_working_set(&plan, mode, n, d);
+                let peak = (g.peak_value_bytes() - before) / std::mem::size_of::<f32>();
+                assert!(
+                    peak <= bound,
+                    "entity={entity} {mode:?}: peak {peak} floats, bound {bound}"
+                );
+            }
+        }
     }
 
     /// On an inference graph each layer frees its messages and the output
@@ -659,7 +853,7 @@ mod tests {
     #[should_panic(expected = "edge_arrays")]
     fn unequal_edge_arrays_are_rejected_not_cut() {
         let mut snap = toy_snapshot();
-        snap.edge_norm.pop();
+        snap.dst.pop();
         forward_over(&snap);
     }
 

@@ -42,7 +42,8 @@ impl GruCell {
 
     /// One step: `h' = GRU(x, h)`, with `x: [n, input_dim]`,
     /// `h: [n, hidden_dim]`. Only `h'` outlives the call on an inference
-    /// graph: the gates are freed before it returns.
+    /// graph, and each gate's inputs are freed once it is computed: each
+    /// release keeps exactly what the lines below it read.
     pub fn forward<O: Ops>(&self, g: &mut O, store: &ParamStore, x: O::Id, h: O::Id) -> O::Id {
         g.scoped("GruCell", None, |g| {
             check_width(g, "input_width", "GRU input", x, self.input_dim);
@@ -55,21 +56,27 @@ impl GruCell {
             let xw = g.matmul(x, w);
             let hu = g.matmul(h, u);
             let xwb = g.add_bias(xw, b);
+            g.release_since(mark, &[xwb, hu]);
 
             let xz = g.slice_cols(xwb, 0, d);
             let xr = g.slice_cols(xwb, d, 2 * d);
             let xn = g.slice_cols(xwb, 2 * d, 3 * d);
+            g.release_since(mark, &[xz, xr, xn, hu]);
             let hz = g.slice_cols(hu, 0, d);
             let hr = g.slice_cols(hu, d, 2 * d);
             let hn = g.slice_cols(hu, 2 * d, 3 * d);
+            g.release_since(mark, &[xz, xr, xn, hz, hr, hn]);
 
             let z_in = g.add(xz, hz);
             let z = g.sigmoid(z_in);
+            g.release_since(mark, &[xr, xn, hr, hn, z]);
             let r_in = g.add(xr, hr);
             let r = g.sigmoid(r_in);
+            g.release_since(mark, &[xn, hn, z, r]);
             let rhn = g.mul(r, hn);
             let n_in = g.add(xn, rhn);
             let n = g.tanh(n_in);
+            g.release_since(mark, &[z, n]);
 
             // h' = (1 - z) * n + z * h = n + z * (h - n).
             let hmn = g.sub(h, n);
@@ -115,7 +122,8 @@ impl LstmCell {
 
     /// One step: `(h', c') = LSTM(x, (h, c))`, with `x: [n, input_dim]`,
     /// `h, c: [n, hidden_dim]`. Only `(h', c')` outlives the call on an
-    /// inference graph: the gates are freed before it returns.
+    /// inference graph, and each gate's inputs are freed once it is
+    /// computed: each release keeps exactly what the lines below it read.
     pub fn forward<O: Ops>(
         &self,
         g: &mut O,
@@ -136,21 +144,26 @@ impl LstmCell {
             let xw = g.matmul(x, w);
             let hu = g.matmul(h, u);
             let pre0 = g.add(xw, hu);
+            g.release_since(mark, &[b, pre0]);
             let pre = g.add_bias(pre0, b);
+            g.release_since(mark, &[pre]);
 
             let i_in = g.slice_cols(pre, 0, d);
             let f_in = g.slice_cols(pre, d, 2 * d);
             let g_in = g.slice_cols(pre, 2 * d, 3 * d);
             let o_in = g.slice_cols(pre, 3 * d, 4 * d);
+            g.release_since(mark, &[i_in, f_in, g_in, o_in]);
 
             let i = g.sigmoid(i_in);
             let f = g.sigmoid(f_in);
             let gg = g.tanh(g_in);
             let o = g.sigmoid(o_in);
+            g.release_since(mark, &[i, f, gg, o]);
 
             let fc = g.mul(f, c);
             let ig = g.mul(i, gg);
             let c_new = g.add(fc, ig);
+            g.release_since(mark, &[o, c_new]);
             let tc = g.tanh(c_new);
             let h_new = g.mul(o, tc);
             g.release_since(mark, &[h_new, c_new]);
@@ -289,6 +302,36 @@ mod tests {
         for (got, want) in outs.iter().zip(&want) {
             assert_eq!(bits(got), bits(want));
         }
+    }
+
+    /// Freed gate by gate, a cell's high-water mark on an inference graph
+    /// is three full-width gate products, which coexist for one op: `x W`,
+    /// `h U` and `x W + b` in the GRU (`[n, 3d]` each), `x W`, `h U` and
+    /// `x W + h U` in the LSTM (`[n, 4d]` each). Holding every gate until
+    /// the step returns would add the slices, activations and the update's
+    /// terms on top.
+    #[test]
+    fn cells_peak_at_their_three_gate_products() {
+        let (n, d) = (5, 8);
+        let mut store = ParamStore::new(9);
+        let gru = GruCell::new(&mut store, "gru", d, d);
+        let lstm = LstmCell::new(&mut store, "lstm", 2 * d, d);
+        let table = |cols: usize| Tensor::from_fn(n, cols, |i, j| (i as f32 - j as f32) / 9.0);
+        let products = |width: usize| 3 * n * width * std::mem::size_of::<f32>();
+
+        let mut g = Graph::inference();
+        let (x, h) = (g.constant(table(d)), g.constant(table(d)));
+        let before = g.value_bytes();
+        gru.forward(&mut g, &store, x, h);
+        let peak = g.peak_value_bytes() - before;
+        assert!(peak <= products(3 * d), "GRU peaked {peak} B above its inputs");
+
+        let mut g = Graph::inference();
+        let (x, h, c) = (g.constant(table(2 * d)), g.constant(table(d)), g.constant(table(d)));
+        let before = g.value_bytes();
+        lstm.forward(&mut g, &store, x, h, c);
+        let peak = g.peak_value_bytes() - before;
+        assert!(peak <= products(4 * d), "LSTM peaked {peak} B above its inputs");
     }
 
     #[test]

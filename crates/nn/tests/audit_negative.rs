@@ -152,7 +152,7 @@ fn mean_pool_rejects_out_of_range_member() {
 #[test]
 fn rgcn_rejects_unequal_edge_arrays() {
     let mut snap = snapshot();
-    snap.edge_norm.pop();
+    snap.dst.pop();
     let mut store = ParamStore::new(0);
     let rgcn = EntityRgcn::new(&mut store, "eam", 8, 4, WeightMode::PerRelation, 1, 0.0);
     expect_finding_naming("EntityRgcn", |ctx| {

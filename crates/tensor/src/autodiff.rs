@@ -167,6 +167,15 @@ impl Value {
             Value::Released => None,
         }
     }
+
+    /// Bytes this value holds for its graph: a shared or freed value holds
+    /// none.
+    fn owned_bytes(&self) -> usize {
+        match self {
+            Value::Owned(t) => t.len() * std::mem::size_of::<f32>(),
+            Value::Shared(_) | Value::Released => 0,
+        }
+    }
 }
 
 struct Node {
@@ -186,13 +195,17 @@ pub struct Graph {
     training: bool,
     record: bool,
     rng: StdRng,
+    /// Bytes the owned values hold now ([`Graph::value_bytes`]).
+    owned_bytes: usize,
+    /// The most `owned_bytes` has been ([`Graph::peak_value_bytes`]).
+    peak_bytes: usize,
 }
 
 impl Graph {
     /// Creates an empty graph. `training=false` turns dropout into identity
     /// and RReLU into a fixed-slope leaky ReLU.
     pub fn new(training: bool, seed: u64) -> Self {
-        Graph { nodes: Vec::new(), training, record: true, rng: StdRng::seed_from_u64(seed) }
+        Graph::with_mode(training, true, seed)
     }
 
     /// Creates an inference-only graph: eval mode (`training=false`) and no
@@ -201,7 +214,18 @@ impl Graph {
     /// dropping the entry cannot perturb them — but backward contexts are
     /// never allocated and [`Graph::backward`] panics.
     pub fn inference() -> Self {
-        Graph { nodes: Vec::new(), training: false, record: false, rng: StdRng::seed_from_u64(0) }
+        Graph::with_mode(false, false, 0)
+    }
+
+    fn with_mode(training: bool, record: bool, seed: u64) -> Self {
+        Graph {
+            nodes: Vec::new(),
+            training,
+            record,
+            rng: StdRng::seed_from_u64(seed),
+            owned_bytes: 0,
+            peak_bytes: 0,
+        }
     }
 
     /// Whether stochastic ops are active.
@@ -237,15 +261,16 @@ impl Graph {
 
     /// Bytes held in the values this graph owns. Parameter nodes share the
     /// store's buffers and count zero, as do values freed by
-    /// [`Graph::release_since`].
+    /// [`Graph::release_since`] and values moved out by [`Graph::share`].
+    /// A running count, kept by every push, release and share.
     pub fn value_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| match &n.value {
-                Value::Owned(t) => t.len() * std::mem::size_of::<f32>(),
-                Value::Shared(_) | Value::Released => 0,
-            })
-            .sum()
+        self.owned_bytes
+    }
+
+    /// The high-water mark of [`Graph::value_bytes`] over the graph's life:
+    /// the most owned bytes it ever held at once, however briefly.
+    pub fn peak_value_bytes(&self) -> usize {
+        self.peak_bytes
     }
 
     /// Frees the values of every node created since `mark` (a
@@ -261,6 +286,7 @@ impl Graph {
         }
         for (i, node) in self.nodes.iter_mut().enumerate().skip(mark) {
             if !keep.contains(&NodeId(i)) {
+                self.owned_bytes -= node.value.owned_bytes();
                 node.value = Value::Released;
             }
         }
@@ -271,6 +297,8 @@ impl Graph {
     }
 
     fn push_value(&mut self, value: Value, op: Op) -> NodeId {
+        self.owned_bytes += value.owned_bytes();
+        self.peak_bytes = self.peak_bytes.max(self.owned_bytes);
         let op = if self.record { op } else { Op::Leaf };
         self.nodes.push(Node { value, op });
         NodeId(self.nodes.len() - 1)
@@ -306,6 +334,7 @@ impl Graph {
     /// Panics if [`Graph::release_since`] freed the node.
     pub fn share(&mut self, id: NodeId) -> Arc<Tensor> {
         let node = &mut self.nodes[id.0];
+        self.owned_bytes -= node.value.owned_bytes();
         let shared = match std::mem::replace(&mut node.value, Value::Released) {
             Value::Owned(t) => Some(Arc::new(t)),
             Value::Shared(t) => Some(t),
@@ -1743,6 +1772,27 @@ mod tests {
         assert_eq!(g.value(z), &expected, "kept nodes stay readable");
         assert_eq!(g.value(x).shape(), (2, 3), "nodes before the mark are untouched");
         assert_eq!(g.value_bytes(), 2 * (2 * 3) * std::mem::size_of::<f32>());
+    }
+
+    #[test]
+    fn value_bytes_is_a_running_count_under_a_high_water_mark() {
+        let f = std::mem::size_of::<f32>();
+        let mut store = ParamStore::new(0);
+        store.register("w", sample(3, 3, 2));
+        let mut g = Graph::inference();
+        let x = g.constant(sample(2, 3, 1));
+        let mark = g.num_nodes();
+        let w = g.param(&store, "w");
+        let y = g.matmul(x, w);
+        let z = g.tanh(y);
+        assert_eq!(g.value_bytes(), 3 * 6 * f, "x, y and z; the parameter is shared");
+        g.release_since(mark, &[z]);
+        assert_eq!(g.value_bytes(), 2 * 6 * f, "a release frees y");
+        g.share(z);
+        assert_eq!(g.value_bytes(), 6 * f, "a shared value leaves the count");
+        g.scale(x, 2.0);
+        assert_eq!(g.value_bytes(), 2 * 6 * f);
+        assert_eq!(g.peak_value_bytes(), 3 * 6 * f, "the high-water mark outlives the release");
     }
 
     #[test]

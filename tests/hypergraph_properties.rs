@@ -14,23 +14,16 @@ fn arb_facts(max_n: u32, max_m: u32) -> impl Strategy<Value = (Vec<(u32, u32, u3
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    // Eq. 4's per-(dst, rel) normalization is derived by the R-GCN's slot
+    // plan, whose weights `retia-nn` checks sum to 1 per slot.
     #[test]
-    fn snapshot_edge_count_and_norms((facts, n, m) in arb_facts(12, 6)) {
+    fn snapshot_edge_count_and_ranges((facts, n, m) in arb_facts(12, 6)) {
         let quads: Vec<Quad> = facts.iter().map(|&(s, r, o)| Quad::new(s, r, o, 0)).collect();
         let snap = Snapshot::from_quads(&quads, n as usize, m as usize);
 
         // Inverse augmentation doubles the deduplicated fact count.
         let distinct: std::collections::HashSet<_> = facts.iter().collect();
         prop_assert_eq!(snap.num_edges(), distinct.len() * 2);
-
-        // Per-(dst, rel) normalization weights sum to 1.
-        let mut sums: std::collections::HashMap<(u32, u32), f32> = Default::default();
-        for i in 0..snap.num_edges() {
-            *sums.entry((snap.dst[i], snap.rel[i])).or_default() += snap.edge_norm[i];
-        }
-        for (&k, &v) in &sums {
-            prop_assert!((v - 1.0).abs() < 1e-4, "norms for {:?} sum to {}", k, v);
-        }
 
         // rel_ranges partition the edge list.
         let covered: usize = snap.rel_ranges.iter().map(|(a, b)| b - a).sum();
