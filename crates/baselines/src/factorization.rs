@@ -31,13 +31,12 @@ pub(crate) fn tables(g: &mut Graph, store: &ParamStore) -> (NodeId, NodeId) {
 pub struct DistMult {
     cfg: StaticTrainConfig,
     pub(crate) store: ParamStore,
-    num_relations: usize,
 }
 
 impl DistMult {
     /// Builds an untrained model for the dataset behind `ctx`.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
-        DistMult { store: embeddings(cfg.dim, ctx), cfg, num_relations: ctx.num_relations }
+        DistMult { store: embeddings(cfg.dim, ctx), cfg }
     }
 
     /// Entity logits `[Q, N]`: `(s ∘ r) · e` for every row `e` of `ent`.
@@ -91,10 +90,10 @@ impl Forecaster for DistMult {
         })
     }
 
-    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
         infer(|g| {
             let tables = tables(g, &self.store);
-            Self::relation_logits(g, tables, subjects, objects, self.num_relations)
+            Self::relation_logits(g, tables, subjects, objects, past.num_relations)
         })
     }
 }
@@ -104,14 +103,13 @@ impl Forecaster for DistMult {
 pub struct ComplEx {
     cfg: StaticTrainConfig,
     pub(crate) store: ParamStore,
-    num_relations: usize,
 }
 
 impl ComplEx {
     /// Builds an untrained model. `cfg.dim` must be even.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
         assert!(cfg.dim.is_multiple_of(2), "ComplEx needs an even dimension");
-        ComplEx { store: embeddings(cfg.dim, ctx), cfg, num_relations: ctx.num_relations }
+        ComplEx { store: embeddings(cfg.dim, ctx), cfg }
     }
 
     /// Gathers rows of `table` and splits them into `[re | im]` halves.
@@ -135,23 +133,6 @@ impl ComplEx {
         let q_im = g.add(c, d);
         let q = g.concat_cols(q_re, q_im);
         g.matmul_nt(q, ent)
-    }
-
-    /// Relation logits `[Q, M]`: the same score, linear in `r`, with
-    /// coefficients `c_re = s_re o_re + s_im o_im`, `c_im = s_im o_re - s_re o_im`.
-    fn relation_logits(&self, g: &mut Graph, subjects: &[u32], objects: &[u32]) -> NodeId {
-        let (ent, rel) = tables(g, &self.store);
-        let (s_re, s_im) = self.halves(g, ent, ids(subjects));
-        let (o_re, o_im) = self.halves(g, ent, ids(objects));
-        let a = g.mul(s_re, o_re);
-        let b = g.mul(s_im, o_im);
-        let c_re = g.add(a, b);
-        let c = g.mul(s_im, o_re);
-        let d = g.mul(s_re, o_im);
-        let c_im = g.sub(c, d);
-        let coeff = g.concat_cols(c_re, c_im);
-        let cand = g.gather_rows(rel, all_relations(self.num_relations));
-        g.matmul_nt(coeff, cand)
     }
 }
 
@@ -177,8 +158,23 @@ impl Forecaster for ComplEx {
         infer(|g| self.entity_logits(g, &Batch::queries(subjects, rels, 0)))
     }
 
-    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
-        infer(|g| self.relation_logits(g, subjects, objects))
+    /// Relation logits `[Q, M]`: the same score, linear in `r`, with
+    /// coefficients `c_re = s_re o_re + s_im o_im`, `c_im = s_im o_re - s_re o_im`.
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        infer(|g| {
+            let (ent, rel) = tables(g, &self.store);
+            let (s_re, s_im) = self.halves(g, ent, ids(subjects));
+            let (o_re, o_im) = self.halves(g, ent, ids(objects));
+            let a = g.mul(s_re, o_re);
+            let b = g.mul(s_im, o_im);
+            let c_re = g.add(a, b);
+            let c = g.mul(s_im, o_re);
+            let d = g.mul(s_re, o_im);
+            let c_im = g.sub(c, d);
+            let coeff = g.concat_cols(c_re, c_im);
+            let cand = g.gather_rows(rel, all_relations(past.num_relations));
+            g.matmul_nt(coeff, cand)
+        })
     }
 }
 

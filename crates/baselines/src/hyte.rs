@@ -27,7 +27,6 @@ const GAMMA: f32 = 4.0;
 pub struct HyTE {
     cfg: StaticTrainConfig,
     pub(crate) store: ParamStore,
-    num_relations: usize,
     times: Timestamps,
 }
 
@@ -36,7 +35,7 @@ impl HyTE {
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
         let mut store = embeddings(cfg.dim, ctx);
         store.register_xavier("plane", Timestamps::num_ts(ctx), cfg.dim);
-        HyTE { cfg, store, num_relations: ctx.num_relations, times: Timestamps::default() }
+        HyTE { cfg, store, times: Timestamps::default() }
     }
 
     /// Unit hyperplane normals `w_t` for each of `times` (`[Q, d]`).
@@ -126,7 +125,7 @@ impl Forecaster for HyTE {
 
     fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
         let t = self.times.clamp(past.t);
-        let pairs = Batch::relation_pairs(subjects, objects, self.num_relations, t);
+        let pairs = Batch::relation_pairs(subjects, objects, past.num_relations, t);
         let scores = infer(|g| {
             let tables = tables(g, &self.store);
             let w_unit = self.normals(g, Rc::clone(&pairs.times));
@@ -134,7 +133,7 @@ impl Forecaster for HyTE {
             let d = Self::distance(g, tables.0, w_unit, q, Rc::clone(&pairs.objects));
             g.scale(d, -1.0)
         });
-        Tensor::from_vec(subjects.len(), self.num_relations, scores.data().to_vec())
+        Tensor::from_vec(subjects.len(), past.num_relations, scores.data().to_vec())
     }
 }
 

@@ -21,7 +21,6 @@ pub(crate) const GAMMA: f32 = 6.0;
 pub struct RotatE {
     cfg: StaticTrainConfig,
     pub(crate) store: ParamStore,
-    num_relations: usize,
 }
 
 impl RotatE {
@@ -32,7 +31,7 @@ impl RotatE {
         store.register_xavier("ent", ctx.num_entities, cfg.dim);
         // Phases in radians.
         store.register_normal("phase", 2 * ctx.num_relations, cfg.dim / 2, 1.0);
-        RotatE { cfg, store, num_relations: ctx.num_relations }
+        RotatE { cfg, store }
     }
 
     /// The `ent` and `phase` tables.
@@ -125,10 +124,10 @@ impl Forecaster for RotatE {
         Tensor::from_vec(q, n, self.scores(&Batch::queries(subjects, rels, 0), all_pairs(q, n)))
     }
 
-    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
-        let pairs = Batch::relation_pairs(subjects, objects, self.num_relations, 0);
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        let pairs = Batch::relation_pairs(subjects, objects, past.num_relations, 0);
         let rows = pairs.objects.iter().enumerate().map(|(row, &o)| (row, o as usize));
-        Tensor::from_vec(subjects.len(), self.num_relations, self.scores(&pairs, rows))
+        Tensor::from_vec(subjects.len(), past.num_relations, self.scores(&pairs, rows))
     }
 }
 

@@ -25,7 +25,6 @@ pub struct StaticRgcn {
     pub(crate) store: ParamStore,
     rgcn: EntityRgcn,
     static_snap: Option<Snapshot>,
-    num_relations: usize,
     /// The eval-mode encoded entities, computed once after training.
     encoded: Option<Arc<Tensor>>,
 }
@@ -35,7 +34,7 @@ impl StaticRgcn {
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
         let (m, mut store) = (ctx.num_relations, embeddings(cfg.dim, ctx));
         let rgcn = EntityRgcn::new(&mut store, "gcn", cfg.dim, 2 * m, WeightMode::Basis(4), 2, 0.2);
-        StaticRgcn { cfg, store, rgcn, static_snap: None, num_relations: m, encoded: None }
+        StaticRgcn { cfg, store, rgcn, static_snap: None, encoded: None }
     }
 
     /// Collapses all training facts into one timestamp-0 snapshot.
@@ -100,8 +99,8 @@ impl Forecaster for StaticRgcn {
         })
     }
 
-    fn relation_scores(&self, _past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
-        let m = self.num_relations;
+    fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
+        let m = past.num_relations;
         self.scores(|g, encoded| DistMult::relation_logits(g, encoded, subjects, objects, m))
     }
 }

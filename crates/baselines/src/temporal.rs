@@ -39,7 +39,6 @@ pub(crate) fn tables(g: &mut Graph, store: &ParamStore) -> (NodeId, NodeId, Node
 pub struct TTransE {
     cfg: StaticTrainConfig,
     pub(crate) store: ParamStore,
-    num_relations: usize,
     times: Timestamps,
 }
 
@@ -47,7 +46,7 @@ impl TTransE {
     /// Builds an untrained model.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
         let (store, times) = (timed_embeddings(cfg.dim, ctx), Timestamps::default());
-        TTransE { cfg, store, num_relations: ctx.num_relations, times }
+        TTransE { cfg, store, times }
     }
 
     /// Translated queries `s + r + τ_t` (`[Q, d]`).
@@ -105,14 +104,14 @@ impl Forecaster for TTransE {
 
     fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
         let t = self.times.clamp(past.t);
-        let pairs = Batch::relation_pairs(subjects, objects, self.num_relations, t);
+        let pairs = Batch::relation_pairs(subjects, objects, past.num_relations, t);
         let scores = infer(|g| {
             let tables = tables(g, &self.store);
             let q = Self::query(g, tables, &pairs);
             let d = Self::distance(g, tables.0, q, Rc::clone(&pairs.objects));
             g.scale(d, -1.0)
         });
-        Tensor::from_vec(subjects.len(), self.num_relations, scores.data().to_vec())
+        Tensor::from_vec(subjects.len(), past.num_relations, scores.data().to_vec())
     }
 }
 
@@ -123,7 +122,6 @@ impl Forecaster for TTransE {
 pub struct TaDistMult {
     cfg: StaticTrainConfig,
     pub(crate) store: ParamStore,
-    num_relations: usize,
     times: Timestamps,
 }
 
@@ -131,7 +129,7 @@ impl TaDistMult {
     /// Builds an untrained model.
     pub fn new(cfg: StaticTrainConfig, ctx: &TkgContext) -> Self {
         let (store, times) = (timed_embeddings(cfg.dim, ctx), Timestamps::default());
-        TaDistMult { cfg, store, num_relations: ctx.num_relations, times }
+        TaDistMult { cfg, store, times }
     }
 
     /// Entity logits `[Q, N]`: `(s ∘ (r + τ_t)) · e` for every entity `e`.
@@ -143,19 +141,6 @@ impl TaDistMult {
         let rt = g.add(r, tau);
         let sr = g.mul(s, rt);
         g.matmul_nt(sr, ent)
-    }
-
-    /// Relation logits `[Q, M]` at timestamp `t`: `(s ∘ o) · (r + τ_t)` for
-    /// every original relation.
-    fn relation_logits(&self, g: &mut Graph, subjects: &[u32], objects: &[u32], t: u32) -> NodeId {
-        let (ent, rel, time) = tables(g, &self.store);
-        let s = g.gather_rows(ent, ids(subjects));
-        let o = g.gather_rows(ent, ids(objects));
-        let so = g.mul(s, o);
-        let r = g.gather_rows(rel, all_relations(self.num_relations));
-        let tau = g.gather_rows(time, Rc::new(vec![t; self.num_relations]));
-        let rt = g.add(r, tau);
-        g.matmul_nt(so, rt)
     }
 }
 
@@ -182,9 +167,20 @@ impl Forecaster for TaDistMult {
         infer(|g| self.entity_logits(g, &Batch::queries(subjects, rels, t)))
     }
 
+    /// Relation logits `[Q, M]` at timestamp `t`: `(s ∘ o) · (r + τ_t)` for
+    /// every original relation.
     fn relation_scores(&self, past: Past<'_>, subjects: &[u32], objects: &[u32]) -> Tensor {
-        let t = self.times.clamp(past.t);
-        infer(|g| self.relation_logits(g, subjects, objects, t))
+        let (t, m) = (self.times.clamp(past.t), past.num_relations);
+        infer(|g| {
+            let (ent, rel, time) = tables(g, &self.store);
+            let s = g.gather_rows(ent, ids(subjects));
+            let o = g.gather_rows(ent, ids(objects));
+            let so = g.mul(s, o);
+            let r = g.gather_rows(rel, all_relations(m));
+            let tau = g.gather_rows(time, Rc::new(vec![t; m]));
+            let rt = g.add(r, tau);
+            g.matmul_nt(so, rt)
+        })
     }
 }
 

@@ -9,7 +9,6 @@ use retia_data::{
 use retia_obs::{event, Level};
 
 use crate::args::Args;
-use crate::config_sidecar;
 
 fn load_data(args: &Args) -> Result<TkgDataset, String> {
     let dir = PathBuf::from(args.require("data")?);
@@ -319,26 +318,18 @@ pub fn train(raw: &[String]) -> Result<(), String> {
     let report = trainer.evaluate_offline(&ctx, Split::Valid);
     println!("validation: {}", report.entity_raw);
 
-    trainer.model.store().save_file(&out).map_err(|e| e.to_string())?;
-    let sidecar = config_sidecar(&out);
-    std::fs::write(&sidecar, trainer.cfg.to_json())
-        .map_err(|e| format!("{}: {e}", sidecar.display()))?;
-    println!("saved checkpoint to {} (+ config sidecar)", out.display());
+    trainer.save_model(&out).map_err(|e| format!("{}: {e}", out.display()))?;
+    println!("saved model to {}", out.display());
     print_timing_summary();
     finish_obs(trace);
     Ok(())
 }
 
-fn load_model(args: &Args, ds: &TkgDataset) -> Result<(Retia, RetiaConfig), String> {
+/// The model file `--model` names (what `train --out` writes, or a
+/// train-state checkpoint), built for `ds`.
+fn load_model(args: &Args, ds: &TkgDataset) -> Result<Retia, String> {
     let path = PathBuf::from(args.require("model")?);
-    let sidecar = config_sidecar(&path);
-    let text = std::fs::read_to_string(&sidecar).map_err(|e| {
-        format!("{}: {e} (train writes it next to the checkpoint)", sidecar.display())
-    })?;
-    let cfg = RetiaConfig::from_json(&text)?;
-    let mut model = Retia::new(&cfg, ds);
-    model.store_mut().load_file(&path).map_err(|e| e.to_string())?;
-    Ok((model, cfg))
+    Retia::load(&path, ds).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// `retia evaluate --data DIR --model FILE [--split valid|test] [--online] [--filtered]`.
@@ -346,8 +337,8 @@ pub fn evaluate(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &["online", "filtered"], &[&["data", "model", "split"], OBS])?;
     let trace = init_obs(&args)?;
     let ds = load_data(&args)?;
-    let (model, mut cfg) = load_model(&args, &ds)?;
-    cfg.online = args.flag("online");
+    let model = load_model(&args, &ds)?;
+    let cfg = RetiaConfig { online: args.flag("online"), ..model.cfg.clone() };
     let split = match args.get("split").unwrap_or("test") {
         "valid" => Split::Valid,
         "test" => Split::Test,
@@ -446,32 +437,23 @@ fn parse_online_options(args: &Args) -> Result<retia_serve::OnlineOptions, Strin
     })
 }
 
-/// `retia serve (--data DIR | --store DIR) --resume CKPT_DIR [--port N]
+/// `retia serve (--data DIR | --store DIR) --model FILE [--port N]
 /// [--host H] [--workers N] [--online]`: online inference over HTTP from a
-/// checkpoint directory. With `--store` the boot window comes from the
+/// model file. With `--store` the boot window comes from the
 /// durable store (the same snapshots `train --store` saw) and every
 /// accepted ingest is appended to it before the window advances.
 /// `--online` adds the isolated continual trainer (atomic swaps, drift
 /// rollback; tune with `--online-steps`, `--online-interval-ms`,
 /// `--max-staleness`, `--drift-threshold`, `--drift-window`).
 pub fn serve(raw: &[String]) -> Result<(), String> {
-    let own = ["data", "store", "resume", "port", "host", "slo", "trace-slow-ms", "trace-sample"];
+    let own = ["data", "store", "model", "port", "host", "slo", "trace-slow-ms", "trace-sample"];
     let args = Args::parse(raw, &["online"], &[&own, SERVER, OBS, ONLINE])?;
     let trace = init_obs(&args)?;
     let ds = load_data_or_store(&args)?;
-    let dir = PathBuf::from(args.require("resume")?);
-    // Resume rebuilds the exact trainer state (config + parameters) from
-    // the checkpoint directory; serving freezes its model and never touches
-    // the optimizer again.
-    let trainer = Trainer::resume(&dir, &ds).map_err(|e| {
-        format!(
-            "{e} (the checkpoint must match the boot source: `{}` has {} entities / {} relations)",
-            ds.name, ds.num_entities, ds.num_relations
-        )
-    })?;
+    let model = load_model(&args, &ds)?;
     // The window keeps the newest `k` snapshots and builds their
     // hypergraphs itself; nothing older is built.
-    let window = ds.last_snapshots(trainer.model.cfg.k);
+    let window = ds.last_snapshots(model.cfg.k);
 
     let port: u16 = args.get_or("port", 8080u16)?;
     let host = args.get_or("host", "127.0.0.1".to_string())?;
@@ -491,8 +473,7 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
         store: args.get("store").map(PathBuf::from),
         ..defaults
     };
-    let model = retia::FrozenModel::new(trainer.model);
-    let server = retia_serve::Server::start(model, window, &cfg)
+    let server = retia_serve::Server::start(retia::FrozenModel::new(model), window, &cfg)
         .map_err(|e| format!("{}: {e}", cfg.addr))?;
     // The smoke test and scripts discover the ephemeral port from this line;
     // keep its shape stable.
@@ -720,7 +701,7 @@ pub fn report(raw: &[String]) -> Result<(), String> {
 pub fn predict(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &[], &[&["data", "model", "subject", "relation", "topk"]])?;
     let ds = load_data(&args)?;
-    let (model, cfg) = load_model(&args, &ds)?;
+    let model = load_model(&args, &ds)?;
     let subject: u32 =
         args.require("subject")?.parse().map_err(|e| format!("bad --subject: {e}"))?;
     let relation: u32 =
@@ -735,7 +716,7 @@ pub fn predict(raw: &[String]) -> Result<(), String> {
 
     let ctx = TkgContext::new(&ds);
     let idx = *ctx.test_idx.first().ok_or("dataset has no test timestamps")?;
-    let (hist, hypers) = ctx.history(idx, cfg.k);
+    let (hist, hypers) = ctx.history(idx, model.cfg.k);
     let probs = model.predict_entity(hist, hypers, vec![subject], vec![relation]);
     let mut ranked: Vec<(usize, f32)> = probs.row(0).iter().copied().enumerate().collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));

@@ -7,10 +7,13 @@
 //! retia train    --data data/icews14 --out model.bin --epochs 10
 //! retia evaluate --data data/icews14 --model model.bin --split test --online
 //! retia predict  --data data/icews14 --model model.bin --subject 3 --relation 2 --topk 5
-//! retia serve    --data data/icews14 --resume ckpts/ --port 8080
+//! retia serve    --data data/icews14 --model model.bin --port 8080
 //! ```
+//!
+//! `train --out` writes one model file (config and parameters); `evaluate`,
+//! `predict` and `serve` read it, or a `--checkpoint-dir` train-state
+//! checkpoint, through `--model`.
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 mod args;
@@ -61,6 +64,8 @@ USAGE:
     retia <command> [options]
 
     An option the command does not read is an error, not silently ignored.
+    A --model FILE is what `train --out` writes; a train-state checkpoint
+    from `train --checkpoint-dir` (DIR/ckpt-*.retia) is one too.
 
 COMMANDS:
     generate   synthesize a benchmark-shaped dataset
@@ -78,7 +83,7 @@ COMMANDS:
                --all-configs sweeps every ablation mode
                [--data DIR] [--all-configs] [--dim N] [--k N] [--channels N]
                [--no-tim] [--no-eam]
-    train      train a RETIA model and write a checkpoint
+    train      train a RETIA model and write its model file
                (--data DIR | --store DIR) --out FILE
                [--dim N] [--k N] [--epochs N] [--channels N]
                [--lr F] [--lambda F] [--seed N] [--no-tim] [--no-eam] [--static-weight F]
@@ -95,13 +100,13 @@ COMMANDS:
                [--no-recovery]         disable divergence recovery (skip bad
                                        steps / rollback / lr backoff), keeping
                                        the reference warn-only behavior
-    evaluate   score a checkpoint on a split
+    evaluate   score a model file on a split
                --data DIR --model FILE [--split valid|test] [--online] [--filtered]
                [--log-level L] [--trace-out FILE]
     predict    rank candidate objects for a query (s, r, ?) at the first test timestamp
                --data DIR --model FILE --subject N --relation N [--topk N]
-    serve      online inference over HTTP from a train checkpoint directory
-               (--data DIR | --store DIR) --resume CKPT_DIR
+    serve      online inference over HTTP from a model file
+               (--data DIR | --store DIR) --model FILE
                [--port N] [--host H] [--workers N] [--queue-cap N]
                [--slo LIST] [--trace-slow-ms F] [--trace-sample N]
                [--log-level L] [--trace-out FILE]
@@ -186,14 +191,3 @@ OBSERVABILITY:
     --trace-out FILE  append every span/event as JSON lines to FILE
                       (feed it to `retia report --trace FILE`)
 ";
-
-/// Shared checkpoint-sidecar: the config a model was trained with.
-pub(crate) fn config_sidecar(model_path: &Path) -> PathBuf {
-    let mut p = model_path.to_path_buf();
-    let name = p
-        .file_name()
-        .map(|f| format!("{}.config.json", f.to_string_lossy()))
-        .unwrap_or_else(|| "model.config.json".into());
-    p.set_file_name(name);
-    p
-}

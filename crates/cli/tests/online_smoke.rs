@@ -63,14 +63,14 @@ impl Drop for Reap {
     }
 }
 
-fn spawn_serve(store: &str, ckpts: &str) -> (Reap, String) {
+fn spawn_serve(store: &str, model: &str) -> (Reap, String) {
     let mut child = Reap(
         retia(&[
             "serve",
             "--store",
             store,
-            "--resume",
-            ckpts,
+            "--model",
+            model,
             "--port",
             "0",
             "--workers",
@@ -114,11 +114,10 @@ fn online_serve_survives_kill_dash_nine_and_replays_store() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let data = dir.join("data");
-    let ckpts = dir.join("ckpts");
     let store = dir.join("store");
     let data_s = data.to_string_lossy().into_owned();
-    let ckpt_s = ckpts.to_string_lossy().into_owned();
     let store_s = store.to_string_lossy().into_owned();
+    let model_s = dir.join("model.bin").to_string_lossy().into_owned();
 
     run(&["generate", "--profile", "tiny", "--out", &data_s]);
     run(&["ingest", "--store", &store_s, "--from-data", &data_s]);
@@ -127,7 +126,7 @@ fn online_serve_survives_kill_dash_nine_and_replays_store() {
         "--store",
         &store_s,
         "--out",
-        &dir.join("model.bin").to_string_lossy(),
+        &model_s,
         "--dim",
         "8",
         "--channels",
@@ -136,14 +135,12 @@ fn online_serve_survives_kill_dash_nine_and_replays_store() {
         "2",
         "--epochs",
         "1",
-        "--checkpoint-dir",
-        &ckpt_s,
         "--log-level",
         "off",
     ]);
 
     // Life 1: the trainer is live and the store absorbs a new fact.
-    let (mut child, addr) = spawn_serve(&store_s, &ckpt_s);
+    let (mut child, addr) = spawn_serve(&store_s, &model_s);
 
     let (status, body) = http(&addr, "GET", "/healthz", None);
     assert_eq!(status, 200, "{body}");
@@ -173,7 +170,7 @@ fn online_serve_survives_kill_dash_nine_and_replays_store() {
 
     // Life 2: boot reads the store; the ingested fact must still be in the
     // window and serving must come up clean (liveness + readiness).
-    let (mut child, addr) = spawn_serve(&store_s, &ckpt_s);
+    let (mut child, addr) = spawn_serve(&store_s, &model_s);
     assert_eq!(window_end(&addr), end + 1, "ingest log was not replayed after kill -9");
     let (status, body) = http(&addr, "GET", "/healthz?ready=1", None);
     assert_eq!(status, 200, "restarted server is not ready: {body}");

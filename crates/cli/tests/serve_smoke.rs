@@ -1,6 +1,7 @@
-//! Smoke test for `retia serve`: generate → train → serve on an ephemeral
-//! port → query → ingest → re-query → inspect the trace store, Prometheus
-//! exposition and SLO gauges → drain — all through the real binary.
+//! Smoke test for `retia serve`: generate → train → evaluate and predict
+//! the model file → serve it on an ephemeral port → query → ingest →
+//! re-query → inspect the trace store, Prometheus exposition and SLO gauges
+//! → drain — all through the real binary.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -8,19 +9,23 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use retia_tensor::serialize::{read_container, write_container};
+
 fn retia(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_retia"));
     cmd.args(args);
     cmd
 }
 
-fn run(args: &[&str]) {
+/// Runs `retia` to success and returns its stdout.
+fn run(args: &[&str]) -> String {
     let out = retia(args).output().expect("spawn retia");
     assert!(
         out.status.success(),
         "retia {args:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 /// Raw HTTP/1.1 exchange; returns (status, body).
@@ -68,6 +73,7 @@ fn serve_smoke_query_ingest_requery_shutdown() {
     let ckpts = dir.join("ckpts");
     let data_s = data.to_string_lossy().into_owned();
     let ckpt_s = ckpts.to_string_lossy().into_owned();
+    let model_s = dir.join("model.bin").to_string_lossy().into_owned();
 
     run(&["generate", "--profile", "tiny", "--out", &data_s]);
     run(&[
@@ -75,7 +81,7 @@ fn serve_smoke_query_ingest_requery_shutdown() {
         "--data",
         &data_s,
         "--out",
-        &dir.join("model.bin").to_string_lossy(),
+        &model_s,
         "--dim",
         "8",
         "--channels",
@@ -90,14 +96,61 @@ fn serve_smoke_query_ingest_requery_shutdown() {
         "off",
     ]);
 
+    // `train --out` wrote one model file (no config sidecar), which the
+    // other readers of a model load too.
+    assert!(!dir.join("model.bin.config.json").exists(), "train wrote a config sidecar");
+    let eval = run(&["evaluate", "--data", &data_s, "--model", &model_s, "--log-level", "off"]);
+    assert!(eval.contains("entity   (raw): MRR"), "evaluate output: {eval}");
+    // A train-state checkpoint of the same run is a model file too.
+    let ckpt = ckpts.join("ckpt-00001.retia").to_string_lossy().into_owned();
+    let eval_ckpt = run(&["evaluate", "--data", &data_s, "--model", &ckpt, "--log-level", "off"]);
+    let results =
+        |out: &str| out.lines().take_while(|l| !l.is_empty()).collect::<Vec<_>>().join("\n");
+    assert_eq!(results(&eval_ckpt), results(&eval), "checkpoint and model file disagree");
+    let pred = run(&[
+        "predict",
+        "--data",
+        &data_s,
+        "--model",
+        &model_s,
+        "--subject",
+        "0",
+        "--relation",
+        "0",
+    ]);
+    assert!(pred.contains("top-") && pred.contains("#1"), "predict output: {pred}");
+
+    // A stored config that fails validation is a typed error naming the
+    // field (exit 1), not a panic.
+    let bytes = std::fs::read(&model_s).expect("read model file");
+    let sections = read_container(&bytes).expect("model file is a container");
+    let patched: Vec<(&str, Vec<u8>)> = sections
+        .iter()
+        .map(|(name, payload)| match name.as_str() {
+            "config" => {
+                let text = String::from_utf8_lossy(payload);
+                ("config", text.replace("\"k\": 2", "\"k\": 0").into_bytes())
+            }
+            other => (other, payload.to_vec()),
+        })
+        .collect();
+    let bad = dir.join("bad-config.bin");
+    std::fs::write(&bad, write_container(&patched)).expect("write model file");
+    let out = retia(&["evaluate", "--data", &data_s, "--model", &bad.to_string_lossy()])
+        .output()
+        .expect("spawn retia");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: ") && stderr.contains("k must be positive"), "{stderr}");
+
     // Port 0 → the kernel picks; the server prints the resolved address.
     let mut child = Reap(
         retia(&[
             "serve",
             "--data",
             &data_s,
-            "--resume",
-            &ckpt_s,
+            "--model",
+            &model_s,
             "--port",
             "0",
             "--workers",
@@ -214,17 +267,18 @@ fn serve_smoke_query_ingest_requery_shutdown() {
 /// An option `serve` does not read fails the command before any work: the
 /// deleted JSONL log flag, or a typo of `--store`, must not boot a server
 /// that silently drops durability, and the deleted decode-sharding flag
-/// must not look accepted. The dataset path does not exist, so only the
-/// flag check can produce the error.
+/// and checkpoint-directory flag (`--model` names the file to serve) must
+/// not look accepted. The dataset path does not exist, so only the flag
+/// check can produce the error.
 #[test]
 fn serve_rejects_options_it_does_not_read() {
-    for flag in ["--ingest-log", "--stroe", "--decode-shards"] {
+    for flag in ["--ingest-log", "--stroe", "--decode-shards", "--resume"] {
         let args = [
             "serve",
             "--data",
             "no-such-data",
-            "--resume",
-            "no-such-ckpt",
+            "--model",
+            "no-such-model",
             "--port",
             "0",
             flag,

@@ -110,7 +110,7 @@ fn store_lifecycle_survives_kill_dash_nine() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let data_s = dir.join("data").to_string_lossy().into_owned();
     let store_s = dir.join("store").to_string_lossy().into_owned();
-    let ckpt_s = dir.join("ckpts").to_string_lossy().into_owned();
+    let model_s = dir.join("model.bin").to_string_lossy().into_owned();
 
     run(&["generate", "--profile", "tiny", "--out", &data_s]);
     let summary = run(&["ingest", "--store", &store_s, "--from-data", &data_s]);
@@ -148,7 +148,7 @@ fn store_lifecycle_survives_kill_dash_nine() {
         "--store",
         &store_s,
         "--out",
-        &dir.join("model.bin").to_string_lossy(),
+        &model_s,
         "--dim",
         "8",
         "--channels",
@@ -157,15 +157,13 @@ fn store_lifecycle_survives_kill_dash_nine() {
         "2",
         "--epochs",
         "1",
-        "--checkpoint-dir",
-        &ckpt_s,
         "--log-level",
         "off",
     ]);
 
     // Life 1: ingest over HTTP (acknowledged == durably in the store), then
     // kill -9 — no drain, no shutdown hook.
-    let (mut child, addr) = spawn_serve(&["--store", &store_s, "--resume", &ckpt_s]);
+    let (mut child, addr) = spawn_serve(&["--store", &store_s, "--model", &model_s]);
     let end = window_end(&addr);
     let ingest = format!(
         r#"{{"facts": [{{"subject": 0, "relation": 0, "object": 1, "timestamp": {}}}]}}"#,
@@ -178,7 +176,7 @@ fn store_lifecycle_survives_kill_dash_nine() {
     drop(child);
 
     // Life 2: the restarted server boots its window from the store alone.
-    let (mut child, addr) = spawn_serve(&["--store", &store_s, "--resume", &ckpt_s]);
+    let (mut child, addr) = spawn_serve(&["--store", &store_s, "--model", &model_s]);
     assert_eq!(window_end(&addr), end + 1, "acknowledged fact lost across kill -9");
     let (status, body) = http(&addr, "POST", "/admin/shutdown", None);
     assert_eq!(status, 200, "{body}");

@@ -1,17 +1,22 @@
-//! Full train-state checkpointing: periodic atomic saves during `fit`,
-//! rotation with a best-checkpoint pin, and crash-consistent resume.
+//! Model files and full train-state checkpointing: periodic atomic saves
+//! during `fit`, rotation with a best-checkpoint pin, and crash-consistent
+//! resume.
 //!
-//! A train-state checkpoint is a v2 container (see
-//! [`retia_tensor::serialize`]) with these sections:
+//! Both are v2 containers (see [`retia_tensor::serialize`]). A **model
+//! file** holds the first two sections below; a **train-state checkpoint**
+//! adds the rest, so it is a model file too:
 //!
 //! | section   | payload                                                  |
 //! |-----------|----------------------------------------------------------|
-//! | `config`  | the [`RetiaConfig`] as JSON — a checkpoint rebuilds its own model |
+//! | `config`  | the [`RetiaConfig`] as JSON — a file rebuilds its own model |
 //! | `params`  | parameter values (named-tensor codec)                    |
 //! | `opt.m`   | Adam first-moment estimates                              |
 //! | `opt.v`   | Adam second-moment estimates                             |
 //! | `trainer` | binary trainer state v1 (steps, seeds, schedule, history)|
 //! | `best`    | best-validation parameter values (only when tracked)     |
+//!
+//! `retia train --out` writes a model file ([`Trainer::save_model`]);
+//! [`Retia::load`] reads either kind and decodes only `config` and `params`.
 //!
 //! Everything a resumed run needs to be **bit-identical** to an
 //! uninterrupted one is captured: the Adam step count `t` (bias
@@ -32,7 +37,7 @@ use retia_data::TkgDataset;
 use retia_tensor::serialize::{
     atomic_write, read_container, require_section, write_container, Reader,
 };
-use retia_tensor::CheckpointError;
+use retia_tensor::{CheckpointError, ParamStore};
 
 use crate::config::RetiaConfig;
 use crate::model::Retia;
@@ -173,19 +178,61 @@ impl Manifest {
     }
 }
 
+/// The model file's encoder: the `config` and `params` sections, which
+/// also open every train-state checkpoint.
+fn model_sections(cfg: &RetiaConfig, store: &ParamStore) -> Vec<(&'static str, Vec<u8>)> {
+    vec![("config", cfg.to_json().into_bytes()), ("params", store.values_payload())]
+}
+
+/// The model file's decoder: builds the model that the `config` and
+/// `params` sections of a read container describe. A config that fails
+/// [`RetiaConfig::validate`] is an error naming the field, never a panic.
+fn model_from_sections(sections: &[(String, &[u8])], ds: &TkgDataset) -> Result<Retia, TrainError> {
+    let text = std::str::from_utf8(require_section(sections, "config")?)
+        .map_err(|_| CheckpointError::Corrupt("non-utf8 config section".into()))?;
+    let cfg = RetiaConfig::from_json(text)
+        .and_then(|cfg| cfg.validate().map(|()| cfg))
+        .map_err(|e| TrainError::Invalid(format!("invalid config section: {e}")))?;
+    let mut model = Retia::new(&cfg, ds);
+    model.store_mut().load_values_payload(require_section(sections, "params")?)?;
+    Ok(model)
+}
+
+impl Retia {
+    /// Reads a model file — what `retia train --out` writes, or any
+    /// train-state checkpoint — and builds its model for `ds`. Only the
+    /// `config` and `params` sections are decoded.
+    pub fn load(path: &Path, ds: &TkgDataset) -> Result<Retia, TrainError> {
+        Retia::from_model_bytes(&std::fs::read(path).map_err(CheckpointError::Io)?, ds)
+    }
+
+    /// [`Retia::load`] over the file's bytes.
+    pub fn from_model_bytes(bytes: &[u8], ds: &TkgDataset) -> Result<Retia, TrainError> {
+        model_from_sections(&read_container(bytes)?, ds)
+    }
+}
+
 impl Trainer {
+    /// The model file of this run: its config and the model's parameter
+    /// values, the first two sections of [`Trainer::to_checkpoint_bytes`].
+    pub fn model_bytes(&self) -> Vec<u8> {
+        write_container(&model_sections(&self.cfg, self.model.store()))
+    }
+
+    /// Writes [`Trainer::model_bytes`] atomically to `path` (what
+    /// `retia train --out` writes; [`Retia::load`] reads it back).
+    pub fn save_model(&self, path: &Path) -> Result<(), CheckpointError> {
+        atomic_write(path, &self.model_bytes())
+    }
+
     /// Serializes the complete train state (model, optimizer, schedule,
-    /// early-stopping bookkeeping) as a v2 checkpoint container.
+    /// early-stopping bookkeeping) as a v2 checkpoint container: the model
+    /// file's sections, then the train-state ones.
     pub fn to_checkpoint_bytes(&self) -> Vec<u8> {
         let store = self.model.store();
         let (m, v) = store.moments_payloads();
-        let mut sections: Vec<(&str, Vec<u8>)> = vec![
-            ("config", self.cfg.to_json().into_bytes()),
-            ("params", store.values_payload()),
-            ("opt.m", m),
-            ("opt.v", v),
-            ("trainer", self.trainer_state_payload()),
-        ];
+        let mut sections = model_sections(&self.cfg, store);
+        sections.extend([("opt.m", m), ("opt.v", v), ("trainer", self.trainer_state_payload())]);
         if let Some(best) = &self.best_params {
             sections.push(("best", best.values_payload()));
         }
@@ -340,15 +387,13 @@ impl Trainer {
             .map_err(|e| TrainError::Invalid(format!("{}: {e}", path.display())))
     }
 
-    /// Rebuilds a trainer from checkpoint bytes.
+    /// Rebuilds a trainer from checkpoint bytes: the model through the
+    /// model file's decoder, then the train-state sections.
     pub fn from_checkpoint_bytes(bytes: &[u8], ds: &TkgDataset) -> Result<Trainer, TrainError> {
         let sections = read_container(bytes)?;
-        let config_text = String::from_utf8(require_section(&sections, "config")?.to_vec())
-            .map_err(|_| CheckpointError::Corrupt("non-utf8 config section".into()))?;
-        let cfg = RetiaConfig::from_json(&config_text).map_err(TrainError::Invalid)?;
-        let model = Retia::new(&cfg, ds);
+        let model = model_from_sections(&sections, ds)?;
+        let cfg = model.cfg.clone();
         let mut trainer = Trainer::new(model, cfg);
-        trainer.model.store_mut().load_values_payload(require_section(&sections, "params")?)?;
         let m = require_section(&sections, "opt.m")?;
         let v = require_section(&sections, "opt.v")?;
         trainer.model.store_mut().load_moments_payloads(m, v)?;
@@ -403,6 +448,96 @@ mod tests {
         // Bit-identical params, moments and schedule → byte-identical
         // re-serialization.
         assert_eq!(restored.to_checkpoint_bytes(), bytes);
+    }
+
+    /// Replaces the `config` section of a container, keeping every other
+    /// section and writing valid CRCs.
+    fn with_config(bytes: &[u8], config: &RetiaConfig) -> Vec<u8> {
+        let json = config.to_json().into_bytes();
+        let sections = read_container(bytes).unwrap();
+        let patched: Vec<(&str, Vec<u8>)> = sections
+            .iter()
+            .map(|(name, p)| {
+                (name.as_str(), if name == "config" { json.clone() } else { p.to_vec() })
+            })
+            .collect();
+        write_container(&patched)
+    }
+
+    /// One stored config per `RetiaConfig::validate` rule, each breaking it.
+    fn invalid_configs(cfg: &RetiaConfig) -> Vec<(RetiaConfig, &'static str)> {
+        vec![
+            (RetiaConfig { k: 0, ..cfg.clone() }, "k must be positive"),
+            (RetiaConfig { dim: 0, ..cfg.clone() }, "dim must be positive"),
+            (RetiaConfig { lambda: 3.0, ..cfg.clone() }, "lambda must be in [0, 1]"),
+            (RetiaConfig { num_bases: 0, ..cfg.clone() }, "num_bases must be positive"),
+            (RetiaConfig { rgcn_layers: 0, ..cfg.clone() }, "rgcn_layers must be positive"),
+            (RetiaConfig { dropout: 1.5, ..cfg.clone() }, "dropout must be in [0, 1)"),
+        ]
+    }
+
+    #[test]
+    fn model_loader_rejects_an_invalid_config_naming_the_field() {
+        let (trainer, _, ds) = setup(1);
+        let bytes = trainer.model_bytes();
+        for (bad, field) in invalid_configs(&trainer.cfg) {
+            let err = match Retia::from_model_bytes(&with_config(&bytes, &bad), &ds) {
+                Err(e) => e,
+                Ok(_) => panic!("a model file whose config breaks `{field}` loaded"),
+            };
+            assert!(matches!(err, TrainError::Invalid(_)), "{err:?}");
+            assert!(err.to_string().contains(field), "{err}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_loader_rejects_an_invalid_config_naming_the_field() {
+        let (trainer, _, ds) = setup(1);
+        let bytes = trainer.to_checkpoint_bytes();
+        let bad = RetiaConfig { k: 0, ..trainer.cfg.clone() };
+        let err = match Trainer::from_checkpoint_bytes(&with_config(&bytes, &bad), &ds) {
+            Err(e) => e,
+            Ok(_) => panic!("a checkpoint whose config sets k = 0 loaded"),
+        };
+        assert!(matches!(err, TrainError::Invalid(_)), "{err:?}");
+        assert!(err.to_string().contains("k must be positive"), "{err}");
+    }
+
+    /// A model file and a train-state checkpoint of one run load to the
+    /// same model, bit for bit; a container with only `params` (no config
+    /// to build the model from) is refused.
+    #[test]
+    fn model_file_and_checkpoint_load_the_same_model() {
+        let (mut trainer, ctx, ds) = setup(1);
+        trainer.try_fit(&ctx).unwrap();
+        let bits =
+            |t: &retia_tensor::Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let idx = ctx.test_idx[0];
+        let (history, hypers) = ctx.history(idx, trainer.cfg.k);
+        let (subjects, rels, _) = crate::entity_queries(&ctx.snapshots[idx], ctx.num_relations);
+        let decode = |m: &Retia| {
+            let states = m.evolve_window(history, hypers);
+            bits(&m.decode_entity(&states, subjects.clone(), rels.clone()))
+        };
+        let reference = decode(&trainer.model);
+        for bytes in [trainer.model_bytes(), trainer.to_checkpoint_bytes()] {
+            let loaded = Retia::from_model_bytes(&bytes, &ds).unwrap();
+            assert_eq!(loaded.cfg, trainer.cfg);
+            for ((name, a), (_, b)) in trainer.model.store().iter().zip(loaded.store().iter()) {
+                assert_eq!(bits(a), bits(b), "param `{name}` diverged");
+            }
+            assert_eq!(decode(&loaded), reference, "decode_entity diverged");
+        }
+        let params_only = trainer.model.store().to_bytes();
+        let err = match Retia::from_model_bytes(&params_only, &ds) {
+            Err(e) => e,
+            Ok(_) => panic!("a params-only container loaded as a model file"),
+        };
+        assert!(
+            matches!(&err, TrainError::Checkpoint(CheckpointError::MissingSection { section })
+                if section == "config"),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -184,8 +184,8 @@ impl RetiaConfig {
         Ok(())
     }
 
-    /// Pretty JSON rendering of every field (the CLI's config sidecar
-    /// format).
+    /// Pretty JSON rendering of every field: the `config` section of a
+    /// model file and of a train-state checkpoint.
     pub fn to_json(&self) -> String {
         let mut o = Value::object();
         o.insert("dim", Value::from(self.dim));
@@ -214,8 +214,9 @@ impl RetiaConfig {
     }
 
     /// Parses a JSON object produced by [`RetiaConfig::to_json`]. Absent
-    /// fields keep their defaults (so sidecars written before a field was
+    /// fields keep their defaults (so files written before a field was
     /// added still load); present fields with the wrong type are errors.
+    /// Field ranges are [`RetiaConfig::validate`]'s to check.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = retia_json::parse(text).map_err(|e| e.to_string())?;
         if !matches!(doc, Value::Object(_)) {
@@ -365,7 +366,7 @@ mod tests {
         assert_eq!(c.k, RetiaConfig::default().k);
         assert_eq!(c.relation_mode, RelationMode::MpLstmAgg);
         // Configs written while the config carried a thread count (older
-        // sidecars and checkpoints) still load; the field is ignored.
+        // model files and checkpoints) still load; the field is ignored.
         let old = RetiaConfig::from_json(r#"{"dim": 64, "num_threads": 4}"#).unwrap();
         assert_eq!(old.dim, 64);
     }

@@ -24,9 +24,10 @@
 //! [`atomic_write_with`] exposes the write path so fault-injection harnesses
 //! can simulate exactly that crash.
 //!
-//! [`ParamStore`] persists parameter *values* in a `"params"` section; the
-//! optimizer-moment payloads used by the trainer's full `TrainState`
-//! checkpoint (see `retia::Trainer`) reuse the same named-tensor codec.
+//! [`ParamStore`] encodes parameter *values* as the `"params"` section of a
+//! RETIA model file (`retia::Retia::load`; a `"config"` section comes first).
+//! A train-state checkpoint (`retia::Trainer`) adds optimizer-moment
+//! sections in the same named-tensor codec, and the trainer's own state.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -272,8 +273,9 @@ pub fn write_container(sections: &[(&str, Vec<u8>)]) -> Vec<u8> {
 }
 
 /// Parses a v2 container, verifying the file CRC and every section CRC.
-/// Returns `(name, payload)` pairs in file order.
-pub fn read_container(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, CheckpointError> {
+/// Returns `(name, payload)` pairs in file order; each payload borrows
+/// `bytes`, so a reader holds the file once.
+pub fn read_container(bytes: &[u8]) -> Result<Vec<(String, &[u8])>, CheckpointError> {
     let mut r = Reader::new(bytes);
     let magic = r.take(MAGIC.len(), "magic")?;
     if magic != MAGIC {
@@ -304,7 +306,7 @@ pub fn read_container(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, Checkpoint
         if stored != computed {
             return Err(CheckpointError::CrcMismatch { section: name, stored, computed });
         }
-        sections.push((name, payload.to_vec()));
+        sections.push((name, payload));
     }
     r.finish("last section")?;
     Ok(sections)
@@ -312,13 +314,13 @@ pub fn read_container(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, Checkpoint
 
 /// Looks up a required section by name.
 pub fn require_section<'a>(
-    sections: &'a [(String, Vec<u8>)],
+    sections: &[(String, &'a [u8])],
     name: &str,
 ) -> Result<&'a [u8], CheckpointError> {
     sections
         .iter()
         .find(|(n, _)| n == name)
-        .map(|(_, p)| p.as_slice())
+        .map(|&(_, p)| p)
         .ok_or_else(|| CheckpointError::MissingSection { section: name.to_string() })
 }
 
@@ -501,21 +503,10 @@ impl ParamStore {
 
     /// Restores parameter *values* from bytes produced by
     /// [`ParamStore::to_bytes`] (or any container with a `"params"`
-    /// section, such as a full train-state checkpoint).
+    /// section, such as a model file or a full train-state checkpoint).
     pub fn load_bytes(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         let sections = read_container(bytes)?;
         self.load_values_payload(require_section(&sections, "params")?)
-    }
-
-    /// Writes a checkpoint file atomically (temp + fsync + rename).
-    pub fn save_file(&self, path: &Path) -> Result<(), CheckpointError> {
-        atomic_write(path, &self.to_bytes())
-    }
-
-    /// Loads a checkpoint file into an already-built store.
-    pub fn load_file(&mut self, path: &Path) -> Result<(), CheckpointError> {
-        let bytes = std::fs::read(path)?;
-        self.load_bytes(&bytes)
     }
 }
 
@@ -558,18 +549,6 @@ mod tests {
         dst.value_mut("a").fill_zero();
         dst.load_bytes(&bytes).unwrap();
         assert_eq!(dst.to_bytes(), bytes, "save -> load -> save must be byte-identical");
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let src = store();
-        let path = std::env::temp_dir().join(format!("retia_ckpt_{}.bin", std::process::id()));
-        src.save_file(&path).unwrap();
-        let mut dst = store();
-        dst.value_mut("a").fill_zero();
-        dst.load_file(&path).unwrap();
-        assert_eq!(dst.value("a"), src.value("a"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -688,7 +667,7 @@ mod tests {
         assert_eq!(back.len(), 3);
         for ((n0, p0), (n1, p1)) in sections.iter().zip(back.iter()) {
             assert_eq!(n0, n1);
-            assert_eq!(p0, p1);
+            assert_eq!(p0.as_slice(), *p1);
         }
         assert_eq!(require_section(&back, "beta").unwrap(), &[] as &[u8]);
         assert!(require_section(&back, "delta").is_err());

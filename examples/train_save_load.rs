@@ -1,4 +1,4 @@
-//! Train → checkpoint → reload → continue online: the deployment loop a
+//! Train → model file → reload → continue online: the deployment loop a
 //! production forecasting service would run (train offline once, then keep
 //! the model current with online continual updates as new days arrive).
 //!
@@ -35,15 +35,15 @@ fn main() {
         online: false,
         ..Default::default()
     };
-    let mut trainer = Trainer::new(Retia::new(&cfg, &ds), cfg.clone());
+    let mut trainer = Trainer::new(Retia::new(&cfg, &ds), cfg);
     println!("phase 1: general training...");
     trainer.fit(&ctx);
     let offline = trainer.evaluate_offline(&ctx, Split::Test);
     println!("  offline test quality: {}", offline.entity_raw);
 
-    // Phase 2: checkpoint to disk.
+    // Phase 2: write the model file (config and parameters) to disk.
     let path = std::env::temp_dir().join("retia_demo_model.bin");
-    trainer.model.store().save_file(&path).expect("save checkpoint");
+    trainer.save_model(&path).expect("save model file");
     println!(
         "phase 2: checkpointed {} parameters to {} ({} KiB)",
         trainer.model.num_parameters(),
@@ -51,12 +51,12 @@ fn main() {
         std::fs::metadata(&path).map(|m| m.len() / 1024).unwrap_or(0)
     );
 
-    // Phase 3: a fresh process loads the checkpoint and serves predictions,
-    // updating online as each new timestamp's ground truth arrives.
-    let serving_cfg = RetiaConfig { online: true, online_steps: 3, seed: 999, ..cfg };
-    let mut serving = Retia::new(&serving_cfg, &ds);
-    serving.store_mut().load_file(&path).expect("load checkpoint");
+    // Phase 3: a fresh process loads the model file, which rebuilds the
+    // model from its own config, and serves predictions, updating online as
+    // each new timestamp's ground truth arrives.
+    let serving = Retia::load(&path, &ds).expect("load model file");
     std::fs::remove_file(&path).ok();
+    let serving_cfg = RetiaConfig { online: true, online_steps: 3, ..serving.cfg.clone() };
     let mut server = Trainer::new(serving, serving_cfg);
     println!("phase 3: serving with online continual updates...");
     let online = server.evaluate(&ctx, Split::Test);

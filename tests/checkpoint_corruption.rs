@@ -88,3 +88,45 @@ fn trainer_checkpoint_corruption_sweep() {
     let restored = Trainer::from_checkpoint_bytes(&bytes, &ds).unwrap();
     assert_eq!(restored.to_checkpoint_bytes(), bytes);
 }
+
+/// The same strided sweep against a *model file* (`config` and `params`,
+/// what `retia train --out` writes): every damaged copy is a typed error
+/// from the one loader that `evaluate`, `predict` and `serve` use.
+#[test]
+fn model_file_corruption_sweep() {
+    let ds = SyntheticConfig::tiny(4).generate();
+    let ctx = TkgContext::new(&ds);
+    let cfg = RetiaConfig {
+        dim: 8,
+        channels: 4,
+        k: 2,
+        epochs: 1,
+        patience: 0,
+        online: false,
+        ..Default::default()
+    };
+    let mut trainer = Trainer::new(Retia::new(&cfg, &ds), cfg);
+    trainer.try_fit(&ctx).unwrap();
+    let bytes = trainer.model_bytes();
+
+    for len in (0..bytes.len()).step_by(97) {
+        let cut = chaos::truncated(&bytes, len);
+        assert!(
+            Retia::from_model_bytes(&cut, &ds).is_err(),
+            "model file truncated to {len}/{} bytes loaded",
+            bytes.len()
+        );
+    }
+    for bit in (0..bytes.len() * 8).step_by(1009) {
+        let bad = chaos::bit_flipped(&bytes, bit);
+        assert!(
+            Retia::from_model_bytes(&bad, &ds).is_err(),
+            "model file with bit {bit} flipped loaded"
+        );
+    }
+
+    // The undamaged file loads the trained values: the sweep tested
+    // corruption, not an always-failing loader.
+    let loaded = Retia::from_model_bytes(&bytes, &ds).unwrap();
+    assert_eq!(loaded.store().to_bytes(), trainer.model.store().to_bytes());
+}

@@ -1,5 +1,5 @@
-//! Model checkpointing: trained weights survive a save/load cycle and
-//! reproduce identical predictions in a freshly built model.
+//! Model checkpointing: trained weights survive a model-file save/load
+//! cycle and reproduce identical predictions in a freshly built model.
 
 use retia::{Retia, RetiaConfig, Split, TkgContext, Trainer};
 use retia_data::SyntheticConfig;
@@ -26,21 +26,22 @@ fn checkpoint_roundtrip_reproduces_predictions() {
     let reference = trainer.evaluate_offline(&ctx, Split::Test);
 
     let path = std::env::temp_dir().join(format!("retia_model_{}.bin", std::process::id()));
-    trainer.model.store().save_file(&path).unwrap();
+    trainer.save_model(&path).unwrap();
 
-    // Fresh model, different seed → different init; loading must restore the
-    // trained weights exactly.
-    let fresh_cfg = RetiaConfig { seed: 777, ..cfg() };
-    let mut fresh = Retia::new(&fresh_cfg, &ds);
+    // The loader builds a fresh model from the file's config, which starts
+    // at its initialization; loading must restore the trained weights
+    // exactly.
+    let fresh = Retia::new(&cfg(), &ds);
     assert_ne!(
         fresh.store().value("ent0"),
         trainer.model.store().value("ent0"),
         "fresh model must start different"
     );
-    fresh.store_mut().load_file(&path).unwrap();
+    let loaded = Retia::load(&path, &ds).unwrap();
     std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.store().value("ent0"), trainer.model.store().value("ent0"));
 
-    let mut fresh_trainer = Trainer::new(fresh, cfg());
+    let mut fresh_trainer = Trainer::new(loaded, cfg());
     let restored = fresh_trainer.evaluate_offline(&ctx, Split::Test);
     assert_eq!(
         reference.entity_raw, restored.entity_raw,
