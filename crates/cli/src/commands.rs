@@ -38,45 +38,57 @@ const ONLINE: &[&str] =
 /// Server knobs of `serve` and of the server `loadtest` self-hosts.
 const SERVER: &[&str] = &["workers", "queue-cap"];
 
+/// The sinks [`init_obs`] installed; [`finish_obs`] detaches them.
+struct ObsSinks {
+    trace: Option<retia_obs::SinkId>,
+    breakdown: Option<(retia_obs::SinkId, retia_obs::report::BreakdownSink)>,
+}
+
 /// Applies the shared observability options: `--log-level` overrides the
-/// `RETIA_LOG` stderr verbosity, `--trace-out FILE` installs a JSONL sink
-/// receiving every span and event, and the per-module timing aggregate is
-/// switched on so commands can print a wall-clock summary. Returns the
-/// sink id to detach in [`finish_obs`].
-fn init_obs(args: &Args) -> Result<Option<retia_obs::SinkId>, String> {
+/// `RETIA_LOG` stderr verbosity (at `debug` and above it also turns on the
+/// kernel timers), and `--trace-out FILE` installs a JSONL sink receiving
+/// every span and event. With `breakdown`, a live breakdown sink folds the
+/// same spans into the module table [`finish_obs`] prints.
+fn init_obs(args: &Args, breakdown: bool) -> Result<ObsSinks, String> {
     if let Some(level) = args.get("log-level") {
         retia_obs::set_log_level(Level::parse(level).map_err(|e| format!("--log-level: {e}"))?);
     }
-    retia_obs::reset_timing();
-    retia_obs::set_timing(true);
-    // At debug verbosity and above, also time individual tensor kernels.
     retia_obs::set_kernel_timing(retia_obs::log_level() >= Level::Debug);
-    match args.get("trace-out") {
-        None => Ok(None),
+    let trace = match args.get("trace-out") {
+        None => None,
         Some(path) => {
             let sink = retia_obs::JsonlSink::create(Path::new(path))
                 .map_err(|e| format!("--trace-out {path}: {e}"))?;
-            Ok(Some(retia_obs::add_sink(Box::new(sink))))
+            Some(retia_obs::add_sink(Box::new(sink)))
         }
-    }
+    };
+    let breakdown = breakdown.then(|| {
+        let live = retia_obs::report::BreakdownSink::default();
+        (retia_obs::add_sink(Box::new(live.clone())), live)
+    });
+    Ok(ObsSinks { trace, breakdown })
 }
 
-/// Flushes and detaches the `--trace-out` sink installed by [`init_obs`].
-fn finish_obs(sink: Option<retia_obs::SinkId>) {
+/// Flushes and detaches the sinks installed by [`init_obs`], then prints
+/// the live breakdown: the rows `retia report` prints for this run's
+/// `--trace-out` file. Kernel timers, when on, print as a table of their
+/// own, outside the module shares.
+fn finish_obs(sinks: ObsSinks) {
     retia_obs::flush_sinks();
-    if let Some(id) = sink {
+    if let Some(id) = sinks.trace {
         retia_obs::remove_sink(id);
     }
-}
-
-/// Prints the flame-style per-module wall-clock summary collected during
-/// this command (kernel timers included when they were enabled).
-fn print_timing_summary() {
-    let mut rows = retia_obs::timing_snapshot();
-    rows.extend(retia_obs::kernel_timing_snapshot());
+    let Some((id, live)) = sinks.breakdown else { return };
+    retia_obs::remove_sink(id);
+    let rows = live.rows();
     if !rows.is_empty() {
         println!("\nper-module wall clock:");
-        print!("{}", retia_obs::render_timing_table(&rows));
+        print!("{}", retia_obs::report::render_breakdown(&rows));
+    }
+    let kernels = retia_obs::kernel_timing_snapshot();
+    if !kernels.is_empty() {
+        println!("\nper-kernel wall clock (inside the module rows above):");
+        print!("{}", retia_obs::report::render_breakdown(&kernels));
     }
 }
 
@@ -229,7 +241,7 @@ pub fn audit(raw: &[String]) -> Result<(), String> {
 pub fn train(raw: &[String]) -> Result<(), String> {
     let own = ["data", "store", "out", "resume", "checkpoint-dir", "checkpoint-every", "keep"];
     let args = Args::parse(raw, &["no-tim", "no-eam", "no-recovery"], &[&own, MODEL, OBS])?;
-    let trace = init_obs(&args)?;
+    let obs = init_obs(&args, true)?;
     let ds = load_data_or_store(&args)?;
     let out = PathBuf::from(args.require("out")?);
     let ctx = TkgContext::new(&ds);
@@ -243,7 +255,8 @@ pub fn train(raw: &[String]) -> Result<(), String> {
             // embedded config; only --epochs may override, to extend a
             // finished run.
             let dir = PathBuf::from(dir);
-            let mut t = Trainer::resume(&dir, &ds).map_err(|e| e.to_string())?;
+            let mut t =
+                Trainer::resume(&dir, &ds).map_err(|e| format!("{}: {e}", dir.display()))?;
             if let Some(epochs) = args.get("epochs") {
                 t.cfg.epochs = epochs.parse().map_err(|e| format!("bad --epochs: {e}"))?;
             }
@@ -320,8 +333,7 @@ pub fn train(raw: &[String]) -> Result<(), String> {
 
     trainer.save_model(&out).map_err(|e| format!("{}: {e}", out.display()))?;
     println!("saved model to {}", out.display());
-    print_timing_summary();
-    finish_obs(trace);
+    finish_obs(obs);
     Ok(())
 }
 
@@ -335,7 +347,7 @@ fn load_model(args: &Args, ds: &TkgDataset) -> Result<Retia, String> {
 /// `retia evaluate --data DIR --model FILE [--split valid|test] [--online] [--filtered]`.
 pub fn evaluate(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &["online", "filtered"], &[&["data", "model", "split"], OBS])?;
-    let trace = init_obs(&args)?;
+    let obs = init_obs(&args, true)?;
     let ds = load_data(&args)?;
     let model = load_model(&args, &ds)?;
     let cfg = RetiaConfig { online: args.flag("online"), ..model.cfg.clone() };
@@ -354,8 +366,7 @@ pub fn evaluate(raw: &[String]) -> Result<(), String> {
         println!("entity   (raw): {}", report.entity_raw);
         println!("relation (raw): {}", report.relation_raw);
     }
-    print_timing_summary();
-    finish_obs(trace);
+    finish_obs(obs);
     Ok(())
 }
 
@@ -448,7 +459,7 @@ fn parse_online_options(args: &Args) -> Result<retia_serve::OnlineOptions, Strin
 pub fn serve(raw: &[String]) -> Result<(), String> {
     let own = ["data", "store", "model", "port", "host", "slo", "trace-slow-ms", "trace-sample"];
     let args = Args::parse(raw, &["online"], &[&own, SERVER, OBS, ONLINE])?;
-    let trace = init_obs(&args)?;
+    let obs = init_obs(&args, false)?;
     let ds = load_data_or_store(&args)?;
     let model = load_model(&args, &ds)?;
     // The window keeps the newest `k` snapshots and builds their
@@ -487,7 +498,7 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
     }
     server.wait();
     println!("drained and stopped");
-    finish_obs(trace);
+    finish_obs(obs);
     Ok(())
 }
 

@@ -131,12 +131,12 @@ impl Manifest {
         root.to_string_pretty()
     }
 
-    fn from_json(text: &str, path: &Path) -> Result<Manifest, TrainError> {
-        let invalid = |what: &str| {
-            TrainError::Invalid(format!("{}: invalid manifest: {what}", path.display()))
-        };
+    /// Parses `manifest.json`; errors name the file, not its directory.
+    fn from_json(text: &str) -> Result<Manifest, TrainError> {
+        let invalid =
+            |what: &str| TrainError::Invalid(format!("manifest.json: invalid manifest: {what}"));
         let root = retia_json::parse(text)
-            .map_err(|e| TrainError::Invalid(format!("{}: {e}", path.display())))?;
+            .map_err(|e| TrainError::Invalid(format!("manifest.json: {e}")))?;
         let rows = root
             .get("entries")
             .and_then(|v| v.as_array())
@@ -164,9 +164,8 @@ impl Manifest {
     }
 
     fn load(dir: &Path) -> Result<Option<Manifest>, TrainError> {
-        let path = dir.join("manifest.json");
-        match std::fs::read_to_string(&path) {
-            Ok(text) => Ok(Some(Manifest::from_json(&text, &path)?)),
+        match std::fs::read_to_string(dir.join("manifest.json")) {
+            Ok(text) => Ok(Some(Manifest::from_json(&text)?)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(TrainError::Checkpoint(CheckpointError::Io(e))),
         }
@@ -363,28 +362,19 @@ impl Trainer {
     /// Rebuilds a trainer from the latest checkpoint in `dir`, ready for
     /// `try_fit` to continue from the next epoch — bit-identically to a
     /// run that was never interrupted. The dataset must be the one the
-    /// original run trained on (shape mismatches are typed errors naming
-    /// the offending parameter).
+    /// original run trained on. The checkpoint's decoder errors come back
+    /// as they are ([`TrainError::Checkpoint`] for a CRC or shape mismatch
+    /// or a missing section, [`TrainError::Invalid`] for an invalid
+    /// config), and no message names `dir`: the caller prefixes it.
     pub fn resume(dir: &Path, ds: &TkgDataset) -> Result<Trainer, TrainError> {
         let manifest = Manifest::load(dir)?.ok_or_else(|| {
-            TrainError::Invalid(format!(
-                "{}: no manifest.json — not a checkpoint directory",
-                dir.display()
-            ))
+            TrainError::Invalid("no manifest.json — not a checkpoint directory".into())
         })?;
-        let entry = manifest.latest().ok_or_else(|| {
-            TrainError::Invalid(format!("{}: manifest lists no checkpoints", dir.display()))
-        })?;
-        Trainer::from_checkpoint_file(&dir.join(&entry.file), ds)
-    }
-
-    /// Rebuilds a trainer from one checkpoint file (the model architecture
-    /// comes from the embedded `config` section).
-    pub fn from_checkpoint_file(path: &Path, ds: &TkgDataset) -> Result<Trainer, TrainError> {
-        let bytes =
-            std::fs::read(path).map_err(|e| TrainError::Checkpoint(CheckpointError::Io(e)))?;
+        let entry = manifest
+            .latest()
+            .ok_or_else(|| TrainError::Invalid("manifest lists no checkpoints".into()))?;
+        let bytes = std::fs::read(dir.join(&entry.file)).map_err(CheckpointError::Io)?;
         Trainer::from_checkpoint_bytes(&bytes, ds)
-            .map_err(|e| TrainError::Invalid(format!("{}: {e}", path.display())))
     }
 
     /// Rebuilds a trainer from checkpoint bytes: the model through the
@@ -613,6 +603,28 @@ mod tests {
             Ok(_) => panic!("resume from a corrupt checkpoint must fail"),
         };
         assert!(err.to_string().contains("CRC") || err.to_string().contains("corrupt"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_returns_the_decoder_error_typed() {
+        let (mut trainer, ctx, ds) = setup(1);
+        let dir = tmp_dir("typed");
+        trainer.set_checkpointing(Some(CheckpointPolicy::new(&dir)));
+        trainer.try_fit(&ctx).unwrap();
+        let file = dir.join("ckpt-00001.retia");
+        let mut bytes = std::fs::read(&file).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&file, &bytes).unwrap();
+        let err = match Trainer::resume(&dir, &ds) {
+            Err(e) => e,
+            Ok(_) => panic!("resume from a bit-flipped checkpoint must fail"),
+        };
+        assert!(
+            matches!(err, TrainError::Checkpoint(CheckpointError::CrcMismatch { .. })),
+            "{err:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -75,8 +75,6 @@ pub struct RetiaConfig {
     /// Weight of the static-consistency constraint (the paper enables static
     /// graph constraints on the ICEWS datasets; 0 disables).
     pub static_weight: f32,
-    /// Per-step angle increment (degrees) of the static-constraint threshold.
-    pub static_angle_deg: f32,
     /// Twin-interact module on/off (Table IX, Figures 3–4).
     pub use_tim: bool,
     /// Entity aggregation module on/off (Table VI "wo. EAM").
@@ -90,8 +88,6 @@ pub struct RetiaConfig {
     pub online: bool,
     /// Number of gradient steps per newly observed timestamp in online mode.
     pub online_steps: usize,
-    /// L2-normalize evolved entity embeddings (RE-GCN-style).
-    pub normalize_entities: bool,
     /// Seed for parameter init and stochastic ops.
     pub seed: u64,
 }
@@ -112,14 +108,12 @@ impl Default for RetiaConfig {
             epochs: 20,
             patience: 5,
             static_weight: 0.0,
-            static_angle_deg: 10.0,
             use_tim: true,
             use_eam: true,
             relation_mode: RelationMode::MpLstmAgg,
             hyperrel_mode: HyperrelMode::HmpHlstm,
             online: true,
             online_steps: 1,
-            normalize_entities: true,
             seed: 42,
         }
     }
@@ -201,14 +195,12 @@ impl RetiaConfig {
         o.insert("epochs", Value::from(self.epochs));
         o.insert("patience", Value::from(self.patience));
         o.insert("static_weight", Value::from(self.static_weight));
-        o.insert("static_angle_deg", Value::from(self.static_angle_deg));
         o.insert("use_tim", Value::from(self.use_tim));
         o.insert("use_eam", Value::from(self.use_eam));
         o.insert("relation_mode", Value::from(self.relation_mode.as_str()));
         o.insert("hyperrel_mode", Value::from(self.hyperrel_mode.as_str()));
         o.insert("online", Value::from(self.online));
         o.insert("online_steps", Value::from(self.online_steps));
-        o.insert("normalize_entities", Value::from(self.normalize_entities));
         o.insert("seed", Value::from(self.seed));
         o.to_string_pretty()
     }
@@ -247,12 +239,10 @@ impl RetiaConfig {
         field!("epochs", cfg.epochs, as_u64, "a non-negative integer");
         field!("patience", cfg.patience, as_u64, "a non-negative integer");
         field!("static_weight", cfg.static_weight, as_f32, "a number");
-        field!("static_angle_deg", cfg.static_angle_deg, as_f32, "a number");
         field!("use_tim", cfg.use_tim, as_bool, "a boolean");
         field!("use_eam", cfg.use_eam, as_bool, "a boolean");
         field!("online", cfg.online, as_bool, "a boolean");
         field!("online_steps", cfg.online_steps, as_u64, "a non-negative integer");
-        field!("normalize_entities", cfg.normalize_entities, as_bool, "a boolean");
         field!("seed", cfg.seed, as_u64, "a non-negative integer");
         if let Some(v) = doc.get("relation_mode") {
             let s = v.as_str().ok_or("relation_mode must be a string")?;
@@ -365,9 +355,14 @@ mod tests {
         assert_eq!(c.seed, 7);
         assert_eq!(c.k, RetiaConfig::default().k);
         assert_eq!(c.relation_mode, RelationMode::MpLstmAgg);
-        // Configs written while the config carried a thread count (older
-        // model files and checkpoints) still load; the field is ignored.
-        let old = RetiaConfig::from_json(r#"{"dim": 64, "num_threads": 4}"#).unwrap();
+        // Configs written while the config carried a thread count, the
+        // static-constraint angle or the entity-normalization switch (older
+        // model files and checkpoints) still load; the fields are ignored.
+        let old = RetiaConfig::from_json(
+            r#"{"dim": 64, "num_threads": 4, "static_angle_deg": 10.0,
+                "normalize_entities": true}"#,
+        )
+        .unwrap();
         assert_eq!(old.dim, 64);
     }
 

@@ -12,6 +12,9 @@ use retia_tensor::{NodeId, Ops, ParamStore, Tensor};
 
 use crate::config::{HyperrelMode, RelationMode, RetiaConfig};
 
+/// Per-step angle increment (degrees) of the static-constraint threshold.
+const STATIC_ANGLE_DEG: f32 = 10.0;
+
 /// The `(E_t, R_t)` pair produced for one historical timestamp, as handles
 /// of the execution that produced it (graph nodes by default).
 #[derive(Clone, Copy, Debug)]
@@ -169,7 +172,7 @@ impl Retia {
         // random initialization (no gradient), so insert constants then.
         let ent0_raw =
             if self.cfg.use_eam { g.param(store, "ent0") } else { g.frozen_param(store, "ent0") };
-        let e0 = if self.cfg.normalize_entities { g.normalize_rows(ent0_raw) } else { ent0_raw };
+        let e0 = g.normalize_rows(ent0_raw);
         let r0 = match self.cfg.relation_mode {
             RelationMode::None => g.frozen_param(store, "rel0"),
             _ => g.param(store, "rel0"),
@@ -271,11 +274,7 @@ impl Retia {
                         if self.cfg.use_tim { r_t } else { g.param(store, "eam_rel0") };
                     let e_agg = self.eam_rgcn.forward(g, store, e_prev, rel_for_eam, snap);
                     let e = self.ent_gru.forward(g, store, e_agg, e_prev);
-                    if self.cfg.normalize_entities {
-                        g.normalize_rows(e)
-                    } else {
-                        e
-                    }
+                    g.normalize_rows(e)
                 })
             } else {
                 e_prev
@@ -402,20 +401,16 @@ impl Retia {
     /// Static-consistency constraint (the RE-GCN-style auxiliary loss the
     /// paper enables on the ICEWS datasets): the angle between each evolved
     /// entity embedding and its initial embedding may grow by at most
-    /// `static_angle_deg` per step; violations are penalized linearly.
+    /// [`STATIC_ANGLE_DEG`] per step; violations are penalized linearly.
     fn static_constraint<O: Ops>(&self, g: &mut O, states: &[EvolvedState<O::Id>]) -> O::Id {
         let ent0 = g.param(&self.store, "ent0");
         let e0n = g.normalize_rows(ent0);
         let mut terms = Vec::with_capacity(states.len());
         for (j, st) in states.iter().enumerate() {
-            let en = if self.cfg.normalize_entities {
-                st.entities
-            } else {
-                g.normalize_rows(st.entities)
-            };
-            let prod = g.mul(en, e0n);
+            // Evolved entity embeddings are unit rows already.
+            let prod = g.mul(st.entities, e0n);
             let cos = g.sum_rows(prod);
-            let angle = (self.cfg.static_angle_deg * (j + 1) as f32).min(90.0);
+            let angle = (STATIC_ANGLE_DEG * (j + 1) as f32).min(90.0);
             let thr = angle.to_radians().cos();
             let neg = g.scale(cos, -1.0);
             let gap = g.add_scalar(neg, thr);

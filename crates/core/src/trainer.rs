@@ -286,8 +286,7 @@ impl Trainer {
         }
         {
             let _opt = retia_obs::span!("backward.optim");
-            self.check_gradients(step);
-            let bad = !joint.is_finite() || self.grads_non_finite();
+            let bad = self.scan_gradients(step) || !joint.is_finite();
             match self.recovery {
                 // Legacy path: no recovery, the optimizer steps regardless
                 // (the watchdog above has already warned).
@@ -368,14 +367,6 @@ impl Trainer {
         Ok(())
     }
 
-    /// True if any parameter gradient holds a NaN/±inf.
-    fn grads_non_finite(&self) -> bool {
-        self.model
-            .store()
-            .iter_grads()
-            .any(|(_, g)| retia_obs::watchdog::count_non_finite(g.data()) > 0)
-    }
-
     /// Pre-flight before committing to hours of gradient steps: the model
     /// audit. A mis-wired configuration, an op that can introduce NaN/inf
     /// under the parameter envelope, or a parameter whose gradient
@@ -387,23 +378,29 @@ impl Trainer {
         assert!(audit.is_clean(), "model failed the audit:\n{audit}");
     }
 
-    /// Scans every parameter gradient for non-finite values (the NaN
-    /// watchdog) and, at `Debug` verbosity, records per-parameter L2-norm
-    /// gauges. The common all-finite path is a single pass per tensor.
-    fn check_gradients(&self, step: u64) {
-        if !retia_obs::enabled() {
-            return;
+    /// One pass over every parameter gradient: true if any holds a
+    /// NaN/±inf, the flag recovery reads. With obs enabled the same pass
+    /// fires the NaN watchdog on each non-finite gradient and, at `Debug`
+    /// verbosity, records per-parameter L2-norm gauges. With neither obs
+    /// nor a recovery policy nothing reads it, and nothing is scanned.
+    fn scan_gradients(&self, step: u64) -> bool {
+        let observe = retia_obs::enabled();
+        if !observe && self.recovery.is_none() {
+            return false;
         }
-        let per_param = retia_obs::log_level() >= retia_obs::Level::Debug;
+        let per_param = observe && retia_obs::log_level() >= retia_obs::Level::Debug;
+        let mut bad = false;
         for (name, grad) in self.model.store().iter_grads() {
             if per_param {
                 let norm = (grad.norm_sq() as f64).sqrt();
                 retia_obs::metrics::set_gauge(&format!("grad.norm.{name}"), norm);
             }
             if retia_obs::watchdog::count_non_finite(grad.data()) > 0 {
+                bad = true;
                 retia_obs::watchdog::check_slice(&format!("grad.{name}"), step, grad.data());
             }
         }
+        bad
     }
 
     /// General training: iterates chronologically over the training

@@ -161,11 +161,6 @@ impl TkgDataset {
             .collect()
     }
 
-    /// The largest timestamp index present in any split.
-    pub fn max_timestamp(&self) -> u32 {
-        self.all_quads().map(|q| q.t).max().unwrap_or(0)
-    }
-
     /// Validates internal consistency (id ranges, split ordering). Returns a
     /// human-readable error description on failure.
     pub fn validate(&self) -> Result<(), String> {

@@ -7,7 +7,7 @@
 //! un-observed process pays only an atomic load per instrumentation point:
 //!
 //! * **Tracing** ([`span!`], [`event!`], [`SpanGuard`]) — RAII spans with
-//!   thread-aware nesting (each thread keeps its own span stack, so spans
+//!   thread-aware nesting (each thread counts its own span depth, so spans
 //!   opened inside `retia_tensor::parallel` workers compose correctly) and
 //!   point events carrying numeric fields. Everything is dispatched to
 //!   * a human-readable **stderr logger** filtered by the `RETIA_LOG`
@@ -21,10 +21,12 @@
 //!   warning event the *first* step a tensor goes NaN/±inf, before the
 //!   divergence poisons downstream ranking.
 //!
-//! Span durations are additionally aggregated in-process into a per-module
-//! wall-clock table ([`timing_snapshot`]) with *exclusive* times (child
-//! spans subtracted), which is what the flame-style summary and the trace
-//! [`report`] print.
+//! One rule turns spans into a per-module table of *exclusive* times (child
+//! spans subtracted): [`report::module_breakdown`] folds it over a trace
+//! file, and a [`report::BreakdownSink`] feeds it live, so a command's
+//! end-of-run table and `retia report` over its trace print the same rows.
+//! Opt-in kernel timers ([`kernel_span`]) aggregate in-process apart from
+//! it ([`kernel_timing_snapshot`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -44,8 +46,7 @@ pub use event::{CaptureHandle, CaptureSink, Event, EventKind, JsonlSink, Sink};
 pub use level::{log_level, set_log_level, Level};
 pub use span::{
     current_module, kernel_span, kernel_timing_enabled, kernel_timing_snapshot, module_scope,
-    render_timing_table, reset_timing, set_kernel_timing, set_timing, timing_enabled,
-    timing_snapshot, KernelGuard, ModuleTagGuard, ModuleTime, SpanGuard,
+    set_kernel_timing, KernelGuard, ModuleTagGuard, SpanGuard,
 };
 
 // ---------------------------------------------------------------------------
@@ -208,7 +209,7 @@ pub(crate) mod test_lock {
     use std::sync::{Mutex, MutexGuard};
 
     /// Tests mutating process-global observability state (level, sinks,
-    /// timing aggregate, registry) serialize on this lock.
+    /// kernel timers, registry) serialize on this lock.
     pub fn lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())

@@ -1,14 +1,19 @@
-//! Turning a JSON-lines trace into a per-module time breakdown.
+//! Turning spans into a per-module time breakdown.
 //!
-//! A trace file lists spans in *end order* per thread (guards drop children
+//! Spans reach a [`Sink`] in *end order* per thread (guards drop children
 //! before parents), which permits a one-pass exclusive-time computation:
 //! per thread, keep an accumulator of completed child time per depth; a
 //! span at depth `d` subtracts the accumulator at `d + 1` and adds its own
-//! duration to the accumulator at `d`.
+//! duration to the accumulator at `d`. That rule is coded once, in a
+//! streaming accumulator with two inputs: `retia report` folds it over a
+//! parsed `--trace-out` file ([`module_breakdown`]), and a
+//! [`BreakdownSink`] feeds it live, so `retia train` and `retia evaluate`
+//! print the rows `retia report` prints for the same run's trace.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
-use crate::{Event, EventKind};
+use crate::{Event, EventKind, Sink};
 use retia_json::Value;
 
 /// Aggregated time for one module (first dotted segment of span names).
@@ -22,8 +27,8 @@ pub struct ModuleShare {
     pub total_ns: u64,
     /// Exclusive nanoseconds (children subtracted).
     pub exclusive_ns: u64,
-    /// Fraction of the trace's total exclusive time, in percent. Shares
-    /// over all modules sum to ~100 by construction.
+    /// Fraction of the summed exclusive time of the rows it was computed
+    /// with, in percent. Shares over those rows sum to ~100 by construction.
     pub share_pct: f64,
 }
 
@@ -46,65 +51,125 @@ fn module_of(name: &str) -> &str {
     name.split('.').next().unwrap_or(name)
 }
 
-/// Groups the trace's spans by module and computes inclusive/exclusive time
-/// and exclusive-time shares. Events must be in file order (see module
-/// docs); point events are ignored.
-pub fn module_breakdown(events: &[Event]) -> Vec<ModuleShare> {
-    struct Acc {
-        count: u64,
-        total_ns: u64,
-        exclusive_ns: u64,
+/// Fills in each row's share of the rows' summed exclusive time and sorts
+/// them by exclusive time, descending.
+pub(crate) fn with_shares(mut rows: Vec<ModuleShare>) -> Vec<ModuleShare> {
+    let grand: u64 = rows.iter().map(|r| r.exclusive_ns).sum();
+    for r in &mut rows {
+        r.share_pct = if grand == 0 { 0.0 } else { 100.0 * r.exclusive_ns as f64 / grand as f64 };
     }
-    let mut per_module: HashMap<String, Acc> = HashMap::new();
-    // thread -> (depth -> completed child nanoseconds awaiting their parent)
-    let mut pending_child: HashMap<u64, HashMap<u32, u64>> = HashMap::new();
+    rows.sort_by(|a, b| b.exclusive_ns.cmp(&a.exclusive_ns).then(a.module.cmp(&b.module)));
+    rows
+}
 
-    for ev in events {
+#[derive(Default)]
+struct Acc {
+    count: u64,
+    total_ns: u64,
+    exclusive_ns: u64,
+}
+
+/// The exclusive-time rule as a streaming accumulator. It keeps one row
+/// per module and, per thread, the child time still awaiting an open
+/// parent, so its size is bounded by the modules and the open nesting,
+/// never by the length of the run.
+#[derive(Default)]
+struct Breakdown {
+    modules: HashMap<String, Acc>,
+    /// thread -> (depth -> completed child nanoseconds awaiting their parent)
+    pending_child: HashMap<u64, HashMap<u32, u64>>,
+}
+
+impl Breakdown {
+    /// Folds in one event; point events are ignored.
+    fn add(&mut self, ev: &Event) {
         if ev.kind != EventKind::Span {
-            continue;
+            return;
         }
         let dur = ev.dur_ns.unwrap_or(0);
-        let depths = pending_child.entry(ev.thread).or_default();
+        let depths = self.pending_child.entry(ev.thread).or_default();
         let child_ns = depths.remove(&(ev.depth + 1)).unwrap_or(0);
-        *depths.entry(ev.depth).or_insert(0) += dur;
-        let acc = per_module.entry(module_of(&ev.name).to_string()).or_insert(Acc {
-            count: 0,
-            total_ns: 0,
-            exclusive_ns: 0,
-        });
+        if ev.depth > 0 {
+            *depths.entry(ev.depth).or_insert(0) += dur;
+        } else if depths.is_empty() {
+            // A root span has no parent to hand its time to; once it
+            // closes, the thread holds nothing.
+            self.pending_child.remove(&ev.thread);
+        }
+        let module = module_of(&ev.name);
+        let acc = match self.modules.get_mut(module) {
+            Some(acc) => acc,
+            None => self.modules.entry(module.to_string()).or_default(),
+        };
         acc.count += 1;
         acc.total_ns += dur;
         acc.exclusive_ns += dur.saturating_sub(child_ns);
     }
 
-    let grand: u64 = per_module.values().map(|a| a.exclusive_ns).sum();
-    let mut out: Vec<ModuleShare> = per_module
-        .into_iter()
-        .map(|(module, a)| ModuleShare {
-            module,
-            count: a.count,
-            total_ns: a.total_ns,
-            exclusive_ns: a.exclusive_ns,
-            share_pct: if grand == 0 { 0.0 } else { 100.0 * a.exclusive_ns as f64 / grand as f64 },
-        })
-        .collect();
-    out.sort_by(|a, b| b.exclusive_ns.cmp(&a.exclusive_ns).then(a.module.cmp(&b.module)));
-    out
+    /// The module rows, with exclusive-time shares, largest first.
+    fn rows(&self) -> Vec<ModuleShare> {
+        with_shares(
+            self.modules
+                .iter()
+                .map(|(module, a)| ModuleShare {
+                    module: module.clone(),
+                    count: a.count,
+                    total_ns: a.total_ns,
+                    exclusive_ns: a.exclusive_ns,
+                    share_pct: 0.0,
+                })
+                .collect(),
+        )
+    }
 }
 
-/// Renders the breakdown as the table the CLI `report` subcommand prints.
+/// Groups the trace's spans by module and computes inclusive/exclusive time
+/// and exclusive-time shares. Events must be in file order (see module
+/// docs); point events are ignored.
+pub fn module_breakdown(events: &[Event]) -> Vec<ModuleShare> {
+    let mut breakdown = Breakdown::default();
+    for ev in events {
+        breakdown.add(ev);
+    }
+    breakdown.rows()
+}
+
+/// A [`Sink`] that folds every span it receives into one shared
+/// breakdown: the live input of [`module_breakdown`]'s rule. Install a
+/// clone with [`crate::add_sink`] and read [`BreakdownSink::rows`] once it
+/// is removed. It keeps no events.
+#[derive(Clone, Default)]
+pub struct BreakdownSink(Arc<Mutex<Breakdown>>);
+
+impl BreakdownSink {
+    /// The module rows of every span recorded so far.
+    pub fn rows(&self) -> Vec<ModuleShare> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).rows()
+    }
+}
+
+impl Sink for BreakdownSink {
+    fn record(&mut self, ev: &Event) {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).add(ev);
+    }
+}
+
+/// Renders the breakdown as the table the CLI `report` subcommand prints
+/// (and `train` and `evaluate` print at the end of a run).
 pub fn render_breakdown(rows: &[ModuleShare]) -> String {
     use std::fmt::Write as _;
+    // Module names fit the 12-column default; kernel timer names widen it.
+    let w = rows.iter().map(|r| r.module.len()).max().unwrap_or(0).max(12);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<12} {:>8} {:>12} {:>12} {:>7}",
+        "{:<w$} {:>8} {:>12} {:>12} {:>7}",
         "module", "spans", "total", "exclusive", "share"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:<12} {:>8} {:>10.3}ms {:>10.3}ms {:>6.2}%",
+            "{:<w$} {:>8} {:>10.3}ms {:>10.3}ms {:>6.2}%",
             r.module,
             r.count,
             r.total_ns as f64 / 1e6,
@@ -113,7 +178,7 @@ pub fn render_breakdown(rows: &[ModuleShare]) -> String {
         );
     }
     let total_share: f64 = rows.iter().map(|r| r.share_pct).sum();
-    let _ = writeln!(out, "{:<12} {:>8} {:>12} {:>12} {:>6.2}%", "(sum)", "", "", "", total_share);
+    let _ = writeln!(out, "{:<w$} {:>8} {:>12} {:>12} {:>6.2}%", "(sum)", "", "", "", total_share);
     out
 }
 

@@ -1,49 +1,29 @@
-//! RAII timing spans, the per-module wall-clock aggregate and per-kernel
-//! timers.
+//! RAII timing spans and per-kernel timers.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::report::{with_shares, ModuleShare};
 use crate::{enabled, have_sinks, log_level, now_ns, Event, EventKind, Level};
 
-// ---------------------------------------------------------------------------
-// Activation
-// ---------------------------------------------------------------------------
-
-static TIMING: AtomicBool = AtomicBool::new(false);
-
-/// Turns the in-process per-module wall-clock aggregate on or off. Spans are
-/// live whenever this is on, a sink is installed, or the stderr level is at
+/// Spans are live whenever a sink is installed or the stderr level is at
 /// least `debug`; otherwise [`SpanGuard::enter`] is an atomic-load no-op.
-pub fn set_timing(on: bool) {
-    TIMING.store(on, Ordering::Relaxed);
-}
-
-/// Whether the per-module aggregate is collecting.
-pub fn timing_enabled() -> bool {
-    TIMING.load(Ordering::Relaxed)
-}
-
 fn spans_active() -> bool {
-    enabled() && (timing_enabled() || have_sinks() || log_level() >= Level::Debug)
+    enabled() && (have_sinks() || log_level() >= Level::Debug)
 }
-
-// ---------------------------------------------------------------------------
-// Thread-local span stack
-// ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Per-frame accumulator of completed child-span nanoseconds; the
-    /// parent subtracts it on drop to get its exclusive time. One stack per
-    /// thread makes spans opened inside parallel workers independent.
-    static CHILD_NS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Live spans on this thread: the depth each new span and event
+    /// carries. One counter per thread makes spans opened inside parallel
+    /// workers roots of their own thread.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 pub(crate) fn current_depth() -> u32 {
-    CHILD_NS.with(|s| s.borrow().len() as u32)
+    DEPTH.with(Cell::get)
 }
 
 // ---------------------------------------------------------------------------
@@ -85,91 +65,6 @@ pub fn current_module() -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// Module aggregate
-// ---------------------------------------------------------------------------
-
-/// Aggregated wall-clock for one span name.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ModuleTime {
-    /// Dotted span name (e.g. `eam.rgcn`).
-    pub name: String,
-    /// Times the span ran.
-    pub count: u64,
-    /// Total (inclusive) nanoseconds.
-    pub total_ns: u64,
-    /// Exclusive nanoseconds: total minus time spent in child spans.
-    pub exclusive_ns: u64,
-}
-
-#[derive(Clone, Copy, Default)]
-struct Agg {
-    count: u64,
-    total_ns: u64,
-    exclusive_ns: u64,
-}
-
-fn aggregate() -> &'static Mutex<HashMap<String, Agg>> {
-    static AGG: OnceLock<Mutex<HashMap<String, Agg>>> = OnceLock::new();
-    AGG.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn record_module(name: &str, total_ns: u64, exclusive_ns: u64) {
-    let mut agg = aggregate().lock().unwrap_or_else(|e| e.into_inner());
-    let e = agg.entry(name.to_string()).or_default();
-    e.count += 1;
-    e.total_ns += total_ns;
-    e.exclusive_ns += exclusive_ns;
-}
-
-/// Snapshot of the per-module aggregate, sorted by exclusive time
-/// descending.
-pub fn timing_snapshot() -> Vec<ModuleTime> {
-    let agg = aggregate().lock().unwrap_or_else(|e| e.into_inner());
-    let mut out: Vec<ModuleTime> = agg
-        .iter()
-        .map(|(name, a)| ModuleTime {
-            name: name.clone(),
-            count: a.count,
-            total_ns: a.total_ns,
-            exclusive_ns: a.exclusive_ns,
-        })
-        .collect();
-    out.sort_by(|a, b| b.exclusive_ns.cmp(&a.exclusive_ns).then(a.name.cmp(&b.name)));
-    out
-}
-
-/// Clears the per-module aggregate (tests; fresh CLI runs).
-pub fn reset_timing() {
-    aggregate().lock().unwrap_or_else(|e| e.into_inner()).clear();
-    kernel_aggregate().lock().unwrap_or_else(|e| e.into_inner()).clear();
-}
-
-/// Renders the flame-style summary: exclusive-time shares sum to 100%.
-pub fn render_timing_table(rows: &[ModuleTime]) -> String {
-    use std::fmt::Write as _;
-    let grand: u64 = rows.iter().map(|m| m.exclusive_ns).sum();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<24} {:>8} {:>12} {:>12} {:>7}",
-        "span", "count", "total", "exclusive", "share"
-    );
-    for m in rows {
-        let share = if grand == 0 { 0.0 } else { 100.0 * m.exclusive_ns as f64 / grand as f64 };
-        let _ = writeln!(
-            out,
-            "{:<24} {:>8} {:>10.3}ms {:>10.3}ms {:>6.2}%",
-            m.name,
-            m.count,
-            m.total_ns as f64 / 1e6,
-            m.exclusive_ns as f64 / 1e6,
-            share
-        );
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // SpanGuard
 // ---------------------------------------------------------------------------
 
@@ -186,7 +81,7 @@ struct ActiveSpan {
 
 /// RAII guard for one timing span; created by the [`crate::span!`] macro.
 /// Recording happens on drop, so a panicking region is still measured and
-/// the thread-local stack unwinds correctly.
+/// the thread's depth counter unwinds correctly.
 #[must_use = "a span ends when its guard drops — bind it to a variable"]
 pub struct SpanGuard {
     active: Option<ActiveSpan>,
@@ -200,11 +95,7 @@ impl SpanGuard {
         if !spans_active() && trace.is_none() {
             return SpanGuard { active: None };
         }
-        let depth = CHILD_NS.with(|s| {
-            let mut stack = s.borrow_mut();
-            stack.push(0);
-            stack.len() as u32 - 1
-        });
+        let depth = DEPTH.with(|d| d.replace(d.get() + 1));
         SpanGuard {
             active: Some(ActiveSpan {
                 name: name.to_string(),
@@ -222,15 +113,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(span) = self.active.take() else { return };
         let dur_ns = span.start.elapsed().as_nanos() as u64;
-        let child_ns = CHILD_NS.with(|s| {
-            let mut stack = s.borrow_mut();
-            let own_children = stack.pop().unwrap_or(0);
-            if let Some(parent) = stack.last_mut() {
-                *parent += dur_ns;
-            }
-            own_children
-        });
-        record_module(&span.name, dur_ns, dur_ns.saturating_sub(child_ns));
+        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         let mut trace_ctx = None;
         if let Some((span_id, frames)) = &span.trace {
             crate::trace::span_exit(frames, *span_id, &span.name, span.start_ns, dur_ns);
@@ -266,7 +149,7 @@ static KERNEL: AtomicBool = AtomicBool::new(false);
 /// Enables per-kernel timing ([`kernel_span`] call sites inside
 /// `retia-tensor`). Off by default: kernels run orders of magnitude more
 /// often than module spans, so this is a separate, opt-in knob (the CLI
-/// turns it on at `--log-level trace`).
+/// turns it on at `--log-level debug` and above).
 pub fn set_kernel_timing(on: bool) {
     KERNEL.store(on, Ordering::Relaxed);
 }
@@ -276,8 +159,9 @@ pub fn kernel_timing_enabled() -> bool {
     KERNEL.load(Ordering::Relaxed) && enabled()
 }
 
-fn kernel_aggregate() -> &'static Mutex<HashMap<&'static str, Agg>> {
-    static AGG: OnceLock<Mutex<HashMap<&'static str, Agg>>> = OnceLock::new();
+/// Kernel name -> (calls, total nanoseconds).
+fn kernel_aggregate() -> &'static Mutex<HashMap<&'static str, (u64, u64)>> {
+    static AGG: OnceLock<Mutex<HashMap<&'static str, (u64, u64)>>> = OnceLock::new();
     AGG.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -303,109 +187,90 @@ impl Drop for KernelGuard {
     fn drop(&mut self) {
         let dur = self.start.elapsed().as_nanos() as u64;
         let mut agg = kernel_aggregate().lock().unwrap_or_else(|e| e.into_inner());
-        let e = agg.entry(self.name).or_default();
-        e.count += 1;
-        e.total_ns += dur;
-        e.exclusive_ns += dur;
+        let (count, total_ns) = agg.entry(self.name).or_default();
+        *count += 1;
+        *total_ns += dur;
     }
 }
 
-/// Snapshot of per-kernel wall-clock, sorted by total time descending.
-pub fn kernel_timing_snapshot() -> Vec<ModuleTime> {
+/// Per-kernel wall clock as `kernel.<name>` rows, sorted by time
+/// descending. Kernels are leaves, so each row's exclusive time is its
+/// total, and shares are of the kernel rows' sum: kernel time is already
+/// inside the span rows of the module breakdown, so the two never share a
+/// denominator.
+pub fn kernel_timing_snapshot() -> Vec<ModuleShare> {
     let agg = kernel_aggregate().lock().unwrap_or_else(|e| e.into_inner());
-    let mut out: Vec<ModuleTime> = agg
-        .iter()
-        .map(|(name, a)| ModuleTime {
-            name: format!("kernel.{name}"),
-            count: a.count,
-            total_ns: a.total_ns,
-            exclusive_ns: a.exclusive_ns,
-        })
-        .collect();
-    out.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
-    out
+    with_shares(
+        agg.iter()
+            .map(|(name, &(count, total_ns))| ModuleShare {
+                module: format!("kernel.{name}"),
+                count,
+                total_ns,
+                exclusive_ns: total_ns,
+                share_pct: 0.0,
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_lock;
+    use crate::report::{module_breakdown, BreakdownSink};
+    use crate::{add_sink, remove_sink, test_lock, CaptureSink};
 
-    fn find<'a>(rows: &'a [ModuleTime], name: &str) -> &'a ModuleTime {
-        rows.iter().find(|m| m.name == name).unwrap_or_else(|| panic!("no row `{name}`"))
+    fn find<'a>(rows: &'a [ModuleShare], name: &str) -> &'a ModuleShare {
+        rows.iter().find(|m| m.module == name).unwrap_or_else(|| panic!("no row `{name}`"))
     }
 
-    #[test]
-    fn nested_spans_split_inclusive_and_exclusive_time() {
-        let _guard = test_lock::lock();
-        reset_timing();
-        set_timing(true);
-        {
-            let _outer = crate::span!("outer.total");
-            std::thread::sleep(std::time::Duration::from_millis(4));
-            {
-                let _inner = crate::span!("outer.child", step = 1);
-                std::thread::sleep(std::time::Duration::from_millis(4));
-            }
-        }
-        set_timing(false);
-        let rows = timing_snapshot();
-        let outer = find(&rows, "outer.total");
-        let child = find(&rows, "outer.child");
-        assert_eq!(outer.count, 1);
-        assert_eq!(child.count, 1);
-        assert!(outer.total_ns >= child.total_ns + 3_000_000, "outer contains child");
-        assert!(
-            outer.exclusive_ns <= outer.total_ns - child.total_ns,
-            "exclusive excludes the child: {outer:?} vs {child:?}"
-        );
-        assert_eq!(child.exclusive_ns, child.total_ns, "leaf span is all exclusive");
+    /// Runs `f` with a capture sink installed and returns what it saw.
+    fn captured(f: impl FnOnce()) -> Vec<Event> {
+        let (sink, handle) = CaptureSink::new();
+        let id = add_sink(Box::new(sink));
+        f();
+        remove_sink(id);
+        handle.events()
     }
 
     #[test]
     fn inert_spans_record_nothing() {
         let _guard = test_lock::lock();
-        reset_timing();
-        set_timing(false);
-        {
-            let _s = crate::span!("inert.nothing");
-        }
-        assert!(timing_snapshot().iter().all(|m| m.name != "inert.nothing"));
+        // Opened with no sink installed (and stderr below debug): inert,
+        // so even a sink installed before it drops sees nothing.
+        let span = crate::span!("inert.nothing");
+        let events = captured(|| drop(span));
+        assert!(events.iter().all(|m| m.name != "inert.nothing"));
     }
 
     #[test]
     fn spans_survive_panics() {
         let _guard = test_lock::lock();
-        reset_timing();
-        set_timing(true);
-        let r = std::panic::catch_unwind(|| {
-            let _s = crate::span!("panicky.region");
-            panic!("boom");
+        let events = captured(|| {
+            let r = std::panic::catch_unwind(|| {
+                let _s = crate::span!("panicky.region");
+                panic!("boom");
+            });
+            assert!(r.is_err());
         });
-        assert!(r.is_err());
-        set_timing(false);
-        let rows = timing_snapshot();
-        assert_eq!(find(&rows, "panicky.region").count, 1);
+        assert_eq!(events.iter().filter(|e| e.name == "panicky.region").count(), 1);
         assert_eq!(current_depth(), 0, "stack unwound cleanly");
     }
 
     #[test]
     fn spans_on_worker_threads_are_independent() {
         let _guard = test_lock::lock();
-        reset_timing();
-        set_timing(true);
-        let _outer = crate::span!("main.outer");
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let _w = crate::span!("worker.span");
-                });
-            }
+        let events = captured(|| {
+            let _outer = crate::span!("main.outer");
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        let _w = crate::span!("worker.span");
+                    });
+                }
+            });
         });
-        drop(_outer);
-        set_timing(false);
-        let rows = timing_snapshot();
-        let w = find(&rows, "worker.span");
+        let rows = module_breakdown(&events);
+        let w = find(&rows, "worker");
         assert_eq!(w.count, 4);
         // Worker spans are roots of their own thread's stack, so they do not
         // subtract from the main thread's span.
@@ -415,7 +280,6 @@ mod tests {
     #[test]
     fn kernel_timer_is_optin_and_aggregates() {
         let _guard = test_lock::lock();
-        reset_timing();
         set_kernel_timing(false);
         assert!(kernel_span("matmul").is_none());
         set_kernel_timing(true);
@@ -428,13 +292,42 @@ mod tests {
     }
 
     #[test]
-    fn render_table_shares_sum_to_100() {
-        let rows = vec![
-            ModuleTime { name: "a".into(), count: 2, total_ns: 600, exclusive_ns: 600 },
-            ModuleTime { name: "b".into(), count: 1, total_ns: 400, exclusive_ns: 400 },
-        ];
-        let table = render_timing_table(&rows);
-        assert!(table.contains("60.00%"), "{table}");
-        assert!(table.contains("40.00%"), "{table}");
+    fn kernel_rows_stay_apart_from_module_shares() {
+        let _guard = test_lock::lock();
+        let live = BreakdownSink::default();
+        let id = add_sink(Box::new(live.clone()));
+        set_kernel_timing(true);
+        {
+            let _outer = crate::span!("outer.total");
+            {
+                let _k = kernel_span("apart");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            {
+                let _inner = crate::span!("inner.child", step = 1);
+                let _k = kernel_span("apart");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        }
+        set_kernel_timing(false);
+        remove_sink(id);
+
+        // The module rows are the spans' alone, and their shares sum to 100%.
+        let rows = live.rows();
+        let names: Vec<&str> = rows.iter().map(|r| r.module.as_str()).collect();
+        assert_eq!(names.len(), 2, "{names:?}");
+        let outer = find(&rows, "outer");
+        let inner = find(&rows, "inner");
+        assert!(outer.total_ns >= inner.total_ns + 1_000_000, "outer contains inner");
+        assert!(outer.exclusive_ns <= outer.total_ns - inner.total_ns, "{outer:?} vs {inner:?}");
+        assert_eq!(inner.exclusive_ns, inner.total_ns, "leaf span is all exclusive");
+        let shares: f64 = rows.iter().map(|r| r.share_pct).sum();
+        assert!((shares - 100.0).abs() < 1e-9, "module shares sum to {shares}");
+
+        // Kernel rows come back apart, with shares of their own.
+        let kernels = kernel_timing_snapshot();
+        assert_eq!(find(&kernels, "kernel.apart").count, 2);
+        let shares: f64 = kernels.iter().map(|r| r.share_pct).sum();
+        assert!((shares - 100.0).abs() < 1e-9, "kernel shares sum to {shares}");
     }
 }

@@ -455,7 +455,6 @@ mod tests {
     fn spans_under_adopted_frames_record_parented_stages() {
         let _guard = test_lock::lock();
         reset();
-        crate::reset_timing();
         set_policy(policy(0.0, 1, 16));
         let h = begin("/v1/query", now_ns());
         let root = h.root_frame();
@@ -494,7 +493,6 @@ mod tests {
     fn one_span_records_into_every_adopted_trace() {
         let _guard = test_lock::lock();
         reset();
-        crate::reset_timing();
         set_policy(policy(0.0, 1, 16));
         let a = begin("/a", now_ns());
         let b = begin("/b", now_ns());

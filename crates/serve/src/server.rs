@@ -71,6 +71,8 @@ const IDLE_SLEEP: Duration = Duration::from_millis(2);
 /// Read timeout for the single-connection blocking fast path; bounds how
 /// long a parked worker takes to notice accepts, drain, and deadlines.
 const PARKED_READ_TIMEOUT: Duration = Duration::from_millis(20);
+/// Budget for writing one response to a slow peer.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server knobs. `addr` with port `0` binds an ephemeral port; the bound
 /// address is on [`Server::addr`].
@@ -80,8 +82,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Fixed worker-thread pool size.
     pub workers: usize,
-    /// Budget for writing one response to a slow peer.
-    pub io_timeout: Duration,
     /// Keep-alive idle deadline: a connection with no partial request is
     /// reaped silently; one mid-request gets `408 Request Timeout`.
     pub idle_timeout: Duration,
@@ -95,8 +95,6 @@ pub struct ServeConfig {
     pub trace_slow_ms: f64,
     /// Of the fast requests, 1 in this many keeps its trace (0 = none).
     pub trace_sample_every: u64,
-    /// Bound on stored traces; the oldest is evicted beyond it.
-    pub trace_capacity: usize,
     /// When set, an isolated continual trainer fine-tunes on newly ingested
     /// windows and publishes via atomic model swaps (DESIGN.md §12).
     pub online: Option<OnlineOptions>,
@@ -114,13 +112,11 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            io_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
             queue_cap: engine.queue_cap,
             slos: Vec::new(),
             trace_slow_ms: tracing.slow_ms,
             trace_sample_every: tracing.sample_every,
-            trace_capacity: tracing.capacity,
             online: None,
             store: None,
         }
@@ -201,7 +197,6 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     engine: Engine,
     online: Option<OnlineTrainer>,
-    health: Health,
 }
 
 impl Server {
@@ -235,7 +230,7 @@ impl Server {
         trace::set_policy(TracePolicy {
             slow_ms: cfg.trace_slow_ms,
             sample_every: cfg.trace_sample_every,
-            capacity: cfg.trace_capacity,
+            ..TracePolicy::default()
         });
         // An empty objective list leaves any previously configured SLOs in
         // place (several servers share the process in tests).
@@ -281,7 +276,7 @@ impl Server {
                 cfg.queue_cap
             )
         );
-        Ok(Server { addr, gate, workers, engine, online, health })
+        Ok(Server { addr, gate, workers, engine, online })
     }
 
     /// The bound socket address (resolves `--port 0`).
@@ -292,12 +287,6 @@ impl Server {
     /// An engine handle (used by tests and the smoke bench).
     pub fn engine_handle(&self) -> EngineHandle {
         self.engine.handle()
-    }
-
-    /// The online trainer's status handle ([`OnlineStatus::disabled`] when
-    /// online learning is off) — what `/healthz` and `/v1/drift` read.
-    pub fn online_status(&self) -> Arc<OnlineStatus> {
-        Arc::clone(&self.health.status)
     }
 
     /// Flips the drain gate, as `POST /admin/shutdown` does.
@@ -368,7 +357,7 @@ fn worker_loop(
                             continue;
                         }
                         let _ = stream.set_nodelay(true);
-                        let _ = stream.set_write_timeout(Some(cfg.io_timeout));
+                        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
                         retia_obs::metrics::inc("serve.accepted");
                         gate.conn_delta(1);
                         conns.push(Conn::new(stream));
@@ -495,7 +484,7 @@ fn service_conn(
                 *progressed = true;
                 let keep = req.keep_alive() && !gate.is_draining();
                 let written =
-                    respond(&mut c.stream, &req, keep, recv_start_ns, gate, engine, cfg, health);
+                    respond(&mut c.stream, &req, keep, recv_start_ns, gate, engine, health);
                 c.last_activity = Instant::now();
                 if !written || !keep {
                     return false;
@@ -506,7 +495,7 @@ fn service_conn(
                 // A malformed request mid-pipeline: answer it (when the
                 // transport still works) and close — bytes after a framing
                 // error cannot be trusted.
-                answer_parse_error(&mut c.stream, &e, cfg);
+                answer_parse_error(&mut c.stream, &e);
                 return false;
             }
         }
@@ -518,7 +507,7 @@ fn service_conn(
             // complete, so answer 400 while the write side may still be open
             // (half-closing clients read it), then close.
             let e = HttpError::Malformed("connection closed before the request completed".into());
-            answer_parse_error(&mut c.stream, &e, cfg);
+            answer_parse_error(&mut c.stream, &e);
         }
         return false;
     }
@@ -530,7 +519,7 @@ fn service_conn(
             return false;
         }
         // Mid-request silence: the client gets a typed 408.
-        answer_parse_error(&mut c.stream, &HttpError::Timeout, cfg);
+        answer_parse_error(&mut c.stream, &HttpError::Timeout);
         return false;
     }
 
@@ -560,7 +549,6 @@ enum Payload {
 /// root frame around `route` so engine-side spans attach to it, and finishes
 /// with the response status — at which point the tail sampler decides
 /// whether `/v1/traces` keeps it.
-#[allow(clippy::too_many_arguments)]
 fn respond(
     stream: &mut TcpStream,
     req: &Request,
@@ -568,7 +556,6 @@ fn respond(
     recv_start_ns: Option<u64>,
     gate: &Gate,
     engine: &EngineHandle,
-    cfg: &ServeConfig,
     health: &Health,
 ) -> bool {
     let started = Instant::now();
@@ -621,7 +608,7 @@ fn respond(
     }
     .expect("writing to a Vec cannot fail");
     let write_start_ns = retia_obs::now_ns();
-    let written = write_all_with_deadline(stream, &out, cfg.io_timeout);
+    let written = write_all_with_deadline(stream, &out);
     trace::record_stage(
         &[root],
         stages::WRITE,
@@ -635,7 +622,7 @@ fn respond(
 
 /// Answers a parse/framing error when the transport still works; socket
 /// errors are logged and dropped (never written to a dead peer).
-fn answer_parse_error(stream: &mut TcpStream, e: &HttpError, cfg: &ServeConfig) {
+fn answer_parse_error(stream: &mut TcpStream, e: &HttpError) {
     if !e.wants_response() {
         retia_obs::metrics::inc("serve.io_dropped");
         retia_obs::event!(
@@ -650,7 +637,7 @@ fn answer_parse_error(stream: &mut TcpStream, e: &HttpError, cfg: &ServeConfig) 
     let mut out = Vec::with_capacity(256);
     write_json_response(&mut out, e.status(), &error_body(e.code(), &e.message()), false, &[])
         .expect("writing to a Vec cannot fail");
-    write_all_with_deadline(stream, &out, cfg.io_timeout);
+    write_all_with_deadline(stream, &out);
 }
 
 /// The log-and-drop half of the Io/Timeout split: no bytes are written.
@@ -660,9 +647,9 @@ fn drop_for_io_error(e: &std::io::Error) {
 }
 
 /// Writes all of `bytes` to a (possibly non-blocking) socket, retrying
-/// `WouldBlock` until `timeout` elapses. Returns `false` on failure.
-fn write_all_with_deadline(stream: &mut TcpStream, mut bytes: &[u8], timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
+/// `WouldBlock` until [`IO_TIMEOUT`] elapses. Returns `false` on failure.
+fn write_all_with_deadline(stream: &mut TcpStream, mut bytes: &[u8]) -> bool {
+    let deadline = Instant::now() + IO_TIMEOUT;
     while !bytes.is_empty() {
         match stream.write(bytes) {
             Ok(0) => return false,

@@ -148,11 +148,6 @@ impl ParamStore {
         &self.params[self.id(name).0].value
     }
 
-    /// Current value by id.
-    pub fn value_by_id(&self, id: ParamId) -> &Tensor {
-        &self.params[id.0].value
-    }
-
     /// The shared buffer behind a parameter's value: what
     /// [`crate::Graph::param`] holds instead of a copy.
     pub(crate) fn shared_value(&self, id: ParamId) -> Arc<Tensor> {

@@ -311,11 +311,6 @@ pub fn abs(x: Interval) -> Interval {
     Interval { lo, hi: x.lo.abs().max(x.hi.abs()), nan: x.nan, inf: x.inf }.widened()
 }
 
-/// `sin`/`cos` land in `[-1, 1]` but are NaN at `±inf`.
-pub fn sin_cos(x: Interval) -> Interval {
-    Interval { lo: -1.0, hi: 1.0, nan: x.nan || x.inf, inf: false }.widened()
-}
-
 /// `exp(x)`. Overflow rule: any input above [`F32_EXP_OVERFLOW`] admits
 /// `+inf` in f32 — this is the unguarded-exponential finding the audit
 /// exists to catch.
