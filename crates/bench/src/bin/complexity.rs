@@ -47,11 +47,11 @@ fn main() {
     let mut rep = Report::new("Complexity validation (paper §III-G)");
     rep.line("Each axis doubles its driving size; reported is time(2x)/time(1x).");
     rep.line("Interpretation per axis:");
-    rep.line("  * Algorithm 1 vs V        — one sort of packed candidate keys, O(C log C) in");
-    rep.line("    the candidates C = sum over entities e of (|S_e| + |O_e|)^2. Here N stays");
-    rep.line("    at 400, so doubling V doubles every entity's relation lists and C grows");
-    rep.line("    up to 4x: the ratio reads 3-4. With N doubling alongside V (per-entity");
-    rep.line("    degree fixed) the same build reads ~2.2, i.e. linear up to the log.");
+    rep.line("  * Algorithm 1 vs V        — one sort of packed forward candidate keys,");
+    rep.line("    O(C log C) in the candidates C = sum over entities e of (|S_e| + |O_e|)^2.");
+    rep.line("    Here N stays at 400, so doubling V doubles every entity's relation lists");
+    rep.line("    and C grows up to 4x: the ratio reads 3-4. With N doubling alongside V");
+    rep.line("    (per-entity degree fixed) the same build reads ~2.1, linear up to the log.");
     rep.line("  * EAM vs N, fixed edges   — between 1 and 2: only the O(N d^2) self-loop");
     rep.line("    doubles; the message term is edge-bound. On a shared 2-vCPU host the");
     rep.line("    ratio reads 1.2-1.3 and run-to-run noise can take it just under 1.");

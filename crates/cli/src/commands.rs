@@ -255,7 +255,7 @@ pub fn train(raw: &[String]) -> Result<(), String> {
             // embedded config; only --epochs may override, to extend a
             // finished run.
             let dir = PathBuf::from(dir);
-            let mut t =
+            let (mut t, file) =
                 Trainer::resume(&dir, &ds).map_err(|e| format!("{}: {e}", dir.display()))?;
             if let Some(epochs) = args.get("epochs") {
                 t.cfg.epochs = epochs.parse().map_err(|e| format!("bad --epochs: {e}"))?;
@@ -268,7 +268,7 @@ pub fn train(raw: &[String]) -> Result<(), String> {
                 epochs = t.cfg.epochs;
                 format!(
                     "resumed from {} at epoch {}/{} (step {})",
-                    dir.display(),
+                    dir.join(&file).display(),
                     t.epochs_done(),
                     t.cfg.epochs,
                     t.steps()

@@ -168,8 +168,9 @@ impl Retia {
             // Per-type RAM weights for hyperrelation types with no edges
             // anywhere in the audit window never enter the graph.
             for r in 0..NUM_HYPERRELS_WITH_INV {
-                let absent =
-                    hypers.iter().all(|h| h.hrel_ranges.get(r).is_none_or(|&(a, b)| a == b));
+                let absent = hypers.iter().all(|h| {
+                    (0..h.num_rel_nodes as u32).all(|ro| h.sources(r as u32, ro).is_empty())
+                });
                 if absent {
                     for l in 0..cfg.rgcn_layers {
                         frozen.push(FrozenParam::new(

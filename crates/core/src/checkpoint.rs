@@ -186,14 +186,19 @@ fn model_sections(cfg: &RetiaConfig, store: &ParamStore) -> Vec<(&'static str, V
 /// The model file's decoder: builds the model that the `config` and
 /// `params` sections of a read container describe. A config that fails
 /// [`RetiaConfig::validate`] is an error naming the field, never a panic.
+/// The model registers the decoded tensors themselves, so a load holds one
+/// copy of the parameters beside the file's bytes, and draws no initial
+/// values; a count, name or shape mismatch is an error naming the
+/// parameter, and no model is returned.
 fn model_from_sections(sections: &[(String, &[u8])], ds: &TkgDataset) -> Result<Retia, TrainError> {
     let text = std::str::from_utf8(require_section(sections, "config")?)
         .map_err(|_| CheckpointError::Corrupt("non-utf8 config section".into()))?;
     let cfg = RetiaConfig::from_json(text)
         .and_then(|cfg| cfg.validate().map(|()| cfg))
         .map_err(|e| TrainError::Invalid(format!("invalid config section: {e}")))?;
-    let mut model = Retia::new(&cfg, ds);
-    model.store_mut().load_values_payload(require_section(sections, "params")?)?;
+    let store = ParamStore::loading(cfg.seed, require_section(sections, "params")?)?;
+    let mut model = Retia::with_store(&cfg, ds.num_entities, ds.num_relations, store);
+    model.store_mut().finish_loading()?;
     Ok(model)
 }
 
@@ -359,22 +364,41 @@ impl Trainer {
         Ok(())
     }
 
-    /// Rebuilds a trainer from the latest checkpoint in `dir`, ready for
-    /// `try_fit` to continue from the next epoch — bit-identically to a
-    /// run that was never interrupted. The dataset must be the one the
-    /// original run trained on. The checkpoint's decoder errors come back
-    /// as they are ([`TrainError::Checkpoint`] for a CRC or shape mismatch
-    /// or a missing section, [`TrainError::Invalid`] for an invalid
-    /// config), and no message names `dir`: the caller prefixes it.
-    pub fn resume(dir: &Path, ds: &TkgDataset) -> Result<Trainer, TrainError> {
+    /// Rebuilds a trainer from the newest checkpoint in `dir` that decodes,
+    /// ready for `try_fit` to continue from the next epoch — bit-identically
+    /// to a run that was never interrupted — and names the file it resumed
+    /// from. The manifest's entries are tried newest first; each one that
+    /// fails to read or decode is skipped with a `checkpoint.skipped`
+    /// warning naming the file and its error. The dataset must be the one
+    /// the original run trained on. When no entry decodes, the newest
+    /// entry's error comes back as it is ([`TrainError::Checkpoint`] for a
+    /// CRC or shape mismatch or a missing section, [`TrainError::Invalid`]
+    /// for an invalid config), and no message names `dir`: the caller
+    /// prefixes it.
+    pub fn resume(dir: &Path, ds: &TkgDataset) -> Result<(Trainer, String), TrainError> {
         let manifest = Manifest::load(dir)?.ok_or_else(|| {
             TrainError::Invalid("no manifest.json — not a checkpoint directory".into())
         })?;
-        let entry = manifest
-            .latest()
-            .ok_or_else(|| TrainError::Invalid("manifest lists no checkpoints".into()))?;
-        let bytes = std::fs::read(dir.join(&entry.file)).map_err(CheckpointError::Io)?;
-        Trainer::from_checkpoint_bytes(&bytes, ds)
+        let mut newest_error = None;
+        for entry in manifest.entries.iter().rev() {
+            let decoded = std::fs::read(dir.join(&entry.file))
+                .map_err(|e| TrainError::Checkpoint(CheckpointError::Io(e)))
+                .and_then(|bytes| Trainer::from_checkpoint_bytes(&bytes, ds));
+            match decoded {
+                Ok(trainer) => return Ok((trainer, entry.file.clone())),
+                Err(e) => {
+                    retia_obs::event!(
+                        retia_obs::Level::Warn,
+                        "checkpoint.skipped",
+                        epoch = entry.epoch;
+                        format!("skipping checkpoint `{}`: {e}", entry.file)
+                    );
+                    newest_error.get_or_insert(e);
+                }
+            }
+        }
+        Err(newest_error
+            .unwrap_or_else(|| TrainError::Invalid("manifest lists no checkpoints".into())))
     }
 
     /// Rebuilds a trainer from checkpoint bytes: the model through the
@@ -539,7 +563,7 @@ mod tests {
         trainer.try_fit(&ctx).unwrap();
         assert_eq!(trainer.epochs_done(), 2);
 
-        let mut resumed = Trainer::resume(&dir, &ds).unwrap();
+        let mut resumed = Trainer::resume(&dir, &ds).unwrap().0;
         assert_eq!(resumed.epochs_done(), 2);
         resumed.cfg.epochs = 3;
         resumed.try_fit(&ctx).unwrap();
@@ -625,6 +649,28 @@ mod tests {
             matches!(err, TrainError::Checkpoint(CheckpointError::CrcMismatch { .. })),
             "{err:?}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A flipped byte in the newest of three rotated checkpoints: resume
+    /// skips it and continues from the one before, naming that file.
+    #[test]
+    fn resume_falls_back_to_the_newest_checkpoint_that_decodes() {
+        let (mut trainer, ctx, ds) = setup(3);
+        let dir = tmp_dir("fallback");
+        trainer.set_checkpointing(Some(CheckpointPolicy::new(&dir)));
+        trainer.try_fit(&ctx).unwrap();
+        let file = dir.join("ckpt-00003.retia");
+        let mut bytes = std::fs::read(&file).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&file, &bytes).unwrap();
+
+        let (resumed, from) = Trainer::resume(&dir, &ds).unwrap();
+        assert_eq!(from, "ckpt-00002.retia");
+        assert_eq!(resumed.epochs_done(), 2);
+        let want = std::fs::read(dir.join("ckpt-00002.retia")).unwrap();
+        assert_eq!(resumed.to_checkpoint_bytes(), want, "resumed state differs from ckpt-00002");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

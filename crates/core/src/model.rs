@@ -55,9 +55,20 @@ impl Retia {
 
     /// Builds a model from raw entity/relation counts.
     pub fn with_shape(cfg: &RetiaConfig, num_entities: usize, num_relations: usize) -> Self {
+        Self::with_store(cfg, num_entities, num_relations, ParamStore::new(cfg.seed))
+    }
+
+    /// Builds a model whose parameters are registered into `store`: fresh
+    /// initial values from a new store, decoded ones from a loading store
+    /// (`ParamStore::loading`).
+    pub(crate) fn with_store(
+        cfg: &RetiaConfig,
+        num_entities: usize,
+        num_relations: usize,
+        mut store: ParamStore,
+    ) -> Self {
         let d = cfg.dim;
         let m2 = 2 * num_relations;
-        let mut store = ParamStore::new(cfg.seed);
         store.register_xavier("ent0", num_entities, d);
         store.register_xavier("rel0", m2, d);
         store.register_xavier("hyper0", NUM_HYPERRELS_WITH_INV, d);

@@ -17,14 +17,22 @@
 //! `OO = RO×RO`, `SS = RS×RS`, with zeroed diagonals for `o-o`/`s-s`). We
 //! produce the identical edges by joining on each shared entity instead:
 //! every entity's sorted subject and object relation lists pair up into
-//! candidate hyperedges, each packed with its inverse into one `u64` key,
-//! and a single sort + dedup of the keys yields the edge arrays in
-//! `(hyperrelation, r_s, r_o)` order. That costs `O(C log C)` in the `C`
-//! candidate pairs, never `O(M²)`, and hashes nothing; the dense product is
-//! kept in the tests as a reference oracle.
+//! candidate forward hyperedges, each packed into one `u64` key that orders
+//! as its (hyperrelation, `r_o`) *slot*, then `r_s`, and a single sort +
+//! dedup of the keys yields every slot's distinct sources ascending, slot
+//! after slot; one counting pass over them gives the slot bounds. That
+//! costs `O(C log C)` in the `C` candidate pairs plus `O(H·M)` slot bounds,
+//! never `O(M²)`, and hashes nothing; the dense product is kept in the
+//! tests as a reference oracle.
 //!
-//! As with ordinary facts, each hyperedge `(r_s, hr, r_o)` also yields the
-//! inverse hyperedge `(r_o, hr⁻¹, r_s)`, so only in-edges need aggregating.
+//! The slots are the relation R-GCN's aggregation groups (Eq. 1 normalizes
+//! by each slot's size), stored in the order it sums them. As with ordinary
+//! facts, each hyperedge `(r_s, hr, r_o)` also yields the inverse hyperedge
+//! `(r_o, hr⁻¹, r_s)`, so only in-edges need aggregating. The inverse types
+//! take no storage: `o-s⁻¹` joins exactly the pairs `s-o` joins (the subject
+//! of one relation is the object of the other), `s-o⁻¹` those of `o-s`, and
+//! `o-o` and `s-s` are symmetric, so type `h + 4` reads the slots of type
+//! `[1, 0, 2, 3][h]`.
 
 use crate::snapshot::Snapshot;
 
@@ -61,12 +69,24 @@ impl HyperRel {
     }
 }
 
-/// The twin hyperrelation subgraph of one snapshot, prepared for the
-/// relation-aggregating R-GCN (Eq. 1) exactly like [`Snapshot`] is for the
-/// entity-aggregating one: parallel edge arrays sorted by hyperrelation id
-/// and hyperrelation→relation incidence sets. As there, Eq. 1's `1/c_{r_o,
-/// hr}` is not stored: the R-GCN counts each (hyperrelation, destination)
-/// pair's edges when it groups them.
+/// The forward type whose slots hold the edges of type `hr` (`0..8`): an
+/// inverse type `h + 4` joins exactly the pairs of type `[1, 0, 2, 3][h]`.
+fn stored_type(hr: u32) -> usize {
+    const TWIN: [usize; NUM_HYPERRELS] = [1, 0, 2, 3];
+    let hr = hr as usize;
+    if hr < NUM_HYPERRELS {
+        hr
+    } else {
+        TWIN[hr - NUM_HYPERRELS]
+    }
+}
+
+/// The twin hyperrelation subgraph of one snapshot, stored as the
+/// relation-aggregating R-GCN (Eq. 1) groups it: one slot per (forward
+/// hyperrelation, destination `r_o`) pair, holding its sources `r_s`
+/// ascending, plus the hyperrelation→relation incidence sets. As for
+/// [`Snapshot`], Eq. 1's `1/c_{r_o, hr}` is not stored: it is one over the
+/// slot's size.
 ///
 /// # Examples
 ///
@@ -78,6 +98,9 @@ impl HyperRel {
 /// let snap = Snapshot::from_quads(&facts, 3, 2);
 /// let hyper = HyperSnapshot::from_snapshot(&snap);
 /// assert!(hyper.has_edge(HyperRel::ObjectSubject.id(), 0, 1));
+/// // The o-s slot of r1 also holds r3 = r1⁻¹, whose edge (2, r3, 1) ends
+/// // at r1's subject.
+/// assert_eq!(hyper.sources(HyperRel::ObjectSubject.id(), 1), [0, 3]);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct HyperSnapshot {
@@ -85,14 +108,11 @@ pub struct HyperSnapshot {
     pub t: u32,
     /// Number of relation nodes, `2M`.
     pub num_rel_nodes: usize,
-    /// Message sources (`r_s`), parallel with `hrel` / `dst`.
-    pub src: Vec<u32>,
-    /// Hyperrelation type ids in `0..8` (4 forward + 4 inverse), ascending.
-    pub hrel: Vec<u32>,
-    /// Message destinations (`r_o`).
-    pub dst: Vec<u32>,
-    /// `(start, end)` ranges into the edge arrays per hyperrelation id.
-    pub hrel_ranges: Vec<(usize, usize)>,
+    /// `H·2M + 1` slot bounds: forward type `h`'s sources into `r_o` are
+    /// `sources[offsets[h·2M + r_o]..offsets[h·2M + r_o + 1]]`.
+    offsets: Vec<u32>,
+    /// Every forward slot's distinct sources, ascending within the slot.
+    sources: Vec<u32>,
     /// Relations incident to each hyperrelation type regardless of direction
     /// (the `R_hr^t` sets of Eq. 9); indexed by hyperrelation id in `0..8`.
     pub hrel_relations: Vec<Vec<u32>>,
@@ -102,24 +122,25 @@ impl HyperSnapshot {
     /// Builds the twin hyperrelation subgraph of `snapshot` (Algorithm 1).
     ///
     /// # Panics
-    /// Panics if the snapshot has more than `2^29` relations.
+    /// Panics if the snapshot has more than `2^29` relations, or its
+    /// subgraph `2^32` or more forward hyperedges.
     pub fn from_snapshot(snapshot: &Snapshot) -> Self {
-        let num_rel_nodes = 2 * snapshot.num_relations;
-        assert!(num_rel_nodes <= NODE_MASK as usize + 1, "too many relations to pack a hyperedge");
+        let m2 = 2 * snapshot.num_relations;
+        let num_slots = NUM_HYPERRELS * m2;
+        assert!(num_slots as u64 <= 1 << 32, "too many relations to number the hyperedge slots");
 
         // Per-entity incidence: relations having the entity as subject/object.
         let n = snapshot.num_entities;
         let subj_of = Incidence::new(n, snapshot.src.iter().zip(&snapshot.rel));
         let obj_of = Incidence::new(n, snapshot.dst.iter().zip(&snapshot.rel));
 
-        // Join per entity. A pair reachable through several shared entities
+        // Join per entity into keys ordered as (slot, r_s), the slot being
+        // `h·2M + r_o`. A pair reachable through several shared entities
         // appears once per entity; the dedup below keeps one (the boolean
         // product semantics).
         let mut keys: Vec<u64> = Vec::new();
         let mut push = |hr: HyperRel, rs: u32, ro: u32| {
-            keys.push(pack(hr.id(), rs, ro));
-            // Inverse hyperedge: (r_o, hr + 4, r_s).
-            keys.push(pack(hr.id() + NUM_HYPERRELS as u32, ro, rs));
+            keys.push(((hr as usize * m2 + ro as usize) as u64) << 32 | u64::from(rs));
         };
         for e in 0..n {
             let (subs, objs) = (subj_of.of(e), obj_of.of(e));
@@ -146,61 +167,68 @@ impl HyperSnapshot {
         }
         keys.sort_unstable();
         keys.dedup();
+        assert!(u32::try_from(keys.len()).is_ok(), "hyperedge count fits in u32");
 
-        let hrel: Vec<u32> = keys.iter().map(|&key| (key >> HREL_SHIFT) as u32).collect();
-        let src: Vec<u32> = keys.iter().map(|&key| (key >> NODE_BITS) as u32 & NODE_MASK).collect();
-        let dst: Vec<u32> = keys.iter().map(|&key| key as u32 & NODE_MASK).collect();
-
-        // Contiguous per-hyperrelation ranges ((0, 0) for absent types).
-        let mut hrel_ranges = vec![(0usize, 0usize); NUM_HYPERRELS_WITH_INV];
-        let mut start = 0;
-        while start < hrel.len() {
-            let h = hrel[start];
-            let end = start + hrel[start..].partition_point(|&x| x == h);
-            hrel_ranges[h as usize] = (start, end);
-            start = end;
+        // Slot bounds by counting, marking both ends of every edge in its
+        // forward type's R_hr^t row.
+        let mut offsets = vec![0u32; num_slots + 1];
+        let mut incident = vec![false; num_slots];
+        for &key in &keys {
+            let slot = (key >> 32) as usize;
+            offsets[slot + 1] += 1;
+            incident[slot] = true;
+            incident[slot - slot % m2 + (key as u32) as usize] = true;
         }
-
-        // R_hr^t: relations incident to each hyperrelation type, marked in a
-        // dense [2H x 2M] table and read out in ascending order.
-        let mut incident = vec![false; NUM_HYPERRELS_WITH_INV * num_rel_nodes];
-        for i in 0..keys.len() {
-            let row = hrel[i] as usize * num_rel_nodes;
-            incident[row + src[i] as usize] = true;
-            incident[row + dst[i] as usize] = true;
+        for slot in 0..num_slots {
+            offsets[slot + 1] += offsets[slot];
         }
+        let sources = keys.iter().map(|&key| key as u32).collect();
+
+        // Type h + 4 joins type h's pairs reversed: the same incident set.
         let hrel_relations: Vec<Vec<u32>> = (0..NUM_HYPERRELS_WITH_INV)
-            .map(|h| {
-                let row = &incident[h * num_rel_nodes..(h + 1) * num_rel_nodes];
+            .map(|hr| {
+                let h = hr % NUM_HYPERRELS;
+                let row = &incident[h * m2..(h + 1) * m2];
                 (0u32..).zip(row).filter(|&(_, &on)| on).map(|(r, _)| r).collect()
             })
             .collect();
 
-        HyperSnapshot { t: snapshot.t, num_rel_nodes, src, hrel, dst, hrel_ranges, hrel_relations }
+        HyperSnapshot { t: snapshot.t, num_rel_nodes: m2, offsets, sources, hrel_relations }
     }
 
     /// Number of hyperedges (inverses included).
     pub fn num_edges(&self) -> usize {
-        self.hrel.len()
+        2 * self.sources.len()
+    }
+
+    /// The sources `r_s` of the type-`hr` edges into `r_o = dst`, ascending:
+    /// one slot of Eq. 1's aggregation. Empty when `dst` is not a relation
+    /// node.
+    ///
+    /// # Panics
+    /// Panics if `hr` is not a hyperrelation id (`0..8`).
+    pub fn sources(&self, hr: u32, dst: u32) -> &[u32] {
+        let dst = dst as usize;
+        if dst >= self.num_rel_nodes {
+            return &[];
+        }
+        let slot = stored_type(hr) * self.num_rel_nodes + dst;
+        &self.sources[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
+
+    /// Every hyperedge `(hr, r_s, r_o)`, inverses included, in slot order:
+    /// by type, then destination, then ascending source.
+    pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        (0..NUM_HYPERRELS_WITH_INV as u32).flat_map(move |hr| {
+            (0..self.num_rel_nodes as u32)
+                .flat_map(move |ro| self.sources(hr, ro).iter().map(move |&rs| (hr, rs, ro)))
+        })
     }
 
     /// True when a specific hyperedge exists.
     pub fn has_edge(&self, hr: u32, rs: u32, ro: u32) -> bool {
-        let (a, b) = self.hrel_ranges[hr as usize];
-        (a..b).any(|i| self.src[i] == rs && self.dst[i] == ro)
+        self.sources(hr, ro).binary_search(&rs).is_ok()
     }
-}
-
-/// Bits per relation node in a packed hyperedge key.
-const NODE_BITS: u32 = 30;
-/// Mask of one relation node in a packed key.
-const NODE_MASK: u32 = (1 << NODE_BITS) - 1;
-/// Shift of the hyperrelation id, above the two relation nodes.
-const HREL_SHIFT: u32 = 2 * NODE_BITS;
-
-/// Packs a hyperedge so that keys order as `(hr, r_s, r_o)` tuples do.
-fn pack(hr: u32, rs: u32, ro: u32) -> u64 {
-    u64::from(hr) << HREL_SHIFT | u64::from(rs) << NODE_BITS | u64::from(ro)
 }
 
 /// The distinct relations incident to each entity on one side of its
@@ -244,7 +272,9 @@ mod tests {
 
     /// Dense reference implementation: boolean incidence products as written
     /// in Algorithm 1, returning every hyperedge `(hr, r_s, r_o)` (inverses
-    /// included) in ascending order.
+    /// included) in ascending order. Each inverse type is built from its own
+    /// forward type's product, reversed, so agreeing with it on all eight
+    /// types also checks that inverse types may read their twins' slots.
     #[allow(clippy::needless_range_loop)]
     fn dense_reference(snapshot: &Snapshot) -> Vec<(u32, u32, u32)> {
         let m2 = 2 * snapshot.num_relations;
@@ -285,25 +315,35 @@ mod tests {
     }
 
     /// Asserts that the built subgraph equals the one derived from the
-    /// dense oracle, array by array and in order: the edge arrays sorted
-    /// by `(hrel, src, dst)`, the per-type ranges ((0, 0) when absent) and
-    /// the per-type relation sets. (The R-GCN's slot plan, which derives
-    /// Eq. 1's `1/c` from these arrays, is checked against its own oracle.)
+    /// dense oracle: its edges, read through [`HyperSnapshot::edges`] and
+    /// put in `(hrel, src, dst)` order, column by column; the edge count;
+    /// the slot order the R-GCN sums in (each type one contiguous run, then
+    /// destinations, then sources, strictly ascending), with each type's
+    /// run as long as the oracle's; and the per-type relation sets. (The
+    /// R-GCN's slot plan, which derives Eq. 1's `1/c` from the slots, is
+    /// checked against its own oracle.)
     fn assert_matches_oracle(s: &Snapshot, what: &str) {
         let h = HyperSnapshot::from_snapshot(s);
         let want = dense_reference(s);
-        let column = |f: fn(&(u32, u32, u32)) -> u32| want.iter().map(f).collect::<Vec<u32>>();
-        assert_eq!(h.hrel, column(|e| e.0), "{what}: hrel");
-        assert_eq!(h.src, column(|e| e.1), "{what}: src");
-        assert_eq!(h.dst, column(|e| e.2), "{what}: dst");
+        let in_slot_order: Vec<(u32, u32, u32)> = h.edges().collect();
+        let mut got = in_slot_order.clone();
+        got.sort_unstable();
+        let column = |edges: &[(u32, u32, u32)], f: fn(&(u32, u32, u32)) -> u32| {
+            edges.iter().map(f).collect::<Vec<u32>>()
+        };
+        assert_eq!(column(&got, |e| e.0), column(&want, |e| e.0), "{what}: hrel");
+        assert_eq!(column(&got, |e| e.1), column(&want, |e| e.1), "{what}: src");
+        assert_eq!(column(&got, |e| e.2), column(&want, |e| e.2), "{what}: dst");
+        assert_eq!(h.num_edges(), want.len(), "{what}: num_edges");
+        assert!(
+            in_slot_order.windows(2).all(|w| (w[0].0, w[0].2, w[0].1) < (w[1].0, w[1].2, w[1].1)),
+            "{what}: edges() is not in strictly ascending (type, dst, src) order"
+        );
 
         for hr in 0..NUM_HYPERRELS_WITH_INV as u32 {
             let at: Vec<usize> = (0..want.len()).filter(|&i| want[i].0 == hr).collect();
-            let range = match (at.first(), at.last()) {
-                (Some(&a), Some(&b)) => (a, b + 1),
-                _ => (0, 0),
-            };
-            assert_eq!(h.hrel_ranges[hr as usize], range, "{what}: hrel_ranges[{hr}]");
+            let run = in_slot_order.iter().filter(|e| e.0 == hr).count();
+            assert_eq!(run, at.len(), "{what}: type {hr} edge count");
             let rels: BTreeSet<u32> = at.iter().flat_map(|&i| [want[i].1, want[i].2]).collect();
             assert_eq!(
                 h.hrel_relations[hr as usize],
@@ -354,10 +394,10 @@ mod tests {
         // Relation 0 used twice with shared object 2 and shared subject 0.
         let s = snap(&[(0, 0, 2), (1, 0, 2), (0, 0, 1)], 3, 1);
         let h = HyperSnapshot::from_snapshot(&s);
-        for i in 0..h.num_edges() {
-            let hr = h.hrel[i] % 4;
+        for (hr, rs, ro) in h.edges() {
+            let hr = hr % 4;
             if hr == HyperRel::ObjectObject.id() || hr == HyperRel::SubjectSubject.id() {
-                assert_ne!(h.src[i], h.dst[i], "self-loop hyperedge produced");
+                assert_ne!(rs, ro, "self-loop hyperedge produced");
             }
         }
     }
@@ -366,15 +406,9 @@ mod tests {
     fn inverse_hyperedges_mirror_forward() {
         let s = snap(&[(0, 0, 1), (1, 1, 2), (2, 0, 0)], 3, 2);
         let h = HyperSnapshot::from_snapshot(&s);
-        for i in 0..h.num_edges() {
-            if h.hrel[i] < 4 {
-                assert!(
-                    h.has_edge(h.hrel[i] + 4, h.dst[i], h.src[i]),
-                    "missing inverse of ({}, {}, {})",
-                    h.hrel[i],
-                    h.src[i],
-                    h.dst[i]
-                );
+        for (hr, rs, ro) in h.edges() {
+            if hr < 4 {
+                assert!(h.has_edge(hr + 4, ro, rs), "missing inverse of ({hr}, {rs}, {ro})");
             }
         }
     }
@@ -410,6 +444,30 @@ mod tests {
         }
     }
 
+    /// Only the four forward types are stored: one source per forward
+    /// hyperedge, `num_edges() / 2` in all, behind `H·2M + 1` slot bounds,
+    /// and each inverse type reads its twin's slots.
+    #[test]
+    fn storage_holds_half_the_edges() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for case in 0..24 {
+            let (n, m, facts) = match case {
+                0 => (3, 2, 0),
+                1..20 => (rng.gen_range(2..8), rng.gen_range(1..5), rng.gen_range(1..15)),
+                _ => (rng.gen_range(60..200), rng.gen_range(24..40), rng.gen_range(200..400)),
+            };
+            let h = HyperSnapshot::from_snapshot(&random_snap(&mut rng, n, m, facts));
+            assert_eq!(h.sources.len(), h.num_edges() / 2, "case {case}");
+            assert_eq!(h.offsets.len(), NUM_HYPERRELS * 2 * m + 1, "case {case}");
+            for (hr, twin) in [(4, 1), (5, 0), (6, 2), (7, 3)] {
+                for ro in 0..h.num_rel_nodes as u32 {
+                    assert!(std::ptr::eq(h.sources(hr, ro), h.sources(twin, ro)), "case {case}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn hrel_relations_cover_incident_nodes() {
         let s = snap(&[(0, 0, 1), (1, 1, 2)], 3, 2);
@@ -433,8 +491,7 @@ mod tests {
         // hyperrelation graph connects them directly.
         let s = snap(&[(0, 0, 1), (1, 1, 2)], 3, 2);
         let h = HyperSnapshot::from_snapshot(&s);
-        let connected = (0..h.num_edges())
-            .any(|i| (h.src[i] == 0 && h.dst[i] == 1) || (h.src[i] == 1 && h.dst[i] == 0));
+        let connected = h.edges().any(|(_, rs, ro)| (rs == 0 && ro == 1) || (rs == 1 && ro == 0));
         assert!(connected, "relations sharing an entity must be adjacent");
     }
 }

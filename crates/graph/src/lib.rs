@@ -12,7 +12,9 @@
 //!   sort + dedup;
 //! * [`HyperSnapshot`] — the *twin hyperrelation subgraph* of a snapshot
 //!   (Algorithm 1 of the paper): relation nodes joined by the four positional
-//!   hyperrelations `o-s`, `s-o`, `o-o`, `s-s` (plus their inverses);
+//!   hyperrelations `o-s`, `s-o`, `o-o`, `s-s` (plus their inverses, which
+//!   read their forward twins' storage), stored as the relation R-GCN's
+//!   per-(hyperrelation, destination) slots;
 //! * [`Window`] — the last `k` snapshots of a forward-only fact stream under
 //!   the stream's one rule (ids in range, timestamps never move backwards,
 //!   same-timestamp facts merge into the newest group), which the store's
@@ -21,9 +23,10 @@
 //!
 //! The hyperrelation construction is the paper's sparse boolean products
 //! `RO×RS`, `RS×RO`, `RO×RO`, `RS×RS` realized as joins on the shared
-//! entity: candidate hyperedges packed into `u64` keys, then one sort and
-//! dedup, which scales with the candidate pairs instead of `O(M²)`; a dense
-//! reference implementation in the test suite validates the arrays in order.
+//! entity: candidate forward hyperedges packed into `u64` keys in slot
+//! order, then one sort and dedup, which scales with the candidate pairs
+//! instead of `O(M²)`; a dense reference implementation in the test suite
+//! validates every edge.
 
 mod hypergraph;
 mod quad;

@@ -19,6 +19,9 @@
 //! slot (or per destination, for bases) instead of one row per edge. The
 //! slot is also the normalization's neighbor set: `c_{o,r}` is its size,
 //! so the plan derives each edge's `1/c` weight from the grouping itself.
+//! The entity plan groups a snapshot's edge arrays into slots; a
+//! [`HyperSnapshot`] is stored as its slots, so the relation plan reads
+//! them in order.
 
 use std::rc::Rc;
 
@@ -99,19 +102,32 @@ impl SlotPlan {
         let n = edge_lens.into_iter().min().unwrap_or(0);
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| (etype[i], dst[i]));
-        let slots: Vec<&[usize]> =
-            order.chunk_by(|&a, &b| (etype[a], dst[a]) == (etype[b], dst[b])).collect();
+        let slots = order
+            .chunk_by(|&a, &b| (etype[a], dst[a]) == (etype[b], dst[b]))
+            .map(|s| (etype[s[0]], dst[s[0]], s.iter().map(|&i| src[i])));
+        Self::from_slots(edge_lens, slots, num_nodes)
+    }
 
-        let (mut offsets, mut end) = (vec![0usize], 0);
-        for slot in &slots {
-            end += slot.len();
-            offsets.push(end);
+    /// The plan of non-empty `(type, destination, sources)` slots, ascending
+    /// by (type, destination); `edge_lens` are the lengths of the edge
+    /// arrays they were cut from.
+    fn from_slots<S: Iterator<Item = u32>>(
+        edge_lens: [usize; 3],
+        slots: impl Iterator<Item = (u32, u32, S)>,
+        num_nodes: usize,
+    ) -> Self {
+        let (mut offsets, mut cols, mut edge_type) = (vec![0usize], Vec::new(), Vec::new());
+        let (mut weights, mut slot_type, mut slot_dst) = (Vec::new(), Vec::new(), Vec::new());
+        for (ty, dst, sources) in slots {
+            let start = cols.len();
+            cols.extend(sources);
+            let c = cols.len() - start;
+            offsets.push(cols.len());
+            edge_type.extend(std::iter::repeat_n(ty, c));
+            weights.extend(std::iter::repeat_n(1.0 / c as f32, c));
+            slot_type.push(ty);
+            slot_dst.push(dst);
         }
-        let in_order = |ids: &[u32]| order.iter().map(|&i| ids[i]).collect::<Vec<u32>>();
-        let weights: Vec<f32> =
-            slots.iter().flat_map(|s| std::iter::repeat_n(1.0 / s.len() as f32, s.len())).collect();
-        let slot_type: Vec<u32> = slots.iter().map(|s| etype[s[0]]).collect();
-        let slot_dst: Vec<u32> = slots.iter().map(|s| dst[s[0]]).collect();
 
         let (mut types, mut start) = (Vec::new(), 0);
         for run in slot_type.chunk_by(|a, b| a == b) {
@@ -132,8 +148,8 @@ impl SlotPlan {
 
         SlotPlan {
             edge_lens,
-            src_sum: Rc::new(Segments::new(offsets.clone(), in_order(src), weights.clone())),
-            type_sum: Rc::new(Segments::new(offsets, in_order(etype), weights)),
+            src_sum: Rc::new(Segments::new(offsets.clone(), cols, weights.clone())),
+            type_sum: Rc::new(Segments::new(offsets, edge_type, weights)),
             slot_type: Rc::new(slot_type),
             types,
             slot_to_dest: place(&dest_row, dests.len()),
@@ -147,9 +163,19 @@ impl SlotPlan {
         Self::new(&snap.src, &snap.rel, &snap.dst, snap.num_entities)
     }
 
-    /// The plan of a hyperrelation subgraph's edges (Eq. 1).
+    /// The plan of a hyperrelation subgraph's edges (Eq. 1), read from its
+    /// slots with no grouping: they are stored in the order
+    /// [`SlotPlan::new`] groups edges in, by type, then destination, each
+    /// slot's sources ascending.
     fn relation(hyper: &HyperSnapshot) -> Self {
-        Self::new(&hyper.src, &hyper.hrel, &hyper.dst, hyper.num_rel_nodes)
+        let m2 = hyper.num_rel_nodes as u32;
+        let slots = (0..NUM_HYPERRELS_WITH_INV as u32).flat_map(|hr| {
+            (0..m2).filter_map(move |ro| {
+                let sources = hyper.sources(hr, ro);
+                (!sources.is_empty()).then(|| (hr, ro, sources.iter().copied()))
+            })
+        });
+        Self::from_slots([hyper.num_edges(); 3], slots, hyper.num_rel_nodes)
     }
 
     fn is_empty(&self) -> bool {
@@ -511,8 +537,9 @@ mod tests {
         let shared = |etype: &[u32], dst: &[u32]| {
             (1..etype.len()).any(|i| (0..i).any(|j| (etype[j], dst[j]) == (etype[i], dst[i])))
         };
+        let (hs, ht, ho) = edge_arrays(&hyper);
         assert!(shared(&snap.rel, &snap.dst), "no two entity edges share a slot");
-        assert!(shared(&hyper.hrel, &hyper.dst), "no two hyperedges share a slot");
+        assert!(shared(&ht, &ho), "no two hyperedges share a slot");
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let mut rand_t = |r: usize| Tensor::from_fn(r, d, |_, _| rng.gen_range(-1.0f32..1.0));
@@ -534,13 +561,24 @@ mod tests {
                     let rgcn = RelationRgcn::new(&mut store, "r", d, mode, 1, 0.0);
                     let (r, h) = (g.constant(rel.clone()), g.constant(hr.clone()));
                     let out = rgcn.forward(&mut g, &store, r, h, &hyper);
-                    let (s, t, o) = (&hyper.src, &hyper.hrel, &hyper.dst);
-                    (g.value(out).clone(), naive_layer(&store, "r", mode, &rel, &hr, s, t, o))
+                    let want = naive_layer(&store, "r", mode, &rel, &hr, &hs, &ht, &ho);
+                    (g.value(out).clone(), want)
                 };
                 let diff = got.max_abs_diff(&want);
                 assert!(diff < 1e-5, "entity={entity} {mode:?}: diff {diff}");
             }
         }
+    }
+
+    /// A hypergraph's edges as `(src, type, dst)` arrays, in slot order.
+    fn edge_arrays(hyper: &HyperSnapshot) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let (mut src, mut etype, mut dst) = (Vec::new(), Vec::new(), Vec::new());
+        for (hr, rs, ro) in hyper.edges() {
+            src.push(rs);
+            etype.push(hr);
+            dst.push(ro);
+        }
+        (src, etype, dst)
     }
 
     /// Every edge the plan sums, as `(type, src, dst, weight bits)` in slot
@@ -614,8 +652,55 @@ mod tests {
             assert_eq!(got, counted_norms(&snap.src, &snap.rel, &snap.dst), "case {case}: entity");
             let mut got = planned_edges(&SlotPlan::relation(&hyper));
             got.sort_unstable();
-            let want = counted_norms(&hyper.src, &hyper.hrel, &hyper.dst);
+            let (s, t, o) = edge_arrays(&hyper);
+            let want = counted_norms(&s, &t, &o);
             assert_eq!(got, want, "case {case}: hyperedges");
+        }
+    }
+
+    /// Every field of a plan, weights as bits: the edge-array lengths, the
+    /// two slot sums row by row (each row's columns and weights, which fix
+    /// the offsets), the slot types, each edge type's rows and placement,
+    /// the destinations and their two placements.
+    fn plan_fields(plan: &SlotPlan) -> impl PartialEq + std::fmt::Debug {
+        type Rows = Vec<(Vec<u32>, Vec<u32>)>;
+        let rows = |s: &Segments| -> Rows {
+            (0..s.num_rows())
+                .map(|r| {
+                    let (cols, w) = s.row(r);
+                    (cols.to_vec(), w.iter().map(|x| x.to_bits()).collect())
+                })
+                .collect()
+        };
+        let types: Vec<(usize, Vec<u32>, Rows)> =
+            plan.types.iter().map(|ts| (ts.ty, ts.rows.to_vec(), rows(&ts.to_node))).collect();
+        (
+            plan.edge_lens,
+            (rows(&plan.src_sum), rows(&plan.type_sum)),
+            (plan.slot_type.to_vec(), types),
+            (plan.dests.clone(), rows(&plan.slot_to_dest), rows(&plan.dest_to_node)),
+        )
+    }
+
+    /// The relation plan read from the hypergraph's slots equals, field by
+    /// field, the plan [`SlotPlan::new`] groups from its edges.
+    fn assert_slots_plan_as_grouped(hyper: &HyperSnapshot, what: &str) {
+        let (src, etype, dst) = edge_arrays(hyper);
+        let grouped = SlotPlan::new(&src, &etype, &dst, hyper.num_rel_nodes);
+        assert_eq!(plan_fields(&SlotPlan::relation(hyper)), plan_fields(&grouped), "{what}");
+    }
+
+    /// Every snapshot of the ICEWS14-mini profile (seed 7), the benchmark's
+    /// first workload.
+    #[test]
+    fn relation_plan_reads_the_slots_as_grouped_on_the_icews14_profile() {
+        use retia_data::{DatasetProfile, SyntheticConfig};
+        let ds = SyntheticConfig { seed: 7, ..SyntheticConfig::profile(DatasetProfile::Icews14) }
+            .generate();
+        let all: Vec<Quad> = ds.all_quads().copied().collect();
+        for (t, facts) in retia_graph::group_by_timestamp(&all) {
+            let snap = Snapshot::from_quads(&facts, ds.num_entities, ds.num_relations);
+            assert_slots_plan_as_grouped(&HyperSnapshot::from_snapshot(&snap), &format!("t={t}"));
         }
     }
 
@@ -627,7 +712,8 @@ mod tests {
     }
 
     // Each slot's weights sum to 1: the entity plan's per (dst, rel), the
-    // hyperedge plan's per (dst, hyperrelation).
+    // hyperedge plan's per (dst, hyperrelation). The relation plan read from
+    // random snapshots' slots is the one grouped from their edges.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -641,6 +727,12 @@ mod tests {
                     prop_assert!((sum - 1.0).abs() < 1e-4, "slot {} sums to {}", slot, sum);
                 }
             }
+        }
+
+        #[test]
+        fn relation_plan_reads_the_slots_as_grouped((facts, n, m) in arb_facts(12, 6)) {
+            let snap = Snapshot::from_quads(&facts, n, m);
+            assert_slots_plan_as_grouped(&HyperSnapshot::from_snapshot(&snap), "random");
         }
     }
 

@@ -13,7 +13,7 @@
 //! into the gate weights, which preserves the information flow. This
 //! deviation is recorded in DESIGN.md.
 
-use retia_tensor::{Ops, ParamStore};
+use retia_tensor::{Ops, ParamStore, Tensor};
 
 use crate::check_width;
 
@@ -108,15 +108,14 @@ impl LstmCell {
         let b = format!("{prefix}.b");
         store.register_xavier(&w, input_dim, 4 * hidden_dim);
         store.register_xavier(&u, hidden_dim, 4 * hidden_dim);
-        store.register_zeros(&b, 1, 4 * hidden_dim);
         // Forget-gate bias 1.0: standard trick so early training does not
-        // wipe the carried state.
-        {
-            let bias = store.value_mut(&b);
-            for j in hidden_dim..2 * hidden_dim {
-                bias.set(0, j, 1.0);
-            }
-        }
+        // wipe the carried state. It is the bias's initial value, so a
+        // loading store replaces it with the loaded bias.
+        let forget = hidden_dim..2 * hidden_dim;
+        store.register(
+            &b,
+            Tensor::from_fn(1, 4 * hidden_dim, |_, j| f32::from(forget.contains(&j))),
+        );
         LstmCell { w, u, b, input_dim, hidden_dim }
     }
 

@@ -78,12 +78,30 @@ pub struct ParamStore {
     params: Vec<Param>,
     seed: u64,
     next_init: u64,
+    /// Decoded values that registrations take in place of initial ones,
+    /// while the store is being loaded (`ParamStore::loading`).
+    pub(crate) loading: Option<Loading>,
+}
+
+/// The decoded values of a store being loaded: those no registration has
+/// taken yet, and every decoded name and shape in payload order, which
+/// `ParamStore::finish_loading` checks against the registrations.
+#[derive(Clone, Debug)]
+pub(crate) struct Loading {
+    pub(crate) values: HashMap<String, Tensor>,
+    pub(crate) stored: Vec<(String, (usize, usize))>,
 }
 
 impl ParamStore {
     /// Creates an empty store whose initializers derive from `seed`.
     pub fn new(seed: u64) -> Self {
-        ParamStore { by_name: HashMap::new(), params: Vec::new(), seed, next_init: 0 }
+        ParamStore {
+            by_name: HashMap::new(),
+            params: Vec::new(),
+            seed,
+            next_init: 0,
+            loading: None,
+        }
     }
 
     /// Registers a parameter with an explicit initial value.
@@ -91,36 +109,51 @@ impl ParamStore {
     /// # Panics
     /// Panics if a parameter with the same name already exists.
     pub fn register(&mut self, name: &str, value: Tensor) -> ParamId {
+        let shape = value.shape();
+        self.register_with(name, shape, || value)
+    }
+
+    /// Registers a parameter initialized with Xavier/Glorot uniform values.
+    pub fn register_xavier(&mut self, name: &str, rows: usize, cols: usize) -> ParamId {
+        let mut rng = self.next_rng();
+        self.register_with(name, (rows, cols), || init::xavier_uniform(rows, cols, &mut rng))
+    }
+
+    /// Registers a parameter initialized to zeros (typical for biases).
+    pub fn register_zeros(&mut self, name: &str, rows: usize, cols: usize) -> ParamId {
+        self.register_with(name, (rows, cols), || Tensor::zeros(rows, cols))
+    }
+
+    /// Registers a parameter with normal(0, std) values.
+    pub fn register_normal(&mut self, name: &str, rows: usize, cols: usize, std: f32) -> ParamId {
+        let mut rng = self.next_rng();
+        self.register_with(name, (rows, cols), || init::normal(rows, cols, std, &mut rng))
+    }
+
+    /// Registers `name` with the initial value `init()` makes, or, in a store
+    /// being loaded, with the decoded value of that name when its shape is
+    /// `shape`, making no initial value. Every initializer's generator is
+    /// still drawn in registration order, so a value left to `init()` is the
+    /// one a fresh store would hold.
+    fn register_with(
+        &mut self,
+        name: &str,
+        shape: (usize, usize),
+        init: impl FnOnce() -> Tensor,
+    ) -> ParamId {
         assert!(!self.by_name.contains_key(name), "parameter `{name}` registered twice");
+        let decoded = self.loading.as_mut().and_then(|l| l.values.remove(name));
+        let decoded = decoded.filter(|t| t.shape() == shape);
         let id = ParamId(self.params.len());
         self.params.push(Param {
             name: name.to_string(),
-            value: Arc::new(value),
+            value: Arc::new(decoded.unwrap_or_else(init)),
             grad: None,
             m: None,
             v: None,
         });
         self.by_name.insert(name.to_string(), id);
         id
-    }
-
-    /// Registers a parameter initialized with Xavier/Glorot uniform values.
-    pub fn register_xavier(&mut self, name: &str, rows: usize, cols: usize) -> ParamId {
-        let mut rng = self.next_rng();
-        let t = init::xavier_uniform(rows, cols, &mut rng);
-        self.register(name, t)
-    }
-
-    /// Registers a parameter initialized to zeros (typical for biases).
-    pub fn register_zeros(&mut self, name: &str, rows: usize, cols: usize) -> ParamId {
-        self.register(name, Tensor::zeros(rows, cols))
-    }
-
-    /// Registers a parameter with normal(0, std) values.
-    pub fn register_normal(&mut self, name: &str, rows: usize, cols: usize, std: f32) -> ParamId {
-        let mut rng = self.next_rng();
-        let t = init::normal(rows, cols, std, &mut rng);
-        self.register(name, t)
     }
 
     fn next_rng(&mut self) -> StdRng {
@@ -294,7 +327,8 @@ impl ParamStore {
                 v: None,
             })
             .collect();
-        ParamStore { by_name: self.by_name.clone(), params, ..*self }
+        let (seed, next_init) = (self.seed, self.next_init);
+        ParamStore { by_name: self.by_name.clone(), params, seed, next_init, loading: None }
     }
 }
 

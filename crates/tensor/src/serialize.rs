@@ -33,7 +33,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use crate::param::ParamStore;
+use crate::param::{Loading, ParamStore};
 use crate::tensor::Tensor;
 
 const MAGIC: &[u8; 8] = b"RETIAPS\0";
@@ -429,20 +429,53 @@ impl ParamStore {
     /// then load); mismatches name the parameter and both shapes.
     pub fn load_values_payload(&mut self, payload: &[u8]) -> Result<(), CheckpointError> {
         let tensors = decode_tensors(payload)?;
-        if tensors.len() != self.num_tensors() {
+        // Validate everything before mutating anything, so a bad checkpoint
+        // cannot leave the store half-loaded.
+        self.check_values(tensors.iter().map(|(name, t)| (name.as_str(), t.shape())))?;
+        for (name, t) in tensors {
+            self.set_value(&name, t);
+        }
+        Ok(())
+    }
+
+    /// An empty store for building a model over the values of a `params`
+    /// payload (see [`ParamStore::values_payload`]): each registration takes
+    /// the decoded tensor of its name and shape in place of an initial
+    /// value, so the built model holds the decoded tensors themselves and
+    /// no initial values are made. Call [`ParamStore::finish_loading`] once
+    /// every parameter is registered.
+    pub fn loading(seed: u64, payload: &[u8]) -> Result<ParamStore, CheckpointError> {
+        let tensors = decode_tensors(payload)?;
+        let stored = tensors.iter().map(|(name, t)| (name.clone(), t.shape())).collect();
+        let mut store = ParamStore::new(seed);
+        store.loading = Some(Loading { values: tensors.into_iter().collect(), stored });
+        Ok(store)
+    }
+
+    /// Ends a [`ParamStore::loading`] store's loading with the checks of
+    /// [`ParamStore::load_values_payload`]: the payload held one tensor per
+    /// registered parameter, each under a registered name and with its
+    /// shape. A no-op on a store that is not loading.
+    pub fn finish_loading(&mut self) -> Result<(), CheckpointError> {
+        let Some(loading) = self.loading.take() else { return Ok(()) };
+        self.check_values(loading.stored.iter().map(|(name, shape)| (name.as_str(), *shape)))
+    }
+
+    /// Typed validation of stored `(name, shape)` pairs, in payload order,
+    /// against the live store: the count, then each name and shape.
+    fn check_values<'a>(
+        &self,
+        stored: impl ExactSizeIterator<Item = (&'a str, (usize, usize))>,
+    ) -> Result<(), CheckpointError> {
+        if stored.len() != self.num_tensors() {
             return Err(CheckpointError::Corrupt(format!(
                 "parameter count mismatch: checkpoint {}, model {}",
-                tensors.len(),
+                stored.len(),
                 self.num_tensors()
             )));
         }
-        // Validate everything before mutating anything, so a bad checkpoint
-        // cannot leave the store half-loaded.
-        for (name, t) in &tensors {
-            self.check_shape(name, t.shape())?;
-        }
-        for (name, t) in tensors {
-            self.set_value(&name, t);
+        for (name, shape) in stored {
+            self.check_shape(name, shape)?;
         }
         Ok(())
     }
@@ -613,6 +646,42 @@ mod tests {
         flipped[off] ^= 0x10;
         let err = store().load_bytes(&flipped).unwrap_err();
         assert!(matches!(err, CheckpointError::CrcMismatch { .. }), "{err}");
+    }
+
+    /// A loading store's registrations take the decoded values (its seed
+    /// would draw other ones), and `finish_loading` reports what
+    /// `load_values_payload` does: an extra registration as a count
+    /// mismatch, a renamed one as an unknown parameter, a reshaped one
+    /// with both shapes.
+    #[test]
+    fn loading_store_registers_the_decoded_values() {
+        let payload = store().values_payload();
+        let mut loaded = ParamStore::loading(6, &payload).unwrap();
+        loaded.register_xavier("a", 3, 4);
+        loaded.register_zeros("b.w", 2, 2);
+        loaded.finish_loading().unwrap();
+        assert_eq!(loaded.values_payload(), payload);
+
+        let load = |names: &[(&str, usize)]| {
+            let mut s = ParamStore::loading(5, &payload).unwrap();
+            for &(name, cols) in names {
+                s.register_xavier(name, if name == "a" { 3 } else { 2 }, cols);
+            }
+            s.finish_loading().unwrap_err()
+        };
+        let err = load(&[("a", 4), ("b.w", 2), ("c", 1)]);
+        assert!(matches!(&err, CheckpointError::Corrupt(m) if m.contains("count")), "{err:?}");
+        let err = load(&[("a", 4), ("b.v", 2)]);
+        assert!(
+            matches!(&err, CheckpointError::UnknownParam { param } if param == "b.w"),
+            "{err:?}"
+        );
+        let err = load(&[("a", 4), ("b.w", 3)]);
+        assert!(
+            matches!(&err, CheckpointError::ShapeMismatch { param, expected: (2, 3), found: (2, 2) }
+                if param == "b.w"),
+            "{err:?}"
+        );
     }
 
     #[test]

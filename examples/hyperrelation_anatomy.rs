@@ -48,8 +48,8 @@ fn main() {
     );
     println!("\nhyperedges by type:");
     for hr in HyperRel::ALL {
-        let (a, b) = hyper.hrel_ranges[hr.id() as usize];
-        println!("  {:?}: {} edges", hr, b - a);
+        let count = hyper.edges().filter(|&(t, _, _)| t == hr.id()).count();
+        println!("  {:?}: {} edges", hr, count);
     }
 
     // ---- Part 2: does relation aggregation pay off? --------------------

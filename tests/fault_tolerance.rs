@@ -65,7 +65,7 @@ fn kill_and_resume_is_bit_identical() {
     );
 
     // Resume and finish at a different thread count.
-    let mut resumed = Trainer::resume(&dir, &ds).unwrap();
+    let mut resumed = Trainer::resume(&dir, &ds).unwrap().0;
     assert_eq!(resumed.epochs_done(), 2);
     resumed.cfg.epochs = 4;
     retia_tensor::parallel::set_num_threads(4);

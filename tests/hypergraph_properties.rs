@@ -44,8 +44,7 @@ proptest! {
         let subj_of = |r: u32| -> std::collections::HashSet<u32> {
             (0..snap.num_edges()).filter(|&i| snap.rel[i] == r).map(|i| snap.src[i]).collect()
         };
-        for i in 0..hyper.num_edges() {
-            let (hr, rs, ro) = (hyper.hrel[i], hyper.src[i], hyper.dst[i]);
+        for (hr, rs, ro) in hyper.edges() {
             if hr >= 4 {
                 continue; // inverses checked via their forward twin below
             }
@@ -60,11 +59,11 @@ proptest! {
         }
 
         // Completeness of inverses: every forward edge has its mirror.
-        for i in 0..hyper.num_edges() {
-            if hyper.hrel[i] < 4 {
-                prop_assert!(hyper.has_edge(hyper.hrel[i] + 4, hyper.dst[i], hyper.src[i]));
+        for (hr, rs, ro) in hyper.edges() {
+            if hr < 4 {
+                prop_assert!(hyper.has_edge(hr + 4, ro, rs));
             } else {
-                prop_assert!(hyper.has_edge(hyper.hrel[i] - 4, hyper.dst[i], hyper.src[i]));
+                prop_assert!(hyper.has_edge(hr - 4, ro, rs));
             }
         }
     }
